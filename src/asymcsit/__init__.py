@@ -9,13 +9,9 @@ from .channel import ChannelRealization, SnrPoint, orth_complement, sample_chann
 from .evaluator import (
     DofEstimate,
     PlanValidationError,
-    QuantizedInterference,
     RateLedger,
     estimate_dof,
     evaluate_plan,
-    rate_common_layer,
-    rate_joint_vector,
-    rate_zf_symbol,
     residual_power_probe,
 )
 from .geometry import (
@@ -57,8 +53,7 @@ __all__ = [
     "SchemeConditionError", "PRESET_NAMES",
     "build_ges12_asym", "build_case_i", "build_case_ii", "build_case_ii_alt",
     "build_sc_zf", "build_preset", "validate_plan", "plan_as_dict",
-    "QuantizedInterference", "RateLedger", "DofEstimate", "PlanValidationError",
+    "RateLedger", "DofEstimate", "PlanValidationError",
     "evaluate_plan", "estimate_dof", "residual_power_probe",
-    "rate_common_layer", "rate_zf_symbol", "rate_joint_vector",
     "ExperimentConfig", "RunReport", "run", "sweep", "region_export",
 ]

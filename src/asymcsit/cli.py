@@ -14,17 +14,7 @@ import json
 import sys
 
 from .geometry import CsitQuality, dof_region, region_as_dict
-from .reports import (
-    DEFAULT_CYCLES,
-    DEFAULT_GRID_DB,
-    DEFAULT_SEED,
-    DEFAULT_TOLERANCE,
-    DEFAULT_TRIALS,
-    ExperimentConfig,
-    region_export,
-    run,
-    sweep,
-)
+from .reports import ExperimentConfig, region_export, run, sweep
 from .schemes import PRESET_NAMES, SchemeConditionError, build_preset, plan_as_dict, validate_plan
 
 
@@ -38,45 +28,33 @@ def _add_quality_args(p):
 
 
 def _add_budget_args(p):
-    p.add_argument("--schemes", default="auto",
+    # budget flags default to None so that only flags actually given are
+    # layered over the config file (or over ExperimentConfig's defaults)
+    p.add_argument("--schemes", default=None,
                    help=f"comma-separated preset names from {sorted(PRESET_NAMES)} (default: auto)")
-    p.add_argument("--grid-db", default=",".join(str(g) for g in DEFAULT_GRID_DB),
+    p.add_argument("--grid-db", default=None,
                    help="comma-separated SNR grid in dB, P = 10**(dB/10)")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--cycles", type=int, default=DEFAULT_CYCLES)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--out-dir", default="asymcsit-out")
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--cycles", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--out-dir", default=None)
     p.add_argument("--config", default=None, help="JSON config file; flags override its values")
 
 
 def _config_from_args(args, alpha1, alpha2) -> ExperimentConfig:
-    overrides = {
-        "alpha1": alpha1,
-        "alpha2": alpha2,
-        "schemes": [s.strip() for s in args.schemes.split(",") if s.strip()],
-        "p_grid_db": [float(x) for x in args.grid_db.split(",")],
-        "n_trials": args.trials,
-        "n_cycles": args.cycles,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "output_dir": args.out_dir,
-    }
+    given = {"alpha1": alpha1, "alpha2": alpha2}
+    if args.schemes is not None:
+        given["schemes"] = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    if args.grid_db is not None:
+        given["p_grid_db"] = [float(x) for x in args.grid_db.split(",")]
+    for key, value in (("n_trials", args.trials), ("n_cycles", args.cycles), ("seed", args.seed),
+                       ("tolerance", args.tolerance), ("output_dir", args.out_dir)):
+        if value is not None:
+            given[key] = value
     if args.config:
-        defaults = {
-            "schemes": ["auto"],
-            "p_grid_db": list(DEFAULT_GRID_DB),
-            "n_trials": DEFAULT_TRIALS,
-            "n_cycles": DEFAULT_CYCLES,
-            "seed": DEFAULT_SEED,
-            "tolerance": DEFAULT_TOLERANCE,
-            "output_dir": "asymcsit-out",
-        }
-        # only layer a flag on top of the file when it differs from the default
-        explicit = {k: v for k, v in overrides.items()
-                    if k in ("alpha1", "alpha2") or defaults.get(k) != v}
-        return ExperimentConfig.from_file(args.config, explicit)
-    return ExperimentConfig.from_dict(overrides)
+        return ExperimentConfig.from_file(args.config, given)
+    return ExperimentConfig.from_dict(given)
 
 
 def _cmd_region(args) -> int:

@@ -18,6 +18,10 @@ dependency order:
      quantized record of the vector overheard at the other user, a 2x2
      log-det rate.
 
+residual_power_probe reports step 2's effective residual variance per link,
+the same number RateLedger.link_noise holds, from the same draws; its
+log-slope in P is 0 for a sound plan.
+
 Rates are mutual informations, not symbol-error simulations: the point is
 the high-SNR slope, estimated by least squares on the top half of a power
 grid.  Per-layer entries of a jointly decoded vector are the joint rate
@@ -51,37 +55,19 @@ from .schemes import (
 )
 
 __all__ = [
-    "QuantizedInterference",
     "RateLedger",
     "DofEstimate",
     "PlanValidationError",
     "evaluate_plan",
     "estimate_dof",
     "residual_power_probe",
-    "rate_common_layer",
-    "rate_zf_symbol",
-    "rate_joint_vector",
 ]
 
 _TAG_CHANNEL = 1
-_TAG_PROBE = 2
 
 
 class PlanValidationError(ValueError):
     """evaluate_plan refused a plan with outstanding diagnostics."""
-
-
-@dataclass(frozen=True, eq=False)
-class QuantizedInterference:
-    """Samples of one overheard interference and its quantization error."""
-
-    link: QuantizationLink
-    clean_value: np.ndarray
-    quant_error: np.ndarray
-
-    @property
-    def reconstructed(self) -> np.ndarray:
-        return self.clean_value - self.quant_error
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,30 +285,37 @@ def _fresh_group_rates(ev: _SlotEval, link_info, p: float, owner: str):
     return layers, joint, shares
 
 
-def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> RateLedger:
-    """Measure every layer's Gaussian MI rate over n_trials channel draws.
+def _slot_evals(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> dict[int, _SlotEval]:
+    """Draw every slot's channel at one grid point and digest it.
 
-    Raises PlanValidationError when the plan has validation diagnostics and
-    ValueError on a quality mismatch.  Deterministic for a given
-    (seed, n_trials, snr): channel streams are keyed by grid point and slot
-    index, trial i reading row i of each draw.
+    Channel streams are keyed by (seed, grid point, slot index), trial i
+    reading row i of each draw.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if snr.quality != plan.quality:
         raise ValueError("SNR point and plan disagree on CSIT quality")
-    diags = validate_plan(plan)
-    if diags:
-        raise PlanValidationError("; ".join(diags))
-
-    p = snr.p
     pkey = _p_key(snr)
     evals: dict[int, _SlotEval] = {}
     for slot in plan.all_slots():
         rng = _stream(seed, _TAG_CHANNEL, pkey, slot.index)
         ch = sample_channel(snr, rng, size=n_trials)
-        evals[slot.index] = _SlotEval(slot, ch, p)
+        evals[slot.index] = _SlotEval(slot, ch, snr.p)
+    return evals
 
+
+def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> RateLedger:
+    """Measure every layer's Gaussian MI rate over n_trials channel draws.
+
+    Raises PlanValidationError when the plan has validation diagnostics and
+    ValueError on a quality mismatch.  Deterministic for a given
+    (seed, n_trials, snr).
+    """
+    diags = validate_plan(plan)
+    if diags:
+        raise PlanValidationError("; ".join(diags))
+    evals = _slot_evals(plan, snr, n_trials, seed)
+    p = snr.p
     link_info = _resolve_links(plan, evals, p)
 
     per_symbol: dict[str, float] = {}
@@ -417,100 +410,18 @@ def estimate_dof(plan: SchemePlan, p_grid: list[SnrPoint], n_trials: int, seed: 
 
 
 def residual_power_probe(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> dict[str, float]:
-    """Mean residual power |eta - eta_hat|^2 at each subtraction point.
+    """Effective residual variance after each interference subtraction.
 
-    For every quantization link this draws the source symbols and channel,
-    forms the overheard interference and its quantized reconstruction, and
-    averages the residual.  A well-provisioned link leaves the constructed
-    unit-variance quantization error (mean 1, flat in P); a link whose
-    quantization pre-log undershoots the interference's received-power
-    exponent by x leaves a residual growing as P**x.
+    Returns the same per-link numbers evaluate_plan reports as link_noise,
+    from the same channel draws: the quantizer's rate-distortion variance,
+    doubled for every bit the carrying common layer fails to deliver.  A
+    sound plan's residual stays at the unit noise floor (log-slope 0 in P);
+    a link whose quantization pre-log undershoots the interference's
+    received-power exponent by x leaves a residual growing as P**x.
 
     Diagnostic tool: runs on plans that fail validation (that is the point
     of probing a deliberately mis-specified link).
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    p = snr.p
-    pkey = _p_key(snr)
-    out: dict[str, float] = {}
-    for i, link in enumerate(plan.links):
-        rng = _stream(seed, _TAG_PROBE, pkey, link.source_slot, i)
-        slot = plan.slot(link.source_slot)
-        ch = sample_channel(snr, rng, size=n_trials)
-        gain1, gain2 = _gains_for_slot(slot, ch)
-        gains = gain1 if link.observer == OWNER_USER1 else gain2
-        source = _source_group(plan, link)
-        scale = math.sqrt(0.5)
-        eta = sum(
-            gains[l.id] * math.sqrt(l.power(p))
-            * scale * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
-            for l in source
-        )
-        var = _quant_var(plan, link, p)
-        err = math.sqrt(var) * scale * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
-        q = QuantizedInterference(link=link, clean_value=eta, quant_error=err)
-        out[link.interference_id] = float(np.mean(np.abs(q.clean_value - q.reconstructed) ** 2))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# single-layer rate formulas (the building blocks the evaluator composes)
-# ---------------------------------------------------------------------------
-
-
-def rate_common_layer(plan_slot: SlotPlan, layer: SymbolLayer, ch: ChannelRealization, snr: SnrPoint):
-    """Both users' SIC mutual informations of one first-antenna layer.
-
-    The deliverable rate of the layer is the minimum of the two (its bits
-    must decode at both receivers).
-    """
-    if layer not in plan_slot.layers:
-        raise ValueError(f"layer {layer.id!r} is not part of slot {plan_slot.index}")
-    gain1, gain2 = _gains_for_slot(plan_slot, ch)
-    mi1, mi2 = _common_mis(plan_slot, gain1, gain2, snr.p)
-    return mi1[layer.id], mi2[layer.id]
-
-
-def rate_zf_symbol(u_layer: SymbolLayer, ch: ChannelRealization, snr: SnrPoint, residual_power=0.0):
-    """Rate of a single zero-forced symbol at its intended user.
-
-    log2(1 + |gain|^2 P_layer / (residual_power + 1)) where residual_power
-    bundles whatever interference was not removed (quantization residue,
-    below-noise leakage at its true finite-P power).
-    """
-    user = 1 if u_layer.owner == OWNER_USER1 else 2
-    h = ch.h_true if user == 1 else ch.g_true
-    vecs = {
-        (1, "orth"): lambda: orth_complement(ch.h_est),
-        (1, "along"): lambda: unit(ch.h_est),
-        (2, "orth"): lambda: orth_complement(ch.g_est),
-        (2, "along"): lambda: unit(ch.g_est),
-    }
-    gain = _vdot(h, vecs[(u_layer.precoder.user, u_layer.precoder.kind)]())
-    return np.log2(1.0 + np.abs(gain) ** 2 * u_layer.power(snr.p) / (residual_power + 1.0))
-
-
-def rate_joint_vector(v_layers, ch: ChannelRealization, snr: SnrPoint, direct_noise=1.0, side_noise=1.0):
-    """Joint rate of a two-symbol vector from direct + quantized-record rows.
-
-    The owner's direct observation (noise direct_noise) is stacked with the
-    overheard image reconstructed at the other user (noise side_noise, the
-    quantization error), and the rate is log2 det(I + H Q H^H N^-1).
-    """
-    v_layers = list(v_layers)
-    if not v_layers:
-        raise ValueError("need at least one layer")
-    owner = v_layers[0].owner
-    direct, cross = (ch.g_true, ch.h_true) if owner == OWNER_USER2 else (ch.h_true, ch.g_true)
-    vecs = {
-        (1, "orth"): orth_complement(ch.h_est),
-        (1, "along"): unit(ch.h_est),
-        (2, "orth"): orth_complement(ch.g_est),
-        (2, "along"): unit(ch.g_est),
-    }
-    powers = [l.power(snr.p) for l in v_layers]
-    g_direct = [_vdot(direct, vecs[(l.precoder.user, l.precoder.kind)]) for l in v_layers]
-    g_cross = [_vdot(cross, vecs[(l.precoder.user, l.precoder.kind)]) for l in v_layers]
-    rows = [(g_direct, direct_noise), (g_cross, side_noise)]
-    return _logdet_mi(rows, powers)
+    evals = _slot_evals(plan, snr, n_trials, seed)
+    link_info = _resolve_links(plan, evals, snr.p)
+    return {li.link.interference_id: li.effective_var for li in link_info.values()}

@@ -108,6 +108,7 @@ class SchemeResult:
     target: DofPoint
     passed: bool
     within_region: bool
+    channel_uses: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,9 +172,9 @@ def _csv_rows(config: ExperimentConfig, results) -> str:
                 _fmt(config.alpha1),
                 _fmt(config.alpha2),
                 _fmt(db),
-                _fmt(r1 * r.uses),
-                _fmt(r2 * r.uses),
-                _fmt(r.uses),
+                _fmt(r1 * r.channel_uses),
+                _fmt(r2 * r.channel_uses),
+                _fmt(r.channel_uses),
                 _fmt(d1),
                 _fmt(d2),
                 _fmt(se1),
@@ -188,11 +189,6 @@ def region_export(quality: CsitQuality, path: str | Path) -> Path:
     path = Path(path)
     _atomic_write(path, json.dumps(region_as_dict(dof_region(quality)), indent=2) + "\n")
     return path
-
-
-@dataclass(frozen=True, eq=False)
-class _ResultWithUses(SchemeResult):
-    uses: float = 0.0
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -216,13 +212,13 @@ def run(config: ExperimentConfig) -> RunReport:
             abs(est.slope.d2 - target.d2),
         ) <= config.tolerance
         within = contains(region, est.slope, tol=config.tolerance)
-        results.append(_ResultWithUses(
+        results.append(SchemeResult(
             name=plan.name,
             estimate=est,
             target=target,
             passed=passed,
             within_region=within,
-            uses=plan.channel_uses(),
+            channel_uses=plan.channel_uses(),
         ))
 
     report = RunReport(
@@ -248,7 +244,7 @@ def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
         raise ValueError("qualities must be nonempty")
     entries = []
     for q in qualities:
-        tag = f"a1_{q.alpha1:g}_a2_{q.alpha2:g}".replace(".", "p")
+        tag = f"a1_{float(q.alpha1)!r}_a2_{float(q.alpha2)!r}".replace(".", "p")
         sub = dataclasses.replace(
             base, alpha1=q.alpha1, alpha2=q.alpha2, output_dir=base.output_dir / tag
         )
@@ -262,7 +258,7 @@ def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
                          "passed": r.passed}
                 for r in report.results
             }
-        except Exception as exc:  # record and continue
+        except ValueError as exc:  # includes SchemeConditionError; record and continue
             entry["passed"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
         entries.append(entry)

@@ -218,12 +218,6 @@ class SchemePlan:
                     return s, layer
         raise KeyError(f"no layer with id {layer_id!r}")
 
-    def link_for(self, slot_index: int, observer: str) -> QuantizationLink | None:
-        for link in self.links:
-            if link.source_slot == slot_index and link.observer == observer:
-                return link
-        return None
-
 
 # ---------------------------------------------------------------------------
 # builders

@@ -14,20 +14,14 @@ from asymcsit import (
     build_sc_zf,
     estimate_dof,
     evaluate_plan,
-    orth_complement,
-    outer_bound_slack,
-    rate_common_layer,
-    rate_joint_vector,
-    rate_zf_symbol,
     residual_power_probe,
     sample_channel,
 )
-from asymcsit.evaluator import _TAG_CHANNEL, _p_key, _stream
+from asymcsit.evaluator import _TAG_CHANNEL, _common_mis, _gains_for_slot, _logdet_mi, _p_key, _stream
 from asymcsit.schemes import (
     OWNER_COMMON,
     OWNER_USER1,
     OWNER_USER2,
-    SchemePlan,
     SlotPlan,
     SymbolLayer,
     along,
@@ -52,48 +46,55 @@ def _fixed_channel():
     return ChannelRealization(h_true=e1, g_true=e2, h_est=e1, g_est=e2, h_err=zero, g_err=zero)
 
 
+def _zf_rate(layer, ch, p, noise):
+    """The evaluator's direct-observation rate of a lone zero-forced symbol."""
+    gain1, _ = _gains_for_slot(SlotPlan(1, (layer,)), ch)
+    return float(_logdet_mi([([gain1[layer.id]], noise)], [layer.power(p)]))
+
+
+def _vector_rate(layers, ch, p, direct_noise, side_noise):
+    """The evaluator's 2x2 log-det rate of a user-2 vector: direct row at
+    user 2 stacked with the record overheard at user 1."""
+    gain1, gain2 = _gains_for_slot(SlotPlan(1, tuple(layers)), ch)
+    rows = [([gain2[l.id] for l in layers], direct_noise), ([gain1[l.id] for l in layers], side_noise)]
+    return float(_logdet_mi(rows, [l.power(p) for l in layers]))
+
+
 class TestRateOps:
+    """The evaluator's rate primitives on fixed or single draws."""
+
     def test_single_common_is_point_to_point_capacity(self):
         snr = SnrPoint(1e6, Q35)
         layer = SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, 1.0)
         slot = SlotPlan(1, (layer,))
-        mi1, mi2 = rate_common_layer(slot, layer, _fixed_channel(), snr)
-        assert float(mi1) == pytest.approx(math.log2(1 + 1e6), abs=1e-12)
-        assert float(mi2) == 0.0  # g has no first-antenna component here
-
-    def test_common_layer_must_belong_to_slot(self):
-        snr = SnrPoint(1e6, Q35)
-        layer = SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, 1.0)
-        other = SymbolLayer("d", OWNER_COMMON, first_antenna(), 1.0, 0.5, 0.5)
-        slot = SlotPlan(1, (layer,))
-        with pytest.raises(ValueError, match="not part of slot"):
-            rate_common_layer(slot, other, _fixed_channel(), snr)
+        gain1, gain2 = _gains_for_slot(slot, _fixed_channel())
+        mi1, mi2 = _common_mis(slot, gain1, gain2, snr.p)
+        assert float(mi1["c"]) == pytest.approx(math.log2(1 + 1e6), abs=1e-12)
+        assert float(mi2["c"]) == 0.0  # g has no first-antenna component here
 
     def test_zf_symbol_clean(self):
         snr = SnrPoint(1e4, Q35)
-        ch = _fixed_channel()
         u = SymbolLayer("u", OWNER_USER1, orth_to(2), 1.0, 1.0, 1.0)
         # orth(g_est) = orth((0,1)) is along e1, so the gain is |h^H e1| = 1
-        rate = float(rate_zf_symbol(u, ch, snr))
+        rate = _zf_rate(u, _fixed_channel(), snr.p, 1.0)
         assert rate == pytest.approx(math.log2(1 + 1e4), abs=1e-9)
 
     def test_zf_symbol_residual_noise(self):
         snr = SnrPoint(1e4, Q35)
         u = SymbolLayer("u", OWNER_USER1, orth_to(2), 1.0, 1.0, 1.0)
-        r0 = float(rate_zf_symbol(u, _fixed_channel(), snr, residual_power=0.0))
-        r3 = float(rate_zf_symbol(u, _fixed_channel(), snr, residual_power=3.0))
+        r0 = _zf_rate(u, _fixed_channel(), snr.p, 1.0)
+        r3 = _zf_rate(u, _fixed_channel(), snr.p, 1.0 + 3.0)  # residual 3 on top of unit noise
         assert r3 == pytest.approx(math.log2(1 + 1e4 / 4.0), abs=1e-9)
         assert r3 < r0
 
     def test_joint_vector_zero_power(self):
         snr = SnrPoint(1e6, Q35)
-        rng = np.random.default_rng(0)
-        ch = sample_channel(snr, rng)
+        ch = sample_channel(snr, np.random.default_rng(0))
         layers = [
             SymbolLayer("v1", OWNER_USER2, orth_to(1), 0.5, 1.0, 0.5, 1.0, 0.5),  # power 0
             SymbolLayer("v2", OWNER_USER2, along(1), 0.2, 1.0, 0.2, 1.0, 0.2),    # power 0
         ]
-        assert float(rate_joint_vector(layers, ch, snr)) == 0.0
+        assert _vector_rate(layers, ch, snr.p, 1.0, 1.0) == 0.0
 
     def test_joint_vector_positive_and_noise_monotone(self):
         snr = SnrPoint(1e6, Q35)
@@ -102,33 +103,42 @@ class TestRateOps:
             SymbolLayer("v1", OWNER_USER2, orth_to(1), 0.5, 0.5, 0.5),
             SymbolLayer("v2", OWNER_USER2, along(1), 0.25, 0.2, 0.2),
         ]
-        r1 = float(rate_joint_vector(layers, ch, snr, direct_noise=1.0, side_noise=1.0))
-        r2 = float(rate_joint_vector(layers, ch, snr, direct_noise=5.0, side_noise=2.0))
+        r1 = _vector_rate(layers, ch, snr.p, direct_noise=1.0, side_noise=1.0)
+        r2 = _vector_rate(layers, ch, snr.p, direct_noise=5.0, side_noise=2.0)
         assert r1 > r2 > 0.0
 
 
 class TestEvaluatePlan:
     def test_sc_zf_compositional_identity(self):
-        # one trial: the ledger must equal the direct recomputation from the
-        # single-layer rate formulas on the same channel draw
+        # one trial: the ledger must equal an independent numpy recomputation
+        # of the SIC and zero-forcing rates on the same channel draw
         snr = SnrPoint.from_db(80, Q35)
         plan = build_sc_zf(Q35)
         seed = 123
         ledger = evaluate_plan(plan, snr, 1, seed)
 
-        slot = plan.slot(1)
-        rng = _stream(seed, _TAG_CHANNEL, _p_key(snr), 1)
-        ch = sample_channel(snr, rng, size=1)
-        xc = next(l for l in slot.layers if l.id == "x_c")
-        u1 = next(l for l in slot.layers if l.id == "u1")
-        v1 = next(l for l in slot.layers if l.id == "v1")
+        ch = sample_channel(snr, _stream(seed, _TAG_CHANNEL, _p_key(snr), 1), size=1)
+        h, g = ch.h_true[0], ch.g_true[0]
+        power = {l.id: l.power(snr.p) for l in plan.slot(1).layers}
 
-        mi1, mi2 = rate_common_layer(slot, xc, ch, snr)
-        r_xc = float(np.minimum(mi1, mi2)[0])
-        leak_u = float(np.abs((np.conj(ch.h_true) * orth_complement(ch.h_est)).sum(-1)[0]) ** 2) * v1.power(snr.p)
-        leak_v = float(np.abs((np.conj(ch.g_true) * orth_complement(ch.g_est)).sum(-1)[0]) ** 2) * u1.power(snr.p)
-        r_u = float(rate_zf_symbol(u1, ch, snr, residual_power=leak_u)[0])
-        r_v = float(rate_zf_symbol(v1, ch, snr, residual_power=leak_v)[0])
+        def orth(v):
+            w = np.array([-np.conj(v[1]), np.conj(v[0])])
+            return w / np.linalg.norm(w)
+
+        w_u, w_v = orth(ch.g_est[0]), orth(ch.h_est[0])  # u1 nulls user 2, v1 user 1
+
+        def rx(c, w, layer_id):
+            return abs(np.vdot(c, w)) ** 2 * power[layer_id]
+
+        # x_c rides on antenna 1 and is decoded at both users under both
+        # zero-forced symbols; each zero-forced symbol then sees the other's
+        # leakage
+        r_xc = min(
+            math.log2(1 + abs(c[0]) ** 2 * power["x_c"] / (rx(c, w_u, "u1") + rx(c, w_v, "v1") + 1))
+            for c in (h, g)
+        )
+        r_u = math.log2(1 + rx(h, w_u, "u1") / (1 + rx(h, w_v, "v1")))
+        r_v = math.log2(1 + rx(g, w_v, "v1") / (1 + rx(g, w_u, "u1")))
 
         assert ledger.user_rate[0] == pytest.approx(r_xc + r_u, abs=1e-12)
         assert ledger.user_rate[1] == pytest.approx(r_v, abs=1e-12)
@@ -297,6 +307,17 @@ class TestEstimateDof:
 
 
 class TestResidualProbe:
+    def test_probe_reads_evaluator_link_noise(self):
+        plan = build_case_ii(Q35, 2)
+        for snr in _grid(Q35):
+            ledger = evaluate_plan(plan, snr, 300, seed=7)
+            assert residual_power_probe(plan, snr, 300, seed=7) == ledger.link_noise
+
+    def test_probe_rejects_quality_mismatch(self):
+        plan = build_case_ii(Q35, 1)
+        with pytest.raises(ValueError, match="quality"):
+            residual_power_probe(plan, SnrPoint.from_db(80, Q28), 10, seed=0)
+
     def test_residual_unit_power(self):
         plan = build_case_ii(Q35, 2)
         for snr in (SnrPoint(1e4, Q35), SnrPoint(1e10, Q35)):

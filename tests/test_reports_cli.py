@@ -98,6 +98,24 @@ class TestSweep:
         assert index["runs"][1]["passed"] in (True, False)
         assert "error" not in index["runs"][1]
 
+    def test_sweep_dirs_distinguish_close_qualities(self, tmp_path):
+        base = ExperimentConfig(alpha1=0.0, alpha2=0.0, schemes=["sc-zf"],
+                                output_dir=tmp_path / "sw", **SMALL)
+        index = sweep([CsitQuality(0.1234567, 0.5), CsitQuality(0.1234568, 0.5)], base)
+        dirs = [entry["dir"] for entry in index["runs"]]
+        assert dirs[0] != dirs[1]
+        for d in dirs:
+            assert (tmp_path / "sw" / d / "ledger.csv").exists()
+
+    def test_sweep_propagates_programming_errors(self, tmp_path, monkeypatch):
+        def broken(config):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr("asymcsit.reports.run", broken)
+        base = ExperimentConfig(alpha1=0.0, alpha2=0.0, output_dir=tmp_path / "sw", **SMALL)
+        with pytest.raises(RuntimeError, match="bug"):
+            sweep([CsitQuality(0.3, 0.5)], base)
+
     def test_sweep_rejects_empty(self, tmp_path):
         base = ExperimentConfig(alpha1=0.0, alpha2=0.0, output_dir=tmp_path, **SMALL)
         with pytest.raises(ValueError, match="nonempty"):
@@ -175,3 +193,16 @@ class TestCli:
         assert rc == 0
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["config"]["n_trials"] == 60
+
+    def test_config_file_flag_equal_to_default_overrides(self, tmp_path):
+        cfg = {"alpha1": 0.3, "alpha2": 0.5, "schemes": ["sc-zf"],
+               "p_grid_db": [60, 80, 100], "n_trials": 60, "n_cycles": 3, "seed": 3,
+               "output_dir": str(tmp_path / "o")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        # 7 is also the flag's default value; an explicit flag still wins
+        rc = main(["run", "--alpha1", "0.3", "--alpha2", "0.5", "--config", str(path), "--seed", "7"])
+        assert rc == 0
+        config = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
+        assert config["seed"] == 7
+        assert config["n_trials"] == 60
