@@ -15,7 +15,7 @@ import sys
 
 from .geometry import CsitQuality, dof_region, region_as_dict
 from .reports import ExperimentConfig, region_export, run, sweep
-from .schemes import PRESET_NAMES, SchemeConditionError, build_preset, plan_as_dict, validate_plan
+from .schemes import PRESET_NAMES, build_preset, plan_as_dict, validate_plan
 
 
 def _quality(args) -> CsitQuality:
@@ -172,9 +172,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SchemeConditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,9 @@ dependency order:
      common layer's delivered mutual information at either user), and the
      receivers' residual after subtracting the reconstruction is Gaussian
      with the matching rate-distortion variance (exactly 1 when the link is
-     well provisioned and fully delivered);
+     well provisioned and fully delivered).  The interference's received
+     exponent comes from SchemePlan.source_exponent, the same rule the
+     builders and validate_plan use;
   3. private zero-forced symbols and jointly decoded two-symbol vectors.
      A vector's owner decodes from its direct observation (after common
      removal and, where linked, interference subtraction) stacked with the
@@ -24,7 +26,8 @@ log-slope in P is 0 for a sound plan.
 
 Rates are mutual informations, not symbol-error simulations: the point is
 the high-SNR slope, estimated by least squares on the top half of a power
-grid.  Per-layer entries of a jointly decoded vector are the joint rate
+grid that check_grid_db accepts (ExperimentConfig runs the same check up
+front).  Per-layer entries of a jointly decoded vector are the joint rate
 split proportionally to each symbol's genie-aided (others-known) rate, so
 they sum to the joint rate and keep each symbol's pre-log.
 
@@ -50,7 +53,6 @@ from .schemes import (
     QuantizationLink,
     SchemePlan,
     SlotPlan,
-    SymbolLayer,
     validate_plan,
 )
 
@@ -60,6 +62,7 @@ __all__ = [
     "PlanValidationError",
     "evaluate_plan",
     "estimate_dof",
+    "check_grid_db",
     "residual_power_probe",
 ]
 
@@ -162,7 +165,9 @@ def _logdet_mi(rows, powers):
 
     rows is a list of (per-layer gain arrays, noise variance); powers the
     per-layer transmit powers.  With a single row this reduces to the scalar
-    SINR formula.
+    SINR formula.  With two, det = 1 + a11 + a22 + det(A), and det(A) is
+    expanded by Cauchy-Binet into a sum of nonnegative 2x2 minors, so nearly
+    collinear rows lose no precision to cancellation.
     """
     g1, n1 = rows[0]
     a11 = sum(p * np.abs(g) ** 2 for g, p in zip(g1, powers)) / n1
@@ -170,9 +175,10 @@ def _logdet_mi(rows, powers):
         return np.log2(1.0 + a11)
     g2, n2 = rows[1]
     a22 = sum(p * np.abs(g) ** 2 for g, p in zip(g2, powers)) / n2
-    a12 = sum(p * g * np.conj(h) for g, h, p in zip(g1, g2, powers)) / np.sqrt(n1 * n2)
-    det = (1.0 + a11) * (1.0 + a22) - np.abs(a12) ** 2
-    return np.log2(np.maximum(det, 1.0))
+    k = len(powers)
+    gram = sum(powers[i] * powers[j] * np.abs(g1[i] * g2[j] - g1[j] * g2[i]) ** 2
+               for i in range(k) for j in range(i + 1, k))
+    return np.log2(1.0 + a11 + a22 + gram / (n1 * n2))
 
 
 def _genie_mi(rows, powers, i):
@@ -197,25 +203,7 @@ class _SlotEval:
 class _LinkInfo:
     link: QuantizationLink
     delivered: float
-    quant_var: float
     effective_var: float
-
-
-def _source_group(plan: SchemePlan, link: QuantizationLink) -> list[SymbolLayer]:
-    owner = OWNER_USER2 if link.observer == OWNER_USER1 else OWNER_USER1
-    return plan.slot(link.source_slot).fresh(owner)
-
-
-def _quant_var(plan: SchemePlan, link: QuantizationLink, p: float) -> float:
-    """Rate-distortion residual variance of the quantizer itself.
-
-    The source interference is received with power ~ P**e_src; describing it
-    with quant_prelog * log2(P) bits leaves distortion P**(e_src - prelog),
-    exactly 1 for a correctly provisioned link.
-    """
-    alpha = plan.quality.alpha1 if link.observer == OWNER_USER1 else plan.quality.alpha2
-    e_src = max(l.power_exponent for l in _source_group(plan, link)) - alpha
-    return p ** (e_src - link.quant_prelog)
 
 
 def _resolve_links(plan: SchemePlan, evals: dict[int, _SlotEval], p: float):
@@ -234,12 +222,17 @@ def _resolve_links(plan: SchemePlan, evals: dict[int, _SlotEval], p: float):
             float(np.mean(ev.mi1[link.retransmit_layer])),
             float(np.mean(ev.mi2[link.retransmit_layer])),
         )
-        quant_var = _quant_var(plan, link, p)
+        e_src = plan.source_exponent(link)
+        if e_src is None:
+            raise ValueError(f"link {link.interference_id}: source interference missing")
+        # rate-distortion variance of the quantizer itself: the source is
+        # received at ~ P**e_src, and quant_prelog * log2(P) bits describe it
+        # down to P**(e_src - quant_prelog), exactly 1 for a sound link
+        quant_var = p ** (e_src - link.quant_prelog)
         shortfall = max(0.0, link.quant_prelog * log2p - delivered)
         info[(link.source_slot, link.observer)] = _LinkInfo(
             link=link,
             delivered=delivered,
-            quant_var=quant_var,
             effective_var=quant_var * 2.0 ** shortfall,
         )
     return info
@@ -360,23 +353,32 @@ def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> 
     )
 
 
+def check_grid_db(p_db: list[float]) -> None:
+    """Reject a power grid (in dB) that cannot support the slope fit.
+
+    It must be strictly increasing, hold at least 3 points and span at
+    least 40 dB.
+    """
+    if any(b <= a for a, b in zip(p_db, p_db[1:])):
+        raise ValueError("power grid must be strictly increasing")
+    if len(p_db) < 3:
+        raise ValueError("power grid needs at least 3 points")
+    if p_db[-1] - p_db[0] < 40.0 - 1e-9:
+        raise ValueError("power grid must span at least 40 dB")
+
+
 def estimate_dof(plan: SchemePlan, p_grid: list[SnrPoint], n_trials: int, seed: int) -> DofEstimate:
     """Fit the per-user rate slopes against log2(P) over a power grid.
 
-    Requires at least 3 strictly increasing points spanning 40 dB; the fit
+    The grid must pass check_grid_db (at least 3 strictly increasing
+    points spanning 40 dB) and match the plan's quality; the fit
     uses the top half of the grid (at least two points) to suppress the
     O(1) offsets that bias small-P slopes.  The slope standard error
     propagates the per-point Monte-Carlo errors through the least-squares
     weights.  Tiny negative fitted slopes are floored at 0 (pre-logs are
     nonnegative; the raw rates stay available in points).
     """
-    if len(p_grid) < 3:
-        raise ValueError("p_grid needs at least 3 points")
-    ps = [s.p for s in p_grid]
-    if any(b <= a for a, b in zip(ps, ps[1:])):
-        raise ValueError("p_grid must be strictly increasing")
-    if 10.0 * math.log10(ps[-1] / ps[0]) < 40.0 - 1e-9:
-        raise ValueError("p_grid must span at least 40 dB")
+    check_grid_db([s.p_db for s in p_grid])
     for s in p_grid:
         if s.quality != plan.quality:
             raise ValueError("p_grid quality mismatch with plan")

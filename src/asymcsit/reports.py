@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .channel import SnrPoint
-from .evaluator import DofEstimate, estimate_dof
+from .evaluator import DofEstimate, check_grid_db, estimate_dof
 from .geometry import CsitQuality, DofPoint, contains, dof_region, region_as_dict
 from .schemes import PRESET_NAMES, build_preset
 
@@ -69,8 +69,7 @@ class ExperimentConfig:
         for name in self.schemes:
             if name not in PRESET_NAMES:
                 raise ValueError(f"unknown scheme {name!r}; choose from {sorted(PRESET_NAMES)}")
-        if any(b <= a for a, b in zip(self.p_grid_db, self.p_grid_db[1:])):
-            raise ValueError("p_grid_db must be strictly increasing")
+        check_grid_db(self.p_grid_db)
         if self.n_trials < 1 or self.n_cycles < 1:
             raise ValueError("n_trials and n_cycles must be >= 1")
         if self.tolerance < 0:

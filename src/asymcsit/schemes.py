@@ -29,7 +29,7 @@ accounting is unchanged by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .geometry import CsitQuality, DofPoint, contains, dof_region
 
@@ -187,6 +187,11 @@ class SchemePlan:
     Channel-use accounting is the virtual one: the prologue counts
     prologue_channel_uses and each cycle cycle_channel_uses, fractional
     because retransmission layers only occupy part of a slot.
+
+    The slot order and the slot/layer lookups are indexed once, at
+    construction: all_slots() is the slots in index order, and slot() and
+    find_layer() are dict reads.  A duplicate slot index or layer id raises
+    ValueError.
     """
 
     name: str
@@ -198,25 +203,53 @@ class SchemePlan:
     prologue_channel_uses: float
     cycle_channel_uses: float
     n_cycles: int
+    _slots: tuple[SlotPlan, ...] = field(init=False, repr=False, compare=False)
+    _slot_by_index: dict[int, SlotPlan] = field(init=False, repr=False, compare=False)
+    _layer_home: dict[str, tuple[SlotPlan, SymbolLayer]] = field(init=False, repr=False, compare=False)
 
-    def all_slots(self) -> list[SlotPlan]:
-        return sorted(self.prologue_slots + self.cycle_slots, key=lambda s: s.index)
+    def __post_init__(self):
+        slots = tuple(sorted(self.prologue_slots + self.cycle_slots, key=lambda s: s.index))
+        by_index: dict[int, SlotPlan] = {}
+        home: dict[str, tuple[SlotPlan, SymbolLayer]] = {}
+        for s in slots:
+            if s.index in by_index:
+                raise ValueError(f"duplicate slot index {s.index}")
+            by_index[s.index] = s
+            for layer in s.layers:
+                if layer.id in home:
+                    raise ValueError(
+                        f"duplicate layer id {layer.id!r} (slots {home[layer.id][0].index} and {s.index})"
+                    )
+                home[layer.id] = (s, layer)
+        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_slot_by_index", by_index)
+        object.__setattr__(self, "_layer_home", home)
+
+    def all_slots(self) -> tuple[SlotPlan, ...]:
+        return self._slots
 
     def channel_uses(self) -> float:
         return self.prologue_channel_uses + self.n_cycles * self.cycle_channel_uses
 
     def slot(self, index: int) -> SlotPlan:
-        for s in self.all_slots():
-            if s.index == index:
-                return s
-        raise KeyError(f"no slot with index {index}")
+        try:
+            return self._slot_by_index[index]
+        except KeyError:
+            raise KeyError(f"no slot with index {index}") from None
 
     def find_layer(self, layer_id: str) -> tuple[SlotPlan, SymbolLayer]:
-        for s in self.all_slots():
-            for layer in s.layers:
-                if layer.id == layer_id:
-                    return s, layer
-        raise KeyError(f"no layer with id {layer_id!r}")
+        try:
+            return self._layer_home[layer_id]
+        except KeyError:
+            raise KeyError(f"no layer with id {layer_id!r}") from None
+
+    def source_exponent(self, link: QuantizationLink) -> float | None:
+        """Received-power exponent of the interference `link` quantizes.
+
+        None when the source slot sends nothing the observer overhears.
+        """
+        source_owner = OWNER_USER2 if link.observer == OWNER_USER1 else OWNER_USER1
+        return _source_exponent(self.slot(link.source_slot).fresh(source_owner), link.observer, self.quality)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +301,13 @@ def _link_and_carrier(slot_index, observer, quality, source_layers, carrier_id):
     if exponent is None or exponent <= _PRELOG_EPS:
         return None
     tag = "1" if observer == OWNER_USER1 else "2"
-    link = QuantizationLink(
+    return QuantizationLink(
         source_slot=slot_index,
         observer=observer,
         interference_id=f"eta_{slot_index}_{tag}",
         quant_prelog=exponent,
         retransmit_layer=carrier_id,
     )
-    return link
 
 
 def _prologue(quality: CsitQuality):
@@ -364,12 +396,13 @@ def build_ges12_asym(quality: CsitQuality) -> SchemePlan:
     )
 
 
-def _cycled_plan(name, quality, n_cycles, slots_per_cycle, make_cycle, make_terminator, predicted, cycle_uses):
+def _cycled_plan(name, quality, n_cycles, slots_per_cycle, make_cycle, terminal_carriers, predicted, cycle_uses):
     """Common assembly for the cycled presets.
 
-    make_cycle(k, first_index) returns (slots, links) of cycle k; the
-    carriers referenced by links landing after the cycle are created either
-    by the next cycle or by make_terminator(links_pending).
+    make_cycle(k, first_index, pending) returns (slots, links, pending) of
+    cycle k, where pending are the links whose carriers land after the
+    cycle: in the next cycle, or in the terminating slot made of
+    terminal_carriers(pending) (none when that is empty).
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -383,8 +416,9 @@ def _cycled_plan(name, quality, n_cycles, slots_per_cycle, make_cycle, make_term
         cycle_slots += slots
         links += new_links
 
-    terminator = make_terminator(3 + slots_per_cycle * n_cycles, pending)
-    prologue = (slot1, slot2) + ((terminator,) if terminator is not None else ())
+    layers = terminal_carriers(pending)
+    terminator = (SlotPlan(3 + slots_per_cycle * n_cycles, layers),) if layers else ()
+    prologue = (slot1, slot2) + terminator
 
     a2 = quality.alpha2
     return SchemePlan(
@@ -400,11 +434,12 @@ def _cycled_plan(name, quality, n_cycles, slots_per_cycle, make_cycle, make_term
     )
 
 
-def _carrier_layers_single(carrier_links, a2):
-    """Top-power common layer(s) of a two-slot-cycle A slot / terminator."""
+def _carriers(links, sub_exp, exp=1.0):
+    """Common layers multicasting each given link's quantized bits at power
+    P**exp - P**sub_exp; None entries (links that vanished) are skipped."""
     return _kept([
-        _layer(link.retransmit_layer, OWNER_COMMON, first_antenna(), 1.0, 1.0, link.quant_prelog, sub=(1.0, a2))
-        for link in carrier_links
+        _layer(l.retransmit_layer, OWNER_COMMON, first_antenna(), 1.0, exp, l.quant_prelog, sub=(1.0, sub_exp))
+        for l in links if l is not None
     ])
 
 
@@ -423,30 +458,38 @@ def _build_two_slot_cycle(name, quality, n_cycles, u_big_exponent):
         a_idx, b_idx = first, first + 1
         u_a, v_a = _slot3_fresh(a_idx, quality)
         link_a = _link_and_carrier(a_idx, OWNER_USER1, quality, list(v_a), f"eta_hat_{a_idx}_1")
-        slot_a = SlotPlan(a_idx, _carrier_layers_single(pending, a2) + u_a + v_a)
+        slot_a = SlotPlan(a_idx, _carriers(pending, a2) + u_a + v_a)
 
         u_b = _kept([_layer(f"u{b_idx}", OWNER_USER1, orth_to(2), 0.5, u_big_exponent, u_big_exponent)])
         v_b = _kept([
             _layer(f"v{b_idx}_1", OWNER_USER2, orth_to(1), 0.5, 1.0 - d, 1.0 - d, sub=(0.25, 1.0 - a2)),
             _layer(f"v{b_idx}_2", OWNER_USER2, along(1), 0.25, 1.0 - a2, 1.0 - a2),
         ])
-        b_commons = _kept([
-            _layer(link_a.retransmit_layer, OWNER_COMMON, first_antenna(), 1.0, 1.0, link_a.quant_prelog, sub=(1.0, 1.0 - d))
-        ]) if link_a is not None else ()
-        slot_b = SlotPlan(b_idx, b_commons + u_b + v_b)
+        slot_b = SlotPlan(b_idx, _carriers([link_a], 1.0 - d) + u_b + v_b)
 
         link_b = _link_and_carrier(b_idx, OWNER_USER1, quality, list(v_b), f"eta_hat_{b_idx}_1")
         new_links = [l for l in (link_a, link_b) if l is not None]
         return [slot_a, slot_b], new_links, ([link_b] if link_b is not None else [])
 
-    def make_terminator(index, pending):
-        layers = _carrier_layers_single(pending, a2)
-        if not layers:
-            return None
-        return SlotPlan(index, layers)
-
     predicted = DofPoint((1.0 + a1) / 2.0, 1.0) if name == "case-i" else DofPoint(a2, 1.0)
-    return _cycled_plan(name, quality, n_cycles, 2, make_cycle, make_terminator, predicted, 2.0)
+    return _cycled_plan(name, quality, n_cycles, 2, make_cycle, lambda pending: _carriers(pending, a2),
+                        predicted, 2.0)
+
+
+def _is_case_i(quality: CsitQuality) -> bool:
+    """The case split: case-i needs 2*alpha2 - alpha1 >= 1 (the boundary
+    included), case-ii and case-ii-alt the strict complement."""
+    return 2.0 * quality.alpha2 - quality.alpha1 >= 1.0
+
+
+def _require_side(name: str, quality: CsitQuality, case_i: bool) -> None:
+    """SchemeConditionError unless `quality` is on the named preset's side."""
+    if _is_case_i(quality) != case_i:
+        need, other = (">= 1", "case-ii") if case_i else ("< 1", "case-i")
+        raise SchemeConditionError(
+            f"{name} requires 2*alpha2 - alpha1 {need} "
+            f"(got {2.0 * quality.alpha2 - quality.alpha1!r}); use {other}"
+        )
 
 
 def build_case_i(quality: CsitQuality, n_cycles: int) -> SchemePlan:
@@ -457,11 +500,7 @@ def build_case_i(quality: CsitQuality, n_cycles: int) -> SchemePlan:
     2-Delta-alpha2); only user 1 overhears interference, quantized at
     pre-log Delta resp. 1-alpha2 and multicast in the following slot.
     """
-    if 2.0 * quality.alpha2 - quality.alpha1 < 1.0:
-        raise SchemeConditionError(
-            "case-i requires 2*alpha2 - alpha1 >= 1 "
-            f"(got {2.0 * quality.alpha2 - quality.alpha1:.3g}); use case-ii"
-        )
+    _require_side("case-i", quality, case_i=True)
     return _build_two_slot_cycle("case-i", quality, n_cycles, 1.0 - quality.delta())
 
 
@@ -473,11 +512,7 @@ def build_case_ii_alt(quality: CsitQuality, n_cycles: int) -> SchemePlan:
     Valid where the max-sum intersection point is interior, i.e.
     2*alpha2 - alpha1 < 1.
     """
-    if 2.0 * quality.alpha2 - quality.alpha1 >= 1.0:
-        raise SchemeConditionError(
-            "case-ii-alt requires 2*alpha2 - alpha1 < 1 "
-            f"(got {2.0 * quality.alpha2 - quality.alpha1:.3g}); use case-i"
-        )
+    _require_side("case-ii-alt", quality, case_i=False)
     return _build_two_slot_cycle("case-ii-alt", quality, n_cycles, quality.alpha2)
 
 
@@ -491,32 +526,20 @@ def build_case_ii(quality: CsitQuality, n_cycles: int) -> SchemePlan:
     intervals [P**(Delta+alpha2), P] and [P**alpha2, P**(Delta+alpha2)],
     decoded in that order.
     """
+    _require_side("case-ii", quality, case_i=False)
     a1, a2, d = quality.alpha1, quality.alpha2, quality.delta()
-    if 2.0 * a2 - a1 >= 1.0:
-        raise SchemeConditionError(
-            f"case-ii requires 2*alpha2 - alpha1 < 1 (got {2.0 * a2 - a1:.3g}); use case-i"
-        )
 
     def stacked_carriers(pending):
         # pending = [B-slot user2 link, C-slot user1 link], either optional.
-        layers = []
-        for link in pending:
-            if link.observer == OWNER_USER2:
-                layers.append(_layer(link.retransmit_layer, OWNER_COMMON, first_antenna(),
-                                     1.0, 1.0, link.quant_prelog, sub=(1.0, d + a2)))
-            else:
-                layers.append(_layer(link.retransmit_layer, OWNER_COMMON, first_antenna(),
-                                     1.0, d + a2, link.quant_prelog, sub=(1.0, a2)))
-        return _kept(layers)
+        top = [l for l in pending if l.observer == OWNER_USER2]
+        low = [l for l in pending if l.observer == OWNER_USER1]
+        return _carriers(top, d + a2) + _carriers(low, a2, exp=d + a2)
 
     def make_cycle(k, first, pending):
         a_idx, b_idx, c_idx = first, first + 1, first + 2
 
         u_a, v_a = _slot3_fresh(a_idx, quality)
-        if k == 0:
-            commons_a = _carrier_layers_single(pending, a2)
-        else:
-            commons_a = stacked_carriers(pending)
+        commons_a = _carriers(pending, a2) if k == 0 else stacked_carriers(pending)
         slot_a = SlotPlan(a_idx, commons_a + u_a + v_a)
         link_a = _link_and_carrier(a_idx, OWNER_USER1, quality, list(v_a), f"eta_hat_{a_idx}_1")
 
@@ -528,32 +551,20 @@ def build_case_ii(quality: CsitQuality, n_cycles: int) -> SchemePlan:
             _layer(f"v{b_idx}_1", OWNER_USER2, orth_to(1), 0.5, 1.0 - d, 1.0 - d, sub=(0.25, 1.0 - a2)),
             _layer(f"v{b_idx}_2", OWNER_USER2, along(1), 0.25, 1.0 - a2, 1.0 - a2),
         ])
-        b_commons = _kept([
-            _layer(link_a.retransmit_layer, OWNER_COMMON, first_antenna(), 1.0, 1.0, link_a.quant_prelog, sub=(1.0, 1.0 - d))
-        ]) if link_a is not None else ()
-        slot_b = SlotPlan(b_idx, b_commons + u_b + v_b)
+        slot_b = SlotPlan(b_idx, _carriers([link_a], 1.0 - d) + u_b + v_b)
         link_b1 = _link_and_carrier(b_idx, OWNER_USER1, quality, list(v_b), f"eta_hat_{b_idx}_1")
         link_b2 = _link_and_carrier(b_idx, OWNER_USER2, quality, list(u_b), f"eta_hat_{b_idx}_2")
 
         u_c, v_c = _slot3_fresh(c_idx, quality)
-        c_commons = _kept([
-            _layer(link_b1.retransmit_layer, OWNER_COMMON, first_antenna(), 1.0, 1.0, link_b1.quant_prelog, sub=(1.0, a2))
-        ]) if link_b1 is not None else ()
-        slot_c = SlotPlan(c_idx, c_commons + u_c + v_c)
+        slot_c = SlotPlan(c_idx, _carriers([link_b1], a2) + u_c + v_c)
         link_c = _link_and_carrier(c_idx, OWNER_USER1, quality, list(v_c), f"eta_hat_{c_idx}_1")
 
         new_links = [l for l in (link_a, link_b1, link_b2, link_c) if l is not None]
         pending_next = [l for l in (link_b2, link_c) if l is not None]
         return [slot_a, slot_b, slot_c], new_links, pending_next
 
-    def make_terminator(index, pending):
-        layers = stacked_carriers(pending)
-        if not layers:
-            return None
-        return SlotPlan(index, layers)
-
     predicted = DofPoint((2.0 + 2.0 * a1 - a2) / 3.0, (2.0 + 2.0 * a2 - a1) / 3.0)
-    return _cycled_plan("case-ii", quality, n_cycles, 3, make_cycle, make_terminator, predicted, 3.0)
+    return _cycled_plan("case-ii", quality, n_cycles, 3, make_cycle, stacked_carriers, predicted, 3.0)
 
 
 def build_sc_zf(quality: CsitQuality) -> SchemePlan:
@@ -598,7 +609,7 @@ def build_preset(name: str, quality: CsitQuality, n_cycles: int) -> SchemePlan:
     """Build a preset by name; "auto" picks case-i or case-ii per the
     2*alpha2 - alpha1 >= 1 condition (boundary routed to case-i)."""
     if name == "auto":
-        name = "case-i" if 2.0 * quality.alpha2 - quality.alpha1 >= 1.0 else "case-ii"
+        name = "case-i" if _is_case_i(quality) else "case-ii"
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -620,18 +631,11 @@ def validate_plan(plan: SchemePlan) -> list[str]:
     leading coefficients summing to at most 1), pre-log sanity, duplicate
     (owner, precoder) collisions among non-common layers, link causality and
     the quantization-rate/received-power match, and that the predicted DoF
-    sits inside the region polygon.
+    sits inside the region polygon.  Duplicate slot indices and layer ids
+    cannot reach here: SchemePlan rejects them at construction.
     """
     diags: list[str] = []
-    slots = plan.all_slots()
-    slot_index = {}
-    for s in slots:
-        if s.index in slot_index:
-            diags.append(f"duplicate slot index {s.index}")
-        slot_index[s.index] = s
-
-    layer_home: dict[str, int] = {}
-    for s in slots:
+    for s in plan.all_slots():
         max_exp = max((l.power_exponent for l in s.layers), default=0.0)
         if max_exp > 1.0 + _BUDGET_TOL:
             diags.append(f"power budget exceeded: slot {s.index} has exponent {max_exp:.6g} > 1")
@@ -646,9 +650,6 @@ def validate_plan(plan: SchemePlan) -> list[str]:
             )
         seen = set()
         for l in s.layers:
-            if l.id in layer_home:
-                diags.append(f"duplicate layer id {l.id!r} (slots {layer_home[l.id]} and {s.index})")
-            layer_home[l.id] = s.index
             if l.encoding_prelog <= _PRELOG_EPS:
                 diags.append(f"layer {l.id!r} has non-positive encoding pre-log")
             if l.precoder.kind != "first_antenna":
@@ -658,21 +659,21 @@ def validate_plan(plan: SchemePlan) -> list[str]:
                 seen.add(key)
 
     for link in plan.links:
-        if link.source_slot not in slot_index:
+        try:
+            exponent = plan.source_exponent(link)
+        except KeyError:
             diags.append(f"link {link.interference_id}: source slot {link.source_slot} missing")
             continue
-        if link.retransmit_layer not in layer_home:
+        try:
+            carrier_slot = plan.find_layer(link.retransmit_layer)[0].index
+        except KeyError:
             diags.append(f"link {link.interference_id}: carrier layer {link.retransmit_layer!r} missing")
             continue
-        carrier_slot = layer_home[link.retransmit_layer]
         if carrier_slot <= link.source_slot:
             diags.append(
                 f"link {link.interference_id}: causality violated "
                 f"(carrier slot {carrier_slot} not after source slot {link.source_slot})"
             )
-        source_owner = OWNER_USER2 if link.observer == OWNER_USER1 else OWNER_USER1
-        source_layers = slot_index[link.source_slot].fresh(source_owner)
-        exponent = _source_exponent(source_layers, link.observer, plan.quality)
         if exponent is None:
             diags.append(f"link {link.interference_id}: source interference missing")
         elif abs(exponent - link.quant_prelog) > 1e-9:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,10 +19,13 @@ from asymcsit import (
     sample_channel,
 )
 from asymcsit.evaluator import _TAG_CHANNEL, _common_mis, _gains_for_slot, _logdet_mi, _p_key, _stream
+from asymcsit.geometry import DofPoint
 from asymcsit.schemes import (
     OWNER_COMMON,
     OWNER_USER1,
     OWNER_USER2,
+    QuantizationLink,
+    SchemePlan,
     SlotPlan,
     SymbolLayer,
     along,
@@ -106,6 +110,25 @@ class TestRateOps:
         r1 = _vector_rate(layers, ch, snr.p, direct_noise=1.0, side_noise=1.0)
         r2 = _vector_rate(layers, ch, snr.p, direct_noise=5.0, side_noise=2.0)
         assert r1 > r2 > 0.0
+
+    @pytest.mark.parametrize("tilt,bits", [(1e-12, 82.048), (1e-9, 99.658)])
+    def test_joint_vector_nearly_collinear_rows(self, tilt, bits):
+        # both rows see the two layers along almost the same direction, so
+        # det(A) is far below a11*a22 (~1e48); expanding (1+a11)(1+a22) -
+        # |a12|**2 in floats cancels it away (0 bits at tilt 1e-12, 110 at 1e-9)
+        row1 = [1e8, 1e8]
+        row2 = [1e8, 1e8 * (1.0 + tilt)]
+        powers = [1e8, 1e8]
+        rows = [([np.array([complex(g)]) for g in row1], 1.0), ([np.array([complex(g)]) for g in row2], 1.0)]
+
+        p, h, g = [Fraction(x) for x in powers], [Fraction(x) for x in row1], [Fraction(x) for x in row2]
+        a11 = sum(pi * hi * hi for pi, hi in zip(p, h))
+        a22 = sum(pi * gi * gi for pi, gi in zip(p, g))
+        a12 = sum(pi * hi * gi for pi, hi, gi in zip(p, h, g))
+        exact = math.log2((1 + a11) * (1 + a22) - a12 * a12)
+
+        assert exact == pytest.approx(bits, abs=1e-3)
+        assert float(_logdet_mi(rows, powers)[0]) == pytest.approx(exact, rel=1e-6)
 
 
 class TestEvaluatePlan:
@@ -317,6 +340,15 @@ class TestResidualProbe:
         plan = build_case_ii(Q35, 1)
         with pytest.raises(ValueError, match="quality"):
             residual_power_probe(plan, SnrPoint.from_db(80, Q28), 10, seed=0)
+
+    def test_probe_rejects_link_without_source(self):
+        # slot 1 sends nothing user 1 overhears, so the link has no source
+        slot1 = SlotPlan(1, (SymbolLayer("u", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),))
+        slot2 = SlotPlan(2, (SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, 0.2),))
+        link = QuantizationLink(1, OWNER_USER1, "eta_1_1", 0.2, "c")
+        plan = SchemePlan("hand", Q35, (slot1, slot2), (), (link,), DofPoint(0, 0), 2.0, 0.0, 0)
+        with pytest.raises(ValueError, match="eta_1_1: source interference missing"):
+            residual_power_probe(plan, SnrPoint.from_db(60, Q35), 10, seed=0)
 
     def test_residual_unit_power(self):
         plan = build_case_ii(Q35, 2)

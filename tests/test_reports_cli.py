@@ -21,6 +21,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="strictly increasing"):
             ExperimentConfig(alpha1=0.3, alpha2=0.5, p_grid_db=[80, 60])
 
+    @pytest.mark.parametrize("grid,message", [
+        ([60.0, 80.0], "at least 3 points"),
+        ([60.0, 70.0, 80.0], "at least 40 dB"),
+    ])
+    def test_rejects_grid_the_fit_cannot_use(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(alpha1=0.3, alpha2=0.5, p_grid_db=grid)
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             ExperimentConfig(alpha1=0.3, alpha2=0.5, schemes=["bogus"])
@@ -182,6 +190,15 @@ class TestCli:
         ])
         assert rc == 0
         assert (tmp_path / "sw" / "index.json").exists()
+
+    def test_sweep_rejects_short_grid_before_running(self, tmp_path, capsys):
+        rc = main([
+            "sweep", "--qualities", "0.1:0.3,0.2:0.8", "--schemes", "auto",
+            "--grid-db", "60,80", "--out-dir", str(tmp_path / "sw"),
+        ])
+        assert rc == 2
+        assert "at least 3 points" in capsys.readouterr().err
+        assert not (tmp_path / "sw" / "index.json").exists()
 
     def test_config_file_flag(self, tmp_path):
         cfg = {"alpha1": 0.3, "alpha2": 0.5, "schemes": ["sc-zf"],

@@ -120,6 +120,13 @@ class TestCaseSplit:
         with pytest.raises(SchemeConditionError):
             build_case_ii_alt(CsitQuality(0.2, 0.8), 2)
 
+    def test_condition_error_prints_the_exact_value(self):
+        # 2*alpha2 - alpha1 rounds to 0.9999999999999999 here, just inside case-ii
+        q = CsitQuality(0.13, (1.0 + 0.13) / 2.0)
+        with pytest.raises(SchemeConditionError, match=r"got 0\.9999999999999999\)"):
+            build_case_i(q, 2)
+        assert build_preset("auto", q, 2).name == "case-ii"
+
     def test_boundary_routes_to_case_i(self):
         q = CsitQuality(0.2, 0.6)  # 2*a2 - a1 = 1 exactly
         assert build_preset("auto", q, 2).name == "case-i"
@@ -267,6 +274,27 @@ class TestValidation:
         plan = SchemePlan("hand", q, (slot,), (), (), DofPoint(0, 0), 1.0, 0.0, 0)
         diags = validate_plan(plan)
         assert any("power budget exceeded" in d for d in diags)
+
+    def test_duplicate_layer_id_rejected_at_construction(self):
+        q = CsitQuality(0.3, 0.5)
+        slot1 = SlotPlan(1, (SymbolLayer("a", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),))
+        slot2 = SlotPlan(2, (SymbolLayer("a", OWNER_USER2, orth_to(1), 0.5, 0.5, 0.5),))
+        with pytest.raises(ValueError, match=r"duplicate layer id 'a' \(slots 1 and 2\)"):
+            SchemePlan("hand", q, (slot1,), (slot2,), (), DofPoint(0, 0), 2.0, 0.0, 0)
+
+    def test_duplicate_slot_index_rejected_at_construction(self):
+        q = CsitQuality(0.3, 0.5)
+        slot_a = SlotPlan(3, (SymbolLayer("a", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),))
+        slot_b = SlotPlan(3, (SymbolLayer("b", OWNER_USER2, orth_to(1), 0.5, 0.5, 0.5),))
+        with pytest.raises(ValueError, match="duplicate slot index 3"):
+            SchemePlan("hand", q, (slot_a, slot_b), (), (), DofPoint(0, 0), 2.0, 0.0, 0)
+
+    def test_lookup_misses_raise_key_error(self):
+        plan = build_case_ii(CsitQuality(0.3, 0.5), 1)
+        with pytest.raises(KeyError, match="no slot with index 99"):
+            plan.slot(99)
+        with pytest.raises(KeyError, match="no layer with id 'zz'"):
+            plan.find_layer("zz")
 
     def test_causality_diagnostic(self):
         q = CsitQuality(0.3, 0.5)
