@@ -87,8 +87,11 @@ def _parse_quality_list(arg: str) -> list[CsitQuality]:
         item = item.strip()
         if not item:
             continue
-        a1, _, a2 = item.partition(":")
-        out.append(CsitQuality(float(a1), float(a2)))
+        try:
+            a1, a2 = (float(x) for x in item.split(":"))
+        except ValueError:
+            raise ValueError(f"--qualities item {item!r} is not of the form alpha1:alpha2") from None
+        out.append(CsitQuality(a1, a2))
     return out
 
 

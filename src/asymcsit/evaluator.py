@@ -20,6 +20,12 @@ dependency order:
      quantized record of the vector overheard at the other user, a 2x2
      log-det rate.
 
+A link's carrier comes after its source, so this runs as two passes over
+the slots.  Pass 1 draws each slot and settles step 1 there, keeping only
+each common layer's rate and delivered MI, the per-trial bits of user-owned
+common layers, and the fresh (zero-forced, vector) layers' gains.  Step 2
+reads the delivered scalars; pass 2 does step 3.
+
 residual_power_probe reports step 2's effective residual variance per link,
 the same number RateLedger.link_noise holds, from the same draws; its
 log-slope in P is 0 for a sound plan.
@@ -50,7 +56,6 @@ from .schemes import (
     OWNER_COMMON,
     OWNER_USER1,
     OWNER_USER2,
-    QuantizationLink,
     SchemePlan,
     SlotPlan,
     validate_plan,
@@ -77,20 +82,18 @@ class PlanValidationError(ValueError):
 class RateLedger:
     """Measured rates and channel-use accounting for one evaluated plan.
 
-    user_rate are total bits per plan run (sum of the owning layers'
-    per_symbol_rate entries); divide by channel_uses for bits per use.
-    link_delivered maps each interference id to the carrying common layer's
-    delivered MI (min over the two users of the trial mean), link_noise to
-    the effective residual variance after subtraction.
+    per_symbol_rate is each layer's mean rate in bits.  user_rate are total
+    bits per plan run (sum of the owning layers' per_symbol_rate entries),
+    with Monte-Carlo stderrs in user_rate_stderr; divide by channel_uses for
+    bits per use.  link_delivered maps each interference id to the carrying
+    common layer's delivered MI (min over the two users of the trial mean),
+    link_noise to the effective residual variance after subtraction.
     """
 
     per_symbol_rate: dict[str, float]
     user_rate: tuple[float, float]
     user_rate_stderr: tuple[float, float]
     channel_uses: float
-    snr: SnrPoint
-    n_trials: int
-    seed: int
     link_delivered: dict[str, float]
     link_noise: dict[str, float]
 
@@ -147,7 +150,7 @@ def _common_mis(slot: SlotPlan, gain1, gain2, p: float):
     plus unit AWGN.
     """
     sic = slot.commons(p)
-    fresh = [l for l in slot.layers if l.precoder.kind != "first_antenna"]
+    fresh = slot.fresh(OWNER_USER1) + slot.fresh(OWNER_USER2)
     out = []
     for gains in (gain1, gain2):
         mis = {}
@@ -181,47 +184,55 @@ def _logdet_mi(rows, powers):
     return np.log2(1.0 + a11 + a22 + gram / (n1 * n2))
 
 
-def _genie_mi(rows, powers, i):
-    """Rate of layer i when the other layers of its group are known: MRC of
-    all observation rows against noise only."""
-    snr = sum(np.abs(g[i]) ** 2 / n for g, n in rows) * powers[i]
-    return np.log2(1.0 + snr)
+def _first_pass(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int):
+    """Pass 1 at one grid point: draw every slot's channel (stream keyed by
+    (seed, grid point, slot index), trial i reading row i) and settle its
+    first-antenna layers.
+
+    Returns (rate, delivered, slots): each first-antenna layer's usable
+    rate and delivered MI by id, and per slot in index order (slot, fresh
+    gains at user 1, at user 2, [(owner, per-trial bits)] of its user-owned
+    first-antenna layers in SIC order).
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    if snr.quality != plan.quality:
+        raise ValueError("SNR point and plan disagree on CSIT quality")
+    p, pkey = snr.p, _p_key(snr)
+    log2p = math.log2(p)
+    rate, delivered, slots = {}, {}, []
+    for slot in plan.all_slots():
+        ch = sample_channel(snr, _stream(seed, _TAG_CHANNEL, pkey, slot.index), size=n_trials)
+        gain1, gain2 = _gains_for_slot(slot, ch)
+        mi1, mi2 = _common_mis(slot, gain1, gain2, p)
+        bits = []
+        for layer in slot.commons(p):
+            per_trial = np.minimum(mi1[layer.id], mi2[layer.id])
+            delivered[layer.id] = min(float(np.mean(mi1[layer.id])), float(np.mean(mi2[layer.id])))
+            del gain1[layer.id], gain2[layer.id]  # only fresh gains outlive pass 1
+            if layer.owner == OWNER_COMMON:
+                # retransmission overhead, no user bits; the usable rate is
+                # capped by the quantization bits the layer actually carries
+                rate[layer.id] = min(float(np.mean(per_trial)), layer.encoding_prelog * log2p)
+            else:
+                bits.append((layer.owner, per_trial))
+                rate[layer.id] = float(np.mean(per_trial))
+        slots.append((slot, gain1, gain2, bits))
+    return rate, delivered, slots
 
 
-class _SlotEval:
-    """Per-slot channel draw digested into gains, powers and common MIs."""
-
-    __slots__ = ("slot", "gain1", "gain2", "mi1", "mi2")
-
-    def __init__(self, slot: SlotPlan, ch: ChannelRealization, p: float):
-        self.slot = slot
-        self.gain1, self.gain2 = _gains_for_slot(slot, ch)
-        self.mi1, self.mi2 = _common_mis(slot, self.gain1, self.gain2, p)
-
-
-@dataclass(frozen=True, eq=False)
-class _LinkInfo:
-    link: QuantizationLink
-    delivered: float
-    effective_var: float
-
-
-def _resolve_links(plan: SchemePlan, evals: dict[int, _SlotEval], p: float):
-    """Delivered rates and effective residual variances, one entry per link.
+def _link_noise(plan: SchemePlan, delivered: dict[str, float], p: float) -> dict[str, float]:
+    """Effective residual variance after each subtraction, by interference id.
 
     A shortfall of the carrying common layer's delivered MI below the
     quantization-rate demand coarsens the description the receivers get:
     every missing bit doubles the residual variance.
     """
     log2p = math.log2(p)
-    info: dict[tuple[int, str], _LinkInfo] = {}
+    noise: dict[str, float] = {}
     for link in plan.links:
-        carrier_slot, _ = plan.find_layer(link.retransmit_layer)
-        ev = evals[carrier_slot.index]
-        delivered = min(
-            float(np.mean(ev.mi1[link.retransmit_layer])),
-            float(np.mean(ev.mi2[link.retransmit_layer])),
-        )
+        if link.retransmit_layer not in delivered:
+            raise ValueError(f"link {link.interference_id}: no first-antenna carrier {link.retransmit_layer!r}")
         e_src = plan.source_exponent(link)
         if e_src is None:
             raise ValueError(f"link {link.interference_id}: source interference missing")
@@ -229,72 +240,9 @@ def _resolve_links(plan: SchemePlan, evals: dict[int, _SlotEval], p: float):
         # received at ~ P**e_src, and quant_prelog * log2(P) bits describe it
         # down to P**(e_src - quant_prelog), exactly 1 for a sound link
         quant_var = p ** (e_src - link.quant_prelog)
-        shortfall = max(0.0, link.quant_prelog * log2p - delivered)
-        info[(link.source_slot, link.observer)] = _LinkInfo(
-            link=link,
-            delivered=delivered,
-            effective_var=quant_var * 2.0 ** shortfall,
-        )
-    return info
-
-
-def _fresh_group_rates(ev: _SlotEval, link_info, p: float, owner: str):
-    """Joint rate and per-layer split of one user's fresh layers in a slot.
-
-    Returns None when the user has no fresh layers here.  The direct
-    observation's noise is 1 + the residual of the linked own-interference,
-    or the other user's layers at their true leakage powers when nothing
-    was quantized; the side observation (when the group's image at the
-    other user is linked) carries only the quantization error.
-    """
-    slot = ev.slot
-    layers = slot.fresh(owner)
-    if not layers:
-        return None
-    if owner == OWNER_USER1:
-        gains_direct, gains_cross, other = ev.gain1, ev.gain2, OWNER_USER2
-    else:
-        gains_direct, gains_cross, other = ev.gain2, ev.gain1, OWNER_USER1
-
-    powers = [l.power(p) for l in layers]
-    own_link = link_info.get((slot.index, owner))
-    if own_link is not None:
-        n_direct = 1.0 + own_link.effective_var
-    else:
-        leak = sum(np.abs(gains_direct[l.id]) ** 2 * l.power(p) for l in slot.fresh(other))
-        n_direct = 1.0 + leak
-    rows = [([gains_direct[l.id] for l in layers], n_direct)]
-
-    record_link = link_info.get((slot.index, other))
-    if record_link is not None:
-        rows.append(([gains_cross[l.id] for l in layers], record_link.effective_var))
-
-    joint = _logdet_mi(rows, powers)
-    if len(layers) == 1:
-        return layers, joint, [joint]
-    genie = [_genie_mi(rows, powers, i) for i in range(len(layers))]
-    total = sum(genie)
-    shares = [np.where(total > 0.0, joint * g / np.where(total > 0.0, total, 1.0), 0.0) for g in genie]
-    return layers, joint, shares
-
-
-def _slot_evals(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> dict[int, _SlotEval]:
-    """Draw every slot's channel at one grid point and digest it.
-
-    Channel streams are keyed by (seed, grid point, slot index), trial i
-    reading row i of each draw.
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if snr.quality != plan.quality:
-        raise ValueError("SNR point and plan disagree on CSIT quality")
-    pkey = _p_key(snr)
-    evals: dict[int, _SlotEval] = {}
-    for slot in plan.all_slots():
-        rng = _stream(seed, _TAG_CHANNEL, pkey, slot.index)
-        ch = sample_channel(snr, rng, size=n_trials)
-        evals[slot.index] = _SlotEval(slot, ch, snr.p)
-    return evals
+        shortfall = max(0.0, link.quant_prelog * log2p - delivered[link.retransmit_layer])
+        noise[link.interference_id] = quant_var * 2.0 ** shortfall
+    return noise
 
 
 def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> RateLedger:
@@ -307,31 +255,44 @@ def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> 
     diags = validate_plan(plan)
     if diags:
         raise PlanValidationError("; ".join(diags))
-    evals = _slot_evals(plan, snr, n_trials, seed)
+    per_symbol, delivered, slots = _first_pass(plan, snr, n_trials, seed)
     p = snr.p
-    link_info = _resolve_links(plan, evals, p)
+    noise = _link_noise(plan, delivered, p)
+    linked = {(l.source_slot, l.observer): noise[l.interference_id] for l in plan.links}
 
-    per_symbol: dict[str, float] = {}
+    # pass 2: each user's fresh layers in a slot decode jointly.  The direct
+    # observation's noise is 1 + the residual of the linked own-interference,
+    # or the other user's layers at their true leakage powers when nothing
+    # was quantized; the side observation (when the group's image at the
+    # other user is linked) carries only the quantization error.
     totals = {OWNER_USER1: np.zeros(n_trials), OWNER_USER2: np.zeros(n_trials)}
-
-    log2p = math.log2(p)
-    for slot in plan.all_slots():
-        ev = evals[slot.index]
-        for layer in slot.commons(p):
-            per_trial = np.minimum(ev.mi1[layer.id], ev.mi2[layer.id])
-            if layer.owner == OWNER_COMMON:
-                # retransmission overhead, no user bits; the usable rate is
-                # capped by the quantization bits the layer actually carries
-                per_symbol[layer.id] = min(float(np.mean(per_trial)), layer.encoding_prelog * log2p)
-            else:
-                totals[layer.owner] += per_trial
-                per_symbol[layer.id] = float(np.mean(per_trial))
-        for owner in (OWNER_USER1, OWNER_USER2):
-            group = _fresh_group_rates(ev, link_info, p, owner)
-            if group is None:
+    for slot, gain1, gain2, bits in slots:
+        for owner, per_trial in bits:
+            totals[owner] += per_trial
+        for owner, other, direct, cross in ((OWNER_USER1, OWNER_USER2, gain1, gain2),
+                                            (OWNER_USER2, OWNER_USER1, gain2, gain1)):
+            layers = slot.fresh(owner)
+            if not layers:
                 continue
-            layers, joint, shares = group
+            powers = [l.power(p) for l in layers]
+            own_noise = linked.get((slot.index, owner))
+            if own_noise is None:
+                own_noise = sum(np.abs(direct[l.id]) ** 2 * l.power(p) for l in slot.fresh(other))
+            rows = [([direct[l.id] for l in layers], 1.0 + own_noise)]
+            if (slot.index, other) in linked:
+                rows.append(([cross[l.id] for l in layers], linked[(slot.index, other)]))
+            joint = _logdet_mi(rows, powers)
             totals[owner] += joint
+            if len(layers) == 1:
+                shares = [joint]
+            else:
+                # genie-aided rates (the group's other layers known): MRC of
+                # all observation rows against noise only
+                genie = [np.log2(1.0 + sum(np.abs(g[i]) ** 2 / n for g, n in rows) * powers[i])
+                         for i in range(len(layers))]
+                total = sum(genie)
+                shares = [np.where(total > 0.0, joint * g / np.where(total > 0.0, total, 1.0), 0.0)
+                          for g in genie]
             for layer, share in zip(layers, shares):
                 per_symbol[layer.id] = float(np.mean(share))
 
@@ -345,20 +306,19 @@ def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> 
         user_rate=(float(np.mean(r1)), float(np.mean(r2))),
         user_rate_stderr=(_se(r1), _se(r2)),
         channel_uses=plan.channel_uses(),
-        snr=snr,
-        n_trials=n_trials,
-        seed=seed,
-        link_delivered={li.link.interference_id: li.delivered for li in link_info.values()},
-        link_noise={li.link.interference_id: li.effective_var for li in link_info.values()},
+        link_delivered={l.interference_id: delivered[l.retransmit_layer] for l in plan.links},
+        link_noise=noise,
     )
 
 
 def check_grid_db(p_db: list[float]) -> None:
     """Reject a power grid (in dB) that cannot support the slope fit.
 
-    It must be strictly increasing, hold at least 3 points and span at
-    least 40 dB.
+    Its points must be finite and above 0 dB (SnrPoint needs P > 1),
+    strictly increasing, at least 3 and spanning at least 40 dB.
     """
+    if not all(math.isfinite(x) and x > 0.0 for x in p_db):
+        raise ValueError(f"power grid points must be finite and above 0 dB, got {list(p_db)}")
     if any(b <= a for a, b in zip(p_db, p_db[1:])):
         raise ValueError("power grid must be strictly increasing")
     if len(p_db) < 3:
@@ -371,7 +331,7 @@ def estimate_dof(plan: SchemePlan, p_grid: list[SnrPoint], n_trials: int, seed: 
     """Fit the per-user rate slopes against log2(P) over a power grid.
 
     The grid must pass check_grid_db (at least 3 strictly increasing
-    points spanning 40 dB) and match the plan's quality; the fit
+    points above 0 dB spanning 40 dB) and match the plan's quality; the fit
     uses the top half of the grid (at least two points) to suppress the
     O(1) offsets that bias small-P slopes.  The slope standard error
     propagates the per-point Monte-Carlo errors through the least-squares
@@ -424,6 +384,5 @@ def residual_power_probe(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: i
     Diagnostic tool: runs on plans that fail validation (that is the point
     of probing a deliberately mis-specified link).
     """
-    evals = _slot_evals(plan, snr, n_trials, seed)
-    link_info = _resolve_links(plan, evals, snr.p)
-    return {li.link.interference_id: li.effective_var for li in link_info.values()}
+    _, delivered, _ = _first_pass(plan, snr, n_trials, seed)
+    return _link_noise(plan, delivered, snr.p)

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -50,8 +52,20 @@ DEFAULT_TOLERANCE = 0.05
 DEFAULT_SEED = 7
 
 
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
+    """One run's budget and output place.
+
+    Integers (not bools): n_trials, n_cycles >= 1 and seed >= 0.  Finite
+    real numbers: alpha1, alpha2 and tolerance >= 0.  p_grid_db is a list
+    of real dB values that check_grid_db accepts.  A violation raises
+    ValueError naming the field.
+    """
+
     alpha1: float
     alpha2: float
     schemes: list[str] = field(default_factory=lambda: ["auto"])
@@ -64,6 +78,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.output_dir = Path(self.output_dir)
+        for name in ("n_trials", "n_cycles", "seed"):
+            value = getattr(self, name)
+            if not (_real(value) and isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("alpha1", "alpha2", "tolerance"):
+            value = getattr(self, name)
+            if not (_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        if not isinstance(self.p_grid_db, (list, tuple)) or not all(map(_real, self.p_grid_db)):
+            raise ValueError(f"p_grid_db must be a list of real numbers, got {self.p_grid_db!r}")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
         for name in self.schemes:
@@ -72,6 +96,8 @@ class ExperimentConfig:
         check_grid_db(self.p_grid_db)
         if self.n_trials < 1 or self.n_cycles < 1:
             raise ValueError("n_trials and n_cycles must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
 

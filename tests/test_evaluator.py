@@ -350,6 +350,14 @@ class TestResidualProbe:
         with pytest.raises(ValueError, match="eta_1_1: source interference missing"):
             residual_power_probe(plan, SnrPoint.from_db(60, Q35), 10, seed=0)
 
+    def test_probe_rejects_link_without_carrier(self):
+        slot1 = SlotPlan(1, (SymbolLayer("v", OWNER_USER2, orth_to(1), 0.5, 0.5, 0.5),))
+        slot2 = SlotPlan(2, (SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, 0.2),))
+        link = QuantizationLink(1, OWNER_USER1, "eta_1_1", 0.2, "eta_hat_1_1")
+        plan = SchemePlan("hand", Q35, (slot1, slot2), (), (link,), DofPoint(0, 0), 2.0, 0.0, 0)
+        with pytest.raises(ValueError, match="eta_1_1: no first-antenna carrier 'eta_hat_1_1'"):
+            residual_power_probe(plan, SnrPoint.from_db(60, Q35), 10, seed=0)
+
     def test_residual_unit_power(self):
         plan = build_case_ii(Q35, 2)
         for snr in (SnrPoint(1e4, Q35), SnrPoint(1e10, Q35)):

@@ -8,6 +8,7 @@ either side of it).
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +16,15 @@ from asymcsit import (
     PRESET_NAMES,
     CsitQuality,
     SchemeConditionError,
+    SnrPoint,
     build_preset,
     corner_points,
     dof_region,
+    evaluate_plan,
+    residual_power_probe,
     validate_plan,
 )
+from asymcsit.schemes import OWNER_USER1, OWNER_USER2
 
 _unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -91,3 +96,22 @@ def test_corner_points_are_region_vertices(quality):
     vertices = dof_region(quality).vertices
     for c in corner_points(quality):
         assert min(math.hypot(v.d1 - c.d1, v.d2 - c.d2) for v in vertices) <= 1e-9
+
+
+@_SETTINGS
+@given(qualities, st.integers(1, 2), st.floats(10.0, 120.0), st.integers(0, 2**32 - 1))
+def test_evaluator_ledger_invariants(quality, n_cycles, p_db, seed):
+    # 20 trials at one grid point: rates finite and nonnegative, user totals
+    # the sums of their layers, links keyed by the plan's interference ids,
+    # and the probe reading the ledger's own link noise
+    snr = SnrPoint.from_db(p_db, quality)
+    for plan in _buildable(quality, n_cycles):
+        ledger = evaluate_plan(plan, snr, 20, seed)
+        assert all(math.isfinite(r) and r >= 0.0 for r in ledger.per_symbol_rate.values()), plan.name
+        for k, owner in enumerate((OWNER_USER1, OWNER_USER2)):
+            layer_sum = sum(ledger.per_symbol_rate[l.id] for s in plan.all_slots() for l in s.layers
+                            if l.owner == owner)
+            assert ledger.user_rate[k] == pytest.approx(layer_sum, rel=1e-9), (plan.name, owner)
+        ids = {link.interference_id for link in plan.links}
+        assert ledger.link_delivered.keys() == ids and ledger.link_noise.keys() == ids
+        assert residual_power_probe(plan, snr, 20, seed) == ledger.link_noise

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -24,10 +25,26 @@ class TestConfig:
     @pytest.mark.parametrize("grid,message", [
         ([60.0, 80.0], "at least 3 points"),
         ([60.0, 70.0, 80.0], "at least 40 dB"),
+        ([0.0, 20.0, 40.0, 60.0], "above 0 dB"),
+        ([math.nan, 80.0, 100.0, 120.0], "finite"),
     ])
     def test_rejects_grid_the_fit_cannot_use(self, grid, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(alpha1=0.3, alpha2=0.5, p_grid_db=grid)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_trials", "20"),
+        ("n_trials", 20.5),
+        ("n_cycles", True),
+        ("seed", 7.5),
+        ("seed", -1),
+        ("p_grid_db", [60.0, "80", 100.0]),
+        ("tolerance", math.nan),
+        ("tolerance", math.inf),
+    ])
+    def test_rejects_field_of_wrong_type_or_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(alpha1=0.3, alpha2=0.5, **{field: value})
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
@@ -199,6 +216,35 @@ class TestCli:
         assert rc == 2
         assert "at least 3 points" in capsys.readouterr().err
         assert not (tmp_path / "sw" / "index.json").exists()
+
+    @pytest.mark.parametrize("grid", ["0,20,40,60", "nan,80,100,120"])
+    def test_sweep_rejects_unusable_grid_before_running(self, tmp_path, capsys, grid):
+        rc = main([
+            "sweep", "--qualities", "0.3:0.5", "--grid-db", grid, "--out-dir", str(tmp_path / "sw"),
+        ])
+        assert rc == 2
+        assert "finite and above 0 dB" in capsys.readouterr().err
+        assert not (tmp_path / "sw" / "index.json").exists()
+
+    def test_sweep_rejects_negative_seed_before_running(self, tmp_path, capsys):
+        rc = main(["sweep", "--qualities", "0.3:0.5", "--seed", "-1", "--out-dir", str(tmp_path / "sw")])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "sw" / "index.json").exists()
+
+    def test_sweep_names_bad_quality_item(self, tmp_path, capsys):
+        rc = main(["sweep", "--qualities", "0.1:0.3,0.3", "--out-dir", str(tmp_path / "sw")])
+        assert rc == 2
+        assert "'0.3' is not of the form alpha1:alpha2" in capsys.readouterr().err
+
+    def test_config_file_with_fractional_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alpha1": 0.3, "alpha2": 0.5, "seed": 7.5}))
+        rc = main(["run", "--alpha1", "0.3", "--alpha2", "0.5", "--config", str(path),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "seed must be an integer, got 7.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_file_flag(self, tmp_path):
         cfg = {"alpha1": 0.3, "alpha2": 0.5, "schemes": ["sc-zf"],
