@@ -20,15 +20,21 @@ dependency order:
      quantized record of the vector overheard at the other user, a 2x2
      log-det rate.
 
-A link's carrier comes after its source, so this runs as two passes over
-the slots.  Pass 1 draws each slot and settles step 1 there, keeping only
-each common layer's rate and delivered MI, the per-trial bits of user-owned
-common layers, and the fresh (zero-forced, vector) layers' gains.  Step 2
-reads the delivered scalars; pass 2 does step 3.
+All grid points are evaluated in one pass over the slots.  Each slot is
+drawn at every grid point, the draws are stacked on a leading grid axis,
+and the projections, gains, SIC MIs, link noise and fresh-group log-dets
+run once per slot on (grid point, trial) arrays; grid points whose SIC
+orders differ decode as separate row groups.  Step 1 is settled as soon as
+a slot is drawn.  A link's carrier comes after its source, so a slot's
+step 3 waits in a first-in-first-out window until the carriers of the
+links sourced there have been decoded; then its fresh-layer gains are
+freed.  Memory is bounded by that window, not by the plan length, and the
+per-slot Python work is paid once per slot, not once per slot and grid
+point.  evaluate_plan is the same pass at one grid point.
 
-residual_power_probe reports step 2's effective residual variance per link,
-the same number RateLedger.link_noise holds, from the same draws; its
-log-slope in P is 0 for a sound plan.
+residual_power_probe runs steps 1 and 2 at one point and reports step 2's
+effective residual variance per link, the same number RateLedger.link_noise
+holds, from the same draws; its log-slope in P is 0 for a sound plan.
 
 Rates are mutual informations, not symbol-error simulations: the point is
 the high-SNR slope, estimated by least squares on the top half of a power
@@ -46,18 +52,24 @@ schemes are compared on the same grid.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 
-from .channel import ChannelRealization, SnrPoint, orth_complement, sample_channel, unit
+from .channel import SnrPoint, orth_complement, sample_channel, unit
 from .geometry import DofPoint
 from .schemes import (
     OWNER_COMMON,
     OWNER_USER1,
     OWNER_USER2,
+    PrecoderSpec,
+    QuantizationLink,
     SchemePlan,
     SlotPlan,
+    SymbolLayer,
     validate_plan,
 )
 
@@ -118,44 +130,59 @@ def _p_key(snr: SnrPoint) -> int:
 
 def _vdot(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     """h^H v along the trailing axis."""
-    return (np.conj(h) * v).sum(axis=-1)
+    prod = np.conj(h)
+    prod *= v
+    return prod.sum(axis=-1)
 
 
-def _gains_for_slot(slot: SlotPlan, ch: ChannelRealization):
-    """Per-layer complex receive gains at user 1 and user 2."""
-    vecs = {
-        (1, "orth"): orth_complement(ch.h_est),
-        (1, "along"): unit(ch.h_est),
-        (2, "orth"): orth_complement(ch.g_est),
-        (2, "along"): unit(ch.g_est),
-    }
-    gain1, gain2 = {}, {}
+def _gains_for_slot(slot: SlotPlan, ch):
+    """Per-layer complex receive gains at user 1 and user 2.
+
+    ch is a ChannelRealization, or a stack of them with a leading grid axis
+    before the trial axis; only the true channels and the estimates are
+    read.  Each precoder direction the slot uses is projected once, and its
+    layers share the resulting gain arrays.
+    """
+    by_precoder: dict[PrecoderSpec, list[SymbolLayer]] = {}
     for layer in slot.layers:
-        pc = layer.precoder
+        by_precoder.setdefault(layer.precoder, []).append(layer)
+    gain1, gain2 = {}, {}
+    for pc, layers in by_precoder.items():
         if pc.kind == "first_antenna":
-            gain1[layer.id] = np.conj(ch.h_true[..., 0])
-            gain2[layer.id] = np.conj(ch.g_true[..., 0])
+            g1, g2 = np.conj(ch.h_true[..., 0]), np.conj(ch.g_true[..., 0])
         else:
-            v = vecs[(pc.user, pc.kind)]
-            gain1[layer.id] = _vdot(ch.h_true, v)
-            gain2[layer.id] = _vdot(ch.g_true, v)
+            est = ch.h_est if pc.user == 1 else ch.g_est
+            v = orth_complement(est) if pc.kind == "orth" else unit(est)
+            g1, g2 = _vdot(ch.h_true, v), _vdot(ch.g_true, v)
+            del v  # one projection alive at a time
+        for layer in layers:
+            gain1[layer.id], gain2[layer.id] = g1, g2
     return gain1, gain2
 
 
-def _common_mis(slot: SlotPlan, gain1, gain2, p: float):
+def _power(layer: SymbolLayer, p):
+    """layer.power(p); for a list of grid powers, a column with one row per point."""
+    if isinstance(p, list):
+        return np.array([layer.power(x) for x in p])[:, None]
+    return layer.power(p)
+
+
+def _common_mis(slot: SlotPlan, gain1, gain2, p):
     """SIC mutual informations of every first-antenna layer at both users.
 
     Decoding strongest first; the noise for each layer is every weaker
     first-antenna layer plus all fresh layers at their true received powers
-    plus unit AWGN.
+    plus unit AWGN.  p is one transmit power, or a list of grid powers, one
+    per leading row of the gains, that share the SIC order of the first.
     """
-    sic = slot.commons(p)
+    sic = slot.commons(p[0] if isinstance(p, list) else p)
     fresh = slot.fresh(OWNER_USER1) + slot.fresh(OWNER_USER2)
+    power = {l.id: _power(l, p) for l in sic + fresh}
     out = []
     for gains in (gain1, gain2):
         mis = {}
-        fresh_rx = sum(np.abs(gains[l.id]) ** 2 * l.power(p) for l in fresh) if fresh else 0.0
-        rx = [np.abs(gains[l.id]) ** 2 * l.power(p) for l in sic]
+        fresh_rx = sum(np.abs(gains[l.id]) ** 2 * power[l.id] for l in fresh) if fresh else 0.0
+        rx = [np.abs(gains[l.id]) ** 2 * power[l.id] for l in sic]
         for i, layer in enumerate(sic):
             below = sum(rx[i + 1:]) + fresh_rx
             mis[layer.id] = np.log2(1.0 + rx[i] / (below + 1.0))
@@ -184,65 +211,207 @@ def _logdet_mi(rows, powers):
     return np.log2(1.0 + a11 + a22 + gram / (n1 * n2))
 
 
-def _first_pass(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int):
-    """Pass 1 at one grid point: draw every slot's channel (stream keyed by
-    (seed, grid point, slot index), trial i reading row i) and settle its
-    first-antenna layers.
+def _settle_commons(slot: SlotPlan, gain1, gain2, ps: list[float]):
+    """Settle a slot's first-antenna layers at every grid point; drop their gains.
 
-    Returns (rate, delivered, slots): each first-antenna layer's usable
-    rate and delivered MI by id, and per slot in index order (slot, fresh
-    gains at user 1, at user 2, [(owner, per-trial bits)] of its user-owned
-    first-antenna layers in SIC order).
+    Grid points whose SIC orders differ (slot.commons sorts by power) decode
+    as separate row groups.  Returns (settled, bits): each layer's (usable
+    rate, delivered MI) arrays over the grid, and (grid rows, owner,
+    per-trial bits) of the user-owned layers, in each group's SIC order.
+    """
+    orders: dict[tuple[str, ...], tuple[list[SymbolLayer], list[int]]] = {}
+    for k, p in enumerate(ps):
+        sic = slot.commons(p)
+        orders.setdefault(tuple(l.id for l in sic), (sic, []))[1].append(k)
+    groups = [(sic, slice(None) if len(rows) == len(ps) else rows, [ps[k] for k in rows])
+              for sic, rows in orders.values()]
+    mi1, mi2 = {}, {}
+    for _, sel, group_ps in groups:
+        part = _common_mis(slot, {i: g[sel] for i, g in gain1.items()},
+                           {i: g[sel] for i, g in gain2.items()}, group_ps)
+        for mis, got in zip((mi1, mi2), part):
+            for lid, mi in got.items():
+                if lid not in mis:
+                    mis[lid] = np.empty((len(ps),) + mi.shape[1:])
+                mis[lid][sel] = mi
+
+    log2p = np.array([math.log2(p) for p in ps])
+    settled, per_trial = {}, {}
+    for layer in groups[0][0]:  # every group decodes the same layers
+        lid = layer.id
+        per_trial[lid] = np.minimum(mi1[lid], mi2[lid])
+        rate = per_trial[lid].mean(axis=-1)
+        if layer.owner == OWNER_COMMON:
+            # retransmission overhead, no user bits; the usable rate is
+            # capped by the quantization bits the layer actually carries
+            rate = np.minimum(rate, layer.encoding_prelog * log2p)
+        delivered = np.minimum(mi1[lid].mean(axis=-1), mi2[lid].mean(axis=-1))
+        settled[lid] = (rate, delivered)
+        del gain1[lid], gain2[lid]
+    bits = [(sel, l.owner, per_trial[l.id]) for sic, sel, _ in groups for l in sic if l.owner != OWNER_COMMON]
+    return settled, bits
+
+
+def _slot_pass(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int):
+    """Draw every slot at every grid point and settle its first-antenna layers.
+
+    Grid point k's trial i reads row i of the stream keyed by (seed, the
+    point's power, slot index), so a point's draws do not depend on the rest
+    of the grid.  Each draw is copied into one preallocated stack with a
+    leading grid axis, so projections, gains and SIC run once per slot.
+
+    Yields per slot, in index order, (slot, settled, gain1, gain2, bits):
+    _settle_commons' results and the fresh layers' gains.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if snr.quality != plan.quality:
+    if any(s.quality != plan.quality for s in snrs):
         raise ValueError("SNR point and plan disagree on CSIT quality")
-    p, pkey = snr.p, _p_key(snr)
-    log2p = math.log2(p)
-    rate, delivered, slots = {}, {}, []
+    ps = [s.p for s in snrs]
+    stack = SimpleNamespace(**{name: np.empty((len(ps), n_trials, 2), complex)
+                               for name in ("h_true", "g_true", "h_est", "g_est")})
     for slot in plan.all_slots():
-        ch = sample_channel(snr, _stream(seed, _TAG_CHANNEL, pkey, slot.index), size=n_trials)
-        gain1, gain2 = _gains_for_slot(slot, ch)
-        mi1, mi2 = _common_mis(slot, gain1, gain2, p)
-        bits = []
-        for layer in slot.commons(p):
-            per_trial = np.minimum(mi1[layer.id], mi2[layer.id])
-            delivered[layer.id] = min(float(np.mean(mi1[layer.id])), float(np.mean(mi2[layer.id])))
-            del gain1[layer.id], gain2[layer.id]  # only fresh gains outlive pass 1
-            if layer.owner == OWNER_COMMON:
-                # retransmission overhead, no user bits; the usable rate is
-                # capped by the quantization bits the layer actually carries
-                rate[layer.id] = min(float(np.mean(per_trial)), layer.encoding_prelog * log2p)
-            else:
-                bits.append((layer.owner, per_trial))
-                rate[layer.id] = float(np.mean(per_trial))
-        slots.append((slot, gain1, gain2, bits))
-    return rate, delivered, slots
+        for k, snr in enumerate(snrs):
+            draw = sample_channel(snr, _stream(seed, _TAG_CHANNEL, _p_key(snr), slot.index), size=n_trials)
+            for name, buf in vars(stack).items():
+                buf[k] = getattr(draw, name)
+            del draw  # only the stack outlives the copy
+        gain1, gain2 = _gains_for_slot(slot, stack)
+        settled, bits = _settle_commons(slot, gain1, gain2, ps)
+        yield slot, settled, gain1, gain2, bits
 
 
-def _link_noise(plan: SchemePlan, delivered: dict[str, float], p: float) -> dict[str, float]:
-    """Effective residual variance after each subtraction, by interference id.
+def _link_sources(plan: SchemePlan):
+    """(link, source exponent, carrier slot index) for every link, in plan
+    order; ValueError for a link without a first-antenna carrier or a source."""
+    out = []
+    for link in plan.links:
+        try:
+            home, carrier = plan.find_layer(link.retransmit_layer)
+        except KeyError:
+            carrier = None
+        if carrier is None or carrier.precoder.kind != "first_antenna":
+            raise ValueError(f"link {link.interference_id}: no first-antenna carrier {link.retransmit_layer!r}")
+        e_src = plan.source_exponent(link)
+        if e_src is None:
+            raise ValueError(f"link {link.interference_id}: source interference missing")
+        out.append((link, e_src, home.index))
+    return out
+
+
+def _link_noise(link: QuantizationLink, e_src: float, delivered: np.ndarray, ps: list[float]) -> list[float]:
+    """Effective residual variance after the subtraction, per grid point.
 
     A shortfall of the carrying common layer's delivered MI below the
     quantization-rate demand coarsens the description the receivers get:
     every missing bit doubles the residual variance.
     """
-    log2p = math.log2(p)
-    noise: dict[str, float] = {}
-    for link in plan.links:
-        if link.retransmit_layer not in delivered:
-            raise ValueError(f"link {link.interference_id}: no first-antenna carrier {link.retransmit_layer!r}")
-        e_src = plan.source_exponent(link)
-        if e_src is None:
-            raise ValueError(f"link {link.interference_id}: source interference missing")
-        # rate-distortion variance of the quantizer itself: the source is
-        # received at ~ P**e_src, and quant_prelog * log2(P) bits describe it
-        # down to P**(e_src - quant_prelog), exactly 1 for a sound link
-        quant_var = p ** (e_src - link.quant_prelog)
-        shortfall = max(0.0, link.quant_prelog * log2p - delivered[link.retransmit_layer])
-        noise[link.interference_id] = quant_var * 2.0 ** shortfall
-    return noise
+    # rate-distortion variance of the quantizer itself: the source is
+    # received at ~ P**e_src, and quant_prelog * log2(P) bits describe it
+    # down to P**(e_src - quant_prelog), exactly 1 for a sound link
+    return [p ** (e_src - link.quant_prelog) * 2.0 ** max(0.0, link.quant_prelog * math.log2(p) - d)
+            for p, d in zip(ps, delivered.tolist())]
+
+
+def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int) -> Iterator[RateLedger]:
+    """Yield one RateLedger per grid point of snrs, in grid order, after one
+    pass over the slots (ledgers are built as they are read).
+
+    A slot's fresh groups wait in a first-in-first-out window until the
+    carriers of every link sourced in that slot have been decoded, then
+    settle and free their gains.  Settling only from the head keeps each
+    user's per-trial total adding up slot by slot: the slot's user-owned
+    first-antenna layers, then user 1's group, then user 2's.  Per-layer
+    and per-link results go to preallocated (row, grid point) arrays, so
+    what outlives a slot is a few floats per layer.
+    """
+    diags = validate_plan(plan)
+    if diags:
+        raise PlanValidationError("; ".join(diags))
+    sources = _link_sources(plan)
+    ready: dict[int, int] = {}  # source slot -> slot of its last carrier
+    carried: dict[int, list] = {}  # carrier slot -> [(link row, link, source exponent)]
+    for i, (link, e_src, home) in enumerate(sources):
+        ready[link.source_slot] = max(home, ready.get(link.source_slot, home))
+        carried.setdefault(home, []).append((i, link, e_src))
+
+    ps = [s.p for s in snrs]
+    layers = [l for s in plan.all_slots() for l in s.layers]
+    rate = np.full((len(layers), len(ps)), np.nan)  # rows in plan order
+    link_out = np.empty((2, len(sources), len(ps)))  # delivered MI, effective noise
+    linked: dict[tuple[int, str], np.ndarray] = {}
+    totals = {OWNER_USER1: np.zeros((len(ps), n_trials)), OWNER_USER2: np.zeros((len(ps), n_trials))}
+
+    def settle(slot, row0, gain1, gain2, bits):
+        # each user's fresh layers in the slot decode jointly.  The direct
+        # observation's noise is 1 + the residual of the linked
+        # own-interference, or the other user's layers at their true leakage
+        # powers when nothing was quantized; the side observation (when the
+        # group's image at the other user is linked) carries only the
+        # quantization error.
+        for sel, owner, trial_bits in bits:
+            totals[owner][sel] += trial_bits[sel]
+        row = {l.id: row0 + i for i, l in enumerate(slot.layers)}
+        for owner, other, direct, cross in ((OWNER_USER1, OWNER_USER2, gain1, gain2),
+                                            (OWNER_USER2, OWNER_USER1, gain2, gain1)):
+            group = slot.fresh(owner)
+            if not group:
+                continue
+            powers = [_power(l, ps) for l in group]
+            own_noise = linked.get((slot.index, owner))
+            if own_noise is None:
+                own_noise = sum(np.abs(direct[l.id]) ** 2 * _power(l, ps) for l in slot.fresh(other))
+            rows = [([direct[l.id] for l in group], 1.0 + own_noise)]
+            if (slot.index, other) in linked:
+                rows.append(([cross[l.id] for l in group], linked[(slot.index, other)]))
+            joint = _logdet_mi(rows, powers)
+            totals[owner] += joint
+            if len(group) == 1:
+                shares = [joint]
+            else:
+                # genie-aided rates (the group's other layers known): MRC of
+                # all observation rows against noise only
+                genie = [np.log2(1.0 + sum(np.abs(g[i]) ** 2 / n for g, n in rows) * powers[i])
+                         for i in range(len(group))]
+                total = sum(genie)
+                shares = [np.where(total > 0.0, joint * g / np.where(total > 0.0, total, 1.0), 0.0)
+                          for g in genie]
+            for layer, share in zip(group, shares):
+                rate[row[layer.id]] = share.mean(axis=-1)
+        linked.pop((slot.index, OWNER_USER1), None)
+        linked.pop((slot.index, OWNER_USER2), None)
+
+    window: deque = deque()
+    row0 = 0
+    for slot, settled, gain1, gain2, bits in _slot_pass(plan, snrs, n_trials, seed):
+        for i, layer in enumerate(slot.layers):
+            if layer.id in settled:
+                rate[row0 + i] = settled[layer.id][0]
+        for i, link, e_src in carried.get(slot.index, ()):
+            link_out[0, i] = mi = settled[link.retransmit_layer][1]
+            link_out[1, i] = _link_noise(link, e_src, mi, ps)
+            linked[(link.source_slot, link.observer)] = link_out[1, i, :, None]
+        window.append((slot, row0, gain1, gain2, bits))
+        row0 += len(slot.layers)
+        while window and ready.get(window[0][0].index, -1) <= slot.index:
+            settle(*window.popleft())
+
+    mean = {o: t.mean(axis=-1) for o, t in totals.items()}
+    if n_trials > 1:
+        se = {o: np.std(t, axis=-1, ddof=1) / math.sqrt(n_trials) for o, t in totals.items()}
+    else:
+        se = {o: np.zeros(len(ps)) for o in totals}
+    ids = [l.id for l in layers]
+    link_ids = [link.interference_id for link, _, _ in sources]
+    for k in range(len(ps)):
+        yield RateLedger(
+            per_symbol_rate=dict(zip(ids, rate[:, k].tolist())),
+            user_rate=(float(mean[OWNER_USER1][k]), float(mean[OWNER_USER2][k])),
+            user_rate_stderr=(float(se[OWNER_USER1][k]), float(se[OWNER_USER2][k])),
+            channel_uses=plan.channel_uses(),
+            link_delivered=dict(zip(link_ids, link_out[0, :, k].tolist())),
+            link_noise=dict(zip(link_ids, link_out[1, :, k].tolist())),
+        )
 
 
 def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> RateLedger:
@@ -250,75 +419,25 @@ def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> 
 
     Raises PlanValidationError when the plan has validation diagnostics and
     ValueError on a quality mismatch.  Deterministic for a given
-    (seed, n_trials, snr).
+    (seed, n_trials, snr), and equal to the same point of estimate_dof's grid.
     """
-    diags = validate_plan(plan)
-    if diags:
-        raise PlanValidationError("; ".join(diags))
-    per_symbol, delivered, slots = _first_pass(plan, snr, n_trials, seed)
-    p = snr.p
-    noise = _link_noise(plan, delivered, p)
-    linked = {(l.source_slot, l.observer): noise[l.interference_id] for l in plan.links}
-
-    # pass 2: each user's fresh layers in a slot decode jointly.  The direct
-    # observation's noise is 1 + the residual of the linked own-interference,
-    # or the other user's layers at their true leakage powers when nothing
-    # was quantized; the side observation (when the group's image at the
-    # other user is linked) carries only the quantization error.
-    totals = {OWNER_USER1: np.zeros(n_trials), OWNER_USER2: np.zeros(n_trials)}
-    for slot, gain1, gain2, bits in slots:
-        for owner, per_trial in bits:
-            totals[owner] += per_trial
-        for owner, other, direct, cross in ((OWNER_USER1, OWNER_USER2, gain1, gain2),
-                                            (OWNER_USER2, OWNER_USER1, gain2, gain1)):
-            layers = slot.fresh(owner)
-            if not layers:
-                continue
-            powers = [l.power(p) for l in layers]
-            own_noise = linked.get((slot.index, owner))
-            if own_noise is None:
-                own_noise = sum(np.abs(direct[l.id]) ** 2 * l.power(p) for l in slot.fresh(other))
-            rows = [([direct[l.id] for l in layers], 1.0 + own_noise)]
-            if (slot.index, other) in linked:
-                rows.append(([cross[l.id] for l in layers], linked[(slot.index, other)]))
-            joint = _logdet_mi(rows, powers)
-            totals[owner] += joint
-            if len(layers) == 1:
-                shares = [joint]
-            else:
-                # genie-aided rates (the group's other layers known): MRC of
-                # all observation rows against noise only
-                genie = [np.log2(1.0 + sum(np.abs(g[i]) ** 2 / n for g, n in rows) * powers[i])
-                         for i in range(len(layers))]
-                total = sum(genie)
-                shares = [np.where(total > 0.0, joint * g / np.where(total > 0.0, total, 1.0), 0.0)
-                          for g in genie]
-            for layer, share in zip(layers, shares):
-                per_symbol[layer.id] = float(np.mean(share))
-
-    r1, r2 = totals[OWNER_USER1], totals[OWNER_USER2]
-
-    def _se(x):
-        return float(np.std(x, ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
-
-    return RateLedger(
-        per_symbol_rate=per_symbol,
-        user_rate=(float(np.mean(r1)), float(np.mean(r2))),
-        user_rate_stderr=(_se(r1), _se(r2)),
-        channel_uses=plan.channel_uses(),
-        link_delivered={l.interference_id: delivered[l.retransmit_layer] for l in plan.links},
-        link_noise=noise,
-    )
+    return next(_evaluate_grid(plan, [snr], n_trials, seed))
 
 
 def check_grid_db(p_db: list[float]) -> None:
     """Reject a power grid (in dB) that cannot support the slope fit.
 
-    Its points must be finite and above 0 dB (SnrPoint needs P > 1),
-    strictly increasing, at least 3 and spanning at least 40 dB.
+    Its points must be finite and above 0 dB (SnrPoint needs P > 1), low
+    enough that P = 10**(dB/10) is a finite float, strictly increasing, at
+    least 3 and spanning at least 40 dB.
     """
     if not all(math.isfinite(x) and x > 0.0 for x in p_db):
         raise ValueError(f"power grid points must be finite and above 0 dB, got {list(p_db)}")
+    for x in p_db:
+        try:
+            math.pow(10.0, x / 10.0)
+        except OverflowError:
+            raise ValueError(f"power grid point {x} dB overflows: 10**(dB/10) is not a finite float") from None
     if any(b <= a for a, b in zip(p_db, p_db[1:])):
         raise ValueError("power grid must be strictly increasing")
     if len(p_db) < 3:
@@ -333,7 +452,9 @@ def estimate_dof(plan: SchemePlan, p_grid: list[SnrPoint], n_trials: int, seed: 
     The grid must pass check_grid_db (at least 3 strictly increasing
     points above 0 dB spanning 40 dB) and match the plan's quality; the fit
     uses the top half of the grid (at least two points) to suppress the
-    O(1) offsets that bias small-P slopes.  The slope standard error
+    O(1) offsets that bias small-P slopes.  The whole grid is evaluated in
+    one pass over the slots; each point equals evaluate_plan at that power.
+    The slope standard error
     propagates the per-point Monte-Carlo errors through the least-squares
     weights.  Tiny negative fitted slopes are floored at 0 (pre-logs are
     nonnegative; the raw rates stay available in points).
@@ -344,8 +465,7 @@ def estimate_dof(plan: SchemePlan, p_grid: list[SnrPoint], n_trials: int, seed: 
             raise ValueError("p_grid quality mismatch with plan")
 
     points, stderrs = [], []
-    for snr in p_grid:
-        ledger = evaluate_plan(plan, snr, n_trials, seed)
+    for snr, ledger in zip(p_grid, _evaluate_grid(plan, p_grid, n_trials, seed)):
         uses = ledger.channel_uses
         points.append((snr.log2p, ledger.user_rate[0] / uses, ledger.user_rate[1] / uses))
         stderrs.append((ledger.user_rate_stderr[0] / uses, ledger.user_rate_stderr[1] / uses))
@@ -384,5 +504,9 @@ def residual_power_probe(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: i
     Diagnostic tool: runs on plans that fail validation (that is the point
     of probing a deliberately mis-specified link).
     """
-    _, delivered, _ = _first_pass(plan, snr, n_trials, seed)
-    return _link_noise(plan, delivered, snr.p)
+    sources = _link_sources(plan)
+    delivered = {}
+    for _, settled, *_ in _slot_pass(plan, [snr], n_trials, seed):
+        delivered.update((lid, mi) for lid, (_, mi) in settled.items())
+    return {link.interference_id: _link_noise(link, e_src, delivered[link.retransmit_layer], [snr.p])[0]
+            for link, e_src, _ in sources}

@@ -628,11 +628,13 @@ def validate_plan(plan: SchemePlan) -> list[str]:
     """Static consistency diagnostics; an empty list means the plan is sound.
 
     Checks the asymptotic per-slot power budget (no exponent above 1 and
-    leading coefficients summing to at most 1), pre-log sanity, duplicate
-    (owner, precoder) collisions among non-common layers, link causality and
-    the quantization-rate/received-power match, and that the predicted DoF
-    sits inside the region polygon.  Duplicate slot indices and layer ids
-    cannot reach here: SchemePlan rejects them at construction.
+    leading coefficients summing to at most 1), pre-log sanity, that common
+    layers ride on the first antenna (the evaluator decodes them there),
+    duplicate (owner, precoder) collisions among non-common layers, link
+    causality and the quantization-rate/received-power match, and that the
+    predicted DoF sits inside the region polygon.  Duplicate slot indices
+    and layer ids cannot reach here: SchemePlan rejects them at
+    construction.
     """
     diags: list[str] = []
     for s in plan.all_slots():
@@ -652,6 +654,9 @@ def validate_plan(plan: SchemePlan) -> list[str]:
         for l in s.layers:
             if l.encoding_prelog <= _PRELOG_EPS:
                 diags.append(f"layer {l.id!r} has non-positive encoding pre-log")
+            if l.owner == OWNER_COMMON and l.precoder.kind != "first_antenna":
+                diags.append(f"layer {l.id!r}: a common layer must ride on the first antenna, "
+                             f"not an {l.precoder.kind!r} precoder")
             if l.precoder.kind != "first_antenna":
                 key = (l.owner, l.precoder.kind, l.precoder.user)
                 if key in seen:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -327,6 +328,21 @@ class TestEstimateDof:
         assert len(est.point_stderr) == 4
         assert est.stderr[0] > 0 and est.stderr[1] > 0
         assert est.slope.d1 > 0 and est.slope.d2 > 0
+
+    def test_memory_does_not_grow_with_the_plan(self):
+        # a slot's fresh-layer gains are freed once the carriers of its links
+        # are decoded, so ten times the cycles may not cost ten times the peak
+        estimate_dof(build_case_ii(Q35, 1), _grid(Q35), 20, seed=3)  # first-call allocations
+        peaks = []
+        for n_cycles in (4, 40):
+            plan = build_case_ii(Q35, n_cycles)
+            tracemalloc.start()
+            try:
+                estimate_dof(plan, _grid(Q35), 200, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestResidualProbe:

@@ -9,7 +9,7 @@ either side of it).
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcsit import (
@@ -20,6 +20,7 @@ from asymcsit import (
     build_preset,
     corner_points,
     dof_region,
+    estimate_dof,
     evaluate_plan,
     residual_power_probe,
     validate_plan,
@@ -115,3 +116,25 @@ def test_evaluator_ledger_invariants(quality, n_cycles, p_db, seed):
         ids = {link.interference_id for link in plan.links}
         assert ledger.link_delivered.keys() == ids and ledger.link_noise.keys() == ids
         assert residual_power_probe(plan, snr, 20, seed) == ledger.link_noise
+
+
+@settings(max_examples=30, deadline=None)
+@given(qualities, st.integers(1, 2), st.integers(0, 2**32 - 1))
+@example(CsitQuality(0.05, 0.5), 2, 7)  # case-ii decodes slots 6 and 9 in two SIC orders across the grid
+@example(CsitQuality(0.0, 0.0), 1, 7)
+@example(CsitQuality(1.0, 1.0), 2, 7)
+def test_grid_pass_equals_per_point_evaluation(quality, n_cycles, seed):
+    # estimate_dof evaluates the whole grid in one stacked pass; each of its
+    # points must be exactly the one-point evaluation at that power
+    grid = [SnrPoint.from_db(db, quality) for db in (60.0, 80.0, 100.0, 120.0)]
+    for plan in _buildable(quality, n_cycles):
+        est = estimate_dof(plan, grid, 20, seed)
+        ledgers = [evaluate_plan(plan, snr, 20, seed) for snr in grid]
+        assert est.points == tuple(
+            (snr.log2p, led.user_rate[0] / led.channel_uses, led.user_rate[1] / led.channel_uses)
+            for snr, led in zip(grid, ledgers)
+        ), plan.name
+        assert est.point_stderr == tuple(
+            (led.user_rate_stderr[0] / led.channel_uses, led.user_rate_stderr[1] / led.channel_uses)
+            for led in ledgers
+        ), plan.name

@@ -27,6 +27,7 @@ class TestConfig:
         ([60.0, 70.0, 80.0], "at least 40 dB"),
         ([0.0, 20.0, 40.0, 60.0], "above 0 dB"),
         ([math.nan, 80.0, 100.0, 120.0], "finite"),
+        ([60.0, 80.0, 4000.0], "4000.0 dB overflows"),
     ])
     def test_rejects_grid_the_fit_cannot_use(self, grid, message):
         with pytest.raises(ValueError, match=message):
@@ -225,6 +226,17 @@ class TestCli:
         assert rc == 2
         assert "finite and above 0 dB" in capsys.readouterr().err
         assert not (tmp_path / "sw" / "index.json").exists()
+
+    def test_run_rejects_overflowing_grid_before_running(self, tmp_path, capsys):
+        # 10**(4000/10) overflows a float: the grid check must refuse the
+        # point before any SnrPoint is built
+        rc = main([
+            "run", "--alpha1", "0.3", "--alpha2", "0.5", "--schemes", "sc-zf",
+            "--grid-db", "60,80,4000", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "4000.0 dB overflows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_sweep_rejects_negative_seed_before_running(self, tmp_path, capsys):
         rc = main(["sweep", "--qualities", "0.3:0.5", "--seed", "-1", "--out-dir", str(tmp_path / "sw")])

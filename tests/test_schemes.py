@@ -5,9 +5,11 @@ import pytest
 
 from asymcsit import (
     CsitQuality,
+    PlanValidationError,
     SchemeConditionError,
     SchemePlan,
     SlotPlan,
+    SnrPoint,
     SymbolLayer,
     build_case_i,
     build_case_ii,
@@ -18,6 +20,7 @@ from asymcsit import (
     contains,
     corner_points,
     dof_region,
+    evaluate_plan,
     plan_as_dict,
     validate_plan,
 )
@@ -274,6 +277,20 @@ class TestValidation:
         plan = SchemePlan("hand", q, (slot,), (), (), DofPoint(0, 0), 1.0, 0.0, 0)
         diags = validate_plan(plan)
         assert any("power budget exceeded" in d for d in diags)
+
+    def test_common_layer_off_the_first_antenna_diagnostic(self):
+        # the evaluator decodes common layers on the first antenna only; a
+        # zero-forced one would get no rate and count in no noise term
+        q = CsitQuality(0.3, 0.5)
+        slot = SlotPlan(1, (
+            SymbolLayer("u", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),
+            SymbolLayer("c", OWNER_COMMON, orth_to(1), 0.5, 0.5, 0.5),
+        ))
+        plan = SchemePlan("hand", q, (slot,), (), (), DofPoint(0, 0), 1.0, 0.0, 0)
+        diags = validate_plan(plan)
+        assert diags == ["layer 'c': a common layer must ride on the first antenna, not an 'orth' precoder"]
+        with pytest.raises(PlanValidationError, match="layer 'c'"):
+            evaluate_plan(plan, SnrPoint.from_db(60, q), 10, seed=0)
 
     def test_duplicate_layer_id_rejected_at_construction(self):
         q = CsitQuality(0.3, 0.5)
