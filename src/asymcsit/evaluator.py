@@ -32,9 +32,11 @@ freed.  Memory is bounded by that window, not by the plan length, and the
 per-slot Python work is paid once per slot, not once per slot and grid
 point.  evaluate_plan is the same pass at one grid point.
 
-residual_power_probe runs steps 1 and 2 at one point and reports step 2's
-effective residual variance per link, the same number RateLedger.link_noise
-holds, from the same draws; its log-slope in P is 0 for a sound plan.
+residual_power_probe is this pass at one point, read off as
+RateLedger.link_noise: step 2's effective residual variance per link.  Its
+log-slope in P is 0 for a sound plan.  A link whose source or first-antenna
+carrier is missing never reaches the pass: SchemePlan refuses it when the
+plan is built.
 
 Rates are mutual informations, not symbol-error simulations: the point is
 the high-SNR slope, estimated by least squares on the top half of a power
@@ -55,7 +57,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterator
 
 import numpy as np
 
@@ -84,6 +85,7 @@ __all__ = [
 ]
 
 _TAG_CHANNEL = 1
+_PRECISION_CEILING = 30.0  # largest alpha2 * dB / 10 that check_grid_db accepts
 
 
 class PlanValidationError(ValueError):
@@ -167,15 +169,16 @@ def _power(layer: SymbolLayer, p):
     return layer.power(p)
 
 
-def _common_mis(slot: SlotPlan, gain1, gain2, p):
+def _common_mis(slot: SlotPlan, gain1, gain2, p, sic=None):
     """SIC mutual informations of every first-antenna layer at both users.
 
     Decoding strongest first; the noise for each layer is every weaker
     first-antenna layer plus all fresh layers at their true received powers
     plus unit AWGN.  p is one transmit power, or a list of grid powers, one
-    per leading row of the gains, that share the SIC order of the first.
+    per leading row of the gains; sic is their shared SIC order, which is
+    required for a list and slot.commons(p) by default for one power.
     """
-    sic = slot.commons(p[0] if isinstance(p, list) else p)
+    sic = slot.commons(p) if sic is None else sic
     fresh = slot.fresh(OWNER_USER1) + slot.fresh(OWNER_USER2)
     power = {l.id: _power(l, p) for l in sic + fresh}
     out = []
@@ -226,9 +229,9 @@ def _settle_commons(slot: SlotPlan, gain1, gain2, ps: list[float]):
     groups = [(sic, slice(None) if len(rows) == len(ps) else rows, [ps[k] for k in rows])
               for sic, rows in orders.values()]
     mi1, mi2 = {}, {}
-    for _, sel, group_ps in groups:
+    for sic, sel, group_ps in groups:
         part = _common_mis(slot, {i: g[sel] for i, g in gain1.items()},
-                           {i: g[sel] for i, g in gain2.items()}, group_ps)
+                           {i: g[sel] for i, g in gain2.items()}, group_ps, sic)
         for mis, got in zip((mi1, mi2), part):
             for lid, mi in got.items():
                 if lid not in mis:
@@ -252,53 +255,6 @@ def _settle_commons(slot: SlotPlan, gain1, gain2, ps: list[float]):
     return settled, bits
 
 
-def _slot_pass(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int):
-    """Draw every slot at every grid point and settle its first-antenna layers.
-
-    Grid point k's trial i reads row i of the stream keyed by (seed, the
-    point's power, slot index), so a point's draws do not depend on the rest
-    of the grid.  Each draw is copied into one preallocated stack with a
-    leading grid axis, so projections, gains and SIC run once per slot.
-
-    Yields per slot, in index order, (slot, settled, gain1, gain2, bits):
-    _settle_commons' results and the fresh layers' gains.
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if any(s.quality != plan.quality for s in snrs):
-        raise ValueError("SNR point and plan disagree on CSIT quality")
-    ps = [s.p for s in snrs]
-    stack = SimpleNamespace(**{name: np.empty((len(ps), n_trials, 2), complex)
-                               for name in ("h_true", "g_true", "h_est", "g_est")})
-    for slot in plan.all_slots():
-        for k, snr in enumerate(snrs):
-            draw = sample_channel(snr, _stream(seed, _TAG_CHANNEL, _p_key(snr), slot.index), size=n_trials)
-            for name, buf in vars(stack).items():
-                buf[k] = getattr(draw, name)
-            del draw  # only the stack outlives the copy
-        gain1, gain2 = _gains_for_slot(slot, stack)
-        settled, bits = _settle_commons(slot, gain1, gain2, ps)
-        yield slot, settled, gain1, gain2, bits
-
-
-def _link_sources(plan: SchemePlan):
-    """(link, source exponent, carrier slot index) for every link, in plan
-    order; ValueError for a link without a first-antenna carrier or a source."""
-    out = []
-    for link in plan.links:
-        try:
-            home, carrier = plan.find_layer(link.retransmit_layer)
-        except KeyError:
-            carrier = None
-        if carrier is None or carrier.precoder.kind != "first_antenna":
-            raise ValueError(f"link {link.interference_id}: no first-antenna carrier {link.retransmit_layer!r}")
-        e_src = plan.source_exponent(link)
-        if e_src is None:
-            raise ValueError(f"link {link.interference_id}: source interference missing")
-        out.append((link, e_src, home.index))
-    return out
-
-
 def _link_noise(link: QuantizationLink, e_src: float, delivered: np.ndarray, ps: list[float]) -> list[float]:
     """Effective residual variance after the subtraction, per grid point.
 
@@ -313,32 +269,38 @@ def _link_noise(link: QuantizationLink, e_src: float, delivered: np.ndarray, ps:
             for p, d in zip(ps, delivered.tolist())]
 
 
-def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int) -> Iterator[RateLedger]:
-    """Yield one RateLedger per grid point of snrs, in grid order, after one
-    pass over the slots (ledgers are built as they are read).
+def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int) -> list[RateLedger]:
+    """One RateLedger per grid point of snrs, in grid order, from one pass
+    over the slots.  No validate_plan here: the public callers that need a
+    sound plan run it first, and SchemePlan has already checked the links.
 
-    A slot's fresh groups wait in a first-in-first-out window until the
-    carriers of every link sourced in that slot have been decoded, then
-    settle and free their gains.  Settling only from the head keeps each
-    user's per-trial total adding up slot by slot: the slot's user-owned
-    first-antenna layers, then user 1's group, then user 2's.  Per-layer
-    and per-link results go to preallocated (row, grid point) arrays, so
-    what outlives a slot is a few floats per layer.
+    Grid point k's trial i reads row i of the stream keyed by (seed, the
+    point's power, slot index), so a point's draws do not depend on the rest
+    of the grid.  Each slot's draws are copied into one preallocated stack
+    with a leading grid axis, so projections, gains and SIC run once per
+    slot and the first-antenna layers settle at once.  The fresh groups wait
+    in a first-in-first-out window until the carriers of every link sourced
+    in that slot have been decoded, then settle and free their gains.
+    Settling only from the head keeps each user's per-trial total adding up
+    slot by slot: the slot's user-owned first-antenna layers, then user 1's
+    group, then user 2's.  Per-layer and per-link results go to preallocated
+    (row, grid point) arrays.
     """
-    diags = validate_plan(plan)
-    if diags:
-        raise PlanValidationError("; ".join(diags))
-    sources = _link_sources(plan)
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    if any(s.quality != plan.quality for s in snrs):
+        raise ValueError("SNR point and plan disagree on CSIT quality")
     ready: dict[int, int] = {}  # source slot -> slot of its last carrier
-    carried: dict[int, list] = {}  # carrier slot -> [(link row, link, source exponent)]
-    for i, (link, e_src, home) in enumerate(sources):
+    carried: dict[int, list] = {}  # carrier slot -> [(link row, link)]
+    for i, link in enumerate(plan.links):
+        home = plan.find_layer(link.retransmit_layer)[0].index
         ready[link.source_slot] = max(home, ready.get(link.source_slot, home))
-        carried.setdefault(home, []).append((i, link, e_src))
+        carried.setdefault(home, []).append((i, link))
 
     ps = [s.p for s in snrs]
     layers = [l for s in plan.all_slots() for l in s.layers]
     rate = np.full((len(layers), len(ps)), np.nan)  # rows in plan order
-    link_out = np.empty((2, len(sources), len(ps)))  # delivered MI, effective noise
+    link_out = np.empty((2, len(plan.links), len(ps)))  # delivered MI, effective noise
     linked: dict[tuple[int, str], np.ndarray] = {}
     totals = {OWNER_USER1: np.zeros((len(ps), n_trials)), OWNER_USER2: np.zeros((len(ps), n_trials))}
 
@@ -381,15 +343,24 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         linked.pop((slot.index, OWNER_USER1), None)
         linked.pop((slot.index, OWNER_USER2), None)
 
+    stack = SimpleNamespace(**{name: np.empty((len(ps), n_trials, 2), complex)
+                               for name in ("h_true", "g_true", "h_est", "g_est")})
     window: deque = deque()
     row0 = 0
-    for slot, settled, gain1, gain2, bits in _slot_pass(plan, snrs, n_trials, seed):
+    for slot in plan.all_slots():
+        for k, snr in enumerate(snrs):
+            draw = sample_channel(snr, _stream(seed, _TAG_CHANNEL, _p_key(snr), slot.index), size=n_trials)
+            for name, buf in vars(stack).items():
+                buf[k] = getattr(draw, name)
+            del draw  # only the stack outlives the copy
+        gain1, gain2 = _gains_for_slot(slot, stack)
+        settled, bits = _settle_commons(slot, gain1, gain2, ps)
         for i, layer in enumerate(slot.layers):
             if layer.id in settled:
                 rate[row0 + i] = settled[layer.id][0]
-        for i, link, e_src in carried.get(slot.index, ()):
+        for i, link in carried.get(slot.index, ()):
             link_out[0, i] = mi = settled[link.retransmit_layer][1]
-            link_out[1, i] = _link_noise(link, e_src, mi, ps)
+            link_out[1, i] = _link_noise(link, plan.source_exponent(link), mi, ps)
             linked[(link.source_slot, link.observer)] = link_out[1, i, :, None]
         window.append((slot, row0, gain1, gain2, bits))
         row0 += len(slot.layers)
@@ -402,16 +373,21 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     else:
         se = {o: np.zeros(len(ps)) for o in totals}
     ids = [l.id for l in layers]
-    link_ids = [link.interference_id for link, _, _ in sources]
-    for k in range(len(ps)):
-        yield RateLedger(
-            per_symbol_rate=dict(zip(ids, rate[:, k].tolist())),
-            user_rate=(float(mean[OWNER_USER1][k]), float(mean[OWNER_USER2][k])),
-            user_rate_stderr=(float(se[OWNER_USER1][k]), float(se[OWNER_USER2][k])),
-            channel_uses=plan.channel_uses(),
-            link_delivered=dict(zip(link_ids, link_out[0, :, k].tolist())),
-            link_noise=dict(zip(link_ids, link_out[1, :, k].tolist())),
-        )
+    link_ids = [link.interference_id for link in plan.links]
+    return [RateLedger(
+        per_symbol_rate=dict(zip(ids, rate[:, k].tolist())),
+        user_rate=(float(mean[OWNER_USER1][k]), float(mean[OWNER_USER2][k])),
+        user_rate_stderr=(float(se[OWNER_USER1][k]), float(se[OWNER_USER2][k])),
+        channel_uses=plan.channel_uses(),
+        link_delivered=dict(zip(link_ids, link_out[0, :, k].tolist())),
+        link_noise=dict(zip(link_ids, link_out[1, :, k].tolist())),
+    ) for k in range(len(ps))]
+
+
+def _require_valid(plan: SchemePlan) -> None:
+    diags = validate_plan(plan)
+    if diags:
+        raise PlanValidationError("; ".join(diags))
 
 
 def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> RateLedger:
@@ -421,15 +397,20 @@ def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> 
     ValueError on a quality mismatch.  Deterministic for a given
     (seed, n_trials, snr), and equal to the same point of estimate_dof's grid.
     """
-    return next(_evaluate_grid(plan, [snr], n_trials, seed))
+    _require_valid(plan)
+    return _evaluate_grid(plan, [snr], n_trials, seed)[0]
 
 
-def check_grid_db(p_db: list[float]) -> None:
+def check_grid_db(p_db: list[float], alpha2: float) -> None:
     """Reject a power grid (in dB) that cannot support the slope fit.
 
     Its points must be finite and above 0 dB (SnrPoint needs P > 1), low
     enough that P = 10**(dB/10) is a finite float, strictly increasing, at
-    least 3 and spanning at least 40 dB.
+    least 3 and spanning at least 40 dB.  They must also stay below the
+    precision ceiling alpha2 * dB / 10 <= 30: zero-forcing leakage cannot
+    fall below about eps**2 ~ 1e-32 of the signal, so once the estimation
+    error variance P**-alpha2 drops under ~1e-30 the fitted slopes come out
+    wrong without any other sign.
     """
     if not all(math.isfinite(x) and x > 0.0 for x in p_db):
         raise ValueError(f"power grid points must be finite and above 0 dB, got {list(p_db)}")
@@ -438,6 +419,9 @@ def check_grid_db(p_db: list[float]) -> None:
             math.pow(10.0, x / 10.0)
         except OverflowError:
             raise ValueError(f"power grid point {x} dB overflows: 10**(dB/10) is not a finite float") from None
+    if alpha2 * max(p_db) / 10.0 > _PRECISION_CEILING:
+        raise ValueError(f"power grid point {max(p_db)} dB is above the precision ceiling at alpha2 = {alpha2}: "
+                         f"alpha2 * dB / 10 must be at most {_PRECISION_CEILING:g}")
     if any(b <= a for a, b in zip(p_db, p_db[1:])):
         raise ValueError("power grid must be strictly increasing")
     if len(p_db) < 3:
@@ -449,8 +433,10 @@ def check_grid_db(p_db: list[float]) -> None:
 def estimate_dof(plan: SchemePlan, p_grid: list[SnrPoint], n_trials: int, seed: int) -> DofEstimate:
     """Fit the per-user rate slopes against log2(P) over a power grid.
 
-    The grid must pass check_grid_db (at least 3 strictly increasing
-    points above 0 dB spanning 40 dB) and match the plan's quality; the fit
+    The grid must pass check_grid_db at the plan's alpha2 (at least 3
+    strictly increasing points above 0 dB spanning 40 dB, below the
+    precision ceiling) and match the plan's quality; the plan must
+    validate clean (PlanValidationError otherwise).  The fit
     uses the top half of the grid (at least two points) to suppress the
     O(1) offsets that bias small-P slopes.  The whole grid is evaluated in
     one pass over the slots; each point equals evaluate_plan at that power.
@@ -459,11 +445,8 @@ def estimate_dof(plan: SchemePlan, p_grid: list[SnrPoint], n_trials: int, seed: 
     weights.  Tiny negative fitted slopes are floored at 0 (pre-logs are
     nonnegative; the raw rates stay available in points).
     """
-    check_grid_db([s.p_db for s in p_grid])
-    for s in p_grid:
-        if s.quality != plan.quality:
-            raise ValueError("p_grid quality mismatch with plan")
-
+    check_grid_db([s.p_db for s in p_grid], plan.quality.alpha2)
+    _require_valid(plan)
     points, stderrs = [], []
     for snr, ledger in zip(p_grid, _evaluate_grid(plan, p_grid, n_trials, seed)):
         uses = ledger.channel_uses
@@ -504,9 +487,4 @@ def residual_power_probe(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: i
     Diagnostic tool: runs on plans that fail validation (that is the point
     of probing a deliberately mis-specified link).
     """
-    sources = _link_sources(plan)
-    delivered = {}
-    for _, settled, *_ in _slot_pass(plan, [snr], n_trials, seed):
-        delivered.update((lid, mi) for lid, (_, mi) in settled.items())
-    return {link.interference_id: _link_noise(link, e_src, delivered[link.retransmit_layer], [snr.p])[0]
-            for link, e_src, _ in sources}
+    return _evaluate_grid(plan, [snr], n_trials, seed)[0].link_noise

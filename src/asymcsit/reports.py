@@ -62,8 +62,9 @@ class ExperimentConfig:
 
     Integers (not bools): n_trials, n_cycles >= 1 and seed >= 0.  Finite
     real numbers: alpha1, alpha2 and tolerance >= 0.  p_grid_db is a list
-    of real dB values that check_grid_db accepts.  A violation raises
-    ValueError naming the field.
+    of real dB values that check_grid_db accepts at alpha2.  schemes is a
+    list of preset names, and output_dir a string or a path.  A violation
+    raises ValueError naming the field.
     """
 
     alpha1: float
@@ -77,6 +78,8 @@ class ExperimentConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ValueError(f"output_dir must be a string or a path, got {self.output_dir!r}")
         self.output_dir = Path(self.output_dir)
         for name in ("n_trials", "n_cycles", "seed"):
             value = getattr(self, name)
@@ -88,12 +91,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if not isinstance(self.p_grid_db, (list, tuple)) or not all(map(_real, self.p_grid_db)):
             raise ValueError(f"p_grid_db must be a list of real numbers, got {self.p_grid_db!r}")
+        if not isinstance(self.schemes, (list, tuple)) or not all(isinstance(n, str) for n in self.schemes):
+            raise ValueError(f"schemes must be a list of strings, got {self.schemes!r}")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
         for name in self.schemes:
             if name not in PRESET_NAMES:
                 raise ValueError(f"unknown scheme {name!r}; choose from {sorted(PRESET_NAMES)}")
-        check_grid_db(self.p_grid_db)
+        check_grid_db(self.p_grid_db, self.alpha2)
         if self.n_trials < 1 or self.n_cycles < 1:
             raise ValueError("n_trials and n_cycles must be >= 1")
         if self.seed < 0:
@@ -122,6 +127,8 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             d = json.load(fh)
+        if not isinstance(d, dict):
+            raise ValueError(f"config file {path} must hold a JSON object, got {type(d).__name__}")
         d.update(overrides or {})
         return cls.from_dict(d)
 
@@ -267,13 +274,15 @@ def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
     """
     if not qualities:
         raise ValueError("qualities must be nonempty")
-    entries = []
+    # every pair's config is checked (the grid ceiling depends on alpha2)
+    # before the first run starts
+    runs = []
     for q in qualities:
         tag = f"a1_{float(q.alpha1)!r}_a2_{float(q.alpha2)!r}".replace(".", "p")
-        sub = dataclasses.replace(
-            base, alpha1=q.alpha1, alpha2=q.alpha2, output_dir=base.output_dir / tag
-        )
-        entry = {"alpha1": q.alpha1, "alpha2": q.alpha2, "dir": tag}
+        sub = dataclasses.replace(base, alpha1=q.alpha1, alpha2=q.alpha2, output_dir=base.output_dir / tag)
+        runs.append((sub, {"alpha1": q.alpha1, "alpha2": q.alpha2, "dir": tag}))
+    entries = []
+    for sub, entry in runs:
         try:
             report = run(sub)
             entry["passed"] = report.all_passed

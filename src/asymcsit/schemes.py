@@ -191,7 +191,8 @@ class SchemePlan:
     The slot order and the slot/layer lookups are indexed once, at
     construction: all_slots() is the slots in index order, and slot() and
     find_layer() are dict reads.  A duplicate slot index or layer id raises
-    ValueError.
+    ValueError, and so does a link whose source slot, overheard
+    interference or first-antenna carrier layer is missing.
     """
 
     name: str
@@ -224,6 +225,15 @@ class SchemePlan:
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_slot_by_index", by_index)
         object.__setattr__(self, "_layer_home", home)
+        for link in self.links:
+            name = f"link {link.interference_id}"
+            if link.source_slot not in by_index:
+                raise ValueError(f"{name}: source slot {link.source_slot} missing")
+            if not self._overheard(link):
+                raise ValueError(f"{name}: source interference missing")
+            carrier = home.get(link.retransmit_layer)
+            if carrier is None or carrier[1].precoder.kind != "first_antenna":
+                raise ValueError(f"{name}: no first-antenna carrier {link.retransmit_layer!r}")
 
     def all_slots(self) -> tuple[SlotPlan, ...]:
         return self._slots
@@ -243,13 +253,15 @@ class SchemePlan:
         except KeyError:
             raise KeyError(f"no layer with id {layer_id!r}") from None
 
-    def source_exponent(self, link: QuantizationLink) -> float | None:
-        """Received-power exponent of the interference `link` quantizes.
-
-        None when the source slot sends nothing the observer overhears.
-        """
+    def _overheard(self, link: QuantizationLink) -> list[SymbolLayer]:
+        """The source slot's layers whose image the link's observer overhears:
+        the other user's fresh layers."""
         source_owner = OWNER_USER2 if link.observer == OWNER_USER1 else OWNER_USER1
-        return _source_exponent(self.slot(link.source_slot).fresh(source_owner), link.observer, self.quality)
+        return self._slot_by_index[link.source_slot].fresh(source_owner)
+
+    def source_exponent(self, link: QuantizationLink) -> float:
+        """Received-power exponent of the interference `link` quantizes."""
+        return _source_exponent(self._overheard(link), link.observer, self.quality)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +289,13 @@ def _kept(layers) -> tuple[SymbolLayer, ...]:
     return tuple(l for l in layers if l is not None)
 
 
-def _source_exponent(layers: list[SymbolLayer], observer: str, quality: CsitQuality) -> float | None:
+def _source_exponent(layers: list[SymbolLayer], observer: str, quality: CsitQuality) -> float:
     """Received-power exponent of the interference a group leaks at `observer`.
 
     User 1 overhears user 2's layers through the orth-precoder attenuation
     P**(-alpha1); user 2 mirrors with alpha2.  The exponent is the max layer
     power exponent minus that attenuation.
     """
-    if not layers:
-        return None
     alpha = quality.alpha1 if observer == OWNER_USER1 else quality.alpha2
     return max(l.power_exponent for l in layers) - alpha
 
@@ -297,8 +307,8 @@ def _link_and_carrier(slot_index, observer, quality, source_layers, carrier_id):
     a vanishing rate means the interference sits at the noise floor and
     nothing needs to be retransmitted.
     """
-    exponent = _source_exponent(source_layers, observer, quality)
-    if exponent is None or exponent <= _PRELOG_EPS:
+    exponent = _source_exponent(source_layers, observer, quality) if source_layers else 0.0
+    if exponent <= _PRELOG_EPS:
         return None
     tag = "1" if observer == OWNER_USER1 else "2"
     return QuantizationLink(
@@ -633,8 +643,8 @@ def validate_plan(plan: SchemePlan) -> list[str]:
     duplicate (owner, precoder) collisions among non-common layers, link
     causality and the quantization-rate/received-power match, and that the
     predicted DoF sits inside the region polygon.  Duplicate slot indices
-    and layer ids cannot reach here: SchemePlan rejects them at
-    construction.
+    and layer ids, and links whose references do not resolve, cannot reach
+    here: SchemePlan rejects them at construction.
     """
     diags: list[str] = []
     for s in plan.all_slots():
@@ -664,24 +674,14 @@ def validate_plan(plan: SchemePlan) -> list[str]:
                 seen.add(key)
 
     for link in plan.links:
-        try:
-            exponent = plan.source_exponent(link)
-        except KeyError:
-            diags.append(f"link {link.interference_id}: source slot {link.source_slot} missing")
-            continue
-        try:
-            carrier_slot = plan.find_layer(link.retransmit_layer)[0].index
-        except KeyError:
-            diags.append(f"link {link.interference_id}: carrier layer {link.retransmit_layer!r} missing")
-            continue
+        carrier_slot = plan.find_layer(link.retransmit_layer)[0].index
         if carrier_slot <= link.source_slot:
             diags.append(
                 f"link {link.interference_id}: causality violated "
                 f"(carrier slot {carrier_slot} not after source slot {link.source_slot})"
             )
-        if exponent is None:
-            diags.append(f"link {link.interference_id}: source interference missing")
-        elif abs(exponent - link.quant_prelog) > 1e-9:
+        exponent = plan.source_exponent(link)
+        if abs(exponent - link.quant_prelog) > 1e-9:
             diags.append(
                 f"link {link.interference_id}: quantization rate mismatch "
                 f"(prelog {link.quant_prelog:.6g} vs received exponent {exponent:.6g})"

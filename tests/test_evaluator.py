@@ -19,7 +19,15 @@ from asymcsit import (
     residual_power_probe,
     sample_channel,
 )
-from asymcsit.evaluator import _TAG_CHANNEL, _common_mis, _gains_for_slot, _logdet_mi, _p_key, _stream
+from asymcsit.evaluator import (
+    _TAG_CHANNEL,
+    _common_mis,
+    _gains_for_slot,
+    _logdet_mi,
+    _p_key,
+    _stream,
+    check_grid_db,
+)
 from asymcsit.geometry import DofPoint
 from asymcsit.schemes import (
     OWNER_COMMON,
@@ -321,6 +329,23 @@ class TestEstimateDof:
         with pytest.raises(ValueError, match="quality"):
             estimate_dof(plan, _grid(Q28), 10, seed=0)
 
+    def test_grid_at_the_precision_ceiling_still_fits(self):
+        # alpha2 * 300 / 10 = 30 is the top of what the grid check accepts,
+        # and the zero-forcing leakage still resolves there
+        q = CsitQuality(1.0, 1.0)
+        est = estimate_dof(build_sc_zf(q), _grid(q, (240, 270, 300)), 200, seed=7)
+        assert est.slope.as_tuple() == pytest.approx((1.0, 1.0), abs=0.05)
+        check_grid_db([540.0, 570.0, 600.0], 0.5)  # the ceiling scales with alpha2
+
+    def test_grid_above_the_precision_ceiling_is_refused(self):
+        # at alpha2 = 1 the slopes read (0.976, 0.964) over 260-320 dB and
+        # (0.223, 0.267) over 340-400 dB, with nothing else to show for it
+        q = CsitQuality(1.0, 1.0)
+        with pytest.raises(ValueError, match="320.0 dB is above the precision ceiling at alpha2 = 1.0"):
+            estimate_dof(build_sc_zf(q), _grid(q, (260, 290, 320)), 200, seed=7)
+        with pytest.raises(ValueError, match="precision ceiling"):
+            check_grid_db([600.0, 640.0, 680.0], 0.5)
+
     def test_points_and_stderr_shape(self):
         plan = build_case_ii(Q35, 3)
         est = estimate_dof(plan, _grid(Q35), 200, seed=6)
@@ -358,21 +383,20 @@ class TestResidualProbe:
             residual_power_probe(plan, SnrPoint.from_db(80, Q28), 10, seed=0)
 
     def test_probe_rejects_link_without_source(self):
-        # slot 1 sends nothing user 1 overhears, so the link has no source
+        # slot 1 sends nothing user 1 overhears, so the link has no source;
+        # the plan is refused before there is anything to probe
         slot1 = SlotPlan(1, (SymbolLayer("u", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),))
         slot2 = SlotPlan(2, (SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, 0.2),))
         link = QuantizationLink(1, OWNER_USER1, "eta_1_1", 0.2, "c")
-        plan = SchemePlan("hand", Q35, (slot1, slot2), (), (link,), DofPoint(0, 0), 2.0, 0.0, 0)
         with pytest.raises(ValueError, match="eta_1_1: source interference missing"):
-            residual_power_probe(plan, SnrPoint.from_db(60, Q35), 10, seed=0)
+            SchemePlan("hand", Q35, (slot1, slot2), (), (link,), DofPoint(0, 0), 2.0, 0.0, 0)
 
     def test_probe_rejects_link_without_carrier(self):
         slot1 = SlotPlan(1, (SymbolLayer("v", OWNER_USER2, orth_to(1), 0.5, 0.5, 0.5),))
         slot2 = SlotPlan(2, (SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, 0.2),))
         link = QuantizationLink(1, OWNER_USER1, "eta_1_1", 0.2, "eta_hat_1_1")
-        plan = SchemePlan("hand", Q35, (slot1, slot2), (), (link,), DofPoint(0, 0), 2.0, 0.0, 0)
         with pytest.raises(ValueError, match="eta_1_1: no first-antenna carrier 'eta_hat_1_1'"):
-            residual_power_probe(plan, SnrPoint.from_db(60, Q35), 10, seed=0)
+            SchemePlan("hand", Q35, (slot1, slot2), (), (link,), DofPoint(0, 0), 2.0, 0.0, 0)
 
     def test_residual_unit_power(self):
         plan = build_case_ii(Q35, 2)

@@ -258,6 +258,37 @@ class TestCli:
         assert "seed must be an integer, got 7.5" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("content,message", [
+        ([1, 2], "must hold a JSON object, got list"),
+        ({"alpha1": 0.3, "alpha2": 0.5, "output_dir": None}, "output_dir must be a string or a path, got None"),
+        ({"alpha1": 0.3, "alpha2": 0.5, "schemes": "case-ii"}, "schemes must be a list of strings, got 'case-ii'"),
+    ], ids=["top-level-list", "null-output-dir", "schemes-string"])
+    def test_config_file_of_wrong_shape_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(content))
+        rc = main(["run", "--alpha1", "0.3", "--alpha2", "0.5", "--config", str(path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_run_rejects_grid_above_the_precision_ceiling(self, tmp_path, capsys):
+        rc = main([
+            "run", "--alpha1", "1", "--alpha2", "1", "--grid-db", "260,290,320",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert rc == 2
+        assert "above the precision ceiling" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_checks_every_pair_before_running(self, tmp_path, capsys):
+        # 320 dB is fine at alpha2 = 0.5 but above the ceiling at alpha2 = 1
+        rc = main([
+            "sweep", "--qualities", "0.3:0.5,1:1", "--schemes", "sc-zf", "--grid-db", "60,200,320",
+            "--out-dir", str(tmp_path / "sw"),
+        ])
+        assert rc == 2
+        assert "above the precision ceiling at alpha2 = 1.0" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_config_file_flag(self, tmp_path):
         cfg = {"alpha1": 0.3, "alpha2": 0.5, "schemes": ["sc-zf"],
                "p_grid_db": [60, 80, 100], "n_trials": 60, "n_cycles": 3,

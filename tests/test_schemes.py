@@ -306,6 +306,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate slot index 3"):
             SchemePlan("hand", q, (slot_a, slot_b), (), (), DofPoint(0, 0), 2.0, 0.0, 0)
 
+    def test_link_carrier_must_ride_the_first_antenna(self):
+        # the evaluator decodes carriers by SIC on the first antenna; a
+        # zero-forced 'w' would never deliver the quantized bits
+        q = CsitQuality(0.3, 0.5)
+        slot1 = SlotPlan(1, (SymbolLayer("v", OWNER_USER2, orth_to(1), 0.5, 0.5, 0.5),))
+        slot2 = SlotPlan(2, (SymbolLayer("w", OWNER_USER1, orth_to(2), 0.5, 1.0, 0.2),))
+        link = QuantizationLink(1, OWNER_USER1, "eta_1_1", 0.2, "w")
+        with pytest.raises(ValueError, match="link eta_1_1: no first-antenna carrier 'w'"):
+            SchemePlan("hand", q, (slot1, slot2), (), (link,), DofPoint(0, 0), 2.0, 0.0, 0)
+
+    def test_link_source_slot_must_exist(self):
+        q = CsitQuality(0.3, 0.5)
+        slot2 = SlotPlan(2, (SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, 0.2),))
+        link = QuantizationLink(1, OWNER_USER1, "eta_1_1", 0.2, "c")
+        with pytest.raises(ValueError, match="link eta_1_1: source slot 1 missing"):
+            SchemePlan("hand", q, (slot2,), (), (link,), DofPoint(0, 0), 1.0, 0.0, 0)
+
     def test_lookup_misses_raise_key_error(self):
         plan = build_case_ii(CsitQuality(0.3, 0.5), 1)
         with pytest.raises(KeyError, match="no slot with index 99"):
