@@ -30,9 +30,10 @@ step 3 waits in a first-in-first-out window until the carriers of the
 links sourced there have been decoded; then its fresh-layer gains are
 freed.  Memory is bounded by that window, not by the plan length, and the
 per-slot Python work is paid once per slot, not once per slot and grid
-point.  evaluate_plan is the same pass at one grid point.
+point.  The pass returns arrays over the grid; estimate_dof fits the
+per-user ones, and a RateLedger is built only at one point (evaluate_plan).
 
-residual_power_probe is this pass at one point, read off as
+residual_power_probe is that one-point ledger, read off as
 RateLedger.link_noise: step 2's effective residual variance per link.  Its
 log-slope in P is 0 for a sound plan.  A link whose source or first-antenna
 carrier is missing never reaches the pass: SchemePlan refuses it when the
@@ -127,7 +128,12 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _p_key(snr: SnrPoint) -> int:
-    return int(round(snr.p_db * 1000.0))
+    return _db_key(snr.p_db)
+
+
+def _db_key(p_db: float) -> int:
+    """A grid point's stream key: its power rounded to 0.001 dB."""
+    return int(round(p_db * 1000.0))
 
 
 def _vdot(h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -162,25 +168,16 @@ def _gains_for_slot(slot: SlotPlan, ch):
     return gain1, gain2
 
 
-def _power(layer: SymbolLayer, p):
-    """layer.power(p); for a list of grid powers, a column with one row per point."""
-    if isinstance(p, list):
-        return np.array([layer.power(x) for x in p])[:, None]
-    return layer.power(p)
-
-
-def _common_mis(slot: SlotPlan, gain1, gain2, p, sic=None):
+def _common_mis(slot: SlotPlan, gain1, gain2, power: dict[str, np.ndarray], sic: list[SymbolLayer]):
     """SIC mutual informations of every first-antenna layer at both users.
 
     Decoding strongest first; the noise for each layer is every weaker
     first-antenna layer plus all fresh layers at their true received powers
-    plus unit AWGN.  p is one transmit power, or a list of grid powers, one
-    per leading row of the gains; sic is their shared SIC order, which is
-    required for a list and slot.commons(p) by default for one power.
+    plus unit AWGN.  power maps each layer id to its (grid point, 1) power
+    column, one row per leading row of the gains; sic is the SIC order those
+    rows share.
     """
-    sic = slot.commons(p) if sic is None else sic
     fresh = slot.fresh(OWNER_USER1) + slot.fresh(OWNER_USER2)
-    power = {l.id: _power(l, p) for l in sic + fresh}
     out = []
     for gains in (gain1, gain2):
         mis = {}
@@ -214,7 +211,7 @@ def _logdet_mi(rows, powers):
     return np.log2(1.0 + a11 + a22 + gram / (n1 * n2))
 
 
-def _settle_commons(slot: SlotPlan, gain1, gain2, ps: list[float]):
+def _settle_commons(slot: SlotPlan, gain1, gain2, ps: list[float], power: dict[str, np.ndarray]):
     """Settle a slot's first-antenna layers at every grid point; drop their gains.
 
     Grid points whose SIC orders differ (slot.commons sorts by power) decode
@@ -226,12 +223,11 @@ def _settle_commons(slot: SlotPlan, gain1, gain2, ps: list[float]):
     for k, p in enumerate(ps):
         sic = slot.commons(p)
         orders.setdefault(tuple(l.id for l in sic), (sic, []))[1].append(k)
-    groups = [(sic, slice(None) if len(rows) == len(ps) else rows, [ps[k] for k in rows])
-              for sic, rows in orders.values()]
+    groups = [(sic, slice(None) if len(rows) == len(ps) else rows) for sic, rows in orders.values()]
     mi1, mi2 = {}, {}
-    for sic, sel, group_ps in groups:
-        part = _common_mis(slot, {i: g[sel] for i, g in gain1.items()},
-                           {i: g[sel] for i, g in gain2.items()}, group_ps, sic)
+    for sic, sel in groups:
+        part = _common_mis(slot, {i: g[sel] for i, g in gain1.items()}, {i: g[sel] for i, g in gain2.items()},
+                           {i: c[sel] for i, c in power.items()}, sic)
         for mis, got in zip((mi1, mi2), part):
             for lid, mi in got.items():
                 if lid not in mis:
@@ -251,7 +247,7 @@ def _settle_commons(slot: SlotPlan, gain1, gain2, ps: list[float]):
         delivered = np.minimum(mi1[lid].mean(axis=-1), mi2[lid].mean(axis=-1))
         settled[lid] = (rate, delivered)
         del gain1[lid], gain2[lid]
-    bits = [(sel, l.owner, per_trial[l.id]) for sic, sel, _ in groups for l in sic if l.owner != OWNER_COMMON]
+    bits = [(sel, l.owner, per_trial[l.id]) for sic, sel in groups for l in sic if l.owner != OWNER_COMMON]
     return settled, bits
 
 
@@ -269,22 +265,24 @@ def _link_noise(link: QuantizationLink, e_src: float, delivered: np.ndarray, ps:
             for p, d in zip(ps, delivered.tolist())]
 
 
-def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int) -> list[RateLedger]:
-    """One RateLedger per grid point of snrs, in grid order, from one pass
-    over the slots.  No validate_plan here: the public callers that need a
-    sound plan run it first, and SchemePlan has already checked the links.
+def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int):
+    """One pass over the slots at every grid point of snrs, as arrays with
+    one column per point: (rate, link_out, mean, stderr) are each layer's
+    mean rate (rows in plan order), each link's delivered MI and effective
+    noise (2 x link), and each user's per-run bits and Monte-Carlo stderr.
+    No validate_plan here: the public callers that need a sound plan run it
+    first, and SchemePlan has already checked the links.
 
     Grid point k's trial i reads row i of the stream keyed by (seed, the
     point's power, slot index), so a point's draws do not depend on the rest
     of the grid.  Each slot's draws are copied into one preallocated stack
-    with a leading grid axis, so projections, gains and SIC run once per
-    slot and the first-antenna layers settle at once.  The fresh groups wait
-    in a first-in-first-out window until the carriers of every link sourced
-    in that slot have been decoded, then settle and free their gains.
-    Settling only from the head keeps each user's per-trial total adding up
-    slot by slot: the slot's user-owned first-antenna layers, then user 1's
-    group, then user 2's.  Per-layer and per-link results go to preallocated
-    (row, grid point) arrays.
+    with a leading grid axis, and its layer powers into (point, 1) columns,
+    so projections, gains and SIC run once per slot and the first-antenna
+    layers settle at once.  The fresh groups wait in a first-in-first-out
+    window until the carriers of every link sourced in that slot have been
+    decoded, then settle and free their gains.  Settling only from the head
+    keeps each user's per-trial total adding up slot by slot: the slot's
+    user-owned first-antenna layers, then user 1's group, then user 2's.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -298,13 +296,13 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         carried.setdefault(home, []).append((i, link))
 
     ps = [s.p for s in snrs]
-    layers = [l for s in plan.all_slots() for l in s.layers]
-    rate = np.full((len(layers), len(ps)), np.nan)  # rows in plan order
+    rate = np.full((sum(len(s.layers) for s in plan.all_slots()), len(ps)), np.nan)
     link_out = np.empty((2, len(plan.links), len(ps)))  # delivered MI, effective noise
     linked: dict[tuple[int, str], np.ndarray] = {}
-    totals = {OWNER_USER1: np.zeros((len(ps), n_trials)), OWNER_USER2: np.zeros((len(ps), n_trials))}
+    totals = np.zeros((2, len(ps), n_trials))  # per-user bits per run
+    by_owner = {OWNER_USER1: totals[0], OWNER_USER2: totals[1]}
 
-    def settle(slot, row0, gain1, gain2, bits):
+    def settle(slot, row0, gain1, gain2, power, bits):
         # each user's fresh layers in the slot decode jointly.  The direct
         # observation's noise is 1 + the residual of the linked
         # own-interference, or the other user's layers at their true leakage
@@ -312,22 +310,22 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         # group's image at the other user is linked) carries only the
         # quantization error.
         for sel, owner, trial_bits in bits:
-            totals[owner][sel] += trial_bits[sel]
+            by_owner[owner][sel] += trial_bits[sel]
         row = {l.id: row0 + i for i, l in enumerate(slot.layers)}
         for owner, other, direct, cross in ((OWNER_USER1, OWNER_USER2, gain1, gain2),
                                             (OWNER_USER2, OWNER_USER1, gain2, gain1)):
             group = slot.fresh(owner)
             if not group:
                 continue
-            powers = [_power(l, ps) for l in group]
+            powers = [power[l.id] for l in group]
             own_noise = linked.get((slot.index, owner))
             if own_noise is None:
-                own_noise = sum(np.abs(direct[l.id]) ** 2 * _power(l, ps) for l in slot.fresh(other))
+                own_noise = sum(np.abs(direct[l.id]) ** 2 * power[l.id] for l in slot.fresh(other))
             rows = [([direct[l.id] for l in group], 1.0 + own_noise)]
             if (slot.index, other) in linked:
                 rows.append(([cross[l.id] for l in group], linked[(slot.index, other)]))
             joint = _logdet_mi(rows, powers)
-            totals[owner] += joint
+            by_owner[owner] += joint
             if len(group) == 1:
                 shares = [joint]
             else:
@@ -354,7 +352,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                 buf[k] = getattr(draw, name)
             del draw  # only the stack outlives the copy
         gain1, gain2 = _gains_for_slot(slot, stack)
-        settled, bits = _settle_commons(slot, gain1, gain2, ps)
+        power = {l.id: np.array([l.power(p) for p in ps])[:, None] for l in slot.layers}
+        settled, bits = _settle_commons(slot, gain1, gain2, ps, power)
         for i, layer in enumerate(slot.layers):
             if layer.id in settled:
                 rate[row0 + i] = settled[layer.id][0]
@@ -362,26 +361,27 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
             link_out[0, i] = mi = settled[link.retransmit_layer][1]
             link_out[1, i] = _link_noise(link, plan.source_exponent(link), mi, ps)
             linked[(link.source_slot, link.observer)] = link_out[1, i, :, None]
-        window.append((slot, row0, gain1, gain2, bits))
+        window.append((slot, row0, gain1, gain2, power, bits))
         row0 += len(slot.layers)
         while window and ready.get(window[0][0].index, -1) <= slot.index:
             settle(*window.popleft())
 
-    mean = {o: t.mean(axis=-1) for o, t in totals.items()}
-    if n_trials > 1:
-        se = {o: np.std(t, axis=-1, ddof=1) / math.sqrt(n_trials) for o, t in totals.items()}
-    else:
-        se = {o: np.zeros(len(ps)) for o in totals}
-    ids = [l.id for l in layers]
+    stderr = totals.std(axis=-1, ddof=1) / math.sqrt(n_trials) if n_trials > 1 else np.zeros((2, len(ps)))
+    return rate, link_out, totals.mean(axis=-1), stderr
+
+
+def _point_ledger(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> RateLedger:
+    """The grid pass at the single point snr, as a RateLedger."""
+    rate, link_out, mean, stderr = (a[..., 0].tolist() for a in _evaluate_grid(plan, [snr], n_trials, seed))
     link_ids = [link.interference_id for link in plan.links]
-    return [RateLedger(
-        per_symbol_rate=dict(zip(ids, rate[:, k].tolist())),
-        user_rate=(float(mean[OWNER_USER1][k]), float(mean[OWNER_USER2][k])),
-        user_rate_stderr=(float(se[OWNER_USER1][k]), float(se[OWNER_USER2][k])),
+    return RateLedger(
+        per_symbol_rate=dict(zip((l.id for s in plan.all_slots() for l in s.layers), rate)),
+        user_rate=tuple(mean),
+        user_rate_stderr=tuple(stderr),
         channel_uses=plan.channel_uses(),
-        link_delivered=dict(zip(link_ids, link_out[0, :, k].tolist())),
-        link_noise=dict(zip(link_ids, link_out[1, :, k].tolist())),
-    ) for k in range(len(ps))]
+        link_delivered=dict(zip(link_ids, link_out[0])),
+        link_noise=dict(zip(link_ids, link_out[1])),
+    )
 
 
 def _require_valid(plan: SchemePlan) -> None:
@@ -398,7 +398,7 @@ def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> 
     (seed, n_trials, snr), and equal to the same point of estimate_dof's grid.
     """
     _require_valid(plan)
-    return _evaluate_grid(plan, [snr], n_trials, seed)[0]
+    return _point_ledger(plan, snr, n_trials, seed)
 
 
 def check_grid_db(p_db: list[float], alpha2: float) -> None:
@@ -406,11 +406,13 @@ def check_grid_db(p_db: list[float], alpha2: float) -> None:
 
     Its points must be finite and above 0 dB (SnrPoint needs P > 1), low
     enough that P = 10**(dB/10) is a finite float, strictly increasing, at
-    least 3 and spanning at least 40 dB.  They must also stay below the
-    precision ceiling alpha2 * dB / 10 <= 30: zero-forcing leakage cannot
-    fall below about eps**2 ~ 1e-32 of the signal, so once the estimation
-    error variance P**-alpha2 drops under ~1e-30 the fitted slopes come out
-    wrong without any other sign.
+    least 3 and spanning at least 40 dB.  No two may round to the same
+    0.001 dB, the stream key of their channel draws, or they would share
+    draws that the slope stderr counts as independent.  They must also stay
+    below the precision ceiling alpha2 * dB / 10 <= 30: zero-forcing leakage
+    cannot fall below about eps**2 ~ 1e-32 of the signal, so once the
+    estimation error variance P**-alpha2 drops under ~1e-30 the fitted
+    slopes come out wrong without any other sign.
     """
     if not all(math.isfinite(x) and x > 0.0 for x in p_db):
         raise ValueError(f"power grid points must be finite and above 0 dB, got {list(p_db)}")
@@ -419,13 +421,16 @@ def check_grid_db(p_db: list[float], alpha2: float) -> None:
             math.pow(10.0, x / 10.0)
         except OverflowError:
             raise ValueError(f"power grid point {x} dB overflows: 10**(dB/10) is not a finite float") from None
-    if alpha2 * max(p_db) / 10.0 > _PRECISION_CEILING:
-        raise ValueError(f"power grid point {max(p_db)} dB is above the precision ceiling at alpha2 = {alpha2}: "
-                         f"alpha2 * dB / 10 must be at most {_PRECISION_CEILING:g}")
     if any(b <= a for a, b in zip(p_db, p_db[1:])):
         raise ValueError("power grid must be strictly increasing")
     if len(p_db) < 3:
         raise ValueError("power grid needs at least 3 points")
+    for a, b in zip(p_db, p_db[1:]):
+        if _db_key(a) == _db_key(b):
+            raise ValueError(f"power grid points {a} and {b} dB share one channel stream (same dB to 0.001)")
+    if alpha2 * max(p_db) / 10.0 > _PRECISION_CEILING:
+        raise ValueError(f"power grid point {max(p_db)} dB is above the precision ceiling at alpha2 = {alpha2}: "
+                         f"alpha2 * dB / 10 must be at most {_PRECISION_CEILING:g}")
     if p_db[-1] - p_db[0] < 40.0 - 1e-9:
         raise ValueError("power grid must span at least 40 dB")
 
@@ -447,28 +452,21 @@ def estimate_dof(plan: SchemePlan, p_grid: list[SnrPoint], n_trials: int, seed: 
     """
     check_grid_db([s.p_db for s in p_grid], plan.quality.alpha2)
     _require_valid(plan)
-    points, stderrs = [], []
-    for snr, ledger in zip(p_grid, _evaluate_grid(plan, p_grid, n_trials, seed)):
-        uses = ledger.channel_uses
-        points.append((snr.log2p, ledger.user_rate[0] / uses, ledger.user_rate[1] / uses))
-        stderrs.append((ledger.user_rate_stderr[0] / uses, ledger.user_rate_stderr[1] / uses))
+    _, _, mean, stderr = _evaluate_grid(plan, p_grid, n_trials, seed)
+    uses = plan.channel_uses()
+    rates, rate_se = mean / uses, stderr / uses
 
-    k = max(2, math.ceil(len(points) / 2))
-    x = np.array([pt[0] for pt in points[-k:]])
+    k = max(2, math.ceil(len(p_grid) / 2))
+    x = np.array([snr.log2p for snr in p_grid[-k:]])
     xbar = x.mean()
     sxx = float(((x - xbar) ** 2).sum())
     weights = (x - xbar) / sxx
-
-    slopes, errs = [], []
-    for user in (1, 2):
-        y = np.array([pt[user] for pt in points[-k:]])
-        se = np.array([e[user - 1] for e in stderrs[-k:]])
-        slopes.append(float((weights * y).sum()))
-        errs.append(float(np.sqrt((weights ** 2 * se ** 2).sum())))
+    slopes = (weights * rates[:, -k:]).sum(axis=-1).tolist()
+    errs = np.sqrt((weights ** 2 * rate_se[:, -k:] ** 2).sum(axis=-1)).tolist()
 
     return DofEstimate(
-        points=tuple(points),
-        point_stderr=tuple(stderrs),
+        points=tuple((snr.log2p, r1, r2) for snr, r1, r2 in zip(p_grid, *rates.tolist())),
+        point_stderr=tuple(zip(*rate_se.tolist())),
         slope=DofPoint(max(slopes[0], 0.0), max(slopes[1], 0.0)),
         stderr=(errs[0], errs[1]),
     )
@@ -487,4 +485,4 @@ def residual_power_probe(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: i
     Diagnostic tool: runs on plans that fail validation (that is the point
     of probing a deliberately mis-specified link).
     """
-    return _evaluate_grid(plan, [snr], n_trials, seed)[0].link_noise
+    return _point_ledger(plan, snr, n_trials, seed).link_noise

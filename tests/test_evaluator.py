@@ -81,9 +81,9 @@ class TestRateOps:
         layer = SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, 1.0)
         slot = SlotPlan(1, (layer,))
         gain1, gain2 = _gains_for_slot(slot, _fixed_channel())
-        mi1, mi2 = _common_mis(slot, gain1, gain2, snr.p)
-        assert float(mi1["c"]) == pytest.approx(math.log2(1 + 1e6), abs=1e-12)
-        assert float(mi2["c"]) == 0.0  # g has no first-antenna component here
+        mi1, mi2 = _common_mis(slot, gain1, gain2, {"c": np.array([[snr.p]])}, slot.commons(snr.p))
+        assert mi1["c"].item() == pytest.approx(math.log2(1 + 1e6), abs=1e-12)
+        assert mi2["c"].item() == 0.0  # g has no first-antenna component here
 
     def test_zf_symbol_clean(self):
         snr = SnrPoint(1e4, Q35)
@@ -356,18 +356,21 @@ class TestEstimateDof:
 
     def test_memory_does_not_grow_with_the_plan(self):
         # a slot's fresh-layer gains are freed once the carriers of its links
-        # are decoded, so ten times the cycles may not cost ten times the peak
+        # are decoded, so ten times the cycles may not cost ten times the peak.
+        # At 20 trials the per-slot arrays are small, so the peak shows what
+        # the pass keeps per layer and link over the whole plan.
         estimate_dof(build_case_ii(Q35, 1), _grid(Q35), 20, seed=3)  # first-call allocations
-        peaks = []
-        for n_cycles in (4, 40):
-            plan = build_case_ii(Q35, n_cycles)
-            tracemalloc.start()
-            try:
-                estimate_dof(plan, _grid(Q35), 200, seed=3)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.5 * peaks[0], peaks
+        for n_trials, cycles, bound in ((200, (4, 40), 1.5), (20, (10, 100), 5.0)):
+            peaks = []
+            for n_cycles in cycles:
+                plan = build_case_ii(Q35, n_cycles)
+                tracemalloc.start()
+                try:
+                    estimate_dof(plan, _grid(Q35), n_trials, seed=3)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= bound * peaks[0], (n_trials, peaks)
 
 
 class TestResidualProbe:

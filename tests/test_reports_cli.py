@@ -28,6 +28,8 @@ class TestConfig:
         ([0.0, 20.0, 40.0, 60.0], "above 0 dB"),
         ([math.nan, 80.0, 100.0, 120.0], "finite"),
         ([60.0, 80.0, 4000.0], "4000.0 dB overflows"),
+        ([], "at least 3 points"),
+        ([60.0, 100.0, 100.0004, 120.0], r"100\.0 and 100\.0004 dB share one channel stream"),
     ])
     def test_rejects_grid_the_fit_cannot_use(self, grid, message):
         with pytest.raises(ValueError, match=message):
