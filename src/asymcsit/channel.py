@@ -10,12 +10,18 @@ The zero-forcing precoder basis for a user is the unit vector along the
 other user's estimate together with its orthogonal complement.  The key
 scaling these draws must reproduce: |h^H orth(h_est)|^2 averages to
 sigma_1^2 / 2, i.e. it decays as P**(-alpha1).
+
+A slot's 16 standard normals per trial come from one standard_normal call,
+in stream order: user h, then user g; per user the estimate, then the
+error; per field the real part, then the imaginary part (each block of
+shape `(size, 2)`).  That is the order eight separate `(size, 2)` calls
+would draw, so a stream gives the same channels however it is batched.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,37 +83,65 @@ class ChannelRealization:
     g_err: np.ndarray
 
 
-def _cn(rng: np.random.Generator, comp_var: float, shape) -> np.ndarray:
-    """CSCG draw with per-component variance comp_var."""
-    scale = math.sqrt(comp_var / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+_FIELDS = tuple(f.name for f in fields(ChannelRealization))
 
 
-def sample_channel(snr: SnrPoint, rng: np.random.Generator, size: int | None = None) -> ChannelRealization:
+def sample_channel(snr: SnrPoint, rng: np.random.Generator, size: int | None = None,
+                   out: ChannelRealization | None = None) -> ChannelRealization:
     """Draw one slot's channels (optionally a batch of `size` trials).
 
     Per user k: the error vector is CSCG with total variance P**(-alpha_k)
     (per component half of that), independent of the estimate, whose
-    per-component variance tops the total back up to 1.
+    per-component variance tops the total back up to 1.  The normals are
+    drawn in the order the module docstring states.
+
+    With out, the draw is written into out's arrays (complex128, each of
+    shape `(2,)` or `(size, 2)`, which may be views into larger arrays) and
+    out is returned; its values equal those of a call without out.
     """
     shape = (2,) if size is None else (size, 2)
-    out = {}
-    for name, user in (("h", 1), ("g", 2)):
+    if out is None:
+        out = ChannelRealization(**{f: np.empty(shape, complex) for f in _FIELDS})
+    elif any(getattr(out, f).shape != shape or getattr(out, f).dtype != complex for f in _FIELDS):
+        raise ValueError(f"out arrays must be complex128 of shape {shape}")
+    normals = rng.standard_normal((2, 2, 2) + shape)
+    for z, user, est, err, true in ((normals[0], 1, out.h_est, out.h_err, out.h_true),
+                                    (normals[1], 2, out.g_est, out.g_err, out.g_true)):
         err_comp_var = snr.sigma_sq(user) / 2.0
-        est = _cn(rng, 1.0 - err_comp_var, shape)
-        err = _cn(rng, err_comp_var, shape)
-        out[f"{name}_est"] = est
-        out[f"{name}_err"] = err
-        out[f"{name}_true"] = est + err
-    return ChannelRealization(**out)
+        for (re, im), comp_var, field in ((z[0], 1.0 - err_comp_var, est), (z[1], err_comp_var, err)):
+            scale = math.sqrt(comp_var / 2.0)
+            np.multiply(re, scale, out=field.real)
+            np.multiply(im, scale, out=field.imag)
+        np.add(est, err, out=true)
+    return out
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    """v / ||v|| along the trailing axis; rejects zero vectors."""
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):
+    """v / ||v|| along the trailing axis of length 2, as complex; rejects
+    zero vectors.
+
+    Bit-identical to v / np.linalg.norm(v, axis=-1, keepdims=True) for
+    complex v, in fewer and smaller temporaries: the squared norm adds the
+    two terms of (conj(v) * v).real, the same floating-point steps as the
+    norm takes, and numpy divides a complex by a real norm as a product with
+    its reciprocal, so each real and imaginary part is multiplied by
+    1 / norm here.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.shape[-1] != 2:
+        raise ValueError("unit expects trailing axis of length 2")
+    prod = np.conj(v)
+    prod *= v
+    sq = prod.real
+    inv = sq[..., :1] + sq[..., 1:]
+    np.sqrt(inv, out=inv)
+    if np.any(inv == 0.0):
         raise ValueError("cannot normalize a zero vector")
-    return v / norm
+    np.divide(1.0, inv, out=inv)
+    for part, src in ((prod.real, v.real), (prod.imag, v.imag)):
+        for j in (0, 1):
+            np.multiply(src[..., j], inv[..., 0], out=part[..., j])
+    return prod
 
 
 def orth_complement(v: np.ndarray) -> np.ndarray:

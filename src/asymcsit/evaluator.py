@@ -56,12 +56,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from types import SimpleNamespace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import SnrPoint, orth_complement, sample_channel, unit
+from .channel import ChannelRealization, SnrPoint, orth_complement, sample_channel, unit
 from .geometry import DofPoint
 from .schemes import (
     OWNER_COMMON,
@@ -137,10 +136,14 @@ def _db_key(p_db: float) -> int:
 
 
 def _vdot(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """h^H v along the trailing axis."""
+    """h^H v along the trailing axis of length 2.
+
+    The two products are added directly: the same sum as prod.sum(axis=-1),
+    without its reduction overhead.
+    """
     prod = np.conj(h)
     prod *= v
-    return prod.sum(axis=-1)
+    return prod[..., 0] + prod[..., 1]
 
 
 def _gains_for_slot(slot: SlotPlan, ch):
@@ -275,9 +278,11 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
 
     Grid point k's trial i reads row i of the stream keyed by (seed, the
     point's power, slot index), so a point's draws do not depend on the rest
-    of the grid.  Each slot's draws are copied into one preallocated stack
-    with a leading grid axis, and its layer powers into (point, 1) columns,
-    so projections, gains and SIC run once per slot and the first-antenna
+    of the grid.  One stacked ChannelRealization, each field of shape
+    (grid point, trial, 2), is allocated per pass; sample_channel writes
+    point k's draw straight into its row k (out=), once per slot and point,
+    so no draw is copied.  With the layer powers as (point, 1) columns,
+    projections, gains and SIC run once per slot and the first-antenna
     layers settle at once.  The fresh groups wait in a first-in-first-out
     window until the carriers of every link sourced in that slot have been
     decoded, then settle and free their gains.  Settling only from the head
@@ -341,16 +346,14 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         linked.pop((slot.index, OWNER_USER1), None)
         linked.pop((slot.index, OWNER_USER2), None)
 
-    stack = SimpleNamespace(**{name: np.empty((len(ps), n_trials, 2), complex)
-                               for name in ("h_true", "g_true", "h_est", "g_est")})
+    bufs = {f.name: np.empty((len(ps), n_trials, 2), complex) for f in fields(ChannelRealization)}
+    stack = ChannelRealization(**bufs)
+    rows = [ChannelRealization(**{name: buf[k] for name, buf in bufs.items()}) for k in range(len(ps))]
     window: deque = deque()
     row0 = 0
     for slot in plan.all_slots():
-        for k, snr in enumerate(snrs):
-            draw = sample_channel(snr, _stream(seed, _TAG_CHANNEL, _p_key(snr), slot.index), size=n_trials)
-            for name, buf in vars(stack).items():
-                buf[k] = getattr(draw, name)
-            del draw  # only the stack outlives the copy
+        for snr, row in zip(snrs, rows):
+            sample_channel(snr, _stream(seed, _TAG_CHANNEL, _p_key(snr), slot.index), size=n_trials, out=row)
         gain1, gain2 = _gains_for_slot(slot, stack)
         power = {l.id: np.array([l.power(p) for p in ps])[:, None] for l in slot.layers}
         settled, bits = _settle_commons(slot, gain1, gain2, ps, power)

@@ -29,6 +29,7 @@ accounting is unchanged by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .geometry import CsitQuality, DofPoint, contains, dof_region
@@ -128,6 +129,10 @@ class SymbolLayer:
     def __post_init__(self):
         if self.owner not in (OWNER_USER1, OWNER_USER2, OWNER_COMMON):
             raise ValueError(f"unknown owner {self.owner!r}")
+        for name in ("power_coefficient", "power_exponent", "power_sub_coefficient", "power_sub_exponent",
+                     "encoding_prelog"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"layer {self.id!r}: {name} must be finite, got {getattr(self, name)}")
         if self.power_coefficient <= 0.0:
             raise ValueError("power coefficient must be positive")
 
@@ -158,6 +163,8 @@ class QuantizationLink:
     def __post_init__(self):
         if self.observer not in (OWNER_USER1, OWNER_USER2):
             raise ValueError("observer must be user1 or user2")
+        if not math.isfinite(self.quant_prelog):
+            raise ValueError(f"link {self.interference_id}: quant_prelog must be finite, got {self.quant_prelog}")
 
 
 @dataclass(frozen=True)

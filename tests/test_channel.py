@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from asymcsit import CsitQuality, SnrPoint, orth_complement, sample_channel, unit
+from asymcsit import ChannelRealization, CsitQuality, SnrPoint, orth_complement, sample_channel, unit
+from asymcsit.evaluator import _vdot
+
+FIELDS = ("h_true", "g_true", "h_est", "g_est", "h_err", "g_err")
 
 
 def _rng(seed=0):
@@ -58,6 +61,49 @@ class TestSampling:
         slope = np.polyfit(logp, logerr, 1)[0]
         assert slope == pytest.approx(-alpha, abs=0.03)
 
+    @staticmethod
+    def _eight_call_draw(snr, rng, shape):
+        # the draw as eight (size, 2) standard_normal calls: user h then g,
+        # estimate then error, real then imaginary part
+        out = {}
+        for name, user in (("h", 1), ("g", 2)):
+            err_var = snr.sigma_sq(user) / 2.0
+            for part, var in (("est", 1.0 - err_var), ("err", err_var)):
+                re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+                out[f"{name}_{part}"] = math.sqrt(var / 2.0) * (re + 1j * im)
+            out[f"{name}_true"] = out[f"{name}_est"] + out[f"{name}_err"]
+        return out
+
+    @pytest.mark.parametrize("size", [None, 1, 257])
+    def test_draw_layout_matches_eight_calls(self, size):
+        snr = SnrPoint.from_db(80.0, CsitQuality(0.3, 0.5))
+        ch = sample_channel(snr, _rng(11), size=size)
+        ref = self._eight_call_draw(snr, _rng(11), (2,) if size is None else (size, 2))
+        for f in FIELDS:
+            assert np.array_equal(getattr(ch, f), ref[f]), f
+
+    def test_out_is_filled_in_place(self):
+        snr = SnrPoint.from_db(60.0, CsitQuality(0.2, 0.8))
+        stack = {f: np.zeros((3, 50, 2), complex) for f in FIELDS}
+        row = ChannelRealization(**{f: a[1] for f, a in stack.items()})
+        got = sample_channel(snr, _rng(12), size=50, out=row)
+        ref = sample_channel(snr, _rng(12), size=50)
+        assert got is row
+        for f in FIELDS:
+            assert np.array_equal(stack[f][1], getattr(ref, f)), f
+            assert not stack[f][0].any() and not stack[f][2].any(), f
+        single = ChannelRealization(**{f: np.empty(2, complex) for f in FIELDS})
+        sample_channel(snr, _rng(13), out=single)
+        ref = sample_channel(snr, _rng(13))
+        for f in FIELDS:
+            assert np.array_equal(getattr(single, f), getattr(ref, f)), f
+
+    def test_out_of_the_wrong_shape_rejected(self):
+        snr = SnrPoint.from_db(60.0, CsitQuality(0.2, 0.8))
+        bad = ChannelRealization(**{f: np.empty((4, 50, 2), complex) for f in FIELDS})
+        with pytest.raises(ValueError, match="out arrays"):
+            sample_channel(snr, _rng(), size=50, out=bad)
+
     def test_isotropy_and_user_independence(self):
         snr = SnrPoint(1e4, CsitQuality(0.5, 0.5))
         ch = sample_channel(snr, _rng(3), size=100_000)
@@ -79,6 +125,27 @@ class TestBasisVectors:
         v = _rng(4).standard_normal((500, 2)) + 1j * _rng(5).standard_normal((500, 2))
         norms = np.linalg.norm(unit(v), axis=-1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+    @staticmethod
+    def _vectors(seed, shape):
+        # magnitudes over many binades, so the rounding of every step shows
+        rng = _rng(seed)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return v * np.exp(rng.uniform(-20.0, 20.0, shape[:-1] + (1,)))
+
+    @pytest.mark.parametrize("shape", [(8000, 2), (4, 2000, 2), (2,)])
+    def test_unit_bit_identical_to_linalg_norm(self, shape):
+        v = self._vectors(8, shape)
+        assert np.array_equal(unit(v), v / np.linalg.norm(v, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("shape", [(8000, 2), (4, 2000, 2), (2,)])
+    def test_vdot_bit_identical_to_sum(self, shape):
+        h, v = self._vectors(9, shape), self._vectors(10, shape)
+        assert np.array_equal(_vdot(h, v), (np.conj(h) * v).sum(axis=-1))
+
+    def test_unit_rejects_other_lengths(self):
+        with pytest.raises(ValueError, match="length 2"):
+            unit(np.ones(3, dtype=complex))
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

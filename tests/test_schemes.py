@@ -362,6 +362,26 @@ class TestValidation:
                 alpha = q.alpha1 if link.observer == OWNER_USER1 else q.alpha2
                 assert abs(link.quant_prelog - (max(l.power_exponent for l in src) - alpha)) <= 1e-12
 
+    @pytest.mark.parametrize("field", ["power_coefficient", "power_exponent", "power_sub_coefficient",
+                                       "power_sub_exponent", "encoding_prelog"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_layer_number_rejected_at_construction(self, field, value):
+        # a NaN power used to pass validate_plan and come out as a NaN rate
+        kwargs = dict(power_exponent=0.5, power_coefficient=0.5, encoding_prelog=0.5,
+                      power_sub_coefficient=0.0, power_sub_exponent=0.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"layer 'x': {field} must be finite"):
+            SymbolLayer("x", OWNER_USER1, orth_to(2), **kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_quant_prelog_rejected_at_construction(self, value):
+        with pytest.raises(ValueError, match="link eta_1_1: quant_prelog must be finite"):
+            QuantizationLink(1, OWNER_USER1, "eta_1_1", value, "c")
+        from asymcsit.schemes import perturb_link_prelog
+
+        with pytest.raises(ValueError, match="link eta_4_1: quant_prelog must be finite"):
+            perturb_link_prelog(build_case_ii(CsitQuality(0.3, 0.5), 1), "eta_4_1", value)
+
 
 class TestRegionConsistency:
     @pytest.mark.parametrize("name", ["case-i", "case-ii", "case-ii-alt", "sc-zf", "ges12-asym"])
