@@ -86,7 +86,7 @@ class ChannelRealization:
 _FIELDS = tuple(f.name for f in fields(ChannelRealization))
 
 
-def sample_channel(snr: SnrPoint, rng: np.random.Generator, size: int | None = None,
+def sample_channel(snr: SnrPoint, rng: np.random.Generator | np.ndarray, size: int | None = None,
                    out: ChannelRealization | None = None) -> ChannelRealization:
     """Draw one slot's channels (optionally a batch of `size` trials).
 
@@ -94,6 +94,13 @@ def sample_channel(snr: SnrPoint, rng: np.random.Generator, size: int | None = N
     (per component half of that), independent of the estimate, whose
     per-component variance tops the total back up to 1.  The normals are
     drawn in the order the module docstring states.
+
+    rng is a Generator, or the normals already drawn from one: the float64
+    array of shape `(2, 2, 2) + shape` that rng.standard_normal would
+    return for this call (shape is `(2,)` or `(size, 2)`), which may be a
+    view into a larger buffer.  Both give the same channels; any other shape
+    or dtype raises ValueError.  This lets a caller draw on another thread
+    and scale here.
 
     With out, the draw is written into out's arrays (complex128, each of
     shape `(2,)` or `(size, 2)`, which may be views into larger arrays) and
@@ -104,7 +111,13 @@ def sample_channel(snr: SnrPoint, rng: np.random.Generator, size: int | None = N
         out = ChannelRealization(**{f: np.empty(shape, complex) for f in _FIELDS})
     elif any(getattr(out, f).shape != shape or getattr(out, f).dtype != complex for f in _FIELDS):
         raise ValueError(f"out arrays must be complex128 of shape {shape}")
-    normals = rng.standard_normal((2, 2, 2) + shape)
+    if isinstance(rng, np.ndarray):
+        if rng.shape != (2, 2, 2) + shape or rng.dtype != np.float64:
+            raise ValueError(f"normals must be float64 of shape {(2, 2, 2) + shape}, "
+                             f"got {rng.dtype} of shape {rng.shape}")
+        normals = rng
+    else:
+        normals = rng.standard_normal((2, 2, 2) + shape)
     for z, user, est, err, true in ((normals[0], 1, out.h_est, out.h_err, out.h_true),
                                     (normals[1], 2, out.g_est, out.g_err, out.g_true)):
         err_comp_var = snr.sigma_sq(user) / 2.0

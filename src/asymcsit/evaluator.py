@@ -50,12 +50,23 @@ All randomness is drawn from streams keyed by (seed, grid point, slot), so
 results are reproducible for a given (seed, trial count, grid) no matter
 how the work is ordered, and the same channels are reused when different
 schemes are compared on the same grid.
+
+The standard normals are the one part of a slot that can run off the
+calling thread: numpy's standard_normal releases the GIL.  So the pass
+keeps one worker thread, for the length of the call, that draws the next
+chunk of slots into a buffer while the calling thread scales, projects and
+decodes the current slot.  Streams are still seeded on the calling thread,
+because SeedSequence hashing holds the GIL and would stall the decode.
+Every stream fills its own rows of the buffer, so the results do not
+depend on thread timing, and the worker calls nothing but standard_normal.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -85,6 +96,7 @@ __all__ = [
 ]
 
 _TAG_CHANNEL = 1
+_DRAW_BUDGET = 2 ** 15  # normals the worker draws per hand-off: as many whole slots as fit, at least one
 _PRECISION_CEILING = 30.0  # largest alpha2 * dB / 10 that check_grid_db accepts
 
 
@@ -133,6 +145,18 @@ def _p_key(snr: SnrPoint) -> int:
 def _db_key(p_db: float) -> int:
     """A grid point's stream key: its power rounded to 0.001 dB."""
     return int(round(p_db * 1000.0))
+
+
+def _draw(rngs: list[np.random.Generator], normals: np.ndarray) -> None:
+    """Fill normals' leading rows from rngs, one stream per row (worker thread).
+
+    standard_normal releases the GIL while it fills a row, so the calling
+    thread keeps running meanwhile.  Nothing else is called here: the
+    benchmark's tracer (perfbench/tracing.py) keeps a single span stack, for
+    the calling thread.
+    """
+    for rng, row in zip(rngs, normals):
+        rng.standard_normal(out=row)
 
 
 def _vdot(h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -274,7 +298,9 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     mean rate (rows in plan order), each link's delivered MI and effective
     noise (2 x link), and each user's per-run bits and Monte-Carlo stderr.
     No validate_plan here: the public callers that need a sound plan run it
-    first, and SchemePlan has already checked the links.
+    first, and SchemePlan has already checked the links.  n_trials must be
+    an integer >= 1 and seed one >= 0 (bools refused, as in
+    ExperimentConfig); both are checked before any stream is made.
 
     Grid point k's trial i reads row i of the stream keyed by (seed, the
     point's power, slot index), so a point's draws do not depend on the rest
@@ -288,9 +314,24 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     decoded, then settle and free their gains.  Settling only from the head
     keeps each user's per-trial total adding up slot by slot: the slot's
     user-owned first-antenna layers, then user 1's group, then user 2's.
+
+    The standard normals are drawn one chunk ahead on a single worker
+    thread: a chunk is as many whole slots as fit in _DRAW_BUDGET normals
+    (at least one), held in one float64 buffer of shape (chunk, point, 2,
+    2, 2, trial, 2).  Once the last slot of a chunk has been scaled out of
+    the buffer, the next chunk's streams are seeded here and the worker
+    fills the buffer while this thread projects and decodes that slot.
+    Seeding stays on this thread because SeedSequence hashing holds the
+    GIL; the worker runs only standard_normal, which releases it.  Each
+    stream fills its own row, so the values do not depend on thread timing.
+    sample_channel, orth_complement and unit are called on this thread
+    only.  The pool lives for this call; a draw that raises re-raises here.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    for name, value, low in (("n_trials", n_trials, 1), ("seed", seed, 0)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
     if any(s.quality != plan.quality for s in snrs):
         raise ValueError("SNR point and plan disagree on CSIT quality")
     ready: dict[int, int] = {}  # source slot -> slot of its last carrier
@@ -301,7 +342,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         carried.setdefault(home, []).append((i, link))
 
     ps = [s.p for s in snrs]
-    rate = np.full((sum(len(s.layers) for s in plan.all_slots()), len(ps)), np.nan)
+    slots = plan.all_slots()
+    rate = np.full((sum(len(s.layers) for s in slots), len(ps)), np.nan)
     link_out = np.empty((2, len(plan.links), len(ps)))  # delivered MI, effective noise
     linked: dict[tuple[int, str], np.ndarray] = {}
     totals = np.zeros((2, len(ps), n_trials))  # per-user bits per run
@@ -349,25 +391,40 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     bufs = {f.name: np.empty((len(ps), n_trials, 2), complex) for f in fields(ChannelRealization)}
     stack = ChannelRealization(**bufs)
     rows = [ChannelRealization(**{name: buf[k] for name, buf in bufs.items()}) for k in range(len(ps))]
+    chunk = max(1, _DRAW_BUDGET // (len(ps) * 16 * n_trials))  # 16 normals per trial
+    normals = np.empty((chunk, len(ps), 2, 2, 2, n_trials, 2))
+    stream_rows = normals.reshape((-1,) + normals.shape[2:])  # one row per (slot, point) stream
     window: deque = deque()
     row0 = 0
-    for slot in plan.all_slots():
-        for snr, row in zip(snrs, rows):
-            sample_channel(snr, _stream(seed, _TAG_CHANNEL, _p_key(snr), slot.index), size=n_trials, out=row)
-        gain1, gain2 = _gains_for_slot(slot, stack)
-        power = {l.id: np.array([l.power(p) for p in ps])[:, None] for l in slot.layers}
-        settled, bits = _settle_commons(slot, gain1, gain2, ps, power)
-        for i, layer in enumerate(slot.layers):
-            if layer.id in settled:
-                rate[row0 + i] = settled[layer.id][0]
-        for i, link in carried.get(slot.index, ()):
-            link_out[0, i] = mi = settled[link.retransmit_layer][1]
-            link_out[1, i] = _link_noise(link, plan.source_exponent(link), mi, ps)
-            linked[(link.source_slot, link.observer)] = link_out[1, i, :, None]
-        window.append((slot, row0, gain1, gain2, power, bits))
-        row0 += len(slot.layers)
-        while window and ready.get(window[0][0].index, -1) <= slot.index:
-            settle(*window.popleft())
+    with ThreadPoolExecutor(max_workers=1) as pool:
+
+        def draw_from(start):
+            rngs = [_stream(seed, _TAG_CHANNEL, _p_key(snr), slot.index)
+                    for slot in slots[start:start + chunk] for snr in snrs]
+            return pool.submit(_draw, rngs, stream_rows)
+
+        drawn = draw_from(0)
+        for s, slot in enumerate(slots):
+            if s % chunk == 0:
+                drawn.result()
+            for snr, row, z in zip(snrs, rows, normals[s % chunk]):
+                sample_channel(snr, z, size=n_trials, out=row)
+            if s % chunk == chunk - 1 and s + 1 < len(slots):
+                drawn = draw_from(s + 1)  # the buffer is free: draw the next chunk while this slot decodes
+            gain1, gain2 = _gains_for_slot(slot, stack)
+            power = {l.id: np.array([l.power(p) for p in ps])[:, None] for l in slot.layers}
+            settled, bits = _settle_commons(slot, gain1, gain2, ps, power)
+            for i, layer in enumerate(slot.layers):
+                if layer.id in settled:
+                    rate[row0 + i] = settled[layer.id][0]
+            for i, link in carried.get(slot.index, ()):
+                link_out[0, i] = mi = settled[link.retransmit_layer][1]
+                link_out[1, i] = _link_noise(link, plan.source_exponent(link), mi, ps)
+                linked[(link.source_slot, link.observer)] = link_out[1, i, :, None]
+            window.append((slot, row0, gain1, gain2, power, bits))
+            row0 += len(slot.layers)
+            while window and ready.get(window[0][0].index, -1) <= slot.index:
+                settle(*window.popleft())
 
     stderr = totals.std(axis=-1, ddof=1) / math.sqrt(n_trials) if n_trials > 1 else np.zeros((2, len(ps)))
     return rate, link_out, totals.mean(axis=-1), stderr
@@ -397,7 +454,8 @@ def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> 
     """Measure every layer's Gaussian MI rate over n_trials channel draws.
 
     Raises PlanValidationError when the plan has validation diagnostics and
-    ValueError on a quality mismatch.  Deterministic for a given
+    ValueError on a quality mismatch or when n_trials is not an integer
+    >= 1 or seed not one >= 0.  Deterministic for a given
     (seed, n_trials, snr), and equal to the same point of estimate_dof's grid.
     """
     _require_valid(plan)

@@ -104,6 +104,39 @@ class TestSampling:
         with pytest.raises(ValueError, match="out arrays"):
             sample_channel(snr, _rng(), size=50, out=bad)
 
+    @pytest.mark.parametrize("size", [None, 1, 257])
+    def test_normals_input_matches_generator(self, size):
+        # the evaluator draws on a worker thread and hands the normals over
+        snr = SnrPoint.from_db(80.0, CsitQuality(0.3, 0.5))
+        shape = (2,) if size is None else (size, 2)
+        ref = sample_channel(snr, _rng(14), size=size)
+        got = sample_channel(snr, _rng(14).standard_normal((2, 2, 2) + shape), size=size)
+        into = ChannelRealization(**{f: np.empty(shape, complex) for f in FIELDS})
+        sample_channel(snr, _rng(14).standard_normal((2, 2, 2) + shape), size=size, out=into)
+        for f in FIELDS:
+            assert np.array_equal(getattr(got, f), getattr(ref, f)), f
+            assert np.array_equal(getattr(into, f), getattr(ref, f)), f
+
+    @pytest.mark.parametrize("normals", [
+        np.zeros((2, 2, 2, 49, 2)),     # another trial count
+        np.zeros((8, 50, 2)),           # the right count, not the layout
+        np.zeros((2, 2, 2, 2)),         # a single trial's shape
+        np.zeros((2, 2, 2, 50, 2), np.float32),
+        np.zeros((2, 2, 2, 50, 2), complex),
+    ])
+    def test_normals_of_the_wrong_shape_or_dtype_rejected(self, normals):
+        snr = SnrPoint.from_db(60.0, CsitQuality(0.2, 0.8))
+        with pytest.raises(ValueError, match="normals must be float64 of shape"):
+            sample_channel(snr, normals, size=50)
+
+    def test_draw_into_a_chunk_row_matches_a_shaped_draw(self):
+        # the evaluator's chunk buffer: (slot, grid point) + one draw's normals
+        buf = np.zeros((3, 4, 2, 2, 2, 40, 2))
+        _rng(15).standard_normal(out=buf[1, 2])
+        assert np.array_equal(buf[1, 2], _rng(15).standard_normal((2, 2, 2, 40, 2)))
+        buf[1, 2] = 0.0
+        assert not buf.any()
+
     def test_isotropy_and_user_independence(self):
         snr = SnrPoint(1e4, CsitQuality(0.5, 0.5))
         ch = sample_channel(snr, _rng(3), size=100_000)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -19,9 +21,11 @@ from asymcsit import (
     residual_power_probe,
     sample_channel,
 )
+from asymcsit import evaluator
 from asymcsit.evaluator import (
     _TAG_CHANNEL,
     _common_mis,
+    _evaluate_grid,
     _gains_for_slot,
     _logdet_mi,
     _p_key,
@@ -371,6 +375,161 @@ class TestEstimateDof:
                 finally:
                     tracemalloc.stop()
             assert peaks[1] <= bound * peaks[0], (n_trials, peaks)
+
+
+class TestEntryPointArguments:
+    ENTRY_POINTS = ("evaluate_plan", "estimate_dof", "residual_power_probe")
+
+    @staticmethod
+    def _call(entry, n_trials, seed):
+        plan = build_case_ii(Q35, 1)
+        grid = _grid(Q35)
+        if entry == "estimate_dof":
+            return estimate_dof(plan, grid, n_trials, seed)
+        return getattr(evaluator, entry)(plan, grid[1], n_trials, seed)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("n_trials, seed, message", [
+        (50, 7.9, "seed must be an integer, got 7.9"),  # used to run as seed 7
+        (50, "7", "seed must be an integer, got '7'"),
+        (50, True, "seed must be an integer, got True"),
+        (50, np.float64(7.0), "seed must be an integer, got"),
+        (50, -1, "seed must be >= 0, got -1"),
+        (50.0, 7, "n_trials must be an integer, got 50.0"),
+        (True, 7, "n_trials must be an integer, got True"),
+        ("50", 7, "n_trials must be an integer, got '50'"),
+        (0, 7, "n_trials must be >= 1, got 0"),
+    ])
+    def test_bad_seed_or_trials_rejected_before_any_stream(self, monkeypatch, entry, n_trials, seed, message):
+        def no_stream(*key):
+            raise AssertionError(f"stream {key} made before the arguments were checked")
+
+        monkeypatch.setattr(evaluator, "_stream", no_stream)
+        with pytest.raises(ValueError, match=message):
+            self._call(entry, n_trials, seed)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_numpy_integers_accepted(self, entry):
+        assert repr(self._call(entry, np.int64(30), np.int32(7))) == repr(self._call(entry, 30, 7))
+
+
+class TestPrefetch:
+    """The next chunk of slots' normals is drawn on one worker thread while
+    this thread decodes; the results may not depend on the chunking."""
+
+    N_TRIALS = 600  # 4 points x 16 normals x 600 trials per slot: over the budget, so a chunk is one slot
+
+    @staticmethod
+    def _pass(monkeypatch, plan, budget=None):
+        """_evaluate_grid's arrays and the stream count of each hand-off."""
+        handed = []
+        draw = evaluator._draw
+
+        def counting_draw(rngs, normals):
+            handed.append(len(rngs))
+            draw(rngs, normals)
+
+        with monkeypatch.context() as m:
+            m.setattr(evaluator, "_draw", counting_draw)
+            if budget is not None:
+                m.setattr(evaluator, "_DRAW_BUDGET", budget)
+            return _evaluate_grid(plan, _grid(Q35), TestPrefetch.N_TRIALS, 5), handed
+
+    @pytest.mark.parametrize("slots_per_chunk", [1, 2, 7, 20])
+    def test_chunking_does_not_change_the_pass(self, monkeypatch, slots_per_chunk):
+        plan = build_case_ii(Q35, 3)  # 12 slots: 7 does not divide them, and 20 is more than all of them
+        n_slots, points = len(plan.all_slots()), 4
+        ref, ref_handed = self._pass(monkeypatch, plan)
+        assert ref_handed == [points] * n_slots
+        per_slot = points * 16 * self.N_TRIALS
+        # one normal short of another whole slot: a chunk holds whole slots only
+        got, handed = self._pass(monkeypatch, plan, (slots_per_chunk + 1) * per_slot - 1)
+        assert handed == [points * min(slots_per_chunk, n_slots - s) for s in range(0, n_slots, slots_per_chunk)]
+        for name, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
+            assert np.array_equal(a, b), name
+
+    def test_hand_off_holds_under_frequent_thread_switches(self):
+        # the buffer is scaled here and refilled by the worker: a read
+        # before the draw finished, or a refill before the read, would show
+        # as changed values once the threads switch every few microseconds
+        plan = build_case_ii(Q35, 2)
+        ref = _evaluate_grid(plan, _grid(Q35), 300, 9)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [_evaluate_grid(plan, _grid(Q35), 300, 9) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in runs:
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+    def test_traced_names_run_on_the_calling_thread(self, monkeypatch):
+        # perfbench's tracer keeps one span stack, for the calling thread;
+        # only standard_normal runs on the worker
+        caller = threading.get_ident()
+        seen: dict[str, set] = {}
+        for name in ("sample_channel", "orth_complement", "unit"):
+            def spy(*args, _fn=getattr(evaluator, name), _name=name, **kwargs):
+                seen.setdefault(_name, set()).add(threading.get_ident())
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(evaluator, name, spy)
+        drawn_on = set()
+        stream = evaluator._stream
+
+        class SpyStream:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                drawn_on.add(threading.get_ident())
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(evaluator, "_stream", lambda *key: SpyStream(stream(*key)))
+        estimate_dof(build_case_ii(Q35, 1), _grid(Q35), 50, seed=4)
+        assert seen == {name: {caller} for name in ("sample_channel", "orth_complement", "unit")}
+        assert len(drawn_on) == 1 and caller not in drawn_on
+
+    def test_no_thread_outlives_the_pass(self, monkeypatch):
+        plan = build_case_ii(Q35, 1)
+        before = threading.active_count()
+        estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
+        assert threading.active_count() == before
+        # fail on this thread in a later slot's decode, with the next draw handed off
+        calls = []
+        orth = evaluator.orth_complement
+
+        def failing_orth(v):
+            calls.append(v)
+            if len(calls) == 3:
+                raise ZeroDivisionError("decode failed")
+            return orth(v)
+
+        monkeypatch.setattr(evaluator, "orth_complement", failing_orth)
+        with pytest.raises(ZeroDivisionError, match="decode failed"):
+            estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
+        assert threading.active_count() == before
+
+    def test_a_failed_draw_raises_from_the_caller(self, monkeypatch):
+        class DrawFailed(Exception):
+            pass
+
+        failure = DrawFailed("standard_normal failed")
+
+        class BrokenStream:
+            def standard_normal(self, out):
+                raise failure
+
+        plan = build_case_ii(Q35, 1)
+        broken_slot = plan.all_slots()[2].index
+        stream = evaluator._stream
+        monkeypatch.setattr(evaluator, "_stream",
+                            lambda seed, tag, p_key, slot: BrokenStream() if slot == broken_slot
+                            else stream(seed, tag, p_key, slot))
+        before = threading.active_count()
+        with pytest.raises(DrawFailed) as info:
+            estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
+        assert info.value is failure
+        assert threading.active_count() == before
 
 
 class TestResidualProbe:
