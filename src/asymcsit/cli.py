@@ -42,12 +42,19 @@ def _add_budget_args(p):
     p.add_argument("--config", default=None, help="JSON config file; flags override its values")
 
 
+def _grid_item(item: str) -> float:
+    try:
+        return float(item)
+    except ValueError:
+        raise ValueError(f"--grid-db item {item!r} is not a number") from None
+
+
 def _config_from_args(args, alpha1, alpha2) -> ExperimentConfig:
     given = {"alpha1": alpha1, "alpha2": alpha2}
     if args.schemes is not None:
         given["schemes"] = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if args.grid_db is not None:
-        given["p_grid_db"] = [float(x) for x in args.grid_db.split(",")]
+        given["p_grid_db"] = [_grid_item(x) for x in args.grid_db.split(",")]
     for key, value in (("n_trials", args.trials), ("n_cycles", args.cycles), ("seed", args.seed),
                        ("tolerance", args.tolerance), ("output_dir", args.out_dir)):
         if value is not None:

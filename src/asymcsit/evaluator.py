@@ -4,8 +4,9 @@ Per Monte-Carlo trial the evaluator draws an independent channel
 realization for every slot and accounts rates layer by layer in decode
 dependency order:
 
-  1. first-antenna (common) layers, decoded at both users by SIC strongest
-     first, everything else as noise;
+  1. first-antenna (common) layers, decoded at both users by SIC in
+     decreasing power exponent (one order per slot, the same at every
+     power), everything else as noise;
   2. quantized-interference links resolved: the usable description rate of
      each overheard interference is min(its quantization rate, the carrying
      common layer's delivered mutual information at either user), and the
@@ -23,9 +24,8 @@ dependency order:
 All grid points are evaluated in one pass over the slots.  Each slot is
 drawn at every grid point, the draws are stacked on a leading grid axis,
 and the projections, gains, SIC MIs, link noise and fresh-group log-dets
-run once per slot on (grid point, trial) arrays; grid points whose SIC
-orders differ decode as separate row groups.  Step 1 is settled as soon as
-a slot is drawn.  A link's carrier comes after its source, so a slot's
+run once per slot on (grid point, trial) arrays.  Step 1 is settled as soon
+as a slot is drawn.  A link's carrier comes after its source, so a slot's
 step 3 waits in a first-in-first-out window until the carriers of the
 links sourced there have been decoded; then its fresh-layer gains are
 freed.  Memory is bounded by that window, not by the plan length, and the
@@ -64,7 +64,6 @@ depend on thread timing, and the worker calls nothing but standard_normal.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -82,6 +81,7 @@ from .schemes import (
     SchemePlan,
     SlotPlan,
     SymbolLayer,
+    _require_int,
     validate_plan,
 )
 
@@ -195,15 +195,16 @@ def _gains_for_slot(slot: SlotPlan, ch):
     return gain1, gain2
 
 
-def _common_mis(slot: SlotPlan, gain1, gain2, power: dict[str, np.ndarray], sic: list[SymbolLayer]):
+def _common_mis(slot: SlotPlan, gain1, gain2, power: dict[str, np.ndarray]):
     """SIC mutual informations of every first-antenna layer at both users.
 
-    Decoding strongest first; the noise for each layer is every weaker
-    first-antenna layer plus all fresh layers at their true received powers
-    plus unit AWGN.  power maps each layer id to its (grid point, 1) power
-    column, one row per leading row of the gains; sic is the SIC order those
-    rows share.
+    Decoding in slot.commons() order (decreasing power exponent); the noise
+    for each layer is every later first-antenna layer plus all fresh layers
+    at their true received powers plus unit AWGN.  power maps each layer id
+    to its (grid point, 1) power column, one row per leading row of the
+    gains.
     """
+    sic = slot.commons()
     fresh = slot.fresh(OWNER_USER1) + slot.fresh(OWNER_USER2)
     out = []
     for gains in (gain1, gain2):
@@ -241,40 +242,26 @@ def _logdet_mi(rows, powers):
 def _settle_commons(slot: SlotPlan, gain1, gain2, ps: list[float], power: dict[str, np.ndarray]):
     """Settle a slot's first-antenna layers at every grid point; drop their gains.
 
-    Grid points whose SIC orders differ (slot.commons sorts by power) decode
-    as separate row groups.  Returns (settled, bits): each layer's (usable
-    rate, delivered MI) arrays over the grid, and (grid rows, owner,
-    per-trial bits) of the user-owned layers, in each group's SIC order.
+    One _common_mis call decodes the whole grid.  Returns (settled, bits):
+    each layer's (usable rate, delivered MI) arrays over the grid, and
+    (owner, per-trial bits) of the user-owned layers, in decode order.
     """
-    orders: dict[tuple[str, ...], tuple[list[SymbolLayer], list[int]]] = {}
-    for k, p in enumerate(ps):
-        sic = slot.commons(p)
-        orders.setdefault(tuple(l.id for l in sic), (sic, []))[1].append(k)
-    groups = [(sic, slice(None) if len(rows) == len(ps) else rows) for sic, rows in orders.values()]
-    mi1, mi2 = {}, {}
-    for sic, sel in groups:
-        part = _common_mis(slot, {i: g[sel] for i, g in gain1.items()}, {i: g[sel] for i, g in gain2.items()},
-                           {i: c[sel] for i, c in power.items()}, sic)
-        for mis, got in zip((mi1, mi2), part):
-            for lid, mi in got.items():
-                if lid not in mis:
-                    mis[lid] = np.empty((len(ps),) + mi.shape[1:])
-                mis[lid][sel] = mi
-
+    mi1, mi2 = _common_mis(slot, gain1, gain2, power)
     log2p = np.array([math.log2(p) for p in ps])
-    settled, per_trial = {}, {}
-    for layer in groups[0][0]:  # every group decodes the same layers
+    settled, bits = {}, []
+    for layer in slot.commons():
         lid = layer.id
-        per_trial[lid] = np.minimum(mi1[lid], mi2[lid])
-        rate = per_trial[lid].mean(axis=-1)
+        per_trial = np.minimum(mi1[lid], mi2[lid])
+        rate = per_trial.mean(axis=-1)
         if layer.owner == OWNER_COMMON:
             # retransmission overhead, no user bits; the usable rate is
             # capped by the quantization bits the layer actually carries
             rate = np.minimum(rate, layer.encoding_prelog * log2p)
+        else:
+            bits.append((layer.owner, per_trial))
         delivered = np.minimum(mi1[lid].mean(axis=-1), mi2[lid].mean(axis=-1))
         settled[lid] = (rate, delivered)
         del gain1[lid], gain2[lid]
-    bits = [(sel, l.owner, per_trial[l.id]) for sic, sel in groups for l in sic if l.owner != OWNER_COMMON]
     return settled, bits
 
 
@@ -308,12 +295,13 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     (grid point, trial, 2), is allocated per pass; sample_channel writes
     point k's draw straight into its row k (out=), once per slot and point,
     so no draw is copied.  With the layer powers as (point, 1) columns,
-    projections, gains and SIC run once per slot and the first-antenna
-    layers settle at once.  The fresh groups wait in a first-in-first-out
-    window until the carriers of every link sourced in that slot have been
-    decoded, then settle and free their gains.  Settling only from the head
-    keeps each user's per-trial total adding up slot by slot: the slot's
-    user-owned first-antenna layers, then user 1's group, then user 2's.
+    projections, gains and SIC run once per slot, in the slot's one decode
+    order at every point, and the first-antenna layers settle at once.  The
+    fresh groups wait in a first-in-first-out window until the carriers of
+    every link sourced in that slot have been decoded, then settle and free
+    their gains.  Settling only from the head keeps each user's per-trial
+    total adding up slot by slot: the slot's user-owned first-antenna
+    layers, then user 1's group, then user 2's.
 
     The standard normals are drawn one chunk ahead on a single worker
     thread: a chunk is as many whole slots as fit in _DRAW_BUDGET normals
@@ -327,11 +315,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     sample_channel, orth_complement and unit are called on this thread
     only.  The pool lives for this call; a draw that raises re-raises here.
     """
-    for name, value, low in (("n_trials", n_trials, 1), ("seed", seed, 0)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    _require_int("n_trials", n_trials, 1)
+    _require_int("seed", seed, 0)
     if any(s.quality != plan.quality for s in snrs):
         raise ValueError("SNR point and plan disagree on CSIT quality")
     ready: dict[int, int] = {}  # source slot -> slot of its last carrier
@@ -356,8 +341,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         # powers when nothing was quantized; the side observation (when the
         # group's image at the other user is linked) carries only the
         # quantization error.
-        for sel, owner, trial_bits in bits:
-            by_owner[owner][sel] += trial_bits[sel]
+        for owner, trial_bits in bits:
+            by_owner[owner] += trial_bits
         row = {l.id: row0 + i for i, l in enumerate(slot.layers)}
         for owner, other, direct, cross in ((OWNER_USER1, OWNER_USER2, gain1, gain2),
                                             (OWNER_USER2, OWNER_USER1, gain2, gain1)):

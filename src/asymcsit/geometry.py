@@ -199,13 +199,12 @@ def contains(region: DofRegion, p: DofPoint, tol: float = 1e-9) -> bool:
 def outer_bound_slack(quality: CsitQuality, p: DofPoint) -> tuple[float, float]:
     """Slack of the two weighted-sum outer bounds at p.
 
-    Returns ((2 + alpha2) - (d1 + 2*d2), (2 + alpha1) - (2*d1 + d2)).
-    Nonnegative slacks certify that p respects the converse bounds.
+    Returns ((2 + alpha2) - (d1 + 2*d2), (2 + alpha1) - (2*d1 + d2)): the
+    slacks of the last two rows of _bounding_halfspaces.  Nonnegative
+    slacks certify that p respects the converse bounds.
     """
-    return (
-        (2.0 + quality.alpha2) - (p.d1 + 2.0 * p.d2),
-        (2.0 + quality.alpha1) - (2.0 * p.d1 + p.d2),
-    )
+    sum2, sum1 = _bounding_halfspaces(quality)[-2:]
+    return (sum2.slack(p), sum1.slack(p))
 
 
 def region_as_dict(region: DofRegion) -> dict:

@@ -28,7 +28,7 @@ from . import __version__
 from .channel import SnrPoint
 from .evaluator import DofEstimate, check_grid_db, estimate_dof
 from .geometry import CsitQuality, DofPoint, contains, dof_region, region_as_dict
-from .schemes import PRESET_NAMES, build_preset
+from .schemes import PRESET_NAMES, _require_int, build_preset
 
 __all__ = [
     "ExperimentConfig",
@@ -81,10 +81,8 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ValueError(f"output_dir must be a string or a path, got {self.output_dir!r}")
         self.output_dir = Path(self.output_dir)
-        for name in ("n_trials", "n_cycles", "seed"):
-            value = getattr(self, name)
-            if not (_real(value) and isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, low in (("n_trials", 1), ("n_cycles", 1), ("seed", 0)):
+            _require_int(name, getattr(self, name), low)
         for name in ("alpha1", "alpha2", "tolerance"):
             value = getattr(self, name)
             if not (_real(value) and math.isfinite(value)):
@@ -99,10 +97,6 @@ class ExperimentConfig:
             if name not in PRESET_NAMES:
                 raise ValueError(f"unknown scheme {name!r}; choose from {sorted(PRESET_NAMES)}")
         check_grid_db(self.p_grid_db, self.alpha2)
-        if self.n_trials < 1 or self.n_cycles < 1:
-            raise ValueError("n_trials and n_cycles must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
 

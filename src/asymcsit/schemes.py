@@ -30,6 +30,7 @@ accounting is unchanged by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .geometry import CsitQuality, DofPoint, contains, dof_region
@@ -67,6 +68,15 @@ _PRELOG_EPS = 1e-12
 
 class SchemeConditionError(ValueError):
     """A preset was requested outside its quality-pair validity condition."""
+
+
+def _require_int(name: str, value, low: int) -> None:
+    """ValueError naming `name` unless value is an integer (not a bool) >= low:
+    the one rule for n_cycles, n_trials and seed, wherever they are taken."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -174,10 +184,11 @@ class SlotPlan:
     index: int
     layers: tuple[SymbolLayer, ...]
 
-    def commons(self, p: float) -> list[SymbolLayer]:
-        """First-antenna layers in SIC decode order (strongest first)."""
+    def commons(self) -> list[SymbolLayer]:
+        """First-antenna layers in SIC decode order, the same at every power:
+        decreasing power exponent, ties in slot order, as the builders stack them."""
         sic = [l for l in self.layers if l.precoder.kind == "first_antenna"]
-        return sorted(sic, key=lambda l: l.power(p), reverse=True)
+        return sorted(sic, key=lambda l: l.power_exponent, reverse=True)
 
     def fresh(self, owner: str) -> list[SymbolLayer]:
         """Zero-forcing / vector layers of one user (first-antenna excluded)."""
@@ -421,8 +432,7 @@ def _cycled_plan(name, quality, n_cycles, slots_per_cycle, make_cycle, terminal_
     cycle: in the next cycle, or in the terminating slot made of
     terminal_carriers(pending) (none when that is empty).
     """
-    if n_cycles < 1:
-        raise ValueError("n_cycles must be >= 1")
+    _require_int("n_cycles", n_cycles, 1)
     slot1, slot2, link12, links = _prologue(quality)
     cycle_slots: list[SlotPlan] = []
     pending = [link12] if link12 is not None else []
@@ -624,7 +634,9 @@ PRESET_NAMES = tuple(_BUILDERS) + ("auto",)
 
 def build_preset(name: str, quality: CsitQuality, n_cycles: int) -> SchemePlan:
     """Build a preset by name; "auto" picks case-i or case-ii per the
-    2*alpha2 - alpha1 >= 1 condition (boundary routed to case-i)."""
+    2*alpha2 - alpha1 >= 1 condition (boundary routed to case-i).  Every
+    preset needs an integer n_cycles >= 1, even the acyclic ones."""
+    _require_int("n_cycles", n_cycles, 1)
     if name == "auto":
         name = "case-i" if _is_case_i(quality) else "case-ii"
     try:

@@ -15,6 +15,7 @@ from asymcsit import (
     build_case_i,
     build_case_ii,
     build_ges12_asym,
+    build_preset,
     build_sc_zf,
     estimate_dof,
     evaluate_plan,
@@ -85,7 +86,7 @@ class TestRateOps:
         layer = SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, 1.0)
         slot = SlotPlan(1, (layer,))
         gain1, gain2 = _gains_for_slot(slot, _fixed_channel())
-        mi1, mi2 = _common_mis(slot, gain1, gain2, {"c": np.array([[snr.p]])}, slot.commons(snr.p))
+        mi1, mi2 = _common_mis(slot, gain1, gain2, {"c": np.array([[snr.p]])})
         assert mi1["c"].item() == pytest.approx(math.log2(1 + 1e6), abs=1e-12)
         assert mi2["c"].item() == 0.0  # g has no first-antenna component here
 
@@ -357,6 +358,18 @@ class TestEstimateDof:
         assert len(est.point_stderr) == 4
         assert est.stderr[0] > 0 and est.stderr[1] > 0
         assert est.slope.d1 > 0 and est.slope.d2 > 0
+
+    @pytest.mark.parametrize("alpha1", [0.0, 0.2, 0.4])
+    def test_case_ii_reaches_its_corner_next_to_the_case_split(self, alpha1):
+        # at 2*alpha2 - alpha1 = 0.98 the stacked carriers' powers
+        # P - P**(Delta+alpha2) and P**(Delta+alpha2) - P**alpha2 cross inside
+        # 60-120 dB: a per-point power order would decode the weaker-exponent
+        # carrier first there and miss the corner by 0.11-0.18
+        q = CsitQuality(alpha1, (0.98 + alpha1) / 2.0)
+        plan = build_preset("auto", q, 20)
+        assert plan.name == "case-ii"
+        est = estimate_dof(plan, _grid(q), 300, seed=7)
+        assert est.slope.as_tuple() == pytest.approx(plan.predicted_dof.as_tuple(), abs=0.05)
 
     def test_memory_does_not_grow_with_the_plan(self):
         # a slot's fresh-layer gains are freed once the carriers of its links

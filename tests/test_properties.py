@@ -91,6 +91,17 @@ def test_quant_prelog_is_the_source_exponent(quality, n_cycles):
             assert link.quant_prelog == plan.source_exponent(link)
 
 
+@_SETTINGS
+@given(qualities, cycles)
+def test_builders_stack_first_antenna_layers_in_decode_order(quality, n_cycles):
+    # commons() orders by decreasing power exponent; the builders already
+    # list the first-antenna layers that way, so the order is the slot's own
+    for plan in _buildable(quality, n_cycles):
+        for s in plan.all_slots():
+            listed = [l for l in s.layers if l.precoder.kind == "first_antenna"]
+            assert s.commons() == listed, (plan.name, s.index)
+
+
 @settings(max_examples=200, deadline=None)
 @given(qualities)
 def test_corner_points_are_region_vertices(quality):
@@ -120,7 +131,7 @@ def test_evaluator_ledger_invariants(quality, n_cycles, p_db, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(qualities, st.integers(1, 2), st.integers(0, 2**32 - 1))
-@example(CsitQuality(0.05, 0.5), 2, 7)  # case-ii decodes slots 6 and 9 in two SIC orders across the grid
+@example(CsitQuality(0.05, 0.5), 2, 7)  # case-ii's stacked carriers of slots 6 and 9 cross in power inside the grid
 @example(CsitQuality(0.0, 0.0), 1, 7)
 @example(CsitQuality(1.0, 1.0), 2, 7)
 def test_grid_pass_equals_per_point_evaluation(quality, n_cycles, seed):

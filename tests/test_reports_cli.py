@@ -251,6 +251,20 @@ class TestCli:
         assert rc == 2
         assert "'0.3' is not of the form alpha1:alpha2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, item", [("60,x,120", "'x'"), ("60,,120", "''")])
+    def test_run_names_bad_grid_item(self, tmp_path, capsys, grid, item):
+        rc = main(["run", "--alpha1", "0.3", "--alpha2", "0.5", "--grid-db", grid,
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"--grid-db item {item} is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scheme", ["ges12-asym", "sc-zf", "case-ii"])
+    def test_validate_rejects_zero_cycles_for_every_scheme(self, capsys, scheme):
+        rc = main(["validate", "--scheme", scheme, "--alpha1", "0.3", "--alpha2", "0.5", "--cycles", "0"])
+        assert rc == 2
+        assert "n_cycles must be >= 1, got 0" in capsys.readouterr().err
+
     def test_config_file_with_fractional_seed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"alpha1": 0.3, "alpha2": 0.5, "seed": 7.5}))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asymcsit import (
+    PRESET_NAMES,
     CsitQuality,
     PlanValidationError,
     SchemeConditionError,
@@ -147,6 +148,31 @@ class TestCaseSplit:
         with pytest.raises(ValueError):
             build_case_ii(CsitQuality(0.3, 0.5), 0)
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("n_cycles, message", [
+        (True, "n_cycles must be an integer, got True"),
+        (2.0, "n_cycles must be an integer, got 2.0"),
+        ("2", "n_cycles must be an integer, got '2'"),
+        (None, "n_cycles must be an integer, got None"),
+        (0, "n_cycles must be >= 1, got 0"),
+        (-1, "n_cycles must be >= 1, got -1"),
+    ])
+    def test_every_preset_checks_n_cycles_by_name(self, name, n_cycles, message):
+        quality = CsitQuality(0.2, 0.8) if name == "case-i" else CsitQuality(0.3, 0.5)
+        with pytest.raises(ValueError, match=message):
+            build_preset(name, quality, n_cycles)
+
+    @pytest.mark.parametrize("build, quality", [
+        (build_case_i, CsitQuality(0.2, 0.8)),
+        (build_case_ii, CsitQuality(0.3, 0.5)),
+        (build_case_ii_alt, CsitQuality(0.3, 0.5)),
+    ])
+    def test_cycled_builders_check_n_cycles_by_name(self, build, quality):
+        for n_cycles, message in ((True, "an integer, got True"), (2.0, "an integer, got 2.0"), (0, ">= 1, got 0")):
+            with pytest.raises(ValueError, match=f"n_cycles must be {message}"):
+                build(quality, n_cycles)
+        assert build(quality, np.int64(2)).n_cycles == 2
+
 
 class TestBookkeeping:
     def test_case_i_rates_exact(self):
@@ -239,10 +265,10 @@ class TestDegenerateDrops:
         slot4 = plan.slot(4)
         assert len(slot4.fresh(OWNER_USER1)) == 2
         assert len(slot4.fresh(OWNER_USER2)) == 2
-        assert slot4.commons(1e6) == []
+        assert slot4.commons() == []
         # slots 5 and 6 are pure retransmission
         assert plan.slot(5).fresh(OWNER_USER1) == [] and plan.slot(5).fresh(OWNER_USER2) == []
-        assert len(plan.slot(6).commons(1e6)) == 1
+        assert len(plan.slot(6).commons()) == 1
 
     def test_perfect_csit_drops_all_links(self):
         plan = build_case_i(CsitQuality(1.0, 1.0), 2)
