@@ -21,6 +21,7 @@ would draw, so a stream gives the same channels however it is batched.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -86,8 +87,8 @@ class ChannelRealization:
 _FIELDS = tuple(f.name for f in fields(ChannelRealization))
 
 
-def sample_channel(snr: SnrPoint, rng: np.random.Generator | np.ndarray, size: int | None = None,
-                   out: ChannelRealization | None = None) -> ChannelRealization:
+def sample_channel(snr: SnrPoint | Sequence[SnrPoint], rng: np.random.Generator | np.ndarray,
+                   size: int | None = None, out: ChannelRealization | None = None) -> ChannelRealization:
     """Draw one slot's channels (optionally a batch of `size` trials).
 
     Per user k: the error vector is CSCG with total variance P**(-alpha_k)
@@ -95,34 +96,48 @@ def sample_channel(snr: SnrPoint, rng: np.random.Generator | np.ndarray, size: i
     per-component variance tops the total back up to 1.  The normals are
     drawn in the order the module docstring states.
 
+    snr is one SnrPoint, or a sequence of G of them (a power grid); a grid
+    draws once per point and puts the point axis before the trial axis.
+    Each point's scale is then a column broadcast over its trials, so every
+    value equals the one-point call's.
+
     rng is a Generator, or the normals already drawn from one: the float64
-    array of shape `(2, 2, 2) + shape` that rng.standard_normal would
-    return for this call (shape is `(2,)` or `(size, 2)`), which may be a
-    view into a larger buffer.  Both give the same channels; any other shape
-    or dtype raises ValueError.  This lets a caller draw on another thread
-    and scale here.
+    array of shape `lead + (2, 2, 2) + shape` (shape is `(2,)` or `(size,
+    2)`), which may be a view into a larger buffer.  lead is `()` for one
+    point; for a grid it ends in G, and any axes before that batch more
+    draws (say, one per slot).  A Generator draws a grid's points in order,
+    as G one-point calls would.  Any other shape or dtype raises ValueError.
+    This lets a caller draw on another thread and scale here.
 
     With out, the draw is written into out's arrays (complex128, each of
-    shape `(2,)` or `(size, 2)`, which may be views into larger arrays) and
-    out is returned; its values equal those of a call without out.
+    shape `lead + shape`, which may be views into larger arrays) and out is
+    returned; its values equal those of a call without out.
     """
     shape = (2,) if size is None else (size, 2)
-    if out is None:
-        out = ChannelRealization(**{f: np.empty(shape, complex) for f in _FIELDS})
-    elif any(getattr(out, f).shape != shape or getattr(out, f).dtype != complex for f in _FIELDS):
-        raise ValueError(f"out arrays must be complex128 of shape {shape}")
+    grid = not isinstance(snr, SnrPoint)
+    points = tuple(snr) if grid else (snr,)
     if isinstance(rng, np.ndarray):
-        if rng.shape != (2, 2, 2) + shape or rng.dtype != np.float64:
-            raise ValueError(f"normals must be float64 of shape {(2, 2, 2) + shape}, "
-                             f"got {rng.dtype} of shape {rng.shape}")
+        lead = rng.shape[:max(0, rng.ndim - 3 - len(shape))]
+        if (rng.shape[len(lead):] != (2, 2, 2) + shape or rng.dtype != np.float64
+                or (lead[-1:] != (len(points),) if grid else lead)):
+            want = ("(..., G)" if grid else "()") + f" + {(2, 2, 2) + shape}"
+            raise ValueError(f"normals must be float64 of shape {want}, got {rng.dtype} of shape {rng.shape}")
         normals = rng
     else:
-        normals = rng.standard_normal((2, 2, 2) + shape)
+        lead = (len(points),) if grid else ()
+        normals = rng.standard_normal(lead + (2, 2, 2) + shape)
+    if out is None:
+        out = ChannelRealization(**{f: np.empty(lead + shape, complex) for f in _FIELDS})
+    elif any(getattr(out, f).shape != lead + shape or getattr(out, f).dtype != complex for f in _FIELDS):
+        raise ValueError(f"out arrays must be complex128 of shape {lead + shape}")
+    normals = np.moveaxis(normals, range(len(lead), len(lead) + 3), range(3))
+    column = (len(points),) + (1,) * len(shape)  # one scale per grid point, over its trials
     for z, user, est, err, true in ((normals[0], 1, out.h_est, out.h_err, out.h_true),
                                     (normals[1], 2, out.g_est, out.g_err, out.g_true)):
-        err_comp_var = snr.sigma_sq(user) / 2.0
-        for (re, im), comp_var, field in ((z[0], 1.0 - err_comp_var, est), (z[1], err_comp_var, err)):
-            scale = math.sqrt(comp_var / 2.0)
+        err_comp_var = [p.sigma_sq(user) / 2.0 for p in points]
+        for (re, im), comp_var, field in ((z[0], [1.0 - v for v in err_comp_var], est), (z[1], err_comp_var, err)):
+            scales = [math.sqrt(v / 2.0) for v in comp_var]
+            scale = np.array(scales).reshape(column) if grid else scales[0]
             np.multiply(re, scale, out=field.real)
             np.multiply(im, scale, out=field.imag)
         np.add(est, err, out=true)

@@ -21,17 +21,23 @@ dependency order:
      quantized record of the vector overheard at the other user, a 2x2
      log-det rate.
 
-All grid points are evaluated in one pass over the slots.  Each slot is
-drawn at every grid point, the draws are stacked on a leading grid axis,
-and the projections, gains, SIC MIs, link noise and fresh-group log-dets
-run once per slot on (grid point, trial) arrays.  Step 1 is settled as soon
-as a slot is drawn.  A link's carrier comes after its source, so a slot's
+All grid points are evaluated in one pass over the slots, a draw chunk
+of whole slots at a time.  Each slot is drawn at every grid point, and a
+chunk's draws are stacked on leading (slot, grid point) axes: one
+sample_channel call scales them, and each precoder direction is projected
+once per chunk, with every |gain|**2 taken once.  Each slot's decode
+tables (SIC order, fresh groups, rate rows, power columns) are compiled
+once per pass, so its SIC MIs, link noise and fresh-group log-dets run once
+per slot on (grid point, trial) arrays.  Step 1 is settled as soon as a
+slot is decoded.  A link's carrier comes after its source, so a slot's
 step 3 waits in a first-in-first-out window until the carriers of the
-links sourced there have been decoded; then its fresh-layer gains are
-freed.  Memory is bounded by that window, not by the plan length, and the
-per-slot Python work is paid once per slot, not once per slot and grid
-point.  The pass returns arrays over the grid; estimate_dof fits the
-per-user ones, and a RateLedger is built only at one point (evaluate_plan).
+links sourced there have been decoded, holding only its fresh layers'
+power gains and cross minors.  Memory is bounded by the chunk and that
+window, not by the plan length (apart from the per-layer and per-link
+results), and the Python work is paid once per chunk or slot, not once
+per slot and grid point.  The pass returns arrays over the grid;
+estimate_dof fits the per-user ones, and a RateLedger is built only at one
+point (evaluate_plan).
 
 residual_power_probe is that one-point ledger, read off as
 RateLedger.link_noise: step 2's effective residual variance per link.  Its
@@ -54,19 +60,25 @@ schemes are compared on the same grid.
 The standard normals are the one part of a slot that can run off the
 calling thread: numpy's standard_normal releases the GIL.  So the pass
 keeps one worker thread, for the length of the call, that draws the next
-chunk of slots into a buffer while the calling thread scales, projects and
-decodes the current slot.  Streams are still seeded on the calling thread,
-because SeedSequence hashing holds the GIL and would stall the decode.
-Every stream fills its own rows of the buffer, so the results do not
-depend on thread timing, and the worker calls nothing but standard_normal.
+chunk into a buffer while the calling thread scales, projects and decodes
+the current one.  The streams are seeded on the calling thread, many at a
+time: SeedSequence's hash is run as uint32 array operations over all of
+a block's streams, and each buffer row's reused PCG64 is set from the
+result.  That gives exactly the draws of default_rng(SeedSequence(key)),
+at a fraction of its cost per stream.  Every stream fills its own row
+of the buffer, so the results do not depend on thread timing, and the
+worker calls nothing but standard_normal.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,12 +88,13 @@ from .schemes import (
     OWNER_COMMON,
     OWNER_USER1,
     OWNER_USER2,
-    PrecoderSpec,
     QuantizationLink,
     SchemePlan,
-    SlotPlan,
     SymbolLayer,
     _require_int,
+    along,
+    first_antenna,
+    orth_to,
     validate_plan,
 )
 
@@ -97,7 +110,22 @@ __all__ = [
 
 _TAG_CHANNEL = 1
 _DRAW_BUDGET = 2 ** 15  # normals the worker draws per hand-off: as many whole slots as fit, at least one
+_SEED_BLOCK = 1024  # streams seeded per _seed_words call, in whole chunks, at least one
 _PRECISION_CEILING = 30.0  # largest alpha2 * dB / 10 that check_grid_db accepts
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding, which
+# _seed_words and _reseed reproduce exactly
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# every direction a layer can be sent on, the first antenna first; a
+# direction is its index here
+_DIRECTIONS = (first_antenna(), orth_to(1), orth_to(2), along(1), along(2))
+_DIRECTION = {pc: d for d, pc in enumerate(_DIRECTIONS)}
 
 
 class PlanValidationError(ValueError):
@@ -134,10 +162,6 @@ class DofEstimate:
     stderr: tuple[float, float]
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed)] + [int(k) for k in key]))
-
-
 def _p_key(snr: SnrPoint) -> int:
     return _db_key(snr.p_db)
 
@@ -145,6 +169,99 @@ def _p_key(snr: SnrPoint) -> int:
 def _db_key(p_db: float) -> int:
     """A grid point's stream key: its power rounded to 0.001 dB."""
     return int(round(p_db * 1000.0))
+
+
+def _words(n: int) -> list[int]:
+    """n as SeedSequence reads an int: little-endian uint32 words, [0] for 0."""
+    n = operator.index(n)  # numpy integers too, floats refused
+    if n < 0:
+        raise ValueError(f"stream keys must be >= 0, got {n}")
+    words = []
+    while True:
+        words.append(n & _MASK32)
+        n >>= 32
+        if not n:
+            return words
+
+
+def _hash_pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's pool mix and generate_state(4, np.uint64), one stream
+    per row of entropy (uint32 words, all rows of one length).
+
+    The hash constants advance the same way whatever the data, so each step
+    is one uint32 array operation over all rows, wrapping as the scalar
+    code does.
+    """
+    n, width = entropy.shape
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    def mix(x, y):  # in place on x and y
+        x *= np.uint32(_MIX_L)
+        y *= np.uint32(_MIX_R)
+        x -= y
+        x ^= x >> np.uint32(16)
+        return x
+
+    words = list(entropy.T) + [np.zeros(n, np.uint32)] * (_POOL - width)
+    pool = [hashmix(words[i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, width):
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(words[src]))
+    hash_const = _INIT_B
+    state = np.empty((n, 2 * _POOL), np.uint32)
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _seed_words(seed: int, p_keys: list[int], slots: list[int]) -> np.ndarray:
+    """Entry [s, k] is SeedSequence([seed, _TAG_CHANNEL, p_keys[k],
+    slots[s]]).generate_state(4, np.uint64): the words default_rng's PCG64
+    seeds that (grid point, slot) stream from.
+
+    The entropy rows are built as arrays, and all streams whose keys take
+    the same number of words are hashed together.
+    """
+    head = _words(seed) + [_TAG_CHANNEL]
+    point_words = [_words(k) for k in p_keys]
+    slot_words = [_words(s) for s in slots]
+    out = np.empty((len(slots), len(p_keys), _POOL), np.uint64)
+    for point_width in {len(w) for w in point_words}:
+        cols = [k for k, w in enumerate(point_words) if len(w) == point_width]
+        for slot_width in {len(w) for w in slot_words}:
+            rows = [s for s, w in enumerate(slot_words) if len(w) == slot_width]
+            entropy = np.empty((len(rows), len(cols), len(head) + point_width + slot_width), np.uint32)
+            entropy[..., :len(head)] = head
+            entropy[..., len(head):len(head) + point_width] = [point_words[k] for k in cols]
+            entropy[..., len(head) + point_width:] = np.array([slot_words[s] for s in rows])[:, None, :]
+            hashed = _hash_pool(entropy.reshape(-1, entropy.shape[-1]))
+            out[np.ix_(rows, cols)] = hashed.reshape(len(rows), len(cols), _POOL)
+    return out
+
+
+def _reseed(rng: np.random.Generator, words: list[int]) -> None:
+    """Put rng's PCG64 where PCG64 seeded with these four words starts:
+    pcg64_set_seed's two steps of the 128-bit LCG from state 0."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+    state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
 
 
 def _draw(rngs: list[np.random.Generator], normals: np.ndarray) -> None:
@@ -170,99 +287,81 @@ def _vdot(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     return prod[..., 0] + prod[..., 1]
 
 
-def _gains_for_slot(slot: SlotPlan, ch):
-    """Per-layer complex receive gains at user 1 and user 2.
+def _project(ch, precoders):
+    """Each precoder's receive gains at user 1 and user 2, as two lists
+    aligned with precoders: the complex gains and their |gain|**2.
 
-    ch is a ChannelRealization, or a stack of them with a leading grid axis
-    before the trial axis; only the true channels and the estimates are
-    read.  Each precoder direction the slot uses is projected once, and its
-    layers share the resulting gain arrays.
+    ch is a ChannelRealization, or a stack of them with leading axes before
+    the trial axis; only the true channels and the estimates are read.
+    Each direction is projected once; a None precoder gets None.  The first
+    antenna gets power gains only: its layers are decoded by SIC, which
+    reads nothing else.
     """
-    by_precoder: dict[PrecoderSpec, list[SymbolLayer]] = {}
-    for layer in slot.layers:
-        by_precoder.setdefault(layer.precoder, []).append(layer)
-    gain1, gain2 = {}, {}
-    for pc, layers in by_precoder.items():
+    gain, power_gain = [None] * len(precoders), [None] * len(precoders)
+    for i, pc in enumerate(precoders):
+        if pc is None:
+            continue
         if pc.kind == "first_antenna":
-            g1, g2 = np.conj(ch.h_true[..., 0]), np.conj(ch.g_true[..., 0])
+            # conj makes a contiguous copy: on the strided (slot, point,
+            # trial) view itself, np.abs ran about 40x slower
+            g = (np.conj(ch.h_true[..., 0]), np.conj(ch.g_true[..., 0]))
         else:
             est = ch.h_est if pc.user == 1 else ch.g_est
             v = orth_complement(est) if pc.kind == "orth" else unit(est)
-            g1, g2 = _vdot(ch.h_true, v), _vdot(ch.g_true, v)
+            g = gain[i] = (_vdot(ch.h_true, v), _vdot(ch.g_true, v))
             del v  # one projection alive at a time
-        for layer in layers:
-            gain1[layer.id], gain2[layer.id] = g1, g2
-    return gain1, gain2
+        power_gain[i] = (np.abs(g[0]) ** 2, np.abs(g[1]) ** 2)
+    return gain, power_gain
 
 
-def _common_mis(slot: SlotPlan, gain1, gain2, power: dict[str, np.ndarray]):
-    """SIC mutual informations of every first-antenna layer at both users.
+def _common_mis(sic_power, groups, power_gain):
+    """SIC mutual informations of a slot's first-antenna layers at both users.
 
-    Decoding in slot.commons() order (decreasing power exponent); the noise
-    for each layer is every later first-antenna layer plus all fresh layers
-    at their true received powers plus unit AWGN.  power maps each layer id
-    to its (grid point, 1) power column, one row per leading row of the
-    gains.
+    sic_power lists their (grid point, 1) power columns in decode order
+    (decreasing power exponent); the noise for each layer is every later
+    first-antenna layer plus the fresh layers of groups (the slot's _Group
+    per user) at their true received powers plus unit AWGN.  power_gain is
+    _project's over _DIRECTIONS, so the first antenna's is at 0.  Returns
+    each user's MIs in decode order.
     """
-    sic = slot.commons()
-    fresh = slot.fresh(OWNER_USER1) + slot.fresh(OWNER_USER2)
+    if not sic_power:
+        return [], []
     out = []
-    for gains in (gain1, gain2):
-        mis = {}
-        fresh_rx = sum(np.abs(gains[l.id]) ** 2 * power[l.id] for l in fresh) if fresh else 0.0
-        rx = [np.abs(gains[l.id]) ** 2 * power[l.id] for l in sic]
-        for i, layer in enumerate(sic):
-            below = sum(rx[i + 1:]) + fresh_rx
-            mis[layer.id] = np.log2(1.0 + rx[i] / (below + 1.0))
-        out.append(mis)
+    for u in (0, 1):
+        fresh_rx = sum(power_gain[d][u] * col for g in groups for d, col in zip(g.directions, g.powers))
+        first = power_gain[0][u]
+        rx = [first * col for col in sic_power]
+        out.append([np.log2(1.0 + rx[i] / (sum(rx[i + 1:]) + fresh_rx + 1.0)) for i in range(len(rx))])
     return out[0], out[1]
 
 
-def _logdet_mi(rows, powers):
+def _cross_minors(direct, cross, powers):
+    """det(A)'s Cauchy-Binet sum for two observation rows of a jointly
+    decoded group, before the noise: sum over i < j of
+    p_i p_j |d_i c_j - d_j c_i|**2, with d and c the layers' complex gains
+    in the two rows (0 for a single layer)."""
+    k = len(powers)
+    return sum(powers[i] * powers[j] * np.abs(direct[i] * cross[j] - direct[j] * cross[i]) ** 2
+               for i in range(k) for j in range(i + 1, k))
+
+
+def _logdet_mi(rows, powers, minors=0):
     """log2 det(I + H Q H^H N^-1) for one or two observation rows.
 
-    rows is a list of (per-layer gain arrays, noise variance); powers the
-    per-layer transmit powers.  With a single row this reduces to the scalar
-    SINR formula.  With two, det = 1 + a11 + a22 + det(A), and det(A) is
-    expanded by Cauchy-Binet into a sum of nonnegative 2x2 minors, so nearly
-    collinear rows lose no precision to cancellation.
+    rows is a list of (per-layer |gain|**2, noise variance); powers the
+    per-layer transmit powers.  With a single row this reduces to the
+    scalar SINR formula.  With two, det = 1 + a11 + a22 + det(A), and
+    det(A) is the rows' _cross_minors over the two noises: a sum of
+    nonnegative 2x2 minors, so nearly collinear rows lose no precision to
+    cancellation.
     """
-    g1, n1 = rows[0]
-    a11 = sum(p * np.abs(g) ** 2 for g, p in zip(g1, powers)) / n1
+    abs1, n1 = rows[0]
+    a11 = sum(p * a for a, p in zip(abs1, powers)) / n1
     if len(rows) == 1:
         return np.log2(1.0 + a11)
-    g2, n2 = rows[1]
-    a22 = sum(p * np.abs(g) ** 2 for g, p in zip(g2, powers)) / n2
-    k = len(powers)
-    gram = sum(powers[i] * powers[j] * np.abs(g1[i] * g2[j] - g1[j] * g2[i]) ** 2
-               for i in range(k) for j in range(i + 1, k))
-    return np.log2(1.0 + a11 + a22 + gram / (n1 * n2))
-
-
-def _settle_commons(slot: SlotPlan, gain1, gain2, ps: list[float], power: dict[str, np.ndarray]):
-    """Settle a slot's first-antenna layers at every grid point; drop their gains.
-
-    One _common_mis call decodes the whole grid.  Returns (settled, bits):
-    each layer's (usable rate, delivered MI) arrays over the grid, and
-    (owner, per-trial bits) of the user-owned layers, in decode order.
-    """
-    mi1, mi2 = _common_mis(slot, gain1, gain2, power)
-    log2p = np.array([math.log2(p) for p in ps])
-    settled, bits = {}, []
-    for layer in slot.commons():
-        lid = layer.id
-        per_trial = np.minimum(mi1[lid], mi2[lid])
-        rate = per_trial.mean(axis=-1)
-        if layer.owner == OWNER_COMMON:
-            # retransmission overhead, no user bits; the usable rate is
-            # capped by the quantization bits the layer actually carries
-            rate = np.minimum(rate, layer.encoding_prelog * log2p)
-        else:
-            bits.append((layer.owner, per_trial))
-        delivered = np.minimum(mi1[lid].mean(axis=-1), mi2[lid].mean(axis=-1))
-        settled[lid] = (rate, delivered)
-        del gain1[lid], gain2[lid]
-    return settled, bits
+    abs2, n2 = rows[1]
+    a22 = sum(p * a for a, p in zip(abs2, powers)) / n2
+    return np.log2(1.0 + a11 + a22 + minors / (n1 * n2))
 
 
 def _link_noise(link: QuantizationLink, e_src: float, delivered: np.ndarray, ps: list[float]) -> list[float]:
@@ -279,6 +378,84 @@ def _link_noise(link: QuantizationLink, e_src: float, delivered: np.ndarray, ps:
             for p, d in zip(ps, delivered.tolist())]
 
 
+class _Group(NamedTuple):
+    """One user's fresh layers in a slot, decoded jointly."""
+
+    rows: tuple[int, ...]  # rate rows
+    directions: tuple[int, ...]
+    powers: tuple[np.ndarray, ...]  # (grid point, 1) power columns
+
+
+class _Slot(NamedTuple):
+    """One slot's decode tables (see _compile)."""
+
+    index: int
+    directions: frozenset[int]  # those its layers use
+    sic: tuple  # (rate row, owner, rate cap or None) per first-antenna layer, decode order
+    sic_power: tuple  # their (grid point, 1) power columns
+    groups: tuple[_Group, _Group]  # user 1's and user 2's
+    carried: tuple  # (link row, link, source exponent, carrier's SIC position) of the links carried here
+    settle_after: int  # the slot whose decode lets this slot's groups settle (-1: at once)
+
+
+def _compile(plan: SchemePlan, ps: list[float]):
+    """Yield every slot's decode tables at the grid powers ps, in slot
+    order, so that only the slots in flight are held.
+
+    Rate rows follow the plan's layer order, and a direction is an index
+    into _DIRECTIONS.  Layers with the same power spec (coefficient,
+    exponent, sub-coefficient, sub-exponent) share one power column, so a
+    cycled plan computes each column once, and the same goes for the rate
+    caps.  A common-owned first-antenna layer's cap is its encoding pre-log
+    times log2(P): it carries no user bits, only the quantization bits it
+    was built for.
+    """
+    ready: dict[int, int] = {}  # source slot -> slot of its last carrier
+    carried: dict[int, list] = {}  # carrier slot -> [(link row, link)]
+    for i, link in enumerate(plan.links):
+        home = plan.find_layer(link.retransmit_layer)[0].index
+        ready[link.source_slot] = max(home, ready.get(link.source_slot, home))
+        carried.setdefault(home, []).append((i, link))
+    log2p = np.array([math.log2(p) for p in ps])
+    columns: dict[tuple[float, ...], np.ndarray] = {}
+    caps: dict[float, np.ndarray] = {}
+
+    def column(l: SymbolLayer) -> np.ndarray:
+        key = (l.power_coefficient, l.power_exponent, l.power_sub_coefficient, l.power_sub_exponent)
+        if key not in columns:
+            columns[key] = np.array([l.power(p) for p in ps])[:, None]
+        return columns[key]
+
+    def cap(l: SymbolLayer) -> np.ndarray | None:
+        if l.owner != OWNER_COMMON:
+            return None
+        if l.encoding_prelog not in caps:
+            caps[l.encoding_prelog] = l.encoding_prelog * log2p
+        return caps[l.encoding_prelog]
+
+    row0 = 0
+    for slot in plan.all_slots():
+        row = {l.id: row0 + i for i, l in enumerate(slot.layers)}
+        row0 += len(slot.layers)
+        groups = []
+        for owner in (OWNER_USER1, OWNER_USER2):
+            fresh = slot.fresh(owner)
+            groups.append(_Group(tuple(row[l.id] for l in fresh), tuple(_DIRECTION[l.precoder] for l in fresh),
+                                 tuple(column(l) for l in fresh)))
+        sic = slot.commons()
+        position = {l.id: k for k, l in enumerate(sic)}
+        yield _Slot(
+            slot.index,
+            frozenset(_DIRECTION[l.precoder] for l in slot.layers),
+            tuple((row[l.id], l.owner, cap(l)) for l in sic),
+            tuple(column(l) for l in sic),
+            (groups[0], groups[1]),
+            tuple((i, link, plan.source_exponent(link), position[link.retransmit_layer])
+                  for i, link in carried.get(slot.index, ())),
+            ready.get(slot.index, -1),
+        )
+
+
 def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int):
     """One pass over the slots at every grid point of snrs, as arrays with
     one column per point: (rate, link_out, mean, stderr) are each layer's
@@ -287,54 +464,78 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     No validate_plan here: the public callers that need a sound plan run it
     first, and SchemePlan has already checked the links.  n_trials must be
     an integer >= 1 and seed one >= 0 (bools refused, as in
-    ExperimentConfig); both are checked before any stream is made.
+    ExperimentConfig); both are checked before any stream is seeded.
 
     Grid point k's trial i reads row i of the stream keyed by (seed, the
     point's power, slot index), so a point's draws do not depend on the rest
-    of the grid.  One stacked ChannelRealization, each field of shape
-    (grid point, trial, 2), is allocated per pass; sample_channel writes
-    point k's draw straight into its row k (out=), once per slot and point,
-    so no draw is copied.  With the layer powers as (point, 1) columns,
-    projections, gains and SIC run once per slot, in the slot's one decode
-    order at every point, and the first-antenna layers settle at once.  The
-    fresh groups wait in a first-in-first-out window until the carriers of
-    every link sourced in that slot have been decoded, then settle and free
-    their gains.  Settling only from the head keeps each user's per-trial
-    total adding up slot by slot: the slot's user-owned first-antenna
-    layers, then user 1's group, then user 2's.
+    of the grid.  The pass goes a draw chunk at a time: as many whole slots
+    as fit in _DRAW_BUDGET normals (at least one).  One sample_channel call
+    scales a chunk's normals into a stacked ChannelRealization, each field
+    of shape (slot, point, trial, 2), allocated once per pass.  _project
+    runs once per precoder direction the chunk uses, and each slot reads
+    views of its results.  Each slot's decode tables are compiled once
+    (_compile); with the layer powers as (point, 1) columns, SIC runs once
+    per slot, in the slot's one decode order at every point, and the
+    first-antenna layers settle at once.  The fresh groups wait in a
+    first-in-first-out window until the carriers of every link sourced in
+    that slot have been decoded, holding only their power gains and cross
+    minors; then they settle.  Settling only from the head keeps each
+    user's per-trial total adding up slot by slot: the slot's user-owned
+    first-antenna layers, then user 1's group, then user 2's.
 
-    The standard normals are drawn one chunk ahead on a single worker
-    thread: a chunk is as many whole slots as fit in _DRAW_BUDGET normals
-    (at least one), held in one float64 buffer of shape (chunk, point, 2,
-    2, 2, trial, 2).  Once the last slot of a chunk has been scaled out of
-    the buffer, the next chunk's streams are seeded here and the worker
-    fills the buffer while this thread projects and decodes that slot.
-    Seeding stays on this thread because SeedSequence hashing holds the
-    GIL; the worker runs only standard_normal, which releases it.  Each
-    stream fills its own row, so the values do not depend on thread timing.
-    sample_channel, orth_complement and unit are called on this thread
-    only.  The pool lives for this call; a draw that raises re-raises here.
+    The streams are seeded here, a block of chunks per _seed_words call,
+    and each chunk's rows of reused PCG64 generators are set from those
+    words before the hand-off.  The standard normals are drawn one chunk ahead on a single worker thread,
+    into one float64 buffer of shape (chunk, point, 2, 2, 2, trial, 2): as
+    soon as a chunk has been scaled out of the buffer, the next chunk is
+    handed to the worker, which fills it while this thread projects and
+    decodes.  The worker runs only standard_normal, which releases the GIL.
+    Each stream fills its own row, so the values do not depend on thread
+    timing.  sample_channel, orth_complement and unit are called on this
+    thread only.  The pool lives for this call; a draw that raises re-raises
+    here.
     """
     _require_int("n_trials", n_trials, 1)
     _require_int("seed", seed, 0)
     if any(s.quality != plan.quality for s in snrs):
         raise ValueError("SNR point and plan disagree on CSIT quality")
-    ready: dict[int, int] = {}  # source slot -> slot of its last carrier
-    carried: dict[int, list] = {}  # carrier slot -> [(link row, link)]
-    for i, link in enumerate(plan.links):
-        home = plan.find_layer(link.retransmit_layer)[0].index
-        ready[link.source_slot] = max(home, ready.get(link.source_slot, home))
-        carried.setdefault(home, []).append((i, link))
-
     ps = [s.p for s in snrs]
     slots = plan.all_slots()
+    tables = _compile(plan, ps)
     rate = np.full((sum(len(s.layers) for s in slots), len(ps)), np.nan)
     link_out = np.empty((2, len(plan.links), len(ps)))  # delivered MI, effective noise
     linked: dict[tuple[int, str], np.ndarray] = {}
     totals = np.zeros((2, len(ps), n_trials))  # per-user bits per run
     by_owner = {OWNER_USER1: totals[0], OWNER_USER2: totals[1]}
 
-    def settle(slot, row0, gain1, gain2, power, bits):
+    def trial_mean(x):
+        # x.mean(axis=-1), bit for bit, without its Python-level wrapper
+        return np.add.reduce(x, axis=-1) / n_trials
+
+    def decode(t: _Slot, gain, power_gain):
+        # the first-antenna layers at every grid point, and each group's
+        # cross minors (read if it gets a side row); returns the per-trial
+        # bits of the user-owned first-antenna layers and the minors
+        mi1, mi2 = _common_mis(t.sic_power, t.groups, power_gain)
+        bits = []
+        for (row, owner, cap), m1, m2 in zip(t.sic, mi1, mi2):
+            per_trial = np.minimum(m1, m2)
+            if cap is None:
+                rate[row] = trial_mean(per_trial)
+                bits.append((owner, per_trial))
+            else:
+                # retransmission overhead, no user bits; the usable rate is
+                # capped by the quantization bits the layer actually carries
+                rate[row] = np.minimum(trial_mean(per_trial), cap)
+        for i, link, e_src, k in t.carried:
+            link_out[0, i] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
+            link_out[1, i] = _link_noise(link, e_src, mi, ps)
+            linked[(link.source_slot, link.observer)] = link_out[1, i, :, None]
+        minors = [_cross_minors([gain[d][u] for d in g.directions], [gain[d][1 - u] for d in g.directions], g.powers)
+                  for u, g in enumerate(t.groups)]
+        return bits, minors
+
+    def settle(t: _Slot, power_gain, bits, minors):
         # each user's fresh layers in the slot decode jointly.  The direct
         # observation's noise is 1 + the residual of the linked
         # own-interference, or the other user's layers at their true leakage
@@ -343,73 +544,82 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         # quantization error.
         for owner, trial_bits in bits:
             by_owner[owner] += trial_bits
-        row = {l.id: row0 + i for i, l in enumerate(slot.layers)}
-        for owner, other, direct, cross in ((OWNER_USER1, OWNER_USER2, gain1, gain2),
-                                            (OWNER_USER2, OWNER_USER1, gain2, gain1)):
-            group = slot.fresh(owner)
-            if not group:
+        for u, owner, other in ((0, OWNER_USER1, OWNER_USER2), (1, OWNER_USER2, OWNER_USER1)):
+            group = t.groups[u]
+            if not group.rows:
                 continue
-            powers = [power[l.id] for l in group]
-            own_noise = linked.get((slot.index, owner))
+            powers = group.powers
+            own_noise = linked.get((t.index, owner))
             if own_noise is None:
-                own_noise = sum(np.abs(direct[l.id]) ** 2 * power[l.id] for l in slot.fresh(other))
-            rows = [([direct[l.id] for l in group], 1.0 + own_noise)]
-            if (slot.index, other) in linked:
-                rows.append(([cross[l.id] for l in group], linked[(slot.index, other)]))
-            joint = _logdet_mi(rows, powers)
+                leak = t.groups[1 - u]
+                own_noise = sum(power_gain[d][u] * col for d, col in zip(leak.directions, leak.powers))
+            rows = [([power_gain[d][u] for d in group.directions], 1.0 + own_noise)]
+            if (t.index, other) in linked:
+                rows.append(([power_gain[d][1 - u] for d in group.directions], linked[(t.index, other)]))
+            joint = _logdet_mi(rows, powers, minors[u])
             by_owner[owner] += joint
-            if len(group) == 1:
+            if len(powers) == 1:
                 shares = [joint]
             else:
                 # genie-aided rates (the group's other layers known): MRC of
                 # all observation rows against noise only
-                genie = [np.log2(1.0 + sum(np.abs(g[i]) ** 2 / n for g, n in rows) * powers[i])
-                         for i in range(len(group))]
+                genie = [np.log2(1.0 + sum(a[i] / n for a, n in rows) * powers[i]) for i in range(len(powers))]
                 total = sum(genie)
                 shares = [np.where(total > 0.0, joint * g / np.where(total > 0.0, total, 1.0), 0.0)
                           for g in genie]
-            for layer, share in zip(group, shares):
-                rate[row[layer.id]] = share.mean(axis=-1)
-        linked.pop((slot.index, OWNER_USER1), None)
-        linked.pop((slot.index, OWNER_USER2), None)
+            for row, share in zip(group.rows, shares):
+                rate[row] = trial_mean(share)
+        linked.pop((t.index, OWNER_USER1), None)
+        linked.pop((t.index, OWNER_USER2), None)
 
-    bufs = {f.name: np.empty((len(ps), n_trials, 2), complex) for f in fields(ChannelRealization)}
-    stack = ChannelRealization(**bufs)
-    rows = [ChannelRealization(**{name: buf[k] for name, buf in bufs.items()}) for k in range(len(ps))]
-    chunk = max(1, _DRAW_BUDGET // (len(ps) * 16 * n_trials))  # 16 normals per trial
+    def decode_chunk(part, stack):
+        # the chunk's complex gains die on return; the window keeps views
+        # of the fresh layers' power gains
+        used = frozenset().union(*(t.directions for t in part))
+        gain, power_gain = _project(stack, [pc if d in used else None for d, pc in enumerate(_DIRECTIONS)])
+        for c, t in enumerate(part):
+            slot_power_gain = [a and (a[0][c], a[1][c]) for a in power_gain]
+            bits, minors = decode(t, [g and (g[0][c], g[1][c]) for g in gain], slot_power_gain)
+            slot_power_gain[0] = None  # the first antenna's: SIC is done
+            window.append((t, slot_power_gain, bits, minors))
+            while window and window[0][0].settle_after <= t.index:
+                settle(*window.popleft())
+
+    chunk = min(len(slots), max(1, _DRAW_BUDGET // (len(ps) * 16 * n_trials)))  # 16 normals per trial
+    bufs = {f.name: np.empty((chunk, len(ps), n_trials, 2), complex) for f in fields(ChannelRealization)}
     normals = np.empty((chunk, len(ps), 2, 2, 2, n_trials, 2))
     stream_rows = normals.reshape((-1,) + normals.shape[2:])  # one row per (slot, point) stream
+    rngs = [np.random.Generator(np.random.PCG64(0)) for _ in stream_rows]  # states are set per chunk
+
+    def chunk_words():
+        # each chunk's seed words, hashed a block of chunks at a time: many
+        # streams per _seed_words call, not the whole plan's at once
+        p_keys = [_p_key(snr) for snr in snrs]
+        per_block = chunk * max(1, _SEED_BLOCK // len(stream_rows))
+        for lo in range(0, len(slots), per_block):
+            block = _seed_words(seed, p_keys, [s.index for s in slots[lo:lo + per_block]])
+            for c in range(0, len(block), chunk):
+                yield block[c:c + chunk].reshape(-1, _POOL).tolist()
+
+    words = chunk_words()
     window: deque = deque()
-    row0 = 0
     with ThreadPoolExecutor(max_workers=1) as pool:
 
-        def draw_from(start):
-            rngs = [_stream(seed, _TAG_CHANNEL, _p_key(snr), slot.index)
-                    for slot in slots[start:start + chunk] for snr in snrs]
-            return pool.submit(_draw, rngs, stream_rows)
+        def draw_next():
+            rows = next(words)
+            for rng, w in zip(rngs, rows):
+                _reseed(rng, w)
+            return pool.submit(_draw, rngs[:len(rows)], stream_rows)
 
-        drawn = draw_from(0)
-        for s, slot in enumerate(slots):
-            if s % chunk == 0:
-                drawn.result()
-            for snr, row, z in zip(snrs, rows, normals[s % chunk]):
-                sample_channel(snr, z, size=n_trials, out=row)
-            if s % chunk == chunk - 1 and s + 1 < len(slots):
-                drawn = draw_from(s + 1)  # the buffer is free: draw the next chunk while this slot decodes
-            gain1, gain2 = _gains_for_slot(slot, stack)
-            power = {l.id: np.array([l.power(p) for p in ps])[:, None] for l in slot.layers}
-            settled, bits = _settle_commons(slot, gain1, gain2, ps, power)
-            for i, layer in enumerate(slot.layers):
-                if layer.id in settled:
-                    rate[row0 + i] = settled[layer.id][0]
-            for i, link in carried.get(slot.index, ()):
-                link_out[0, i] = mi = settled[link.retransmit_layer][1]
-                link_out[1, i] = _link_noise(link, plan.source_exponent(link), mi, ps)
-                linked[(link.source_slot, link.observer)] = link_out[1, i, :, None]
-            window.append((slot, row0, gain1, gain2, power, bits))
-            row0 += len(slot.layers)
-            while window and ready.get(window[0][0].index, -1) <= slot.index:
-                settle(*window.popleft())
+        drawn = draw_next()
+        for start in range(0, len(slots), chunk):
+            part = list(islice(tables, chunk))
+            drawn.result()
+            stack = ChannelRealization(**{name: buf[:len(part)] for name, buf in bufs.items()})
+            sample_channel(snrs, normals[:len(part)], size=n_trials, out=stack)
+            if start + chunk < len(slots):
+                drawn = draw_next()  # the buffer is free: draw the next chunk while this one decodes
+            decode_chunk(part, stack)
 
     stderr = totals.std(axis=-1, ddof=1) / math.sqrt(n_trials) if n_trials > 1 else np.zeros((2, len(ps)))
     return rate, link_out, totals.mean(axis=-1), stderr

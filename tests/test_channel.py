@@ -137,6 +137,39 @@ class TestSampling:
         buf[1, 2] = 0.0
         assert not buf.any()
 
+    @pytest.mark.parametrize("size", [None, 1, 37])
+    def test_grid_call_matches_one_call_per_point(self, size):
+        # the evaluator scales a chunk (slot, grid point) in one call; every
+        # value must equal the one-point call's on the same normals
+        q = CsitQuality(0.2, 0.7)
+        grid = [SnrPoint.from_db(db, q) for db in (3.0, 60.0, 250.0)]
+        shape = (2,) if size is None else (size, 2)
+        normals = _rng(16).standard_normal((4, len(grid), 2, 2, 2) + shape)
+        into = ChannelRealization(**{f: np.empty((4, len(grid)) + shape, complex) for f in FIELDS})
+        assert sample_channel(grid, normals, size=size, out=into) is into
+        for s in range(4):
+            for k, snr in enumerate(grid):
+                ref = sample_channel(snr, normals[s, k], size=size)
+                for f in FIELDS:
+                    assert np.array_equal(getattr(into, f)[s, k], getattr(ref, f)), (s, k, f)
+        drawn = sample_channel(grid, _rng(17), size=size)
+        rng = _rng(17)
+        for k, snr in enumerate(grid):  # a Generator draws the points in order
+            ref = sample_channel(snr, rng, size=size)
+            for f in FIELDS:
+                assert np.array_equal(getattr(drawn, f)[k], getattr(ref, f)), (k, f)
+
+    def test_grid_normals_or_out_of_the_wrong_shape_rejected(self):
+        q = CsitQuality(0.2, 0.7)
+        grid = [SnrPoint.from_db(db, q) for db in (60.0, 80.0)]
+        with pytest.raises(ValueError, match=r"normals must be float64 of shape \(\.\.\., G\)"):
+            sample_channel(grid, np.zeros((3, 2, 2, 2, 50, 2)), size=50)  # 3 points' normals for 2
+        with pytest.raises(ValueError, match=r"normals must be float64 of shape \(\)"):
+            sample_channel(grid[0], np.zeros((2, 2, 2, 2, 50, 2)), size=50)  # a grid's for one point
+        bad = ChannelRealization(**{f: np.empty((50, 2), complex) for f in FIELDS})
+        with pytest.raises(ValueError, match=r"out arrays must be complex128 of shape \(2, 50, 2\)"):
+            sample_channel(grid, np.zeros((2, 2, 2, 2, 50, 2)), size=50, out=bad)
+
     def test_isotropy_and_user_independence(self):
         snr = SnrPoint(1e4, CsitQuality(0.5, 0.5))
         ch = sample_channel(snr, _rng(3), size=100_000)

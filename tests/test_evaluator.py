@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asymcsit import (
     ChannelRealization,
@@ -26,11 +28,13 @@ from asymcsit import evaluator
 from asymcsit.evaluator import (
     _TAG_CHANNEL,
     _common_mis,
+    _cross_minors,
     _evaluate_grid,
-    _gains_for_slot,
     _logdet_mi,
     _p_key,
-    _stream,
+    _project,
+    _reseed,
+    _seed_words,
     check_grid_db,
 )
 from asymcsit.geometry import DofPoint
@@ -66,16 +70,17 @@ def _fixed_channel():
 
 def _zf_rate(layer, ch, p, noise):
     """The evaluator's direct-observation rate of a lone zero-forced symbol."""
-    gain1, _ = _gains_for_slot(SlotPlan(1, (layer,)), ch)
-    return float(_logdet_mi([([gain1[layer.id]], noise)], [layer.power(p)]))
+    _, (power_gain,) = _project(ch, [layer.precoder])
+    return float(_logdet_mi([([power_gain[0]], noise)], [layer.power(p)]))
 
 
 def _vector_rate(layers, ch, p, direct_noise, side_noise):
     """The evaluator's 2x2 log-det rate of a user-2 vector: direct row at
     user 2 stacked with the record overheard at user 1."""
-    gain1, gain2 = _gains_for_slot(SlotPlan(1, tuple(layers)), ch)
-    rows = [([gain2[l.id] for l in layers], direct_noise), ([gain1[l.id] for l in layers], side_noise)]
-    return float(_logdet_mi(rows, [l.power(p) for l in layers]))
+    gain, power_gain = _project(ch, [l.precoder for l in layers])
+    powers = [l.power(p) for l in layers]
+    rows = [([a[1] for a in power_gain], direct_noise), ([a[0] for a in power_gain], side_noise)]
+    return float(_logdet_mi(rows, powers, _cross_minors([g[1] for g in gain], [g[0] for g in gain], powers)))
 
 
 class TestRateOps:
@@ -83,12 +88,10 @@ class TestRateOps:
 
     def test_single_common_is_point_to_point_capacity(self):
         snr = SnrPoint(1e6, Q35)
-        layer = SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, 1.0)
-        slot = SlotPlan(1, (layer,))
-        gain1, gain2 = _gains_for_slot(slot, _fixed_channel())
-        mi1, mi2 = _common_mis(slot, gain1, gain2, {"c": np.array([[snr.p]])})
-        assert mi1["c"].item() == pytest.approx(math.log2(1 + 1e6), abs=1e-12)
-        assert mi2["c"].item() == 0.0  # g has no first-antenna component here
+        _, power_gain = _project(_fixed_channel(), [first_antenna()])
+        (mi1,), (mi2,) = _common_mis([np.array([[snr.p]])], [], power_gain)
+        assert mi1.item() == pytest.approx(math.log2(1 + 1e6), abs=1e-12)
+        assert mi2.item() == 0.0  # g has no first-antenna component here
 
     def test_zf_symbol_clean(self):
         snr = SnrPoint(1e4, Q35)
@@ -133,7 +136,9 @@ class TestRateOps:
         row1 = [1e8, 1e8]
         row2 = [1e8, 1e8 * (1.0 + tilt)]
         powers = [1e8, 1e8]
-        rows = [([np.array([complex(g)]) for g in row1], 1.0), ([np.array([complex(g)]) for g in row2], 1.0)]
+        gains = [[np.array([complex(g)]) for g in row] for row in (row1, row2)]
+        rows = [([np.abs(g) ** 2 for g in row], 1.0) for row in gains]
+        minors = _cross_minors(gains[0], gains[1], powers)
 
         p, h, g = [Fraction(x) for x in powers], [Fraction(x) for x in row1], [Fraction(x) for x in row2]
         a11 = sum(pi * hi * hi for pi, hi in zip(p, h))
@@ -142,7 +147,7 @@ class TestRateOps:
         exact = math.log2((1 + a11) * (1 + a22) - a12 * a12)
 
         assert exact == pytest.approx(bits, abs=1e-3)
-        assert float(_logdet_mi(rows, powers)[0]) == pytest.approx(exact, rel=1e-6)
+        assert float(_logdet_mi(rows, powers, minors)[0]) == pytest.approx(exact, rel=1e-6)
 
 
 class TestEvaluatePlan:
@@ -154,7 +159,8 @@ class TestEvaluatePlan:
         seed = 123
         ledger = evaluate_plan(plan, snr, 1, seed)
 
-        ch = sample_channel(snr, _stream(seed, _TAG_CHANNEL, _p_key(snr), 1), size=1)
+        stream = np.random.default_rng(np.random.SeedSequence([seed, _TAG_CHANNEL, _p_key(snr), 1]))
+        ch = sample_channel(snr, stream, size=1)
         h, g = ch.h_true[0], ch.g_true[0]
         power = {l.id: l.power(snr.p) for l in plan.slot(1).layers}
 
@@ -390,6 +396,29 @@ class TestEstimateDof:
             assert peaks[1] <= bound * peaks[0], (n_trials, peaks)
 
 
+class TestStderrHonesty:
+    """The reported slope stderr must match the slope's seed-to-seed spread.
+
+    A change to the sampling design (chunking, look-ahead, shared or
+    antithetic draws) must keep the fit from looking more or less certain
+    than it is.  The band was set from the spread measured before the
+    chunk-wide draws: (0.990, 0.844) for sc-zf and (0.971, 1.056) for
+    case-ii.  Grid points that share their draws read 0.02-0.04, and a
+    stderr divided by sqrt(n_trials * points) reads about 2.
+    """
+
+    @pytest.mark.parametrize("name, n_cycles, n_trials, n_seeds", [
+        ("sc-zf", 1, 200, 80),
+        ("case-ii", 1, 50, 60),
+    ])
+    def test_slope_spread_matches_the_reported_stderr(self, name, n_cycles, n_trials, n_seeds):
+        plan = build_preset(name, Q35, n_cycles)
+        ests = [estimate_dof(plan, _grid(Q35), n_trials, seed) for seed in range(1, n_seeds + 1)]
+        spread = np.array([e.slope.as_tuple() for e in ests]).std(axis=0, ddof=1)
+        ratio = spread / np.array([e.stderr for e in ests]).mean(axis=0)
+        assert np.all((0.7 <= ratio) & (ratio <= 1.35)), ratio
+
+
 class TestEntryPointArguments:
     ENTRY_POINTS = ("evaluate_plan", "estimate_dof", "residual_power_probe")
 
@@ -414,16 +443,56 @@ class TestEntryPointArguments:
         (0, 7, "n_trials must be >= 1, got 0"),
     ])
     def test_bad_seed_or_trials_rejected_before_any_stream(self, monkeypatch, entry, n_trials, seed, message):
-        def no_stream(*key):
-            raise AssertionError(f"stream {key} made before the arguments were checked")
+        # the pass seeds its streams through _seed_words; a check moved
+        # after it lets a bad argument reach the hash (a float seed raises
+        # TypeError there, a negative one ValueError with another message)
+        def no_streams(seed, p_keys, slots):
+            raise AssertionError(f"{len(p_keys) * len(slots)} streams seeded before the arguments were checked")
 
-        monkeypatch.setattr(evaluator, "_stream", no_stream)
+        monkeypatch.setattr(evaluator, "_seed_words", no_streams)
         with pytest.raises(ValueError, match=message):
             self._call(entry, n_trials, seed)
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     def test_numpy_integers_accepted(self, entry):
         assert repr(self._call(entry, np.int64(30), np.int32(7))) == repr(self._call(entry, 30, 7))
+
+
+# seeds over [0, 2**64): one uint32 word, two words, and the edges between
+_seeds = st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1),
+                   st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]))
+# grid point keys and slot indexes as the pass makes them: 0.001 dB up to
+# the largest finite power (about 3083 dB), slots of a long plan
+_point_keys = st.lists(st.integers(0, 3_083_000), min_size=1, max_size=5)
+_slot_indexes = st.lists(st.integers(0, 5000), min_size=1, max_size=6)
+
+
+class TestStreamSeeding:
+    """The pass seeds its streams all together; each must equal the stream
+    default_rng(SeedSequence([seed, _TAG_CHANNEL, point key, slot])) draws."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_seeds, _point_keys, _slot_indexes)
+    @example(7, [60000, 80000, 100000, 120000], [1, 2, 3])
+    @example(2 ** 64 - 1, [0], [0])
+    @example(5, [80000, 2 ** 33], [1, 2 ** 40, 0])  # keys of one and two words in one call
+    def test_seeded_streams_equal_default_rng(self, seed, p_keys, slots):
+        words = _seed_words(seed, p_keys, slots)
+        assert words.shape == (len(slots), len(p_keys), 4)
+        rng = np.random.Generator(np.random.PCG64(0))  # reused for every stream, as in the pass
+        for s, slot in enumerate(slots):
+            for k, p_key in enumerate(p_keys):
+                ref = np.random.SeedSequence([seed, _TAG_CHANNEL, p_key, slot])
+                assert np.array_equal(words[s, k], ref.generate_state(4, np.uint64)), (p_key, slot)
+                _reseed(rng, words[s, k].tolist())
+                ref_draw = np.random.default_rng(ref).standard_normal(40)
+                assert np.array_equal(rng.standard_normal(40), ref_draw), (p_key, slot)
+
+    def test_negative_or_fractional_keys_are_refused(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            _seed_words(7, [80000], [-1])
+        with pytest.raises(TypeError):
+            _seed_words(7.0, [80000], [1])
 
 
 class TestPrefetch:
@@ -462,19 +531,22 @@ class TestPrefetch:
             assert np.array_equal(a, b), name
 
     def test_hand_off_holds_under_frequent_thread_switches(self):
-        # the buffer is scaled here and refilled by the worker: a read
-        # before the draw finished, or a refill before the read, would show
-        # as changed values once the threads switch every few microseconds
-        plan = build_case_ii(Q35, 2)
-        ref = _evaluate_grid(plan, _grid(Q35), 300, 9)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runs = [_evaluate_grid(plan, _grid(Q35), 300, 9) for _ in range(5)]
-        finally:
-            sys.setswitchinterval(interval)
-        for got in runs:
-            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        # the buffer is scaled here and refilled by the worker, whose
+        # generators are reseeded here between hand-offs: a read before the
+        # draw finished, or a refill or reseed before the read, would show
+        # as changed values once the threads switch every few microseconds.
+        # Chunks of 1 slot (300 trials) and of 25 (20 trials).
+        for n_cycles, n_trials in ((2, 300), (20, 20)):
+            plan = build_case_ii(Q35, n_cycles)
+            ref = _evaluate_grid(plan, _grid(Q35), n_trials, 9)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                runs = [_evaluate_grid(plan, _grid(Q35), n_trials, 9) for _ in range(5)]
+            finally:
+                sys.setswitchinterval(interval)
+            for got in runs:
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (n_cycles, n_trials)
 
     def test_traced_names_run_on_the_calling_thread(self, monkeypatch):
         # perfbench's tracer keeps one span stack, for the calling thread;
@@ -487,17 +559,13 @@ class TestPrefetch:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(evaluator, name, spy)
         drawn_on = set()
-        stream = evaluator._stream
+        draw = evaluator._draw
 
-        class SpyStream:
-            def __init__(self, rng):
-                self.rng = rng
+        def spy_draw(rngs, normals):
+            drawn_on.add(threading.get_ident())
+            draw(rngs, normals)
 
-            def standard_normal(self, out):
-                drawn_on.add(threading.get_ident())
-                return self.rng.standard_normal(out=out)
-
-        monkeypatch.setattr(evaluator, "_stream", lambda *key: SpyStream(stream(*key)))
+        monkeypatch.setattr(evaluator, "_draw", spy_draw)
         estimate_dof(build_case_ii(Q35, 1), _grid(Q35), 50, seed=4)
         assert seen == {name: {caller} for name in ("sample_channel", "orth_complement", "unit")}
         assert len(drawn_on) == 1 and caller not in drawn_on
@@ -533,11 +601,15 @@ class TestPrefetch:
                 raise failure
 
         plan = build_case_ii(Q35, 1)
-        broken_slot = plan.all_slots()[2].index
-        stream = evaluator._stream
-        monkeypatch.setattr(evaluator, "_stream",
-                            lambda seed, tag, p_key, slot: BrokenStream() if slot == broken_slot
-                            else stream(seed, tag, p_key, slot))
+        draws = []
+        draw = evaluator._draw
+
+        def third_draw_fails(rngs, normals):
+            # the third slot's hand-off (a chunk is one slot at N_TRIALS)
+            draws.append(len(rngs))
+            draw([BrokenStream()] + rngs[1:] if len(draws) == 3 else rngs, normals)
+
+        monkeypatch.setattr(evaluator, "_draw", third_draw_fails)
         before = threading.active_count()
         with pytest.raises(DrawFailed) as info:
             estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)

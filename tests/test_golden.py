@@ -3,7 +3,9 @@
 A change that claims to leave the outputs `==` is checked here instead of
 by a one-off comparison script.  `ledger.csv` rounds to 12 significant
 digits, so the `schemes` section of `report.json`, written at full float
-precision, is pinned too.  Both digests were recorded with numpy 2.4.6.
+precision, is pinned too, and so are estimate_dof and evaluate_plan at
+shapes whose draw chunks span many slots or end part-full.  All three
+digests were recorded with numpy 2.4.6.
 Another numpy version may draw or round differently (NEP 19 lets Generator
 streams change between versions), so after a numpy upgrade a mismatch
 means checking and re-recording the digests, not by itself a regression.
@@ -12,7 +14,7 @@ means checking and re-recording the digests, not by itself a regression.
 import hashlib
 import json
 
-from asymcsit import cli
+from asymcsit import CsitQuality, SnrPoint, build_case_ii, cli, estimate_dof, evaluate_plan
 
 LEDGER_SHA256 = "2135ef6083e6d2e762bcc2034965a1fec6ede6a728d594d6988ea812e8d9f930"
 SCHEMES_SHA256 = "04a8147f1a42de3a3fbf7c4326f7d24f647effe8238a742f17ac4037a2bda5c6"
@@ -37,3 +39,24 @@ def test_run_report_schemes_are_identical(tmp_path, capsys):
     assert rc == 0
     schemes = json.loads((tmp_path / "report.json").read_text())["schemes"]
     assert hashlib.sha256(json.dumps(schemes, sort_keys=True).encode()).hexdigest() == SCHEMES_SHA256
+
+
+# (cycles, trials) of case-ii (0.3, 0.5) whose draw chunks span many slots
+# (25 per chunk at (100, 20)) or end part-full (one point's 24 slots go 7
+# at a time at (7, 257); at (1, 1) a chunk has room for more slots than the
+# plan's 6), with every output at full precision
+CHUNK_SHAPES = ((100, 20), (7, 257), (1, 1))
+CHUNKS_SHA256 = "2c1cf519949e4144cea0585baaa72842a605fac6bfb1375d3de94d681dfecde3"
+
+
+def test_chunk_spanning_outputs_are_identical():
+    quality = CsitQuality(0.3, 0.5)
+    grid = [SnrPoint.from_db(db, quality) for db in (60.0, 80.0, 100.0, 120.0)]
+    outputs = []
+    for n_cycles, n_trials in CHUNK_SHAPES:
+        plan = build_case_ii(quality, n_cycles)
+        est = estimate_dof(plan, grid, n_trials, seed=7)
+        ledger = evaluate_plan(plan, grid[1], n_trials, seed=7)
+        outputs.append((est, ledger.per_symbol_rate, ledger.user_rate, ledger.user_rate_stderr,
+                        ledger.channel_uses, ledger.link_delivered, ledger.link_noise))
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == CHUNKS_SHA256
