@@ -22,22 +22,29 @@ dependency order:
      log-det rate.
 
 All grid points are evaluated in one pass over the slots, a draw chunk
-of whole slots at a time.  Each slot is drawn at every grid point, and a
-chunk's draws are stacked on leading (slot, grid point) axes: one
-sample_channel call scales them, and each precoder direction is projected
-once per chunk, with every |gain|**2 taken once.  Each slot's decode
-tables (SIC order, fresh groups, rate rows, power columns) are compiled
-once per pass, so its SIC MIs, link noise and fresh-group log-dets run once
-per slot on (grid point, trial) arrays.  Step 1 is settled as soon as a
-slot is decoded.  A link's carrier comes after its source, so a slot's
-step 3 waits in a first-in-first-out window until the carriers of the
-links sourced there have been decoded, holding only its fresh layers'
-power gains and cross minors.  Memory is bounded by the chunk and that
-window, not by the plan length (apart from the per-layer and per-link
-results), and the Python work is paid once per chunk or slot, not once
-per slot and grid point.  The pass returns arrays over the grid;
-estimate_dof fits the per-user ones, and a RateLedger is built only at one
-point (evaluate_plan).
+of whole slots at a time (as many as fit in _DRAW_BUDGET normals, at
+least one).  Each slot is drawn at every grid point, and a chunk's draws
+are stacked on leading (slot, grid point) axes: one sample_channel call
+scales them, and each precoder direction is projected once per chunk,
+with every |gain|**2 taken once.  Each slot's decode tables (SIC order,
+fresh groups, rate rows, power columns, and each group's own and side
+link rows) are compiled once per pass, so its SIC MIs, link noise and
+fresh-group log-dets run once per slot on (grid point, trial) arrays.
+Step 1 is settled as soon as a slot is decoded, and a carrier's decode
+writes its links' delivered MI and residual into the pass's per-link
+output.  A link's carrier comes after its source, so a slot's step 3
+waits in a first-in-first-out window until the carriers of the links
+sourced there have been decoded, holding only its fresh layers' power
+gains and the cross minors of the groups that get a side row; then each
+group reads its residuals from its link rows.  Settling only from the
+window's head keeps each user's per-trial total adding up slot by slot
+(the slot's user-owned first-antenna layers, then user 1's group, then
+user 2's), the same sums in the same order at any chunk size.  Memory is
+bounded by the chunk and that window, not by the plan length (apart from
+the per-layer and per-link results), and the Python work is paid once
+per chunk or slot, not once per slot and grid point.  The pass returns
+arrays over the grid; estimate_dof fits the per-user ones, and a
+RateLedger is built only at one point (evaluate_plan).
 
 residual_power_probe is that one-point ledger, read off as
 RateLedger.link_noise: step 2's effective residual variance per link.  Its
@@ -60,14 +67,17 @@ schemes are compared on the same grid.
 The standard normals are the one part of a slot that can run off the
 calling thread: numpy's standard_normal releases the GIL.  So the pass
 keeps one worker thread, for the length of the call, that draws the next
-chunk into a buffer while the calling thread scales, projects and decodes
-the current one.  The streams are seeded on the calling thread, many at a
-time: SeedSequence's hash is run as uint32 array operations over all of
-a block's streams, and each buffer row's reused PCG64 is set from the
+chunk into one float64 buffer of shape (chunk, point, 2, 2, 2, trial, 2)
+as soon as the current chunk has been scaled out of it, while the
+calling thread projects and decodes the current one.  The streams are
+seeded on the calling thread, a block of chunks at a time:
+SeedSequence's hash is run as uint32 array operations over all of a
+block's streams, and each buffer row's reused PCG64 is set from the
 result.  That gives exactly the draws of default_rng(SeedSequence(key)),
-at a fraction of its cost per stream.  Every stream fills its own row
-of the buffer, so the results do not depend on thread timing, and the
-worker calls nothing but standard_normal.
+at a fraction of its cost per stream.  Every stream fills its own row of
+the buffer, so the results do not depend on thread timing.  The worker
+calls nothing but standard_normal; sample_channel, orth_complement and
+unit run on the calling thread only.
 """
 
 from __future__ import annotations
@@ -88,7 +98,6 @@ from .schemes import (
     OWNER_COMMON,
     OWNER_USER1,
     OWNER_USER2,
-    QuantizationLink,
     SchemePlan,
     SymbolLayer,
     _require_int,
@@ -126,6 +135,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # direction is its index here
 _DIRECTIONS = (first_antenna(), orth_to(1), orth_to(2), along(1), along(2))
 _DIRECTION = {pc: d for d, pc in enumerate(_DIRECTIONS)}
+_USERS = (OWNER_USER1, OWNER_USER2)  # a user is its index here
 
 
 class PlanValidationError(ValueError):
@@ -364,7 +374,7 @@ def _logdet_mi(rows, powers, minors=0):
     return np.log2(1.0 + a11 + a22 + minors / (n1 * n2))
 
 
-def _link_noise(link: QuantizationLink, e_src: float, delivered: np.ndarray, ps: list[float]) -> list[float]:
+def _link_noise(quant_prelog: float, e_src: float, delivered: np.ndarray, ps: list[float]) -> list[float]:
     """Effective residual variance after the subtraction, per grid point.
 
     A shortfall of the carrying common layer's delivered MI below the
@@ -374,7 +384,7 @@ def _link_noise(link: QuantizationLink, e_src: float, delivered: np.ndarray, ps:
     # rate-distortion variance of the quantizer itself: the source is
     # received at ~ P**e_src, and quant_prelog * log2(P) bits describe it
     # down to P**(e_src - quant_prelog), exactly 1 for a sound link
-    return [p ** (e_src - link.quant_prelog) * 2.0 ** max(0.0, link.quant_prelog * math.log2(p) - d)
+    return [p ** (e_src - quant_prelog) * 2.0 ** max(0.0, quant_prelog * math.log2(p) - d)
             for p, d in zip(ps, delivered.tolist())]
 
 
@@ -384,6 +394,8 @@ class _Group(NamedTuple):
     rows: tuple[int, ...]  # rate rows
     directions: tuple[int, ...]
     powers: tuple[np.ndarray, ...]  # (grid point, 1) power columns
+    own_link: int  # link row of the interference this user overhears in the slot (-1: none)
+    side_link: int  # link row of this group's image at the other user (-1: none)
 
 
 class _Slot(NamedTuple):
@@ -391,10 +403,10 @@ class _Slot(NamedTuple):
 
     index: int
     directions: frozenset[int]  # those its layers use
-    sic: tuple  # (rate row, owner, rate cap or None) per first-antenna layer, decode order
+    sic: tuple  # (rate row, user, rate cap) per first-antenna layer in decode order; common: user -1, else no cap
     sic_power: tuple  # their (grid point, 1) power columns
     groups: tuple[_Group, _Group]  # user 1's and user 2's
-    carried: tuple  # (link row, link, source exponent, carrier's SIC position) of the links carried here
+    carried: tuple  # (link row, quant_prelog, source exponent, carrier's SIC position) of the links carried here
     settle_after: int  # the slot whose decode lets this slot's groups settle (-1: at once)
 
 
@@ -405,20 +417,22 @@ def _compile(plan: SchemePlan, ps: list[float]):
     Rate rows follow the plan's layer order, and a direction is an index
     into _DIRECTIONS.  Layers with the same power spec (coefficient,
     exponent, sub-coefficient, sub-exponent) share one power column, so a
-    cycled plan computes each column once, and the same goes for the rate
-    caps.  A common-owned first-antenna layer's cap is its encoding pre-log
-    times log2(P): it carries no user bits, only the quantization bits it
-    was built for.
+    cycled plan computes each column once.  A common-owned first-antenna
+    layer's rate cap is its encoding pre-log times log2(P): it carries no
+    user bits, only the quantization bits it was built for.  SchemePlan
+    allows one link per (source slot, observer), so each group has at most
+    one own and one side link row.
     """
-    ready: dict[int, int] = {}  # source slot -> slot of its last carrier
-    carried: dict[int, list] = {}  # carrier slot -> [(link row, link)]
+    carried: dict[int, list[int]] = {}  # carrier slot -> link rows
+    sourced: dict[int, list[int]] = {}  # source slot -> [user 1's link row, user 2's, slot of the last carrier]
     for i, link in enumerate(plan.links):
         home = plan.find_layer(link.retransmit_layer)[0].index
-        ready[link.source_slot] = max(home, ready.get(link.source_slot, home))
-        carried.setdefault(home, []).append((i, link))
+        carried.setdefault(home, []).append(i)
+        entry = sourced.setdefault(link.source_slot, [-1, -1, -1])
+        entry[_USERS.index(link.observer)] = i
+        entry[2] = max(entry[2], home)
     log2p = np.array([math.log2(p) for p in ps])
     columns: dict[tuple[float, ...], np.ndarray] = {}
-    caps: dict[float, np.ndarray] = {}
 
     def column(l: SymbolLayer) -> np.ndarray:
         key = (l.power_coefficient, l.power_exponent, l.power_sub_coefficient, l.power_sub_exponent)
@@ -426,33 +440,29 @@ def _compile(plan: SchemePlan, ps: list[float]):
             columns[key] = np.array([l.power(p) for p in ps])[:, None]
         return columns[key]
 
-    def cap(l: SymbolLayer) -> np.ndarray | None:
-        if l.owner != OWNER_COMMON:
-            return None
-        if l.encoding_prelog not in caps:
-            caps[l.encoding_prelog] = l.encoding_prelog * log2p
-        return caps[l.encoding_prelog]
-
     row0 = 0
     for slot in plan.all_slots():
         row = {l.id: row0 + i for i, l in enumerate(slot.layers)}
         row0 += len(slot.layers)
+        link_rows = sourced.get(slot.index, (-1, -1, -1))
         groups = []
-        for owner in (OWNER_USER1, OWNER_USER2):
+        for u, owner in enumerate(_USERS):
             fresh = slot.fresh(owner)
             groups.append(_Group(tuple(row[l.id] for l in fresh), tuple(_DIRECTION[l.precoder] for l in fresh),
-                                 tuple(column(l) for l in fresh)))
+                                 tuple(column(l) for l in fresh), link_rows[u], link_rows[1 - u]))
         sic = slot.commons()
         position = {l.id: k for k, l in enumerate(sic)}
+        links = [(i, plan.links[i]) for i in carried.get(slot.index, ())]
         yield _Slot(
             slot.index,
             frozenset(_DIRECTION[l.precoder] for l in slot.layers),
-            tuple((row[l.id], l.owner, cap(l)) for l in sic),
+            tuple((row[l.id], -1, l.encoding_prelog * log2p) if l.owner == OWNER_COMMON
+                  else (row[l.id], _USERS.index(l.owner), None) for l in sic),
             tuple(column(l) for l in sic),
             (groups[0], groups[1]),
-            tuple((i, link, plan.source_exponent(link), position[link.retransmit_layer])
-                  for i, link in carried.get(slot.index, ())),
-            ready.get(slot.index, -1),
+            tuple((i, link.quant_prelog, plan.source_exponent(link), position[link.retransmit_layer])
+                  for i, link in links),
+            link_rows[2],
         )
 
 
@@ -460,40 +470,17 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     """One pass over the slots at every grid point of snrs, as arrays with
     one column per point: (rate, link_out, mean, stderr) are each layer's
     mean rate (rows in plan order), each link's delivered MI and effective
-    noise (2 x link), and each user's per-run bits and Monte-Carlo stderr.
+    noise (2 x link, in plan.links order), and each user's per-run bits and
+    Monte-Carlo stderr.
+
     No validate_plan here: the public callers that need a sound plan run it
     first, and SchemePlan has already checked the links.  n_trials must be
     an integer >= 1 and seed one >= 0 (bools refused, as in
-    ExperimentConfig); both are checked before any stream is seeded.
-
-    Grid point k's trial i reads row i of the stream keyed by (seed, the
-    point's power, slot index), so a point's draws do not depend on the rest
-    of the grid.  The pass goes a draw chunk at a time: as many whole slots
-    as fit in _DRAW_BUDGET normals (at least one).  One sample_channel call
-    scales a chunk's normals into a stacked ChannelRealization, each field
-    of shape (slot, point, trial, 2), allocated once per pass.  _project
-    runs once per precoder direction the chunk uses, and each slot reads
-    views of its results.  Each slot's decode tables are compiled once
-    (_compile); with the layer powers as (point, 1) columns, SIC runs once
-    per slot, in the slot's one decode order at every point, and the
-    first-antenna layers settle at once.  The fresh groups wait in a
-    first-in-first-out window until the carriers of every link sourced in
-    that slot have been decoded, holding only their power gains and cross
-    minors; then they settle.  Settling only from the head keeps each
-    user's per-trial total adding up slot by slot: the slot's user-owned
-    first-antenna layers, then user 1's group, then user 2's.
-
-    The streams are seeded here, a block of chunks per _seed_words call,
-    and each chunk's rows of reused PCG64 generators are set from those
-    words before the hand-off.  The standard normals are drawn one chunk ahead on a single worker thread,
-    into one float64 buffer of shape (chunk, point, 2, 2, 2, trial, 2): as
-    soon as a chunk has been scaled out of the buffer, the next chunk is
-    handed to the worker, which fills it while this thread projects and
-    decodes.  The worker runs only standard_normal, which releases the GIL.
-    Each stream fills its own row, so the values do not depend on thread
-    timing.  sample_channel, orth_complement and unit are called on this
-    thread only.  The pool lives for this call; a draw that raises re-raises
-    here.
+    ExperimentConfig); both are checked before any stream is seeded.  Grid
+    point k's trial i reads row i of the stream keyed by (seed, the point's
+    power, slot index), so a point's numbers do not depend on the rest of
+    the grid, the chunk size or thread timing.  A draw that raises on the
+    worker thread re-raises here.
     """
     _require_int("n_trials", n_trials, 1)
     _require_int("seed", seed, 0)
@@ -504,35 +491,32 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     tables = _compile(plan, ps)
     rate = np.full((sum(len(s.layers) for s in slots), len(ps)), np.nan)
     link_out = np.empty((2, len(plan.links), len(ps)))  # delivered MI, effective noise
-    linked: dict[tuple[int, str], np.ndarray] = {}
     totals = np.zeros((2, len(ps), n_trials))  # per-user bits per run
-    by_owner = {OWNER_USER1: totals[0], OWNER_USER2: totals[1]}
 
     def trial_mean(x):
         # x.mean(axis=-1), bit for bit, without its Python-level wrapper
         return np.add.reduce(x, axis=-1) / n_trials
 
     def decode(t: _Slot, gain, power_gain):
-        # the first-antenna layers at every grid point, and each group's
-        # cross minors (read if it gets a side row); returns the per-trial
-        # bits of the user-owned first-antenna layers and the minors
+        # the first-antenna layers at every grid point, and the cross minors
+        # of each group that gets a side row; returns the per-trial bits of
+        # the user-owned first-antenna layers and the minors
         mi1, mi2 = _common_mis(t.sic_power, t.groups, power_gain)
         bits = []
-        for (row, owner, cap), m1, m2 in zip(t.sic, mi1, mi2):
+        for (row, user, cap), m1, m2 in zip(t.sic, mi1, mi2):
             per_trial = np.minimum(m1, m2)
             if cap is None:
                 rate[row] = trial_mean(per_trial)
-                bits.append((owner, per_trial))
+                bits.append((user, per_trial))
             else:
                 # retransmission overhead, no user bits; the usable rate is
                 # capped by the quantization bits the layer actually carries
                 rate[row] = np.minimum(trial_mean(per_trial), cap)
-        for i, link, e_src, k in t.carried:
+        for i, quant_prelog, e_src, k in t.carried:
             link_out[0, i] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
-            link_out[1, i] = _link_noise(link, e_src, mi, ps)
-            linked[(link.source_slot, link.observer)] = link_out[1, i, :, None]
+            link_out[1, i] = _link_noise(quant_prelog, e_src, mi, ps)
         minors = [_cross_minors([gain[d][u] for d in g.directions], [gain[d][1 - u] for d in g.directions], g.powers)
-                  for u, g in enumerate(t.groups)]
+                  if g.side_link >= 0 else 0 for u, g in enumerate(t.groups)]
         return bits, minors
 
     def settle(t: _Slot, power_gain, bits, minors):
@@ -541,23 +525,24 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         # own-interference, or the other user's layers at their true leakage
         # powers when nothing was quantized; the side observation (when the
         # group's image at the other user is linked) carries only the
-        # quantization error.
-        for owner, trial_bits in bits:
-            by_owner[owner] += trial_bits
-        for u, owner, other in ((0, OWNER_USER1, OWNER_USER2), (1, OWNER_USER2, OWNER_USER1)):
-            group = t.groups[u]
+        # quantization error.  Every link row read here was filled when its
+        # carrier was decoded, at or before slot settle_after.
+        for user, trial_bits in bits:
+            totals[user] += trial_bits
+        for u, group in enumerate(t.groups):
             if not group.rows:
                 continue
             powers = group.powers
-            own_noise = linked.get((t.index, owner))
-            if own_noise is None:
+            if group.own_link >= 0:
+                own_noise = link_out[1, group.own_link, :, None]
+            else:
                 leak = t.groups[1 - u]
                 own_noise = sum(power_gain[d][u] * col for d, col in zip(leak.directions, leak.powers))
             rows = [([power_gain[d][u] for d in group.directions], 1.0 + own_noise)]
-            if (t.index, other) in linked:
-                rows.append(([power_gain[d][1 - u] for d in group.directions], linked[(t.index, other)]))
+            if group.side_link >= 0:
+                rows.append(([power_gain[d][1 - u] for d in group.directions], link_out[1, group.side_link, :, None]))
             joint = _logdet_mi(rows, powers, minors[u])
-            by_owner[owner] += joint
+            totals[u] += joint
             if len(powers) == 1:
                 shares = [joint]
             else:
@@ -569,8 +554,6 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                           for g in genie]
             for row, share in zip(group.rows, shares):
                 rate[row] = trial_mean(share)
-        linked.pop((t.index, OWNER_USER1), None)
-        linked.pop((t.index, OWNER_USER2), None)
 
     def decode_chunk(part, stack):
         # the chunk's complex gains die on return; the window keeps views

@@ -63,8 +63,8 @@ class ExperimentConfig:
     Integers (not bools): n_trials, n_cycles >= 1 and seed >= 0.  Finite
     real numbers: alpha1, alpha2 and tolerance >= 0.  p_grid_db is a list
     of real dB values that check_grid_db accepts at alpha2.  schemes is a
-    list of preset names, and output_dir a string or a path.  A violation
-    raises ValueError naming the field.
+    list of distinct preset names, and output_dir a string or a path.  A
+    violation raises ValueError naming the field.
     """
 
     alpha1: float
@@ -93,9 +93,11 @@ class ExperimentConfig:
             raise ValueError(f"schemes must be a list of strings, got {self.schemes!r}")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
-        for name in self.schemes:
+        for i, name in enumerate(self.schemes):
             if name not in PRESET_NAMES:
                 raise ValueError(f"unknown scheme {name!r}; choose from {sorted(PRESET_NAMES)}")
+            if name in self.schemes[:i]:
+                raise ValueError(f"scheme {name!r} is listed twice")
         check_grid_db(self.p_grid_db, self.alpha2)
         if self.tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
@@ -220,17 +222,25 @@ def region_export(quality: CsitQuality, path: str | Path) -> Path:
 def run(config: ExperimentConfig) -> RunReport:
     """Execute one experiment: estimate every requested scheme's DoF.
 
-    Scheme/quality mismatches (the case split) raise SchemeConditionError
-    naming the violated condition.  Deterministic for a fixed config.
+    Every plan is built before the first estimate.  Scheme/quality
+    mismatches (the case split) raise SchemeConditionError naming the
+    violated condition, and two names that build one preset (auto and the
+    case it picks) raise ValueError.  Deterministic for a fixed config.
     """
     t0 = time.monotonic()
     quality = config.quality
     region = dof_region(quality)
     grid = [SnrPoint.from_db(db, quality) for db in config.p_grid_db]
 
-    results = []
+    plans = []
+    built: dict[str, str] = {}  # preset -> the scheme name that built it
     for name in config.schemes:
-        plan = build_preset(name, quality, config.n_cycles)
+        plans.append(build_preset(name, quality, config.n_cycles))
+        first = built.setdefault(plans[-1].name, name)
+        if first != name:
+            raise ValueError(f"schemes {first!r} and {name!r} both build {plans[-1].name}")
+    results = []
+    for plan in plans:
         est = estimate_dof(plan, grid, config.n_trials, config.seed)
         target = plan.predicted_dof
         passed = max(
@@ -268,11 +278,13 @@ def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
     """
     if not qualities:
         raise ValueError("qualities must be nonempty")
-    # every pair's config is checked (the grid ceiling depends on alpha2)
-    # before the first run starts
+    # every pair's config is checked (the grid ceiling depends on alpha2),
+    # and pairs are checked for repeats, before the first run starts
     runs = []
     for q in qualities:
         tag = f"a1_{float(q.alpha1)!r}_a2_{float(q.alpha2)!r}".replace(".", "p")
+        if any(entry["dir"] == tag for _sub, entry in runs):
+            raise ValueError(f"quality pair ({q.alpha1}, {q.alpha2}) is listed twice")
         sub = dataclasses.replace(base, alpha1=q.alpha1, alpha2=q.alpha2, output_dir=base.output_dir / tag)
         runs.append((sub, {"alpha1": q.alpha1, "alpha2": q.alpha2, "dir": tag}))
     entries = []

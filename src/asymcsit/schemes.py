@@ -184,6 +184,9 @@ class SlotPlan:
     index: int
     layers: tuple[SymbolLayer, ...]
 
+    def __post_init__(self):
+        _require_int("slot index", self.index, 0)
+
     def commons(self) -> list[SymbolLayer]:
         """First-antenna layers in SIC decode order, the same at every power:
         decreasing power exponent, ties in slot order, as the builders stack them."""
@@ -204,13 +207,17 @@ class SchemePlan:
     cycle_slots holds the n_cycles repetitions of the cycle pattern.
     Channel-use accounting is the virtual one: the prologue counts
     prologue_channel_uses and each cycle cycle_channel_uses, fractional
-    because retransmission layers only occupy part of a slot.
+    because retransmission layers only occupy part of a slot.  Both must be
+    finite and >= 0, n_cycles an integer >= 0, and channel_uses() above 0.
 
     The slot order and the slot/layer lookups are indexed once, at
     construction: all_slots() is the slots in index order, and slot() and
     find_layer() are dict reads.  A duplicate slot index or layer id raises
     ValueError, and so does a link whose source slot, overheard
-    interference or first-antenna carrier layer is missing.
+    interference or first-antenna carrier layer is missing.  Each overheard
+    interference has at most one link: a second link with the same
+    interference_id, or the same (source_slot, observer), raises ValueError
+    naming both.
     """
 
     name: str
@@ -227,6 +234,13 @@ class SchemePlan:
     _layer_home: dict[str, tuple[SlotPlan, SymbolLayer]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_int("n_cycles", self.n_cycles, 0)
+        for name in ("prologue_channel_uses", "cycle_channel_uses"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.channel_uses() <= 0.0:
+            raise ValueError(f"plan {self.name!r} takes no channel uses")
         slots = tuple(sorted(self.prologue_slots + self.cycle_slots, key=lambda s: s.index))
         by_index: dict[int, SlotPlan] = {}
         home: dict[str, tuple[SlotPlan, SymbolLayer]] = {}
@@ -243,8 +257,15 @@ class SchemePlan:
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_slot_by_index", by_index)
         object.__setattr__(self, "_layer_home", home)
-        for link in self.links:
+        first: dict = {}  # interference id and (source slot, observer) -> position of the first link with it
+        for i, link in enumerate(self.links):
             name = f"link {link.interference_id}"
+            for key in (link.interference_id, (link.source_slot, link.observer)):
+                j = first.setdefault(key, i)
+                if j != i:
+                    other = self.links[j]
+                    raise ValueError(f"{name} (slot {link.source_slot}, {link.observer}) repeats link "
+                                     f"{other.interference_id} (slot {other.source_slot}, {other.observer})")
             if link.source_slot not in by_index:
                 raise ValueError(f"{name}: source slot {link.source_slot} missing")
             if not self._overheard(link):
@@ -318,8 +339,9 @@ def _source_exponent(layers: list[SymbolLayer], observer: str, quality: CsitQual
     return max(l.power_exponent for l in layers) - alpha
 
 
-def _link_and_carrier(slot_index, observer, quality, source_layers, carrier_id):
-    """Quantization link for a slot's overheard interference, or None.
+def _link_and_carrier(slot_index, observer, quality, source_layers, carrier_id) -> list[QuantizationLink]:
+    """Quantization link for a slot's overheard interference, as a list of
+    zero or one link, which the builders concatenate.
 
     The quantization rate is pinned to the source's received-power exponent;
     a vanishing rate means the interference sits at the noise floor and
@@ -327,15 +349,15 @@ def _link_and_carrier(slot_index, observer, quality, source_layers, carrier_id):
     """
     exponent = _source_exponent(source_layers, observer, quality) if source_layers else 0.0
     if exponent <= _PRELOG_EPS:
-        return None
+        return []
     tag = "1" if observer == OWNER_USER1 else "2"
-    return QuantizationLink(
+    return [QuantizationLink(
         source_slot=slot_index,
         observer=observer,
         interference_id=f"eta_{slot_index}_{tag}",
         quant_prelog=exponent,
         retransmit_layer=carrier_id,
-    )
+    )]
 
 
 def _prologue(quality: CsitQuality):
@@ -358,23 +380,13 @@ def _prologue(quality: CsitQuality):
         _layer("v1_2", OWNER_USER2, along(1), 0.25, 1.0 - a1, 1.0 - a1),
     ])
     slot1 = SlotPlan(1, slot1_u + slot1_v)
-
-    links = []
     link11 = _link_and_carrier(1, OWNER_USER1, quality, list(slot1_v), "eta_hat_1_1")
     link12 = _link_and_carrier(1, OWNER_USER2, quality, list(slot1_u), "eta_hat_1_2")
-
-    slot2_layers = []
-    if link11 is not None:
-        links.append(link11)
-        slot2_layers.append(_layer("eta_hat_1_1", OWNER_COMMON, first_antenna(), 1.0, 1.0, link11.quant_prelog))
-    slot2_layers += [
+    slot2 = SlotPlan(2, _carriers(link11) + _kept([
         _layer("u2", OWNER_USER1, orth_to(2), 0.5, a1, a1),
         _layer("v2", OWNER_USER2, orth_to(1), 0.5, a1, a1),
-    ]
-    slot2 = SlotPlan(2, _kept(slot2_layers))
-    if link12 is not None:
-        links.append(link12)
-    return slot1, slot2, link12, links
+    ]))
+    return slot1, slot2, link12, link11 + link12
 
 
 def _slot3_fresh(idx: int, quality: CsitQuality):
@@ -401,14 +413,10 @@ def build_ges12_asym(quality: CsitQuality) -> SchemePlan:
     a1, a2 = quality.alpha1, quality.alpha2
     slot1, slot2, link12, links = _prologue(quality)
 
-    slot3_layers = []
-    if link12 is not None:
-        slot3_layers.append(_layer("eta_hat_1_2", OWNER_COMMON, first_antenna(), 1.0, 1.0, link12.quant_prelog))
-    slot3_layers += [
+    slot3 = SlotPlan(3, _carriers(link12) + _kept([
         _layer("u3", OWNER_USER1, orth_to(2), 0.5, a2, a1),  # interference-limited rate
         _layer("v3", OWNER_USER2, orth_to(1), 0.5, a2, a2),
-    ]
-    slot3 = SlotPlan(3, _kept(slot3_layers))
+    ]))
 
     predicted = DofPoint((2.0 + 2.0 * a1 - a2) / 3.0, (2.0 + a2) / 3.0)
     return SchemePlan(
@@ -433,9 +441,8 @@ def _cycled_plan(name, quality, n_cycles, slots_per_cycle, make_cycle, terminal_
     terminal_carriers(pending) (none when that is empty).
     """
     _require_int("n_cycles", n_cycles, 1)
-    slot1, slot2, link12, links = _prologue(quality)
+    slot1, slot2, pending, links = _prologue(quality)
     cycle_slots: list[SlotPlan] = []
-    pending = [link12] if link12 is not None else []
 
     for k in range(n_cycles):
         first = 3 + slots_per_cycle * k
@@ -461,13 +468,12 @@ def _cycled_plan(name, quality, n_cycles, slots_per_cycle, make_cycle, terminal_
     )
 
 
-def _carriers(links, sub_exp, exp=1.0):
+def _carriers(links, sub_exp=None, exp=1.0) -> tuple[SymbolLayer, ...]:
     """Common layers multicasting each given link's quantized bits at power
-    P**exp - P**sub_exp; None entries (links that vanished) are skipped."""
-    return _kept([
-        _layer(l.retransmit_layer, OWNER_COMMON, first_antenna(), 1.0, exp, l.quant_prelog, sub=(1.0, sub_exp))
-        for l in links if l is not None
-    ])
+    P**exp - P**sub_exp, or P**exp without sub_exp."""
+    sub = (0.0, 0.0) if sub_exp is None else (1.0, sub_exp)
+    return tuple(_layer(l.retransmit_layer, OWNER_COMMON, first_antenna(), 1.0, exp, l.quant_prelog, sub=sub)
+                 for l in links)
 
 
 def _build_two_slot_cycle(name, quality, n_cycles, u_big_exponent):
@@ -492,11 +498,9 @@ def _build_two_slot_cycle(name, quality, n_cycles, u_big_exponent):
             _layer(f"v{b_idx}_1", OWNER_USER2, orth_to(1), 0.5, 1.0 - d, 1.0 - d, sub=(0.25, 1.0 - a2)),
             _layer(f"v{b_idx}_2", OWNER_USER2, along(1), 0.25, 1.0 - a2, 1.0 - a2),
         ])
-        slot_b = SlotPlan(b_idx, _carriers([link_a], 1.0 - d) + u_b + v_b)
-
+        slot_b = SlotPlan(b_idx, _carriers(link_a, 1.0 - d) + u_b + v_b)
         link_b = _link_and_carrier(b_idx, OWNER_USER1, quality, list(v_b), f"eta_hat_{b_idx}_1")
-        new_links = [l for l in (link_a, link_b) if l is not None]
-        return [slot_a, slot_b], new_links, ([link_b] if link_b is not None else [])
+        return [slot_a, slot_b], link_a + link_b, link_b
 
     predicted = DofPoint((1.0 + a1) / 2.0, 1.0) if name == "case-i" else DofPoint(a2, 1.0)
     return _cycled_plan(name, quality, n_cycles, 2, make_cycle, lambda pending: _carriers(pending, a2),
@@ -557,7 +561,7 @@ def build_case_ii(quality: CsitQuality, n_cycles: int) -> SchemePlan:
     a1, a2, d = quality.alpha1, quality.alpha2, quality.delta()
 
     def stacked_carriers(pending):
-        # pending = [B-slot user2 link, C-slot user1 link], either optional.
+        # pending: the B slot's user-2 link and the C slot's user-1 link, either may be missing
         top = [l for l in pending if l.observer == OWNER_USER2]
         low = [l for l in pending if l.observer == OWNER_USER1]
         return _carriers(top, d + a2) + _carriers(low, a2, exp=d + a2)
@@ -578,17 +582,14 @@ def build_case_ii(quality: CsitQuality, n_cycles: int) -> SchemePlan:
             _layer(f"v{b_idx}_1", OWNER_USER2, orth_to(1), 0.5, 1.0 - d, 1.0 - d, sub=(0.25, 1.0 - a2)),
             _layer(f"v{b_idx}_2", OWNER_USER2, along(1), 0.25, 1.0 - a2, 1.0 - a2),
         ])
-        slot_b = SlotPlan(b_idx, _carriers([link_a], 1.0 - d) + u_b + v_b)
+        slot_b = SlotPlan(b_idx, _carriers(link_a, 1.0 - d) + u_b + v_b)
         link_b1 = _link_and_carrier(b_idx, OWNER_USER1, quality, list(v_b), f"eta_hat_{b_idx}_1")
         link_b2 = _link_and_carrier(b_idx, OWNER_USER2, quality, list(u_b), f"eta_hat_{b_idx}_2")
 
         u_c, v_c = _slot3_fresh(c_idx, quality)
-        slot_c = SlotPlan(c_idx, _carriers([link_b1], a2) + u_c + v_c)
+        slot_c = SlotPlan(c_idx, _carriers(link_b1, a2) + u_c + v_c)
         link_c = _link_and_carrier(c_idx, OWNER_USER1, quality, list(v_c), f"eta_hat_{c_idx}_1")
-
-        new_links = [l for l in (link_a, link_b1, link_b2, link_c) if l is not None]
-        pending_next = [l for l in (link_b2, link_c) if l is not None]
-        return [slot_a, slot_b, slot_c], new_links, pending_next
+        return [slot_a, slot_b, slot_c], link_a + link_b1 + link_b2 + link_c, link_b2 + link_c
 
     predicted = DofPoint((2.0 + 2.0 * a1 - a2) / 3.0, (2.0 + 2.0 * a2 - a1) / 3.0)
     return _cycled_plan("case-ii", quality, n_cycles, 3, make_cycle, stacked_carriers, predicted, 3.0)

@@ -4,8 +4,9 @@ A change that claims to leave the outputs `==` is checked here instead of
 by a one-off comparison script.  `ledger.csv` rounds to 12 significant
 digits, so the `schemes` section of `report.json`, written at full float
 precision, is pinned too, and so are estimate_dof and evaluate_plan at
-shapes whose draw chunks span many slots or end part-full.  All three
-digests were recorded with numpy 2.4.6.
+shapes whose draw chunks span many slots or end part-full.  Those three
+digests were recorded with numpy 2.4.6.  The plan builders are pinned as
+well (BUILDS_SHA256), which needs no numpy at all.
 Another numpy version may draw or round differently (NEP 19 lets Generator
 streams change between versions), so after a numpy upgrade a mismatch
 means checking and re-recording the digests, not by itself a regression.
@@ -14,7 +15,18 @@ means checking and re-recording the digests, not by itself a regression.
 import hashlib
 import json
 
-from asymcsit import CsitQuality, SnrPoint, build_case_ii, cli, estimate_dof, evaluate_plan
+from asymcsit import (
+    PRESET_NAMES,
+    CsitQuality,
+    SchemeConditionError,
+    SnrPoint,
+    build_case_ii,
+    build_preset,
+    cli,
+    estimate_dof,
+    evaluate_plan,
+    plan_as_dict,
+)
 
 LEDGER_SHA256 = "2135ef6083e6d2e762bcc2034965a1fec6ede6a728d594d6988ea812e8d9f930"
 SCHEMES_SHA256 = "04a8147f1a42de3a3fbf7c4326f7d24f647effe8238a742f17ac4037a2bda5c6"
@@ -60,3 +72,25 @@ def test_chunk_spanning_outputs_are_identical():
         outputs.append((est, ledger.per_symbol_rate, ledger.user_rate, ledger.user_rate_stderr,
                         ledger.channel_uses, ledger.link_delivered, ledger.link_noise))
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == CHUNKS_SHA256
+
+
+# every preset at 1-3 cycles over the alpha1 <= alpha2 pairs of tenths and
+# quarters: alpha = 0 and 1, alpha1 = alpha2, and the 2*alpha2 - alpha1 = 1
+# line, where (0.4, 0.7) rounds to just below 1 and routes to case-ii
+BUILD_ALPHAS = sorted({i / 10 for i in range(11)} | {0.25, 0.75})
+BUILDS_SHA256 = "295c9962678d82bd56b35c5bf0b399b2316871b3e337b7e775970cfc11a281b5"
+
+
+def test_preset_builds_are_identical():
+    digest = hashlib.sha256()
+    for a2 in BUILD_ALPHAS:
+        for a1 in (a for a in BUILD_ALPHAS if a <= a2):
+            for name in PRESET_NAMES:
+                for n_cycles in (1, 2, 3):
+                    try:
+                        plan = build_preset(name, CsitQuality(a1, a2), n_cycles)
+                        text = repr(plan) + json.dumps(plan_as_dict(plan), sort_keys=True)
+                    except SchemeConditionError as exc:
+                        text = f"SchemeConditionError: {exc}"
+                    digest.update(text.encode())
+    assert digest.hexdigest() == BUILDS_SHA256

@@ -305,6 +305,44 @@ class TestCli:
         assert "above the precision ceiling at alpha2 = 1.0" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
+    @pytest.fixture
+    def no_estimates(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("estimate_dof ran")
+
+        monkeypatch.setattr("asymcsit.reports.estimate_dof", refuse)
+
+    def test_run_refuses_a_repeated_scheme(self, tmp_path, capsys, no_estimates):
+        # each plan used to be estimated twice, with duplicate ledger rows
+        rc = main(["run", "--alpha1", "0.3", "--alpha2", "0.5", "--schemes", "auto,case-ii,sc-zf,sc-zf",
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "scheme 'sc-zf' is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_refuses_two_names_for_one_preset(self, tmp_path, capsys, no_estimates):
+        rc = main(["run", "--alpha1", "0.3", "--alpha2", "0.5", "--schemes", "auto,case-ii",
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "schemes 'auto' and 'case-ii' both build case-ii" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_builds_every_plan_before_the_first_estimate(self, tmp_path, capsys, no_estimates):
+        # sc-zf used to spend a full estimate before case-ii was refused
+        rc = main(["run", "--alpha1", "0.2", "--alpha2", "0.8", "--schemes", "sc-zf,case-ii",
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "case-ii requires 2*alpha2 - alpha1 < 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_refuses_a_repeated_pair_before_running(self, tmp_path, capsys, no_estimates):
+        # both spellings name one pair, run into one directory
+        rc = main(["sweep", "--qualities", "0.3:0.5,0.30:0.5", "--schemes", "sc-zf",
+                   "--out-dir", str(tmp_path / "sw")])
+        assert rc == 2
+        assert "quality pair (0.3, 0.5) is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_config_file_flag(self, tmp_path):
         cfg = {"alpha1": 0.3, "alpha2": 0.5, "schemes": ["sc-zf"],
                "p_grid_db": [60, 80, 100], "n_trials": 60, "n_cycles": 3,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -348,6 +349,46 @@ class TestValidation:
         link = QuantizationLink(1, OWNER_USER1, "eta_1_1", 0.2, "c")
         with pytest.raises(ValueError, match="link eta_1_1: source slot 1 missing"):
             SchemePlan("hand", q, (slot2,), (), (link,), DofPoint(0, 0), 1.0, 0.0, 0)
+
+    @pytest.mark.parametrize("k, change, message", [
+        # the same link twice: the ledger used to list 6 links for 7
+        (0, {}, r"link eta_1_1 \(slot 1, user1\) repeats link eta_1_1 \(slot 1, user1\)"),
+        # a second id for one overheard interference
+        (1, {"interference_id": "eta_9_9"}, r"link eta_9_9 \(slot 1, user2\) repeats link eta_1_2 \(slot 1, user2\)"),
+        # one id for two interferences
+        (2, {"interference_id": "eta_1_1"}, r"link eta_1_1 \(slot 3, user1\) repeats link eta_1_1 \(slot 1, user1\)"),
+    ])
+    def test_second_link_for_one_interference_rejected(self, k, change, message):
+        plan = build_case_ii(CsitQuality(0.3, 0.5), 1)
+        with pytest.raises(ValueError, match=message):
+            replace(plan, links=plan.links + (replace(plan.links[k], **change),))
+
+    @pytest.mark.parametrize("index, message", [
+        (-1, "slot index must be >= 0, got -1"),
+        (1.5, "slot index must be an integer, got 1.5"),
+        (True, "slot index must be an integer, got True"),
+    ])
+    def test_slot_index_must_be_a_nonnegative_integer(self, index, message):
+        # -1 used to build and validate, then fail in the evaluator's stream
+        # keys; True ran as slot 1
+        with pytest.raises(ValueError, match=message):
+            SlotPlan(index, (SymbolLayer("u", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),))
+
+    @pytest.mark.parametrize("uses, n_cycles, message", [
+        ((1.0, 0.0), -5, "n_cycles must be >= 0, got -5"),
+        ((1.0, 0.0), 1.0, "n_cycles must be an integer, got 1.0"),
+        ((1.0, 0.0), True, "n_cycles must be an integer, got True"),
+        ((-1.0, 2.0), 1, "prologue_channel_uses must be finite and >= 0, got -1.0"),
+        ((1.0, math.nan), 1, "cycle_channel_uses must be finite and >= 0, got nan"),
+        ((math.inf, 0.0), 0, "prologue_channel_uses must be finite and >= 0, got inf"),
+        ((0.0, 3.0), 0, "plan 'hand' takes no channel uses"),
+        ((0.0, 0.0), 4, "plan 'hand' takes no channel uses"),
+    ])
+    def test_channel_use_accounting_checked_at_construction(self, uses, n_cycles, message):
+        # 0 uses used to run a whole estimate_dof pass and then divide by zero
+        slot = SlotPlan(1, (SymbolLayer("u", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),))
+        with pytest.raises(ValueError, match=message):
+            SchemePlan("hand", CsitQuality(0.3, 0.5), (slot,), (), (), DofPoint(0, 0), *uses, n_cycles)
 
     def test_lookup_misses_raise_key_error(self):
         plan = build_case_ii(CsitQuality(0.3, 0.5), 1)
