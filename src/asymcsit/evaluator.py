@@ -13,8 +13,9 @@ dependency order:
      receivers' residual after subtracting the reconstruction is Gaussian
      with the matching rate-distortion variance (exactly 1 when the link is
      well provisioned and fully delivered).  The interference's received
-     exponent comes from SchemePlan.source_exponent, the same rule the
-     builders and validate_plan use;
+     exponent comes from SchemePlan.source_exponent, which reads
+     SlotPlan.overheard, the one rule the builders' links and validate_plan
+     also use;
   3. private zero-forced symbols and jointly decoded two-symbol vectors.
      A vector's owner decodes from its direct observation (after common
      removal and, where linked, interference subtraction) stacked with the
@@ -48,9 +49,16 @@ RateLedger is built only at one point (evaluate_plan).
 
 residual_power_probe is that one-point ledger, read off as
 RateLedger.link_noise: step 2's effective residual variance per link.  Its
-log-slope in P is 0 for a sound plan.  A link whose source or first-antenna
-carrier is missing never reaches the pass: SchemePlan refuses it when the
-plan is built.
+log-slope in P is 0 for a sound plan.
+
+Every layer of a plan that builds is decoded, either by SIC (a
+first-antenna layer) or in its user's jointly decoded group (any other
+layer).  Building the plan refuses what would break that: a common layer
+off the first antenna, a vanishing pre-log, a repeated (owner, precoder)
+in a slot, and a link whose source, overheard interference or common
+carrier is missing or whose carrier is not after its source.  What
+validate_plan still reports, and evaluate_plan and estimate_dof
+refuse with PlanValidationError, are design faults only.
 
 Rates are mutual informations, not symbol-error simulations: the point is
 the high-SNR slope, estimated by least squares on the top half of a power
@@ -139,7 +147,8 @@ _USERS = (OWNER_USER1, OWNER_USER2)  # a user is its index here
 
 
 class PlanValidationError(ValueError):
-    """evaluate_plan refused a plan with outstanding diagnostics."""
+    """evaluate_plan refused a plan with outstanding design diagnostics
+    (validate_plan: power budget, quantization rate, predicted DoF)."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,10 +61,12 @@ class ExperimentConfig:
     """One run's budget and output place.
 
     Integers (not bools): n_trials, n_cycles >= 1 and seed >= 0.  Finite
-    real numbers: alpha1, alpha2 and tolerance >= 0.  p_grid_db is a list
-    of real dB values that check_grid_db accepts at alpha2.  schemes is a
-    list of distinct preset names, and output_dir a string or a path.  A
-    violation raises ValueError naming the field.
+    real numbers: alpha1, alpha2 and tolerance >= 0, with
+    0 <= alpha1 <= alpha2 <= 1 (checked before the grid, which reads
+    alpha2).  p_grid_db is a list of real dB values that check_grid_db
+    accepts at alpha2.  schemes is a list of distinct preset names, and
+    output_dir a string or a path.  A violation raises ValueError naming
+    the field.
     """
 
     alpha1: float
@@ -98,6 +100,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown scheme {name!r}; choose from {sorted(PRESET_NAMES)}")
             if name in self.schemes[:i]:
                 raise ValueError(f"scheme {name!r} is listed twice")
+        CsitQuality(self.alpha1, self.alpha2)  # the pair's own error before any grid check reads alpha2
         check_grid_db(self.p_grid_db, self.alpha2)
         if self.tolerance < 0:
             raise ValueError("tolerance must be nonnegative")

@@ -25,7 +25,7 @@ from asymcsit import (
     residual_power_probe,
     validate_plan,
 )
-from asymcsit.schemes import OWNER_USER1, OWNER_USER2
+from asymcsit.schemes import OWNER_USER1, OWNER_USER2, perturb_link_prelog
 
 _unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -89,6 +89,22 @@ def test_quant_prelog_is_the_source_exponent(quality, n_cycles):
     for plan in _buildable(quality, n_cycles):
         for link in plan.links:
             assert link.quant_prelog == plan.source_exponent(link)
+
+
+@_SETTINGS
+@given(qualities, cycles, st.data(), st.one_of(st.floats(-2.0, -1e-6), st.floats(1e-6, 2.0)))
+def test_a_mismatched_link_still_builds_and_is_the_one_diagnostic(quality, n_cycles, data, delta):
+    # a quantization rate off the received exponent is a design fault, not
+    # a structural one: the plan builds, and validate_plan names that link
+    for plan in _buildable(quality, n_cycles):
+        if not plan.links:
+            continue
+        link = data.draw(st.sampled_from(plan.links))
+        bad = perturb_link_prelog(plan, link.interference_id, delta)
+        assert validate_plan(bad) == [
+            f"link {link.interference_id}: quantization rate mismatch "
+            f"(prelog {link.quant_prelog + delta:.6g} vs received exponent {link.quant_prelog:.6g})"
+        ], plan.name
 
 
 @_SETTINGS

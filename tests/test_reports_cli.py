@@ -57,6 +57,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="at least one scheme"):
             ExperimentConfig(alpha1=0.3, alpha2=0.5, schemes=[])
 
+    @pytest.mark.parametrize("a1, a2", [(0.3, 3.0), (0.6, 0.5), (-0.1, 0.5)])
+    def test_rejects_quality_pair_before_the_grid(self, tmp_path, a1, a2):
+        # alpha2 = 3 used to fail the grid's precision ceiling first, an
+        # error that named the grid, not the pair
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alpha1": a1, "alpha2": a2}))
+        with pytest.raises(ValueError, match=r"need 0 <= alpha1 <= alpha2 <= 1"):
+            ExperimentConfig.from_file(path)
+
     def test_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"alpha1": 0.3, "alpha2": 0.5, "n_trials": 10}))
@@ -285,6 +294,23 @@ class TestCli:
         rc = main(["run", "--alpha1", "0.3", "--alpha2", "0.5", "--config", str(path)])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    def test_run_names_the_quality_pair_before_the_grid(self, tmp_path, capsys):
+        rc = main(["run", "--alpha1", "0.3", "--alpha2", "3", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "need 0 <= alpha1 <= alpha2 <= 1, got (0.3, 3.0)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_file_grid_with_bad_quality_pair_exits_2(self, tmp_path, capsys):
+        # the file's grid is fine at alpha2 <= 1 and above the precision
+        # ceiling at alpha2 = 3: the pair is the fault named
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"p_grid_db": [200.0, 250.0, 300.0]}))
+        rc = main(["run", "--alpha1", "0.3", "--alpha2", "3", "--config", str(path),
+                   "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "need 0 <= alpha1 <= alpha2 <= 1, got (0.3, 3.0)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_run_rejects_grid_above_the_precision_ceiling(self, tmp_path, capsys):
         rc = main([

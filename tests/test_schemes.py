@@ -7,11 +7,9 @@ import pytest
 from asymcsit import (
     PRESET_NAMES,
     CsitQuality,
-    PlanValidationError,
     SchemeConditionError,
     SchemePlan,
     SlotPlan,
-    SnrPoint,
     SymbolLayer,
     build_case_i,
     build_case_ii,
@@ -22,7 +20,6 @@ from asymcsit import (
     contains,
     corner_points,
     dof_region,
-    evaluate_plan,
     plan_as_dict,
     validate_plan,
 )
@@ -305,19 +302,30 @@ class TestValidation:
         diags = validate_plan(plan)
         assert any("power budget exceeded" in d for d in diags)
 
-    def test_common_layer_off_the_first_antenna_diagnostic(self):
+    def test_common_layer_off_the_first_antenna_rejected_at_construction(self):
         # the evaluator decodes common layers on the first antenna only; a
-        # zero-forced one would get no rate and count in no noise term
-        q = CsitQuality(0.3, 0.5)
-        slot = SlotPlan(1, (
-            SymbolLayer("u", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),
-            SymbolLayer("c", OWNER_COMMON, orth_to(1), 0.5, 0.5, 0.5),
-        ))
-        plan = SchemePlan("hand", q, (slot,), (), (), DofPoint(0, 0), 1.0, 0.0, 0)
-        diags = validate_plan(plan)
-        assert diags == ["layer 'c': a common layer must ride on the first antenna, not an 'orth' precoder"]
-        with pytest.raises(PlanValidationError, match="layer 'c'"):
-            evaluate_plan(plan, SnrPoint.from_db(60, q), 10, seed=0)
+        # zero-forced one used to build, get no rate (nan) and count in no
+        # noise term, so the user layer beside it read as if it were absent
+        with pytest.raises(ValueError, match="layer 'c': a common layer must ride on the first antenna, "
+                                             "not an 'orth' precoder"):
+            SymbolLayer("c", OWNER_COMMON, orth_to(1), 0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("prelog", [0.0, 1e-13, -0.2])
+    def test_vanishing_prelog_layer_rejected_at_construction(self, prelog):
+        # the builders drop such a layer; a hand-built one is refused
+        with pytest.raises(ValueError, match=f"layer 'x': encoding_prelog must be positive, got {prelog}"):
+            SymbolLayer("x", OWNER_USER1, orth_to(2), 0.5, 0.5, prelog)
+
+    def test_duplicate_owner_and_precoder_rejected_at_construction(self):
+        # two layers of one user on one direction; first-antenna layers may
+        # repeat (they are told apart by SIC)
+        c = (SymbolLayer("c1", OWNER_COMMON, first_antenna(), 0.5, 1.0, 0.5),
+             SymbolLayer("c2", OWNER_COMMON, first_antenna(), 0.5, 0.5, 0.5))
+        SlotPlan(1, c + (SymbolLayer("a", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),
+                         SymbolLayer("b", OWNER_USER2, orth_to(2), 0.5, 0.5, 0.5)))
+        with pytest.raises(ValueError, match=r"slot 1: layers 'a' and 'b' share owner user1 and precoder orth\(2\)"):
+            SlotPlan(1, c + (SymbolLayer("a", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),
+                             SymbolLayer("b", OWNER_USER1, orth_to(2), 0.25, 0.2, 0.2)))
 
     def test_duplicate_layer_id_rejected_at_construction(self):
         q = CsitQuality(0.3, 0.5)
@@ -333,14 +341,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="duplicate slot index 3"):
             SchemePlan("hand", q, (slot_a, slot_b), (), (), DofPoint(0, 0), 2.0, 0.0, 0)
 
-    def test_link_carrier_must_ride_the_first_antenna(self):
+    @pytest.mark.parametrize("precoder", [orth_to(2), first_antenna()], ids=["orth", "first-antenna"])
+    def test_link_carrier_must_ride_the_first_antenna(self, precoder):
         # the evaluator decodes carriers by SIC on the first antenna; a
-        # zero-forced 'w' would never deliver the quantized bits
+        # zero-forced 'w' would never deliver the quantized bits, and a
+        # user-owned first-antenna 'w' (built and validated clean before)
+        # counted its bits twice, as user 1's and as the link's delivery
         q = CsitQuality(0.3, 0.5)
         slot1 = SlotPlan(1, (SymbolLayer("v", OWNER_USER2, orth_to(1), 0.5, 0.5, 0.5),))
-        slot2 = SlotPlan(2, (SymbolLayer("w", OWNER_USER1, orth_to(2), 0.5, 1.0, 0.2),))
+        slot2 = SlotPlan(2, (SymbolLayer("w", OWNER_USER1, precoder, 0.5, 1.0, 0.2),))
         link = QuantizationLink(1, OWNER_USER1, "eta_1_1", 0.2, "w")
-        with pytest.raises(ValueError, match="link eta_1_1: no first-antenna carrier 'w'"):
+        with pytest.raises(ValueError, match=r"link eta_1_1: no first-antenna carrier 'w' \(a carrier is a common"):
             SchemePlan("hand", q, (slot1, slot2), (), (link,), DofPoint(0, 0), 2.0, 0.0, 0)
 
     def test_link_source_slot_must_exist(self):
@@ -397,18 +408,31 @@ class TestValidation:
         with pytest.raises(KeyError, match="no layer with id 'zz'"):
             plan.find_layer("zz")
 
-    def test_causality_diagnostic(self):
+    @pytest.mark.parametrize("carrier_slot", [1, 2])
+    def test_carrier_not_after_its_source_rejected_at_construction(self, carrier_slot):
+        # slot 2's interference carried in slot 1 (before) or in slot 2 itself
         q = CsitQuality(0.3, 0.5)
         carrier = SymbolLayer("eta_hat_2_1", OWNER_COMMON, first_antenna(), 1.0, 1.0, 0.5, 1.0, 0.5)
-        slot1 = SlotPlan(1, (carrier,))
-        slot2 = SlotPlan(2, (
-            SymbolLayer("u2", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),
-            SymbolLayer("v2", OWNER_USER2, orth_to(1), 0.5, 0.5, 0.5),
-        ))
+        fresh = (SymbolLayer("u2", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),
+                 SymbolLayer("v2", OWNER_USER2, orth_to(1), 0.5, 0.5, 0.5))
+        slot1 = SlotPlan(1, (carrier,) if carrier_slot == 1 else ())
+        slot2 = SlotPlan(2, ((carrier,) if carrier_slot == 2 else ()) + fresh)
         link = QuantizationLink(2, OWNER_USER1, "eta_2_1", 0.5 - 0.3, "eta_hat_2_1")
-        plan = SchemePlan("hand", q, (slot1, slot2), (), (link,), DofPoint(0, 0), 2.0, 0.0, 0)
-        diags = validate_plan(plan)
-        assert any("causality violated" in d for d in diags)
+        with pytest.raises(ValueError, match=f"link eta_2_1: carrier slot {carrier_slot} is not after source slot 2"):
+            SchemePlan("hand", q, (slot1, slot2), (), (link,), DofPoint(0, 0), 2.0, 0.0, 0)
+
+    @pytest.mark.parametrize("source_slot, message", [
+        (True, "must be an integer, got True"),
+        (1.0, "must be an integer, got 1.0"),
+        (-1, "must be >= 0, got -1"),
+    ])
+    def test_link_source_slot_must_be_a_nonnegative_integer(self, source_slot, message):
+        # True and 1.0 used to build, validate clean and serialize as true/1.0
+        with pytest.raises(ValueError, match=f"link eta_1_1 source slot {message}"):
+            QuantizationLink(source_slot, OWNER_USER1, "eta_1_1", 0.2, "c")
+        plan = build_case_ii(CsitQuality(0.3, 0.5), 1)
+        with pytest.raises(ValueError, match=f"link eta_1_1 source slot {message}"):
+            replace(plan.links[0], source_slot=source_slot)
 
     def test_quant_rate_mismatch_diagnostic(self):
         from asymcsit.schemes import perturb_link_prelog
