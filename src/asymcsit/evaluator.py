@@ -27,24 +27,30 @@ of whole slots at a time (as many as fit in _DRAW_BUDGET normals, at
 least one).  Each slot is drawn at every grid point, and a chunk's draws
 are stacked on leading (slot, grid point) axes: one sample_channel call
 scales them, and each precoder direction is projected once per chunk,
-with every |gain|**2 taken once.  Each slot's decode tables (SIC order,
-fresh groups, rate rows, power columns, and each group's own and side
-link rows) are compiled once per pass, so its SIC MIs, link noise and
-fresh-group log-dets run once per slot on (grid point, trial) arrays.
-Step 1 is settled as soon as a slot is decoded, and a carrier's decode
-writes its links' delivered MI and residual into the pass's per-link
-output.  A link's carrier comes after its source, so a slot's step 3
-waits in a first-in-first-out window until the carriers of the links
-sourced there have been decoded, holding only its fresh layers' power
-gains and the cross minors of the groups that get a side row; then each
-group reads its residuals from its link rows.  Settling only from the
-window's head keeps each user's per-trial total adding up slot by slot
-(the slot's user-owned first-antenna layers, then user 1's group, then
-user 2's), the same sums in the same order at any chunk size.  Memory is
+with every |gain|**2 taken once.  Slots of one shape (a cycled plan's
+cycle positions) share one decode template, compiled once per pass: SIC
+order, rate caps, fresh groups, power columns and link wiring; a slot
+keeps only its first rate row, its link rows and when it settles.  A
+chunk is decoded a template at a time: the SIC MIs, link noise and cross
+minors of all of the chunk's slots of one template run once, on
+(slot, grid point, trial) arrays that are views of the chunk's gains
+when those slots step evenly through it (always, for a chunk of one
+slot).  Step 1 is settled as the template is decoded, and a carrier's
+decode writes its links' delivered MI and residual into the pass's
+per-link output.  A link's carrier comes after its source, so a slot's
+step 3 waits in a first-in-first-out window until the carriers of the
+links sourced there have been decoded, holding only its fresh layers'
+power gains (copied out of a chunk of several slots, so that the chunk's
+arrays are freed) and the cross minors of the groups that get a side
+row; then each group reads its residuals from its link rows.  After each
+chunk the window's ready head is settled, a template at a time, and each
+user's per-trial total then adds up slot by slot in slot order (the
+slot's user-owned first-antenna layers, then user 1's group, then user
+2's), the same sums in the same order at any chunk size.  Memory is
 bounded by the chunk and that window, not by the plan length (apart from
 the per-layer and per-link results), and the Python work is paid once
-per chunk or slot, not once per slot and grid point.  The pass returns
-arrays over the grid; estimate_dof fits the per-user ones, and a
+per chunk and template, not once per slot and grid point.  The pass
+returns arrays over the grid; estimate_dof fits the per-user ones, and a
 RateLedger is built only at one point (evaluate_plan).
 
 residual_power_probe is that one-point ledger, read off as
@@ -92,10 +98,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import islice
+from itertools import count, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -383,54 +389,79 @@ def _logdet_mi(rows, powers, minors=0):
     return np.log2(1.0 + a11 + a22 + minors / (n1 * n2))
 
 
-def _link_noise(quant_prelog: float, e_src: float, delivered: np.ndarray, ps: list[float]) -> list[float]:
+def _link_noise(scale: list[float], demand: list[float], delivered: list[float]) -> list[float]:
     """Effective residual variance after the subtraction, per grid point.
 
-    A shortfall of the carrying common layer's delivered MI below the
-    quantization-rate demand coarsens the description the receivers get:
-    every missing bit doubles the residual variance.
+    scale is the quantizer's own rate-distortion variance: the source is
+    received at ~ P**e_src, and quant_prelog * log2(P) bits (demand)
+    describe it down to P**(e_src - quant_prelog), exactly 1 for a sound
+    link.  A shortfall of the carrying common layer's delivered MI below
+    that demand coarsens the description the receivers get: every missing
+    bit doubles the residual variance.
     """
-    # rate-distortion variance of the quantizer itself: the source is
-    # received at ~ P**e_src, and quant_prelog * log2(P) bits describe it
-    # down to P**(e_src - quant_prelog), exactly 1 for a sound link
-    return [p ** (e_src - quant_prelog) * 2.0 ** max(0.0, quant_prelog * math.log2(p) - d)
-            for p, d in zip(ps, delivered.tolist())]
+    return [s * 2.0 ** max(0.0, q - d) for s, q, d in zip(scale, demand, delivered)]
+
+
+def _take(positions: list[int]):
+    """Increasing chunk positions as an index along the chunk axis: a basic
+    slice, which reads the chunk's arrays as views, when they step evenly,
+    else an index array, which copies."""
+    lo, hi = positions[0], positions[-1] + 1
+    step = positions[1] - lo if len(positions) > 1 else 1
+    return slice(lo, hi, step) if positions == list(range(lo, hi, step)) else np.array(positions)
 
 
 class _Group(NamedTuple):
-    """One user's fresh layers in a slot, decoded jointly."""
+    """One user's fresh layers in a slot template, decoded jointly."""
 
-    rows: tuple[int, ...]  # rate rows
+    layers: tuple[int, ...]  # positions in the slot
     directions: tuple[int, ...]
     powers: tuple[np.ndarray, ...]  # (grid point, 1) power columns
-    own_link: int  # link row of the interference this user overhears in the slot (-1: none)
-    side_link: int  # link row of this group's image at the other user (-1: none)
+    own_link: int  # column in the slot's links of the interference this user overhears there (-1: none)
+    side_link: int  # column of this group's image at the other user (-1: none)
+
+
+@dataclass(frozen=True, eq=False)
+class _Template:
+    """The decode tables of one slot shape, shared by every slot of that
+    shape (see _compile) and hashed by identity."""
+
+    directions: frozenset[int]  # those its layers use
+    fresh: frozenset[int]  # those its groups use, whose power gains settling reads
+    sic: tuple  # (position in the slot, user, rate cap) per first-antenna layer in decode order; common: user -1, else no cap
+    sic_power: tuple  # their (grid point, 1) power columns
+    groups: tuple[_Group, _Group]  # user 1's and user 2's
+    carried: tuple  # (carrier's SIC position, quantizer variance, demand) per link carried here, as _link_noise reads them
 
 
 class _Slot(NamedTuple):
-    """One slot's decode tables (see _compile)."""
+    """One slot: its template and where its numbers go."""
 
     index: int
-    directions: frozenset[int]  # those its layers use
-    sic: tuple  # (rate row, user, rate cap) per first-antenna layer in decode order; common: user -1, else no cap
-    sic_power: tuple  # their (grid point, 1) power columns
-    groups: tuple[_Group, _Group]  # user 1's and user 2's
-    carried: tuple  # (link row, quant_prelog, source exponent, carrier's SIC position) of the links carried here
+    template: _Template
+    row: int  # its first rate row: its layers take the rows from here, in slot order
+    links: tuple[int, ...]  # link rows: the links carried here, then those of what user 1 and user 2 overhear here (-1: none)
     settle_after: int  # the slot whose decode lets this slot's groups settle (-1: at once)
 
 
 def _compile(plan: SchemePlan, ps: list[float]):
-    """Yield every slot's decode tables at the grid powers ps, in slot
-    order, so that only the slots in flight are held.
+    """Yield every slot's _Slot at the grid powers ps, in slot order, so that
+    only the slots in flight are held.
 
-    Rate rows follow the plan's layer order, and a direction is an index
-    into _DIRECTIONS.  Layers with the same power spec (coefficient,
-    exponent, sub-coefficient, sub-exponent) share one power column, so a
-    cycled plan computes each column once.  A common-owned first-antenna
-    layer's rate cap is its encoding pre-log times log2(P): it carries no
-    user bits, only the quantization bits it was built for.  SchemePlan
-    allows one link per (source slot, observer), so each group has at most
-    one own and one side link row.
+    Slots of one shape share one _Template, built the first time the shape
+    comes up.  The shape is read off the plan, not the arrays: each layer's
+    owner, precoder and power spec (and a common layer's pre-log, its rate
+    cap), in slot order; each carried link's carrier, quant_prelog and
+    source exponent; and which users overhear a linked interference there.
+    So a cycled plan builds one template per cycle position, however many
+    cycles it has.  Rate rows follow the plan's layer order, and a
+    direction is an index into _DIRECTIONS.  Layers with the same power
+    spec (coefficient, exponent, sub-coefficient, sub-exponent) share one
+    power column.  A common-owned first-antenna layer's rate cap is its
+    encoding pre-log times log2(P): it carries no user bits, only the
+    quantization bits it was built for.  SchemePlan allows one link per
+    (source slot, observer), so each group has at most one own and one side
+    link.
     """
     carried: dict[int, list[int]] = {}  # carrier slot -> link rows
     sourced: dict[int, list[int]] = {}  # source slot -> [user 1's link row, user 2's, slot of the last carrier]
@@ -442,37 +473,70 @@ def _compile(plan: SchemePlan, ps: list[float]):
         entry[2] = max(entry[2], home)
     log2p = np.array([math.log2(p) for p in ps])
     columns: dict[tuple[float, ...], np.ndarray] = {}
+    templates: dict[tuple, _Template] = {}
+
+    def spec(l: SymbolLayer) -> tuple[float, ...]:
+        return l.power_coefficient, l.power_exponent, l.power_sub_coefficient, l.power_sub_exponent
 
     def column(l: SymbolLayer) -> np.ndarray:
-        key = (l.power_coefficient, l.power_exponent, l.power_sub_coefficient, l.power_sub_exponent)
+        key = spec(l)
         if key not in columns:
             columns[key] = np.array([l.power(p) for p in ps])[:, None]
         return columns[key]
 
-    row0 = 0
-    for slot in plan.all_slots():
-        row = {l.id: row0 + i for i, l in enumerate(slot.layers)}
-        row0 += len(slot.layers)
-        link_rows = sourced.get(slot.index, (-1, -1, -1))
+    def template(slot, links, overheard) -> _Template:
+        position = {l.id: k for k, l in enumerate(slot.layers)}
+        sic = slot.commons()
         groups = []
         for u, owner in enumerate(_USERS):
             fresh = slot.fresh(owner)
-            groups.append(_Group(tuple(row[l.id] for l in fresh), tuple(_DIRECTION[l.precoder] for l in fresh),
-                                 tuple(column(l) for l in fresh), link_rows[u], link_rows[1 - u]))
-        sic = slot.commons()
-        position = {l.id: k for k, l in enumerate(sic)}
-        links = [(i, plan.links[i]) for i in carried.get(slot.index, ())]
-        yield _Slot(
-            slot.index,
+            groups.append(_Group(tuple(position[l.id] for l in fresh), tuple(_DIRECTION[l.precoder] for l in fresh),
+                                 tuple(column(l) for l in fresh), len(links) + u if overheard[u] else -1,
+                                 len(links) + 1 - u if overheard[1 - u] else -1))
+        order = {l.id: k for k, l in enumerate(sic)}
+        return _Template(
             frozenset(_DIRECTION[l.precoder] for l in slot.layers),
-            tuple((row[l.id], -1, l.encoding_prelog * log2p) if l.owner == OWNER_COMMON
-                  else (row[l.id], _USERS.index(l.owner), None) for l in sic),
+            frozenset(d for g in groups for d in g.directions),
+            tuple((position[l.id], -1, l.encoding_prelog * log2p) if l.owner == OWNER_COMMON
+                  else (position[l.id], _USERS.index(l.owner), None) for l in sic),
             tuple(column(l) for l in sic),
             (groups[0], groups[1]),
-            tuple((i, link.quant_prelog, plan.source_exponent(link), position[link.retransmit_layer])
-                  for i, link in links),
-            link_rows[2],
+            tuple((order[link.retransmit_layer], [p ** (e_src - link.quant_prelog) for p in ps],
+                   [link.quant_prelog * math.log2(p) for p in ps]) for link, e_src in links),
         )
+
+    row = 0
+    for slot in plan.all_slots():
+        ids = [l.id for l in slot.layers]
+        links = [(plan.links[i], plan.source_exponent(plan.links[i])) for i in carried.get(slot.index, ())]
+        link_rows = sourced.get(slot.index, (-1, -1, -1))
+        overheard = (link_rows[0] >= 0, link_rows[1] >= 0)
+        key = (tuple((l.owner, l.precoder.kind, l.precoder.user) + spec(l)
+                     + (l.encoding_prelog if l.owner == OWNER_COMMON else None,) for l in slot.layers),
+               tuple((ids.index(link.retransmit_layer), link.quant_prelog, e_src) for link, e_src in links),
+               overheard)
+        if key not in templates:
+            templates[key] = template(slot, links, overheard)
+        yield _Slot(slot.index, templates[key], row, tuple(carried.get(slot.index, ())) + tuple(link_rows[:2]),
+                    link_rows[2])
+        row += len(slot.layers)
+
+
+class _Batch(NamedTuple):
+    """A template's slots from one draw chunk, along a leading slot axis."""
+
+    template: _Template
+    rows: np.ndarray  # each slot's first rate row
+    links: np.ndarray  # each slot's link rows (slot, column)
+    power_gain: list  # per direction: the users' |gain|**2 for the template's fresh directions, else None
+    bits: list  # (user, per-trial bits) of the user-owned first-antenna layers
+    minors: list  # each group's cross minors, 0 without a side row
+
+    def cut(self, s: slice) -> _Batch:
+        """The same slots' numbers over s, as views."""
+        return _Batch(self.template, self.rows[s], self.links[s], [g and (g[0][s], g[1][s]) for g in self.power_gain],
+                      [(user, x[s]) for user, x in self.bits],
+                      [m[s] if isinstance(m, np.ndarray) else m for m in self.minors])
 
 
 def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int):
@@ -481,6 +545,14 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     mean rate (rows in plan order), each link's delivered MI and effective
     noise (2 x link, in plan.links order), and each user's per-run bits and
     Monte-Carlo stderr.
+
+    A draw chunk is decoded a slot template at a time: the SIC MIs, link
+    noise and cross minors of all the chunk's slots of one template run in
+    one go on (slot, grid point, trial) arrays, read as views of the chunk's
+    gains when the slots step evenly through the chunk (always, for a chunk
+    of one slot).  Then the window's ready head is settled, again a
+    template's slots at a time, and each user's total adds up slot by slot
+    in slot order, so the sums are the same at any chunk size.
 
     No validate_plan here: the public callers that need a sound plan run it
     first, and SchemePlan has already checked the links.  n_trials must be
@@ -506,52 +578,57 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         # x.mean(axis=-1), bit for bit, without its Python-level wrapper
         return np.add.reduce(x, axis=-1) / n_trials
 
-    def decode(t: _Slot, gain, power_gain):
-        # the first-antenna layers at every grid point, and the cross minors
-        # of each group that gets a side row; returns the per-trial bits of
-        # the user-owned first-antenna layers and the minors
+    def decode(t: _Template, part: list[_Slot], at, gain, power_gain) -> _Batch:
+        # the first-antenna layers of the slots `at` in the chunk, at every
+        # grid point, and the cross minors of each group that gets a side row
+        power_gain = [a and (a[0][at], a[1][at]) for a in power_gain]
+        rows = np.array([s.row for s in part])
+        links = np.array([s.links for s in part], dtype=np.intp)
         mi1, mi2 = _common_mis(t.sic_power, t.groups, power_gain)
         bits = []
-        for (row, user, cap), m1, m2 in zip(t.sic, mi1, mi2):
+        for (k, user, cap), m1, m2 in zip(t.sic, mi1, mi2):
             per_trial = np.minimum(m1, m2)
             if cap is None:
-                rate[row] = trial_mean(per_trial)
+                rate[rows + k] = trial_mean(per_trial)
                 bits.append((user, per_trial))
             else:
                 # retransmission overhead, no user bits; the usable rate is
                 # capped by the quantization bits the layer actually carries
-                rate[row] = np.minimum(trial_mean(per_trial), cap)
-        for i, quant_prelog, e_src, k in t.carried:
-            link_out[0, i] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
-            link_out[1, i] = _link_noise(quant_prelog, e_src, mi, ps)
-        minors = [_cross_minors([gain[d][u] for d in g.directions], [gain[d][1 - u] for d in g.directions], g.powers)
-                  if g.side_link >= 0 else 0 for u, g in enumerate(t.groups)]
-        return bits, minors
+                rate[rows + k] = np.minimum(trial_mean(per_trial), cap)
+        for j, (k, scale, demand) in enumerate(t.carried):
+            link_out[0, links[:, j]] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
+            link_out[1, links[:, j]] = [_link_noise(scale, demand, d) for d in mi.tolist()]
+        minors = [_cross_minors([gain[d][u][at] for d in g.directions], [gain[d][1 - u][at] for d in g.directions],
+                                g.powers) if g.side_link >= 0 else 0 for u, g in enumerate(t.groups)]
+        fresh = [power_gain[d] if d in t.fresh else None for d in range(len(_DIRECTIONS))]
+        return _Batch(t, rows, links, fresh, bits, minors)
 
-    def settle(t: _Slot, power_gain, bits, minors):
-        # each user's fresh layers in the slot decode jointly.  The direct
+    def settle(b: _Batch):
+        # each user's fresh layers in b's slots decode jointly.  The direct
         # observation's noise is 1 + the residual of the linked
         # own-interference, or the other user's layers at their true leakage
         # powers when nothing was quantized; the side observation (when the
         # group's image at the other user is linked) carries only the
         # quantization error.  Every link row read here was filled when its
-        # carrier was decoded, at or before slot settle_after.
-        for user, trial_bits in bits:
-            totals[user] += trial_bits
+        # carrier was decoded, at or before slot settle_after.  Returns each
+        # slot's (user, per-trial bits) additions, in the order they add up.
+        t, power_gain = b.template, b.power_gain
+        joints = []
         for u, group in enumerate(t.groups):
-            if not group.rows:
+            if not group.layers:
                 continue
             powers = group.powers
             if group.own_link >= 0:
-                own_noise = link_out[1, group.own_link, :, None]
+                own_noise = link_out[1, b.links[:, group.own_link], :, None]
             else:
                 leak = t.groups[1 - u]
                 own_noise = sum(power_gain[d][u] * col for d, col in zip(leak.directions, leak.powers))
             rows = [([power_gain[d][u] for d in group.directions], 1.0 + own_noise)]
             if group.side_link >= 0:
-                rows.append(([power_gain[d][1 - u] for d in group.directions], link_out[1, group.side_link, :, None]))
-            joint = _logdet_mi(rows, powers, minors[u])
-            totals[u] += joint
+                rows.append(([power_gain[d][1 - u] for d in group.directions],
+                             link_out[1, b.links[:, group.side_link], :, None]))
+            joint = _logdet_mi(rows, powers, b.minors[u])
+            joints.append((u, joint))
             if len(powers) == 1:
                 shares = [joint]
             else:
@@ -561,21 +638,44 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                 total = sum(genie)
                 shares = [np.where(total > 0.0, joint * g / np.where(total > 0.0, total, 1.0), 0.0)
                           for g in genie]
-            for row, share in zip(group.rows, shares):
-                rate[row] = trial_mean(share)
+            for k, share in zip(group.layers, shares):
+                rate[b.rows + k] = trial_mean(share)
+        return [[(user, x[j]) for user, x in b.bits + joints] for j in range(len(b.rows))]
 
-    def decode_chunk(part, stack):
-        # the chunk's complex gains die on return; the window keeps views
-        # of the fresh layers' power gains
-        used = frozenset().union(*(t.directions for t in part))
+    def decode_chunk(part: list[_Slot], stack):
+        # the chunk's complex gains die on return; a batch whose slots wait
+        # in the window keeps its fresh directions' power gains only, copied
+        # out of a chunk of several slots so that the chunk's arrays go too
+        at: dict[_Template, list[int]] = {}
+        for c, s in enumerate(part):
+            at.setdefault(s.template, []).append(c)
+        used = frozenset().union(*(t.directions for t in at))
         gain, power_gain = _project(stack, [pc if d in used else None for d, pc in enumerate(_DIRECTIONS)])
-        for c, t in enumerate(part):
-            slot_power_gain = [a and (a[0][c], a[1][c]) for a in power_gain]
-            bits, minors = decode(t, [g and (g[0][c], g[1][c]) for g in gain], slot_power_gain)
-            slot_power_gain[0] = None  # the first antenna's: SIC is done
-            window.append((t, slot_power_gain, bits, minors))
-            while window and window[0][0].settle_after <= t.index:
-                settle(*window.popleft())
+        batch_of = [0] * len(part)
+        for t, cs in at.items():
+            key = next(ids)
+            waiting[key] = decode(t, [part[c] for c in cs], _take(cs), gain, power_gain)
+            for c in cs:
+                batch_of[c] = key
+        del gain, power_gain
+        window.extend(zip((s.settle_after for s in part), batch_of))
+        ready = []
+        while window and window[0][0] <= part[-1].index:
+            ready.append(window.popleft()[1])
+        additions = {}
+        for key, n in Counter(ready).items():
+            b = waiting.pop(key)
+            if n < len(b.rows):  # a batch's ready slots are its first ones
+                waiting[key] = b.cut(slice(n, None))
+                b = b.cut(slice(0, n))
+            additions[key] = iter(settle(b))
+        for key in ready:
+            for user, x in next(additions[key]):
+                totals[user] += x
+        if len(part) > 1:
+            for key in set(batch_of) & waiting.keys():
+                b = waiting[key]
+                waiting[key] = b._replace(power_gain=[g and (g[0].copy(), g[1].copy()) for g in b.power_gain])
 
     chunk = min(len(slots), max(1, _DRAW_BUDGET // (len(ps) * 16 * n_trials)))  # 16 normals per trial
     bufs = {f.name: np.empty((chunk, len(ps), n_trials, 2), complex) for f in fields(ChannelRealization)}
@@ -594,7 +694,9 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                 yield block[c:c + chunk].reshape(-1, _POOL).tolist()
 
     words = chunk_words()
-    window: deque = deque()
+    window: deque = deque()  # (settle_after, batch key) per slot decoded and not yet settled, in slot order
+    waiting: dict[int, _Batch] = {}  # batch key -> the batch's slots still in the window
+    ids = count()
     with ThreadPoolExecutor(max_workers=1) as pool:
 
         def draw_next():

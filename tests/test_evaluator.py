@@ -396,6 +396,29 @@ class TestEstimateDof:
             assert peaks[1] <= bound * peaks[0], (n_trials, peaks)
 
 
+class TestSlotTemplates:
+    """The pass compiles one decode template per slot shape, not per slot."""
+
+    @pytest.mark.parametrize("name, quality", [
+        ("case-i", Q28), ("case-ii", Q35), ("case-ii-alt", Q35), ("ges12-asym", Q35), ("sc-zf", Q35),
+    ], ids=lambda v: f"{v.alpha1}-{v.alpha2}" if isinstance(v, CsitQuality) else v)
+    def test_templates_do_not_grow_with_the_cycles(self, name, quality):
+        # compiled only: nothing is drawn
+        ps = [s.p for s in _grid(quality)]
+        counts = [len({s.template for s in evaluator._compile(build_preset(name, quality, n_cycles), ps)})
+                  for n_cycles in (3, 400)]
+        assert counts[0] == counts[1]
+        if name == "case-ii":
+            # slots 1 and 2, the three cycle positions (the first cycle's A
+            # slot has the C slots' shape at (0.3, 0.5)) and the terminator
+            assert counts[1] == 6
+
+    def test_evenly_spaced_slots_are_read_as_views(self):
+        assert evaluator._take([4]) == slice(4, 5, 1)  # a chunk of one slot, as at 2000 trials
+        assert evaluator._take([1, 4, 7]) == slice(1, 8, 3)
+        assert np.array_equal(evaluator._take([2, 4, 7]), [2, 4, 7])
+
+
 class TestStderrHonesty:
     """The reported slope stderr must match the slope's seed-to-seed spread.
 
@@ -502,7 +525,7 @@ class TestPrefetch:
     N_TRIALS = 600  # 4 points x 16 normals x 600 trials per slot: over the budget, so a chunk is one slot
 
     @staticmethod
-    def _pass(monkeypatch, plan, budget=None):
+    def _pass(monkeypatch, plan, budget=None, n_trials=N_TRIALS):
         """_evaluate_grid's arrays and the stream count of each hand-off."""
         handed = []
         draw = evaluator._draw
@@ -515,7 +538,7 @@ class TestPrefetch:
             m.setattr(evaluator, "_draw", counting_draw)
             if budget is not None:
                 m.setattr(evaluator, "_DRAW_BUDGET", budget)
-            return _evaluate_grid(plan, _grid(Q35), TestPrefetch.N_TRIALS, 5), handed
+            return _evaluate_grid(plan, _grid(plan.quality), n_trials, 5), handed
 
     @pytest.mark.parametrize("slots_per_chunk", [1, 2, 7, 20])
     def test_chunking_does_not_change_the_pass(self, monkeypatch, slots_per_chunk):
@@ -529,6 +552,25 @@ class TestPrefetch:
         assert handed == [points * min(slots_per_chunk, n_slots - s) for s in range(0, n_slots, slots_per_chunk)]
         for name, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
             assert np.array_equal(a, b), name
+
+    # every preset, each with its own slot templates: case-i at (0.2, 0.8),
+    # the rest at (0.3, 0.5).  ges12-asym at (0, 0.5) drops u2, v2 and u3,
+    # so its slot 3 decodes user 2's group beside an empty user-1 group, and
+    # sc-zf has no links at all.
+    @pytest.mark.parametrize("name, quality", [
+        ("case-i", Q28), ("case-ii", Q35), ("case-ii-alt", Q35), ("ges12-asym", Q35), ("sc-zf", Q35),
+        ("ges12-asym", CsitQuality(0.0, 0.5)),
+    ], ids=lambda v: f"{v.alpha1}-{v.alpha2}" if isinstance(v, CsitQuality) else v)
+    def test_chunking_does_not_change_any_preset(self, monkeypatch, name, quality):
+        plan = build_preset(name, quality, 3)
+        n_slots, n_trials = len(plan.all_slots()), 40
+        per_slot = 4 * 16 * n_trials
+        ref, _ = self._pass(monkeypatch, plan, per_slot, n_trials)
+        for slots_per_chunk in (2, 7, n_slots):
+            got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
+            assert handed == [4 * min(slots_per_chunk, n_slots - s) for s in range(0, n_slots, slots_per_chunk)]
+            for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
+                assert np.array_equal(a, b), (slots_per_chunk, what)
 
     def test_hand_off_holds_under_frequent_thread_switches(self):
         # the buffer is scaled here and refilled by the worker, whose
