@@ -37,17 +37,17 @@ minors of all of the chunk's slots of one template run once, on
 when those slots step evenly through it (always, for a chunk of one
 slot).  Step 1 is settled as the template is decoded, and a carrier's
 decode writes its links' delivered MI and residual into the pass's
-per-link output.  A link's carrier comes after its source, so a slot's
-step 3 waits in a first-in-first-out window until the carriers of the
-links sourced there have been decoded, holding only its fresh layers'
-power gains (copied out of a chunk of several slots, so that the chunk's
-arrays are freed) and the cross minors of the groups that get a side
-row; then each group reads its residuals from its link rows.  After each
-chunk the window's ready head is settled, a template at a time, and each
-user's per-trial total then adds up slot by slot in slot order (the
-slot's user-owned first-antenna layers, then user 1's group, then user
-2's), the same sums in the same order at any chunk size.  Memory is
-bounded by the chunk and that window, not by the plan length (apart from
+per-link output.  A link's carrier comes after its source, so step 3
+waits: a chunk waits whole, in a first-in-first-out queue of chunks,
+until the slot that its last group settles after has been decoded.  It
+holds its template batches' fresh power gains and the cross minors of the
+groups that get a side row; then each group reads its residuals from its
+link rows.  After each chunk, every ready chunk at the head of the queue
+is settled, one call per template batch, and each user's per-trial total
+then adds up slot by slot in slot order (the slot's user-owned
+first-antenna layers, then user 1's group, then user 2's), the same sums
+in the same order at any chunk size.  Memory is
+bounded by the chunks in that queue, not by the plan length (apart from
 the per-layer and per-link results), and the Python work is paid once
 per chunk and template, not once per slot and grid point.  The pass
 returns arrays over the grid; estimate_dof fits the per-user ones, and a
@@ -98,10 +98,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import count, islice
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -185,10 +185,6 @@ class DofEstimate:
     point_stderr: tuple[tuple[float, float], ...]
     slope: DofPoint
     stderr: tuple[float, float]
-
-
-def _p_key(snr: SnrPoint) -> int:
-    return _db_key(snr.p_db)
 
 
 def _db_key(p_db: float) -> int:
@@ -523,7 +519,8 @@ def _compile(plan: SchemePlan, ps: list[float]):
 
 
 class _Batch(NamedTuple):
-    """A template's slots from one draw chunk, along a leading slot axis."""
+    """A template's slots from one draw chunk, along a leading slot axis,
+    settled in one go once the whole chunk is ready."""
 
     template: _Template
     rows: np.ndarray  # each slot's first rate row
@@ -531,12 +528,6 @@ class _Batch(NamedTuple):
     power_gain: list  # per direction: the users' |gain|**2 for the template's fresh directions, else None
     bits: list  # (user, per-trial bits) of the user-owned first-antenna layers
     minors: list  # each group's cross minors, 0 without a side row
-
-    def cut(self, s: slice) -> _Batch:
-        """The same slots' numbers over s, as views."""
-        return _Batch(self.template, self.rows[s], self.links[s], [g and (g[0][s], g[1][s]) for g in self.power_gain],
-                      [(user, x[s]) for user, x in self.bits],
-                      [m[s] if isinstance(m, np.ndarray) else m for m in self.minors])
 
 
 def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int):
@@ -550,9 +541,10 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     noise and cross minors of all the chunk's slots of one template run in
     one go on (slot, grid point, trial) arrays, read as views of the chunk's
     gains when the slots step evenly through the chunk (always, for a chunk
-    of one slot).  Then the window's ready head is settled, again a
-    template's slots at a time, and each user's total adds up slot by slot
-    in slot order, so the sums are the same at any chunk size.
+    of one slot).  The chunk then waits whole until the slot that its last
+    group settles after has been decoded, and is settled a template batch
+    at a time; each user's total adds up slot by slot in slot order, so
+    the sums are the same at any chunk size.
 
     No validate_plan here: the public callers that need a sound plan run it
     first, and SchemePlan has already checked the links.  n_trials must be
@@ -610,8 +602,9 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         # powers when nothing was quantized; the side observation (when the
         # group's image at the other user is linked) carries only the
         # quantization error.  Every link row read here was filled when its
-        # carrier was decoded, at or before slot settle_after.  Returns each
-        # slot's (user, per-trial bits) additions, in the order they add up.
+        # carrier was decoded: b's chunk waits whole until the slot that its
+        # last group settles after has been decoded.  Returns each slot's
+        # (user, per-trial bits) additions, in the order they add up.
         t, power_gain = b.template, b.power_gain
         joints = []
         for u, group in enumerate(t.groups):
@@ -643,39 +636,23 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         return [[(user, x[j]) for user, x in b.bits + joints] for j in range(len(b.rows))]
 
     def decode_chunk(part: list[_Slot], stack):
-        # the chunk's complex gains die on return; a batch whose slots wait
-        # in the window keeps its fresh directions' power gains only, copied
-        # out of a chunk of several slots so that the chunk's arrays go too
+        # the chunk's complex gains die on return; its batches wait, holding
+        # their fresh directions' power gains, until the slot that the
+        # chunk's last group settles after has been decoded
         at: dict[_Template, list[int]] = {}
         for c, s in enumerate(part):
             at.setdefault(s.template, []).append(c)
         used = frozenset().union(*(t.directions for t in at))
         gain, power_gain = _project(stack, [pc if d in used else None for d, pc in enumerate(_DIRECTIONS)])
-        batch_of = [0] * len(part)
-        for t, cs in at.items():
-            key = next(ids)
-            waiting[key] = decode(t, [part[c] for c in cs], _take(cs), gain, power_gain)
-            for c in cs:
-                batch_of[c] = key
+        batches = [decode(t, [part[c] for c in cs], _take(cs), gain, power_gain) for t, cs in at.items()]
         del gain, power_gain
-        window.extend(zip((s.settle_after for s in part), batch_of))
-        ready = []
-        while window and window[0][0] <= part[-1].index:
-            ready.append(window.popleft()[1])
-        additions = {}
-        for key, n in Counter(ready).items():
-            b = waiting.pop(key)
-            if n < len(b.rows):  # a batch's ready slots are its first ones
-                waiting[key] = b.cut(slice(n, None))
-                b = b.cut(slice(0, n))
-            additions[key] = iter(settle(b))
-        for key in ready:
-            for user, x in next(additions[key]):
-                totals[user] += x
-        if len(part) > 1:
-            for key in set(batch_of) & waiting.keys():
-                b = waiting[key]
-                waiting[key] = b._replace(power_gain=[g and (g[0].copy(), g[1].copy()) for g in b.power_gain])
+        waiting.append((max(s.settle_after for s in part), part, batches))
+        while waiting and waiting[0][0] <= part[-1].index:
+            _, done, batches = waiting.popleft()
+            additions = {b.template: iter(settle(b)) for b in batches}
+            for s in done:
+                for user, x in next(additions[s.template]):
+                    totals[user] += x
 
     chunk = min(len(slots), max(1, _DRAW_BUDGET // (len(ps) * 16 * n_trials)))  # 16 normals per trial
     bufs = {f.name: np.empty((chunk, len(ps), n_trials, 2), complex) for f in fields(ChannelRealization)}
@@ -686,7 +663,7 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     def chunk_words():
         # each chunk's seed words, hashed a block of chunks at a time: many
         # streams per _seed_words call, not the whole plan's at once
-        p_keys = [_p_key(snr) for snr in snrs]
+        p_keys = [_db_key(snr.p_db) for snr in snrs]
         per_block = chunk * max(1, _SEED_BLOCK // len(stream_rows))
         for lo in range(0, len(slots), per_block):
             block = _seed_words(seed, p_keys, [s.index for s in slots[lo:lo + per_block]])
@@ -694,9 +671,7 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                 yield block[c:c + chunk].reshape(-1, _POOL).tolist()
 
     words = chunk_words()
-    window: deque = deque()  # (settle_after, batch key) per slot decoded and not yet settled, in slot order
-    waiting: dict[int, _Batch] = {}  # batch key -> the batch's slots still in the window
-    ids = count()
+    waiting: deque = deque()  # (largest settle_after, _Slots, _Batches) per chunk decoded and not yet settled
     with ThreadPoolExecutor(max_workers=1) as pool:
 
         def draw_next():

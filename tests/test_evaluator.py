@@ -29,9 +29,9 @@ from asymcsit.evaluator import (
     _TAG_CHANNEL,
     _common_mis,
     _cross_minors,
+    _db_key,
     _evaluate_grid,
     _logdet_mi,
-    _p_key,
     _project,
     _reseed,
     _seed_words,
@@ -159,7 +159,7 @@ class TestEvaluatePlan:
         seed = 123
         ledger = evaluate_plan(plan, snr, 1, seed)
 
-        stream = np.random.default_rng(np.random.SeedSequence([seed, _TAG_CHANNEL, _p_key(snr), 1]))
+        stream = np.random.default_rng(np.random.SeedSequence([seed, _TAG_CHANNEL, _db_key(snr.p_db), 1]))
         ch = sample_channel(snr, stream, size=1)
         h, g = ch.h_true[0], ch.g_true[0]
         power = {l.id: l.power(snr.p) for l in plan.slot(1).layers}
@@ -378,8 +378,9 @@ class TestEstimateDof:
         assert est.slope.as_tuple() == pytest.approx(plan.predicted_dof.as_tuple(), abs=0.05)
 
     def test_memory_does_not_grow_with_the_plan(self):
-        # a slot's fresh-layer gains are freed once the carriers of its links
-        # are decoded, so ten times the cycles may not cost ten times the peak.
+        # a chunk waits whole until the slot that its last group settles
+        # after has been decoded, and its fresh-layer gains are freed then,
+        # so ten times the cycles may not cost ten times the peak.
         # At 20 trials the per-slot arrays are small, so the peak shows what
         # the pass keeps per layer and link over the whole plan.
         estimate_dof(build_case_ii(Q35, 1), _grid(Q35), 20, seed=3)  # first-call allocations
@@ -412,6 +413,27 @@ class TestSlotTemplates:
             # slots 1 and 2, the three cycle positions (the first cycle's A
             # slot has the C slots' shape at (0.3, 0.5)) and the terminator
             assert counts[1] == 6
+
+    @pytest.mark.parametrize("n_cycles, n_trials", [(20, 20), (400, 20), (3, 600)])
+    def test_each_chunk_settles_once_per_template(self, monkeypatch, n_cycles, n_trials):
+        # 20 trials: 25-slot chunks, whose groups wait for the next chunk's
+        # carriers; 600 trials: one slot per chunk.  Either way a chunk's
+        # slots of one template settle in one _logdet_mi call per group
+        plan, grid = build_case_ii(Q35, n_cycles), _grid(Q35)
+        calls = []
+        logdet = evaluator._logdet_mi
+
+        def counting_logdet(*args):
+            calls.append(1)
+            return logdet(*args)
+
+        monkeypatch.setattr(evaluator, "_logdet_mi", counting_logdet)
+        _evaluate_grid(plan, grid, n_trials, 5)
+        slots = list(evaluator._compile(plan, [s.p for s in grid]))
+        chunk = max(1, evaluator._DRAW_BUDGET // (len(grid) * 16 * n_trials))
+        assert len(calls) == sum(sum(1 for g in t.groups if g.layers)
+                                 for lo in range(0, len(slots), chunk)
+                                 for t in {s.template for s in slots[lo:lo + chunk]})
 
     def test_evenly_spaced_slots_are_read_as_views(self):
         assert evaluator._take([4]) == slice(4, 5, 1)  # a chunk of one slot, as at 2000 trials
@@ -569,6 +591,25 @@ class TestPrefetch:
         for slots_per_chunk in (2, 7, n_slots):
             got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
             assert handed == [4 * min(slots_per_chunk, n_slots - s) for s in range(0, n_slots, slots_per_chunk)]
+            for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
+                assert np.array_equal(a, b), (slots_per_chunk, what)
+
+    def test_a_chunk_may_wait_several_chunks(self, monkeypatch):
+        # slot 1's user-1 group settles only once slot 6 carries eta_1_1, so
+        # at 1, 2 and 3 slots per chunk the chunks decoded since wait behind it
+        quant = 0.5 - Q35.alpha1  # v1's received exponent at user 1
+        slots = tuple(SlotPlan(i, (SymbolLayer(f"u{i}", OWNER_USER1, orth_to(2), 0.5, 1.0, 0.5),
+                                   SymbolLayer(f"v{i}", OWNER_USER2, orth_to(1), 0.5, 1.0, 0.5))
+                              + ((SymbolLayer("c", OWNER_COMMON, first_antenna(), 1.0, 1.0, quant),) if i == 6 else ()))
+                      for i in range(1, 7))
+        link = QuantizationLink(1, OWNER_USER1, "eta_1_1", quant, "c")
+        plan = SchemePlan("hand", Q35, slots, (), (link,), DofPoint(0, 0), 6.0, 0.0, 0)
+        n_trials = 40
+        per_slot = 4 * 16 * n_trials
+        ref, _ = self._pass(monkeypatch, plan, per_slot, n_trials)
+        for slots_per_chunk in (2, 3, 6):
+            got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
+            assert handed == [4 * slots_per_chunk] * (6 // slots_per_chunk)
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
                 assert np.array_equal(a, b), (slots_per_chunk, what)
 
