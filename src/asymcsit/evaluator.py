@@ -80,18 +80,30 @@ schemes are compared on the same grid.
 
 The standard normals are the one part of a slot that can run off the
 calling thread: numpy's standard_normal releases the GIL.  So the pass
-keeps one worker thread, for the length of the call, that draws the next
-chunk into one float64 buffer of shape (chunk, point, 2, 2, 2, trial, 2)
-as soon as the current chunk has been scaled out of it, while the
-calling thread projects and decodes the current one.  The streams are
-seeded on the calling thread, a block of chunks at a time:
-SeedSequence's hash is run as uint32 array operations over all of a
-block's streams, and each buffer row's reused PCG64 is set from the
-result.  That gives exactly the draws of default_rng(SeedSequence(key)),
-at a fraction of its cost per stream.  Every stream fills its own row of
-the buffer, so the results do not depend on thread timing.  The worker
-calls nothing but standard_normal; sample_channel, orth_complement and
-unit run on the calling thread only.
+keeps one worker thread, for the length of the call, and two float64 draw
+buffers of shape (chunk, point, 2, 2, 2, trial, 2), used in turn, each
+with its own generators.  The worker keeps up to two chunks ahead: while
+the calling thread scales chunk k out of one buffer, chunk k + 1 is
+being drawn into the other, and chunk k + 2 is handed to the first buffer
+as soon as chunk k has been scaled, before chunk k is projected and
+decoded.  So a slot template that decodes faster than it draws and one
+that draws faster than it decodes, taking turns, keep both threads busy.
+The streams are seeded on the calling thread, a block of chunks at a
+time: SeedSequence's hash is run as uint32 array operations over all of a
+block's streams, and each of a buffer's reused PCG64s is set from the
+result just before that buffer's next draw is handed off, never while a
+draw that uses it is in flight.  That gives exactly the draws of
+default_rng(SeedSequence(key)), at a fraction of its cost per stream.
+Every stream fills its own row of a buffer, so the results do not depend
+on thread timing.  The worker calls nothing but standard_normal;
+sample_channel and unit run on the calling thread only.
+
+The pass writes each chunk's errors into its true channels (sample_channel
+adds the estimates in place, with the same bits) and then conjugates the
+true channels in place, once, so every projection is a product and a sum.
+Each estimate is normalised once per chunk, and orth_to(k)'s direction is
+derived from unit of user k's estimate (_orth), bit for bit what
+orth_complement gives.
 """
 
 from __future__ import annotations
@@ -100,13 +112,15 @@ import math
 import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelRealization, SnrPoint, orth_complement, sample_channel, unit
+# orth_complement is not called here (_orth derives it from unit), but the
+# benchmark's tracer (perfbench/tracing.py) patches it under this module
+from .channel import ChannelRealization, SnrPoint, orth_complement, sample_channel, unit  # noqa: F401
 from .geometry import DofPoint
 from .schemes import (
     OWNER_COMMON,
@@ -288,6 +302,9 @@ def _reseed(rng: np.random.Generator, words: list[int]) -> None:
 def _draw(rngs: list[np.random.Generator], normals: np.ndarray) -> None:
     """Fill normals' leading rows from rngs, one stream per row (worker thread).
 
+    normals is one of the pass's two draw buffers and rngs are that
+    buffer's own generators; the calling thread reseeds them and hands the
+    buffer back only after it has scaled the buffer's last draw.
     standard_normal releases the GIL while it fills a row, so the calling
     thread keeps running meanwhile.  Nothing else is called here: the
     benchmark's tracer (perfbench/tracing.py) keeps a single span stack, for
@@ -297,41 +314,62 @@ def _draw(rngs: list[np.random.Generator], normals: np.ndarray) -> None:
         rng.standard_normal(out=row)
 
 
-def _vdot(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """h^H v along the trailing axis of length 2.
+def _dot(hc: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """h^H v along the trailing axis of length 2, from hc = conj(h).
 
-    The two products are added directly: the same sum as prod.sum(axis=-1),
-    without its reduction overhead.
+    The two products are added directly: the same bits as
+    (np.conj(h) * v).sum(axis=-1), without the conjugate's copy or the
+    reduction's overhead.
     """
-    prod = np.conj(h)
-    prod *= v
+    prod = hc * v
     return prod[..., 0] + prod[..., 1]
 
 
-def _project(ch, precoders):
+def _orth(a: np.ndarray) -> np.ndarray:
+    """orth_complement(v), bit for bit, from a = unit(v): (-conj(a1), conj(a0)).
+
+    orth_complement normalises (-conj(v1), conj(v0)), whose squared norm
+    adds the same two squares as unit(v)'s in the other order, and whose
+    parts are unit(v)'s parts times the same reciprocal, up to a sign.
+    """
+    out = np.empty_like(a)
+    np.conjugate(a[..., 1], out=out[..., 0])
+    np.negative(out[..., 0], out=out[..., 0])
+    np.conjugate(a[..., 0], out=out[..., 1])
+    return out
+
+
+def _project(true_conj, est, precoders):
     """Each precoder's receive gains at user 1 and user 2, as two lists
     aligned with precoders: the complex gains and their |gain|**2.
 
-    ch is a ChannelRealization, or a stack of them with leading axes before
-    the trial axis; only the true channels and the estimates are read.
-    Each direction is projected once; a None precoder gets None.  The first
-    antenna gets power gains only: its layers are decoded by SIC, which
-    reads nothing else.
+    true_conj holds the conjugated true channels of user 1 and user 2 and
+    est their estimates, each with leading axes before the trial axis.
+    Each direction is projected once; a None precoder gets None.  Each
+    estimate that a direction needs is normalised once: orth_to(k) and
+    along(k) both read unit of user k's estimate.  The first antenna gets
+    power gains only: its layers are decoded by SIC, which reads nothing
+    else.
     """
     gain, power_gain = [None] * len(precoders), [None] * len(precoders)
     for i, pc in enumerate(precoders):
-        if pc is None:
+        if pc is not None and pc.kind == "first_antenna":
+            # a contiguous copy: on the strided (slot, point, trial) view
+            # itself, np.abs ran about 40x slower
+            g = (true_conj[0][..., 0].copy(), true_conj[1][..., 0].copy())
+            power_gain[i] = (np.abs(g[0]) ** 2, np.abs(g[1]) ** 2)
+    for user in (1, 2):
+        mine = [i for i, pc in enumerate(precoders)
+                if pc is not None and pc.kind != "first_antenna" and pc.user == user]
+        if not mine:
             continue
-        if pc.kind == "first_antenna":
-            # conj makes a contiguous copy: on the strided (slot, point,
-            # trial) view itself, np.abs ran about 40x slower
-            g = (np.conj(ch.h_true[..., 0]), np.conj(ch.g_true[..., 0]))
-        else:
-            est = ch.h_est if pc.user == 1 else ch.g_est
-            v = orth_complement(est) if pc.kind == "orth" else unit(est)
-            g = gain[i] = (_vdot(ch.h_true, v), _vdot(ch.g_true, v))
-            del v  # one projection alive at a time
-        power_gain[i] = (np.abs(g[0]) ** 2, np.abs(g[1]) ** 2)
+        a = unit(est[user - 1])  # one estimate's unit vector alive at a time
+        for i in mine:
+            v = _orth(a) if precoders[i].kind == "orth" else a
+            g = gain[i] = (_dot(true_conj[0], v), _dot(true_conj[1], v))
+            power_gain[i] = (np.abs(g[0]) ** 2, np.abs(g[1]) ** 2)
+            del v  # before the next direction's vector is made
+        del a
     return gain, power_gain
 
 
@@ -405,6 +443,11 @@ def _take(positions: list[int]):
     lo, hi = positions[0], positions[-1] + 1
     step = positions[1] - lo if len(positions) > 1 else 1
     return slice(lo, hi, step) if positions == list(range(lo, hi, step)) else np.array(positions)
+
+
+def _shift(index, k: int):
+    """A _take index with k added to every position."""
+    return slice(index.start + k, index.stop + k, index.step) if isinstance(index, slice) else index + k
 
 
 class _Group(NamedTuple):
@@ -523,8 +566,9 @@ class _Batch(NamedTuple):
     settled in one go once the whole chunk is ready."""
 
     template: _Template
-    rows: np.ndarray  # each slot's first rate row
-    links: np.ndarray  # each slot's link rows (slot, column)
+    size: int  # its slots
+    rows: slice | np.ndarray  # its slots' first rate rows, as _take indexes them
+    links: list  # per link column, its slots' link rows as _take indexes them (None: no link there)
     power_gain: list  # per direction: the users' |gain|**2 for the template's fresh directions, else None
     bits: list  # (user, per-trial bits) of the user-owned first-antenna layers
     minors: list  # each group's cross minors, 0 without a side row
@@ -541,10 +585,11 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     noise and cross minors of all the chunk's slots of one template run in
     one go on (slot, grid point, trial) arrays, read as views of the chunk's
     gains when the slots step evenly through the chunk (always, for a chunk
-    of one slot).  The chunk then waits whole until the slot that its last
-    group settles after has been decoded, and is settled a template batch
-    at a time; each user's total adds up slot by slot in slot order, so
-    the sums are the same at any chunk size.
+    of one slot); rate and link rows that step evenly are indexed by basic
+    slices too, by _take's rule.  The chunk then waits whole until the slot
+    that its last group settles after has been decoded, and is settled a
+    template batch at a time; each user's total adds up slot by slot in slot
+    order, so the sums are the same at any chunk size.
 
     No validate_plan here: the public callers that need a sound plan run it
     first, and SchemePlan has already checked the links.  n_trials must be
@@ -574,26 +619,26 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         # the first-antenna layers of the slots `at` in the chunk, at every
         # grid point, and the cross minors of each group that gets a side row
         power_gain = [a and (a[0][at], a[1][at]) for a in power_gain]
-        rows = np.array([s.row for s in part])
-        links = np.array([s.links for s in part], dtype=np.intp)
+        rows = _take([s.row for s in part])
+        links = [_take(list(col)) if col[0] >= 0 else None for col in zip(*(s.links for s in part))]
         mi1, mi2 = _common_mis(t.sic_power, t.groups, power_gain)
         bits = []
         for (k, user, cap), m1, m2 in zip(t.sic, mi1, mi2):
             per_trial = np.minimum(m1, m2)
             if cap is None:
-                rate[rows + k] = trial_mean(per_trial)
+                rate[_shift(rows, k)] = trial_mean(per_trial)
                 bits.append((user, per_trial))
             else:
                 # retransmission overhead, no user bits; the usable rate is
                 # capped by the quantization bits the layer actually carries
-                rate[rows + k] = np.minimum(trial_mean(per_trial), cap)
+                rate[_shift(rows, k)] = np.minimum(trial_mean(per_trial), cap)
         for j, (k, scale, demand) in enumerate(t.carried):
-            link_out[0, links[:, j]] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
-            link_out[1, links[:, j]] = [_link_noise(scale, demand, d) for d in mi.tolist()]
+            link_out[0, links[j]] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
+            link_out[1, links[j]] = [_link_noise(scale, demand, d) for d in mi.tolist()]
         minors = [_cross_minors([gain[d][u][at] for d in g.directions], [gain[d][1 - u][at] for d in g.directions],
                                 g.powers) if g.side_link >= 0 else 0 for u, g in enumerate(t.groups)]
         fresh = [power_gain[d] if d in t.fresh else None for d in range(len(_DIRECTIONS))]
-        return _Batch(t, rows, links, fresh, bits, minors)
+        return _Batch(t, len(part), rows, links, fresh, bits, minors)
 
     def settle(b: _Batch):
         # each user's fresh layers in b's slots decode jointly.  The direct
@@ -612,14 +657,14 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                 continue
             powers = group.powers
             if group.own_link >= 0:
-                own_noise = link_out[1, b.links[:, group.own_link], :, None]
+                own_noise = link_out[1, b.links[group.own_link], :, None]
             else:
                 leak = t.groups[1 - u]
                 own_noise = sum(power_gain[d][u] * col for d, col in zip(leak.directions, leak.powers))
             rows = [([power_gain[d][u] for d in group.directions], 1.0 + own_noise)]
             if group.side_link >= 0:
                 rows.append(([power_gain[d][1 - u] for d in group.directions],
-                             link_out[1, b.links[:, group.side_link], :, None]))
+                             link_out[1, b.links[group.side_link], :, None]))
             joint = _logdet_mi(rows, powers, b.minors[u])
             joints.append((u, joint))
             if len(powers) == 1:
@@ -632,8 +677,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                 shares = [np.where(total > 0.0, joint * g / np.where(total > 0.0, total, 1.0), 0.0)
                           for g in genie]
             for k, share in zip(group.layers, shares):
-                rate[b.rows + k] = trial_mean(share)
-        return [[(user, x[j]) for user, x in b.bits + joints] for j in range(len(b.rows))]
+                rate[_shift(b.rows, k)] = trial_mean(share)
+        return [[(user, x[j]) for user, x in b.bits + joints] for j in range(b.size)]
 
     def decode_chunk(part: list[_Slot], stack):
         # the chunk's complex gains die on return; its batches wait, holding
@@ -643,7 +688,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         for c, s in enumerate(part):
             at.setdefault(s.template, []).append(c)
         used = frozenset().union(*(t.directions for t in at))
-        gain, power_gain = _project(stack, [pc if d in used else None for d, pc in enumerate(_DIRECTIONS)])
+        gain, power_gain = _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
+                                    [pc if d in used else None for d, pc in enumerate(_DIRECTIONS)])
         batches = [decode(t, [part[c] for c in cs], _take(cs), gain, power_gain) for t, cs in at.items()]
         del gain, power_gain
         waiting.append((max(s.settle_after for s in part), part, batches))
@@ -655,16 +701,22 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                     totals[user] += x
 
     chunk = min(len(slots), max(1, _DRAW_BUDGET // (len(ps) * 16 * n_trials)))  # 16 normals per trial
-    bufs = {f.name: np.empty((chunk, len(ps), n_trials, 2), complex) for f in fields(ChannelRealization)}
-    normals = np.empty((chunk, len(ps), 2, 2, 2, n_trials, 2))
-    stream_rows = normals.reshape((-1,) + normals.shape[2:])  # one row per (slot, point) stream
-    rngs = [np.random.Generator(np.random.PCG64(0)) for _ in stream_rows]  # states are set per chunk
+    n_chunks = -(-len(slots) // chunk)
+    bufs = {name: np.empty((chunk, len(ps), n_trials, 2), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
+    # sample_channel writes each error into its channel and adds the
+    # estimate in place: the same bits, and no error is read after that
+    bufs["h_err"], bufs["g_err"] = bufs["h_true"], bufs["g_true"]
+    # two draw buffers, used in turn (the second only when there is a
+    # second chunk), each with its own generators, whose states are set per chunk
+    normals = [np.empty((chunk, len(ps), 2, 2, 2, n_trials, 2)) for _ in range(min(2, n_chunks))]
+    stream_rows = [buf.reshape((-1,) + buf.shape[2:]) for buf in normals]  # one row per (slot, point) stream
+    rngs = [[np.random.Generator(np.random.PCG64(0)) for _ in rows] for rows in stream_rows]
 
     def chunk_words():
         # each chunk's seed words, hashed a block of chunks at a time: many
         # streams per _seed_words call, not the whole plan's at once
         p_keys = [_db_key(snr.p_db) for snr in snrs]
-        per_block = chunk * max(1, _SEED_BLOCK // len(stream_rows))
+        per_block = chunk * max(1, _SEED_BLOCK // len(stream_rows[0]))
         for lo in range(0, len(slots), per_block):
             block = _seed_words(seed, p_keys, [s.index for s in slots[lo:lo + per_block]])
             for c in range(0, len(block), chunk):
@@ -674,20 +726,27 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     waiting: deque = deque()  # (largest settle_after, _Slots, _Batches) per chunk decoded and not yet settled
     with ThreadPoolExecutor(max_workers=1) as pool:
 
-        def draw_next():
+        def draw_into(b):
+            # the next chunk's streams, into buffer b: called only once b's
+            # last draw has been scaled, so no stream is reseeded in flight
             rows = next(words)
-            for rng, w in zip(rngs, rows):
+            for rng, w in zip(rngs[b], rows):
                 _reseed(rng, w)
-            return pool.submit(_draw, rngs[:len(rows)], stream_rows)
+            return pool.submit(_draw, rngs[b][:len(rows)], stream_rows[b])
 
-        drawn = draw_next()
-        for start in range(0, len(slots), chunk):
+        drawn = deque(draw_into(b) for b in range(len(rngs)))  # chunk 0, and chunk 1 if there is one
+        for k in range(n_chunks):
+            b = k % 2  # chunk k's buffer
             part = list(islice(tables, chunk))
-            drawn.result()
+            drawn.popleft().result()
             stack = ChannelRealization(**{name: buf[:len(part)] for name, buf in bufs.items()})
-            sample_channel(snrs, normals[:len(part)], size=n_trials, out=stack)
-            if start + chunk < len(slots):
-                drawn = draw_next()  # the buffer is free: draw the next chunk while this one decodes
+            sample_channel(snrs, normals[b][:len(part)], size=n_trials, out=stack)
+            if k + 2 < n_chunks:
+                # buffer b is free: the worker draws chunk k + 2 into it
+                # once chunk k + 1 is drawn, while this chunk decodes
+                drawn.append(draw_into(b))
+            for true in (stack.h_true, stack.g_true):
+                np.conjugate(true, out=true)  # each gain is conj(true) . direction
             decode_chunk(part, stack)
 
     stderr = totals.std(axis=-1, ddof=1) / math.sqrt(n_trials) if n_trials > 1 else np.zeros((2, len(ps)))

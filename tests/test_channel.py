@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asymcsit import ChannelRealization, CsitQuality, SnrPoint, orth_complement, sample_channel, unit
-from asymcsit.evaluator import _vdot
+from asymcsit.evaluator import _dot, _orth
 
 FIELDS = ("h_true", "g_true", "h_est", "g_est", "h_err", "g_err")
 
@@ -207,7 +209,7 @@ class TestBasisVectors:
     @pytest.mark.parametrize("shape", [(8000, 2), (4, 2000, 2), (2,)])
     def test_vdot_bit_identical_to_sum(self, shape):
         h, v = self._vectors(9, shape), self._vectors(10, shape)
-        assert np.array_equal(_vdot(h, v), (np.conj(h) * v).sum(axis=-1))
+        assert np.array_equal(_dot(np.conj(h), v), (np.conj(h) * v).sum(axis=-1))
 
     def test_unit_rejects_other_lengths(self):
         with pytest.raises(ValueError, match="length 2"):
@@ -253,3 +255,43 @@ class TestBasisVectors:
             leak.append(math.log10(np.mean(gain)))
         slope = np.polyfit(logp, leak, 1)[0]
         assert slope == pytest.approx(-alpha, abs=0.05)
+
+
+# parts of a complex 2-vector: signed zeros, and magnitudes from 1e-150 to
+# 1e150, whose squares reach down to subnormals and up to 1e300
+_part = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(1e-150, 1e150).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+_vectors = st.lists(st.tuples(_part, _part, _part, _part), min_size=1, max_size=6).map(
+    lambda rows: np.array([[complex(a, b), complex(c, d)] for a, b, c, d in rows]))
+
+
+def _vdot(h, v):
+    """h^H v as the pass took it before its channels were conjugated in place."""
+    prod = np.conj(h)
+    prod *= v
+    return prod[..., 0] + prod[..., 1]
+
+
+class TestProjectionIdentities:
+    """The pass's projection shortcuts are exact: the bytes match, signed
+    zeros included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_vectors)
+    @example(np.array([[complex(0.0, -0.0), complex(-0.0, 1e-150)], [complex(1e150, -1e150), complex(-0.0, 0.0)]]))
+    def test_orth_from_unit_is_orth_complement(self, v):
+        v = v[np.any(v != 0.0, axis=-1)]  # unit and orth_complement refuse zero vectors
+        assert _orth(unit(v)).tobytes() == orth_complement(v).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_vectors, _vectors)
+    @example(np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)]]),
+             np.array([[complex(-0.0, 0.0), complex(-0.0, -0.0)]]))
+    def test_dot_on_a_conjugated_channel_is_vdot(self, h, v):
+        n = min(len(h), len(v))
+        h, v = h[:n], v[:n]
+        hc = h.copy()
+        np.conjugate(hc, out=hc)  # in place, as the pass conjugates its own buffers
+        assert _dot(hc, v).tobytes() == _vdot(h, v).tobytes()

@@ -68,16 +68,21 @@ def _fixed_channel():
     return ChannelRealization(h_true=e1, g_true=e2, h_est=e1, g_est=e2, h_err=zero, g_err=zero)
 
 
+def _project_channel(ch, precoders):
+    """_project on one realization, its true channels conjugated as the pass's are."""
+    return _project((np.conj(ch.h_true), np.conj(ch.g_true)), (ch.h_est, ch.g_est), precoders)
+
+
 def _zf_rate(layer, ch, p, noise):
     """The evaluator's direct-observation rate of a lone zero-forced symbol."""
-    _, (power_gain,) = _project(ch, [layer.precoder])
+    _, (power_gain,) = _project_channel(ch, [layer.precoder])
     return float(_logdet_mi([([power_gain[0]], noise)], [layer.power(p)]))
 
 
 def _vector_rate(layers, ch, p, direct_noise, side_noise):
     """The evaluator's 2x2 log-det rate of a user-2 vector: direct row at
     user 2 stacked with the record overheard at user 1."""
-    gain, power_gain = _project(ch, [l.precoder for l in layers])
+    gain, power_gain = _project_channel(ch, [l.precoder for l in layers])
     powers = [l.power(p) for l in layers]
     rows = [([a[1] for a in power_gain], direct_noise), ([a[0] for a in power_gain], side_noise)]
     return float(_logdet_mi(rows, powers, _cross_minors([g[1] for g in gain], [g[0] for g in gain], powers)))
@@ -88,7 +93,7 @@ class TestRateOps:
 
     def test_single_common_is_point_to_point_capacity(self):
         snr = SnrPoint(1e6, Q35)
-        _, power_gain = _project(_fixed_channel(), [first_antenna()])
+        _, power_gain = _project_channel(_fixed_channel(), [first_antenna()])
         (mi1,), (mi2,) = _common_mis([np.array([[snr.p]])], [], power_gain)
         assert mi1.item() == pytest.approx(math.log2(1 + 1e6), abs=1e-12)
         assert mi2.item() == 0.0  # g has no first-antenna component here
@@ -613,30 +618,95 @@ class TestPrefetch:
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
                 assert np.array_equal(a, b), (slots_per_chunk, what)
 
-    def test_hand_off_holds_under_frequent_thread_switches(self):
-        # the buffer is scaled here and refilled by the worker, whose
+    @staticmethod
+    def _address(a: np.ndarray) -> int:
+        return a.__array_interface__["data"][0]
+
+    def _log_hand_offs(self, monkeypatch):
+        """Log, in the order they happen on either thread, each stream's
+        reseed (by generator), each draw's start and end (by buffer, with
+        its generators) and each scaling of a buffer."""
+        log = []
+        draw, scale, reseed = evaluator._draw, evaluator.sample_channel, evaluator._reseed
+
+        def spy_reseed(rng, words):
+            log.append(("reseed", id(rng)))
+            reseed(rng, words)
+
+        def spy_draw(rngs, normals):
+            at = self._address(normals)
+            log.append(("draw", at, frozenset(map(id, rngs))))
+            draw(rngs, normals)
+            log.append(("drawn", at))
+
+        def spy_scale(snrs, normals, *args, **kwargs):
+            log.append(("scale", self._address(normals)))
+            return scale(snrs, normals, *args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "_reseed", spy_reseed)
+        monkeypatch.setattr(evaluator, "_draw", spy_draw)
+        monkeypatch.setattr(evaluator, "sample_channel", spy_scale)
+        return log
+
+    @staticmethod
+    def _check_hand_offs(log):
+        """Each buffer goes free -> drawing -> drawn -> scaled (free) in
+        turn: no draw into it and no reseed of its generators from the start
+        of a draw into it until that draw has been scaled.  Returns the
+        buffers in the order they were drawn into."""
+        owner = {rng: e[1] for e in log if e[0] == "draw" for rng in e[2]}
+        state: dict[int, str] = {}
+        order = []
+        for e in log:
+            at = owner[e[1]] if e[0] == "reseed" else e[1]
+            now = state.get(at, "free")
+            if e[0] == "reseed":
+                assert now == "free", f"a stream of buffer {at:#x} reseeded while {now}"
+            elif e[0] == "draw":
+                assert now == "free", f"buffer {at:#x} refilled while {now}"
+                state[at] = "drawing"
+                order.append(at)
+            elif e[0] == "drawn":
+                state[at] = "drawn"
+            else:
+                assert now == "drawn", f"buffer {at:#x} scaled while {now}"
+                state[at] = "free"
+        assert all(v == "free" for v in state.values())
+        return order
+
+    def test_hand_off_holds_under_frequent_thread_switches(self, monkeypatch):
+        # each buffer is scaled here and refilled by the worker, whose
         # generators are reseeded here between hand-offs: a read before the
         # draw finished, or a refill or reseed before the read, would show
-        # as changed values once the threads switch every few microseconds.
-        # Chunks of 1 slot (300 trials) and of 25 (20 trials).
+        # as changed values once the threads switch every few microseconds,
+        # and the spies see it in the order of events.  Chunks of 1 slot
+        # (300 trials) and of 25 (20 trials).
         for n_cycles, n_trials in ((2, 300), (20, 20)):
             plan = build_case_ii(Q35, n_cycles)
             ref = _evaluate_grid(plan, _grid(Q35), n_trials, 9)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
+            runs = []
             try:
-                runs = [_evaluate_grid(plan, _grid(Q35), n_trials, 9) for _ in range(5)]
+                for _ in range(5):
+                    with monkeypatch.context() as m:
+                        log = self._log_hand_offs(m)
+                        runs.append((_evaluate_grid(plan, _grid(Q35), n_trials, 9), log))
             finally:
                 sys.setswitchinterval(interval)
-            for got in runs:
+            n_chunks = math.ceil(len(plan.all_slots()) / (1 if n_trials == 300 else 25))
+            for got, log in runs:
                 assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (n_cycles, n_trials)
+                order = self._check_hand_offs(log)
+                assert len(order) == n_chunks and len(set(order)) == 2
+                assert order == [order[k % 2] for k in range(n_chunks)], "the two buffers take turns"
 
     def test_traced_names_run_on_the_calling_thread(self, monkeypatch):
         # perfbench's tracer keeps one span stack, for the calling thread;
         # only standard_normal runs on the worker
         caller = threading.get_ident()
         seen: dict[str, set] = {}
-        for name in ("sample_channel", "orth_complement", "unit"):
+        for name in ("sample_channel", "unit"):
             def spy(*args, _fn=getattr(evaluator, name), _name=name, **kwargs):
                 seen.setdefault(_name, set()).add(threading.get_ident())
                 return _fn(*args, **kwargs)
@@ -650,7 +720,7 @@ class TestPrefetch:
 
         monkeypatch.setattr(evaluator, "_draw", spy_draw)
         estimate_dof(build_case_ii(Q35, 1), _grid(Q35), 50, seed=4)
-        assert seen == {name: {caller} for name in ("sample_channel", "orth_complement", "unit")}
+        assert seen == {name: {caller} for name in ("sample_channel", "unit")}
         assert len(drawn_on) == 1 and caller not in drawn_on
 
     def test_no_thread_outlives_the_pass(self, monkeypatch):
@@ -658,22 +728,59 @@ class TestPrefetch:
         before = threading.active_count()
         estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
         assert threading.active_count() == before
-        # fail on this thread in a later slot's decode, with the next draw handed off
+        # fail on this thread in a later slot's decode, with the next draws handed off
         calls = []
-        orth = evaluator.orth_complement
+        normalise = evaluator.unit
 
-        def failing_orth(v):
+        def failing_unit(v):
             calls.append(v)
             if len(calls) == 3:
                 raise ZeroDivisionError("decode failed")
-            return orth(v)
+            return normalise(v)
 
-        monkeypatch.setattr(evaluator, "orth_complement", failing_orth)
+        monkeypatch.setattr(evaluator, "unit", failing_unit)
         with pytest.raises(ZeroDivisionError, match="decode failed"):
             estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
         assert threading.active_count() == before
 
-    def test_a_failed_draw_raises_from_the_caller(self, monkeypatch):
+    def test_a_decode_failure_with_two_draws_in_flight_leaves_no_thread(self, monkeypatch):
+        # the next two chunks' draws are held on the worker until chunk 0's
+        # decode fails, so both are in flight when it raises
+        plan = build_case_ii(Q35, 1)
+        futures, started, in_flight = [], [], []
+        release = threading.Event()
+        draw = evaluator._draw
+
+        class Pool(evaluator.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                futures.append(super().submit(fn, *args, **kwargs))
+                return futures[-1]
+
+        def held_draw(rngs, normals):
+            started.append(len(rngs))
+            if len(started) > 1:
+                assert release.wait(timeout=60)
+            draw(rngs, normals)
+
+        def failing_unit(v):
+            in_flight.append(sum(not f.done() for f in futures))
+            release.set()
+            raise ZeroDivisionError("decode failed")
+
+        monkeypatch.setattr(evaluator, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(evaluator, "_draw", held_draw)
+        monkeypatch.setattr(evaluator, "unit", failing_unit)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="decode failed"):
+            estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
+        assert in_flight == [2] and len(futures) == 3
+        assert all(f.done() for f in futures)
+        assert threading.active_count() == before
+
+    # odd chunks go to the second buffer: the third hand-off fills the
+    # first buffer, the fourth the second (a chunk is one slot at N_TRIALS)
+    @pytest.mark.parametrize("failing", [3, 4], ids=["first-buffer", "second-buffer"])
+    def test_a_failed_draw_raises_from_the_caller(self, monkeypatch, failing):
         class DrawFailed(Exception):
             pass
 
@@ -684,19 +791,19 @@ class TestPrefetch:
                 raise failure
 
         plan = build_case_ii(Q35, 1)
-        draws = []
+        buffers = []
         draw = evaluator._draw
 
-        def third_draw_fails(rngs, normals):
-            # the third slot's hand-off (a chunk is one slot at N_TRIALS)
-            draws.append(len(rngs))
-            draw([BrokenStream()] + rngs[1:] if len(draws) == 3 else rngs, normals)
+        def nth_draw_fails(rngs, normals):
+            buffers.append(self._address(normals))
+            draw([BrokenStream()] + rngs[1:] if len(buffers) == failing else rngs, normals)
 
-        monkeypatch.setattr(evaluator, "_draw", third_draw_fails)
+        monkeypatch.setattr(evaluator, "_draw", nth_draw_fails)
         before = threading.active_count()
         with pytest.raises(DrawFailed) as info:
             estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
         assert info.value is failure
+        assert buffers[failing - 1] == buffers[(failing - 1) % 2] != buffers[failing % 2]
         assert threading.active_count() == before
 
 
