@@ -12,10 +12,11 @@ dependency order:
      common layer's delivered mutual information at either user), and the
      receivers' residual after subtracting the reconstruction is Gaussian
      with the matching rate-distortion variance (exactly 1 when the link is
-     well provisioned and fully delivered).  The interference's received
-     exponent comes from SchemePlan.source_exponent, which reads
-     SlotPlan.overheard, the one rule the builders' links and validate_plan
-     also use;
+     well provisioned and fully delivered).  The links are resolved once,
+     when the plan is built: which links a slot carries, which link each
+     user overhears there, the slot its groups wait for, and each
+     interference's received exponent are read from
+     SchemePlan.slot_links, the index validate_plan reads too;
   3. private zero-forced symbols and jointly decoded two-symbol vectors.
      A vector's owner decodes from its direct observation (after common
      removal and, where linked, interference subtraction) stacked with the
@@ -465,8 +466,7 @@ class _Template:
     """The decode tables of one slot shape, shared by every slot of that
     shape (see _compile) and hashed by identity."""
 
-    directions: frozenset[int]  # those its layers use
-    fresh: frozenset[int]  # those its groups use, whose power gains settling reads
+    fresh: frozenset[int]  # directions its groups use, whose power gains settling reads
     sic: tuple  # (position in the slot, user, rate cap) per first-antenna layer in decode order; common: user -1, else no cap
     sic_power: tuple  # their (grid point, 1) power columns
     groups: tuple[_Group, _Group]  # user 1's and user 2's
@@ -493,23 +493,17 @@ def _compile(plan: SchemePlan, ps: list[float]):
     cap), in slot order; each carried link's carrier, quant_prelog and
     source exponent; and which users overhear a linked interference there.
     So a cycled plan builds one template per cycle position, however many
-    cycles it has.  Rate rows follow the plan's layer order, and a
-    direction is an index into _DIRECTIONS.  Layers with the same power
+    cycles it has.  The link wiring is read, not worked out: it is the
+    plan's SchemePlan.slot_links, resolved when the plan was built.  Rate
+    rows follow the plan's layer order, and a direction is an index into
+    _DIRECTIONS.  Layers with the same power
     spec (coefficient, exponent, sub-coefficient, sub-exponent) share one
     power column.  A common-owned first-antenna layer's rate cap is its
     encoding pre-log times log2(P): it carries no user bits, only the
-    quantization bits it was built for.  SchemePlan allows one link per
-    (source slot, observer), so each group has at most one own and one side
-    link.
+    quantization bits it was built for.  A slot's SlotLinks names at most
+    one link per user overhearing there, so each group has at most one own
+    and one side link.
     """
-    carried: dict[int, list[int]] = {}  # carrier slot -> link rows
-    sourced: dict[int, list[int]] = {}  # source slot -> [user 1's link row, user 2's, slot of the last carrier]
-    for i, link in enumerate(plan.links):
-        home = plan.find_layer(link.retransmit_layer)[0].index
-        carried.setdefault(home, []).append(i)
-        entry = sourced.setdefault(link.source_slot, [-1, -1, -1])
-        entry[_USERS.index(link.observer)] = i
-        entry[2] = max(entry[2], home)
     log2p = np.array([math.log2(p) for p in ps])
     columns: dict[tuple[float, ...], np.ndarray] = {}
     templates: dict[tuple, _Template] = {}
@@ -534,7 +528,6 @@ def _compile(plan: SchemePlan, ps: list[float]):
                                  len(links) + 1 - u if overheard[1 - u] else -1))
         order = {l.id: k for k, l in enumerate(sic)}
         return _Template(
-            frozenset(_DIRECTION[l.precoder] for l in slot.layers),
             frozenset(d for g in groups for d in g.directions),
             tuple((position[l.id], -1, l.encoding_prelog * log2p) if l.owner == OWNER_COMMON
                   else (position[l.id], _USERS.index(l.owner), None) for l in sic),
@@ -547,17 +540,17 @@ def _compile(plan: SchemePlan, ps: list[float]):
     row = 0
     for slot in plan.all_slots():
         ids = [l.id for l in slot.layers]
-        links = [(plan.links[i], plan.source_exponent(plan.links[i])) for i in carried.get(slot.index, ())]
-        link_rows = sourced.get(slot.index, (-1, -1, -1))
-        overheard = (link_rows[0] >= 0, link_rows[1] >= 0)
+        wiring = plan.slot_links(slot.index)
+        links = [(plan.links[i], e_src) for i, e_src in wiring.carried]
+        overheard = (wiring.overheard[0] >= 0, wiring.overheard[1] >= 0)
         key = (tuple((l.owner, l.precoder.kind, l.precoder.user) + spec(l)
                      + (l.encoding_prelog if l.owner == OWNER_COMMON else None,) for l in slot.layers),
                tuple((ids.index(link.retransmit_layer), link.quant_prelog, e_src) for link, e_src in links),
                overheard)
         if key not in templates:
             templates[key] = template(slot, links, overheard)
-        yield _Slot(slot.index, templates[key], row, tuple(carried.get(slot.index, ())) + tuple(link_rows[:2]),
-                    link_rows[2])
+        yield _Slot(slot.index, templates[key], row, tuple(i for i, _ in wiring.carried) + wiring.overheard,
+                    wiring.settle_after)
         row += len(slot.layers)
 
 
@@ -687,7 +680,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         at: dict[_Template, list[int]] = {}
         for c, s in enumerate(part):
             at.setdefault(s.template, []).append(c)
-        used = frozenset().union(*(t.directions for t in at))
+        # every layer off the first antenna (direction 0) is in a group
+        used = set().union(*(t.fresh for t in at), [0] if any(t.sic for t in at) else [])
         gain, power_gain = _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
                                     [pc if d in used else None for d, pc in enumerate(_DIRECTIONS)])
         batches = [decode(t, [part[c] for c in cs], _take(cs), gain, power_gain) for t, cs in at.items()]

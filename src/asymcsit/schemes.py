@@ -25,14 +25,19 @@ Preset catalogue (selected by CSIT quality (alpha1, alpha2), Delta = gap):
 Layers whose encoding pre-log evaluates to <= 0 at the given quality are
 dropped, together with any quantization link whose rate vanishes; the rate
 accounting is unchanged by construction.  Each link is derived from the
-built slot it is overheard in (_link), so the overheard rule is stated once,
-in SlotPlan.overheard.
+built slot it is overheard in (_link), by the one overheard rule,
+_source_exponent.  A plan resolves its links once, when it is built: each
+link's source exponent, the links each slot carries, the link each user
+overhears there and the last carrier its groups wait for, indexed by slot
+(SchemePlan.slot_links).  validate_plan and the evaluator's grid pass read
+that index and work none of it out again.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 from .geometry import CsitQuality, DofPoint, contains, dof_region
@@ -127,9 +132,10 @@ class SymbolLayer:
     which covers both the plain coef*P**exp allocations and the
     "P - P**s"-style differences used for the top layers.
     encoding_prelog is the layer's code rate divided by log2(P); it must be
-    above _PRELOG_EPS (the builders drop a layer whose pre-log vanishes), and
-    a common layer must ride on the first antenna, where the evaluator
-    decodes it by SIC.  Either fault raises ValueError naming the layer.
+    above _PRELOG_EPS (the builders drop a layer whose pre-log vanishes).
+    precoder must be a PrecoderSpec, and a common layer's must be the first
+    antenna, where the evaluator decodes it by SIC.  Each fault raises
+    ValueError naming the layer.
     """
 
     id: str
@@ -144,6 +150,8 @@ class SymbolLayer:
     def __post_init__(self):
         if self.owner not in (OWNER_USER1, OWNER_USER2, OWNER_COMMON):
             raise ValueError(f"unknown owner {self.owner!r}")
+        if not isinstance(self.precoder, PrecoderSpec):
+            raise ValueError(f"layer {self.id!r}: precoder must be a PrecoderSpec, got {self.precoder!r}")
         for name in ("power_coefficient", "power_exponent", "power_sub_coefficient", "power_sub_exponent",
                      "encoding_prelog"):
             if not math.isfinite(getattr(self, name)):
@@ -221,9 +229,14 @@ class SlotPlan:
         """Zero-forcing / vector layers of one user (first-antenna excluded)."""
         return [l for l in self.layers if l.owner == owner and l.precoder.kind != "first_antenna"]
 
-    def overheard(self, observer: str) -> list[SymbolLayer]:
-        """The layers whose image `observer` overhears here: the other user's fresh layers."""
-        return self.fresh(OWNER_USER2 if observer == OWNER_USER1 else OWNER_USER1)
+
+# The quantization links one slot of a plan carries or sources, each named by
+# its position in plan.links, as SchemePlan resolves them once, when it is built:
+#   carried       (link, its source exponent) per link carried here, in plan.links order
+#   overheard     the link of what user 1 and user 2 overhear here (-1: none)
+#   settle_after  the last slot carrying a link overheard here (-1: none)
+SlotLinks = namedtuple("SlotLinks", "carried overheard settle_after")
+_NO_LINKS = SlotLinks((), (-1, -1), -1)
 
 
 @dataclass(frozen=True)
@@ -240,14 +253,17 @@ class SchemePlan:
 
     The slot order and the slot/layer lookups are indexed once, at
     construction: all_slots() is the slots in index order, and slot() and
-    find_layer() are dict reads.  A duplicate slot index or layer id raises
-    ValueError, and so does a link whose source slot, overheard
+    find_layer() are dict reads.  The link wiring is resolved there too, and
+    nowhere else: slot_links(index) is the slot's SlotLinks, with each
+    link's source exponent computed once.  A duplicate slot index or layer
+    id raises ValueError, and so does a link whose source slot, overheard
     interference or carrier is missing, whose carrier is not a common
-    (hence first-antenna) layer, or is not in a later slot than its source.  Each overheard
-    interference has at most one link: a second link with the same
-    interference_id, or the same (source_slot, observer), raises ValueError
-    naming both.  So every layer of a plan that builds is decoded, and every
-    link resolves; what is left to judge (validate_plan) is the design.
+    (hence first-antenna) layer, or is not in a later slot than its source.
+    Each overheard interference has at most one link: a second link with
+    the same interference_id, or the same (source_slot, observer), raises
+    ValueError naming both.  So every layer of a plan that builds is
+    decoded, and every link resolves; what is left to judge (validate_plan)
+    is the design.
     """
 
     name: str
@@ -262,6 +278,7 @@ class SchemePlan:
     _slots: tuple[SlotPlan, ...] = field(init=False, repr=False, compare=False)
     _slot_by_index: dict[int, SlotPlan] = field(init=False, repr=False, compare=False)
     _layer_home: dict[str, tuple[SlotPlan, SymbolLayer]] = field(init=False, repr=False, compare=False)
+    _slot_links: dict[int, SlotLinks] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_int("n_cycles", self.n_cycles, 0)
@@ -288,6 +305,7 @@ class SchemePlan:
         object.__setattr__(self, "_slot_by_index", by_index)
         object.__setattr__(self, "_layer_home", home)
         first: dict = {}  # interference id and (source slot, observer) -> position of the first link with it
+        links_at: dict[int, SlotLinks] = {}
         for i, link in enumerate(self.links):
             name = f"link {link.interference_id}"
             for key in (link.interference_id, (link.source_slot, link.observer)):
@@ -298,15 +316,22 @@ class SchemePlan:
                                      f"{other.interference_id} (slot {other.source_slot}, {other.observer})")
             if link.source_slot not in by_index:
                 raise ValueError(f"{name}: source slot {link.source_slot} missing")
-            if not by_index[link.source_slot].overheard(link.observer):
+            exponent = _source_exponent(by_index[link.source_slot], link.observer, self.quality)
+            if exponent == -math.inf:
                 raise ValueError(f"{name}: source interference missing")
             carrier = home.get(link.retransmit_layer)
             if carrier is None or carrier[1].owner != OWNER_COMMON:
                 raise ValueError(f"{name}: no first-antenna carrier {link.retransmit_layer!r} "
                                  f"(a carrier is a common layer)")
-            if carrier[0].index <= link.source_slot:
-                raise ValueError(f"{name}: carrier slot {carrier[0].index} is not after source slot "
-                                 f"{link.source_slot}")
+            at = carrier[0].index
+            if at <= link.source_slot:
+                raise ValueError(f"{name}: carrier slot {at} is not after source slot {link.source_slot}")
+            w = links_at.get(at, _NO_LINKS)
+            links_at[at] = SlotLinks(w.carried + ((i, exponent),), w.overheard, w.settle_after)
+            w = links_at.get(link.source_slot, _NO_LINKS)
+            heard = (i, w.overheard[1]) if link.observer == OWNER_USER1 else (w.overheard[0], i)
+            links_at[link.source_slot] = SlotLinks(w.carried, heard, max(w.settle_after, at))
+        object.__setattr__(self, "_slot_links", links_at)
 
     def all_slots(self) -> tuple[SlotPlan, ...]:
         return self._slots
@@ -326,9 +351,10 @@ class SchemePlan:
         except KeyError:
             raise KeyError(f"no layer with id {layer_id!r}") from None
 
-    def source_exponent(self, link: QuantizationLink) -> float:
-        """Received-power exponent of the interference `link` quantizes."""
-        return _source_exponent(self._slot_by_index[link.source_slot], link.observer, self.quality)
+    def slot_links(self, index: int) -> SlotLinks:
+        """The links slot `index` carries or sources, as resolved when the
+        plan was built (no links: SlotLinks((), (-1, -1), -1))."""
+        return self._slot_links.get(index, _NO_LINKS)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +382,14 @@ def _layer(layer_id, owner, precoder, coef, exp, prelog, sub=(0.0, 0.0)) -> tupl
 def _source_exponent(slot: SlotPlan, observer: str, quality: CsitQuality) -> float:
     """Received-power exponent of the interference `observer` overhears in `slot`.
 
-    User 1 overhears user 2's layers through the orth-precoder attenuation
-    P**(-alpha1); user 2 mirrors with alpha2.  The exponent is the max layer
-    power exponent minus that attenuation (-inf when nothing is overheard).
+    What `observer` overhears is the other user's fresh layers, received
+    through the orth-precoder attenuation: P**(-alpha1) at user 1, P**(-alpha2)
+    at user 2.  The exponent is their max power exponent minus that
+    attenuation (-inf when nothing is overheard).  The builders' _link and
+    SchemePlan's construction are its only callers.
     """
-    alpha = quality.alpha1 if observer == OWNER_USER1 else quality.alpha2
-    return max((l.power_exponent for l in slot.overheard(observer)), default=-math.inf) - alpha
+    other, alpha = (OWNER_USER2, quality.alpha1) if observer == OWNER_USER1 else (OWNER_USER1, quality.alpha2)
+    return max((l.power_exponent for l in slot.fresh(other)), default=-math.inf) - alpha
 
 
 def _link(slot: SlotPlan, observer: str, quality: CsitQuality) -> list[QuantizationLink]:
@@ -683,12 +711,12 @@ def validate_plan(plan: SchemePlan) -> list[str]:
                 f"power budget exceeded: slot {s.index} leading coefficients sum to {top_coef:.6g} > 1"
             )
 
-    for link in plan.links:
-        exponent = plan.source_exponent(link)
-        if abs(exponent - link.quant_prelog) > 1e-9:
+    exponents = dict(pair for s in plan.all_slots() for pair in plan.slot_links(s.index).carried)
+    for i, link in enumerate(plan.links):
+        if abs(exponents[i] - link.quant_prelog) > 1e-9:
             diags.append(
                 f"link {link.interference_id}: quantization rate mismatch "
-                f"(prelog {link.quant_prelog:.6g} vs received exponent {exponent:.6g})"
+                f"(prelog {link.quant_prelog:.6g} vs received exponent {exponents[i]:.6g})"
             )
 
     region = dof_region(plan.quality)

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from asymcsit import (
     residual_power_probe,
     sample_channel,
 )
-from asymcsit import evaluator
+from asymcsit import evaluator, schemes
 from asymcsit.evaluator import (
     _TAG_CHANNEL,
     _common_mis,
@@ -444,6 +445,47 @@ class TestSlotTemplates:
         assert evaluator._take([4]) == slice(4, 5, 1)  # a chunk of one slot, as at 2000 trials
         assert evaluator._take([1, 4, 7]) == slice(1, 8, 3)
         assert np.array_equal(evaluator._take([2, 4, 7]), [2, 4, 7])
+
+
+class TestLinkWiring:
+    """The pass reads the link wiring the plan resolved when it was built."""
+
+    @pytest.mark.parametrize("name, quality", [("case-ii", Q35), ("case-i", Q28), ("ges12-asym", Q35)],
+                             ids=lambda v: f"{v.alpha1}-{v.alpha2}" if isinstance(v, CsitQuality) else v)
+    # 20 trials: 25 slots per draw chunk; 200 trials: 2
+    @pytest.mark.parametrize("n_cycles, n_trials", [(40, 20), (3, 200)])
+    def test_the_pass_does_not_depend_on_link_order(self, name, quality, n_cycles, n_trials):
+        # reversed links give decreasing link rows, which _take reads
+        # through an index array, not a slice
+        plan = build_preset(name, quality, n_cycles)
+        flipped = replace(plan, links=tuple(reversed(plan.links)))
+        grid = _grid(quality)
+        est, got = estimate_dof(plan, grid, n_trials, 5), estimate_dof(flipped, grid, n_trials, 5)
+        assert (got.points, got.point_stderr, got.slope, got.stderr) == (est.points, est.point_stderr, est.slope,
+                                                                         est.stderr)
+        led, got = evaluate_plan(plan, grid[2], n_trials, 5), evaluate_plan(flipped, grid[2], n_trials, 5)
+        for field in ("per_symbol_rate", "user_rate", "link_delivered", "link_noise"):
+            assert getattr(got, field) == getattr(led, field), field
+
+    def test_a_built_plan_resolves_no_link_again(self, monkeypatch):
+        calls = {"_source_exponent": 0, "find_layer": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(schemes, "_source_exponent", counting("_source_exponent", schemes._source_exponent))
+        monkeypatch.setattr(SchemePlan, "find_layer", counting("find_layer", SchemePlan.find_layer))
+        plan = build_case_ii(Q35, 3)
+        plan.find_layer("u3")
+        assert calls == {"_source_exponent": 2 * len(plan.links), "find_layer": 1}  # _link, then the plan's check
+        calls.update(_source_exponent=0, find_layer=0)
+        grid = _grid(Q35)
+        estimate_dof(plan, grid, 20, 5)
+        evaluate_plan(plan, grid[0], 20, 5)
+        assert calls == {"_source_exponent": 0, "find_layer": 0}
 
 
 class TestStderrHonesty:

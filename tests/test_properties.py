@@ -7,6 +7,7 @@ either side of it).
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ from asymcsit import (
     residual_power_probe,
     validate_plan,
 )
-from asymcsit.schemes import OWNER_USER1, OWNER_USER2, perturb_link_prelog
+from asymcsit.schemes import OWNER_USER1, OWNER_USER2, _source_exponent, perturb_link_prelog
 
 _unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -83,12 +84,55 @@ def test_indexed_lookups_agree_with_a_scan(quality, n_cycles):
                 assert home is s and found is layer
 
 
+def _stored_exponents(plan):
+    """Each link's source exponent as the plan resolved it, by position in plan.links."""
+    return {i: e for s in plan.all_slots() for i, e in plan.slot_links(s.index).carried}
+
+
+def _stored_wiring(plan):
+    return {s.index: (tuple(i for i, _ in w.carried), w.overheard, w.settle_after)
+            for s in plan.all_slots() for w in [plan.slot_links(s.index)]}
+
+
+def _scanned_wiring(plan):
+    """The link wiring by a plain scan of plan.links and the slots' layers."""
+    carrier = {l.id: s.index for s in plan.all_slots() for l in s.layers}
+    wiring = {s.index: ([], [-1, -1], -1) for s in plan.all_slots()}
+    for i, link in enumerate(plan.links):
+        at = carrier[link.retransmit_layer]
+        wiring[at][0].append(i)
+        carried, overheard, settle = wiring[link.source_slot]
+        overheard[(OWNER_USER1, OWNER_USER2).index(link.observer)] = i
+        wiring[link.source_slot] = (carried, overheard, max(settle, at))
+    return {k: (tuple(c), tuple(o), a) for k, (c, o, a) in wiring.items()}
+
+
 @_SETTINGS
 @given(qualities, cycles)
 def test_quant_prelog_is_the_source_exponent(quality, n_cycles):
     for plan in _buildable(quality, n_cycles):
-        for link in plan.links:
-            assert link.quant_prelog == plan.source_exponent(link)
+        exponents = _stored_exponents(plan)
+        for i, link in enumerate(plan.links):
+            assert link.quant_prelog == exponents[i]
+
+
+@_SETTINGS
+@given(qualities, cycles, st.data(), st.floats(-2.0, 2.0))
+def test_link_wiring_is_resolved_once_at_build(quality, n_cycles, data, delta):
+    # the wiring the plan stores is what a scan of its links gives, in
+    # either link order, each stored exponent is the overheard rule's own,
+    # and a perturbed quantization rate moves neither
+    for plan in _buildable(quality, n_cycles):
+        wiring, exponents = _stored_wiring(plan), _stored_exponents(plan)
+        assert wiring == _scanned_wiring(plan), plan.name
+        flipped = replace(plan, links=tuple(reversed(plan.links)))
+        assert _stored_wiring(flipped) == _scanned_wiring(flipped), plan.name
+        assert sorted(exponents) == list(range(len(plan.links))), plan.name
+        for i, link in enumerate(plan.links):
+            assert exponents[i] == _source_exponent(plan.slot(link.source_slot), link.observer, quality), plan.name
+        if plan.links:
+            bad = perturb_link_prelog(plan, data.draw(st.sampled_from(plan.links)).interference_id, delta)
+            assert _stored_wiring(bad) == wiring and _stored_exponents(bad) == exponents, plan.name
 
 
 @_SETTINGS

@@ -310,6 +310,14 @@ class TestValidation:
                                              "not an 'orth' precoder"):
             SymbolLayer("c", OWNER_COMMON, orth_to(1), 0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("owner, precoder", [(OWNER_USER1, "orth"), (OWNER_COMMON, "first_antenna")])
+    def test_precoder_that_is_not_a_spec_rejected_at_construction(self, owner, precoder):
+        # a string precoder used to build, and fail later with an
+        # AttributeError in the slot that held it (or, for a common layer,
+        # in the layer's own first-antenna check)
+        with pytest.raises(ValueError, match=f"layer 'x': precoder must be a PrecoderSpec, got '{precoder}'"):
+            SymbolLayer("x", owner, precoder, 1.0, 1.0, 1.0)
+
     @pytest.mark.parametrize("prelog", [0.0, 1e-13, -0.2])
     def test_vanishing_prelog_layer_rejected_at_construction(self, prelog):
         # the builders drop such a layer; a hand-built one is refused
