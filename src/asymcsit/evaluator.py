@@ -62,10 +62,10 @@ Every layer of a plan that builds is decoded, either by SIC (a
 first-antenna layer) or in its user's jointly decoded group (any other
 layer).  Building the plan refuses what would break that: a common layer
 off the first antenna, a vanishing pre-log, a repeated (owner, precoder)
-in a slot, and a link whose source, overheard interference or common
-carrier is missing or whose carrier is not after its source.  What
-validate_plan still reports, and evaluate_plan and estimate_dof
-refuse with PlanValidationError, are design faults only.
+in a slot, a link whose source, overheard interference or common carrier
+is missing or whose carrier is not after its source, and a carrier shared
+by two links.  What validate_plan still reports, and evaluate_plan and
+estimate_dof refuse with PlanValidationError, are design faults only.
 
 Rates are mutual informations, not symbol-error simulations: the point is
 the high-SNR slope, estimated by least squares on the top half of a power
@@ -82,22 +82,24 @@ schemes are compared on the same grid.
 The standard normals are the one part of a slot that can run off the
 calling thread: numpy's standard_normal releases the GIL.  So the pass
 keeps one worker thread, for the length of the call, and two float64 draw
-buffers of shape (chunk, point, 2, 2, 2, trial, 2), used in turn, each
-with its own generators.  The worker keeps up to two chunks ahead: while
-the calling thread scales chunk k out of one buffer, chunk k + 1 is
-being drawn into the other, and chunk k + 2 is handed to the first buffer
-as soon as chunk k has been scaled, before chunk k is projected and
-decoded.  So a slot template that decodes faster than it draws and one
-that draws faster than it decodes, taking turns, keep both threads busy.
-The streams are seeded on the calling thread, a block of chunks at a
-time: SeedSequence's hash is run as uint32 array operations over all of a
-block's streams, and each of a buffer's reused PCG64s is set from the
-result just before that buffer's next draw is handed off, never while a
-draw that uses it is in flight.  That gives exactly the draws of
-default_rng(SeedSequence(key)), at a fraction of its cost per stream.
-Every stream fills its own row of a buffer, so the results do not depend
-on thread timing.  The worker calls nothing but standard_normal;
-sample_channel and unit run on the calling thread only.
+buffers of shape (chunk, point, 2, 2, 2, trial, 2), used in turn.  The
+worker keeps up to two chunks ahead: while the calling thread scales
+chunk k out of one buffer, chunk k + 1 is being drawn into the other, and
+chunk k + 2 is handed to the first buffer as soon as chunk k has been
+scaled, before chunk k is projected and decoded.  So a slot template that
+decodes faster than it draws and one that draws faster than it decodes,
+taking turns, keep both threads busy.  Every stream of the pass is hashed
+on the calling thread, once, before the first hand-off: SeedSequence's
+hash (which holds the GIL) is run as uint32 array operations over the
+whole table of seed words, 32 B per (slot, grid point) stream.  Each
+hand-off takes its chunk's slice of that table, and the worker sets the
+pass's one PCG64 from a stream's words right before it fills that
+stream's row, so no generator is ever reseeded while another draw uses
+it.  That gives exactly the draws of default_rng(SeedSequence(key)), at a
+fraction of its cost per stream.  Every stream fills its own row of a
+buffer, so the results do not depend on thread timing.  The worker calls
+nothing but _reseed and standard_normal; sample_channel and unit run on
+the calling thread only.
 
 The pass writes each chunk's errors into its true channels (sample_channel
 adds the estimates in place, with the same bits) and then conjugates the
@@ -148,7 +150,6 @@ __all__ = [
 
 _TAG_CHANNEL = 1
 _DRAW_BUDGET = 2 ** 15  # normals the worker draws per hand-off: as many whole slots as fit, at least one
-_SEED_BLOCK = 1024  # streams seeded per _seed_words call, in whole chunks, at least one
 _PRECISION_CEILING = 30.0  # largest alpha2 * dB / 10 that check_grid_db accepts
 
 # numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding, which
@@ -300,18 +301,20 @@ def _reseed(rng: np.random.Generator, words: list[int]) -> None:
                                "has_uint32": 0, "uinteger": 0}
 
 
-def _draw(rngs: list[np.random.Generator], normals: np.ndarray) -> None:
-    """Fill normals' leading rows from rngs, one stream per row (worker thread).
+def _draw(rng: np.random.Generator, words: list[list[int]], normals: np.ndarray) -> None:
+    """Fill normals' leading rows, one stream per row (worker thread): set
+    rng to the stream's start from its four seed words, then draw the row.
 
-    normals is one of the pass's two draw buffers and rngs are that
-    buffer's own generators; the calling thread reseeds them and hands the
-    buffer back only after it has scaled the buffer's last draw.
+    rng is the pass's one generator and words the chunk's slice of the seed
+    table that the calling thread hashed once for the pass; draws run one
+    at a time on the one worker, so no stream is reseeded in flight.
     standard_normal releases the GIL while it fills a row, so the calling
     thread keeps running meanwhile.  Nothing else is called here: the
     benchmark's tracer (perfbench/tracing.py) keeps a single span stack, for
     the calling thread.
     """
-    for rng, row in zip(rngs, normals):
+    for w, row in zip(words, normals):
+        _reseed(rng, w)
         rng.standard_normal(out=row)
 
 
@@ -701,34 +704,22 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     # estimate in place: the same bits, and no error is read after that
     bufs["h_err"], bufs["g_err"] = bufs["h_true"], bufs["g_true"]
     # two draw buffers, used in turn (the second only when there is a
-    # second chunk), each with its own generators, whose states are set per chunk
+    # second chunk), and one generator, which the worker reseeds per stream
     normals = [np.empty((chunk, len(ps), 2, 2, 2, n_trials, 2)) for _ in range(min(2, n_chunks))]
-    stream_rows = [buf.reshape((-1,) + buf.shape[2:]) for buf in normals]  # one row per (slot, point) stream
-    rngs = [[np.random.Generator(np.random.PCG64(0)) for _ in rows] for rows in stream_rows]
-
-    def chunk_words():
-        # each chunk's seed words, hashed a block of chunks at a time: many
-        # streams per _seed_words call, not the whole plan's at once
-        p_keys = [_db_key(snr.p_db) for snr in snrs]
-        per_block = chunk * max(1, _SEED_BLOCK // len(stream_rows[0]))
-        for lo in range(0, len(slots), per_block):
-            block = _seed_words(seed, p_keys, [s.index for s in slots[lo:lo + per_block]])
-            for c in range(0, len(block), chunk):
-                yield block[c:c + chunk].reshape(-1, _POOL).tolist()
-
-    words = chunk_words()
+    rng = np.random.Generator(np.random.PCG64(0))
+    # every stream's seed words, (slot, point, word), hashed in one call
+    words = _seed_words(seed, [_db_key(snr.p_db) for snr in snrs], [s.index for s in slots])
     waiting: deque = deque()  # (largest settle_after, _Slots, _Batches) per chunk decoded and not yet settled
     with ThreadPoolExecutor(max_workers=1) as pool:
 
-        def draw_into(b):
-            # the next chunk's streams, into buffer b: called only once b's
-            # last draw has been scaled, so no stream is reseeded in flight
-            rows = next(words)
-            for rng, w in zip(rngs[b], rows):
-                _reseed(rng, w)
-            return pool.submit(_draw, rngs[b][:len(rows)], stream_rows[b])
+        def draw_into(k):
+            # chunk k's streams, one row each, into buffer k % 2: called only
+            # once that buffer's last draw has been scaled
+            buf = normals[k % 2]
+            rows = buf.reshape((-1,) + buf.shape[2:])
+            return pool.submit(_draw, rng, words[k * chunk:(k + 1) * chunk].reshape(-1, _POOL).tolist(), rows)
 
-        drawn = deque(draw_into(b) for b in range(len(rngs)))  # chunk 0, and chunk 1 if there is one
+        drawn = deque(draw_into(k) for k in range(len(normals)))  # chunk 0, and chunk 1 if there is one
         for k in range(n_chunks):
             b = k % 2  # chunk k's buffer
             part = list(islice(tables, chunk))
@@ -738,7 +729,7 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
             if k + 2 < n_chunks:
                 # buffer b is free: the worker draws chunk k + 2 into it
                 # once chunk k + 1 is drawn, while this chunk decodes
-                drawn.append(draw_into(b))
+                drawn.append(draw_into(k + 2))
             for true in (stack.h_true, stack.g_true):
                 np.conjugate(true, out=true)  # each gain is conj(true) . direction
             decode_chunk(part, stack)

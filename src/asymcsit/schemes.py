@@ -259,11 +259,12 @@ class SchemePlan:
     id raises ValueError, and so does a link whose source slot, overheard
     interference or carrier is missing, whose carrier is not a common
     (hence first-antenna) layer, or is not in a later slot than its source.
-    Each overheard interference has at most one link: a second link with
-    the same interference_id, or the same (source_slot, observer), raises
-    ValueError naming both.  So every layer of a plan that builds is
-    decoded, and every link resolves; what is left to judge (validate_plan)
-    is the design.
+    Each overheard interference has at most one link, and each carrier
+    carries at most one: a second link with the same interference_id, the
+    same (source_slot, observer) or the same retransmit_layer raises
+    ValueError naming both.  A plan with no slots raises ValueError too.
+    So every layer of a plan that builds is decoded, and every link
+    resolves; what is left to judge (validate_plan) is the design.
     """
 
     name: str
@@ -288,6 +289,8 @@ class SchemePlan:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if self.channel_uses() <= 0.0:
             raise ValueError(f"plan {self.name!r} takes no channel uses")
+        if not (self.prologue_slots or self.cycle_slots):
+            raise ValueError(f"plan {self.name!r} has no slots")
         slots = tuple(sorted(self.prologue_slots + self.cycle_slots, key=lambda s: s.index))
         by_index: dict[int, SlotPlan] = {}
         home: dict[str, tuple[SlotPlan, SymbolLayer]] = {}
@@ -304,15 +307,16 @@ class SchemePlan:
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_slot_by_index", by_index)
         object.__setattr__(self, "_layer_home", home)
-        first: dict = {}  # interference id and (source slot, observer) -> position of the first link with it
+        first: dict = {}  # interference id, (source slot, observer) and carrier -> position of the first link with it
         links_at: dict[int, SlotLinks] = {}
         for i, link in enumerate(self.links):
             name = f"link {link.interference_id}"
-            for key in (link.interference_id, (link.source_slot, link.observer)):
+            for key, clash in ((link.interference_id, "repeats"), ((link.source_slot, link.observer), "repeats"),
+                               (("carrier", link.retransmit_layer), f"shares carrier {link.retransmit_layer!r} with")):
                 j = first.setdefault(key, i)
                 if j != i:
                     other = self.links[j]
-                    raise ValueError(f"{name} (slot {link.source_slot}, {link.observer}) repeats link "
+                    raise ValueError(f"{name} (slot {link.source_slot}, {link.observer}) {clash} link "
                                      f"{other.interference_id} (slot {other.source_slot}, {other.observer})")
             if link.source_slot not in by_index:
                 raise ValueError(f"{name}: source slot {link.source_slot} missing")

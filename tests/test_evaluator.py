@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -599,9 +600,9 @@ class TestPrefetch:
         handed = []
         draw = evaluator._draw
 
-        def counting_draw(rngs, normals):
-            handed.append(len(rngs))
-            draw(rngs, normals)
+        def counting_draw(rng, words, normals):
+            handed.append(len(words))
+            draw(rng, words, normals)
 
         with monkeypatch.context() as m:
             m.setattr(evaluator, "_draw", counting_draw)
@@ -660,25 +661,59 @@ class TestPrefetch:
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
                 assert np.array_equal(a, b), (slots_per_chunk, what)
 
+    def test_stream_keys_of_one_and_two_words_in_one_pass(self, monkeypatch):
+        # slot indices on both sides of 2**32 key their streams with one and
+        # with two entropy words; the pass hashes them all in one _seed_words
+        # call, and each hand-off must get its own chunk's streams' words
+        slots = tuple(SlotPlan(i, (SymbolLayer(f"u{i}", OWNER_USER1, orth_to(2), 0.5, 1.0, 0.5),
+                                   SymbolLayer(f"v{i}", OWNER_USER2, orth_to(1), 0.5, 1.0, 0.5)))
+                      for i in (2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1))
+        plan = SchemePlan("hand", Q35, slots, (), (), DofPoint(0, 0), 4.0, 0.0, 0)
+        grid, n_trials, seed = _grid(Q35), 40, 5
+        keys = [np.random.SeedSequence([seed, _TAG_CHANNEL, _db_key(snr.p_db), s.index]).generate_state(4, np.uint64)
+                .tolist() for s in slots for snr in grid]
+        seed_words, draw = evaluator._seed_words, evaluator._draw
+        runs = []
+        for slots_per_chunk in (1, 2, len(slots)):
+            hashed, handed = [], []
+
+            def counting_seed_words(*args):
+                hashed.append(args)
+                return seed_words(*args)
+
+            def spy_draw(rng, words, normals):
+                handed.extend(words)
+                draw(rng, words, normals)
+
+            with monkeypatch.context() as m:
+                m.setattr(evaluator, "_seed_words", counting_seed_words)
+                m.setattr(evaluator, "_draw", spy_draw)
+                m.setattr(evaluator, "_DRAW_BUDGET", slots_per_chunk * 4 * 16 * n_trials)
+                runs.append(_evaluate_grid(plan, grid, n_trials, seed))
+            assert len(hashed) == 1 and handed == keys, slots_per_chunk
+        for got in runs[1:]:
+            for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, runs[0]):
+                assert np.array_equal(a, b), what
+
     @staticmethod
     def _address(a: np.ndarray) -> int:
         return a.__array_interface__["data"][0]
 
     def _log_hand_offs(self, monkeypatch):
         """Log, in the order they happen on either thread, each stream's
-        reseed (by generator), each draw's start and end (by buffer, with
-        its generators) and each scaling of a buffer."""
+        reseed (by thread), each draw's start (by buffer, with its generator
+        and stream count) and end, and each scaling of a buffer."""
         log = []
         draw, scale, reseed = evaluator._draw, evaluator.sample_channel, evaluator._reseed
 
         def spy_reseed(rng, words):
-            log.append(("reseed", id(rng)))
+            log.append(("reseed", threading.get_ident()))
             reseed(rng, words)
 
-        def spy_draw(rngs, normals):
+        def spy_draw(rng, words, normals):
             at = self._address(normals)
-            log.append(("draw", at, frozenset(map(id, rngs))))
-            draw(rngs, normals)
+            log.append(("draw", at, rng, len(words)))
+            draw(rng, words, normals)
             log.append(("drawn", at))
 
         def spy_scale(snrs, normals, *args, **kwargs):
@@ -691,20 +726,24 @@ class TestPrefetch:
         return log
 
     @staticmethod
-    def _check_hand_offs(log):
+    def _check_hand_offs(log, caller):
         """Each buffer goes free -> drawing -> drawn -> scaled (free) in
-        turn: no draw into it and no reseed of its generators from the start
-        of a draw into it until that draw has been scaled.  Returns the
-        buffers in the order they were drawn into."""
-        owner = {rng: e[1] for e in log if e[0] == "draw" for rng in e[2]}
+        turn: no draw into it from the start of a draw into it until that
+        draw has been scaled.  Every hand-off gets the pass's one generator,
+        and each stream is reseeded once, by the worker, never by caller.
+        Returns the buffers in the order they were drawn into."""
+        draws = [e for e in log if e[0] == "draw"]
+        assert len({id(e[2]) for e in draws}) == 1, "one generator per pass"
+        reseeds = [e[1] for e in log if e[0] == "reseed"]
+        assert caller not in reseeds and len(reseeds) == sum(e[3] for e in draws)
         state: dict[int, str] = {}
         order = []
         for e in log:
-            at = owner[e[1]] if e[0] == "reseed" else e[1]
-            now = state.get(at, "free")
             if e[0] == "reseed":
-                assert now == "free", f"a stream of buffer {at:#x} reseeded while {now}"
-            elif e[0] == "draw":
+                continue
+            at = e[1]
+            now = state.get(at, "free")
+            if e[0] == "draw":
                 assert now == "free", f"buffer {at:#x} refilled while {now}"
                 state[at] = "drawing"
                 order.append(at)
@@ -717,9 +756,9 @@ class TestPrefetch:
         return order
 
     def test_hand_off_holds_under_frequent_thread_switches(self, monkeypatch):
-        # each buffer is scaled here and refilled by the worker, whose
-        # generators are reseeded here between hand-offs: a read before the
-        # draw finished, or a refill or reseed before the read, would show
+        # each buffer is scaled here and refilled by the worker, which
+        # reseeds the pass's one generator for each stream it draws: a read
+        # before the draw finished, or a refill before the read, would show
         # as changed values once the threads switch every few microseconds,
         # and the spies see it in the order of events.  Chunks of 1 slot
         # (300 trials) and of 25 (20 trials).
@@ -739,31 +778,23 @@ class TestPrefetch:
             n_chunks = math.ceil(len(plan.all_slots()) / (1 if n_trials == 300 else 25))
             for got, log in runs:
                 assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (n_cycles, n_trials)
-                order = self._check_hand_offs(log)
+                order = self._check_hand_offs(log, threading.get_ident())
                 assert len(order) == n_chunks and len(set(order)) == 2
                 assert order == [order[k % 2] for k in range(n_chunks)], "the two buffers take turns"
 
     def test_traced_names_run_on_the_calling_thread(self, monkeypatch):
         # perfbench's tracer keeps one span stack, for the calling thread;
-        # only standard_normal runs on the worker
+        # only _reseed and standard_normal run on the worker
         caller = threading.get_ident()
         seen: dict[str, set] = {}
-        for name in ("sample_channel", "unit"):
+        for name in ("sample_channel", "unit", "_draw", "_reseed"):
             def spy(*args, _fn=getattr(evaluator, name), _name=name, **kwargs):
                 seen.setdefault(_name, set()).add(threading.get_ident())
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(evaluator, name, spy)
-        drawn_on = set()
-        draw = evaluator._draw
-
-        def spy_draw(rngs, normals):
-            drawn_on.add(threading.get_ident())
-            draw(rngs, normals)
-
-        monkeypatch.setattr(evaluator, "_draw", spy_draw)
         estimate_dof(build_case_ii(Q35, 1), _grid(Q35), 50, seed=4)
-        assert seen == {name: {caller} for name in ("sample_channel", "unit")}
-        assert len(drawn_on) == 1 and caller not in drawn_on
+        assert seen["sample_channel"] == seen["unit"] == {caller}
+        assert len(seen["_draw"]) == 1 and seen["_reseed"] == seen["_draw"] != {caller}
 
     def test_no_thread_outlives_the_pass(self, monkeypatch):
         plan = build_case_ii(Q35, 1)
@@ -798,11 +829,11 @@ class TestPrefetch:
                 futures.append(super().submit(fn, *args, **kwargs))
                 return futures[-1]
 
-        def held_draw(rngs, normals):
-            started.append(len(rngs))
+        def held_draw(rng, words, normals):
+            started.append(len(words))
             if len(started) > 1:
                 assert release.wait(timeout=60)
-            draw(rngs, normals)
+            draw(rng, words, normals)
 
         def failing_unit(v):
             in_flight.append(sum(not f.done() for f in futures))
@@ -829,6 +860,9 @@ class TestPrefetch:
         failure = DrawFailed("standard_normal failed")
 
         class BrokenStream:
+            def __init__(self):
+                self.bit_generator = SimpleNamespace()  # _reseed sets its state
+
             def standard_normal(self, out):
                 raise failure
 
@@ -836,9 +870,9 @@ class TestPrefetch:
         buffers = []
         draw = evaluator._draw
 
-        def nth_draw_fails(rngs, normals):
+        def nth_draw_fails(rng, words, normals):
             buffers.append(self._address(normals))
-            draw([BrokenStream()] + rngs[1:] if len(buffers) == failing else rngs, normals)
+            draw(BrokenStream() if len(buffers) == failing else rng, words, normals)
 
         monkeypatch.setattr(evaluator, "_draw", nth_draw_fails)
         before = threading.active_count()

@@ -369,18 +369,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="link eta_1_1: source slot 1 missing"):
             SchemePlan("hand", q, (slot2,), (), (link,), DofPoint(0, 0), 1.0, 0.0, 0)
 
-    @pytest.mark.parametrize("k, change, message", [
+    @pytest.mark.parametrize("k, change, in_place, message", [
         # the same link twice: the ledger used to list 6 links for 7
-        (0, {}, r"link eta_1_1 \(slot 1, user1\) repeats link eta_1_1 \(slot 1, user1\)"),
+        (0, {}, False, r"link eta_1_1 \(slot 1, user1\) repeats link eta_1_1 \(slot 1, user1\)"),
         # a second id for one overheard interference
-        (1, {"interference_id": "eta_9_9"}, r"link eta_9_9 \(slot 1, user2\) repeats link eta_1_2 \(slot 1, user2\)"),
+        (1, {"interference_id": "eta_9_9"}, False,
+         r"link eta_9_9 \(slot 1, user2\) repeats link eta_1_2 \(slot 1, user2\)"),
         # one id for two interferences
-        (2, {"interference_id": "eta_1_1"}, r"link eta_1_1 \(slot 3, user1\) repeats link eta_1_1 \(slot 1, user1\)"),
+        (2, {"interference_id": "eta_1_1"}, False,
+         r"link eta_1_1 \(slot 3, user1\) repeats link eta_1_1 \(slot 1, user1\)"),
+        # one carrier for two links: eta_4_2 re-pointed at eta_4_1's carrier
+        # built and validated clean, and its 0.5-pre-log carrier "delivered"
+        # 0.8 (20.864 bits against 11.945 at 120 dB, 400 trials)
+        (4, {"retransmit_layer": "eta_hat_4_1"}, True,
+         r"link eta_4_2 \(slot 4, user2\) shares carrier 'eta_hat_4_1' with link eta_4_1 \(slot 4, user1\)"),
     ])
-    def test_second_link_for_one_interference_rejected(self, k, change, message):
+    def test_second_link_for_one_interference_rejected(self, k, change, in_place, message):
+        # the changed copy of link k is added to the plan's links, or
+        # replaces link k in place
         plan = build_case_ii(CsitQuality(0.3, 0.5), 1)
+        edited = replace(plan.links[k], **change)
+        links = plan.links[:k] + (edited,) + plan.links[k + 1:] if in_place else plan.links + (edited,)
         with pytest.raises(ValueError, match=message):
-            replace(plan, links=plan.links + (replace(plan.links[k], **change),))
+            replace(plan, links=links)
 
     @pytest.mark.parametrize("index, message", [
         (-1, "slot index must be >= 0, got -1"),
@@ -393,21 +404,24 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             SlotPlan(index, (SymbolLayer("u", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),))
 
-    @pytest.mark.parametrize("uses, n_cycles, message", [
-        ((1.0, 0.0), -5, "n_cycles must be >= 0, got -5"),
-        ((1.0, 0.0), 1.0, "n_cycles must be an integer, got 1.0"),
-        ((1.0, 0.0), True, "n_cycles must be an integer, got True"),
-        ((-1.0, 2.0), 1, "prologue_channel_uses must be finite and >= 0, got -1.0"),
-        ((1.0, math.nan), 1, "cycle_channel_uses must be finite and >= 0, got nan"),
-        ((math.inf, 0.0), 0, "prologue_channel_uses must be finite and >= 0, got inf"),
-        ((0.0, 3.0), 0, "plan 'hand' takes no channel uses"),
-        ((0.0, 0.0), 4, "plan 'hand' takes no channel uses"),
+    @pytest.mark.parametrize("uses, n_cycles, n_slots, message", [
+        ((1.0, 0.0), -5, 1, "n_cycles must be >= 0, got -5"),
+        ((1.0, 0.0), 1.0, 1, "n_cycles must be an integer, got 1.0"),
+        ((1.0, 0.0), True, 1, "n_cycles must be an integer, got True"),
+        ((-1.0, 2.0), 1, 1, "prologue_channel_uses must be finite and >= 0, got -1.0"),
+        ((1.0, math.nan), 1, 1, "cycle_channel_uses must be finite and >= 0, got nan"),
+        ((math.inf, 0.0), 0, 1, "prologue_channel_uses must be finite and >= 0, got inf"),
+        ((0.0, 3.0), 0, 1, "plan 'hand' takes no channel uses"),
+        ((0.0, 0.0), 4, 1, "plan 'hand' takes no channel uses"),
+        # no slots used to build and validate clean, then every entry
+        # point died with ZeroDivisionError sizing the draw chunks
+        ((1.0, 0.0), 0, 0, "plan 'hand' has no slots"),
     ])
-    def test_channel_use_accounting_checked_at_construction(self, uses, n_cycles, message):
+    def test_channel_use_accounting_checked_at_construction(self, uses, n_cycles, n_slots, message):
         # 0 uses used to run a whole estimate_dof pass and then divide by zero
-        slot = SlotPlan(1, (SymbolLayer("u", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),))
+        slots = (SlotPlan(1, (SymbolLayer("u", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),)),)[:n_slots]
         with pytest.raises(ValueError, match=message):
-            SchemePlan("hand", CsitQuality(0.3, 0.5), (slot,), (), (), DofPoint(0, 0), *uses, n_cycles)
+            SchemePlan("hand", CsitQuality(0.3, 0.5), slots, (), (), DofPoint(0, 0), *uses, n_cycles)
 
     def test_lookup_misses_raise_key_error(self):
         plan = build_case_ii(CsitQuality(0.3, 0.5), 1)
