@@ -5,6 +5,7 @@ Subcommands:
     run       estimate DoF slopes for one quality pair and scheme set
     sweep     repeat `run` over a list of quality pairs, with an index file
     validate  print a preset's per-slot layer tables and any diagnostics
+              (--json: one JSON document, the plan and its diagnostics)
 """
 
 from __future__ import annotations
@@ -118,27 +119,28 @@ def _cmd_validate(args) -> int:
     quality = _quality(args)
     plan = build_preset(args.scheme, quality, args.cycles)
     diags = validate_plan(plan)
+    if args.json:
+        # one JSON document on stdout: the plan and its diagnostics
+        json.dump({**plan_as_dict(plan), "diagnostics": diags}, sys.stdout, indent=2)
+        print()
+        return 1 if diags else 0
     print(f"plan {plan.name} at alpha=({quality.alpha1}, {quality.alpha2}), "
           f"{plan.n_cycles} cycles, predicted DoF ({plan.predicted_dof.d1:.4f}, {plan.predicted_dof.d2:.4f})")
     print(f"channel uses: {plan.channel_uses():g} "
           f"(prologue {plan.prologue_channel_uses:g} + {plan.n_cycles} x {plan.cycle_channel_uses:g})")
-    if args.json:
-        json.dump(plan_as_dict(plan), sys.stdout, indent=2)
-        print()
-    else:
-        for slot in plan.all_slots():
-            print(f"slot {slot.index}:")
-            for l in slot.layers:
-                power = f"{l.power_coefficient:g}*P^{l.power_exponent:g}"
-                if l.power_sub_coefficient:
-                    power += f" - {l.power_sub_coefficient:g}*P^{l.power_sub_exponent:g}"
-                target = l.precoder.kind if l.precoder.user is None else f"{l.precoder.kind}(user{l.precoder.user})"
-                print(f"  {l.id:<16} {l.owner:<7} {target:<13} power {power:<28} prelog {l.encoding_prelog:g}")
-        if plan.links:
-            print("links:")
-            for k in plan.links:
-                print(f"  {k.interference_id:<12} observer {k.observer} quant prelog {k.quant_prelog:g} "
-                      f"-> {k.retransmit_layer}")
+    for slot in plan.all_slots():
+        print(f"slot {slot.index}:")
+        for l in slot.layers:
+            power = f"{l.power_coefficient:g}*P^{l.power_exponent:g}"
+            if l.power_sub_coefficient:
+                power += f" - {l.power_sub_coefficient:g}*P^{l.power_sub_exponent:g}"
+            target = l.precoder.kind if l.precoder.user is None else f"{l.precoder.kind}(user{l.precoder.user})"
+            print(f"  {l.id:<16} {l.owner:<7} {target:<13} power {power:<28} prelog {l.encoding_prelog:g}")
+    if plan.links:
+        print("links:")
+        for k in plan.links:
+            print(f"  {k.interference_id:<12} observer {k.observer} quant prelog {k.quant_prelog:g} "
+                  f"-> {k.retransmit_layer}")
     if diags:
         print("diagnostics:")
         for d in diags:
@@ -176,7 +178,7 @@ def main(argv=None) -> int:
     _add_quality_args(p_val)
     p_val.add_argument("--scheme", required=True, choices=sorted(PRESET_NAMES))
     p_val.add_argument("--cycles", type=int, default=2)
-    p_val.add_argument("--json", action="store_true", help="emit the plan as JSON instead of tables")
+    p_val.add_argument("--json", action="store_true", help="emit the plan and its diagnostics as one JSON document")
     p_val.set_defaults(fn=_cmd_validate)
 
     args = parser.parse_args(argv)

@@ -12,11 +12,7 @@ dependency order:
      common layer's delivered mutual information at either user), and the
      receivers' residual after subtracting the reconstruction is Gaussian
      with the matching rate-distortion variance (exactly 1 when the link is
-     well provisioned and fully delivered).  The links are resolved once,
-     when the plan is built: which links a slot carries, which link each
-     user overhears there, the slot its groups wait for, and each
-     interference's received exponent are read from
-     SchemePlan.slot_links, the index validate_plan reads too;
+     well provisioned and fully delivered);
   3. private zero-forced symbols and jointly decoded two-symbol vectors.
      A vector's owner decodes from its direct observation (after common
      removal and, where linked, interference subtraction) stacked with the
@@ -28,10 +24,15 @@ of whole slots at a time (as many as fit in _DRAW_BUDGET normals, at
 least one).  Each slot is drawn at every grid point, and a chunk's draws
 are stacked on leading (slot, grid point) axes: one sample_channel call
 scales them, and each precoder direction is projected once per chunk,
-with every |gain|**2 taken once.  Slots of one shape (a cycled plan's
-cycle positions) share one decode template, compiled once per pass: SIC
-order, rate caps, fresh groups, power columns and link wiring; a slot
-keeps only its first rate row, its link rows and when it settles.  A
+with every |gain|**2 taken once.  The decode wiring is resolved once,
+when the plan is built (SchemePlan.shapes and SchemePlan.wiring, which
+validate_plan reads too): the SIC order, the fresh groups, which links a
+slot carries and which each user overhears there, each interference's
+received exponent and the slot its groups wait for.  Slots of one shape
+(a cycled plan's cycle positions) share one decode template, which the
+pass makes once from the shape and the grid powers: power columns, rate
+caps and each link's quantizer scale and demand; a slot keeps only its
+first rate row, its link rows and when it settles.  A
 chunk is decoded a template at a time: the SIC MIs, link noise and cross
 minors of all of the chunk's slots of one template run once, on
 (slot, grid point, trial) arrays that are views of the chunk's gains
@@ -61,10 +62,10 @@ log-slope in P is 0 for a sound plan.
 Every layer of a plan that builds is decoded, either by SIC (a
 first-antenna layer) or in its user's jointly decoded group (any other
 layer).  Building the plan refuses what would break that: a common layer
-off the first antenna, a vanishing pre-log, a repeated (owner, precoder)
-in a slot, a link whose source, overheard interference or common carrier
-is missing or whose carrier is not after its source, and a carrier shared
-by two links.  What validate_plan still reports, and evaluate_plan and
+off the first antenna, a vanishing pre-log or power, a repeated (owner,
+precoder) in a slot, a link whose source, overheard interference or
+common carrier is missing or whose carrier is not after its source, and a
+carrier shared by two links.  What validate_plan still reports, and evaluate_plan and
 estimate_dof refuse with PlanValidationError, are design faults only.
 
 Rates are mutual informations, not symbol-error simulations: the point is
@@ -125,18 +126,7 @@ import numpy as np
 # benchmark's tracer (perfbench/tracing.py) patches it under this module
 from .channel import ChannelRealization, SnrPoint, orth_complement, sample_channel, unit  # noqa: F401
 from .geometry import DofPoint
-from .schemes import (
-    OWNER_COMMON,
-    OWNER_USER1,
-    OWNER_USER2,
-    SchemePlan,
-    SymbolLayer,
-    _require_int,
-    along,
-    first_antenna,
-    orth_to,
-    validate_plan,
-)
+from .schemes import _DIRECTIONS, _USERS, OWNER_COMMON, SchemePlan, SlotShape, SymbolLayer, _require_int, validate_plan
 
 __all__ = [
     "RateLedger",
@@ -160,12 +150,6 @@ _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-# every direction a layer can be sent on, the first antenna first; a
-# direction is its index here
-_DIRECTIONS = (first_antenna(), orth_to(1), orth_to(2), along(1), along(2))
-_DIRECTION = {pc: d for d, pc in enumerate(_DIRECTIONS)}
-_USERS = (OWNER_USER1, OWNER_USER2)  # a user is its index here
 
 
 class PlanValidationError(ValueError):
@@ -377,21 +361,21 @@ def _project(true_conj, est, precoders):
     return gain, power_gain
 
 
-def _common_mis(sic_power, groups, power_gain):
+def _common_mis(sic_power, fresh, power_gain):
     """SIC mutual informations of a slot's first-antenna layers at both users.
 
     sic_power lists their (grid point, 1) power columns in decode order
     (decreasing power exponent); the noise for each layer is every later
-    first-antenna layer plus the fresh layers of groups (the slot's _Group
-    per user) at their true received powers plus unit AWGN.  power_gain is
-    _project's over _DIRECTIONS, so the first antenna's is at 0.  Returns
-    each user's MIs in decode order.
+    first-antenna layer plus the slot's fresh layers, (direction, power
+    column) per layer, at their true received powers plus unit AWGN.
+    power_gain is _project's over _DIRECTIONS, so the first antenna's is at
+    0.  Returns each user's MIs in decode order.
     """
     if not sic_power:
         return [], []
     out = []
     for u in (0, 1):
-        fresh_rx = sum(power_gain[d][u] * col for g in groups for d, col in zip(g.directions, g.powers))
+        fresh_rx = sum(power_gain[d][u] * col for d, col in fresh)
         first = power_gain[0][u]
         rx = [first * col for col in sic_power]
         out.append([np.log2(1.0 + rx[i] / (sum(rx[i + 1:]) + fresh_rx + 1.0)) for i in range(len(rx))])
@@ -454,26 +438,16 @@ def _shift(index, k: int):
     return slice(index.start + k, index.stop + k, index.step) if isinstance(index, slice) else index + k
 
 
-class _Group(NamedTuple):
-    """One user's fresh layers in a slot template, decoded jointly."""
-
-    layers: tuple[int, ...]  # positions in the slot
-    directions: tuple[int, ...]
-    powers: tuple[np.ndarray, ...]  # (grid point, 1) power columns
-    own_link: int  # column in the slot's links of the interference this user overhears there (-1: none)
-    side_link: int  # column of this group's image at the other user (-1: none)
-
-
 @dataclass(frozen=True, eq=False)
 class _Template:
-    """The decode tables of one slot shape, shared by every slot of that
-    shape (see _compile) and hashed by identity."""
+    """The decode tables of one slot shape at the grid powers, shared by
+    every slot of that shape (see _compile) and hashed by identity."""
 
-    fresh: frozenset[int]  # directions its groups use, whose power gains settling reads
-    sic: tuple  # (position in the slot, user, rate cap) per first-antenna layer in decode order; common: user -1, else no cap
+    groups: tuple  # (the shape's SlotGroup, its layers' (grid point, 1) power columns) of user 1 and of user 2
+    fresh: tuple  # (direction, power column) per layer of the groups, user 1's first: what SIC reads as noise
+    sic: tuple  # (position in the slot, user, rate cap) per first-antenna layer in decode order (common: user -1)
     sic_power: tuple  # their (grid point, 1) power columns
-    groups: tuple[_Group, _Group]  # user 1's and user 2's
-    carried: tuple  # (carrier's SIC position, quantizer variance, demand) per link carried here, as _link_noise reads them
+    carried: tuple  # (carrier's SIC rank, quantizer variance, demand) per link carried here, as _link_noise reads them
 
 
 class _Slot(NamedTuple):
@@ -482,7 +456,7 @@ class _Slot(NamedTuple):
     index: int
     template: _Template
     row: int  # its first rate row: its layers take the rows from here, in slot order
-    links: tuple[int, ...]  # link rows: the links carried here, then those of what user 1 and user 2 overhear here (-1: none)
+    links: tuple[int, ...]  # link rows: those carried here, then those user 1 and user 2 overhear here (-1: none)
     settle_after: int  # the slot whose decode lets this slot's groups settle (-1: at once)
 
 
@@ -490,70 +464,44 @@ def _compile(plan: SchemePlan, ps: list[float]):
     """Yield every slot's _Slot at the grid powers ps, in slot order, so that
     only the slots in flight are held.
 
-    Slots of one shape share one _Template, built the first time the shape
-    comes up.  The shape is read off the plan, not the arrays: each layer's
-    owner, precoder and power spec (and a common layer's pre-log, its rate
-    cap), in slot order; each carried link's carrier, quant_prelog and
-    source exponent; and which users overhear a linked interference there.
-    So a cycled plan builds one template per cycle position, however many
-    cycles it has.  The link wiring is read, not worked out: it is the
-    plan's SchemePlan.slot_links, resolved when the plan was built.  Rate
-    rows follow the plan's layer order, and a direction is an index into
-    _DIRECTIONS.  Layers with the same power
+    All that does not depend on the powers is read off the plan, which
+    resolved it when it was built: one SlotShape per way a slot decodes
+    (SIC order, groups, carried links) and each slot's SlotWiring.  So the
+    one _Template per shape only attaches the powers: power columns, rate
+    caps, and each carried link's quantizer variance and demand.  A cycled
+    plan has one shape per cycle position, however many cycles it has.
+    Rate rows follow the plan's layer order.  Layers with the same power
     spec (coefficient, exponent, sub-coefficient, sub-exponent) share one
     power column.  A common-owned first-antenna layer's rate cap is its
     encoding pre-log times log2(P): it carries no user bits, only the
-    quantization bits it was built for.  A slot's SlotLinks names at most
-    one link per user overhearing there, so each group has at most one own
-    and one side link.
+    quantization bits it was built for.
     """
     log2p = np.array([math.log2(p) for p in ps])
     columns: dict[tuple[float, ...], np.ndarray] = {}
-    templates: dict[tuple, _Template] = {}
-
-    def spec(l: SymbolLayer) -> tuple[float, ...]:
-        return l.power_coefficient, l.power_exponent, l.power_sub_coefficient, l.power_sub_exponent
 
     def column(l: SymbolLayer) -> np.ndarray:
-        key = spec(l)
+        key = l.power_coefficient, l.power_exponent, l.power_sub_coefficient, l.power_sub_exponent
         if key not in columns:
             columns[key] = np.array([l.power(p) for p in ps])[:, None]
         return columns[key]
 
-    def template(slot, links, overheard) -> _Template:
-        position = {l.id: k for k, l in enumerate(slot.layers)}
-        sic = slot.commons()
-        groups = []
-        for u, owner in enumerate(_USERS):
-            fresh = slot.fresh(owner)
-            groups.append(_Group(tuple(position[l.id] for l in fresh), tuple(_DIRECTION[l.precoder] for l in fresh),
-                                 tuple(column(l) for l in fresh), len(links) + u if overheard[u] else -1,
-                                 len(links) + 1 - u if overheard[1 - u] else -1))
-        order = {l.id: k for k, l in enumerate(sic)}
+    def template(shape: SlotShape) -> _Template:
+        groups = tuple((g, tuple(column(shape.layers[k]) for k in g.positions)) for g in shape.groups)
+        sic = [shape.layers[k] for k in shape.sic]
         return _Template(
-            frozenset(d for g in groups for d in g.directions),
-            tuple((position[l.id], -1, l.encoding_prelog * log2p) if l.owner == OWNER_COMMON
-                  else (position[l.id], _USERS.index(l.owner), None) for l in sic),
+            groups,
+            tuple(pair for g, cols in groups for pair in zip(g.directions, cols)),
+            tuple((k, -1, l.encoding_prelog * log2p) if l.owner == OWNER_COMMON else (k, _USERS.index(l.owner), None)
+                  for k, l in zip(shape.sic, sic)),
             tuple(column(l) for l in sic),
-            (groups[0], groups[1]),
-            tuple((order[link.retransmit_layer], [p ** (e_src - link.quant_prelog) for p in ps],
-                   [link.quant_prelog * math.log2(p) for p in ps]) for link, e_src in links),
+            tuple((rank, [p ** (e_src - q) for p in ps], [q * math.log2(p) for p in ps])
+                  for rank, q, e_src in shape.carried),
         )
 
+    templates = [template(shape) for shape in plan.shapes]
     row = 0
-    for slot in plan.all_slots():
-        ids = [l.id for l in slot.layers]
-        wiring = plan.slot_links(slot.index)
-        links = [(plan.links[i], e_src) for i, e_src in wiring.carried]
-        overheard = (wiring.overheard[0] >= 0, wiring.overheard[1] >= 0)
-        key = (tuple((l.owner, l.precoder.kind, l.precoder.user) + spec(l)
-                     + (l.encoding_prelog if l.owner == OWNER_COMMON else None,) for l in slot.layers),
-               tuple((ids.index(link.retransmit_layer), link.quant_prelog, e_src) for link, e_src in links),
-               overheard)
-        if key not in templates:
-            templates[key] = template(slot, links, overheard)
-        yield _Slot(slot.index, templates[key], row, tuple(i for i, _ in wiring.carried) + wiring.overheard,
-                    wiring.settle_after)
+    for slot, w in zip(plan.all_slots(), plan.wiring):
+        yield _Slot(slot.index, templates[w.shape], row, w.links, w.settle_after)
         row += len(slot.layers)
 
 
@@ -565,7 +513,7 @@ class _Batch(NamedTuple):
     size: int  # its slots
     rows: slice | np.ndarray  # its slots' first rate rows, as _take indexes them
     links: list  # per link column, its slots' link rows as _take indexes them (None: no link there)
-    power_gain: list  # per direction: the users' |gain|**2 for the template's fresh directions, else None
+    power_gain: dict  # direction -> the users' |gain|**2, for the directions of the template's groups
     bits: list  # (user, per-trial bits) of the user-owned first-antenna layers
     minors: list  # each group's cross minors, 0 without a side row
 
@@ -617,7 +565,7 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         power_gain = [a and (a[0][at], a[1][at]) for a in power_gain]
         rows = _take([s.row for s in part])
         links = [_take(list(col)) if col[0] >= 0 else None for col in zip(*(s.links for s in part))]
-        mi1, mi2 = _common_mis(t.sic_power, t.groups, power_gain)
+        mi1, mi2 = _common_mis(t.sic_power, t.fresh, power_gain)
         bits = []
         for (k, user, cap), m1, m2 in zip(t.sic, mi1, mi2):
             per_trial = np.minimum(m1, m2)
@@ -632,9 +580,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
             link_out[0, links[j]] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
             link_out[1, links[j]] = [_link_noise(scale, demand, d) for d in mi.tolist()]
         minors = [_cross_minors([gain[d][u][at] for d in g.directions], [gain[d][1 - u][at] for d in g.directions],
-                                g.powers) if g.side_link >= 0 else 0 for u, g in enumerate(t.groups)]
-        fresh = [power_gain[d] if d in t.fresh else None for d in range(len(_DIRECTIONS))]
-        return _Batch(t, len(part), rows, links, fresh, bits, minors)
+                                powers) if g.side_link >= 0 else 0 for u, (g, powers) in enumerate(t.groups)]
+        return _Batch(t, len(part), rows, links, {d: power_gain[d] for d, _ in t.fresh}, bits, minors)
 
     def settle(b: _Batch):
         # each user's fresh layers in b's slots decode jointly.  The direct
@@ -648,15 +595,14 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         # (user, per-trial bits) additions, in the order they add up.
         t, power_gain = b.template, b.power_gain
         joints = []
-        for u, group in enumerate(t.groups):
-            if not group.layers:
+        for u, (group, powers) in enumerate(t.groups):
+            if not powers:
                 continue
-            powers = group.powers
             if group.own_link >= 0:
                 own_noise = link_out[1, b.links[group.own_link], :, None]
             else:
-                leak = t.groups[1 - u]
-                own_noise = sum(power_gain[d][u] * col for d, col in zip(leak.directions, leak.powers))
+                leak, leak_powers = t.groups[1 - u]
+                own_noise = sum(power_gain[d][u] * col for d, col in zip(leak.directions, leak_powers))
             rows = [([power_gain[d][u] for d in group.directions], 1.0 + own_noise)]
             if group.side_link >= 0:
                 rows.append(([power_gain[d][1 - u] for d in group.directions],
@@ -672,7 +618,7 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                 total = sum(genie)
                 shares = [np.where(total > 0.0, joint * g / np.where(total > 0.0, total, 1.0), 0.0)
                           for g in genie]
-            for k, share in zip(group.layers, shares):
+            for k, share in zip(group.positions, shares):
                 rate[_shift(b.rows, k)] = trial_mean(share)
         return [[(user, x[j]) for user, x in b.bits + joints] for j in range(b.size)]
 
@@ -684,7 +630,7 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         for c, s in enumerate(part):
             at.setdefault(s.template, []).append(c)
         # every layer off the first antenna (direction 0) is in a group
-        used = set().union(*(t.fresh for t in at), [0] if any(t.sic for t in at) else [])
+        used = {d for t in at for d, _ in t.fresh} | {0 for t in at if t.sic}
         gain, power_gain = _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
                                     [pc if d in used else None for d, pc in enumerate(_DIRECTIONS)])
         batches = [decode(t, [part[c] for c in cs], _take(cs), gain, power_gain) for t, cs in at.items()]

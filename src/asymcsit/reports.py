@@ -282,12 +282,14 @@ def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
     if not qualities:
         raise ValueError("qualities must be nonempty")
     # every pair's config is checked (the grid ceiling depends on alpha2),
-    # and pairs are checked for repeats, before the first run starts
+    # and pairs are checked for repeats, before the first run starts.  A
+    # repeat is an equal pair of values: 0.0 and -0.0 are one pair, though
+    # their directory tags differ
     runs = []
     for q in qualities:
-        tag = f"a1_{float(q.alpha1)!r}_a2_{float(q.alpha2)!r}".replace(".", "p")
-        if any(entry["dir"] == tag for _sub, entry in runs):
+        if any((entry["alpha1"], entry["alpha2"]) == (q.alpha1, q.alpha2) for _sub, entry in runs):
             raise ValueError(f"quality pair ({q.alpha1}, {q.alpha2}) is listed twice")
+        tag = f"a1_{float(q.alpha1)!r}_a2_{float(q.alpha2)!r}".replace(".", "p")
         sub = dataclasses.replace(base, alpha1=q.alpha1, alpha2=q.alpha2, output_dir=base.output_dir / tag)
         runs.append((sub, {"alpha1": q.alpha1, "alpha2": q.alpha2, "dir": tag}))
     entries = []

@@ -26,19 +26,24 @@ Layers whose encoding pre-log evaluates to <= 0 at the given quality are
 dropped, together with any quantization link whose rate vanishes; the rate
 accounting is unchanged by construction.  Each link is derived from the
 built slot it is overheard in (_link), by the one overheard rule,
-_source_exponent.  A plan resolves its links once, when it is built: each
-link's source exponent, the links each slot carries, the link each user
-overhears there and the last carrier its groups wait for, indexed by slot
-(SchemePlan.slot_links).  validate_plan and the evaluator's grid pass read
-that index and work none of it out again.
+_source_exponent.
+
+A plan resolves every slot's decode wiring once, when it is built.  Slots
+that decode alike share one SlotShape: the SIC decode order of its
+first-antenna layers, each user's jointly decoded group with its
+directions and whether it reads an own and a side link, and each carried
+link's carrier, quantization pre-log and source exponent.  Each slot keeps
+only a SlotWiring: its shape, its link rows and the slot it waits for
+(SchemePlan.shapes and SchemePlan.wiring).  validate_plan and the
+evaluator's grid pass read that index and work none of it out again.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .geometry import CsitQuality, DofPoint, contains, dof_region
 
@@ -120,6 +125,12 @@ def first_antenna() -> PrecoderSpec:
     return PrecoderSpec("first_antenna")
 
 
+# every direction a layer can be sent on, the first antenna first; a
+# direction is its index here, and a user its index in _USERS
+_DIRECTIONS = (first_antenna(), orth_to(1), orth_to(2), along(1), along(2))
+_USERS = (OWNER_USER1, OWNER_USER2)
+
+
 @dataclass(frozen=True)
 class SymbolLayer:
     """One stacked signal component of a slot.
@@ -130,7 +141,11 @@ class SymbolLayer:
             - power_sub_coefficient * P**power_sub_exponent, 0)
 
     which covers both the plain coef*P**exp allocations and the
-    "P - P**s"-style differences used for the top layers.
+    "P - P**s"-style differences used for the top layers.  The subtracted
+    term's coefficient must be >= 0, and the term may not dominate at high
+    P (a larger exponent, or an equal one with a coefficient at least as
+    large): such a power is 0 once P is large, at the high-SNR end the
+    slope fit reads.
     encoding_prelog is the layer's code rate divided by log2(P); it must be
     above _PRELOG_EPS (the builders drop a layer whose pre-log vanishes).
     precoder must be a PrecoderSpec, and a common layer's must be the first
@@ -158,6 +173,13 @@ class SymbolLayer:
                 raise ValueError(f"layer {self.id!r}: {name} must be finite, got {getattr(self, name)}")
         if self.power_coefficient <= 0.0:
             raise ValueError(f"layer {self.id!r}: power_coefficient must be positive, got {self.power_coefficient}")
+        if self.power_sub_coefficient < 0.0:
+            raise ValueError(f"layer {self.id!r}: power_sub_coefficient must be >= 0, got {self.power_sub_coefficient}")
+        if self.power_sub_coefficient and ((self.power_sub_exponent, self.power_sub_coefficient)
+                                           >= (self.power_exponent, self.power_coefficient)):
+            raise ValueError(f"layer {self.id!r}: the subtracted {self.power_sub_coefficient:g}*P**"
+                             f"{self.power_sub_exponent:g} is not below {self.power_coefficient:g}*P**"
+                             f"{self.power_exponent:g} at high P, so the power vanishes there")
         if self.encoding_prelog <= _PRELOG_EPS:
             raise ValueError(f"layer {self.id!r}: encoding_prelog must be positive, got {self.encoding_prelog}")
         if self.owner == OWNER_COMMON and self.precoder.kind != "first_antenna":
@@ -230,13 +252,51 @@ class SlotPlan:
         return [l for l in self.layers if l.owner == owner and l.precoder.kind != "first_antenna"]
 
 
-# The quantization links one slot of a plan carries or sources, each named by
-# its position in plan.links, as SchemePlan resolves them once, when it is built:
-#   carried       (link, its source exponent) per link carried here, in plan.links order
-#   overheard     the link of what user 1 and user 2 overhear here (-1: none)
-#   settle_after  the last slot carrying a link overheard here (-1: none)
-SlotLinks = namedtuple("SlotLinks", "carried overheard settle_after")
-_NO_LINKS = SlotLinks((), (-1, -1), -1)
+class SlotGroup(NamedTuple):
+    """One user's fresh layers in a slot shape, decoded jointly."""
+
+    positions: tuple[int, ...]  # in the slot's layers, in slot order (SlotPlan.fresh)
+    directions: tuple[int, ...]  # each layer's index in _DIRECTIONS
+    own_link: int  # column in the slot's links of the interference this user overhears there (-1: none)
+    side_link: int  # column of this group's image at the other user (-1: none)
+
+
+class SlotShape(NamedTuple):
+    """The decode wiring of every slot that decodes alike, by position in
+    the slot's layers.
+
+    Two slots decode alike when their layers match position by position in
+    owner, precoder and power spec (and pre-log, on a common layer), their
+    carried links in carrier, quant_prelog and source exponent, and the same
+    users overhear a linked interference in them.  A slot's links name at
+    most one link per user overhearing there, so each group has at most one
+    own and one side link.
+    """
+
+    layers: tuple[SymbolLayer, ...]  # the first such slot's
+    sic: tuple[int, ...]  # the first-antenna layers in SIC decode order (SlotPlan.commons)
+    groups: tuple[SlotGroup, SlotGroup]  # user 1's and user 2's
+    carried: tuple[tuple[int, float, float], ...]  # (carrier's SIC rank, quant_prelog, source exponent) per link
+
+
+class SlotWiring(NamedTuple):
+    """One slot's part of the wiring: its shape and where its links are."""
+
+    shape: int  # position in SchemePlan.shapes
+    links: tuple[int, ...]  # link rows: those carried here, then those user 1 and user 2 overhear here (-1: none)
+    settle_after: int  # the last slot carrying a link overheard here (-1: none)
+
+
+def _shape(slot: SlotPlan, carried, overheard) -> SlotShape:
+    """slot's SlotShape, from (carrier's position, quant_prelog, source
+    exponent) per link it carries and whether each user overhears a linked
+    interference there.  Layers are found by equality, which tells them
+    apart by id, and a plan's layer ids are unique."""
+    sic = tuple(map(slot.layers.index, slot.commons()))
+    groups = tuple(SlotGroup(tuple(map(slot.layers.index, fresh)), tuple(_DIRECTIONS.index(l.precoder) for l in fresh),
+                             len(carried) + u if overheard[u] else -1, len(carried) + 1 - u if overheard[1 - u] else -1)
+                   for u, fresh in enumerate(map(slot.fresh, _USERS)))
+    return SlotShape(slot.layers, sic, groups, tuple((sic.index(k), q, e) for k, q, e in carried))
 
 
 @dataclass(frozen=True)
@@ -253,10 +313,12 @@ class SchemePlan:
 
     The slot order and the slot/layer lookups are indexed once, at
     construction: all_slots() is the slots in index order, and slot() and
-    find_layer() are dict reads.  The link wiring is resolved there too, and
-    nowhere else: slot_links(index) is the slot's SlotLinks, with each
-    link's source exponent computed once.  A duplicate slot index or layer
-    id raises ValueError, and so does a link whose source slot, overheard
+    find_layer() are dict reads.  The decode wiring is resolved there too,
+    and nowhere else, in one pass over the slots: shapes holds one SlotShape
+    per way a slot decodes, and wiring one SlotWiring per slot, in
+    all_slots() order.  What each user overhears is worked out once per
+    slot layout (owners, precoders and powers).  A duplicate slot index or
+    layer id raises ValueError, and so does a link whose source slot, overheard
     interference or carrier is missing, whose carrier is not a common
     (hence first-antenna) layer, or is not in a later slot than its source.
     Each overheard interference has at most one link, and each carrier
@@ -279,7 +341,8 @@ class SchemePlan:
     _slots: tuple[SlotPlan, ...] = field(init=False, repr=False, compare=False)
     _slot_by_index: dict[int, SlotPlan] = field(init=False, repr=False, compare=False)
     _layer_home: dict[str, tuple[SlotPlan, SymbolLayer]] = field(init=False, repr=False, compare=False)
-    _slot_links: dict[int, SlotLinks] = field(init=False, repr=False, compare=False)
+    shapes: tuple[SlotShape, ...] = field(init=False, repr=False, compare=False)
+    wiring: tuple[SlotWiring, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_int("n_cycles", self.n_cycles, 0)
@@ -294,21 +357,34 @@ class SchemePlan:
         slots = tuple(sorted(self.prologue_slots + self.cycle_slots, key=lambda s: s.index))
         by_index: dict[int, SlotPlan] = {}
         home: dict[str, tuple[SlotPlan, SymbolLayer]] = {}
+        position: dict[str, int] = {}  # layer id -> its position in its slot
+        # each slot's layers' owners, precoders, power specs and common pre-logs, numbered
+        layouts: dict[tuple, int] = {}
+        layout: dict[int, int] = {}  # slot index -> its layout's number
+        exponents: list[list[float]] = []  # per layout, the source exponent of what user 1 and user 2 overhear
         for s in slots:
             if s.index in by_index:
                 raise ValueError(f"duplicate slot index {s.index}")
             by_index[s.index] = s
-            for layer in s.layers:
+            for k, layer in enumerate(s.layers):
                 if layer.id in home:
                     raise ValueError(
                         f"duplicate layer id {layer.id!r} (slots {home[layer.id][0].index} and {s.index})"
                     )
                 home[layer.id] = (s, layer)
+                position[layer.id] = k
+            key = tuple((l.owner, l.precoder.kind, l.precoder.user, l.power_coefficient, l.power_exponent,
+                         l.power_sub_coefficient, l.power_sub_exponent,
+                         l.encoding_prelog if l.owner == OWNER_COMMON else None) for l in s.layers)
+            n = layout[s.index] = layouts.setdefault(key, len(layouts))
+            if n == len(exponents):
+                exponents.append([_source_exponent(s, observer, self.quality) for observer in _USERS])
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_slot_by_index", by_index)
         object.__setattr__(self, "_layer_home", home)
         first: dict = {}  # interference id, (source slot, observer) and carrier -> position of the first link with it
-        links_at: dict[int, SlotLinks] = {}
+        carried: dict[int, list] = {}  # slot index -> (link, carrier's position, quant_prelog, exponent) per link
+        heard: dict[int, list] = {}  # slot index -> [user 1's link, user 2's link, last carrier slot]
         for i, link in enumerate(self.links):
             name = f"link {link.interference_id}"
             for key, clash in ((link.interference_id, "repeats"), ((link.source_slot, link.observer), "repeats"),
@@ -320,7 +396,7 @@ class SchemePlan:
                                      f"{other.interference_id} (slot {other.source_slot}, {other.observer})")
             if link.source_slot not in by_index:
                 raise ValueError(f"{name}: source slot {link.source_slot} missing")
-            exponent = _source_exponent(by_index[link.source_slot], link.observer, self.quality)
+            exponent = exponents[layout[link.source_slot]][_USERS.index(link.observer)]
             if exponent == -math.inf:
                 raise ValueError(f"{name}: source interference missing")
             carrier = home.get(link.retransmit_layer)
@@ -330,12 +406,21 @@ class SchemePlan:
             at = carrier[0].index
             if at <= link.source_slot:
                 raise ValueError(f"{name}: carrier slot {at} is not after source slot {link.source_slot}")
-            w = links_at.get(at, _NO_LINKS)
-            links_at[at] = SlotLinks(w.carried + ((i, exponent),), w.overheard, w.settle_after)
-            w = links_at.get(link.source_slot, _NO_LINKS)
-            heard = (i, w.overheard[1]) if link.observer == OWNER_USER1 else (w.overheard[0], i)
-            links_at[link.source_slot] = SlotLinks(w.carried, heard, max(w.settle_after, at))
-        object.__setattr__(self, "_slot_links", links_at)
+            carried.setdefault(at, []).append((i, position[link.retransmit_layer], link.quant_prelog, exponent))
+            h = heard.setdefault(link.source_slot, [-1, -1, -1])
+            h[_USERS.index(link.observer)] = i
+            h[2] = max(h[2], at)
+        # (layout, carried links, whether user 1 and user 2 overhear a link) -> (shape's position, its first slot)
+        shape_of: dict[tuple, tuple[int, SlotPlan]] = {}
+        wiring = []
+        for s in slots:
+            links = carried.get(s.index, [])
+            o1, o2, settle_after = heard.get(s.index, (-1, -1, -1))
+            key = (layout[s.index], tuple(c[1:] for c in links), o1 >= 0, o2 >= 0)
+            n = shape_of.setdefault(key, (len(shape_of), s))[0]
+            wiring.append(SlotWiring(n, tuple(c[0] for c in links) + (o1, o2), settle_after))
+        object.__setattr__(self, "shapes", tuple(_shape(s, key[1], key[2:]) for key, (_, s) in shape_of.items()))
+        object.__setattr__(self, "wiring", tuple(wiring))
 
     def all_slots(self) -> tuple[SlotPlan, ...]:
         return self._slots
@@ -354,11 +439,6 @@ class SchemePlan:
             return self._layer_home[layer_id]
         except KeyError:
             raise KeyError(f"no layer with id {layer_id!r}") from None
-
-    def slot_links(self, index: int) -> SlotLinks:
-        """The links slot `index` carries or sources, as resolved when the
-        plan was built (no links: SlotLinks((), (-1, -1), -1))."""
-        return self._slot_links.get(index, _NO_LINKS)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +795,7 @@ def validate_plan(plan: SchemePlan) -> list[str]:
                 f"power budget exceeded: slot {s.index} leading coefficients sum to {top_coef:.6g} > 1"
             )
 
-    exponents = dict(pair for s in plan.all_slots() for pair in plan.slot_links(s.index).carried)
+    exponents = {i: e for w in plan.wiring for i, (_, _, e) in zip(w.links, plan.shapes[w.shape].carried)}
     for i, link in enumerate(plan.links):
         if abs(exponents[i] - link.quant_prelog) > 1e-9:
             diags.append(

@@ -119,9 +119,10 @@ class TestRateOps:
         snr = SnrPoint(1e6, Q35)
         ch = sample_channel(snr, np.random.default_rng(0))
         layers = [
-            SymbolLayer("v1", OWNER_USER2, orth_to(1), 0.5, 1.0, 0.5, 1.0, 0.5),  # power 0
-            SymbolLayer("v2", OWNER_USER2, along(1), 0.2, 1.0, 0.2, 1.0, 0.2),    # power 0
+            SymbolLayer("v1", OWNER_USER2, orth_to(1), 0.5, 0.1, 0.5, 1.0, 0.4),  # power 0 at P = 1e6
+            SymbolLayer("v2", OWNER_USER2, along(1), 0.2, 0.1, 0.2, 1.0, 0.1),    # power 0 at P = 1e6
         ]
+        assert [l.power(snr.p) for l in layers] == [0.0, 0.0]
         assert _vector_rate(layers, ch, snr.p, 1.0, 1.0) == 0.0
 
     def test_joint_vector_positive_and_noise_monotone(self):
@@ -438,7 +439,7 @@ class TestSlotTemplates:
         _evaluate_grid(plan, grid, n_trials, 5)
         slots = list(evaluator._compile(plan, [s.p for s in grid]))
         chunk = max(1, evaluator._DRAW_BUDGET // (len(grid) * 16 * n_trials))
-        assert len(calls) == sum(sum(1 for g in t.groups if g.layers)
+        assert len(calls) == sum(sum(1 for g, _ in t.groups if g.positions)
                                  for lo in range(0, len(slots), chunk)
                                  for t in {s.template for s in slots[lo:lo + chunk]})
 
@@ -481,7 +482,10 @@ class TestLinkWiring:
         monkeypatch.setattr(SchemePlan, "find_layer", counting("find_layer", SchemePlan.find_layer))
         plan = build_case_ii(Q35, 3)
         plan.find_layer("u3")
-        assert calls == {"_source_exponent": 2 * len(plan.links), "find_layer": 1}  # _link, then the plan's check
+        # _link once per link, then the plan's check once per user and slot
+        # layout: slot 1's, slot 2's, the B slots', the C slots' (shared with
+        # the first A slot), the later A slots' and the terminator's
+        assert calls == {"_source_exponent": len(plan.links) + 2 * 6, "find_layer": 1}
         calls.update(_source_exponent=0, find_layer=0)
         grid = _grid(Q35)
         estimate_dof(plan, grid, 20, 5)

@@ -26,7 +26,14 @@ from asymcsit import (
     residual_power_probe,
     validate_plan,
 )
-from asymcsit.schemes import OWNER_USER1, OWNER_USER2, _source_exponent, perturb_link_prelog
+from asymcsit.schemes import (
+    OWNER_COMMON,
+    OWNER_USER1,
+    OWNER_USER2,
+    _DIRECTIONS,
+    _source_exponent,
+    perturb_link_prelog,
+)
 
 _unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -86,25 +93,76 @@ def test_indexed_lookups_agree_with_a_scan(quality, n_cycles):
 
 def _stored_exponents(plan):
     """Each link's source exponent as the plan resolved it, by position in plan.links."""
-    return {i: e for s in plan.all_slots() for i, e in plan.slot_links(s.index).carried}
+    return {i: e for w in plan.wiring for i, (_, _, e) in zip(w.links, plan.shapes[w.shape].carried)}
 
 
 def _stored_wiring(plan):
-    return {s.index: (tuple(i for i, _ in w.carried), w.overheard, w.settle_after)
-            for s in plan.all_slots() for w in [plan.slot_links(s.index)]}
+    """Each slot's decode wiring as the plan stores it, in layer ids, precoders
+    and link rows: SIC order, each user's group (layers, precoders, own and
+    side link), the carried links (link, carrier, quant_prelog), the links of
+    what user 1 and user 2 overhear, and settle_after."""
+    def decoded(l):  # what the decode reads of a layer
+        return (l.owner, l.precoder, l.power_coefficient, l.power_exponent, l.power_sub_coefficient,
+                l.power_sub_exponent, l.encoding_prelog if l.owner == OWNER_COMMON else None)
+
+    out = {}
+    for s, w in zip(plan.all_slots(), plan.wiring):
+        shape = plan.shapes[w.shape]
+        assert list(map(decoded, shape.layers)) == list(map(decoded, s.layers)), (plan.name, s.index)
+        row = lambda column: w.links[column] if column >= 0 else -1  # noqa: E731
+        out[s.index] = (
+            tuple(s.layers[k].id for k in shape.sic),
+            tuple((tuple(s.layers[k].id for k in g.positions), tuple(_DIRECTIONS[d] for d in g.directions),
+                   row(g.own_link), row(g.side_link)) for g in shape.groups),
+            tuple((i, s.layers[shape.sic[rank]].id, q) for i, (rank, q, _) in zip(w.links, shape.carried)),
+            w.links[len(shape.carried):],
+            w.settle_after,
+        )
+    return out
 
 
 def _scanned_wiring(plan):
-    """The link wiring by a plain scan of plan.links and the slots' layers."""
+    """The same wiring by a plain scan of plan.links and the slots' layers,
+    with SlotPlan.commons() and SlotPlan.fresh()."""
     carrier = {l.id: s.index for s in plan.all_slots() for l in s.layers}
-    wiring = {s.index: ([], [-1, -1], -1) for s in plan.all_slots()}
+    links = {s.index: ([], [-1, -1], -1) for s in plan.all_slots()}
     for i, link in enumerate(plan.links):
         at = carrier[link.retransmit_layer]
-        wiring[at][0].append(i)
-        carried, overheard, settle = wiring[link.source_slot]
+        links[at][0].append((i, link.retransmit_layer, link.quant_prelog))
+        carried, overheard, settle = links[link.source_slot]
         overheard[(OWNER_USER1, OWNER_USER2).index(link.observer)] = i
-        wiring[link.source_slot] = (carried, overheard, max(settle, at))
-    return {k: (tuple(c), tuple(o), a) for k, (c, o, a) in wiring.items()}
+        links[link.source_slot] = (carried, overheard, max(settle, at))
+    out = {}
+    for s in plan.all_slots():
+        carried, overheard, settle = links[s.index]
+        groups = tuple((tuple(l.id for l in fresh), tuple(l.precoder for l in fresh), overheard[u], overheard[1 - u])
+                       for u, fresh in enumerate((s.fresh(OWNER_USER1), s.fresh(OWNER_USER2))))
+        out[s.index] = (tuple(l.id for l in s.commons()), groups, tuple(carried), tuple(overheard), settle)
+    return out
+
+
+def _template_key(plan, slot):
+    """What the grid pass once keyed a slot's decode template by, slot by
+    slot: each layer's owner, precoder, power spec and (common layers only)
+    pre-log; each carried link's carrier position, quant_prelog and source
+    exponent; and which users overhear a linked interference there."""
+    ids = [l.id for l in slot.layers]
+    carried = [link for link in plan.links if link.retransmit_layer in ids]
+    return (tuple((l.owner, l.precoder.kind, l.precoder.user, l.power_coefficient, l.power_exponent,
+                   l.power_sub_coefficient, l.power_sub_exponent,
+                   l.encoding_prelog if l.owner == OWNER_COMMON else None) for l in slot.layers),
+            tuple((ids.index(link.retransmit_layer), link.quant_prelog,
+                   _source_exponent(plan.slot(link.source_slot), link.observer, plan.quality)) for link in carried),
+            tuple(any(link.source_slot == slot.index and link.observer == o for link in plan.links)
+                  for o in (OWNER_USER1, OWNER_USER2)))
+
+
+def _check_wiring(plan):
+    # the stored wiring is what the scan gives, and two slots share a shape
+    # exactly when their old template keys are equal
+    assert _stored_wiring(plan) == _scanned_wiring(plan), plan.name
+    pairs = {(_template_key(plan, s), w.shape) for s, w in zip(plan.all_slots(), plan.wiring)}
+    assert len({key for key, _ in pairs}) == len(pairs) == len(plan.shapes), plan.name
 
 
 @_SETTINGS
@@ -119,20 +177,21 @@ def test_quant_prelog_is_the_source_exponent(quality, n_cycles):
 @_SETTINGS
 @given(qualities, cycles, st.data(), st.floats(-2.0, 2.0))
 def test_link_wiring_is_resolved_once_at_build(quality, n_cycles, data, delta):
-    # the wiring the plan stores is what a scan of its links gives, in
-    # either link order, each stored exponent is the overheard rule's own,
-    # and a perturbed quantization rate moves neither
+    # the whole decode wiring the plan stores (SIC order, groups, links and
+    # settle_after) is what a scan of its slots and links gives, in either
+    # link order, each stored exponent is the overheard rule's own, and a
+    # perturbed quantization rate moves no exponent
     for plan in _buildable(quality, n_cycles):
-        wiring, exponents = _stored_wiring(plan), _stored_exponents(plan)
-        assert wiring == _scanned_wiring(plan), plan.name
-        flipped = replace(plan, links=tuple(reversed(plan.links)))
-        assert _stored_wiring(flipped) == _scanned_wiring(flipped), plan.name
+        exponents = _stored_exponents(plan)
+        _check_wiring(plan)
+        _check_wiring(replace(plan, links=tuple(reversed(plan.links))))
         assert sorted(exponents) == list(range(len(plan.links))), plan.name
         for i, link in enumerate(plan.links):
             assert exponents[i] == _source_exponent(plan.slot(link.source_slot), link.observer, quality), plan.name
         if plan.links:
             bad = perturb_link_prelog(plan, data.draw(st.sampled_from(plan.links)).interference_id, delta)
-            assert _stored_wiring(bad) == wiring and _stored_exponents(bad) == exponents, plan.name
+            _check_wiring(bad)
+            assert _stored_exponents(bad) == exponents, plan.name
 
 
 @_SETTINGS

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from asymcsit import CsitQuality, ExperimentConfig, region_export, run, sweep
+from asymcsit import CsitQuality, ExperimentConfig, build_preset, plan_as_dict, region_export, run, sweep
 from asymcsit.cli import main
 from asymcsit.reports import CSV_HEADER
 
@@ -211,6 +211,16 @@ class TestCli:
         assert "plan valid" in out
         assert "eta_hat_3_1" in out
 
+    @pytest.mark.parametrize("diags, code", [([], 0), (["power budget exceeded: slot 1 has exponent 1.5 > 1"], 1)])
+    def test_validate_json_is_one_document(self, capsys, monkeypatch, diags, code):
+        # the two header lines and "plan valid" used to surround the JSON
+        monkeypatch.setattr("asymcsit.cli.validate_plan", lambda plan: list(diags))
+        rc = main(["validate", "--scheme", "case-ii", "--alpha1", "0.3", "--alpha2", "0.5", "--cycles", "1", "--json"])
+        assert rc == code
+        doc = json.loads(capsys.readouterr().out)
+        plan = build_preset("case-ii", CsitQuality(0.3, 0.5), 1)
+        assert doc == {**json.loads(json.dumps(plan_as_dict(plan))), "diagnostics": diags}
+
     def test_sweep_command(self, tmp_path, capsys):
         rc = main([
             "sweep", "--qualities", "0.1:0.3,0.2:0.8", "--schemes", "auto",
@@ -362,12 +372,15 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_sweep_refuses_a_repeated_pair_before_running(self, tmp_path, capsys, no_estimates):
-        # both spellings name one pair, run into one directory
-        rc = main(["sweep", "--qualities", "0.3:0.5,0.30:0.5", "--schemes", "sc-zf",
-                   "--out-dir", str(tmp_path / "sw")])
-        assert rc == 2
-        assert "quality pair (0.3, 0.5) is listed twice" in capsys.readouterr().err
-        assert not (tmp_path / "sw").exists()
+        # both spellings name one pair, run into one directory; 0 and -0 name
+        # one pair too, which used to run twice, into a1_0p0_a2_0p5 and
+        # a1_-0p0_a2_0p5
+        for qualities, pair in (("0.3:0.5,0.30:0.5", "(0.3, 0.5)"), ("0:0.5,-0:0.5", "(-0.0, 0.5)")):
+            rc = main(["sweep", "--qualities", qualities, "--schemes", "sc-zf",
+                       "--out-dir", str(tmp_path / "sw")])
+            assert rc == 2
+            assert f"quality pair {pair} is listed twice" in capsys.readouterr().err
+            assert not (tmp_path / "sw").exists()
 
     def test_config_file_flag(self, tmp_path):
         cfg = {"alpha1": 0.3, "alpha2": 0.5, "schemes": ["sc-zf"],

@@ -245,9 +245,11 @@ class TestTablePowers:
         assert v41.power_exponent == pytest.approx(1 - q.delta())
 
     def test_layer_power_floor(self):
-        layer = SymbolLayer("x", OWNER_USER1, orth_to(2), 0.5, 1.0, 1.0,
-                            power_sub_coefficient=1.0, power_sub_exponent=1.0)
+        # 0.1*P**0.5 - P**0.4 is below 0 at P = 100 and grows as P**0.5
+        layer = SymbolLayer("x", OWNER_USER1, orth_to(2), 0.5, 0.1, 1.0,
+                            power_sub_coefficient=1.0, power_sub_exponent=0.4)
         assert layer.power(100.0) == 0.0
+        assert layer.power(1e12) > 0.0
 
 
 class TestDegenerateDrops:
@@ -485,6 +487,19 @@ class TestValidation:
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"layer 'x': {field} must be finite"):
             SymbolLayer("x", OWNER_USER1, orth_to(2), **kwargs)
+
+    @pytest.mark.parametrize("power, message", [
+        ((0.5, 0.5, -0.25, 0.2), "power_sub_coefficient must be >= 0, got -0.25"),
+        # the power 0.5*P**0.5 - 0.25*P**0.8 is 0 at every grid point
+        ((0.5, 0.5, 0.25, 0.8), r"the subtracted 0\.25\*P\*\*0\.8 is not below 0\.5\*P\*\*0\.5 at high P"),
+        ((0.5, 1.0, 0.5, 1.0), r"the subtracted 0\.5\*P\*\*1 is not below 0\.5\*P\*\*1 at high P"),
+        ((0.5, 1.0, 0.75, 1.0), r"the subtracted 0\.75\*P\*\*1 is not below 0\.5\*P\*\*1 at high P"),
+    ], ids=["negative", "larger-exponent", "equal", "equal-exponent-larger-coefficient"])
+    def test_power_that_vanishes_at_high_snr_rejected_at_construction(self, power, message):
+        # such a layer used to validate clean and read a rate of 0
+        coef, exp, sub_coef, sub_exp = power
+        with pytest.raises(ValueError, match=f"layer 'x': {message}"):
+            SymbolLayer("x", OWNER_USER1, orth_to(2), exp, coef, 0.5, sub_coef, sub_exp)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_quant_prelog_rejected_at_construction(self, value):
