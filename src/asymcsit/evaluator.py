@@ -31,29 +31,32 @@ slot carries and which each user overhears there, each interference's
 received exponent and the slot its groups wait for.  Slots of one shape
 (a cycled plan's cycle positions) share one decode template, which the
 pass makes once from the shape and the grid powers: power columns, rate
-caps and each link's quantizer scale and demand; a slot keeps only its
-first rate row, its link rows and when it settles.  A
-chunk is decoded a template at a time: the SIC MIs, link noise and cross
-minors of all of the chunk's slots of one template run once, on
-(slot, grid point, trial) arrays that are views of the chunk's gains
-when those slots step evenly through it (always, for a chunk of one
-slot).  Step 1 is settled as the template is decoded, and a carrier's
-decode writes its links' delivered MI and residual into the pass's
-per-link output.  A link's carrier comes after its source, so step 3
-waits: a chunk waits whole, in a first-in-first-out queue of chunks,
-until the slot that its last group settles after has been decoded.  It
-holds its template batches' fresh power gains and the cross minors of the
-groups that get a side row; then each group reads its residuals from its
-link rows.  After each chunk, every ready chunk at the head of the queue
-is settled, one call per template batch, and each user's per-trial total
-then adds up slot by slot in slot order (the slot's user-owned
-first-antenna layers, then user 1's group, then user 2's), the same sums
-in the same order at any chunk size.  Memory is
-bounded by the chunks in that queue, not by the plan length (apart from
-the per-layer and per-link results), and the Python work is paid once
-per chunk and template, not once per slot and grid point.  The pass
-returns arrays over the grid; estimate_dof fits the per-user ones, and a
-RateLedger is built only at one point (evaluate_plan).
+caps and each link's quantizer scale and demand.  The pass keeps no
+record of its own per slot: a draw chunk is a range of slot positions,
+each slot's shape, link rows and settle point are read from
+SchemePlan.wiring in place, and its first rate row from one list of row
+offsets, made once per pass.  A chunk is decoded a template at a time:
+the SIC MIs, link noise and cross minors of all of the chunk's slots of
+one template run once, on (slot, grid point, trial) arrays that are
+views of the chunk's gains when those slots step evenly through it
+(always, for a chunk of one slot).  Step 1 is settled as the template is
+decoded, and a carrier's decode writes its links' delivered MI and
+residual into the pass's per-link output.  A link's carrier comes after
+its source, so step 3 waits: a chunk waits whole, in a
+first-in-first-out queue of chunks, until the slot that its last group
+settles after has been decoded.  It holds its template batches' fresh
+power gains and the cross minors of the groups that get a side row; then
+each group reads its residuals from its link rows.  After each chunk,
+every ready chunk at the head of the queue is settled, one call per
+template batch, and each user's per-trial total then adds up slot by
+slot in slot order (the slot's user-owned first-antenna layers, then
+user 1's group, then user 2's), the same sums in the same order at any
+chunk size.  Memory is bounded by the chunks in that queue, not by the
+plan length (apart from the per-layer and per-link results and one row
+offset per slot), and the Python work is paid once per chunk and
+template, not once per slot and grid point.  The pass returns arrays
+over the grid; estimate_dof fits the per-user ones, and a RateLedger is
+built only at one point (evaluate_plan).
 
 residual_power_probe is that one-point ledger, read off as
 RateLedger.link_noise: step 2's effective residual variance per link.  Its
@@ -117,7 +120,7 @@ import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -441,7 +444,7 @@ def _shift(index, k: int):
 @dataclass(frozen=True, eq=False)
 class _Template:
     """The decode tables of one slot shape at the grid powers, shared by
-    every slot of that shape (see _compile) and hashed by identity."""
+    every slot of that shape (see _compile)."""
 
     groups: tuple  # (the shape's SlotGroup, its layers' (grid point, 1) power columns) of user 1 and of user 2
     fresh: tuple  # (direction, power column) per layer of the groups, user 1's first: what SIC reads as noise
@@ -450,40 +453,24 @@ class _Template:
     carried: tuple  # (carrier's SIC rank, quantizer variance, demand) per link carried here, as _link_noise reads them
 
 
-class _Slot(NamedTuple):
-    """One slot: its template and where its numbers go."""
-
-    index: int
-    template: _Template
-    row: int  # its first rate row: its layers take the rows from here, in slot order
-    links: tuple[int, ...]  # link rows: those carried here, then those user 1 and user 2 overhear here (-1: none)
-    settle_after: int  # the slot whose decode lets this slot's groups settle (-1: at once)
-
-
-def _compile(plan: SchemePlan, ps: list[float]):
-    """Yield every slot's _Slot at the grid powers ps, in slot order, so that
-    only the slots in flight are held.
+def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
+    """One _Template per entry of plan.shapes, in that order, at the grid
+    powers ps.
 
     All that does not depend on the powers is read off the plan, which
     resolved it when it was built: one SlotShape per way a slot decodes
-    (SIC order, groups, carried links) and each slot's SlotWiring.  So the
-    one _Template per shape only attaches the powers: power columns, rate
-    caps, and each carried link's quantizer variance and demand.  A cycled
-    plan has one shape per cycle position, however many cycles it has.
-    Rate rows follow the plan's layer order.  Layers with the same power
-    spec (coefficient, exponent, sub-coefficient, sub-exponent) share one
-    power column.  A common-owned first-antenna layer's rate cap is its
-    encoding pre-log times log2(P): it carries no user bits, only the
-    quantization bits it was built for.
+    (SIC order, groups, carried links), and each slot's SlotWiring, which
+    the pass reads in place.  So a template only attaches the powers: a
+    power column per layer, rate caps, and each carried link's quantizer
+    variance and demand.  A cycled plan has one shape per cycle position,
+    however many cycles it has.  A common-owned first-antenna layer's rate
+    cap is its encoding pre-log times log2(P): it carries no user bits,
+    only the quantization bits it was built for.
     """
     log2p = np.array([math.log2(p) for p in ps])
-    columns: dict[tuple[float, ...], np.ndarray] = {}
 
     def column(l: SymbolLayer) -> np.ndarray:
-        key = l.power_coefficient, l.power_exponent, l.power_sub_coefficient, l.power_sub_exponent
-        if key not in columns:
-            columns[key] = np.array([l.power(p) for p in ps])[:, None]
-        return columns[key]
+        return np.array([l.power(p) for p in ps])[:, None]
 
     def template(shape: SlotShape) -> _Template:
         groups = tuple((g, tuple(column(shape.layers[k]) for k in g.positions)) for g in shape.groups)
@@ -498,11 +485,7 @@ def _compile(plan: SchemePlan, ps: list[float]):
                   for rank, q, e_src in shape.carried),
         )
 
-    templates = [template(shape) for shape in plan.shapes]
-    row = 0
-    for slot, w in zip(plan.all_slots(), plan.wiring):
-        yield _Slot(slot.index, templates[w.shape], row, w.links, w.settle_after)
-        row += len(slot.layers)
+    return [template(shape) for shape in plan.shapes]
 
 
 class _Batch(NamedTuple):
@@ -525,15 +508,18 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     noise (2 x link, in plan.links order), and each user's per-run bits and
     Monte-Carlo stderr.
 
-    A draw chunk is decoded a slot template at a time: the SIC MIs, link
-    noise and cross minors of all the chunk's slots of one template run in
-    one go on (slot, grid point, trial) arrays, read as views of the chunk's
-    gains when the slots step evenly through the chunk (always, for a chunk
-    of one slot); rate and link rows that step evenly are indexed by basic
-    slices too, by _take's rule.  The chunk then waits whole until the slot
-    that its last group settles after has been decoded, and is settled a
-    template batch at a time; each user's total adds up slot by slot in slot
-    order, so the sums are the same at any chunk size.
+    A draw chunk is a range [lo, hi) of positions in plan.all_slots(), and
+    each slot's shape, link rows and settle_after are read from plan.wiring
+    at its position; its first rate row is its entry in one list of row
+    offsets.  A chunk is decoded a slot template at a time: the SIC MIs,
+    link noise and cross minors of all the chunk's slots of one template run
+    in one go on (slot, grid point, trial) arrays, read as views of the
+    chunk's gains when the slots step evenly through the chunk (always, for
+    a chunk of one slot); rate and link rows that step evenly are indexed by
+    basic slices too, by _take's rule.  The chunk then waits whole until the
+    slot that its last group settles after has been decoded, and is settled
+    a template batch at a time; each user's total adds up slot by slot in
+    slot order, so the sums are the same at any chunk size.
 
     No validate_plan here: the public callers that need a sound plan run it
     first, and SchemePlan has already checked the links.  n_trials must be
@@ -549,9 +535,10 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     if any(s.quality != plan.quality for s in snrs):
         raise ValueError("SNR point and plan disagree on CSIT quality")
     ps = [s.p for s in snrs]
-    slots = plan.all_slots()
-    tables = _compile(plan, ps)
-    rate = np.full((sum(len(s.layers) for s in slots), len(ps)), np.nan)
+    slots, wiring = plan.all_slots(), plan.wiring
+    templates = _compile(plan, ps)
+    starts = list(accumulate((len(s.layers) for s in slots), initial=0))  # each slot's first rate row, then the end
+    rate = np.full((starts[-1], len(ps)), np.nan)
     link_out = np.empty((2, len(plan.links), len(ps)))  # delivered MI, effective noise
     totals = np.zeros((2, len(ps), n_trials))  # per-user bits per run
 
@@ -559,12 +546,13 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         # x.mean(axis=-1), bit for bit, without its Python-level wrapper
         return np.add.reduce(x, axis=-1) / n_trials
 
-    def decode(t: _Template, part: list[_Slot], at, gain, power_gain) -> _Batch:
-        # the first-antenna layers of the slots `at` in the chunk, at every
-        # grid point, and the cross minors of each group that gets a side row
+    def decode(t: _Template, part: list[int], at, gain, power_gain) -> _Batch:
+        # the first-antenna layers of the slots at plan positions part (at
+        # `at` in the chunk), at every grid point, and the cross minors of
+        # each group that gets a side row
         power_gain = [a and (a[0][at], a[1][at]) for a in power_gain]
-        rows = _take([s.row for s in part])
-        links = [_take(list(col)) if col[0] >= 0 else None for col in zip(*(s.links for s in part))]
+        rows = _take([starts[p] for p in part])
+        links = [_take(list(col)) if col[0] >= 0 else None for col in zip(*(wiring[p].links for p in part))]
         mi1, mi2 = _common_mis(t.sic_power, t.fresh, power_gain)
         bits = []
         for (k, user, cap), m1, m2 in zip(t.sic, mi1, mi2):
@@ -622,25 +610,27 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                 rate[_shift(b.rows, k)] = trial_mean(share)
         return [[(user, x[j]) for user, x in b.bits + joints] for j in range(b.size)]
 
-    def decode_chunk(part: list[_Slot], stack):
-        # the chunk's complex gains die on return; its batches wait, holding
-        # their fresh directions' power gains, until the slot that the
-        # chunk's last group settles after has been decoded
-        at: dict[_Template, list[int]] = {}
-        for c, s in enumerate(part):
-            at.setdefault(s.template, []).append(c)
+    def decode_chunk(lo: int, hi: int, stack):
+        # the chunk holds the slots at plan positions [lo, hi).  Its complex
+        # gains die on return; its batches wait, holding their fresh
+        # directions' power gains, until the slot that the chunk's last
+        # group settles after has been decoded
+        at: dict[int, list[int]] = {}  # shape number -> its slots' plan positions
+        for p in range(lo, hi):
+            at.setdefault(wiring[p].shape, []).append(p)
         # every layer off the first antenna (direction 0) is in a group
-        used = {d for t in at for d, _ in t.fresh} | {0 for t in at if t.sic}
+        used = {d for n in at for d, _ in templates[n].fresh} | {0 for n in at if templates[n].sic}
         gain, power_gain = _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
                                     [pc if d in used else None for d, pc in enumerate(_DIRECTIONS)])
-        batches = [decode(t, [part[c] for c in cs], _take(cs), gain, power_gain) for t, cs in at.items()]
+        batches = {n: decode(templates[n], part, _take([p - lo for p in part]), gain, power_gain)
+                   for n, part in at.items()}
         del gain, power_gain
-        waiting.append((max(s.settle_after for s in part), part, batches))
-        while waiting and waiting[0][0] <= part[-1].index:
-            _, done, batches = waiting.popleft()
-            additions = {b.template: iter(settle(b)) for b in batches}
-            for s in done:
-                for user, x in next(additions[s.template]):
+        waiting.append((max(w.settle_after for w in wiring[lo:hi]), lo, hi, batches))
+        while waiting and waiting[0][0] <= slots[hi - 1].index:
+            _, start, stop, done = waiting.popleft()
+            additions = {n: iter(settle(b)) for n, b in done.items()}
+            for w in wiring[start:stop]:
+                for user, x in next(additions[w.shape]):
                     totals[user] += x
 
     chunk = min(len(slots), max(1, _DRAW_BUDGET // (len(ps) * 16 * n_trials)))  # 16 normals per trial
@@ -655,7 +645,7 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     rng = np.random.Generator(np.random.PCG64(0))
     # every stream's seed words, (slot, point, word), hashed in one call
     words = _seed_words(seed, [_db_key(snr.p_db) for snr in snrs], [s.index for s in slots])
-    waiting: deque = deque()  # (largest settle_after, _Slots, _Batches) per chunk decoded and not yet settled
+    waiting: deque = deque()  # (largest settle_after, lo, hi, {shape number: _Batch}) per chunk not yet settled
     with ThreadPoolExecutor(max_workers=1) as pool:
 
         def draw_into(k):
@@ -668,17 +658,17 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         drawn = deque(draw_into(k) for k in range(len(normals)))  # chunk 0, and chunk 1 if there is one
         for k in range(n_chunks):
             b = k % 2  # chunk k's buffer
-            part = list(islice(tables, chunk))
+            lo, hi = k * chunk, min(len(slots), (k + 1) * chunk)
             drawn.popleft().result()
-            stack = ChannelRealization(**{name: buf[:len(part)] for name, buf in bufs.items()})
-            sample_channel(snrs, normals[b][:len(part)], size=n_trials, out=stack)
+            stack = ChannelRealization(**{name: buf[:hi - lo] for name, buf in bufs.items()})
+            sample_channel(snrs, normals[b][:hi - lo], size=n_trials, out=stack)
             if k + 2 < n_chunks:
                 # buffer b is free: the worker draws chunk k + 2 into it
                 # once chunk k + 1 is drawn, while this chunk decodes
                 drawn.append(draw_into(k + 2))
             for true in (stack.h_true, stack.g_true):
                 np.conjugate(true, out=true)  # each gain is conj(true) . direction
-            decode_chunk(part, stack)
+            decode_chunk(lo, hi, stack)
 
     stderr = totals.std(axis=-1, ddof=1) / math.sqrt(n_trials) if n_trials > 1 else np.zeros((2, len(ps)))
     return rate, link_out, totals.mean(axis=-1), stderr

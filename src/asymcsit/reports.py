@@ -225,10 +225,12 @@ def region_export(quality: CsitQuality, path: str | Path) -> Path:
 def run(config: ExperimentConfig) -> RunReport:
     """Execute one experiment: estimate every requested scheme's DoF.
 
-    Every plan is built before the first estimate.  Scheme/quality
-    mismatches (the case split) raise SchemeConditionError naming the
-    violated condition, and two names that build one preset (auto and the
-    case it picks) raise ValueError.  Deterministic for a fixed config.
+    Every plan is built, and then output_dir made, before the first
+    estimate.  Scheme/quality mismatches (the case split) raise
+    SchemeConditionError naming the violated condition, two names that
+    build one preset (auto and the case it picks) raise ValueError, and an
+    output_dir that cannot be made a directory raises OSError.
+    Deterministic for a fixed config.
     """
     t0 = time.monotonic()
     quality = config.quality
@@ -242,6 +244,7 @@ def run(config: ExperimentConfig) -> RunReport:
         first = built.setdefault(plans[-1].name, name)
         if first != name:
             raise ValueError(f"schemes {first!r} and {name!r} both build {plans[-1].name}")
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for plan in plans:
         est = estimate_dof(plan, grid, config.n_trials, config.seed)
@@ -278,6 +281,8 @@ def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
 
     Failures of individual runs (for example a scheme requested outside its
     validity condition) are recorded in the index and do not stop the sweep.
+    base.output_dir is made after every pair is checked and before the
+    first run, so a path that cannot be a directory raises OSError first.
     """
     if not qualities:
         raise ValueError("qualities must be nonempty")
@@ -292,6 +297,7 @@ def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
         tag = f"a1_{float(q.alpha1)!r}_a2_{float(q.alpha2)!r}".replace(".", "p")
         sub = dataclasses.replace(base, alpha1=q.alpha1, alpha2=q.alpha2, output_dir=base.output_dir / tag)
         runs.append((sub, {"alpha1": q.alpha1, "alpha2": q.alpha2, "dir": tag}))
+    base.output_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for sub, entry in runs:
         try:

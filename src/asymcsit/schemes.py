@@ -310,6 +310,9 @@ class SchemePlan:
     prologue_channel_uses and each cycle cycle_channel_uses, fractional
     because retransmission layers only occupy part of a slot.  Both must be
     finite and >= 0, n_cycles an integer >= 0, and channel_uses() above 0.
+    The cycles must match the cycle slots: none without cycle slots, and
+    otherwise as many as split the cycle slots evenly, each taking
+    cycle_channel_uses > 0; ValueError names the plan otherwise.
 
     The slot order and the slot/layer lookups are indexed once, at
     construction: all_slots() is the slots in index order, and slot() and
@@ -379,6 +382,13 @@ class SchemePlan:
             n = layout[s.index] = layouts.setdefault(key, len(layouts))
             if n == len(exponents):
                 exponents.append([_source_exponent(s, observer, self.quality) for observer in _USERS])
+        n_cycle_slots = len(self.cycle_slots)
+        if self.n_cycles == 0 and n_cycle_slots:
+            raise ValueError(f"plan {self.name!r} has {n_cycle_slots} cycle slots and n_cycles = 0")
+        if self.n_cycles and (n_cycle_slots == 0 or n_cycle_slots % self.n_cycles):
+            raise ValueError(f"plan {self.name!r}: {n_cycle_slots} cycle slots do not make {self.n_cycles} cycles")
+        if self.n_cycles and self.cycle_channel_uses == 0.0:
+            raise ValueError(f"plan {self.name!r}: n_cycles = {self.n_cycles} but cycle_channel_uses = 0")
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_slot_by_index", by_index)
         object.__setattr__(self, "_layer_home", home)

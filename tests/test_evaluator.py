@@ -412,10 +412,18 @@ class TestSlotTemplates:
         ("case-i", Q28), ("case-ii", Q35), ("case-ii-alt", Q35), ("ges12-asym", Q35), ("sc-zf", Q35),
     ], ids=lambda v: f"{v.alpha1}-{v.alpha2}" if isinstance(v, CsitQuality) else v)
     def test_templates_do_not_grow_with_the_cycles(self, name, quality):
-        # compiled only: nothing is drawn
+        # compiled only: nothing is drawn.  One template per shape, in
+        # plan.shapes order, and every slot's wiring names one of them
         ps = [s.p for s in _grid(quality)]
-        counts = [len({s.template for s in evaluator._compile(build_preset(name, quality, n_cycles), ps)})
-                  for n_cycles in (3, 400)]
+        counts = []
+        for n_cycles in (3, 400):
+            plan = build_preset(name, quality, n_cycles)
+            templates = evaluator._compile(plan, ps)
+            assert len(templates) == len(plan.shapes) == len({w.shape for w in plan.wiring})
+            for t, shape in zip(templates, plan.shapes):
+                assert tuple(g for g, _ in t.groups) == shape.groups
+                assert tuple(k for k, _, _ in t.sic) == shape.sic
+            counts.append(len(templates))
         assert counts[0] == counts[1]
         if name == "case-ii":
             # slots 1 and 2, the three cycle positions (the first cycle's A
@@ -437,11 +445,12 @@ class TestSlotTemplates:
 
         monkeypatch.setattr(evaluator, "_logdet_mi", counting_logdet)
         _evaluate_grid(plan, grid, n_trials, 5)
-        slots = list(evaluator._compile(plan, [s.p for s in grid]))
+        templates = evaluator._compile(plan, [s.p for s in grid])
+        shapes = [w.shape for w in plan.wiring]
         chunk = max(1, evaluator._DRAW_BUDGET // (len(grid) * 16 * n_trials))
-        assert len(calls) == sum(sum(1 for g, _ in t.groups if g.positions)
-                                 for lo in range(0, len(slots), chunk)
-                                 for t in {s.template for s in slots[lo:lo + chunk]})
+        assert len(calls) == sum(sum(1 for g, _ in templates[n].groups if g.positions)
+                                 for lo in range(0, len(shapes), chunk)
+                                 for n in set(shapes[lo:lo + chunk]))
 
     def test_evenly_spaced_slots_are_read_as_views(self):
         assert evaluator._take([4]) == slice(4, 5, 1)  # a chunk of one slot, as at 2000 trials

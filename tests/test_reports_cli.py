@@ -382,6 +382,20 @@ class TestCli:
             assert f"quality pair {pair} is listed twice" in capsys.readouterr().err
             assert not (tmp_path / "sw").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--alpha1", "0.3", "--alpha2", "0.5", "--schemes", "case-ii,sc-zf"],
+        ["sweep", "--qualities", "0.3:0.5,0.2:0.8", "--schemes", "sc-zf"],
+    ], ids=["run", "sweep"])
+    def test_unusable_out_dir_refused_before_the_first_estimate(self, tmp_path, capsys, no_estimates, command):
+        # an --out-dir that is a file used to fail only when the first
+        # report was written, after every estimate had run
+        path = tmp_path / "taken"
+        path.write_text("a file\n")
+        rc = main(command + ["--out-dir", str(path)])
+        assert rc == 2
+        assert "File exists" in capsys.readouterr().err
+        assert path.read_text() == "a file\n"
+
     def test_config_file_flag(self, tmp_path):
         cfg = {"alpha1": 0.3, "alpha2": 0.5, "schemes": ["sc-zf"],
                "p_grid_db": [60, 80, 100], "n_trials": 60, "n_cycles": 3,

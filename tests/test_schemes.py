@@ -418,12 +418,20 @@ class TestValidation:
         # no slots used to build and validate clean, then every entry
         # point died with ZeroDivisionError sizing the draw chunks
         ((1.0, 0.0), 0, 0, "plan 'hand' has no slots"),
+        # cycles that do not match the cycle slots used to build and
+        # validate clean: three cycle slots at n_cycles = 0 read d2 > 1
+        ((1.0, 1.0), 0, 4, "plan 'hand' has 3 cycle slots and n_cycles = 0"),
+        ((1.0, 1.0), 2, 4, "plan 'hand': 3 cycle slots do not make 2 cycles"),
+        ((1.0, 1.0), 3, 1, "plan 'hand': 0 cycle slots do not make 3 cycles"),
+        ((1.0, 0.0), 1, 2, "plan 'hand': n_cycles = 1 but cycle_channel_uses = 0"),
     ])
     def test_channel_use_accounting_checked_at_construction(self, uses, n_cycles, n_slots, message):
-        # 0 uses used to run a whole estimate_dof pass and then divide by zero
-        slots = (SlotPlan(1, (SymbolLayer("u", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),)),)[:n_slots]
+        # 0 uses used to run a whole estimate_dof pass and then divide by
+        # zero.  Slot 1 is the prologue, the other n_slots - 1 cycle slots
+        slots = tuple(SlotPlan(i, (SymbolLayer(f"u{i}", OWNER_USER1, orth_to(2), 0.5, 0.5, 0.5),))
+                      for i in range(1, n_slots + 1))
         with pytest.raises(ValueError, match=message):
-            SchemePlan("hand", CsitQuality(0.3, 0.5), slots, (), (), DofPoint(0, 0), *uses, n_cycles)
+            SchemePlan("hand", CsitQuality(0.3, 0.5), slots[:1], slots[1:], (), DofPoint(0, 0), *uses, n_cycles)
 
     def test_lookup_misses_raise_key_error(self):
         plan = build_case_ii(CsitQuality(0.3, 0.5), 1)
