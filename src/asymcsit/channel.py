@@ -144,7 +144,7 @@ def sample_channel(snr: SnrPoint | Sequence[SnrPoint], rng: np.random.Generator 
     return out
 
 
-def unit(v: np.ndarray) -> np.ndarray:
+def unit(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """v / ||v|| along the trailing axis of length 2, as complex; rejects
     zero vectors.
 
@@ -154,11 +154,14 @@ def unit(v: np.ndarray) -> np.ndarray:
     norm takes, and numpy divides a complex by a real norm as a product with
     its reciprocal, so each real and imaginary part is multiplied by
     1 / norm here.
+
+    With out (complex128, v's shape, not sharing v's memory), the result is
+    written into out and out is returned, with the same values.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape[-1] != 2:
         raise ValueError("unit expects trailing axis of length 2")
-    prod = np.conj(v)
+    prod = np.conjugate(v, out=out)
     prod *= v
     sq = prod.real
     inv = sq[..., :1] + sq[..., 1:]

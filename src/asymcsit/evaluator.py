@@ -19,12 +19,15 @@ dependency order:
      quantized record of the vector overheard at the other user, a 2x2
      log-det rate.
 
-All grid points are evaluated in one pass over the slots, a draw chunk
-of whole slots at a time (as many as fit in _DRAW_BUDGET normals, at
-least one).  Each slot is drawn at every grid point, and a chunk's draws
-are stacked on leading (slot, grid point) axes: one sample_channel call
-scales them, and each precoder direction is projected once per chunk,
-with every |gain|**2 taken once.  The decode wiring is resolved once,
+All grid points are evaluated in one pass over the slots, a decode chunk
+of whole slots at a time.  The worker thread (below) draws hand-offs of
+as many whole slots as fit in _DRAW_BUDGET normals, at least one, and a
+chunk is two hand-offs, or one slot where a slot alone is over the
+budget: 50 slots at 20 trials on a 4-point grid, one at 2000.  Each slot
+is drawn at every grid point, and a chunk's draws are stacked on leading
+(slot, grid point) axes: one sample_channel call scales them, and each
+precoder direction is projected once per chunk, with every |gain|**2
+taken once.  The decode wiring is resolved once,
 when the plan is built (SchemePlan.shapes and SchemePlan.wiring, which
 validate_plan reads too): the SIC order, the fresh groups, which links a
 slot carries and which each user overhears there, each interference's
@@ -32,7 +35,7 @@ received exponent and the slot its groups wait for.  Slots of one shape
 (a cycled plan's cycle positions) share one decode template, which the
 pass makes once from the shape and the grid powers: power columns, rate
 caps and each link's quantizer scale and demand.  The pass keeps no
-record of its own per slot: a draw chunk is a range of slot positions,
+record of its own per slot: a decode chunk is a range of slot positions,
 each slot's shape, link rows and settle point are read from
 SchemePlan.wiring in place, and its first rate row from one list of row
 offsets, made once per pass.  A chunk is decoded a template at a time:
@@ -51,10 +54,22 @@ every ready chunk at the head of the queue is settled, one call per
 template batch, and each user's per-trial total then adds up slot by
 slot in slot order (the slot's user-owned first-antenna layers, then
 user 1's group, then user 2's), the same sums in the same order at any
-chunk size.  Memory is bounded by the chunks in that queue, not by the
-plan length (apart from the per-layer and per-link results and one row
-offset per slot), and the Python work is paid once per chunk and
-template, not once per slot and grid point.  The pass returns arrays
+chunk size.  Memory is bounded by the chunk size and the chunks in that
+queue, not by the plan length (apart from the per-layer and per-link
+results, NaN until written, and one row offset per slot), and the Python
+work is paid once per chunk and template, not once per slot and grid
+point.
+
+The chunk's arrays are buffers kept for the pass, made once at the chunk
+size: the channels, the draw buffer, one estimate-shaped scratch and the
+first antenna's power gains.  The fresh directions' power gains go into a
+block from a pool: a chunk takes one when it is projected and gives it
+back once it has settled, so no block is written while a chunk that reads
+it waits, and the pool holds one block more than the most chunks that
+wait at once.  The complex gains are made one estimate at a time and
+dropped as soon as the cross minors that read them are formed; each
+minor keeps its operands' order, as numpy's complex product need not be
+bitwise commutative.  The pass returns arrays
 over the grid; estimate_dof fits the per-user ones, and a RateLedger is
 built only at one point (evaluate_plan).
 
@@ -85,18 +100,18 @@ schemes are compared on the same grid.
 
 The standard normals are the one part of a slot that can run off the
 calling thread: numpy's standard_normal releases the GIL.  So the pass
-keeps one worker thread, for the length of the call, and two float64 draw
-buffers of shape (chunk, point, 2, 2, 2, trial, 2), used in turn.  The
-worker keeps up to two chunks ahead: while the calling thread scales
-chunk k out of one buffer, chunk k + 1 is being drawn into the other, and
-chunk k + 2 is handed to the first buffer as soon as chunk k has been
-scaled, before chunk k is projected and decoded.  So a slot template that
-decodes faster than it draws and one that draws faster than it decodes,
-taking turns, keep both threads busy.  Every stream of the pass is hashed
+keeps one worker thread, for the length of the call, and one float64 draw
+buffer of shape (2 hand-offs, point, 2, 2, 2, trial, 2), whose halves it
+fills in turn.  The worker keeps up to two hand-offs ahead: as soon as a
+chunk has been scaled, before it is projected and decoded, each half it
+was scaled from is handed the hand-off two after its last one.  So at two
+hand-offs per chunk the next chunk is drawn while this one decodes, and
+at one, a slot template that decodes faster than it draws and one that
+draws faster than it decodes, taking turns, keep both threads busy.  Every stream of the pass is hashed
 on the calling thread, once, before the first hand-off: SeedSequence's
 hash (which holds the GIL) is run as uint32 array operations over the
 whole table of seed words, 32 B per (slot, grid point) stream.  Each
-hand-off takes its chunk's slice of that table, and the worker sets the
+hand-off takes its own slice of that table, and the worker sets the
 pass's one PCG64 from a stream's words right before it fills that
 stream's row, so no generator is ever reseeded while another draw uses
 it.  That gives exactly the draws of default_rng(SeedSequence(key)), at a
@@ -108,9 +123,10 @@ the calling thread only.
 The pass writes each chunk's errors into its true channels (sample_channel
 adds the estimates in place, with the same bits) and then conjugates the
 true channels in place, once, so every projection is a product and a sum.
-Each estimate is normalised once per chunk, and orth_to(k)'s direction is
-derived from unit of user k's estimate (_orth), bit for bit what
-orth_complement gives.
+Each estimate is normalised once per chunk, into the scratch buffer, and
+orth_to(k)'s direction is derived from it in place (_orth), bit for bit
+what orth_complement gives; the estimate's own buffer then holds the
+products of its directions' projections.
 """
 
 from __future__ import annotations
@@ -305,63 +321,74 @@ def _draw(rng: np.random.Generator, words: list[list[int]], normals: np.ndarray)
         rng.standard_normal(out=row)
 
 
-def _dot(hc: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """h^H v along the trailing axis of length 2, from hc = conj(h).
+def _dot(hc: np.ndarray, v: np.ndarray, prod: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """h^H v along the trailing axis of length 2, from hc = conj(h), written
+    into out; prod is scratch of hc's shape.
 
     The two products are added directly: the same bits as
     (np.conj(h) * v).sum(axis=-1), without the conjugate's copy or the
     reduction's overhead.
     """
-    prod = hc * v
-    return prod[..., 0] + prod[..., 1]
+    np.multiply(hc, v, out=prod)
+    return np.add(prod[..., 0], prod[..., 1], out=out)
 
 
-def _orth(a: np.ndarray) -> np.ndarray:
-    """orth_complement(v), bit for bit, from a = unit(v): (-conj(a1), conj(a0)).
+def _orth(a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Turn a = unit(v) into orth_complement(v) in place, bit for bit:
+    (-conj(a1), conj(a0)).  tmp is scratch shaped like a[..., 0].
 
     orth_complement normalises (-conj(v1), conj(v0)), whose squared norm
     adds the same two squares as unit(v)'s in the other order, and whose
     parts are unit(v)'s parts times the same reciprocal, up to a sign.
     """
-    out = np.empty_like(a)
-    np.conjugate(a[..., 1], out=out[..., 0])
-    np.negative(out[..., 0], out=out[..., 0])
-    np.conjugate(a[..., 0], out=out[..., 1])
-    return out
+    np.copyto(tmp, a[..., 0])
+    np.conjugate(a[..., 1], out=a[..., 0])
+    np.negative(a[..., 0], out=a[..., 0])
+    np.conjugate(tmp, out=a[..., 1])
+    return a
 
 
-def _project(true_conj, est, precoders):
-    """Each precoder's receive gains at user 1 and user 2, as two lists
-    aligned with precoders: the complex gains and their |gain|**2.
+def _project(true_conj, est, directions, a, power_gain):
+    """Each direction's receive gains at user 1 and user 2: |gain|**2 is
+    written into power_gain[d], an array kept for the pass, and the
+    complex gains off the first antenna are yielded, one estimate at a time,
+    as a dict from direction to a new array.  Each has the user on its
+    leading axis.
 
     true_conj holds the conjugated true channels of user 1 and user 2 and
-    est their estimates, each with leading axes before the trial axis.
-    Each direction is projected once; a None precoder gets None.  Each
-    estimate that a direction needs is normalised once: orth_to(k) and
-    along(k) both read unit of user k's estimate.  The first antenna gets
-    power gains only: its layers are decoded by SIC, which reads nothing
-    else.
+    est their estimates, each with leading axes before the trial axis;
+    directions are the indices in _DIRECTIONS to project, each once.  a is
+    scratch shaped like an estimate.  Each estimate that a direction needs
+    is normalised once, into a: along(k) reads unit of user k's estimate as
+    it is, and orth_to(k) turns it into the orth vector in place, so along
+    goes first.  The estimate is not read again, so its buffer then holds
+    _dot's products.  The first antenna gets power gains only: its layers
+    are decoded by SIC, which reads nothing else.
     """
-    gain, power_gain = [None] * len(precoders), [None] * len(precoders)
-    for i, pc in enumerate(precoders):
-        if pc is not None and pc.kind == "first_antenna":
-            # a contiguous copy: on the strided (slot, point, trial) view
-            # itself, np.abs ran about 40x slower
-            g = (true_conj[0][..., 0].copy(), true_conj[1][..., 0].copy())
-            power_gain[i] = (np.abs(g[0]) ** 2, np.abs(g[1]) ** 2)
+    if 0 in directions:
+        # contiguous copies, in a before it holds a unit vector: on the
+        # strided (slot, point, trial) view itself, np.abs ran about 40x
+        # slower
+        first = a.reshape((2,) + a.shape[:-1])
+        for u in (0, 1):
+            np.copyto(first[u, ...], true_conj[u][..., 0])
+        np.square(np.abs(first, out=power_gain[0]), out=power_gain[0])
     for user in (1, 2):
-        mine = [i for i, pc in enumerate(precoders)
-                if pc is not None and pc.kind != "first_antenna" and pc.user == user]
+        mine = sorted((d for d in directions if d and _DIRECTIONS[d].user == user),
+                      key=lambda d: _DIRECTIONS[d].kind == "orth")
         if not mine:
             continue
-        a = unit(est[user - 1])  # one estimate's unit vector alive at a time
-        for i in mine:
-            v = _orth(a) if precoders[i].kind == "orth" else a
-            g = gain[i] = (_dot(true_conj[0], v), _dot(true_conj[1], v))
-            power_gain[i] = (np.abs(g[0]) ** 2, np.abs(g[1]) ** 2)
-            del v  # before the next direction's vector is made
-        del a
-    return gain, power_gain
+        prod = est[user - 1]
+        unit(prod, out=a)
+        gain = {}
+        for d in mine:
+            g = gain[d] = np.empty((2,) + a.shape[:-1], complex)
+            if _DIRECTIONS[d].kind == "orth":
+                _orth(a, g[0, ...])  # its copy goes where the gain is written next
+            for u in (0, 1):
+                _dot(true_conj[u], a, prod, g[u, ...])
+            np.square(np.abs(g, out=power_gain[d]), out=power_gain[d])
+        yield gain
 
 
 def _common_mis(sic_power, fresh, power_gain):
@@ -451,6 +478,7 @@ class _Template:
     sic: tuple  # (position in the slot, user, rate cap) per first-antenna layer in decode order (common: user -1)
     sic_power: tuple  # their (grid point, 1) power columns
     carried: tuple  # (carrier's SIC rank, quantizer variance, demand) per link carried here, as _link_noise reads them
+    directions: tuple  # the _DIRECTIONS indices its layers use, increasing
 
 
 def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
@@ -483,13 +511,30 @@ def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
             tuple(column(l) for l in sic),
             tuple((rank, [p ** (e_src - q) for p in ps], [q * math.log2(p) for p in ps])
                   for rank, q, e_src in shape.carried),
+            tuple(sorted({d for g in shape.groups for d in g.directions} | ({0} if shape.sic else set()))),
         )
 
     return [template(shape) for shape in plan.shapes]
 
 
+class _Pool:
+    """Power-gain blocks kept for the pass.  A chunk takes one when it is
+    projected and gives it back once it has settled: its batches read their
+    fresh directions' power gains from it until then, so no block is written
+    while a chunk that reads it still waits."""
+
+    def __init__(self, make):
+        self.make, self.free = make, []
+
+    def take(self) -> dict:
+        return self.free.pop() if self.free else self.make()
+
+    def give(self, block: dict) -> None:
+        self.free.append(block)
+
+
 class _Batch(NamedTuple):
-    """A template's slots from one draw chunk, along a leading slot axis,
+    """A template's slots from one decode chunk, along a leading slot axis,
     settled in one go once the whole chunk is ready."""
 
     template: _Template
@@ -508,7 +553,7 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     noise (2 x link, in plan.links order), and each user's per-run bits and
     Monte-Carlo stderr.
 
-    A draw chunk is a range [lo, hi) of positions in plan.all_slots(), and
+    A decode chunk is a range [lo, hi) of positions in plan.all_slots(), and
     each slot's shape, link rows and settle_after are read from plan.wiring
     at its position; its first rate row is its entry in one list of row
     offsets.  A chunk is decoded a slot template at a time: the SIC MIs,
@@ -539,18 +584,18 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     templates = _compile(plan, ps)
     starts = list(accumulate((len(s.layers) for s in slots), initial=0))  # each slot's first rate row, then the end
     rate = np.full((starts[-1], len(ps)), np.nan)
-    link_out = np.empty((2, len(plan.links), len(ps)))  # delivered MI, effective noise
+    link_out = np.full((2, len(plan.links), len(ps)), np.nan)  # delivered MI, effective noise; NaN until decoded
     totals = np.zeros((2, len(ps), n_trials))  # per-user bits per run
 
     def trial_mean(x):
         # x.mean(axis=-1), bit for bit, without its Python-level wrapper
         return np.add.reduce(x, axis=-1) / n_trials
 
-    def decode(t: _Template, part: list[int], at, gain, power_gain) -> _Batch:
+    def decode(t: _Template, part: list[int], at, power_gain, minors) -> _Batch:
         # the first-antenna layers of the slots at plan positions part (at
-        # `at` in the chunk), at every grid point, and the cross minors of
-        # each group that gets a side row
-        power_gain = [a and (a[0][at], a[1][at]) for a in power_gain]
+        # `at` in the chunk), at every grid point; minors are each group's
+        # cross minors there
+        power_gain = {d: (power_gain[d][0][at], power_gain[d][1][at]) for d in t.directions}
         rows = _take([starts[p] for p in part])
         links = [_take(list(col)) if col[0] >= 0 else None for col in zip(*(wiring[p].links for p in part))]
         mi1, mi2 = _common_mis(t.sic_power, t.fresh, power_gain)
@@ -567,8 +612,6 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         for j, (k, scale, demand) in enumerate(t.carried):
             link_out[0, links[j]] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
             link_out[1, links[j]] = [_link_noise(scale, demand, d) for d in mi.tolist()]
-        minors = [_cross_minors([gain[d][u][at] for d in g.directions], [gain[d][1 - u][at] for d in g.directions],
-                                powers) if g.side_link >= 0 else 0 for u, (g, powers) in enumerate(t.groups)]
         return _Batch(t, len(part), rows, links, {d: power_gain[d] for d, _ in t.fresh}, bits, minors)
 
     def settle(b: _Batch):
@@ -611,61 +654,96 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         return [[(user, x[j]) for user, x in b.bits + joints] for j in range(b.size)]
 
     def decode_chunk(lo: int, hi: int, stack):
-        # the chunk holds the slots at plan positions [lo, hi).  Its complex
-        # gains die on return; its batches wait, holding their fresh
-        # directions' power gains, until the slot that the chunk's last
-        # group settles after has been decoded
+        # the chunk holds the slots at plan positions [lo, hi).  Its batches
+        # wait, holding views of its power-gain block for their fresh
+        # directions, until the slot that the chunk's last group settles
+        # after has been decoded; the block goes back to the pool once they
+        # have settled
         at: dict[int, list[int]] = {}  # shape number -> its slots' plan positions
         for p in range(lo, hi):
             at.setdefault(wiring[p].shape, []).append(p)
-        # every layer off the first antenna (direction 0) is in a group
-        used = {d for n in at for d, _ in templates[n].fresh} | {0 for n in at if templates[n].sic}
-        gain, power_gain = _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
-                                    [pc if d in used else None for d, pc in enumerate(_DIRECTIONS)])
-        batches = {n: decode(templates[n], part, _take([p - lo for p in part]), gain, power_gain)
+        index = {n: _take([p - lo for p in part]) for n, part in at.items()}
+        block = blocks.take()
+        # each group that gets a side row has its cross minors formed as soon
+        # as its directions are projected (one estimate's, in every preset);
+        # then the complex gains that no group still to come reads are dropped
+        minors = {}  # (shape number, user) -> the group's cross minors in this chunk
+        pending = [(n, u) for n in at for u in (0, 1) if templates[n].groups[u][0].side_link >= 0]
+        gain = {}
+        for projected in _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
+                                  sorted({d for n in at for d in templates[n].directions}), scratch[:hi - lo],
+                                  {d: g[:, :hi - lo] for d, g in block.items()}):
+            gain |= projected
+            del projected
+            for n, u in pending:
+                g, powers = templates[n].groups[u]
+                if all(d in gain for d in g.directions):
+                    minors[n, u] = _cross_minors([gain[d][u][index[n]] for d in g.directions],
+                                                 [gain[d][1 - u][index[n]] for d in g.directions], powers)
+            pending = [key for key in pending if key not in minors]
+            gain = {d: x for d, x in gain.items() if any(d in templates[n].groups[u][0].directions for n, u in pending)}
+        batches = {n: decode(templates[n], part, index[n], block, [minors.get((n, u), 0) for u in (0, 1)])
                    for n, part in at.items()}
-        del gain, power_gain
-        waiting.append((max(w.settle_after for w in wiring[lo:hi]), lo, hi, batches))
+        waiting.append((max(w.settle_after for w in wiring[lo:hi]), lo, hi, batches, block))
         while waiting and waiting[0][0] <= slots[hi - 1].index:
-            _, start, stop, done = waiting.popleft()
+            _, start, stop, done, block = waiting.popleft()
             additions = {n: iter(settle(b)) for n, b in done.items()}
             for w in wiring[start:stop]:
                 for user, x in next(additions[w.shape]):
                     totals[user] += x
+            blocks.give(block)
 
-    chunk = min(len(slots), max(1, _DRAW_BUDGET // (len(ps) * 16 * n_trials)))  # 16 normals per trial
-    n_chunks = -(-len(slots) // chunk)
-    bufs = {name: np.empty((chunk, len(ps), n_trials, 2), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
+    per_slot = len(ps) * 16 * n_trials  # normals per slot: 16 per trial
+    hand_off = min(len(slots), max(1, _DRAW_BUDGET // per_slot))  # slots per draw hand-off
+    # slots per decode chunk: two hand-offs, or one slot where a slot alone fills a hand-off
+    chunk = min(len(slots), 2 * hand_off if per_slot <= _DRAW_BUDGET else 1)
+    n_hand_offs = -(-len(slots) // hand_off)
+    shape = (chunk, len(ps), n_trials)
+    bufs = {name: np.empty(shape + (2,), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
     # sample_channel writes each error into its channel and adds the
     # estimate in place: the same bits, and no error is read after that
     bufs["h_err"], bufs["g_err"] = bufs["h_true"], bufs["g_true"]
-    # two draw buffers, used in turn (the second only when there is a
-    # second chunk), and one generator, which the worker reseeds per stream
-    normals = [np.empty((chunk, len(ps), 2, 2, 2, n_trials, 2)) for _ in range(min(2, n_chunks))]
+    # the projection's buffers, kept for the pass: its scratch and a pool of
+    # power-gain blocks (read until the chunk settles).  The first antenna's
+    # power gains are read only while the chunk decodes, so every block
+    # shares one array for them
+    scratch = np.empty(shape + (2,), complex)
+    first = np.empty((2,) + shape)
+    fresh = {d for t in templates for d, _ in t.fresh}
+    blocks = _Pool(lambda: {0: first} | {d: np.empty((2,) + shape) for d in fresh})
+    # one draw buffer of two hand-offs (one, when there is no second), whose
+    # halves the worker fills in turn, and one generator, which it reseeds
+    # per stream.  A chunk is scaled from its rows in one call
+    normals = np.empty((min(2, n_hand_offs) * hand_off, len(ps), 2, 2, 2, n_trials, 2))
     rng = np.random.Generator(np.random.PCG64(0))
     # every stream's seed words, (slot, point, word), hashed in one call
     words = _seed_words(seed, [_db_key(snr.p_db) for snr in snrs], [s.index for s in slots])
-    waiting: deque = deque()  # (largest settle_after, lo, hi, {shape number: _Batch}) per chunk not yet settled
+    # (largest settle_after, lo, hi, {shape number: _Batch}, power-gain block) per chunk not yet settled
+    waiting: deque = deque()
     with ThreadPoolExecutor(max_workers=1) as pool:
 
-        def draw_into(k):
-            # chunk k's streams, one row each, into buffer k % 2: called only
-            # once that buffer's last draw has been scaled
-            buf = normals[k % 2]
-            rows = buf.reshape((-1,) + buf.shape[2:])
-            return pool.submit(_draw, rng, words[k * chunk:(k + 1) * chunk].reshape(-1, _POOL).tolist(), rows)
+        def draw_into(j):
+            # hand-off j's streams, one row each, into half j % 2: called
+            # only once that half's last draw has been scaled
+            half = normals[j % 2 * hand_off:(j % 2 + 1) * hand_off]
+            rows = half.reshape((-1,) + half.shape[2:])
+            return pool.submit(_draw, rng, words[j * hand_off:(j + 1) * hand_off].reshape(-1, _POOL).tolist(), rows)
 
-        drawn = deque(draw_into(k) for k in range(len(normals)))  # chunk 0, and chunk 1 if there is one
-        for k in range(n_chunks):
-            b = k % 2  # chunk k's buffer
+        drawn = deque(draw_into(j) for j in range(min(2, n_hand_offs)))  # hand-off 0, and 1 if there is one
+        for k in range(-(-len(slots) // chunk)):
             lo, hi = k * chunk, min(len(slots), (k + 1) * chunk)
-            drawn.popleft().result()
+            hand_offs = range(lo // hand_off, -(-hi // hand_off))  # the chunk's, one or two
+            for _ in hand_offs:
+                drawn.popleft().result()
+            row = lo % len(normals)
             stack = ChannelRealization(**{name: buf[:hi - lo] for name, buf in bufs.items()})
-            sample_channel(snrs, normals[b][:hi - lo], size=n_trials, out=stack)
-            if k + 2 < n_chunks:
-                # buffer b is free: the worker draws chunk k + 2 into it
-                # once chunk k + 1 is drawn, while this chunk decodes
-                drawn.append(draw_into(k + 2))
+            sample_channel(snrs, normals[row:row + hi - lo], size=n_trials, out=stack)
+            for j in hand_offs:
+                if j + 2 < n_hand_offs:
+                    # half j % 2 is free: the worker draws hand-off j + 2
+                    # into it, after the hand-offs before it, while this
+                    # chunk decodes
+                    drawn.append(draw_into(j + 2))
             for true in (stack.h_true, stack.g_true):
                 np.conjugate(true, out=true)  # each gain is conj(true) . direction
             decode_chunk(lo, hi, stack)

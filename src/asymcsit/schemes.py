@@ -780,6 +780,21 @@ def build_preset(name: str, quality: CsitQuality, n_cycles: int) -> SchemePlan:
 _BUDGET_TOL = 1e-9
 
 
+def _budget_faults(layers: tuple[SymbolLayer, ...]) -> list[str]:
+    """A slot's power budget faults, given its layers, without the slot."""
+    faults = []
+    max_exp = max((l.power_exponent for l in layers), default=0.0)
+    if max_exp > 1.0 + _BUDGET_TOL:
+        faults.append(f"has exponent {max_exp:.6g} > 1")
+    # net coefficient at the leading exponent; subtracted terms may land there too
+    top_coef = sum(l.power_coefficient for l in layers if abs(l.power_exponent - max_exp) <= _BUDGET_TOL)
+    top_coef -= sum(l.power_sub_coefficient for l in layers
+                    if l.power_sub_coefficient and abs(l.power_sub_exponent - max_exp) <= _BUDGET_TOL)
+    if max_exp >= 1.0 - _BUDGET_TOL and top_coef > 1.0 + _BUDGET_TOL:
+        faults.append(f"leading coefficients sum to {top_coef:.6g} > 1")
+    return faults
+
+
 def validate_plan(plan: SchemePlan) -> list[str]:
     """Design diagnostics; an empty list means the plan is sound.
 
@@ -788,22 +803,13 @@ def validate_plan(plan: SchemePlan) -> list[str]:
     budget (no exponent above 1 and leading coefficients summing to at most
     1), each link's quantization rate against the received-power exponent
     of the interference it describes, and that the predicted DoF sits
-    inside the region polygon.
+    inside the region polygon.  The budget is judged once per slot shape,
+    whose slots share their layers' power specs, and reported for each of
+    its slots, in slot order.
     """
-    diags: list[str] = []
-    for s in plan.all_slots():
-        max_exp = max((l.power_exponent for l in s.layers), default=0.0)
-        if max_exp > 1.0 + _BUDGET_TOL:
-            diags.append(f"power budget exceeded: slot {s.index} has exponent {max_exp:.6g} > 1")
-        # net coefficient at the leading exponent; subtracted terms may land there too
-        top_coef = sum(l.power_coefficient for l in s.layers
-                       if abs(l.power_exponent - max_exp) <= _BUDGET_TOL)
-        top_coef -= sum(l.power_sub_coefficient for l in s.layers
-                        if l.power_sub_coefficient and abs(l.power_sub_exponent - max_exp) <= _BUDGET_TOL)
-        if max_exp >= 1.0 - _BUDGET_TOL and top_coef > 1.0 + _BUDGET_TOL:
-            diags.append(
-                f"power budget exceeded: slot {s.index} leading coefficients sum to {top_coef:.6g} > 1"
-            )
+    budget = [_budget_faults(shape.layers) for shape in plan.shapes]
+    diags = [f"power budget exceeded: slot {s.index} {fault}"
+             for s, w in zip(plan.all_slots(), plan.wiring) for fault in budget[w.shape]]
 
     exponents = {i: e for w in plan.wiring for i, (_, _, e) in zip(w.links, plan.shapes[w.shape].carried)}
     for i, link in enumerate(plan.links):

@@ -206,10 +206,17 @@ class TestBasisVectors:
         v = self._vectors(8, shape)
         assert np.array_equal(unit(v), v / np.linalg.norm(v, axis=-1, keepdims=True))
 
+    @pytest.mark.parametrize("shape", [(4, 2000, 2), (2,)])
+    def test_unit_into_out_is_the_same(self, shape):
+        v = self._vectors(11, shape)
+        out = np.empty(shape, complex)
+        assert unit(v, out=out) is out
+        assert out.tobytes() == unit(v).tobytes()
+
     @pytest.mark.parametrize("shape", [(8000, 2), (4, 2000, 2), (2,)])
     def test_vdot_bit_identical_to_sum(self, shape):
         h, v = self._vectors(9, shape), self._vectors(10, shape)
-        assert np.array_equal(_dot(np.conj(h), v), (np.conj(h) * v).sum(axis=-1))
+        assert np.array_equal(_gain(np.conj(h), v), (np.conj(h) * v).sum(axis=-1))
 
     def test_unit_rejects_other_lengths(self):
         with pytest.raises(ValueError, match="length 2"):
@@ -267,6 +274,17 @@ _vectors = st.lists(st.tuples(_part, _part, _part, _part), min_size=1, max_size=
     lambda rows: np.array([[complex(a, b), complex(c, d)] for a, b, c, d in rows]))
 
 
+def _gain(hc, v):
+    """_dot into new arrays."""
+    return _dot(hc, v, np.empty_like(hc), np.empty(hc.shape[:-1], complex))
+
+
+def _orth_of(a):
+    """_orth on a copy of a."""
+    a = a.copy()
+    return _orth(a, np.empty(a.shape[:-1], complex))
+
+
 def _vdot(h, v):
     """h^H v as the pass took it before its channels were conjugated in place."""
     prod = np.conj(h)
@@ -283,7 +301,7 @@ class TestProjectionIdentities:
     @example(np.array([[complex(0.0, -0.0), complex(-0.0, 1e-150)], [complex(1e150, -1e150), complex(-0.0, 0.0)]]))
     def test_orth_from_unit_is_orth_complement(self, v):
         v = v[np.any(v != 0.0, axis=-1)]  # unit and orth_complement refuse zero vectors
-        assert _orth(unit(v)).tobytes() == orth_complement(v).tobytes()
+        assert _orth_of(unit(v)).tobytes() == orth_complement(v).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(_vectors, _vectors)
@@ -294,4 +312,4 @@ class TestProjectionIdentities:
         h, v = h[:n], v[:n]
         hc = h.copy()
         np.conjugate(hc, out=hc)  # in place, as the pass conjugates its own buffers
-        assert _dot(hc, v).tobytes() == _vdot(h, v).tobytes()
+        assert _gain(hc, v).tobytes() == _vdot(h, v).tobytes()

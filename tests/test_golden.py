@@ -4,7 +4,7 @@ A change that claims to leave the outputs `==` is checked here instead of
 by a one-off comparison script.  `ledger.csv` rounds to 12 significant
 digits, so the `schemes` section of `report.json`, written at full float
 precision, is pinned too, and so are estimate_dof and evaluate_plan at
-shapes whose draw chunks span many slots or end part-full.  Those three
+shapes whose decode chunks span many slots or end part-full.  Those three
 digests were recorded with numpy 2.4.6.  The plan builders are pinned as
 well (BUILDS_SHA256), which needs no numpy at all.
 Another numpy version may draw or round differently (NEP 19 lets Generator
@@ -53,10 +53,11 @@ def test_run_report_schemes_are_identical(tmp_path, capsys):
     assert hashlib.sha256(json.dumps(schemes, sort_keys=True).encode()).hexdigest() == SCHEMES_SHA256
 
 
-# (cycles, trials) of case-ii (0.3, 0.5) whose draw chunks span many slots
-# (25 per chunk at (100, 20)) or end part-full (one point's 24 slots go 7
-# at a time at (7, 257); at (1, 1) a chunk has room for more slots than the
-# plan's 6), with every output at full precision
+# (cycles, trials) of case-ii (0.3, 0.5) whose decode chunks span many
+# slots (50 per chunk, two hand-offs of 25, at (100, 20)) or end part-full
+# (one point's 24 slots go 14 at a time at (7, 257), two hand-offs of 7; at
+# (1, 1) a chunk has room for more slots than the plan's 6), with every
+# output at full precision
 CHUNK_SHAPES = ((100, 20), (7, 257), (1, 1))
 CHUNKS_SHA256 = "2c1cf519949e4144cea0585baaa72842a605fac6bfb1375d3de94d681dfecde3"
 

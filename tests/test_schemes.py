@@ -304,6 +304,52 @@ class TestValidation:
         diags = validate_plan(plan)
         assert any("power budget exceeded" in d for d in diags)
 
+    @staticmethod
+    def _budget_scan(plan):
+        """The power budget diagnostics of a plain scan of every slot."""
+        diags = []
+        for s in plan.all_slots():
+            max_exp = max((l.power_exponent for l in s.layers), default=0.0)
+            if max_exp > 1.0 + 1e-9:
+                diags.append(f"power budget exceeded: slot {s.index} has exponent {max_exp:.6g} > 1")
+            top_coef = sum(l.power_coefficient for l in s.layers if abs(l.power_exponent - max_exp) <= 1e-9)
+            top_coef -= sum(l.power_sub_coefficient for l in s.layers
+                            if l.power_sub_coefficient and abs(l.power_sub_exponent - max_exp) <= 1e-9)
+            if max_exp >= 1.0 - 1e-9 and top_coef > 1.0 + 1e-9:
+                diags.append(f"power budget exceeded: slot {s.index} leading coefficients sum to {top_coef:.6g} > 1")
+        return diags
+
+    @pytest.mark.parametrize("name", sorted(PRESET_NAMES))
+    def test_budget_judged_per_shape_matches_a_scan_of_every_slot(self, name):
+        for a1, a2 in ((0.0, 0.0), (0.3, 0.5), (0.2, 0.8), (0.0, 0.5), (1.0, 1.0)):
+            try:
+                plan = build_preset(name, CsitQuality(a1, a2), 3)
+            except SchemeConditionError:
+                continue
+            budget = [d for d in validate_plan(plan) if d.startswith("power budget")]
+            assert budget == self._budget_scan(plan), (name, a1, a2)
+
+    def test_budget_judged_per_shape_on_a_cycled_plan_over_budget(self):
+        # every cycle's first slot sums its leading coefficients to more
+        # than 1, and every cycle's second slot has an exponent above 1:
+        # each such slot is reported, by index, in slot order
+        plan = build_case_ii(CsitQuality(0.3, 0.5), 4)
+        period = len(plan.cycle_slots) // plan.n_cycles
+
+        def over(k, slot):
+            if k % period == 0:
+                return replace(slot, layers=tuple(replace(l, power_coefficient=3.0 * l.power_coefficient)
+                                                  for l in slot.layers))
+            if k % period == 1:
+                return replace(slot, layers=(replace(slot.layers[0], power_exponent=1.25),) + slot.layers[1:])
+            return slot
+
+        plan = replace(plan, cycle_slots=tuple(over(k, s) for k, s in enumerate(plan.cycle_slots)))
+        scan = self._budget_scan(plan)
+        assert sum("leading coefficients" in d for d in scan) >= plan.n_cycles
+        assert sum("has exponent 1.25 > 1" in d for d in scan) == plan.n_cycles
+        assert [d for d in validate_plan(plan) if d.startswith("power budget")] == scan
+
     def test_common_layer_off_the_first_antenna_rejected_at_construction(self):
         # the evaluator decodes common layers on the first antenna only; a
         # zero-forced one used to build, get no rate (nan) and count in no
