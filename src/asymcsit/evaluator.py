@@ -101,24 +101,34 @@ schemes are compared on the same grid.
 The standard normals are the one part of a slot that can run off the
 calling thread: numpy's standard_normal releases the GIL.  So the pass
 keeps one worker thread, for the length of the call, and one float64 draw
-buffer of shape (2 hand-offs, point, 2, 2, 2, trial, 2), whose halves it
-fills in turn.  The worker keeps up to two hand-offs ahead: as soon as a
-chunk has been scaled, before it is projected and decoded, each half it
-was scaled from is handed the hand-off two after its last one.  So at two
-hand-offs per chunk the next chunk is drawn while this one decodes, and
-at one, a slot template that decodes faster than it draws and one that
-draws faster than it decodes, taking turns, keep both threads busy.  Every stream of the pass is hashed
-on the calling thread, once, before the first hand-off: SeedSequence's
-hash (which holds the GIL) is run as uint32 array operations over the
-whole table of seed words, 32 B per (slot, grid point) stream.  Each
-hand-off takes its own slice of that table, and the worker sets the
-pass's one PCG64 from a stream's words right before it fills that
-stream's row, so no generator is ever reseeded while another draw uses
-it.  That gives exactly the draws of default_rng(SeedSequence(key)), at a
-fraction of its cost per stream.  Every stream fills its own row of a
-buffer, so the results do not depend on thread timing.  The worker calls
-nothing but _reseed and standard_normal; sample_channel and unit run on
-the calling thread only.
+buffer of shape (2 hand-offs, point, 2, 2, 2, trial, 2), whose halves are
+filled in turn.  A hand-off is its streams' seed words and rows and a
+deque of their positions; the worker starts on that deque, from the
+front, as soon as the hand-off is handed over: hand-offs 0 and 1 as soon
+as the seed table is hashed, before the decode tables and output arrays
+are made, and each later one as soon as the chunk that its half held has
+been scaled, before that chunk is projected and decoded.  At two
+hand-offs per chunk the next chunk is drawn while this one decodes.
+Where a slot alone is over the budget, a chunk is one slot, and the
+calling thread helps: when the chunk needs its hand-off, it draws the
+rows that the worker has not taken, from the back, and then waits only
+for the row that the worker is drawing.  With chunks of many small slots
+it only waits, as there a row is a few hundred normals and the two
+threads would trade the GIL for every reseed.  The deque holds positions,
+not rows: the thread that draws a row makes its view (a deque of
+(words, row) pairs, made on the calling thread, cost a 20-trial pass
+about 2 %).  Every stream of the pass is hashed on the calling thread,
+once, before the first hand-off: SeedSequence's hash (which holds the
+GIL) is run as uint32 array operations over the whole table of seed
+words, 32 B per (slot, grid point) stream.  Each hand-off takes its own
+slice of that table.  Each thread has its own PCG64 for the pass, and
+sets it from a stream's words right before it fills that stream's row, so
+no generator is ever reseeded while another draw uses it.  That gives
+exactly the draws of default_rng(SeedSequence(key)), at a fraction of its
+cost per stream.  Each row is taken once, by one thread, and filled from
+its own stream, so the results do not depend on which thread draws it or
+on thread timing.  The worker calls nothing but _draw, _reseed and
+standard_normal; sample_channel and unit run on the calling thread only.
 
 The pass writes each chunk's errors into its true channels (sample_channel
 adds the estimates in place, with the same bits) and then conjugates the
@@ -134,6 +144,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
@@ -304,21 +315,29 @@ def _reseed(rng: np.random.Generator, words: list[int]) -> None:
                                "has_uint32": 0, "uinteger": 0}
 
 
-def _draw(rng: np.random.Generator, words: list[list[int]], normals: np.ndarray) -> None:
-    """Fill normals' leading rows, one stream per row (worker thread): set
-    rng to the stream's start from its four seed words, then draw the row.
+def _draw(rng: np.random.Generator, take: Callable[[], int], words: list[list[int]], rows: np.ndarray) -> None:
+    """Draw a hand-off's streams until take() finds none left: each take()
+    gives the position k of a stream that no thread has taken; set rng to
+    the stream's start from its four seed words, words[k], then fill its
+    row, rows[k].
 
-    rng is the pass's one generator and words the chunk's slice of the seed
-    table that the calling thread hashed once for the pass; draws run one
-    at a time on the one worker, so no stream is reseeded in flight.
-    standard_normal releases the GIL while it fills a row, so the calling
+    take pops a deque of the hand-off's positions.  The worker thread draws
+    with popleft and its own generator; where a slot alone is over the
+    budget, the calling thread draws too, with pop and the pass's other
+    generator.  A deque's pops are atomic, so each row is taken once, by
+    one thread, and no generator is reseeded while another draw uses it.
+    standard_normal releases the GIL while it fills a row, so the other
     thread keeps running meanwhile.  Nothing else is called here: the
     benchmark's tracer (perfbench/tracing.py) keeps a single span stack, for
     the calling thread.
     """
-    for w, row in zip(words, normals):
-        _reseed(rng, w)
-        rng.standard_normal(out=row)
+    while True:
+        try:
+            k = take()
+        except IndexError:  # every stream of the hand-off is taken
+            return
+        _reseed(rng, words[k])
+        rng.standard_normal(out=rows[k])
 
 
 def _dot(hc: np.ndarray, v: np.ndarray, prod: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -572,8 +591,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     ExperimentConfig); both are checked before any stream is seeded.  Grid
     point k's trial i reads row i of the stream keyed by (seed, the point's
     power, slot index), so a point's numbers do not depend on the rest of
-    the grid, the chunk size or thread timing.  A draw that raises on the
-    worker thread re-raises here.
+    the grid, the chunk size, which thread draws a row or thread timing.  A
+    draw that raises on the worker thread re-raises here.
     """
     _require_int("n_trials", n_trials, 1)
     _require_int("seed", seed, 0)
@@ -581,11 +600,6 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         raise ValueError("SNR point and plan disagree on CSIT quality")
     ps = [s.p for s in snrs]
     slots, wiring = plan.all_slots(), plan.wiring
-    templates = _compile(plan, ps)
-    starts = list(accumulate((len(s.layers) for s in slots), initial=0))  # each slot's first rate row, then the end
-    rate = np.full((starts[-1], len(ps)), np.nan)
-    link_out = np.full((2, len(plan.links), len(ps)), np.nan)  # delivered MI, effective noise; NaN until decoded
-    totals = np.zeros((2, len(ps), n_trials))  # per-user bits per run
 
     def trial_mean(x):
         # x.mean(axis=-1), bit for bit, without its Python-level wrapper
@@ -695,55 +709,72 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
 
     per_slot = len(ps) * 16 * n_trials  # normals per slot: 16 per trial
     hand_off = min(len(slots), max(1, _DRAW_BUDGET // per_slot))  # slots per draw hand-off
-    # slots per decode chunk: two hand-offs, or one slot where a slot alone fills a hand-off
-    chunk = min(len(slots), 2 * hand_off if per_slot <= _DRAW_BUDGET else 1)
+    # a slot alone over the budget: a decode chunk is that one slot, and this
+    # thread helps draw it.  Else a chunk is two hand-offs, and the worker
+    # draws them alone
+    shared = per_slot > _DRAW_BUDGET
+    chunk = min(len(slots), 1 if shared else 2 * hand_off)
     n_hand_offs = -(-len(slots) // hand_off)
-    shape = (chunk, len(ps), n_trials)
-    bufs = {name: np.empty(shape + (2,), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
-    # sample_channel writes each error into its channel and adds the
-    # estimate in place: the same bits, and no error is read after that
-    bufs["h_err"], bufs["g_err"] = bufs["h_true"], bufs["g_true"]
-    # the projection's buffers, kept for the pass: its scratch and a pool of
-    # power-gain blocks (read until the chunk settles).  The first antenna's
-    # power gains are read only while the chunk decodes, so every block
-    # shares one array for them
-    scratch = np.empty(shape + (2,), complex)
-    first = np.empty((2,) + shape)
-    fresh = {d for t in templates for d, _ in t.fresh}
-    blocks = _Pool(lambda: {0: first} | {d: np.empty((2,) + shape) for d in fresh})
     # one draw buffer of two hand-offs (one, when there is no second), whose
-    # halves the worker fills in turn, and one generator, which it reseeds
-    # per stream.  A chunk is scaled from its rows in one call
+    # halves are filled in turn.  A chunk is scaled from its rows in one call
     normals = np.empty((min(2, n_hand_offs) * hand_off, len(ps), 2, 2, 2, n_trials, 2))
-    rng = np.random.Generator(np.random.PCG64(0))
     # every stream's seed words, (slot, point, word), hashed in one call
     words = _seed_words(seed, [_db_key(snr.p_db) for snr in snrs], [s.index for s in slots])
-    # (largest settle_after, lo, hi, {shape number: _Batch}, power-gain block) per chunk not yet settled
-    waiting: deque = deque()
     with ThreadPoolExecutor(max_workers=1) as pool:
+        worker_rng = np.random.Generator(np.random.PCG64(0))  # reseeded per stream, on the worker only
 
-        def draw_into(j):
-            # hand-off j's streams, one row each, into half j % 2: called
-            # only once that half's last draw has been scaled
+        def hand_over(j):
+            # hand-off j: its streams' seed words, their rows of half j % 2
+            # and a deque of their positions, which the worker starts on at
+            # once, from the front.  Called only once that half's last draw
+            # has been scaled
             half = normals[j % 2 * hand_off:(j % 2 + 1) * hand_off]
             rows = half.reshape((-1,) + half.shape[2:])
-            return pool.submit(_draw, rng, words[j * hand_off:(j + 1) * hand_off].reshape(-1, _POOL).tolist(), rows)
+            streams = words[j * hand_off:(j + 1) * hand_off].reshape(-1, _POOL).tolist()
+            queue = deque(range(len(streams)))
+            return queue, streams, rows, pool.submit(_draw, worker_rng, queue.popleft, streams, rows)
 
-        drawn = deque(draw_into(j) for j in range(min(2, n_hand_offs)))  # hand-off 0, and 1 if there is one
+        drawn = deque(hand_over(j) for j in range(min(2, n_hand_offs)))  # hand-off 0, and 1 if there is one
+        templates = _compile(plan, ps)
+        starts = list(accumulate((len(s.layers) for s in slots), initial=0))  # each slot's first rate row, then the end
+        rate = np.full((starts[-1], len(ps)), np.nan)
+        link_out = np.full((2, len(plan.links), len(ps)), np.nan)  # delivered MI, effective noise; NaN until decoded
+        totals = np.zeros((2, len(ps), n_trials))  # per-user bits per run
+        shape = (chunk, len(ps), n_trials)
+        bufs = {name: np.empty(shape + (2,), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
+        # sample_channel writes each error into its channel and adds the
+        # estimate in place: the same bits, and no error is read after that
+        bufs["h_err"], bufs["g_err"] = bufs["h_true"], bufs["g_true"]
+        # the projection's buffers, kept for the pass: its scratch and a pool
+        # of power-gain blocks (read until the chunk settles).  The first
+        # antenna's power gains are read only while the chunk decodes, so
+        # every block shares one array for them
+        scratch = np.empty(shape + (2,), complex)
+        first = np.empty((2,) + shape)
+        fresh = {d for t in templates for d, _ in t.fresh}
+        blocks = _Pool(lambda: {0: first} | {d: np.empty((2,) + shape) for d in fresh})
+        rng = np.random.Generator(np.random.PCG64(0))  # reseeded per stream, on this thread only
+        # (largest settle_after, lo, hi, {shape number: _Batch}, power-gain block) per chunk not yet settled
+        waiting: deque = deque()
         for k in range(-(-len(slots) // chunk)):
             lo, hi = k * chunk, min(len(slots), (k + 1) * chunk)
             hand_offs = range(lo // hand_off, -(-hi // hand_off))  # the chunk's, one or two
             for _ in hand_offs:
-                drawn.popleft().result()
+                queue, streams, rows, future = drawn.popleft()
+                if shared:
+                    # draw what the worker has not taken yet, from the back,
+                    # then wait only for the row it is drawing
+                    _draw(rng, queue.pop, streams, rows)
+                future.result()
             row = lo % len(normals)
             stack = ChannelRealization(**{name: buf[:hi - lo] for name, buf in bufs.items()})
             sample_channel(snrs, normals[row:row + hi - lo], size=n_trials, out=stack)
             for j in hand_offs:
                 if j + 2 < n_hand_offs:
-                    # half j % 2 is free: the worker draws hand-off j + 2
-                    # into it, after the hand-offs before it, while this
-                    # chunk decodes
-                    drawn.append(draw_into(j + 2))
+                    # half j % 2 is free: hand-off j + 2 goes into it, and the
+                    # worker starts on it after the hand-offs before it, while
+                    # this chunk decodes
+                    drawn.append(hand_over(j + 2))
             for true in (stack.h_true, stack.g_true):
                 np.conjugate(true, out=true)  # each gain is conj(true) . direction
             decode_chunk(lo, hi, stack)

@@ -634,25 +634,38 @@ class TestStreamSeeding:
 
 class TestPrefetch:
     """The next chunk of slots' normals is drawn on one worker thread while
-    this thread decodes; the results may not depend on the chunking."""
+    this thread decodes, and this thread draws the rows of a hand-off that
+    the worker has not taken when the chunk needs them; the results may not
+    depend on the chunking or on which thread draws a row."""
 
     N_TRIALS = 600  # 4 points x 16 normals x 600 trials per slot: over the budget, so a chunk is one slot
 
     @staticmethod
-    def _pass(monkeypatch, plan, budget=None, n_trials=N_TRIALS):
-        """_evaluate_grid's arrays and the stream count of each hand-off."""
-        handed = []
+    def _spy_hand_offs(m) -> list:
+        """Patch _draw to keep each hand-off's seed words, one list per
+        stream, in hand-off order: both threads draw a hand-off, so it is
+        kept at the first draw of it, under a lock."""
+        hand_offs, seen, lock = [], {}, threading.Lock()
         draw = evaluator._draw
 
-        def counting_draw(rng, words, normals):
-            handed.append(len(words))
-            draw(rng, words, normals)
+        def spy_draw(rng, take, words, rows):
+            with lock:
+                if id(words) not in seen:
+                    seen[id(words)] = words  # kept, so that no id is reused
+                    hand_offs.append(words)
+            draw(rng, take, words, rows)
 
+        m.setattr(evaluator, "_draw", spy_draw)
+        return hand_offs
+
+    @classmethod
+    def _pass(cls, monkeypatch, plan, budget=None, n_trials=N_TRIALS):
+        """_evaluate_grid's arrays and the stream count of each hand-off."""
         with monkeypatch.context() as m:
-            m.setattr(evaluator, "_draw", counting_draw)
+            hand_offs = cls._spy_hand_offs(m)
             if budget is not None:
                 m.setattr(evaluator, "_DRAW_BUDGET", budget)
-            return _evaluate_grid(plan, _grid(plan.quality), n_trials, 5), handed
+            return _evaluate_grid(plan, _grid(plan.quality), n_trials, 5), [len(h) for h in hand_offs]
 
     @pytest.mark.parametrize("slots_per_hand_off", [1, 2, 7, 20])
     def test_chunking_does_not_change_the_pass(self, monkeypatch, slots_per_hand_off):
@@ -719,25 +732,21 @@ class TestPrefetch:
         grid, n_trials, seed = _grid(Q35), 40, 5
         keys = [np.random.SeedSequence([seed, _TAG_CHANNEL, _db_key(snr.p_db), s.index]).generate_state(4, np.uint64)
                 .tolist() for s in slots for snr in grid]
-        seed_words, draw = evaluator._seed_words, evaluator._draw
+        seed_words = evaluator._seed_words
         runs = []
         for slots_per_chunk in (1, 2, len(slots)):
-            hashed, handed = [], []
+            hashed = []
 
             def counting_seed_words(*args):
                 hashed.append(args)
                 return seed_words(*args)
 
-            def spy_draw(rng, words, normals):
-                handed.extend(words)
-                draw(rng, words, normals)
-
             with monkeypatch.context() as m:
                 m.setattr(evaluator, "_seed_words", counting_seed_words)
-                m.setattr(evaluator, "_draw", spy_draw)
+                hand_offs = self._spy_hand_offs(m)
                 m.setattr(evaluator, "_DRAW_BUDGET", slots_per_chunk * 4 * 16 * n_trials)
                 runs.append(_evaluate_grid(plan, grid, n_trials, seed))
-            assert len(hashed) == 1 and handed == keys, slots_per_chunk
+            assert len(hashed) == 1 and [words for h in hand_offs for words in h] == keys, slots_per_chunk
         for got in runs[1:]:
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, runs[0]):
                 assert np.array_equal(a, b), what
@@ -747,21 +756,38 @@ class TestPrefetch:
         return a.__array_interface__["data"][0]
 
     def _log_hand_offs(self, monkeypatch):
-        """Log, in the order they happen on either thread, each stream's
-        reseed (by thread), each draw's start (by buffer, with its generator
-        and stream count) and end, and each scaling of a buffer."""
-        log = []
+        """Log, in the order they happen on either thread, each hand-off's
+        first draw (by the address of its first row), each row taken (by
+        thread, generator and address, atomically with the take), filled and
+        reseeded (by thread and seed words), and each scaling of a buffer."""
+        log, seen, lock = [], {}, threading.Lock()
         draw, scale, reseed = evaluator._draw, evaluator.sample_channel, evaluator._reseed
 
         def spy_reseed(rng, words):
-            log.append(("reseed", threading.get_ident()))
+            log.append(("reseed", threading.get_ident(), tuple(words)))
             reseed(rng, words)
 
-        def spy_draw(rng, words, normals):
-            at = self._address(normals)
-            log.append(("draw", at, rng, len(words)))
-            draw(rng, words, normals)
-            log.append(("drawn", at))
+        def spy_draw(rng, take, words, rows):
+            with lock:
+                if id(words) not in seen:
+                    seen[id(words)] = words
+                    log.append(("hand-off", self._address(rows[0])))
+
+            def logged_take():
+                with lock:
+                    k = take()
+                    log.append(("take", self._address(rows[k]), threading.get_ident(), id(rng), rows[k].nbytes))
+                return k
+
+            class Logged:  # rng, logging each row it fills
+                bit_generator = rng.bit_generator
+
+                @staticmethod
+                def standard_normal(out):
+                    rng.standard_normal(out=out)
+                    log.append(("drawn", self._address(out)))
+
+            draw(Logged(), logged_take, words, rows)
 
         def spy_scale(snrs, normals, *args, **kwargs):
             log.append(("scale", self._address(normals), normals.nbytes))
@@ -773,49 +799,52 @@ class TestPrefetch:
         return log
 
     @staticmethod
-    def _check_hand_offs(log, caller):
-        """Each half of the draw buffer goes free -> drawing -> drawn ->
-        scaled (free) in turn: no draw into it from the start of a draw
-        into it until that draw has been scaled.  One scaling may cover
-        both halves, and then both must be drawn.  Every hand-off gets the
-        pass's one generator, and each stream is reseeded once, by the
-        worker, never by caller.  Returns the halves in the order they were
-        drawn into."""
-        draws = [e for e in log if e[0] == "draw"]
-        assert len({id(e[2]) for e in draws}) == 1, "one generator per pass"
-        reseeds = [e[1] for e in log if e[0] == "reseed"]
-        assert caller not in reseeds and len(reseeds) == sum(e[3] for e in draws)
+    def _check_hand_offs(log, n_streams):
+        """Each row of the draw buffer goes free -> taken -> drawn -> scaled
+        (free) in turn: no row is taken again from the take of it until it
+        has been scaled, and a scaling reads only drawn rows, every row in
+        its range.  Each thread draws with one generator of its own, and
+        each of the n_streams streams is reseeded exactly once, by the
+        thread that took its row.  Returns the first row of each hand-off,
+        in hand-off order."""
+        takes = [e for e in log if e[0] == "take"]
+        generators = {}
+        for _, _, thread, rng, _ in takes:
+            generators.setdefault(thread, set()).add(rng)
+        assert all(len(g) == 1 for g in generators.values()), "one generator per thread"
+        assert len(set.union(*generators.values())) == len(generators), "no generator shared by the threads"
+        reseeds = [e for e in log if e[0] == "reseed"]
+        assert len({e[2] for e in reseeds}) == len(reseeds) == len(takes) == n_streams
+        for thread in generators:
+            assert sum(e[1] == thread for e in reseeds) == sum(e[2] == thread for e in takes)
+        row_bytes = takes[0][4]
         state: dict[int, str] = {}
-        order = []
         for e in log:
-            if e[0] == "reseed":
-                continue
-            at = e[1]
-            now = state.get(at, "free")
-            if e[0] == "draw":
-                assert now == "free", f"buffer {at:#x} refilled while {now}"
-                state[at] = "drawing"
-                order.append(at)
+            if e[0] == "take":
+                at = e[1]
+                now = state.get(at, "free")
+                assert now == "free", f"row {at:#x} taken again while {now}"
+                state[at] = "taken"
             elif e[0] == "drawn":
-                state[at] = "drawn"
-            else:
-                halves = [h for h in state if at <= h < at + e[2]]
-                assert at in halves, f"buffer {at:#x} scaled but never drawn"
-                for h in halves:
-                    assert state[h] == "drawn", f"buffer {h:#x} scaled while {state[h]}"
-                    state[h] = "free"
+                state[e[1]] = "drawn"
+            elif e[0] == "scale":
+                for at in range(e[1], e[1] + e[2], row_bytes):
+                    assert state.get(at) == "drawn", f"row {at:#x} scaled while {state.get(at, 'never drawn')}"
+                    state[at] = "free"
         assert all(v == "free" for v in state.values())
-        return order
+        return [e[1] for e in log if e[0] == "hand-off"]
 
     def test_hand_off_holds_under_frequent_thread_switches(self, monkeypatch):
-        # each buffer is scaled here and refilled by the worker, which
-        # reseeds the pass's one generator for each stream it draws: a read
-        # before the draw finished, or a refill before the read, would show
-        # as changed values once the threads switch every few microseconds,
-        # and the spies see it in the order of events.  Hand-offs of 1 slot,
-        # one per decode chunk (600 trials: a slot is over the budget) or two
-        # (300 trials), and of as many slots as fit in the budget, two per
-        # decode chunk (20 trials)
+        # each buffer is scaled here and refilled by the worker, and where a
+        # slot is over the budget by this thread too, each with its own
+        # generator, reseeded for each stream it draws: a read before a draw
+        # finished, a refill before the read, or a row drawn twice or never
+        # would show as changed values once the threads switch every few
+        # microseconds, and the spies see it in the order of events.
+        # Hand-offs of 1 slot, one per decode chunk (600 trials: a slot is
+        # over the budget, and both threads draw) or two (300 trials), and
+        # of as many slots as fit in the budget, two per decode chunk (20
+        # trials)
         for n_cycles, n_trials in ((2, 600), (2, 300), (20, 20)):
             plan = build_case_ii(Q35, n_cycles)
             ref = _evaluate_grid(plan, _grid(Q35), n_trials, 9)
@@ -829,26 +858,51 @@ class TestPrefetch:
                         runs.append((_evaluate_grid(plan, _grid(Q35), n_trials, 9), log))
             finally:
                 sys.setswitchinterval(interval)
-            n_hand_offs = math.ceil(len(plan.all_slots()) / max(1, evaluator._DRAW_BUDGET // (4 * 16 * n_trials)))
+            n_slots = len(plan.all_slots())
+            n_hand_offs = math.ceil(n_slots / max(1, evaluator._DRAW_BUDGET // (4 * 16 * n_trials)))
             for got, log in runs:
                 assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (n_cycles, n_trials)
-                order = self._check_hand_offs(log, threading.get_ident())
+                order = self._check_hand_offs(log, n_slots * 4)
                 assert len(order) == n_hand_offs and len(set(order)) == 2
                 assert order == [order[k % 2] for k in range(n_hand_offs)], "the two halves take turns"
 
-    def test_traced_names_run_on_the_calling_thread(self, monkeypatch):
+    def test_traced_names_run_on_the_calling_thread(self, monkeypatch, one_drawer):
         # perfbench's tracer keeps one span stack, for the calling thread;
-        # only _reseed and standard_normal run on the worker
+        # only _draw and _reseed (and standard_normal) run on the worker.
+        # The calling thread's draws (a slot over the budget: it helps) are
+        # held, so that the worker draws every row
         caller = threading.get_ident()
+        one_drawer("worker")
         seen: dict[str, set] = {}
         for name in ("sample_channel", "unit", "_draw", "_reseed"):
             def spy(*args, _fn=getattr(evaluator, name), _name=name, **kwargs):
                 seen.setdefault(_name, set()).add(threading.get_ident())
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(evaluator, name, spy)
-        estimate_dof(build_case_ii(Q35, 1), _grid(Q35), 50, seed=4)
+        estimate_dof(build_case_ii(Q35, 1), _grid(Q35), self.N_TRIALS, seed=4)
         assert seen["sample_channel"] == seen["unit"] == {caller}
-        assert len(seen["_draw"]) == 1 and seen["_reseed"] == seen["_draw"] != {caller}
+        assert len(seen["_draw"]) == 2 and caller in seen["_draw"] and seen["_reseed"] == seen["_draw"] - {caller}
+
+    def test_the_first_hand_offs_are_handed_over_before_the_decode_tables(self, monkeypatch):
+        # the worker draws hand-offs 0 and 1 while this thread compiles the
+        # slot templates and makes the output arrays
+        submitted, at_compile = [], []
+        compile_templates = evaluator._compile
+
+        class Pool(evaluator.ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        def spy_compile(*args):
+            at_compile.append(len(submitted))
+            return compile_templates(*args)
+
+        monkeypatch.setattr(evaluator, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(evaluator, "_compile", spy_compile)
+        plan = build_case_ii(Q35, 1)
+        estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
+        assert at_compile == [2] and len(submitted) == len(plan.all_slots())  # one slot per hand-off
 
     def test_no_thread_outlives_the_pass(self, monkeypatch):
         plan = build_case_ii(Q35, 1)
@@ -871,9 +925,11 @@ class TestPrefetch:
         assert threading.active_count() == before
 
     def test_a_decode_failure_with_two_draws_in_flight_leaves_no_thread(self, monkeypatch):
-        # the next two chunks' draws are held on the worker until chunk 0's
-        # decode fails, so both are in flight when it raises
+        # the worker's draws of the next two chunks are held until chunk 0's
+        # decode fails, so both are in flight when it raises; this thread
+        # draws what it needs of chunk 0 and takes nothing after the failure
         plan = build_case_ii(Q35, 1)
+        caller = threading.get_ident()
         futures, started, in_flight = [], [], []
         release = threading.Event()
         draw = evaluator._draw
@@ -883,11 +939,12 @@ class TestPrefetch:
                 futures.append(super().submit(fn, *args, **kwargs))
                 return futures[-1]
 
-        def held_draw(rng, words, normals):
-            started.append(len(words))
-            if len(started) > 1:
-                assert release.wait(timeout=60)
-            draw(rng, words, normals)
+        def held_draw(rng, take, words, rows):
+            if threading.get_ident() != caller:
+                started.append(len(words))
+                if len(started) > 1:
+                    assert release.wait(timeout=60)
+            draw(rng, take, words, rows)
 
         def failing_unit(v, **kwargs):
             in_flight.append(sum(not f.done() for f in futures))
@@ -905,9 +962,11 @@ class TestPrefetch:
         assert threading.active_count() == before
 
     # odd chunks go to the second buffer: the third hand-off fills the
-    # first buffer, the fourth the second (a chunk is one slot at N_TRIALS)
+    # first buffer, the fourth the second (a chunk is one slot at N_TRIALS).
+    # One thread draws every row, so the failing draw runs there: on the
+    # worker it re-raises from this thread's wait, here it raises directly
     @pytest.mark.parametrize("failing", [3, 4], ids=["first-buffer", "second-buffer"])
-    def test_a_failed_draw_raises_from_the_caller(self, monkeypatch, failing):
+    def test_a_failed_draw_raises_from_the_caller(self, one_drawer, failing):
         class DrawFailed(Exception):
             pass
 
@@ -921,20 +980,21 @@ class TestPrefetch:
                 raise failure
 
         plan = build_case_ii(Q35, 1)
-        buffers = []
         draw = evaluator._draw
 
-        def nth_draw_fails(rng, words, normals):
-            buffers.append(self._address(normals))
-            draw(BrokenStream() if len(buffers) == failing else rng, words, normals)
+        def nth_draw_fails(rng, take, words, rows):
+            buffers.append(self._address(rows))
+            draw(BrokenStream() if len(buffers) == failing else rng, take, words, rows)
 
-        monkeypatch.setattr(evaluator, "_draw", nth_draw_fails)
-        before = threading.active_count()
-        with pytest.raises(DrawFailed) as info:
-            estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
-        assert info.value is failure
-        assert buffers[failing - 1] == buffers[(failing - 1) % 2] != buffers[failing % 2]
-        assert threading.active_count() == before
+        for drawer in ("worker", "caller"):
+            buffers = []
+            one_drawer(drawer, nth_draw_fails)
+            before = threading.active_count()
+            with pytest.raises(DrawFailed) as info:
+                estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
+            assert info.value is failure, drawer
+            assert buffers[failing - 1] == buffers[(failing - 1) % 2] != buffers[failing % 2], drawer
+            assert threading.active_count() == before, drawer
 
 
 class TestResidualProbe:
