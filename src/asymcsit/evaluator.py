@@ -711,7 +711,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     hand_off = min(len(slots), max(1, _DRAW_BUDGET // per_slot))  # slots per draw hand-off
     # a slot alone over the budget: a decode chunk is that one slot, and this
     # thread helps draw it.  Else a chunk is two hand-offs, and the worker
-    # draws them alone
+    # draws them alone (helping with rows that small read 8 % slower:
+    # BENCH_draw_sharing.json, uniform_sharing)
     shared = per_slot > _DRAW_BUDGET
     chunk = min(len(slots), 1 if shared else 2 * hand_off)
     n_hand_offs = -(-len(slots) // hand_off)
