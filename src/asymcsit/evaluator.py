@@ -20,11 +20,10 @@ dependency order:
      log-det rate.
 
 All grid points are evaluated in one pass over the slots, a decode chunk
-of whole slots at a time.  The worker thread (below) draws hand-offs of
-as many whole slots as fit in _DRAW_BUDGET normals, at least one, and a
-chunk is two hand-offs, or one slot where a slot alone is over the
-budget: 50 slots at 20 trials on a 4-point grid, one at 2000.  Each slot
-is drawn at every grid point, and a chunk's draws are stacked on leading
+of whole slots at a time: as many as fit in _DRAW_BUDGET normals, at
+least one, so 51 slots at 20 trials on a 4-point grid and one at 2000.
+The worker thread (below) draws a chunk in one piece.  Each slot is
+drawn at every grid point, and a chunk's draws are stacked on leading
 (slot, grid point) axes: one sample_channel call scales them, and each
 precoder direction is projected once per chunk, with every |gain|**2
 taken once.  The decode wiring is resolved once,
@@ -55,10 +54,12 @@ template batch, and each user's per-trial total then adds up slot by
 slot in slot order (the slot's user-owned first-antenna layers, then
 user 1's group, then user 2's), the same sums in the same order at any
 chunk size.  Memory is bounded by the chunk size and the chunks in that
-queue, not by the plan length (apart from the per-layer and per-link
-results, NaN until written, and one row offset per slot), and the Python
-work is paid once per chunk and template, not once per slot and grid
-point.
+queue, besides the per-layer and per-link results (NaN until written) and
+one row offset per slot.  No preset carries a link past the next cycle,
+so the queue stays a few chunks long; a link carried far past its source
+holds every chunk decoded in between, and the queue then grows with the
+plan.  The Python work is paid once per chunk and template, not once per
+slot and grid point.
 
 The chunk's arrays are buffers kept for the pass, made once at the chunk
 size: the channels, the draw buffer, one estimate-shaped scratch and the
@@ -101,34 +102,33 @@ schemes are compared on the same grid.
 The standard normals are the one part of a slot that can run off the
 calling thread: numpy's standard_normal releases the GIL.  So the pass
 keeps one worker thread, for the length of the call, and one float64 draw
-buffer of shape (2 hand-offs, point, 2, 2, 2, trial, 2), whose halves are
-filled in turn.  A hand-off is its streams' seed words and rows and a
-deque of their positions; the worker starts on that deque, from the
-front, as soon as the hand-off is handed over: hand-offs 0 and 1 as soon
+buffer of shape (part, slot, point, 2, 2, 2, trial, 2), whose parts are
+filled in turn, a chunk to a part.  A chunk is handed over to the worker
+as its streams' seed words and rows and a deque of their positions, and
+the worker starts on that deque, from the front, at once: chunk 0 as soon
 as the seed table is hashed, before the decode tables and output arrays
-are made, and each later one as soon as the chunk that its half held has
-been scaled, before that chunk is projected and decoded.  At two
-hand-offs per chunk the next chunk is drawn while this one decodes.
-Where a slot alone is over the budget, a chunk is one slot, and the
-calling thread helps: when the chunk needs its hand-off, it draws the
-rows that the worker has not taken, from the back, and then waits only
-for the row that the worker is drawing.  With chunks of many small slots
-it only waits, as there a row is a few hundred normals and the two
-threads would trade the GIL for every reseed.  The deque holds positions,
-not rows: the thread that draws a row makes its view (a deque of
-(words, row) pairs, made on the calling thread, cost a 20-trial pass
-about 2 %).  Every stream of the pass is hashed on the calling thread,
-once, before the first hand-off: SeedSequence's hash (which holds the
-GIL) is run as uint32 array operations over the whole table of seed
-words, 32 B per (slot, grid point) stream.  Each hand-off takes its own
-slice of that table.  Each thread has its own PCG64 for the pass, and
-sets it from a stream's words right before it fills that stream's row, so
-no generator is ever reseeded while another draw uses it.  That gives
-exactly the draws of default_rng(SeedSequence(key)), at a fraction of its
-cost per stream.  Each row is taken once, by one thread, and filled from
-its own stream, so the results do not depend on which thread draws it or
-on thread timing.  The worker calls nothing but _draw, _reseed and
-standard_normal; sample_channel and unit run on the calling thread only.
+are made, and each later one as soon as the chunk before it in its part
+has been scaled, before that chunk is projected and decoded.  So the next
+chunk is drawn while this one decodes.  Where a chunk is one slot, the
+buffer has two parts, chunk 1 is handed over with chunk 0, and the calling
+thread helps: when it needs a chunk, it draws the rows that the worker has
+not taken, from the back, and then waits only for the row that the worker
+is drawing.  With chunks of many small slots the buffer has one part, and
+the calling thread only waits, as there a row is a few hundred normals and
+the two threads would trade the GIL for every reseed.  The deque holds
+positions, not rows: the thread that draws a row makes its view.  Every
+stream of the pass is hashed on the calling thread, once, before the first
+chunk is handed over: SeedSequence's hash (which holds the GIL) is run as
+uint32 array operations over the whole table of seed words, 32 B per
+(slot, grid point) stream.  Each chunk takes its own slice of that table.
+Each thread has its own PCG64 for the pass, and sets it from a stream's
+words right before it fills that stream's row, so no generator is ever
+reseeded while another draw uses it.  That gives exactly the draws of
+default_rng(SeedSequence(key)), at a fraction of its cost per stream.
+Each row is taken once, by one thread, and filled from its own stream, so
+the results do not depend on which thread draws it or on thread timing.
+The worker calls nothing but _draw, _reseed and standard_normal;
+sample_channel and unit run on the calling thread only.
 
 The pass writes each chunk's errors into its true channels (sample_channel
 adds the estimates in place, with the same bits) and then conjugates the
@@ -169,7 +169,7 @@ __all__ = [
 ]
 
 _TAG_CHANNEL = 1
-_DRAW_BUDGET = 2 ** 15  # normals the worker draws per hand-off: as many whole slots as fit, at least one
+_DRAW_BUDGET = 2 ** 16  # normals per decode chunk: as many whole slots as fit, at least one
 _PRECISION_CEILING = 30.0  # largest alpha2 * dB / 10 that check_grid_db accepts
 
 # numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding, which
@@ -316,16 +316,16 @@ def _reseed(rng: np.random.Generator, words: list[int]) -> None:
 
 
 def _draw(rng: np.random.Generator, take: Callable[[], int], words: list[list[int]], rows: np.ndarray) -> None:
-    """Draw a hand-off's streams until take() finds none left: each take()
-    gives the position k of a stream that no thread has taken; set rng to
-    the stream's start from its four seed words, words[k], then fill its
-    row, rows[k].
+    """Draw a decode chunk's streams until take() finds none left: each
+    take() gives the position k of a stream that no thread has taken; set
+    rng to the stream's start from its four seed words, words[k], then fill
+    its row, rows[k].
 
-    take pops a deque of the hand-off's positions.  The worker thread draws
-    with popleft and its own generator; where a slot alone is over the
-    budget, the calling thread draws too, with pop and the pass's other
-    generator.  A deque's pops are atomic, so each row is taken once, by
-    one thread, and no generator is reseeded while another draw uses it.
+    take pops a deque of the chunk's positions.  The worker thread draws
+    with popleft and its own generator; where the chunk is one slot, the
+    calling thread draws too, with pop and the pass's other generator.  A
+    deque's pops are atomic, so each row is taken once, by one thread, and
+    no generator is reseeded while another draw uses it.
     standard_normal releases the GIL while it fills a row, so the other
     thread keeps running meanwhile.  Nothing else is called here: the
     benchmark's tracer (perfbench/tracing.py) keeps a single span stack, for
@@ -334,7 +334,7 @@ def _draw(rng: np.random.Generator, take: Callable[[], int], words: list[list[in
     while True:
         try:
             k = take()
-        except IndexError:  # every stream of the hand-off is taken
+        except IndexError:  # every stream of the chunk is taken
             return
         _reseed(rng, words[k])
         rng.standard_normal(out=rows[k])
@@ -572,15 +572,17 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     noise (2 x link, in plan.links order), and each user's per-run bits and
     Monte-Carlo stderr.
 
-    A decode chunk is a range [lo, hi) of positions in plan.all_slots(), and
-    each slot's shape, link rows and settle_after are read from plan.wiring
-    at its position; its first rate row is its entry in one list of row
-    offsets.  A chunk is decoded a slot template at a time: the SIC MIs,
-    link noise and cross minors of all the chunk's slots of one template run
-    in one go on (slot, grid point, trial) arrays, read as views of the
-    chunk's gains when the slots step evenly through the chunk (always, for
-    a chunk of one slot); rate and link rows that step evenly are indexed by
-    basic slices too, by _take's rule.  The chunk then waits whole until the
+    A decode chunk is a range [lo, hi) of positions in plan.all_slots(), as
+    many slots as fit in _DRAW_BUDGET normals (at least one), drawn on the
+    worker thread and handed over in one piece.  Each slot's shape, link
+    rows and settle_after are read from plan.wiring at its position; its
+    first rate row is its entry in one list of row offsets.  A chunk is
+    decoded a slot template at a time: the SIC MIs, link noise and cross
+    minors of all the chunk's slots of one template run in one go on (slot,
+    grid point, trial) arrays, read as views of the chunk's gains when the
+    slots step evenly through the chunk (always, for a chunk of one slot);
+    rate and link rows that step evenly are indexed by basic slices too, by
+    _take's rule.  The chunk then waits whole until the
     slot that its last group settles after has been decoded, and is settled
     a template batch at a time; each user's total adds up slot by slot in
     slot order, so the sums are the same at any chunk size.
@@ -708,34 +710,33 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
             blocks.give(block)
 
     per_slot = len(ps) * 16 * n_trials  # normals per slot: 16 per trial
-    hand_off = min(len(slots), max(1, _DRAW_BUDGET // per_slot))  # slots per draw hand-off
-    # a slot alone over the budget: a decode chunk is that one slot, and this
-    # thread helps draw it.  Else a chunk is two hand-offs, and the worker
-    # draws them alone (helping with rows that small read 8 % slower:
+    chunk = max(1, _DRAW_BUDGET // per_slot)  # slots per decode chunk
+    # a chunk of one slot: this thread helps draw it, and the draw buffer
+    # holds two chunks.  Else the buffer holds one, and the worker draws it
+    # alone (helping with rows that small read 8 % slower:
     # BENCH_draw_sharing.json, uniform_sharing)
-    shared = per_slot > _DRAW_BUDGET
-    chunk = min(len(slots), 1 if shared else 2 * hand_off)
-    n_hand_offs = -(-len(slots) // hand_off)
-    # one draw buffer of two hand-offs (one, when there is no second), whose
-    # halves are filled in turn.  A chunk is scaled from its rows in one call
-    normals = np.empty((min(2, n_hand_offs) * hand_off, len(ps), 2, 2, 2, n_trials, 2))
+    shared = chunk == 1
+    chunk = min(len(slots), chunk)
+    n_chunks = -(-len(slots) // chunk)
+    # the draw buffer: a part per chunk that it holds (one, when there is no
+    # second chunk), filled in turn.  A chunk is scaled from its part in one call
+    normals = np.empty((min(n_chunks, 2 if shared else 1), chunk, len(ps), 2, 2, 2, n_trials, 2))
     # every stream's seed words, (slot, point, word), hashed in one call
     words = _seed_words(seed, [_db_key(snr.p_db) for snr in snrs], [s.index for s in slots])
     with ThreadPoolExecutor(max_workers=1) as pool:
         worker_rng = np.random.Generator(np.random.PCG64(0))  # reseeded per stream, on the worker only
 
-        def hand_over(j):
-            # hand-off j: its streams' seed words, their rows of half j % 2
-            # and a deque of their positions, which the worker starts on at
-            # once, from the front.  Called only once that half's last draw
-            # has been scaled
-            half = normals[j % 2 * hand_off:(j % 2 + 1) * hand_off]
-            rows = half.reshape((-1,) + half.shape[2:])
-            streams = words[j * hand_off:(j + 1) * hand_off].reshape(-1, _POOL).tolist()
+        def hand_over(k):
+            # chunk k: its streams' seed words, their rows of buffer part
+            # k % len(normals) and a deque of their positions, which the
+            # worker starts on at once, from the front.  Called only once
+            # that part's last draw has been scaled
+            rows = normals[k % len(normals)].reshape((-1,) + normals.shape[3:])
+            streams = words[k * chunk:(k + 1) * chunk].reshape(-1, _POOL).tolist()
             queue = deque(range(len(streams)))
             return queue, streams, rows, pool.submit(_draw, worker_rng, queue.popleft, streams, rows)
 
-        drawn = deque(hand_over(j) for j in range(min(2, n_hand_offs)))  # hand-off 0, and 1 if there is one
+        drawn = deque(hand_over(k) for k in range(len(normals)))  # chunk 0, and 1 where the buffer holds two
         templates = _compile(plan, ps)
         starts = list(accumulate((len(s.layers) for s in slots), initial=0))  # each slot's first rate row, then the end
         rate = np.full((starts[-1], len(ps)), np.nan)
@@ -757,25 +758,21 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         rng = np.random.Generator(np.random.PCG64(0))  # reseeded per stream, on this thread only
         # (largest settle_after, lo, hi, {shape number: _Batch}, power-gain block) per chunk not yet settled
         waiting: deque = deque()
-        for k in range(-(-len(slots) // chunk)):
+        for k in range(n_chunks):
             lo, hi = k * chunk, min(len(slots), (k + 1) * chunk)
-            hand_offs = range(lo // hand_off, -(-hi // hand_off))  # the chunk's, one or two
-            for _ in hand_offs:
-                queue, streams, rows, future = drawn.popleft()
-                if shared:
-                    # draw what the worker has not taken yet, from the back,
-                    # then wait only for the row it is drawing
-                    _draw(rng, queue.pop, streams, rows)
-                future.result()
-            row = lo % len(normals)
+            queue, streams, rows, future = drawn.popleft()
+            if shared:
+                # draw what the worker has not taken yet, from the back, then
+                # wait only for the row it is drawing
+                _draw(rng, queue.pop, streams, rows)
+            future.result()
             stack = ChannelRealization(**{name: buf[:hi - lo] for name, buf in bufs.items()})
-            sample_channel(snrs, normals[row:row + hi - lo], size=n_trials, out=stack)
-            for j in hand_offs:
-                if j + 2 < n_hand_offs:
-                    # half j % 2 is free: hand-off j + 2 goes into it, and the
-                    # worker starts on it after the hand-offs before it, while
-                    # this chunk decodes
-                    drawn.append(hand_over(j + 2))
+            sample_channel(snrs, normals[k % len(normals), :hi - lo], size=n_trials, out=stack)
+            if k + len(normals) < n_chunks:
+                # part k % len(normals) is free: chunk k + len(normals) goes
+                # into it, and the worker starts on it after the chunk before
+                # it, while this chunk decodes
+                drawn.append(hand_over(k + len(normals)))
             for true in (stack.h_true, stack.g_true):
                 np.conjugate(true, out=true)  # each gain is conj(true) . direction
             decode_chunk(lo, hi, stack)

@@ -461,10 +461,10 @@ class TestSlotTemplates:
 
     @pytest.mark.parametrize("n_cycles, n_trials", [(20, 20), (400, 20), (3, 600)])
     def test_each_chunk_settles_once_per_template(self, monkeypatch, n_cycles, n_trials):
-        # 20 trials: decode chunks of two 25-slot hand-offs, whose groups
-        # wait for the next chunk's carriers; 600 trials: a slot is over the
-        # draw budget, so one slot per chunk.  Either way a chunk's slots of
-        # one template settle in one _logdet_mi call per group
+        # 20 trials: decode chunks of 51 slots, whose groups wait for the
+        # next chunk's carriers; 600 trials: a slot is over the draw budget,
+        # so one slot per chunk.  Either way a chunk's slots of one template
+        # settle in one _logdet_mi call per group
         plan, grid = build_case_ii(Q35, n_cycles), _grid(Q35)
         calls = []
         logdet = evaluator._logdet_mi
@@ -477,8 +477,7 @@ class TestSlotTemplates:
         _evaluate_grid(plan, grid, n_trials, 5)
         templates = evaluator._compile(plan, [s.p for s in grid])
         shapes = [w.shape for w in plan.wiring]
-        hand_off = evaluator._DRAW_BUDGET // (len(grid) * 16 * n_trials)
-        chunk = 2 * hand_off if hand_off else 1
+        chunk = max(1, evaluator._DRAW_BUDGET // (len(grid) * 16 * n_trials))
         assert len(calls) == sum(sum(1 for g, _ in templates[n].groups if g.positions)
                                  for lo in range(0, len(shapes), chunk)
                                  for n in set(shapes[lo:lo + chunk]))
@@ -494,7 +493,7 @@ class TestLinkWiring:
 
     @pytest.mark.parametrize("name, quality", [("case-ii", Q35), ("case-i", Q28), ("ges12-asym", Q35)],
                              ids=lambda v: f"{v.alpha1}-{v.alpha2}" if isinstance(v, CsitQuality) else v)
-    # 20 trials: 50 slots per decode chunk (two hand-offs of 25); 200 trials: 4 (two of 2)
+    # 20 trials: 51 slots per decode chunk; 200 trials: 5
     @pytest.mark.parametrize("n_cycles, n_trials", [(40, 20), (3, 200)])
     def test_the_pass_does_not_depend_on_link_order(self, name, quality, n_cycles, n_trials):
         # reversed links give decreasing link rows, which _take reads
@@ -634,51 +633,56 @@ class TestStreamSeeding:
 
 class TestPrefetch:
     """The next chunk of slots' normals is drawn on one worker thread while
-    this thread decodes, and this thread draws the rows of a hand-off that
-    the worker has not taken when the chunk needs them; the results may not
-    depend on the chunking or on which thread draws a row."""
+    this thread decodes, and where a chunk is one slot, this thread draws
+    the rows that the worker has not taken when the chunk needs them; the
+    results may not depend on the chunking or on which thread draws a
+    row."""
 
     N_TRIALS = 600  # 4 points x 16 normals x 600 trials per slot: over the budget, so a chunk is one slot
 
     @staticmethod
-    def _spy_hand_offs(m) -> list:
-        """Patch _draw to keep each hand-off's seed words, one list per
-        stream, in hand-off order: both threads draw a hand-off, so it is
-        kept at the first draw of it, under a lock."""
-        hand_offs, seen, lock = [], {}, threading.Lock()
+    def _spy_chunks(m) -> list:
+        """Patch _draw to keep each chunk's seed words, one list per stream,
+        in chunk order: both threads may draw a chunk, so it is kept at the
+        first draw of it, under a lock."""
+        chunks, seen, lock = [], {}, threading.Lock()
         draw = evaluator._draw
 
         def spy_draw(rng, take, words, rows):
             with lock:
                 if id(words) not in seen:
                     seen[id(words)] = words  # kept, so that no id is reused
-                    hand_offs.append(words)
+                    chunks.append(words)
             draw(rng, take, words, rows)
 
         m.setattr(evaluator, "_draw", spy_draw)
-        return hand_offs
+        return chunks
 
     @classmethod
     def _pass(cls, monkeypatch, plan, budget=None, n_trials=N_TRIALS):
-        """_evaluate_grid's arrays and the stream count of each hand-off."""
+        """_evaluate_grid's arrays and the stream count of each chunk."""
         with monkeypatch.context() as m:
-            hand_offs = cls._spy_hand_offs(m)
+            chunks = cls._spy_chunks(m)
             if budget is not None:
                 m.setattr(evaluator, "_DRAW_BUDGET", budget)
-            return _evaluate_grid(plan, _grid(plan.quality), n_trials, 5), [len(h) for h in hand_offs]
+            return _evaluate_grid(plan, _grid(plan.quality), n_trials, 5), [len(c) for c in chunks]
 
-    @pytest.mark.parametrize("slots_per_hand_off", [1, 2, 7, 20])
-    def test_chunking_does_not_change_the_pass(self, monkeypatch, slots_per_hand_off):
+    @staticmethod
+    def _streams(n_slots: int, slots_per_chunk: int) -> list[int]:
+        """The stream count of each chunk of a 4-point pass."""
+        return [4 * min(slots_per_chunk, n_slots - s) for s in range(0, n_slots, slots_per_chunk)]
+
+    @pytest.mark.parametrize("slots_per_chunk", [1, 2, 7, 20])
+    def test_chunking_does_not_change_the_pass(self, monkeypatch, slots_per_chunk):
         plan = build_case_ii(Q35, 3)  # 12 slots: 7 does not divide them, and 20 is more than all of them
-        n_slots, points = len(plan.all_slots()), 4
+        n_slots = len(plan.all_slots())
         ref, ref_handed = self._pass(monkeypatch, plan)
-        assert ref_handed == [points] * n_slots
-        per_slot = points * 16 * self.N_TRIALS
-        # one normal short of another whole slot: a hand-off holds whole
-        # slots only, and a decode chunk two hand-offs
-        got, handed = self._pass(monkeypatch, plan, (slots_per_hand_off + 1) * per_slot - 1)
-        assert handed == [points * min(slots_per_hand_off, n_slots - s)
-                          for s in range(0, n_slots, slots_per_hand_off)]
+        assert ref_handed == [4] * n_slots
+        per_slot = 4 * 16 * self.N_TRIALS
+        # one normal short of another whole slot: a decode chunk holds whole
+        # slots only
+        got, handed = self._pass(monkeypatch, plan, (slots_per_chunk + 1) * per_slot - 1)
+        assert handed == self._streams(n_slots, slots_per_chunk)
         for name, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
             assert np.array_equal(a, b), name
 
@@ -695,16 +699,16 @@ class TestPrefetch:
         n_slots, n_trials = len(plan.all_slots()), 40
         per_slot = 4 * 16 * n_trials
         ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # a slot over the budget: one per chunk
-        for slots_per_hand_off in (1, 2, 7, n_slots):  # two hand-offs per decode chunk
-            got, handed = self._pass(monkeypatch, plan, slots_per_hand_off * per_slot, n_trials)
-            assert handed == [4 * min(slots_per_hand_off, n_slots - s) for s in range(0, n_slots, slots_per_hand_off)]
+        for slots_per_chunk in (2, 4, 7, n_slots):  # the worker draws these chunks alone
+            got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
+            assert handed == self._streams(n_slots, slots_per_chunk)
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
-                assert np.array_equal(a, b), (slots_per_hand_off, what)
+                assert np.array_equal(a, b), (slots_per_chunk, what)
 
     def test_a_chunk_may_wait_several_chunks(self, monkeypatch):
         # slot 1's user-1 group settles only once slot 6 carries eta_1_1, so
-        # at 1, 2 and 4 slots per decode chunk the chunks decoded since wait
-        # behind it
+        # at 1 (the reference), 2 and 4 slots per decode chunk the chunks
+        # decoded since wait behind it
         quant = 0.5 - Q35.alpha1  # v1's received exponent at user 1
         slots = tuple(SlotPlan(i, (SymbolLayer(f"u{i}", OWNER_USER1, orth_to(2), 0.5, 1.0, 0.5),
                                    SymbolLayer(f"v{i}", OWNER_USER2, orth_to(1), 0.5, 1.0, 0.5))
@@ -715,16 +719,16 @@ class TestPrefetch:
         n_trials = 40
         per_slot = 4 * 16 * n_trials
         ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # a slot over the budget: one per chunk
-        for slots_per_hand_off in (1, 2, 3):  # two hand-offs per decode chunk
-            got, handed = self._pass(monkeypatch, plan, slots_per_hand_off * per_slot, n_trials)
-            assert handed == [4 * slots_per_hand_off] * (6 // slots_per_hand_off)
+        for slots_per_chunk in (2, 4, 6):  # the worker draws these chunks alone
+            got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
+            assert handed == self._streams(6, slots_per_chunk)
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
-                assert np.array_equal(a, b), (slots_per_hand_off, what)
+                assert np.array_equal(a, b), (slots_per_chunk, what)
 
     def test_stream_keys_of_one_and_two_words_in_one_pass(self, monkeypatch):
         # slot indices on both sides of 2**32 key their streams with one and
         # with two entropy words; the pass hashes them all in one _seed_words
-        # call, and each hand-off must get its own chunk's streams' words
+        # call, and each chunk must get its own streams' words
         slots = tuple(SlotPlan(i, (SymbolLayer(f"u{i}", OWNER_USER1, orth_to(2), 0.5, 1.0, 0.5),
                                    SymbolLayer(f"v{i}", OWNER_USER2, orth_to(1), 0.5, 1.0, 0.5)))
                       for i in (2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1))
@@ -743,10 +747,10 @@ class TestPrefetch:
 
             with monkeypatch.context() as m:
                 m.setattr(evaluator, "_seed_words", counting_seed_words)
-                hand_offs = self._spy_hand_offs(m)
+                chunks = self._spy_chunks(m)
                 m.setattr(evaluator, "_DRAW_BUDGET", slots_per_chunk * 4 * 16 * n_trials)
                 runs.append(_evaluate_grid(plan, grid, n_trials, seed))
-            assert len(hashed) == 1 and [words for h in hand_offs for words in h] == keys, slots_per_chunk
+            assert len(hashed) == 1 and [words for c in chunks for words in c] == keys, slots_per_chunk
         for got in runs[1:]:
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, runs[0]):
                 assert np.array_equal(a, b), what
@@ -755,8 +759,8 @@ class TestPrefetch:
     def _address(a: np.ndarray) -> int:
         return a.__array_interface__["data"][0]
 
-    def _log_hand_offs(self, monkeypatch):
-        """Log, in the order they happen on either thread, each hand-off's
+    def _log_chunks(self, monkeypatch):
+        """Log, in the order they happen on either thread, each chunk's
         first draw (by the address of its first row), each row taken (by
         thread, generator and address, atomically with the take), filled and
         reseeded (by thread and seed words), and each scaling of a buffer."""
@@ -771,7 +775,7 @@ class TestPrefetch:
             with lock:
                 if id(words) not in seen:
                     seen[id(words)] = words
-                    log.append(("hand-off", self._address(rows[0])))
+                    log.append(("chunk", self._address(rows[0])))
 
             def logged_take():
                 with lock:
@@ -799,14 +803,14 @@ class TestPrefetch:
         return log
 
     @staticmethod
-    def _check_hand_offs(log, n_streams):
+    def _check_chunks(log, n_streams):
         """Each row of the draw buffer goes free -> taken -> drawn -> scaled
         (free) in turn: no row is taken again from the take of it until it
         has been scaled, and a scaling reads only drawn rows, every row in
         its range.  Each thread draws with one generator of its own, and
         each of the n_streams streams is reseeded exactly once, by the
-        thread that took its row.  Returns the first row of each hand-off,
-        in hand-off order."""
+        thread that took its row.  Returns the first row of each chunk, in
+        chunk order."""
         takes = [e for e in log if e[0] == "take"]
         generators = {}
         for _, _, thread, rng, _ in takes:
@@ -832,19 +836,19 @@ class TestPrefetch:
                     assert state.get(at) == "drawn", f"row {at:#x} scaled while {state.get(at, 'never drawn')}"
                     state[at] = "free"
         assert all(v == "free" for v in state.values())
-        return [e[1] for e in log if e[0] == "hand-off"]
+        return [e[1] for e in log if e[0] == "chunk"]
 
     def test_hand_off_holds_under_frequent_thread_switches(self, monkeypatch):
-        # each buffer is scaled here and refilled by the worker, and where a
-        # slot is over the budget by this thread too, each with its own
+        # each buffer part is scaled here and refilled by the worker, and
+        # where a chunk is one slot by this thread too, each with its own
         # generator, reseeded for each stream it draws: a read before a draw
         # finished, a refill before the read, or a row drawn twice or never
         # would show as changed values once the threads switch every few
         # microseconds, and the spies see it in the order of events.
-        # Hand-offs of 1 slot, one per decode chunk (600 trials: a slot is
-        # over the budget, and both threads draw) or two (300 trials), and
-        # of as many slots as fit in the budget, two per decode chunk (20
-        # trials)
+        # Chunks of 1 slot (600 trials: a slot is over the budget, and both
+        # threads draw), whose two buffer parts take turns, and chunks of as
+        # many slots as fit in the budget, 3 (300 trials) or 51 (20 trials),
+        # drawn by the worker into one part
         for n_cycles, n_trials in ((2, 600), (2, 300), (20, 20)):
             plan = build_case_ii(Q35, n_cycles)
             ref = _evaluate_grid(plan, _grid(Q35), n_trials, 9)
@@ -854,17 +858,19 @@ class TestPrefetch:
             try:
                 for _ in range(5):
                     with monkeypatch.context() as m:
-                        log = self._log_hand_offs(m)
+                        log = self._log_chunks(m)
                         runs.append((_evaluate_grid(plan, _grid(Q35), n_trials, 9), log))
             finally:
                 sys.setswitchinterval(interval)
             n_slots = len(plan.all_slots())
-            n_hand_offs = math.ceil(n_slots / max(1, evaluator._DRAW_BUDGET // (4 * 16 * n_trials)))
+            chunk = max(1, evaluator._DRAW_BUDGET // (4 * 16 * n_trials))
+            n_chunks, parts = math.ceil(n_slots / chunk), 2 if chunk == 1 else 1
+            assert n_chunks > parts
             for got, log in runs:
                 assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (n_cycles, n_trials)
-                order = self._check_hand_offs(log, n_slots * 4)
-                assert len(order) == n_hand_offs and len(set(order)) == 2
-                assert order == [order[k % 2] for k in range(n_hand_offs)], "the two halves take turns"
+                order = self._check_chunks(log, n_slots * 4)
+                assert len(order) == n_chunks and len(set(order)) == parts
+                assert order == [order[k % parts] for k in range(n_chunks)], "the buffer parts take turns"
 
     def test_traced_names_run_on_the_calling_thread(self, monkeypatch, one_drawer):
         # perfbench's tracer keeps one span stack, for the calling thread;
@@ -883,11 +889,12 @@ class TestPrefetch:
         assert seen["sample_channel"] == seen["unit"] == {caller}
         assert len(seen["_draw"]) == 2 and caller in seen["_draw"] and seen["_reseed"] == seen["_draw"] - {caller}
 
-    def test_the_first_hand_offs_are_handed_over_before_the_decode_tables(self, monkeypatch):
-        # the worker draws hand-offs 0 and 1 while this thread compiles the
-        # slot templates and makes the output arrays
-        submitted, at_compile = [], []
-        compile_templates = evaluator._compile
+    def _handed_over(self, monkeypatch, plan, n_trials):
+        """The draws submitted to the worker before _compile runs, those
+        submitted in the whole estimate_dof pass, and the buffer parts (by
+        the address of their first row) that _draw fills."""
+        submitted, at_compile, parts = [], [], set()
+        compile_templates, draw = evaluator._compile, evaluator._draw
 
         class Pool(evaluator.ThreadPoolExecutor):
             def submit(self, fn, *args, **kwargs):
@@ -898,11 +905,29 @@ class TestPrefetch:
             at_compile.append(len(submitted))
             return compile_templates(*args)
 
+        def spy_draw(rng, take, words, rows):
+            parts.add(self._address(rows[0]))
+            draw(rng, take, words, rows)
+
         monkeypatch.setattr(evaluator, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(evaluator, "_compile", spy_compile)
-        plan = build_case_ii(Q35, 1)
-        estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
-        assert at_compile == [2] and len(submitted) == len(plan.all_slots())  # one slot per hand-off
+        monkeypatch.setattr(evaluator, "_draw", spy_draw)
+        estimate_dof(plan, _grid(Q35), n_trials, seed=4)
+        return at_compile, len(submitted), len(parts)
+
+    def test_the_first_hand_offs_are_handed_over_before_the_decode_tables(self, monkeypatch):
+        # the worker draws the first chunks while this thread compiles the
+        # slot templates and makes the output arrays: chunks 0 and 1 where a
+        # chunk is one slot (N_TRIALS), into the two buffer parts, and chunk
+        # 0 alone where a chunk is 51 slots (20 trials), into the one part.
+        # Either way each chunk is one submit
+        for n_cycles, n_trials, first, parts in ((1, self.N_TRIALS, 2, 2), (20, 20, 1, 1)):
+            plan = build_case_ii(Q35, n_cycles)
+            chunk = max(1, evaluator._DRAW_BUDGET // (4 * 16 * n_trials))
+            n_chunks = math.ceil(len(plan.all_slots()) / chunk)
+            assert n_chunks > parts
+            with monkeypatch.context() as m:
+                assert self._handed_over(m, plan, n_trials) == ([first], n_chunks, parts), n_trials
 
     def test_no_thread_outlives_the_pass(self, monkeypatch):
         plan = build_case_ii(Q35, 1)
@@ -961,8 +986,8 @@ class TestPrefetch:
         assert all(f.done() for f in futures)
         assert threading.active_count() == before
 
-    # odd chunks go to the second buffer: the third hand-off fills the
-    # first buffer, the fourth the second (a chunk is one slot at N_TRIALS).
+    # odd chunks go to the second buffer part: the third chunk fills the
+    # first part, the fourth the second (a chunk is one slot at N_TRIALS).
     # One thread draws every row, so the failing draw runs there: on the
     # worker it re-raises from this thread's wait, here it raises directly
     @pytest.mark.parametrize("failing", [3, 4], ids=["first-buffer", "second-buffer"])

@@ -54,10 +54,9 @@ def test_run_report_schemes_are_identical(tmp_path, capsys):
 
 
 # (cycles, trials) of case-ii (0.3, 0.5) whose decode chunks span many
-# slots (50 per chunk, two hand-offs of 25, at (100, 20)) or end part-full
-# (one point's 24 slots go 14 at a time at (7, 257), two hand-offs of 7; at
-# (1, 1) a chunk has room for more slots than the plan's 6), with every
-# output at full precision
+# slots (51 per chunk at (100, 20)) or end part-full (one point's 24 slots
+# go 15 at a time at (7, 257); at (1, 1) a chunk has room for more slots
+# than the plan's 6), with every output at full precision
 CHUNK_SHAPES = ((100, 20), (7, 257), (1, 1))
 CHUNKS_SHA256 = "2c1cf519949e4144cea0585baaa72842a605fac6bfb1375d3de94d681dfecde3"
 

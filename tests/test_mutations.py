@@ -2,7 +2,7 @@
 with monkeypatch and asserts that a check fails.
 
 The rules are the ones whose faults results alone would not show: the
-slot a chunk settles after, which stream's seed words a hand-off gets and
+slot a chunk settles after, which stream's seed words a chunk gets and
 which row each of them fills, one reseed per stream, that a power-gain
 block is not reused while its chunk waits, and the decode wiring the plan
 stores (side links, SIC order, carried ranks, each slot's shape).  A test
@@ -10,20 +10,20 @@ that only compares the outputs with a stored digest, or the stored wiring
 with a scan, must be able to fail on each of them, or it guards nothing.
 
 All cases run case-ii at (0.3, 0.5), 3 cycles (12 slots), 20 trials on the
-60-120 dB grid, seed 5, with a draw budget of one slot's normals: one slot
-per hand-off and two per decode chunk, so that the pass has several chunks
-and some of them wait for the next one.  The cases on who draws a row run
-one normal short of that (SHARED): a slot is then over the budget, a decode
-chunk is one slot, and the calling thread draws the rows of each hand-off
-that the worker has not taken.  The chunking does not change the
-output (tests/test_evaluator.py), and neither does which thread draws a
-row, so DIGEST is that of the default budget and of every schedule too.
-It was recorded with numpy 2.4.6; see tests/test_golden.py on other numpy
-versions.  Each draw mutation keeps the worker out of the draw (its draws
-return at once), so that the calling thread draws every row and the
-mutation acts the same in every run.  The cases
-patch private names of asymcsit.evaluator and asymcsit.schemes, so a
-rename must port its case.
+60-120 dB grid, seed 5, with a draw budget of two slots' normals: two slots
+per decode chunk, which the worker draws alone, so that the pass has several
+chunks and some of them wait for the next one.  The cases on who draws a row
+run with a budget one normal short of one slot's (SHARED): a slot is then
+over the budget, a decode chunk is one slot, and the calling thread draws
+the rows of each chunk that the worker has not taken.  The chunking does
+not change the output (tests/test_evaluator.py), and neither does which
+thread draws a row, so DIGEST is that of the default budget and of every
+schedule too.  It was recorded with numpy 2.4.6; see tests/test_golden.py
+on other numpy versions.  Each draw mutation keeps the worker out of the
+draw (its draws return at once), so that the calling thread draws every
+row and the mutation acts the same in every run.  The cases patch private
+names of asymcsit.evaluator and asymcsit.schemes, so a rename must port
+its case.
 """
 
 import hashlib
@@ -47,7 +47,7 @@ SHARED = PER_SLOT - 1  # a slot over the budget: one slot per decode chunk, whos
 DIGEST = "ecb635707496f9ade08678b467cd3a6f5cd5ceea27e50316acb0e84743b84d51"
 
 
-def _digest(plan, budget=PER_SLOT) -> str:
+def _digest(plan, budget=2 * PER_SLOT) -> str:
     with pytest.MonkeyPatch.context() as m:
         m.setattr(evaluator, "_DRAW_BUDGET", budget)
         arrays = evaluator._evaluate_grid(plan, GRID, N_TRIALS, 5)
@@ -95,7 +95,7 @@ def test_the_digest_holds_when_one_thread_draws_every_row(plan, monkeypatch, one
 
 
 def test_each_stream_is_reseeded_once_under_frequent_thread_switches(plan, monkeypatch):
-    # both threads take rows of each hand-off, and switch every few
+    # both threads take rows of each chunk, and switch every few
     # microseconds: a row taken twice, or by neither, shows in the counts
     reseeds = _log_reseeds(monkeypatch)
     interval = sys.getswitchinterval()
@@ -119,7 +119,7 @@ def test_a_chunk_settled_one_slot_early(plan, monkeypatch):
 def test_a_hand_off_given_another_hand_offs_seed_words(plan, one_drawer):
     draw, handed = evaluator._draw, []
 
-    def half_words(rng, take, words, rows):  # hand-off k draws hand-off k // 2's streams
+    def half_words(rng, take, words, rows):  # chunk k draws chunk k // 2's streams
         handed.append(words)
         draw(rng, take, handed[(len(handed) - 1) // 2], rows)
 
@@ -148,13 +148,13 @@ def test_a_row_filled_from_another_rows_seed_words(plan, one_drawer):
 
 
 def test_a_row_taken_and_left_undrawn(plan, one_drawer):
-    draw, hand_offs = evaluator._draw, []
+    draw, chunks = evaluator._draw, []
 
     def drop_one(rng, take, words, rows):
-        # from hand-off 2 on, a row left undrawn still holds the normals of
-        # the hand-off two before (hand-offs 0 and 1 fill fresh memory)
-        hand_offs.append(len(hand_offs))
-        if hand_offs[-1] >= 2:
+        # from chunk 2 on, a row left undrawn still holds the normals of the
+        # chunk two before (chunks 0 and 1 fill fresh memory)
+        chunks.append(len(chunks))
+        if chunks[-1] >= 2:
             take()
         draw(rng, take, words, rows)
 
