@@ -64,15 +64,14 @@ slot and grid point.
 The chunk's arrays are buffers kept for the pass, made once at the chunk
 size: the channels, the draw buffer, one estimate-shaped scratch and the
 first antenna's power gains.  The fresh directions' power gains go into a
-block from a pool: a chunk takes one when it is projected and gives it
-back once it has settled, so no block is written while a chunk that reads
-it waits, and the pool holds one block more than the most chunks that
-wait at once.  The complex gains are made one estimate at a time and
-dropped as soon as the cross minors that read them are formed; each
-minor keeps its operands' order, as numpy's complex product need not be
-bitwise commutative.  The pass returns arrays
-over the grid; estimate_dof fits the per-user ones, and a RateLedger is
-built only at one point (evaluate_plan).
+block that each chunk makes when it is projected, for the directions that
+it projects, and that is freed once the chunk has settled, so no block is
+written while a chunk that reads it waits.  The complex gains are made
+one estimate at a time and dropped as soon as the cross minors that read
+them are formed; each minor keeps its operands' order, as numpy's complex
+product need not be bitwise commutative.  The pass returns arrays over
+the grid; estimate_dof fits the per-user ones, and a RateLedger is built
+only at one point (evaluate_plan).
 
 residual_power_probe is that one-point ledger, read off as
 RateLedger.link_noise: step 2's effective residual variance per link.  Its
@@ -369,7 +368,7 @@ def _orth(a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 def _project(true_conj, est, directions, a, power_gain):
     """Each direction's receive gains at user 1 and user 2: |gain|**2 is
-    written into power_gain[d], an array kept for the pass, and the
+    written into power_gain[d], the chunk's power-gain block, and the
     complex gains off the first antenna are yielded, one estimate at a time,
     as a dict from direction to a new array.  Each has the user on its
     leading axis.
@@ -536,22 +535,6 @@ def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
     return [template(shape) for shape in plan.shapes]
 
 
-class _Pool:
-    """Power-gain blocks kept for the pass.  A chunk takes one when it is
-    projected and gives it back once it has settled: its batches read their
-    fresh directions' power gains from it until then, so no block is written
-    while a chunk that reads it still waits."""
-
-    def __init__(self, make):
-        self.make, self.free = make, []
-
-    def take(self) -> dict:
-        return self.free.pop() if self.free else self.make()
-
-    def give(self, block: dict) -> None:
-        self.free.append(block)
-
-
 class _Batch(NamedTuple):
     """A template's slots from one decode chunk, along a leading slot axis,
     settled in one go once the whole chunk is ready."""
@@ -671,15 +654,15 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
 
     def decode_chunk(lo: int, hi: int, stack):
         # the chunk holds the slots at plan positions [lo, hi).  Its batches
-        # wait, holding views of its power-gain block for their fresh
+        # wait, holding views of its own power-gain block for their fresh
         # directions, until the slot that the chunk's last group settles
-        # after has been decoded; the block goes back to the pool once they
-        # have settled
+        # after has been decoded
         at: dict[int, list[int]] = {}  # shape number -> its slots' plan positions
         for p in range(lo, hi):
             at.setdefault(wiring[p].shape, []).append(p)
         index = {n: _take([p - lo for p in part]) for n, part in at.items()}
-        block = blocks.take()
+        directions = sorted({d for n in at for d in templates[n].directions})
+        block = {d: first[:, :hi - lo] if d == 0 else np.empty((2, hi - lo) + shape[1:]) for d in directions}
         # each group that gets a side row has its cross minors formed as soon
         # as its directions are projected (one estimate's, in every preset);
         # then the complex gains that no group still to come reads are dropped
@@ -687,8 +670,7 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         pending = [(n, u) for n in at for u in (0, 1) if templates[n].groups[u][0].side_link >= 0]
         gain = {}
         for projected in _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
-                                  sorted({d for n in at for d in templates[n].directions}), scratch[:hi - lo],
-                                  {d: g[:, :hi - lo] for d, g in block.items()}):
+                                  directions, scratch[:hi - lo], block):
             gain |= projected
             del projected
             for n, u in pending:
@@ -700,14 +682,13 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
             gain = {d: x for d, x in gain.items() if any(d in templates[n].groups[u][0].directions for n, u in pending)}
         batches = {n: decode(templates[n], part, index[n], block, [minors.get((n, u), 0) for u in (0, 1)])
                    for n, part in at.items()}
-        waiting.append((max(w.settle_after for w in wiring[lo:hi]), lo, hi, batches, block))
+        waiting.append((max(w.settle_after for w in wiring[lo:hi]), lo, hi, batches))
         while waiting and waiting[0][0] <= slots[hi - 1].index:
-            _, start, stop, done, block = waiting.popleft()
+            _, start, stop, done = waiting.popleft()
             additions = {n: iter(settle(b)) for n, b in done.items()}
             for w in wiring[start:stop]:
                 for user, x in next(additions[w.shape]):
                     totals[user] += x
-            blocks.give(block)
 
     per_slot = len(ps) * 16 * n_trials  # normals per slot: 16 per trial
     chunk = max(1, _DRAW_BUDGET // per_slot)  # slots per decode chunk
@@ -747,16 +728,13 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         # sample_channel writes each error into its channel and adds the
         # estimate in place: the same bits, and no error is read after that
         bufs["h_err"], bufs["g_err"] = bufs["h_true"], bufs["g_true"]
-        # the projection's buffers, kept for the pass: its scratch and a pool
-        # of power-gain blocks (read until the chunk settles).  The first
-        # antenna's power gains are read only while the chunk decodes, so
-        # every block shares one array for them
+        # the projection's buffers, kept for the pass: its scratch and the
+        # first antenna's power gains, which are read only while a chunk
+        # decodes, so every chunk's power-gain block shares this one array
         scratch = np.empty(shape + (2,), complex)
         first = np.empty((2,) + shape)
-        fresh = {d for t in templates for d, _ in t.fresh}
-        blocks = _Pool(lambda: {0: first} | {d: np.empty((2,) + shape) for d in fresh})
         rng = np.random.Generator(np.random.PCG64(0))  # reseeded per stream, on this thread only
-        # (largest settle_after, lo, hi, {shape number: _Batch}, power-gain block) per chunk not yet settled
+        # (largest settle_after, lo, hi, {shape number: _Batch}) per chunk not yet settled
         waiting: deque = deque()
         for k in range(n_chunks):
             lo, hi = k * chunk, min(len(slots), (k + 1) * chunk)

@@ -221,6 +221,8 @@ class TestBasisVectors:
     def test_unit_rejects_other_lengths(self):
         with pytest.raises(ValueError, match="length 2"):
             unit(np.ones(3, dtype=complex))
+        with pytest.raises(ValueError, match="trailing axis of length 2"):
+            orth_complement(np.ones((2, 3), dtype=complex))
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

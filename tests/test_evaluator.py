@@ -418,7 +418,7 @@ class TestEstimateDof:
     PASS_PEAK = 2_434_388
 
     def test_pass_peak_stays_within_ten_percent_of_its_measure(self):
-        # a gate on the pass's own memory, decode chunks of 50 slots: its
+        # a gate on the pass's own memory, decode chunks of 51 slots: its
         # buffers kept for the pass, the waiting chunk's power gains, the
         # complex gains of one estimate at a time, and the per-layer and
         # per-link results of a plan of 303 slots

@@ -37,6 +37,11 @@ class TestCsitQuality:
         with pytest.raises(ValueError):
             DofPoint(-0.5, 0.2)
 
+    @pytest.mark.parametrize("d1, d2", [(math.nan, 0.2), (0.2, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_dof_point_rejected(self, d1, d2):
+        with pytest.raises(ValueError, match="DoF coordinates must be finite"):
+            DofPoint(d1, d2)
+
 
 class TestRegion:
     def test_no_csit_region(self):
@@ -170,6 +175,10 @@ class TestContainsAndBounds:
     def test_contains_rejects_outside(self):
         region = dof_region(CsitQuality(0.3, 0.5))
         assert not contains(region, DofPoint(0.8, 0.9), tol=1e-9)  # 2*0.8+0.9 > 2.3
+
+    def test_negative_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            contains(dof_region(CsitQuality(0.3, 0.5)), DofPoint(0.0, 0.0), tol=-1e-9)
 
     def test_origin_always_inside(self):
         for a1, a2 in [(0, 0), (0.2, 0.8), (1, 1)]:

@@ -3,11 +3,11 @@ with monkeypatch and asserts that a check fails.
 
 The rules are the ones whose faults results alone would not show: the
 slot a chunk settles after, which stream's seed words a chunk gets and
-which row each of them fills, one reseed per stream, that a power-gain
-block is not reused while its chunk waits, and the decode wiring the plan
-stores (side links, SIC order, carried ranks, each slot's shape).  A test
-that only compares the outputs with a stored digest, or the stored wiring
-with a scan, must be able to fail on each of them, or it guards nothing.
+which row each of them fills, one reseed per stream, and the decode wiring
+the plan stores (side links, SIC order, carried ranks, each slot's shape).
+A test that only compares the outputs with a stored digest, or the stored
+wiring with a scan, must be able to fail on each of them, or it guards
+nothing.
 
 All cases run case-ii at (0.3, 0.5), 3 cycles (12 slots), 20 trials on the
 60-120 dB grid, seed 5, with a draw budget of two slots' normals: two slots
@@ -160,16 +160,6 @@ def test_a_row_taken_and_left_undrawn(plan, one_drawer):
 
     one_drawer("caller", drop_one)
     assert _digest(plan, SHARED) != DIGEST
-
-
-def test_a_power_gain_block_reused_while_its_chunk_waits(plan, monkeypatch):
-    def take_the_first(pool):
-        if not pool.free:
-            pool.free.append(pool.make())
-        return pool.free[0]  # never taken out: the next chunk writes over a waiting one
-
-    monkeypatch.setattr(evaluator._Pool, "take", take_the_first)
-    assert _digest(plan) != DIGEST
 
 
 def _swap_side_links(shape):

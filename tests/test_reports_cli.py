@@ -3,7 +3,17 @@ import math
 
 import pytest
 
-from asymcsit import CsitQuality, ExperimentConfig, build_preset, plan_as_dict, region_export, run, sweep
+from asymcsit import (
+    CsitQuality,
+    ExperimentConfig,
+    build_preset,
+    dof_region,
+    plan_as_dict,
+    region_as_dict,
+    region_export,
+    run,
+    sweep,
+)
 from asymcsit.cli import main
 from asymcsit.reports import CSV_HEADER
 
@@ -44,10 +54,15 @@ class TestConfig:
         ("p_grid_db", [60.0, "80", 100.0]),
         ("tolerance", math.nan),
         ("tolerance", math.inf),
+        ("tolerance", -0.01),
     ])
     def test_rejects_field_of_wrong_type_or_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(alpha1=0.3, alpha2=0.5, **{field: value})
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['n_trial', 'trials'\]"):
+            ExperimentConfig.from_dict({"alpha1": 0.3, "alpha2": 0.5, "trials": 20, "n_trial": 20})
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme"):
@@ -185,6 +200,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert json.loads(out)["alpha1"] == 0.3
 
+    def test_region_out_file(self, tmp_path, capsys):
+        path = tmp_path / "r" / "region.json"
+        assert main(["region", "--alpha1", "0.3", "--alpha2", "0.5", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert json.loads(path.read_text()) == json.loads(json.dumps(region_as_dict(dof_region(CsitQuality(0.3, 0.5)))))
+
+    def test_region_out_that_is_a_directory_leaves_no_temp_file(self, tmp_path, capsys):
+        # the rename onto the directory fails; its temp file used to stay
+        # behind as D.tmp
+        out = tmp_path / "D"
+        out.mkdir()
+        assert main(["region", "--alpha1", "0.3", "--alpha2", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["D"]
+        assert list(out.iterdir()) == []
+
     def test_run_command(self, tmp_path, capsys):
         rc = main([
             "run", "--alpha1", "0.3", "--alpha2", "0.5", "--schemes", "sc-zf",
@@ -220,6 +251,28 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         plan = build_preset("case-ii", CsitQuality(0.3, 0.5), 1)
         assert doc == {**json.loads(json.dumps(plan_as_dict(plan))), "diagnostics": diags}
+
+    def test_validate_prints_diagnostics(self, capsys, monkeypatch):
+        # every preset validates clean, so the diagnostics are patched in
+        diags = ["power budget exceeded: slot 1 has exponent 1.5 > 1", "predicted DoF (1.0, 1.0) outside the region"]
+        monkeypatch.setattr("asymcsit.cli.validate_plan", lambda plan: list(diags))
+        rc = main(["validate", "--scheme", "case-ii", "--alpha1", "0.3", "--alpha2", "0.5", "--cycles", "1"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.endswith("diagnostics:\n" + "".join(f"  - {d}\n" for d in diags))
+        assert "plan valid" not in out
+
+    def test_sweep_skips_empty_quality_items(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def record(qualities, base):
+            seen.extend((q.alpha1, q.alpha2) for q in qualities)
+            return {"runs": []}
+
+        monkeypatch.setattr("asymcsit.cli.sweep", record)
+        rc = main(["sweep", "--qualities", ",0.1:0.3,, 0.2:0.8 ,", "--out-dir", str(tmp_path / "sw")])
+        assert rc == 0
+        assert seen == [(0.1, 0.3), (0.2, 0.8)]
 
     def test_sweep_command(self, tmp_path, capsys):
         rc = main([

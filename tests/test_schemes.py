@@ -28,9 +28,11 @@ from asymcsit.schemes import (
     OWNER_COMMON,
     OWNER_USER1,
     OWNER_USER2,
+    PrecoderSpec,
     QuantizationLink,
     first_antenna,
     orth_to,
+    perturb_link_prelog,
 )
 
 
@@ -350,6 +352,25 @@ class TestValidation:
         assert sum("has exponent 1.25 > 1" in d for d in scan) == plan.n_cycles
         assert [d for d in validate_plan(plan) if d.startswith("power budget")] == scan
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: PrecoderSpec("diagonal", 1), "unknown precoder kind 'diagonal'"),
+        (lambda: PrecoderSpec("first_antenna", 1), "first_antenna precoder takes no user"),
+        (lambda: PrecoderSpec("orth", 3), "precoder user must be 1 or 2"),
+        (lambda: PrecoderSpec("along"), "precoder user must be 1 or 2"),
+        (lambda: SymbolLayer("x", "user3", orth_to(2), 0.5, 0.5, 0.5), "unknown owner 'user3'"),
+        (lambda: QuantizationLink(1, OWNER_COMMON, "eta_1_1", 0.2, "c"),
+         "link eta_1_1: observer must be user1 or user2, got 'common'"),
+    ], ids=["precoder-kind", "first-antenna-user", "precoder-user-3", "precoder-no-user", "owner", "observer"])
+    def test_unknown_name_rejected_at_construction(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_predicted_dof_outside_the_region_diagnostic(self):
+        # (1, 1) breaks 2*d1 + d2 <= 2 + alpha2 at (0.3, 0.5); the plan
+        # itself is the sound case-ii, so this is the one diagnostic
+        plan = replace(build_case_ii(CsitQuality(0.3, 0.5), 1), predicted_dof=DofPoint(1.0, 1.0))
+        assert validate_plan(plan) == ["predicted DoF (1.0, 1.0) outside the region"]
+
     def test_common_layer_off_the_first_antenna_rejected_at_construction(self):
         # the evaluator decodes common layers on the first antenna only; a
         # zero-forced one used to build, get no rate (nan) and count in no
@@ -485,6 +506,8 @@ class TestValidation:
             plan.slot(99)
         with pytest.raises(KeyError, match="no layer with id 'zz'"):
             plan.find_layer("zz")
+        with pytest.raises(KeyError, match="no link with interference id 'eta_9_9'"):
+            perturb_link_prelog(plan, "eta_9_9", 0.1)
 
     @pytest.mark.parametrize("carrier_slot", [1, 2])
     def test_carrier_not_after_its_source_rejected_at_construction(self, carrier_slot):
@@ -513,8 +536,6 @@ class TestValidation:
             replace(plan.links[0], source_slot=source_slot)
 
     def test_quant_rate_mismatch_diagnostic(self):
-        from asymcsit.schemes import perturb_link_prelog
-
         plan = build_case_ii(CsitQuality(0.3, 0.5), 1)
         bad = perturb_link_prelog(plan, "eta_4_1", -0.1)
         diags = validate_plan(bad)
@@ -548,7 +569,10 @@ class TestValidation:
         ((0.5, 0.5, 0.25, 0.8), r"the subtracted 0\.25\*P\*\*0\.8 is not below 0\.5\*P\*\*0\.5 at high P"),
         ((0.5, 1.0, 0.5, 1.0), r"the subtracted 0\.5\*P\*\*1 is not below 0\.5\*P\*\*1 at high P"),
         ((0.5, 1.0, 0.75, 1.0), r"the subtracted 0\.75\*P\*\*1 is not below 0\.5\*P\*\*1 at high P"),
-    ], ids=["negative", "larger-exponent", "equal", "equal-exponent-larger-coefficient"])
+        ((0.0, 0.5, 0.0, 0.0), "power_coefficient must be positive, got 0.0"),
+        ((-0.5, 0.5, 0.0, 0.0), "power_coefficient must be positive, got -0.5"),
+    ], ids=["negative", "larger-exponent", "equal", "equal-exponent-larger-coefficient",
+            "zero-coefficient", "negative-coefficient"])
     def test_power_that_vanishes_at_high_snr_rejected_at_construction(self, power, message):
         # such a layer used to validate clean and read a rate of 0
         coef, exp, sub_coef, sub_exp = power
@@ -559,8 +583,6 @@ class TestValidation:
     def test_non_finite_quant_prelog_rejected_at_construction(self, value):
         with pytest.raises(ValueError, match="link eta_1_1: quant_prelog must be finite"):
             QuantizationLink(1, OWNER_USER1, "eta_1_1", value, "c")
-        from asymcsit.schemes import perturb_link_prelog
-
         with pytest.raises(ValueError, match="link eta_4_1: quant_prelog must be finite"):
             perturb_link_prelog(build_case_ii(CsitQuality(0.3, 0.5), 1), "eta_4_1", value)
 
