@@ -11,6 +11,7 @@ from .evaluator import (
     PlanValidationError,
     RateLedger,
     estimate_dof,
+    estimate_dofs,
     evaluate_plan,
     residual_power_probe,
 )
@@ -54,6 +55,6 @@ __all__ = [
     "build_ges12_asym", "build_case_i", "build_case_ii", "build_case_ii_alt",
     "build_sc_zf", "build_preset", "validate_plan", "plan_as_dict",
     "RateLedger", "DofEstimate", "PlanValidationError",
-    "evaluate_plan", "estimate_dof", "residual_power_probe",
+    "evaluate_plan", "estimate_dof", "estimate_dofs", "residual_power_probe",
     "ExperimentConfig", "RunReport", "run", "sweep", "region_export",
 ]

@@ -22,56 +22,63 @@ dependency order:
 All grid points are evaluated in one pass over the slots, a decode chunk
 of whole slots at a time: as many as fit in _DRAW_BUDGET normals, at
 least one, so 51 slots at 20 trials on a 4-point grid and one at 2000.
-The worker thread (below) draws a chunk in one piece.  Each slot is
-drawn at every grid point, and a chunk's draws are stacked on leading
-(slot, grid point) axes: one sample_channel call scales them, and each
-precoder direction is projected once per chunk, with every |gain|**2
-taken once.  The decode wiring is resolved once,
-when the plan is built (SchemePlan.shapes and SchemePlan.wiring, which
-validate_plan reads too): the SIC order, the fresh groups, which links a
-slot carries and which each user overhears there, each interference's
-received exponent and the slot its groups wait for.  Slots of one shape
-(a cycled plan's cycle positions) share one decode template, which the
-pass makes once from the shape and the grid powers: power columns, rate
-caps and each link's quantizer scale and demand.  The pass keeps no
-record of its own per slot: a decode chunk is a range of slot positions,
-each slot's shape, link rows and settle point are read from
+One pass serves every plan of a run (estimate_dofs): it walks the sorted
+union of the plans' slot indices, and each (grid point, slot) stream is
+drawn, scaled and projected once, for every plan that has that slot.
+Each plan then decodes and settles its own slots of a chunk with its own
+templates, outputs and queue (_PlanPass), so its numbers are those of a
+pass of its own.  The worker thread (below) draws a chunk in one piece.
+Each slot is drawn at every grid point, and a chunk's draws are stacked
+on leading (slot, grid point) axes: one sample_channel call scales them,
+and each precoder direction is projected once per chunk, with every
+|gain|**2 taken once.  The decode wiring is resolved once, when the plan
+is built (SchemePlan.shapes and SchemePlan.wiring, which validate_plan
+reads too): the SIC order, the fresh groups, which links a slot carries
+and which each user overhears there, each interference's received
+exponent and the slot its groups wait for.  Slots of one shape (a cycled
+plan's cycle positions) share one decode template, which the pass makes
+once from the shape and the grid powers: power columns, rate caps and
+each link's quantizer scale and demand.  The pass keeps no record of its
+own per slot: a decode chunk is a range of positions in the union of slot
+indices, each slot's shape, link rows and settle point are read from
 SchemePlan.wiring in place, and its first rate row from one list of row
-offsets, made once per pass.  A chunk is decoded a template at a time:
-the SIC MIs, link noise and cross minors of all of the chunk's slots of
-one template run once, on (slot, grid point, trial) arrays that are
-views of the chunk's gains when those slots step evenly through it
-(always, for a chunk of one slot).  Step 1 is settled as the template is
-decoded, and a carrier's decode writes its links' delivered MI and
-residual into the pass's per-link output.  A link's carrier comes after
-its source, so step 3 waits: a chunk waits whole, in a
-first-in-first-out queue of chunks, until the slot that its last group
-settles after has been decoded.  It holds its template batches' fresh
-power gains and the cross minors of the groups that get a side row; then
-each group reads its residuals from its link rows.  After each chunk,
-every ready chunk at the head of the queue is settled, one call per
-template batch, and each user's per-trial total then adds up slot by
-slot in slot order (the slot's user-owned first-antenna layers, then
-user 1's group, then user 2's), the same sums in the same order at any
-chunk size.  Memory is bounded by the chunk size and the chunks in that
-queue, besides the per-layer and per-link results (NaN until written) and
-one row offset per slot.  No preset carries a link past the next cycle,
-so the queue stays a few chunks long; a link carried far past its source
-holds every chunk decoded in between, and the queue then grows with the
-plan.  The Python work is paid once per chunk and template, not once per
-slot and grid point.
+offsets, made once per pass and plan.  A chunk is decoded a plan and a
+template at a time: the SIC MIs, link noise and cross minors of all of
+the chunk's slots of one template run once, on (slot, grid point, trial)
+arrays that are views of the chunk's gains when those slots step evenly
+through it (always, for a chunk of one slot).  Step 1 is settled as the
+template is decoded, and a carrier's decode writes its links' delivered
+MI and residual into the pass's per-link output.  A link's carrier comes
+after its source, so step 3 waits: a plan's part of a chunk waits whole,
+in the plan's first-in-first-out queue, until the slot that its last
+group settles after has been decoded.  It holds its template batches'
+fresh power gains and the cross minors of the groups that get a side row;
+then each group reads its residuals from its link rows.  After each
+chunk, every ready part at the head of a plan's queue is settled, one
+call per template batch, and each user's per-trial total then adds up
+slot by slot in slot order (the slot's user-owned first-antenna layers,
+then user 1's group, then user 2's), the same sums in the same order at
+any chunk size.  Memory is bounded by the chunk size and the parts in
+those queues, besides the per-layer and per-link results (NaN until
+written), one row offset per slot and each plan's per-trial user totals,
+which are freed once the plan's last slot has settled.  No preset carries
+a link past the next cycle, so a queue stays a few chunks long; a link
+carried far past its source holds every chunk decoded in between, and the
+queue then grows with the plan.  The Python work is paid once per chunk
+and template, not once per slot and grid point.
 
 The chunk's arrays are buffers kept for the pass, made once at the chunk
 size: the channels, the draw buffer, one estimate-shaped scratch and the
 first antenna's power gains.  The fresh directions' power gains go into a
 block that each chunk makes when it is projected, for the directions that
-it projects, and that is freed once the chunk has settled, so no block is
-written while a chunk that reads it waits.  The complex gains are made
-one estimate at a time and dropped as soon as the cross minors that read
-them are formed; each minor keeps its operands' order, as numpy's complex
-product need not be bitwise commutative.  The pass returns arrays over
-the grid; estimate_dof fits the per-user ones, and a RateLedger is built
-only at one point (evaluate_plan).
+any plan's slots of it use, and that is freed once every plan's part of
+the chunk has settled, so no block is written while a chunk that reads it
+waits.  The complex gains are made one estimate at a time and dropped as
+soon as the cross minors that read them are formed; each minor keeps its
+operands' order, as numpy's complex product need not be bitwise
+commutative.  The pass returns arrays over the grid per plan;
+estimate_dofs fits the per-user ones (estimate_dof is estimate_dofs of
+one plan), and a RateLedger is built only at one point (evaluate_plan).
 
 residual_power_probe is that one-point ledger, read off as
 RateLedger.link_noise: step 2's effective residual variance per link.  Its
@@ -81,10 +88,12 @@ Every layer of a plan that builds is decoded, either by SIC (a
 first-antenna layer) or in its user's jointly decoded group (any other
 layer).  Building the plan refuses what would break that: a common layer
 off the first antenna, a vanishing pre-log or power, a repeated (owner,
-precoder) in a slot, a link whose source, overheard interference or
-common carrier is missing or whose carrier is not after its source, and a
-carrier shared by two links.  What validate_plan still reports, and evaluate_plan and
-estimate_dof refuse with PlanValidationError, are design faults only.
+precoder) in a slot, a link whose source, overheard interference or common
+carrier is missing or whose carrier is not after its source, and a carrier
+shared by two links.  What validate_plan still reports, and evaluate_plan,
+estimate_dof and estimate_dofs refuse with PlanValidationError, are design
+faults only; estimate_dofs validates every plan before the first stream is
+seeded.
 
 Rates are mutual informations, not symbol-error simulations: the point is
 the high-SNR slope, estimated by least squares on the top half of a power
@@ -95,38 +104,38 @@ they sum to the joint rate and keep each symbol's pre-log.
 
 All randomness is drawn from streams keyed by (seed, grid point, slot), so
 results are reproducible for a given (seed, trial count, grid) no matter
-how the work is ordered, and the same channels are reused when different
-schemes are compared on the same grid.
+how the work is ordered, and different schemes compared on the same grid
+read the same channels, which one estimate_dofs pass draws only once.
 
 The standard normals are the one part of a slot that can run off the
 calling thread: numpy's standard_normal releases the GIL.  So the pass
-keeps one worker thread, for the length of the call, and one float64 draw
-buffer of shape (part, slot, point, 2, 2, 2, trial, 2), whose parts are
-filled in turn, a chunk to a part.  A chunk is handed over to the worker
-as its streams' seed words and rows and a deque of their positions, and
-the worker starts on that deque, from the front, at once: chunk 0 as soon
-as the seed table is hashed, before the decode tables and output arrays
-are made, and each later one as soon as the chunk before it in its part
-has been scaled, before that chunk is projected and decoded.  So the next
-chunk is drawn while this one decodes.  Where a chunk is one slot, the
-buffer has two parts, chunk 1 is handed over with chunk 0, and the calling
-thread helps: when it needs a chunk, it draws the rows that the worker has
-not taken, from the back, and then waits only for the row that the worker
-is drawing.  With chunks of many small slots the buffer has one part, and
-the calling thread only waits, as there a row is a few hundred normals and
-the two threads would trade the GIL for every reseed.  The deque holds
-positions, not rows: the thread that draws a row makes its view.  Every
-stream of the pass is hashed on the calling thread, once, before the first
-chunk is handed over: SeedSequence's hash (which holds the GIL) is run as
-uint32 array operations over the whole table of seed words, 32 B per
-(slot, grid point) stream.  Each chunk takes its own slice of that table.
-Each thread has its own PCG64 for the pass, and sets it from a stream's
-words right before it fills that stream's row, so no generator is ever
-reseeded while another draw uses it.  That gives exactly the draws of
-default_rng(SeedSequence(key)), at a fraction of its cost per stream.
-Each row is taken once, by one thread, and filled from its own stream, so
-the results do not depend on which thread draws it or on thread timing.
-The worker calls nothing but _draw, _reseed and standard_normal;
+keeps one worker thread, for the length of the pass however many plans it
+serves, and one float64 draw buffer of shape (part, slot, point, 2, 2, 2,
+trial, 2), whose parts are filled in turn, a chunk to a part.  A chunk is
+handed over to the worker as its streams' seed words and rows and a deque
+of their positions, and the worker starts on that deque, from the front,
+at once: chunk 0 as soon as the seed table is hashed, before the decode
+tables and output arrays are made, and each later one as soon as the chunk
+before it in its part has been scaled, before that chunk is projected and
+decoded.  So the next chunk is drawn while this one decodes.  Where a
+chunk is one slot, the buffer has two parts, chunk 1 is handed over with
+chunk 0, and the calling thread helps: when it needs a chunk, it draws the
+rows that the worker has not taken, from the back, and then waits only for
+the row that the worker is drawing.  With chunks of many small slots the
+buffer has one part, and the calling thread only waits, as there a row is
+a few hundred normals and the two threads would trade the GIL for every
+reseed.  The deque holds positions, not rows: the thread that draws a row
+makes its view.  Every stream of the pass is hashed on the calling thread,
+once, before the first chunk is handed over: SeedSequence's hash (which
+holds the GIL) is run as uint32 array operations over the whole table of
+seed words, 32 B per (slot, grid point) stream.  Each chunk takes its own
+slice of that table.  Each thread has its own PCG64 for the pass, and sets
+it from a stream's words right before it fills that stream's row, so no
+generator is ever reseeded while another draw uses it.  That gives exactly
+the draws of default_rng(SeedSequence(key)), at a fraction of its cost per
+stream.  Each row is taken once, by one thread, and filled from its own
+stream, so the results do not depend on which thread draws it or on thread
+timing.  The worker calls nothing but _draw, _reseed and standard_normal;
 sample_channel and unit run on the calling thread only.
 
 The pass writes each chunk's errors into its true channels (sample_channel
@@ -163,6 +172,7 @@ __all__ = [
     "PlanValidationError",
     "evaluate_plan",
     "estimate_dof",
+    "estimate_dofs",
     "check_grid_db",
     "residual_power_probe",
 ]
@@ -537,7 +547,7 @@ def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
 
 class _Batch(NamedTuple):
     """A template's slots from one decode chunk, along a leading slot axis,
-    settled in one go once the whole chunk is ready."""
+    settled in one go once the plan's whole part of the chunk is ready."""
 
     template: _Template
     size: int  # its slots
@@ -548,56 +558,59 @@ class _Batch(NamedTuple):
     minors: list  # each group's cross minors, 0 without a side row
 
 
-def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: int):
-    """One pass over the slots at every grid point of snrs, as arrays with
-    one column per point: (rate, link_out, mean, stderr) are each layer's
-    mean rate (rows in plan order), each link's delivered MI and effective
-    noise (2 x link, in plan.links order), and each user's per-run bits and
-    Monte-Carlo stderr.
+class _PlanPass:
+    """One plan's part of a grid pass: its decode templates, its outputs and
+    the queue of its decode chunks that wait to settle.
 
-    A decode chunk is a range [lo, hi) of positions in plan.all_slots(), as
-    many slots as fit in _DRAW_BUDGET normals (at least one), drawn on the
-    worker thread and handed over in one piece.  Each slot's shape, link
-    rows and settle_after are read from plan.wiring at its position; its
-    first rate row is its entry in one list of row offsets.  A chunk is
-    decoded a slot template at a time: the SIC MIs, link noise and cross
-    minors of all the chunk's slots of one template run in one go on (slot,
-    grid point, trial) arrays, read as views of the chunk's gains when the
-    slots step evenly through the chunk (always, for a chunk of one slot);
-    rate and link rows that step evenly are indexed by basic slices too, by
-    _take's rule.  The chunk then waits whole until the
-    slot that its last group settles after has been decoded, and is settled
-    a template batch at a time; each user's total adds up slot by slot in
-    slot order, so the sums are the same at any chunk size.
-
-    No validate_plan here: the public callers that need a sound plan run it
-    first, and SchemePlan has already checked the links.  n_trials must be
-    an integer >= 1 and seed one >= 0 (bools refused, as in
-    ExperimentConfig); both are checked before any stream is seeded.  Grid
-    point k's trial i reads row i of the stream keyed by (seed, the point's
-    power, slot index), so a point's numbers do not depend on the rest of
-    the grid, the chunk size, which thread draws a row or thread timing.  A
-    draw that raises on the worker thread re-raises here.
+    The pass draws, scales and projects each chunk of the sorted union of
+    its plans' slot indices once, for every plan; each plan then decodes
+    and settles its own slots of the chunk from the chunk's gains, with
+    nothing of its own shared, so its results are the same whichever plans
+    share the pass.
     """
-    _require_int("n_trials", n_trials, 1)
-    _require_int("seed", seed, 0)
-    if any(s.quality != plan.quality for s in snrs):
-        raise ValueError("SNR point and plan disagree on CSIT quality")
-    ps = [s.p for s in snrs]
-    slots, wiring = plan.all_slots(), plan.wiring
 
-    def trial_mean(x):
+    def __init__(self, plan: SchemePlan, slots: tuple, ps: list[float], n_trials: int):
+        self.slots, self.wiring, self.n_trials = slots, plan.wiring, n_trials
+        self.templates = _compile(plan, ps)
+        # each slot's first rate row, then the end
+        self.starts = list(accumulate((len(s.layers) for s in slots), initial=0))
+        self.rate = np.full((self.starts[-1], len(ps)), np.nan)
+        # delivered MI, effective noise; NaN until decoded
+        self.link_out = np.full((2, len(plan.links), len(ps)), np.nan)
+        self.totals = None  # per-user bits per run, (2, point, trial): made when the first slot settles
+        # (largest settle_after, lo, hi, {shape number: _Batch}) per chunk part not yet settled
+        self.waiting: deque = deque()
+        self.decoded = 0  # its slots at plan positions [0, decoded) are decoded
+        self.result = None  # (rate, link_out, mean, stderr), once every slot has settled
+
+    def trial_mean(self, x):
         # x.mean(axis=-1), bit for bit, without its Python-level wrapper
-        return np.add.reduce(x, axis=-1) / n_trials
+        return np.add.reduce(x, axis=-1) / self.n_trials
 
-    def decode(t: _Template, part: list[int], at, power_gain, minors) -> _Batch:
+    def split(self, indices: list[int], lo: int, hi: int) -> dict[int, tuple]:
+        """Its slots in the chunk that holds the union's slots indices[lo:hi],
+        by shape number: their plan positions, and their positions in the
+        chunk as _take indexes them.  Both lists are sorted, so its slots
+        not yet decoded are matched in one walk over the chunk."""
+        parts: dict[int, tuple[list[int], list[int]]] = {}
+        p, slots = self.decoded, self.slots
+        for q in range(lo, hi):
+            if p < len(slots) and slots[p].index == indices[q]:
+                part, at = parts.setdefault(self.wiring[p].shape, ([], []))
+                part.append(p)
+                at.append(q - lo)
+                p += 1
+        return {n: (part, _take(at)) for n, (part, at) in parts.items()}
+
+    def decode(self, t: _Template, part: list[int], at, power_gain, minors) -> _Batch:
         # the first-antenna layers of the slots at plan positions part (at
         # `at` in the chunk), at every grid point; minors are each group's
         # cross minors there
         power_gain = {d: (power_gain[d][0][at], power_gain[d][1][at]) for d in t.directions}
-        rows = _take([starts[p] for p in part])
-        links = [_take(list(col)) if col[0] >= 0 else None for col in zip(*(wiring[p].links for p in part))]
+        rows = _take([self.starts[p] for p in part])
+        links = [_take(list(col)) if col[0] >= 0 else None for col in zip(*(self.wiring[p].links for p in part))]
         mi1, mi2 = _common_mis(t.sic_power, t.fresh, power_gain)
+        rate, link_out, trial_mean = self.rate, self.link_out, self.trial_mean
         bits = []
         for (k, user, cap), m1, m2 in zip(t.sic, mi1, mi2):
             per_trial = np.minimum(m1, m2)
@@ -613,17 +626,17 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
             link_out[1, links[j]] = [_link_noise(scale, demand, d) for d in mi.tolist()]
         return _Batch(t, len(part), rows, links, {d: power_gain[d] for d, _ in t.fresh}, bits, minors)
 
-    def settle(b: _Batch):
+    def settle(self, b: _Batch):
         # each user's fresh layers in b's slots decode jointly.  The direct
         # observation's noise is 1 + the residual of the linked
         # own-interference, or the other user's layers at their true leakage
         # powers when nothing was quantized; the side observation (when the
         # group's image at the other user is linked) carries only the
         # quantization error.  Every link row read here was filled when its
-        # carrier was decoded: b's chunk waits whole until the slot that its
-        # last group settles after has been decoded.  Returns each slot's
+        # carrier was decoded: b's chunk part waits whole until the slot that
+        # its last group settles after has been decoded.  Returns each slot's
         # (user, per-trial bits) additions, in the order they add up.
-        t, power_gain = b.template, b.power_gain
+        t, power_gain, link_out = b.template, b.power_gain, self.link_out
         joints = []
         for u, (group, powers) in enumerate(t.groups):
             if not powers:
@@ -649,46 +662,112 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                 shares = [np.where(total > 0.0, joint * g / np.where(total > 0.0, total, 1.0), 0.0)
                           for g in genie]
             for k, share in zip(group.positions, shares):
-                rate[_shift(b.rows, k)] = trial_mean(share)
+                self.rate[_shift(b.rows, k)] = self.trial_mean(share)
         return [[(user, x[j]) for user, x in b.bits + joints] for j in range(b.size)]
 
+    def add(self, share: dict[int, tuple], block: dict, minors: dict) -> None:
+        """Decode its slots of a chunk (split's share) from the chunk's
+        power-gain block and cross minors ((self, shape number, user) ->
+        minors), queue them, and settle every ready part at the head of the
+        queue.  The part's batches wait, holding views of the block for
+        their fresh directions, until the slot that its last group settles
+        after has been decoded."""
+        lo, hi = self.decoded, max(part[-1] for part, _ in share.values()) + 1
+        batches = {n: self.decode(self.templates[n], part, at, block, [minors.get((self, n, u), 0) for u in (0, 1)])
+                   for n, (part, at) in share.items()}
+        self.decoded = hi
+        self.waiting.append((max(w.settle_after for w in self.wiring[lo:hi]), lo, hi, batches))
+        while self.waiting and self.waiting[0][0] <= self.slots[hi - 1].index:
+            if self.totals is None:  # so that plans whose first slots wait for a carrier hold none meanwhile
+                self.totals = np.zeros((2,) + self.rate.shape[1:] + (self.n_trials,))
+            _, start, stop, done = self.waiting.popleft()
+            additions = {n: iter(self.settle(b)) for n, b in done.items()}
+            for w in self.wiring[start:stop]:
+                for user, x in next(additions[w.shape]):
+                    self.totals[user] += x
+        if hi == len(self.slots):
+            # every slot has settled: keep (rate, link_out, mean, stderr), and
+            # free the per-trial totals while other plans still decode
+            totals, n_trials = self.totals, self.n_trials
+            stderr = totals.std(axis=-1, ddof=1) / math.sqrt(n_trials) if n_trials > 1 else np.zeros(totals.shape[:2])
+            self.result = self.rate, self.link_out, totals.mean(axis=-1), stderr
+            del self.totals
+
+
+def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int, seed: int) -> list[tuple]:
+    """One pass over the slots of every plan at every grid point of snrs:
+    per plan, arrays with one column per point, (rate, link_out, mean,
+    stderr): each layer's mean rate (rows in plan order), each link's
+    delivered MI and effective noise (2 x link, in plan.links order), and
+    each user's per-run bits and Monte-Carlo stderr.
+
+    The plans share one quality, the grid's.  The pass walks the sorted
+    union of their slot indices: a stream keyed by (seed, point, slot index)
+    is drawn, scaled and projected once, however many plans read it.  A
+    decode chunk is a range [lo, hi) of positions in that union, as many
+    slots as fit in _DRAW_BUDGET normals (at least one), drawn on the
+    worker thread and handed over in one piece.  Each plan decodes its own
+    slots of the chunk (_PlanPass): each slot's shape, link rows and
+    settle_after are read from plan.wiring at its position; its first rate
+    row is its entry in one list of row offsets.  A plan's part of a chunk
+    is decoded a slot template at a time: the SIC MIs, link noise and cross
+    minors of all its slots of one template run in one go on (slot, grid
+    point, trial) arrays, read as views of the chunk's gains when the slots
+    step evenly through the chunk (always, for a chunk of one slot); rate
+    and link rows that step evenly are indexed by basic slices too, by
+    _take's rule.  The part then waits whole until the slot that its last
+    group settles after has been decoded, and is settled a template batch
+    at a time; each user's total adds up slot by slot in slot order, so the
+    sums are the same at any chunk size and with any other plans in the
+    pass.
+
+    No validate_plan here: the public callers that need a sound plan run it
+    first, and SchemePlan has already checked the links.  n_trials must be
+    an integer >= 1 and seed one >= 0 (bools refused, as in
+    ExperimentConfig); both are checked before any stream is seeded, and
+    so are the plans' qualities.  Grid point k's trial i reads row i of the
+    stream keyed by (seed, the point's power, slot index), so a point's
+    numbers do not depend on the rest of the grid, the other plans, the
+    chunk size, which thread draws a row or thread timing.  A draw that
+    raises on the worker thread re-raises here.
+    """
+    _require_int("n_trials", n_trials, 1)
+    _require_int("seed", seed, 0)
+    if not plans:
+        raise ValueError("the grid pass needs at least one plan")
+    if any(s.quality != plan.quality for plan in plans for s in snrs):
+        raise ValueError("SNR point and plan disagree on CSIT quality")
+    ps = [s.p for s in snrs]
+    own = [plan.all_slots() for plan in plans]
+    indices = sorted({s.index for slots in own for s in slots})  # the union of the plans' slot indices
+
     def decode_chunk(lo: int, hi: int, stack):
-        # the chunk holds the slots at plan positions [lo, hi).  Its batches
-        # wait, holding views of its own power-gain block for their fresh
-        # directions, until the slot that the chunk's last group settles
-        # after has been decoded
-        at: dict[int, list[int]] = {}  # shape number -> its slots' plan positions
-        for p in range(lo, hi):
-            at.setdefault(wiring[p].shape, []).append(p)
-        index = {n: _take([p - lo for p in part]) for n, part in at.items()}
-        directions = sorted({d for n in at for d in templates[n].directions})
+        # the chunk holds the slots at union positions [lo, hi).  Each plan
+        # with slots there decodes them from the chunk's one power-gain
+        # block, made for the directions that any of them uses
+        shares = [(pp, share) for pp in passes if (share := pp.split(indices, lo, hi))]
+        directions = sorted({d for pp, share in shares for n in share for d in pp.templates[n].directions})
         block = {d: first[:, :hi - lo] if d == 0 else np.empty((2, hi - lo) + shape[1:]) for d in directions}
         # each group that gets a side row has its cross minors formed as soon
         # as its directions are projected (one estimate's, in every preset);
         # then the complex gains that no group still to come reads are dropped
-        minors = {}  # (shape number, user) -> the group's cross minors in this chunk
-        pending = [(n, u) for n in at for u in (0, 1) if templates[n].groups[u][0].side_link >= 0]
+        minors = {}  # (plan pass, shape number, user) -> the group's cross minors in this chunk
+        pending = [((pp, n, u), *pp.templates[n].groups[u], at) for pp, share in shares
+                   for n, (_, at) in share.items() for u in (0, 1) if pp.templates[n].groups[u][0].side_link >= 0]
         gain = {}
         for projected in _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
                                   directions, scratch[:hi - lo], block):
             gain |= projected
             del projected
-            for n, u in pending:
-                g, powers = templates[n].groups[u]
+            for key, g, powers, at in pending:
+                u = key[2]
                 if all(d in gain for d in g.directions):
-                    minors[n, u] = _cross_minors([gain[d][u][index[n]] for d in g.directions],
-                                                 [gain[d][1 - u][index[n]] for d in g.directions], powers)
-            pending = [key for key in pending if key not in minors]
-            gain = {d: x for d, x in gain.items() if any(d in templates[n].groups[u][0].directions for n, u in pending)}
-        batches = {n: decode(templates[n], part, index[n], block, [minors.get((n, u), 0) for u in (0, 1)])
-                   for n, part in at.items()}
-        waiting.append((max(w.settle_after for w in wiring[lo:hi]), lo, hi, batches))
-        while waiting and waiting[0][0] <= slots[hi - 1].index:
-            _, start, stop, done = waiting.popleft()
-            additions = {n: iter(settle(b)) for n, b in done.items()}
-            for w in wiring[start:stop]:
-                for user, x in next(additions[w.shape]):
-                    totals[user] += x
+                    minors[key] = _cross_minors([gain[d][u][at] for d in g.directions],
+                                                [gain[d][1 - u][at] for d in g.directions], powers)
+            pending = [entry for entry in pending if entry[0] not in minors]
+            gain = {d: x for d, x in gain.items() if any(d in entry[1].directions for entry in pending)}
+        for pp, share in shares:
+            pp.add(share, block, minors)
 
     per_slot = len(ps) * 16 * n_trials  # normals per slot: 16 per trial
     chunk = max(1, _DRAW_BUDGET // per_slot)  # slots per decode chunk
@@ -697,13 +776,13 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
     # alone (helping with rows that small read 8 % slower:
     # BENCH_draw_sharing.json, uniform_sharing)
     shared = chunk == 1
-    chunk = min(len(slots), chunk)
-    n_chunks = -(-len(slots) // chunk)
+    chunk = min(len(indices), chunk)
+    n_chunks = -(-len(indices) // chunk)
     # the draw buffer: a part per chunk that it holds (one, when there is no
     # second chunk), filled in turn.  A chunk is scaled from its part in one call
     normals = np.empty((min(n_chunks, 2 if shared else 1), chunk, len(ps), 2, 2, 2, n_trials, 2))
     # every stream's seed words, (slot, point, word), hashed in one call
-    words = _seed_words(seed, [_db_key(snr.p_db) for snr in snrs], [s.index for s in slots])
+    words = _seed_words(seed, [_db_key(snr.p_db) for snr in snrs], indices)
     with ThreadPoolExecutor(max_workers=1) as pool:
         worker_rng = np.random.Generator(np.random.PCG64(0))  # reseeded per stream, on the worker only
 
@@ -718,11 +797,7 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
             return queue, streams, rows, pool.submit(_draw, worker_rng, queue.popleft, streams, rows)
 
         drawn = deque(hand_over(k) for k in range(len(normals)))  # chunk 0, and 1 where the buffer holds two
-        templates = _compile(plan, ps)
-        starts = list(accumulate((len(s.layers) for s in slots), initial=0))  # each slot's first rate row, then the end
-        rate = np.full((starts[-1], len(ps)), np.nan)
-        link_out = np.full((2, len(plan.links), len(ps)), np.nan)  # delivered MI, effective noise; NaN until decoded
-        totals = np.zeros((2, len(ps), n_trials))  # per-user bits per run
+        passes = [_PlanPass(plan, slots, ps, n_trials) for plan, slots in zip(plans, own)]
         shape = (chunk, len(ps), n_trials)
         bufs = {name: np.empty(shape + (2,), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
         # sample_channel writes each error into its channel and adds the
@@ -734,10 +809,8 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
         scratch = np.empty(shape + (2,), complex)
         first = np.empty((2,) + shape)
         rng = np.random.Generator(np.random.PCG64(0))  # reseeded per stream, on this thread only
-        # (largest settle_after, lo, hi, {shape number: _Batch}) per chunk not yet settled
-        waiting: deque = deque()
         for k in range(n_chunks):
-            lo, hi = k * chunk, min(len(slots), (k + 1) * chunk)
+            lo, hi = k * chunk, min(len(indices), (k + 1) * chunk)
             queue, streams, rows, future = drawn.popleft()
             if shared:
                 # draw what the worker has not taken yet, from the back, then
@@ -755,13 +828,12 @@ def _evaluate_grid(plan: SchemePlan, snrs: list[SnrPoint], n_trials: int, seed: 
                 np.conjugate(true, out=true)  # each gain is conj(true) . direction
             decode_chunk(lo, hi, stack)
 
-    stderr = totals.std(axis=-1, ddof=1) / math.sqrt(n_trials) if n_trials > 1 else np.zeros((2, len(ps)))
-    return rate, link_out, totals.mean(axis=-1), stderr
+    return [pp.result for pp in passes]
 
 
 def _point_ledger(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> RateLedger:
     """The grid pass at the single point snr, as a RateLedger."""
-    rate, link_out, mean, stderr = (a[..., 0].tolist() for a in _evaluate_grid(plan, [snr], n_trials, seed))
+    rate, link_out, mean, stderr = (a[..., 0].tolist() for a in _evaluate_grid([plan], [snr], n_trials, seed)[0])
     link_ids = [link.interference_id for link in plan.links]
     return RateLedger(
         per_symbol_rate=dict(zip((l.id for s in plan.all_slots() for l in s.layers), rate)),
@@ -840,9 +912,29 @@ def estimate_dof(plan: SchemePlan, p_grid: list[SnrPoint], n_trials: int, seed: 
     weights.  Tiny negative fitted slopes are floored at 0 (pre-logs are
     nonnegative; the raw rates stay available in points).
     """
-    check_grid_db([s.p_db for s in p_grid], plan.quality.alpha2)
-    _require_valid(plan)
-    _, _, mean, stderr = _evaluate_grid(plan, p_grid, n_trials, seed)
+    return estimate_dofs([plan], p_grid, n_trials, seed)[0]
+
+
+def estimate_dofs(plans: list[SchemePlan], p_grid: list[SnrPoint], n_trials: int, seed: int) -> list[DofEstimate]:
+    """estimate_dof of each plan, in order, from one pass over the union of
+    their slots: each (grid point, slot index) stream is drawn, scaled and
+    projected once for every plan that has that slot, and each estimate is
+    == to estimate_dof of its plan alone.
+
+    The plans must be at least one and share the grid's quality.  The grid
+    is checked and every plan validated before the first stream is seeded,
+    so a plan that fails validation (PlanValidationError) costs no work.
+    """
+    for plan in plans:
+        check_grid_db([s.p_db for s in p_grid], plan.quality.alpha2)
+    for plan in plans:
+        _require_valid(plan)
+    return [_fit(plan, p_grid, mean, stderr)
+            for plan, (_, _, mean, stderr) in zip(plans, _evaluate_grid(plans, p_grid, n_trials, seed))]
+
+
+def _fit(plan: SchemePlan, p_grid: list[SnrPoint], mean: np.ndarray, stderr: np.ndarray) -> DofEstimate:
+    """estimate_dof's slope fit of one plan's per-run bits over the grid."""
     uses = plan.channel_uses()
     rates, rate_se = mean / uses, stderr / uses
 

@@ -26,7 +26,10 @@ from pathlib import Path
 
 from . import __version__
 from .channel import SnrPoint
-from .evaluator import DofEstimate, check_grid_db, estimate_dof
+# estimate_dof is not called here (run estimates every plan in one
+# estimate_dofs pass), but the benchmark's tracer (perfbench/tracing.py)
+# patches it under this module
+from .evaluator import DofEstimate, check_grid_db, estimate_dof, estimate_dofs  # noqa: F401
 from .geometry import CsitQuality, DofPoint, contains, dof_region, region_as_dict
 from .schemes import PRESET_NAMES, _require_int, build_preset
 
@@ -233,8 +236,11 @@ def run(config: ExperimentConfig) -> RunReport:
     estimate.  Scheme/quality mismatches (the case split) raise
     SchemeConditionError naming the violated condition, two names that
     build one preset (auto and the case it picks) raise ValueError, and an
-    output_dir that cannot be made a directory raises OSError.
-    Deterministic for a fixed config.
+    output_dir that cannot be made a directory raises OSError.  The plans
+    are estimated together, in one estimate_dofs pass, which validates
+    every plan (PlanValidationError) before the first stream is seeded and
+    draws each stream once for all of them; each estimate is the one
+    estimate_dof gives its plan alone.  Deterministic for a fixed config.
     """
     t0 = time.monotonic()
     quality = config.quality
@@ -250,8 +256,7 @@ def run(config: ExperimentConfig) -> RunReport:
             raise ValueError(f"schemes {first!r} and {name!r} both build {plans[-1].name}")
     config.output_dir.mkdir(parents=True, exist_ok=True)
     results = []
-    for plan in plans:
-        est = estimate_dof(plan, grid, config.n_trials, config.seed)
+    for plan, est in zip(plans, estimate_dofs(plans, grid, config.n_trials, config.seed)):
         target = plan.predicted_dof
         passed = max(
             abs(est.slope.d1 - target.d1),

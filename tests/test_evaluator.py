@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from asymcsit import (
     ChannelRealization,
     CsitQuality,
+    ExperimentConfig,
     PlanValidationError,
     SnrPoint,
     build_case_i,
@@ -22,8 +23,10 @@ from asymcsit import (
     build_preset,
     build_sc_zf,
     estimate_dof,
+    estimate_dofs,
     evaluate_plan,
     residual_power_probe,
+    run,
     sample_channel,
 )
 from asymcsit import evaluator, schemes
@@ -357,6 +360,17 @@ class TestEstimateDof:
         with pytest.raises(ValueError, match="quality"):
             estimate_dof(plan, _grid(Q28), 10, seed=0)
 
+    def test_several_plans_need_one_quality_and_at_least_one_plan(self, monkeypatch):
+        # refused before any stream is seeded
+        def no_streams(*args):
+            raise AssertionError("a stream was seeded")
+
+        monkeypatch.setattr(evaluator, "_seed_words", no_streams)
+        with pytest.raises(ValueError, match="at least one plan"):
+            estimate_dofs([], _grid(Q35), 10, seed=0)
+        with pytest.raises(ValueError, match="quality"):
+            estimate_dofs([build_sc_zf(Q35), build_sc_zf(Q28)], _grid(Q35), 10, seed=0)
+
     def test_grid_at_the_precision_ceiling_still_fits(self):
         # alpha2 * 300 / 10 = 30 is the top of what the grid check accepts,
         # and the zero-forcing leakage still resolves there
@@ -423,11 +437,11 @@ class TestEstimateDof:
         # complex gains of one estimate at a time, and the per-layer and
         # per-link results of a plan of 303 slots
         grid = _grid(Q35)
-        _evaluate_grid(build_case_ii(Q35, 1), grid, 20, 3)  # first-call allocations
+        _evaluate_grid([build_case_ii(Q35, 1)], grid, 20, 3)  # first-call allocations
         plan = build_case_ii(Q35, 100)
         tracemalloc.start()
         try:
-            _evaluate_grid(plan, grid, 20, 3)
+            _evaluate_grid([plan], grid, 20, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -474,7 +488,7 @@ class TestSlotTemplates:
             return logdet(*args)
 
         monkeypatch.setattr(evaluator, "_logdet_mi", counting_logdet)
-        _evaluate_grid(plan, grid, n_trials, 5)
+        _evaluate_grid([plan], grid, n_trials, 5)
         templates = evaluator._compile(plan, [s.p for s in grid])
         shapes = [w.shape for w in plan.wiring]
         chunk = max(1, evaluator._DRAW_BUDGET // (len(grid) * 16 * n_trials))
@@ -665,7 +679,7 @@ class TestPrefetch:
             chunks = cls._spy_chunks(m)
             if budget is not None:
                 m.setattr(evaluator, "_DRAW_BUDGET", budget)
-            return _evaluate_grid(plan, _grid(plan.quality), n_trials, 5), [len(c) for c in chunks]
+            return _evaluate_grid([plan], _grid(plan.quality), n_trials, 5)[0], [len(c) for c in chunks]
 
     @staticmethod
     def _streams(n_slots: int, slots_per_chunk: int) -> list[int]:
@@ -749,7 +763,7 @@ class TestPrefetch:
                 m.setattr(evaluator, "_seed_words", counting_seed_words)
                 chunks = self._spy_chunks(m)
                 m.setattr(evaluator, "_DRAW_BUDGET", slots_per_chunk * 4 * 16 * n_trials)
-                runs.append(_evaluate_grid(plan, grid, n_trials, seed))
+                runs.append(_evaluate_grid([plan], grid, n_trials, seed)[0])
             assert len(hashed) == 1 and [words for c in chunks for words in c] == keys, slots_per_chunk
         for got in runs[1:]:
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, runs[0]):
@@ -851,7 +865,7 @@ class TestPrefetch:
         # drawn by the worker into one part
         for n_cycles, n_trials in ((2, 600), (2, 300), (20, 20)):
             plan = build_case_ii(Q35, n_cycles)
-            ref = _evaluate_grid(plan, _grid(Q35), n_trials, 9)
+            ref = _evaluate_grid([plan], _grid(Q35), n_trials, 9)[0]
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             runs = []
@@ -859,7 +873,7 @@ class TestPrefetch:
                 for _ in range(5):
                     with monkeypatch.context() as m:
                         log = self._log_chunks(m)
-                        runs.append((_evaluate_grid(plan, _grid(Q35), n_trials, 9), log))
+                        runs.append((_evaluate_grid([plan], _grid(Q35), n_trials, 9)[0], log))
             finally:
                 sys.setswitchinterval(interval)
             n_slots = len(plan.all_slots())
@@ -947,6 +961,30 @@ class TestPrefetch:
         monkeypatch.setattr(evaluator, "unit", failing_unit)
         with pytest.raises(ZeroDivisionError, match="decode failed"):
             estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
+        assert threading.active_count() == before
+
+    def test_one_run_of_three_schemes_starts_one_draw_worker(self, monkeypatch, tmp_path):
+        # the run's plans share one grid pass, so one executor and one worker
+        # thread draw for all of them, and neither outlives the run
+        pools, drawers = [], set()
+        draw = evaluator._draw
+
+        class Pool(evaluator.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        def spy_draw(rng, take, words, rows):
+            drawers.add(threading.get_ident())
+            draw(rng, take, words, rows)
+
+        monkeypatch.setattr(evaluator, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(evaluator, "_draw", spy_draw)
+        before = threading.active_count()
+        report = run(ExperimentConfig(0.3, 0.5, schemes=["case-ii", "sc-zf", "ges12-asym"], n_trials=self.N_TRIALS,
+                                      n_cycles=1, output_dir=tmp_path))
+        assert [r.name for r in report.results] == ["case-ii", "sc-zf", "ges12-asym"]
+        assert len(pools) == 1 and len(drawers - {threading.get_ident()}) == 1
         assert threading.active_count() == before
 
     def test_a_decode_failure_with_two_draws_in_flight_leaves_no_thread(self, monkeypatch):

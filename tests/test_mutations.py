@@ -3,39 +3,42 @@ with monkeypatch and asserts that a check fails.
 
 The rules are the ones whose faults results alone would not show: the
 slot a chunk settles after, which stream's seed words a chunk gets and
-which row each of them fills, one reseed per stream, and the decode wiring
-the plan stores (side links, SIC order, carried ranks, each slot's shape).
+which row each of them fills, one reseed per stream, the decode wiring
+the plan stores (side links, SIC order, carried ranks, each slot's shape),
+and which slots and directions each plan of a shared pass reads.
 A test that only compares the outputs with a stored digest, or the stored
 wiring with a scan, must be able to fail on each of them, or it guards
 nothing.
 
-All cases run case-ii at (0.3, 0.5), 3 cycles (12 slots), 20 trials on the
-60-120 dB grid, seed 5, with a draw budget of two slots' normals: two slots
-per decode chunk, which the worker draws alone, so that the pass has several
-chunks and some of them wait for the next one.  The cases on who draws a row
-run with a budget one normal short of one slot's (SHARED): a slot is then
-over the budget, a decode chunk is one slot, and the calling thread draws
-the rows of each chunk that the worker has not taken.  The chunking does
-not change the output (tests/test_evaluator.py), and neither does which
-thread draws a row, so DIGEST is that of the default budget and of every
-schedule too.  It was recorded with numpy 2.4.6; see tests/test_golden.py
-on other numpy versions.  Each draw mutation keeps the worker out of the
-draw (its draws return at once), so that the calling thread draws every
-row and the mutation acts the same in every run.  The cases patch private
-names of asymcsit.evaluator and asymcsit.schemes, so a rename must port
-its case.
+All cases but the shared-pass ones (at the end) run case-ii at (0.3, 0.5), 3
+cycles (12 slots), 20 trials on the 60-120 dB grid, seed 5, with a draw
+budget of two slots' normals: two slots per decode chunk, which the worker
+draws alone, so that the pass has several chunks and some of them wait for
+the next one.  The cases on who draws a row run with a budget one normal
+short of one slot's (SHARED): a slot is then over the budget, a decode chunk
+is one slot, and the calling thread draws the rows of each chunk that the
+worker has not taken.  The chunking does not change the output
+(tests/test_evaluator.py), and neither does which thread draws a row, so
+DIGEST is that of the default budget and of every schedule too.  It was
+recorded with numpy 2.4.6; see tests/test_golden.py on other numpy versions.
+Each draw mutation keeps the worker out of the draw (its draws return at
+once), so that the calling thread draws every row and the mutation acts the
+same in every run.  The cases patch private names of asymcsit.evaluator and
+asymcsit.schemes, so a rename must port its case.
 """
 
 import hashlib
+import json
 import sys
 import threading
 from collections import Counter
 
 import numpy as np
 import pytest
-from test_properties import _check_wiring
+from test_golden import LEDGER_SHA256, SCHEMES_SHA256
+from test_properties import _check_shared_pass, _check_wiring
 
-from asymcsit import CsitQuality, SnrPoint, build_case_ii
+from asymcsit import CsitQuality, SnrPoint, build_case_ii, build_ges12_asym, build_sc_zf, cli
 from asymcsit import evaluator
 from asymcsit.schemes import SchemePlan
 
@@ -50,7 +53,7 @@ DIGEST = "ecb635707496f9ade08678b467cd3a6f5cd5ceea27e50316acb0e84743b84d51"
 def _digest(plan, budget=2 * PER_SLOT) -> str:
     with pytest.MonkeyPatch.context() as m:
         m.setattr(evaluator, "_DRAW_BUDGET", budget)
-        arrays = evaluator._evaluate_grid(plan, GRID, N_TRIALS, 5)
+        arrays = evaluator._evaluate_grid([plan], GRID, N_TRIALS, 5)[0]
     h = hashlib.sha256()
     for a in arrays:
         h.update(np.ascontiguousarray(a).tobytes())
@@ -199,3 +202,72 @@ def test_a_slot_batched_under_the_wrong_shape(plan, monkeypatch):
     with pytest.raises(AssertionError):
         _check_wiring(plan)
     assert _digest(plan) != DIGEST
+
+
+# A pass shared by several plans must decode each plan's own slots from the
+# chunk's shared gains.  The cases below break that for every plan but the
+# first of a shared pass, so that a plan's pass of its own stays right and
+# only the comparison with it, or a stored digest of a shared run, can tell.
+
+
+@pytest.fixture
+def later_plans(monkeypatch):
+    """A set of the plan passes (_PlanPass) of every plan but the first of
+    each grid pass, filled as the passes are made."""
+    later, first, grid, init = set(), [], evaluator._evaluate_grid, evaluator._PlanPass.__init__
+
+    def spy_grid(plans, *args):
+        first[:] = plans[:1]
+        return grid(plans, *args)
+
+    def spy_init(self, plan, *args):
+        init(self, plan, *args)
+        if plan is not first[0]:
+            later.add(self)
+
+    monkeypatch.setattr(evaluator, "_evaluate_grid", spy_grid)
+    monkeypatch.setattr(evaluator._PlanPass, "__init__", spy_init)
+    return later
+
+
+def _fails_sharing_checks(tmp_path, capsys):
+    # the property test, on plans of 12, 1 and 3 slots, at decode chunks of
+    # all 12 slots (20 trials) and of one slot (2100), and the golden run's
+    # digests (case-ii, sc-zf and ges12-asym at 200 trials: chunks of 5 slots)
+    plans = [build_case_ii(Q35, 3), build_sc_zf(Q35), build_ges12_asym(Q35)]
+    for n_trials in (20, 2100):
+        with pytest.raises(AssertionError):
+            _check_shared_pass(plans, GRID, n_trials, 7)
+    assert cli.main(["run", "--alpha1", "0.3", "--alpha2", "0.5", "--schemes", "case-ii,sc-zf,ges12-asym",
+                     "--trials", "200", "--cycles", "5", "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    schemes = json.loads((tmp_path / "report.json").read_text())["schemes"]
+    assert hashlib.sha256((tmp_path / "ledger.csv").read_bytes()).hexdigest() != LEDGER_SHA256
+    assert hashlib.sha256(json.dumps(schemes, sort_keys=True).encode()).hexdigest() != SCHEMES_SHA256
+
+
+def test_a_plan_decodes_the_shared_chunk_one_slot_off(monkeypatch, later_plans, tmp_path, capsys):
+    # a later plan's slots are matched one position late in the union of
+    # slot indices, so each reads the gains of the union slot after its own
+    split = evaluator._PlanPass.split
+
+    def one_off(self, indices, lo, hi):
+        return split(self, [None] + indices if self in later_plans else indices, lo, hi)
+
+    monkeypatch.setattr(evaluator._PlanPass, "split", one_off)
+    _fails_sharing_checks(tmp_path, capsys)
+
+
+def test_a_plan_reads_another_plans_power_gain_direction(monkeypatch, later_plans, tmp_path, capsys):
+    # a later plan reads orth_to(k)'s power gains off along(k)'s, which
+    # case-ii, first in the pass, projects in the chunks that sc-zf and
+    # ges12-asym share with it
+    add = evaluator._PlanPass.add
+
+    def crossed(self, share, block, minors):
+        if self in later_plans:
+            block = {d: block.get(d + 2, x) if d in (1, 2) else x for d, x in block.items()}
+        add(self, share, block, minors)
+
+    monkeypatch.setattr(evaluator._PlanPass, "add", crossed)
+    _fails_sharing_checks(tmp_path, capsys)

@@ -10,7 +10,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from asymcsit import (
@@ -22,6 +22,7 @@ from asymcsit import (
     corner_points,
     dof_region,
     estimate_dof,
+    estimate_dofs,
     evaluate_plan,
     residual_power_probe,
     validate_plan,
@@ -268,3 +269,37 @@ def test_grid_pass_equals_per_point_evaluation(quality, n_cycles, seed):
             (led.user_rate_stderr[0] / led.channel_uses, led.user_rate_stderr[1] / led.channel_uses)
             for led in ledgers
         ), plan.name
+
+
+def _check_shared_pass(plans, grid, n_trials, seed):
+    # one grid pass for every plan, each stream drawn, scaled and projected
+    # once, must give each plan exactly its own pass's estimate
+    shared = estimate_dofs(plans, grid, n_trials, seed)
+    assert len(shared) == len(plans)
+    for plan, got in zip(plans, shared):
+        alone = estimate_dof(plan, grid, n_trials, seed)
+        for field in ("points", "point_stderr", "slope", "stderr"):
+            assert getattr(got, field) == getattr(alone, field), (plan.name, plan.n_cycles, field)
+
+
+_MIX = [("sc-zf", 1), ("ges12-asym", 2), ("case-ii", 3)]  # plans of 1, 3 and 12 slots
+
+
+@settings(max_examples=40, deadline=None)
+@given(qualities, st.lists(st.tuples(st.sampled_from(PRESET_NAMES), cycles), min_size=1, max_size=4),
+       st.sampled_from([20, 2100]), st.integers(0, 2**32 - 1))
+@example(CsitQuality(0.3, 0.5), _MIX, 20, 7)
+@example(CsitQuality(0.3, 0.5), _MIX, 2100, 7)
+@example(CsitQuality(0.2, 0.8), [("case-i", 3), ("sc-zf", 2), ("case-i", 1), ("ges12-asym", 3)], 20, 5)
+def test_one_pass_for_several_plans_equals_a_pass_per_plan(quality, mix, n_trials, seed):
+    # 20 trials: decode chunks of many slots; 2100: a slot is over the draw
+    # budget, so a chunk is one slot and the calling thread helps draw it.
+    # Plans of one quality, any presets and cycles, repeats allowed
+    plans = []
+    for name, n_cycles in mix:
+        try:
+            plans.append(build_preset(name, quality, n_cycles))
+        except SchemeConditionError:
+            assert name in ("case-i", "case-ii", "case-ii-alt")
+    assume(plans)
+    _check_shared_pass(plans, [SnrPoint.from_db(db, quality) for db in (60.0, 80.0, 100.0, 120.0)], n_trials, seed)

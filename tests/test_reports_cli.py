@@ -6,6 +6,7 @@ import pytest
 from asymcsit import (
     CsitQuality,
     ExperimentConfig,
+    PlanValidationError,
     build_preset,
     dof_region,
     plan_as_dict,
@@ -14,8 +15,10 @@ from asymcsit import (
     run,
     sweep,
 )
+from asymcsit import evaluator, reports
 from asymcsit.cli import main
 from asymcsit.reports import CSV_HEADER
+from asymcsit.schemes import perturb_link_prelog
 
 
 SMALL = dict(p_grid_db=[60.0, 80.0, 100.0], n_trials=120, n_cycles=6, seed=7)
@@ -397,9 +400,10 @@ class TestCli:
     @pytest.fixture
     def no_estimates(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("estimate_dof ran")
+            raise AssertionError("an estimate ran")
 
         monkeypatch.setattr("asymcsit.reports.estimate_dof", refuse)
+        monkeypatch.setattr("asymcsit.reports.estimate_dofs", refuse)
 
     def test_run_refuses_a_repeated_scheme(self, tmp_path, capsys, no_estimates):
         # each plan used to be estimated twice, with duplicate ledger rows
@@ -434,6 +438,22 @@ class TestCli:
             assert rc == 2
             assert f"quality pair {pair} is listed twice" in capsys.readouterr().err
             assert not (tmp_path / "sw").exists()
+
+    def test_run_validates_every_plan_before_the_first_stream(self, tmp_path, monkeypatch):
+        # sc-zf used to be estimated in full before case-ii's validation failed
+        build, streams = reports.build_preset, []
+
+        def mismatched_case_ii(name, quality, n_cycles):
+            plan = build(name, quality, n_cycles)
+            return perturb_link_prelog(plan, plan.links[0].interference_id, 0.1) if name == "case-ii" else plan
+
+        monkeypatch.setattr(reports, "build_preset", mismatched_case_ii)
+        monkeypatch.setattr(evaluator, "_seed_words", lambda *args: streams.append("_seed_words"))
+        monkeypatch.setattr(evaluator, "_draw", lambda *args: streams.append("_draw"))
+        config = ExperimentConfig(0.3, 0.5, schemes=["sc-zf", "case-ii"], output_dir=tmp_path / "o", **SMALL)
+        with pytest.raises(PlanValidationError, match="quantization rate mismatch"):
+            run(config)
+        assert streams == []
 
     @pytest.mark.parametrize("command", [
         ["run", "--alpha1", "0.3", "--alpha2", "0.5", "--schemes", "case-ii,sc-zf"],
