@@ -27,7 +27,7 @@ union of the plans' slot indices, and each (grid point, slot) stream is
 drawn, scaled and projected once, for every plan that has that slot.
 Each plan then decodes and settles its own slots of a chunk with its own
 templates, outputs and queue (_PlanPass), so its numbers are those of a
-pass of its own.  The worker thread (below) draws a chunk in one piece.
+pass of its own.  A chunk is drawn whole before it is scaled (below).
 Each slot is drawn at every grid point, and a chunk's draws are stacked
 on leading (slot, grid point) axes: one sample_channel call scales them,
 and each precoder direction is projected once per chunk, with every
@@ -108,31 +108,37 @@ how the work is ordered, and different schemes compared on the same grid
 read the same channels, which one estimate_dofs pass draws only once.
 
 The standard normals are the one part of a slot that can run off the
-calling thread: numpy's standard_normal releases the GIL.  So the pass
-keeps one worker thread, for the length of the pass however many plans it
-serves, and one float64 draw buffer of shape (part, slot, point, 2, 2, 2,
-trial, 2), whose parts are filled in turn, a chunk to a part.  A chunk is
-handed over to the worker as its streams' seed words and rows and a deque
-of their positions, and the worker starts on that deque, from the front,
-at once: chunk 0 as soon as the seed table is hashed, before the decode
-tables and output arrays are made, and each later one as soon as the chunk
-before it in its part has been scaled, before that chunk is projected and
-decoded.  So the next chunk is drawn while this one decodes.  Where a
-chunk is one slot, the buffer has two parts, chunk 1 is handed over with
-chunk 0, and the calling thread helps: when it needs a chunk, it draws the
-rows that the worker has not taken, from the back, and then waits only for
-the row that the worker is drawing.  With chunks of many small slots the
-buffer has one part, and the calling thread only waits, as there a row is
-a few hundred normals and the two threads would trade the GIL for every
-reseed.  The deque holds positions, not rows: the thread that draws a row
-makes its view.  Every stream of the pass is hashed on the calling thread,
-once, before the first chunk is handed over: SeedSequence's hash (which
-holds the GIL) is run as uint32 array operations over the whole table of
-seed words, 32 B per (slot, grid point) stream.  Each chunk takes its own
-slice of that table.  Each thread has its own PCG64 for the pass, and sets
-it from a stream's words right before it fills that stream's row, so no
-generator is ever reseeded while another draw uses it.  That gives exactly
-the draws of default_rng(SeedSequence(key)), at a fraction of its cost per
+calling thread: numpy's standard_normal releases the GIL.  Where a chunk
+is one slot, the worker draws and the calling thread helps; where a
+chunk holds more, the calling thread draws alone.  The pass has one
+float64 draw buffer of shape (part, slot, point, 2, 2, 2, trial, 2),
+whose parts are filled in turn, a chunk to a part.  Where a chunk is one
+slot, the buffer has two parts, and the pass keeps one worker thread, for
+the length of the pass however many plans it serves.  A chunk is handed
+over to the worker as its streams' seed words and rows and a deque of
+their positions, and the worker starts on that deque, from the front, at
+once: chunks 0 and 1 as soon as the seed table is hashed, before the
+decode tables and output arrays are made, and each later one as soon as
+the chunk before it in its part has been scaled, before that chunk is
+projected and decoded.  So the next chunk is drawn while this one
+decodes.  When the calling thread needs a chunk, it draws the rows that
+the worker has not taken, from the back, and then waits only for the row
+that the worker is drawing.  Where a chunk holds many small slots, the
+buffer has one part and the pass starts no thread: the calling thread
+draws every row of a chunk, from the back, right before it scales the
+chunk.  There a row is a few hundred normals, and a worker and this
+thread would trade the GIL for every reseed: that cost about what drawing
+beside the decode saved where the host ran both threads at once, and
+far more where it did not (BENCH_inline_draws.json).  The deque holds
+positions, not rows: the thread that draws a row makes its view.  Every
+stream of the pass is hashed on the calling thread, once, before the
+first chunk is drawn: SeedSequence's hash (which holds the GIL) is run as
+uint32 array operations over the whole table of seed words, 32 B per
+(slot, grid point) stream.  Each chunk takes its own slice of that table.
+Each thread that draws has its own PCG64 for the pass, and sets it from a
+stream's words right before it fills that stream's row, so no generator
+is ever reseeded while another draw uses it.  That gives exactly the
+draws of default_rng(SeedSequence(key)), at a fraction of its cost per
 stream.  Each row is taken once, by one thread, and filled from its own
 stream, so the results do not depend on which thread draws it or on thread
 timing.  The worker calls nothing but _draw, _reseed and standard_normal;
@@ -154,6 +160,7 @@ import operator
 from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -330,15 +337,16 @@ def _draw(rng: np.random.Generator, take: Callable[[], int], words: list[list[in
     rng to the stream's start from its four seed words, words[k], then fill
     its row, rows[k].
 
-    take pops a deque of the chunk's positions.  The worker thread draws
-    with popleft and its own generator; where the chunk is one slot, the
-    calling thread draws too, with pop and the pass's other generator.  A
+    take pops a deque of the chunk's positions.  Where the chunk is one
+    slot, the worker thread draws with popleft and its own generator, and
+    the calling thread helps, with pop and the pass's other generator.  A
     deque's pops are atomic, so each row is taken once, by one thread, and
     no generator is reseeded while another draw uses it.
     standard_normal releases the GIL while it fills a row, so the other
-    thread keeps running meanwhile.  Nothing else is called here: the
-    benchmark's tracer (perfbench/tracing.py) keeps a single span stack, for
-    the calling thread.
+    thread keeps running meanwhile.  Where the chunk holds more slots, the
+    calling thread alone draws it, with pop, and no worker runs.  Nothing
+    else is called here: the benchmark's tracer (perfbench/tracing.py)
+    keeps a single span stack, for the calling thread.
     """
     while True:
         try:
@@ -705,8 +713,10 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
     union of their slot indices: a stream keyed by (seed, point, slot index)
     is drawn, scaled and projected once, however many plans read it.  A
     decode chunk is a range [lo, hi) of positions in that union, as many
-    slots as fit in _DRAW_BUDGET normals (at least one), drawn on the
-    worker thread and handed over in one piece.  Each plan decodes its own
+    slots as fit in _DRAW_BUDGET normals (at least one), drawn whole before
+    it is scaled: where it is one slot, by the worker thread with this
+    thread's help, and where it holds more, by this thread alone, with no
+    thread started.  Each plan decodes its own
     slots of the chunk (_PlanPass): each slot's shape, link rows and
     settle_after are read from plan.wiring at its position; its first rate
     row is its entry in one list of row offsets.  A plan's part of a chunk
@@ -729,7 +739,8 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
     stream keyed by (seed, the point's power, slot index), so a point's
     numbers do not depend on the rest of the grid, the other plans, the
     chunk size, which thread draws a row or thread timing.  A draw that
-    raises on the worker thread re-raises here.
+    raises on the worker thread re-raises here; one on this thread raises
+    directly.
     """
     _require_int("n_trials", n_trials, 1)
     _require_int("seed", seed, 0)
@@ -771,10 +782,11 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
 
     per_slot = len(ps) * 16 * n_trials  # normals per slot: 16 per trial
     chunk = max(1, _DRAW_BUDGET // per_slot)  # slots per decode chunk
-    # a chunk of one slot: this thread helps draw it, and the draw buffer
-    # holds two chunks.  Else the buffer holds one, and the worker draws it
-    # alone (helping with rows that small read 8 % slower:
-    # BENCH_draw_sharing.json, uniform_sharing)
+    # a chunk of one slot: the worker draws it and this thread helps, and
+    # the draw buffer holds two chunks.  Else the buffer holds one, and this
+    # thread draws each chunk alone, right before it scales it: a row is
+    # then a few hundred normals, and two threads would trade the GIL for
+    # every reseed (BENCH_inline_draws.json)
     shared = chunk == 1
     chunk = min(len(indices), chunk)
     n_chunks = -(-len(indices) // chunk)
@@ -783,20 +795,24 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
     normals = np.empty((min(n_chunks, 2 if shared else 1), chunk, len(ps), 2, 2, 2, n_trials, 2))
     # every stream's seed words, (slot, point, word), hashed in one call
     words = _seed_words(seed, [_db_key(snr.p_db) for snr in snrs], indices)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        worker_rng = np.random.Generator(np.random.PCG64(0))  # reseeded per stream, on the worker only
+    with ThreadPoolExecutor(max_workers=1) if shared else nullcontext() as pool:
+        # reseeded per stream, on the worker only
+        worker_rng = np.random.Generator(np.random.PCG64(0)) if shared else None
 
         def hand_over(k):
             # chunk k: its streams' seed words, their rows of buffer part
             # k % len(normals) and a deque of their positions, which the
-            # worker starts on at once, from the front.  Called only once
-            # that part's last draw has been scaled
+            # worker, if any, starts on at once, from the front.  Called only
+            # once that part's last draw has been scaled
             rows = normals[k % len(normals)].reshape((-1,) + normals.shape[3:])
             streams = words[k * chunk:(k + 1) * chunk].reshape(-1, _POOL).tolist()
             queue = deque(range(len(streams)))
-            return queue, streams, rows, pool.submit(_draw, worker_rng, queue.popleft, streams, rows)
+            future = pool.submit(_draw, worker_rng, queue.popleft, streams, rows) if shared else None
+            return queue, streams, rows, future
 
-        drawn = deque(hand_over(k) for k in range(len(normals)))  # chunk 0, and 1 where the buffer holds two
+        # where a chunk is one slot, chunks 0 and 1 go to the worker now;
+        # else each chunk is handed over, to this thread, when it is drawn
+        drawn = deque(hand_over(k) for k in range(len(normals))) if shared else None
         passes = [_PlanPass(plan, slots, ps, n_trials) for plan, slots in zip(plans, own)]
         shape = (chunk, len(ps), n_trials)
         bufs = {name: np.empty(shape + (2,), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
@@ -811,15 +827,16 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         rng = np.random.Generator(np.random.PCG64(0))  # reseeded per stream, on this thread only
         for k in range(n_chunks):
             lo, hi = k * chunk, min(len(indices), (k + 1) * chunk)
-            queue, streams, rows, future = drawn.popleft()
+            queue, streams, rows, future = drawn.popleft() if shared else hand_over(k)
+            # draw what the worker has not taken yet, from the back, then
+            # wait only for the row it is drawing; with no worker, that is
+            # every row of the chunk
+            _draw(rng, queue.pop, streams, rows)
             if shared:
-                # draw what the worker has not taken yet, from the back, then
-                # wait only for the row it is drawing
-                _draw(rng, queue.pop, streams, rows)
-            future.result()
+                future.result()
             stack = ChannelRealization(**{name: buf[:hi - lo] for name, buf in bufs.items()})
             sample_channel(snrs, normals[k % len(normals), :hi - lo], size=n_trials, out=stack)
-            if k + len(normals) < n_chunks:
+            if shared and k + len(normals) < n_chunks:
                 # part k % len(normals) is free: chunk k + len(normals) goes
                 # into it, and the worker starts on it after the chunk before
                 # it, while this chunk decodes

@@ -12,7 +12,12 @@ def one_drawer(monkeypatch):
     chunk, with draw (the real _draw unless given), and the other thread
     takes none.  When the calling thread draws, the worker's draws return at
     once.  When the worker draws, this thread's draw of a chunk is held on
-    an Event until the worker's draw of it has returned or raised."""
+    an Event until the worker's draw of it has returned or raised.
+
+    Only a pass whose decode chunks are one slot has a worker.  Where a
+    chunk holds more, the calling thread draws every row anyway, so
+    "caller" only swaps in draw, and "worker" fails: this thread's draw
+    waits for a worker draw that never comes."""
     caller, real = threading.get_ident(), evaluator._draw
 
     def patch(drawer, draw=real):

@@ -646,11 +646,12 @@ class TestStreamSeeding:
 
 
 class TestPrefetch:
-    """The next chunk of slots' normals is drawn on one worker thread while
-    this thread decodes, and where a chunk is one slot, this thread draws
-    the rows that the worker has not taken when the chunk needs them; the
-    results may not depend on the chunking or on which thread draws a
-    row."""
+    """Where a chunk is one slot, the next chunks' normals are drawn on one
+    worker thread while this thread decodes, and this thread draws the rows
+    that the worker has not taken when a chunk needs them.  Where a chunk
+    holds more slots, this thread draws each chunk alone, right before it
+    scales it, and no thread is started.  The results may not depend on the
+    chunking or on which thread draws a row."""
 
     N_TRIALS = 600  # 4 points x 16 normals x 600 trials per slot: over the budget, so a chunk is one slot
 
@@ -713,7 +714,7 @@ class TestPrefetch:
         n_slots, n_trials = len(plan.all_slots()), 40
         per_slot = 4 * 16 * n_trials
         ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # a slot over the budget: one per chunk
-        for slots_per_chunk in (2, 4, 7, n_slots):  # the worker draws these chunks alone
+        for slots_per_chunk in (2, 4, 7, n_slots):  # this thread draws these chunks alone
             got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
             assert handed == self._streams(n_slots, slots_per_chunk)
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
@@ -733,7 +734,7 @@ class TestPrefetch:
         n_trials = 40
         per_slot = 4 * 16 * n_trials
         ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # a slot over the budget: one per chunk
-        for slots_per_chunk in (2, 4, 6):  # the worker draws these chunks alone
+        for slots_per_chunk in (2, 4, 6):  # this thread draws these chunks alone
             got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
             assert handed == self._streams(6, slots_per_chunk)
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
@@ -853,8 +854,8 @@ class TestPrefetch:
         return [e[1] for e in log if e[0] == "chunk"]
 
     def test_hand_off_holds_under_frequent_thread_switches(self, monkeypatch):
-        # each buffer part is scaled here and refilled by the worker, and
-        # where a chunk is one slot by this thread too, each with its own
+        # where a chunk is one slot, each buffer part is scaled here and
+        # refilled by the worker and this thread, each with its own
         # generator, reseeded for each stream it draws: a read before a draw
         # finished, a refill before the read, or a row drawn twice or never
         # would show as changed values once the threads switch every few
@@ -862,7 +863,7 @@ class TestPrefetch:
         # Chunks of 1 slot (600 trials: a slot is over the budget, and both
         # threads draw), whose two buffer parts take turns, and chunks of as
         # many slots as fit in the budget, 3 (300 trials) or 51 (20 trials),
-        # drawn by the worker into one part
+        # drawn by this thread alone into one part
         for n_cycles, n_trials in ((2, 600), (2, 300), (20, 20)):
             plan = build_case_ii(Q35, n_cycles)
             ref = _evaluate_grid([plan], _grid(Q35), n_trials, 9)[0]
@@ -930,18 +931,68 @@ class TestPrefetch:
         return at_compile, len(submitted), len(parts)
 
     def test_the_first_hand_offs_are_handed_over_before_the_decode_tables(self, monkeypatch):
-        # the worker draws the first chunks while this thread compiles the
-        # slot templates and makes the output arrays: chunks 0 and 1 where a
-        # chunk is one slot (N_TRIALS), into the two buffer parts, and chunk
-        # 0 alone where a chunk is 51 slots (20 trials), into the one part.
-        # Either way each chunk is one submit
-        for n_cycles, n_trials, first, parts in ((1, self.N_TRIALS, 2, 2), (20, 20, 1, 1)):
-            plan = build_case_ii(Q35, n_cycles)
-            chunk = max(1, evaluator._DRAW_BUDGET // (4 * 16 * n_trials))
-            n_chunks = math.ceil(len(plan.all_slots()) / chunk)
-            assert n_chunks > parts
-            with monkeypatch.context() as m:
-                assert self._handed_over(m, plan, n_trials) == ([first], n_chunks, parts), n_trials
+        # where a chunk is one slot (N_TRIALS), the worker draws chunks 0 and
+        # 1, into the two buffer parts, while this thread compiles the slot
+        # templates and makes the output arrays; each chunk is one submit
+        plan = build_case_ii(Q35, 1)
+        assert self._handed_over(monkeypatch, plan, self.N_TRIALS) == ([2], len(plan.all_slots()), 2)
+
+    @staticmethod
+    def _no_pool(monkeypatch) -> list:
+        """Patch ThreadPoolExecutor to keep every executor the pass makes."""
+        pools = []
+
+        class Pool(evaluator.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(evaluator, "ThreadPoolExecutor", Pool)
+        return pools
+
+    def test_a_chunk_of_many_slots_is_drawn_on_this_thread_right_before_it_is_scaled(self, monkeypatch):
+        # 20 trials: chunks of 51 slots.  The pass makes no executor and
+        # starts no thread, every _draw and _reseed runs here, one _draw per
+        # chunk, and each chunk is drawn just before it is scaled, with no
+        # chunk drawn ahead of the decode (unit) of the one before
+        caller, before = threading.get_ident(), threading.active_count()
+        pools = self._no_pool(monkeypatch)
+        events, threads, alive = [], set(), set()
+        draw, reseed, scale, normalise = evaluator._draw, evaluator._reseed, evaluator.sample_channel, evaluator.unit
+
+        def spy_draw(rng, take, words, rows):
+            events.append("draw")
+            threads.add(threading.get_ident())
+            alive.add(threading.active_count())
+            draw(rng, take, words, rows)
+
+        def spy_reseed(rng, words):
+            threads.add(threading.get_ident())
+            events.append("reseed")
+            reseed(rng, words)
+
+        def spy_scale(*args, **kwargs):
+            events.append("scale")
+            return scale(*args, **kwargs)
+
+        def spy_unit(*args, **kwargs):
+            events.append("decode")
+            return normalise(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator, "_draw", spy_draw)
+        monkeypatch.setattr(evaluator, "_reseed", spy_reseed)
+        monkeypatch.setattr(evaluator, "sample_channel", spy_scale)
+        monkeypatch.setattr(evaluator, "unit", spy_unit)
+        plan = build_case_ii(Q35, 20)
+        n_slots = len(plan.all_slots())
+        n_chunks = math.ceil(n_slots / (evaluator._DRAW_BUDGET // (4 * 16 * 20)))
+        assert n_chunks > 1
+        estimate_dof(plan, _grid(Q35), 20, seed=4)
+        assert pools == [] and threads == {caller} and alive == {before}
+        steps = [e for e in events if e != "reseed"]
+        assert [e for i, e in enumerate(steps) if not i or e != steps[i - 1]] == ["draw", "scale", "decode"] * n_chunks
+        assert events.count("reseed") == 4 * n_slots
+        assert threading.active_count() == before
 
     def test_no_thread_outlives_the_pass(self, monkeypatch):
         plan = build_case_ii(Q35, 1)
@@ -963,28 +1014,56 @@ class TestPrefetch:
             estimate_dof(plan, _grid(Q35), self.N_TRIALS, seed=4)
         assert threading.active_count() == before
 
-    def test_one_run_of_three_schemes_starts_one_draw_worker(self, monkeypatch, tmp_path):
-        # the run's plans share one grid pass, so one executor and one worker
-        # thread draw for all of them, and neither outlives the run
-        pools, drawers = [], set()
+    def _run_three_schemes(self, monkeypatch, tmp_path, n_trials) -> tuple[list, set]:
+        """The executors made and the threads that drew in one run of three
+        schemes, which must leave no thread behind."""
+        pools, drawers = self._no_pool(monkeypatch), set()
         draw = evaluator._draw
-
-        class Pool(evaluator.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pools.append(self)
 
         def spy_draw(rng, take, words, rows):
             drawers.add(threading.get_ident())
             draw(rng, take, words, rows)
 
-        monkeypatch.setattr(evaluator, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(evaluator, "_draw", spy_draw)
         before = threading.active_count()
-        report = run(ExperimentConfig(0.3, 0.5, schemes=["case-ii", "sc-zf", "ges12-asym"], n_trials=self.N_TRIALS,
+        report = run(ExperimentConfig(0.3, 0.5, schemes=["case-ii", "sc-zf", "ges12-asym"], n_trials=n_trials,
                                       n_cycles=1, output_dir=tmp_path))
         assert [r.name for r in report.results] == ["case-ii", "sc-zf", "ges12-asym"]
-        assert len(pools) == 1 and len(drawers - {threading.get_ident()}) == 1
+        assert threading.active_count() == before
+        return pools, drawers - {threading.get_ident()}
+
+    def test_one_run_of_three_schemes_starts_one_draw_worker(self, monkeypatch, tmp_path):
+        # the run's plans share one grid pass, so one executor and one worker
+        # thread draw for all of them (chunks of one slot), and neither
+        # outlives the run
+        pools, workers = self._run_three_schemes(monkeypatch, tmp_path, self.N_TRIALS)
+        assert len(pools) == 1 and len(workers) == 1
+
+    def test_one_run_of_three_schemes_in_a_chunk_of_many_slots_starts_no_thread(self, monkeypatch, tmp_path):
+        # 20 trials: the run's whole union of slots is one chunk, which this
+        # thread draws, so no executor is made
+        assert self._run_three_schemes(monkeypatch, tmp_path, 20) == ([], set())
+
+    def test_a_decode_failure_in_a_pass_of_many_slot_chunks_leaves_no_thread(self, monkeypatch):
+        # 20 trials: chunks of 51 slots, drawn on this thread.  The decode
+        # fails in the second chunk (unit runs once per user and chunk), and
+        # no executor or thread was made or is left
+        plan = build_case_ii(Q35, 20)
+        pools, calls, normalise = self._no_pool(monkeypatch), [], evaluator.unit
+        alive = set()
+
+        def failing_unit(v, **kwargs):
+            calls.append(v)
+            alive.add(threading.active_count())
+            if len(calls) == 3:
+                raise ZeroDivisionError("decode failed")
+            return normalise(v, **kwargs)
+
+        monkeypatch.setattr(evaluator, "unit", failing_unit)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="decode failed"):
+            estimate_dof(plan, _grid(Q35), 20, seed=4)
+        assert len(calls) == 3 and pools == [] and alive == {before}
         assert threading.active_count() == before
 
     def test_a_decode_failure_with_two_draws_in_flight_leaves_no_thread(self, monkeypatch):

@@ -12,12 +12,14 @@ nothing.
 
 All cases but the shared-pass ones (at the end) run case-ii at (0.3, 0.5), 3
 cycles (12 slots), 20 trials on the 60-120 dB grid, seed 5, with a draw
-budget of two slots' normals: two slots per decode chunk, which the worker
-draws alone, so that the pass has several chunks and some of them wait for
-the next one.  The cases on who draws a row run with a budget one normal
-short of one slot's (SHARED): a slot is then over the budget, a decode chunk
-is one slot, and the calling thread draws the rows of each chunk that the
-worker has not taken.  The chunking does not change the output
+budget of two slots' normals: two slots per decode chunk, which the calling
+thread draws alone, with no worker thread, so that the pass has several
+chunks and some of them wait for the next one.  The cases on who draws a
+row run with a budget one normal short of one slot's (SHARED): a slot is
+then over the budget, a decode chunk is one slot, and the worker draws each
+chunk while the calling thread draws the rows that the worker has not
+taken.  The draw mutations run at both budgets, so they break the worker's
+path and the calling thread's own.  The chunking does not change the output
 (tests/test_evaluator.py), and neither does which thread draws a row, so
 DIGEST is that of the default budget and of every schedule too.  It was
 recorded with numpy 2.4.6; see tests/test_golden.py on other numpy versions.
@@ -119,6 +121,17 @@ def test_a_chunk_settled_one_slot_early(plan, monkeypatch):
     assert _digest(plan) != DIGEST
 
 
+def _breaks_both_draw_paths(plan, *state) -> None:
+    """The patched draw changes the digest where a chunk is one slot, which
+    the worker draws (SHARED), and where it is two, which the calling thread
+    draws alone (the default budget of these cases); state is each list the
+    patch keeps per pass, emptied before each one."""
+    for budget in (SHARED, 2 * PER_SLOT):
+        for kept in state:
+            kept.clear()
+        assert _digest(plan, budget) != DIGEST, budget
+
+
 def test_a_hand_off_given_another_hand_offs_seed_words(plan, one_drawer):
     draw, handed = evaluator._draw, []
 
@@ -127,7 +140,7 @@ def test_a_hand_off_given_another_hand_offs_seed_words(plan, one_drawer):
         draw(rng, take, handed[(len(handed) - 1) // 2], rows)
 
     one_drawer("caller", half_words)
-    assert _digest(plan, SHARED) != DIGEST
+    _breaks_both_draw_paths(plan, handed)
 
 
 def test_one_reseed_per_hand_off(plan, one_drawer):
@@ -137,7 +150,7 @@ def test_one_reseed_per_hand_off(plan, one_drawer):
             rng.standard_normal(out=rows[take()])
 
     one_drawer("caller", reseed_once)
-    assert _digest(plan, SHARED) != DIGEST
+    _breaks_both_draw_paths(plan)
 
 
 def test_a_row_filled_from_another_rows_seed_words(plan, one_drawer):
@@ -147,22 +160,23 @@ def test_a_row_filled_from_another_rows_seed_words(plan, one_drawer):
         draw(rng, take, words[1:] + words[:1], rows)
 
     one_drawer("caller", neighbours_words)
-    assert _digest(plan, SHARED) != DIGEST
+    _breaks_both_draw_paths(plan)
 
 
 def test_a_row_taken_and_left_undrawn(plan, one_drawer):
     draw, chunks = evaluator._draw, []
 
     def drop_one(rng, take, words, rows):
-        # from chunk 2 on, a row left undrawn still holds the normals of the
-        # chunk two before (chunks 0 and 1 fill fresh memory)
+        # from chunk 2 on, a row left undrawn still holds the normals of an
+        # earlier chunk: the one two before where the buffer has two parts
+        # (chunks 0 and 1 fill fresh memory), else the one before
         chunks.append(len(chunks))
         if chunks[-1] >= 2:
             take()
         draw(rng, take, words, rows)
 
     one_drawer("caller", drop_one)
-    assert _digest(plan, SHARED) != DIGEST
+    _breaks_both_draw_paths(plan, chunks)
 
 
 def _swap_side_links(shape):
