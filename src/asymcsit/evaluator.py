@@ -115,9 +115,9 @@ float64 draw buffer of shape (part, slot, point, 2, 2, 2, trial, 2),
 whose parts are filled in turn, a chunk to a part.  Where a chunk is one
 slot, the buffer has two parts, and the pass keeps one worker thread, for
 the length of the pass however many plans it serves.  A chunk is handed
-over to the worker as its streams' seed words and rows and a deque of
+over to the worker as its streams' PCG64 starts and rows and a deque of
 their positions, and the worker starts on that deque, from the front, at
-once: chunks 0 and 1 as soon as the seed table is hashed, before the
+once: chunks 0 and 1 as soon as the state table is made, before the
 decode tables and output arrays are made, and each later one as soon as
 the chunk before it in its part has been scaled, before that chunk is
 projected and decoded.  So the next chunk is drawn while this one
@@ -131,18 +131,25 @@ thread would trade the GIL for every reseed: that cost about what drawing
 beside the decode saved where the host ran both threads at once, and
 far more where it did not (BENCH_inline_draws.json).  The deque holds
 positions, not rows: the thread that draws a row makes its view.  Every
-stream of the pass is hashed on the calling thread, once, before the
-first chunk is drawn: SeedSequence's hash (which holds the GIL) is run as
-uint32 array operations over the whole table of seed words, 32 B per
-(slot, grid point) stream.  Each chunk takes its own slice of that table.
-Each thread that draws has its own PCG64 for the pass, and sets it from a
-stream's words right before it fills that stream's row, so no generator
-is ever reseeded while another draw uses it.  That gives exactly the
-draws of default_rng(SeedSequence(key)), at a fraction of its cost per
-stream.  Each row is taken once, by one thread, and filled from its own
-stream, so the results do not depend on which thread draws it or on thread
-timing.  The worker calls nothing but _draw, _reseed and standard_normal;
-sample_channel and unit run on the calling thread only.
+stream of the pass is seeded on the calling thread, once, before the
+first chunk is drawn, in two steps of array operations over the whole
+table: SeedSequence's hash (which holds the GIL) as uint32 operations
+(_seed_words), then PCG64's seeding as uint64 ones (_pcg_states), which
+give each (slot, grid point) stream's PCG64 start, its state and
+increment, in 32 B laid out as the generator holds them.  Only that state
+table is kept, and each chunk takes its own slice of it.  Each thread
+that draws has its own PCG64 for the pass, and reseeds it right before it
+fills a stream's row by copying the stream's 32 B into the generator's
+state memory (_state_memory), so no generator is ever reseeded while
+another draw uses it, and the pass never calls numpy's state setter.
+That gives exactly the draws of default_rng(SeedSequence(key)), at a
+fraction of its cost per stream.  The order of the four words in that
+memory is read once per process (_word_order), and a layout other than
+the four halves in some order is refused.  Each row is taken once, by one
+thread, and filled from its own stream, so the results do not depend on
+which thread draws it or on thread timing.  The worker calls nothing but
+_draw, _state_memory and standard_normal; sample_channel and unit run on
+the calling thread only.
 
 The pass writes each chunk's errors into its true channels (sample_channel
 adds the estimates in place, with the same bits) and then conjugates the
@@ -155,6 +162,8 @@ products of its directions' projections.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import operator
 from collections import deque
@@ -189,13 +198,18 @@ _DRAW_BUDGET = 2 ** 16  # normals per decode chunk: as many whole slots as fit, 
 _PRECISION_CEILING = 30.0  # largest alpha2 * dB / 10 that check_grid_db accepts
 
 # numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding, which
-# _seed_words and _reseed reproduce exactly
+# _seed_words and _pcg_states reproduce exactly
 _POOL = 4
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # the 128-bit LCG multiplier's halves
+# a PCG64's state and increment as ctypes sees them.  ctypes caches an
+# array type only weakly, and only the cyclic garbage collector frees a
+# type, so `c_uint64 * 4` written in _state_memory would make a new type
+# after each collection and leave it as cyclic garbage; held here, a pass
+# leaves none
+_STATE_WORDS = ctypes.c_uint64 * 4
 
 
 class PlanValidationError(ValueError):
@@ -321,22 +335,102 @@ def _seed_words(seed: int, p_keys: list[int], slots: list[int]) -> np.ndarray:
     return out
 
 
-def _reseed(rng: np.random.Generator, words: list[int]) -> None:
-    """Put rng's PCG64 where PCG64 seeded with these four words starts:
-    pcg64_set_seed's two steps of the 128-bit LCG from state 0."""
-    s_hi, s_lo, i_hi, i_lo = words
-    inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-    state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+def _mul64(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit products of the uint64 array a and the 64-bit constant b,
+    as their (high, low) uint64 halves: 32-bit limbs, whose products are
+    exact in uint64, with the carries added explicitly."""
+    shift, mask = np.uint64(32), np.uint64(_MASK32)
+    a1, a0 = a >> shift, a & mask
+    b1, b0 = np.uint64(b >> 32), np.uint64(b & _MASK32)
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> shift) + (p01 & mask) + (p10 & mask)  # below 3 * 2**32
+    return p11 + (p01 >> shift) + (p10 >> shift) + (mid >> shift), mid << shift | p00 & mask
 
 
-def _draw(rng: np.random.Generator, take: Callable[[], int], words: list[list[int]], rows: np.ndarray) -> None:
+def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b) mod 2**128 for (high, low) pairs of uint64 arrays, which wrap
+    mod 2**64: the low half's carry goes into the high half.
+
+    The carry is the top bit of the low halves' 65-bit sum, taken with the
+    shifts, ands and adds that the rest of the arithmetic runs too: a
+    comparison, and adding its bools, would run numpy loops that no other
+    step of a pass runs, whose code adds about 0.2 MB to the resident set.
+    """
+    one = np.uint64(1)
+    carry = ((a[1] >> one) + (b[1] >> one) + (a[1] & b[1] & one)) >> np.uint64(63)
+    return a[0] + b[0] + carry, a[1] + b[1]
+
+
+def _pcg_states(words: np.ndarray) -> np.ndarray:
+    """The PCG64 state that each stream starts at, from its four seed words
+    (the last axis of words, as _seed_words gives them), laid out as
+    _state_memory holds it: its four uint64 words in _word_order.
+
+    This is pcg64_set_seed, which default_rng runs on those words: seed and
+    initseq are the 128-bit numbers (words 0, 1) and (words 2, 3), high
+    half first; inc = 2 initseq + 1, and two steps of the LCG from state 0
+    give state = (seed + inc) * multiplier + inc, mod 2**128.  Each step is
+    a uint64 array operation over the whole table.
+    """
+    s_hi, s_lo, i_hi, i_lo = (words[..., j] for j in range(_POOL))
+    one = np.uint64(1)
+    inc = (i_hi << one | i_lo >> np.uint64(63), i_lo << one | one)
+    t_hi, t_lo = _add128((s_hi, s_lo), inc)
+    hi, lo = _mul64(t_lo, _PCG_MULT_LO)
+    # the products that reach the high half only, each wrapping mod 2**64
+    hi += t_hi * np.uint64(_PCG_MULT_LO) + t_lo * np.uint64(_PCG_MULT_HI)
+    out = np.empty_like(words)
+    for at, half in zip(_word_order(), _add128((hi, lo), inc) + inc):
+        out[..., at] = half
+    return out
+
+
+def _state_memory(bit_generator: np.random.PCG64) -> memoryview:
+    """The 32 bytes that hold a PCG64's state and increment, as a writable
+    memoryview.  numpy's bit_generator.ctypes.state_address points at the
+    generator's pcg64_state, whose first field points at those bytes; its
+    has_uint32 and uinteger are not in them.  The view does not keep the
+    generator alive: its caller does."""
+    at = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return memoryview(_STATE_WORDS.from_address(at)).cast("B")
+
+
+@functools.cache
+def _word_order() -> tuple[int, ...]:
+    """Where _state_memory keeps the state's high and low halves and the
+    increment's: entry j is the position, among its four uint64 words, of
+    (state high, state low, inc high, inc low)[j].
+
+    numpy's 128-bit type is the compiler's own integer where there is one
+    and a (high, low) pair of words where there is not, so the order is
+    read off once per process, the first time a pass needs it: a probe
+    PCG64's state is set through numpy's state setter to four distinct
+    halves, and its memory is read back.  Any other content than those four
+    halves, in some order, is refused.
+    """
+    # 32 distinct bytes, so that a word or byte out of place shows; inc is odd
+    halves = (0x0001020304050607, 0x08090A0B0C0D0E0F, 0x1011121314151617, 0x18191A1B1C1D1E1F)
+    probe = np.random.PCG64(0)
+    probe.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                   "state": {"state": halves[0] << 64 | halves[1], "inc": halves[2] << 64 | halves[3]}}
+    found = np.frombuffer(_state_memory(probe), np.uint64).tolist()
+    if sorted(found) != sorted(halves):
+        raise RuntimeError(f"numpy {np.__version__} keeps a PCG64's state in a layout that the grid pass does not "
+                           f"know: its memory read {[hex(w) for w in found]} for the state and increment halves "
+                           f"{[hex(h) for h in halves]}")
+    return tuple(found.index(h) for h in halves)
+
+
+def _draw(rng: np.random.Generator, take: Callable[[], int], states: np.ndarray, rows: np.ndarray) -> None:
     """Draw a decode chunk's streams until take() finds none left: each
-    take() gives the position k of a stream that no thread has taken; set
-    rng to the stream's start from its four seed words, words[k], then fill
-    its row, rows[k].
+    take() gives the position k of a stream that no thread has taken; copy
+    the stream's start, states[k] (_pcg_states), into rng's PCG64 state
+    memory, then fill its row, rows[k].
 
+    The copy is the whole of a reseed: the 32 bytes of state and increment,
+    in the generator's own layout.  has_uint32 and uinteger stay 0, as the
+    generator was made, because standard_normal neither reads nor writes
+    them; so the draws are exactly those of default_rng(SeedSequence(key)).
     take pops a deque of the chunk's positions.  Where the chunk is one
     slot, the worker thread draws with popleft and its own generator, and
     the calling thread helps, with pop and the pass's other generator.  A
@@ -345,15 +439,18 @@ def _draw(rng: np.random.Generator, take: Callable[[], int], words: list[list[in
     standard_normal releases the GIL while it fills a row, so the other
     thread keeps running meanwhile.  Where the chunk holds more slots, the
     calling thread alone draws it, with pop, and no worker runs.  Nothing
-    else is called here: the benchmark's tracer (perfbench/tracing.py)
-    keeps a single span stack, for the calling thread.
+    but _state_memory is called here: the benchmark's tracer
+    (perfbench/tracing.py) keeps a single span stack, for the calling
+    thread.
     """
+    memory, starts = _state_memory(rng.bit_generator), memoryview(states).cast("B")
+    size = memory.nbytes
     while True:
         try:
             k = take()
         except IndexError:  # every stream of the chunk is taken
             return
-        _reseed(rng, words[k])
+        memory[:] = starts[k * size:(k + 1) * size]
         rng.standard_normal(out=rows[k])
 
 
@@ -793,19 +890,21 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
     # the draw buffer: a part per chunk that it holds (one, when there is no
     # second chunk), filled in turn.  A chunk is scaled from its part in one call
     normals = np.empty((min(n_chunks, 2 if shared else 1), chunk, len(ps), 2, 2, 2, n_trials, 2))
-    # every stream's seed words, (slot, point, word), hashed in one call
-    words = _seed_words(seed, [_db_key(snr.p_db) for snr in snrs], indices)
+    # every stream's PCG64 start, (slot, point, word): the seed words are
+    # hashed in one call and turned into states in another, and only the
+    # states are kept
+    states = _pcg_states(_seed_words(seed, [_db_key(snr.p_db) for snr in snrs], indices))
     with ThreadPoolExecutor(max_workers=1) if shared else nullcontext() as pool:
         # reseeded per stream, on the worker only
         worker_rng = np.random.Generator(np.random.PCG64(0)) if shared else None
 
         def hand_over(k):
-            # chunk k: its streams' seed words, their rows of buffer part
+            # chunk k: its streams' PCG64 starts, their rows of buffer part
             # k % len(normals) and a deque of their positions, which the
             # worker, if any, starts on at once, from the front.  Called only
             # once that part's last draw has been scaled
             rows = normals[k % len(normals)].reshape((-1,) + normals.shape[3:])
-            streams = words[k * chunk:(k + 1) * chunk].reshape(-1, _POOL).tolist()
+            streams = states[k * chunk:(k + 1) * chunk].reshape(-1, 4)
             queue = deque(range(len(streams)))
             future = pool.submit(_draw, worker_rng, queue.popleft, streams, rows) if shared else None
             return queue, streams, rows, future

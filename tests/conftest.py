@@ -22,14 +22,14 @@ def one_drawer(monkeypatch):
 
     def patch(drawer, draw=real):
         if drawer == "caller":
-            def held_draw(rng, take, words, rows):
+            def held_draw(rng, take, states, rows):
                 if threading.get_ident() == caller:
-                    draw(rng, take, words, rows)
+                    draw(rng, take, states, rows)
         else:
             lock = threading.Lock()
             done = {}  # id(chunk's deque) -> (the deque, so that no id is reused; set once the worker is done)
 
-            def held_draw(rng, take, words, rows):
+            def held_draw(rng, take, states, rows):
                 queue = take.__self__
                 with lock:
                     _, drawn = done.setdefault(id(queue), (queue, threading.Event()))
@@ -37,7 +37,7 @@ def one_drawer(monkeypatch):
                     assert drawn.wait(timeout=60), "the worker never drew this chunk"
                     return
                 try:
-                    draw(rng, take, words, rows)
+                    draw(rng, take, states, rows)
                 finally:
                     drawn.set()
 

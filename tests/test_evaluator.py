@@ -1,10 +1,11 @@
+import gc
 import math
 import sys
 import threading
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,11 +36,14 @@ from asymcsit.evaluator import (
     _common_mis,
     _cross_minors,
     _db_key,
+    _draw,
     _evaluate_grid,
     _logdet_mi,
+    _pcg_states,
     _project,
-    _reseed,
     _seed_words,
+    _state_memory,
+    _word_order,
     check_grid_db,
 )
 from asymcsit.geometry import DofPoint
@@ -447,6 +451,20 @@ class TestEstimateDof:
             tracemalloc.stop()
         assert peak <= 1.1 * self.PASS_PEAK, peak
 
+    @pytest.mark.parametrize("n_trials", [20, 600], ids=["this-thread-draws", "worker-draws"])
+    def test_a_pass_leaves_no_cyclic_garbage(self, n_trials):
+        # what only the cyclic collector frees is freed when it happens to
+        # run, which moves the process's peak resident set from run to run
+        plan, grid = build_case_ii(Q35, 2), _grid(Q35)
+        _evaluate_grid([plan], grid, n_trials, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            _evaluate_grid([plan], grid, n_trials, 3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestSlotTemplates:
     """The pass compiles one decode template per slot shape, not per slot."""
@@ -617,9 +635,41 @@ _point_keys = st.lists(st.integers(0, 3_083_000), min_size=1, max_size=5)
 _slot_indexes = st.lists(st.integers(0, 5000), min_size=1, max_size=6)
 
 
+class _Words(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 the four words it is given."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (4, np.uint64)
+        return np.array(self.words, np.uint64)
+
+
+def _reseeded(states: np.ndarray) -> list:
+    """Run _draw over the streams of a state table, (stream, word), one
+    40-normal row each, with one generator as in the pass; return per
+    stream its generator's whole state when its row was drawn (what the
+    reseed left) and the row."""
+    rng, held = np.random.Generator(np.random.PCG64(0)), []
+
+    class Watched:  # rng, keeping its state at each row it fills
+        bit_generator = rng.bit_generator
+
+        @staticmethod
+        def standard_normal(out):
+            held.append(rng.bit_generator.state)
+            rng.standard_normal(out=out)
+
+    rows = np.empty((len(states), 40))
+    _draw(Watched(), deque(range(len(states))).popleft, states, rows)
+    return list(zip(held, rows))
+
+
 class TestStreamSeeding:
     """The pass seeds its streams all together; each must equal the stream
-    default_rng(SeedSequence([seed, _TAG_CHANNEL, point key, slot])) draws."""
+    default_rng(SeedSequence([seed, _TAG_CHANNEL, point key, slot])) draws,
+    with the generator's whole state equal to that stream's at its start."""
 
     @settings(max_examples=150, deadline=None)
     @given(_seeds, _point_keys, _slot_indexes)
@@ -629,14 +679,79 @@ class TestStreamSeeding:
     def test_seeded_streams_equal_default_rng(self, seed, p_keys, slots):
         words = _seed_words(seed, p_keys, slots)
         assert words.shape == (len(slots), len(p_keys), 4)
-        rng = np.random.Generator(np.random.PCG64(0))  # reused for every stream, as in the pass
+        states = _pcg_states(words)
+        assert states.shape == words.shape and states.dtype == np.uint64
+        reseeded = iter(_reseeded(states.reshape(-1, 4)))
         for s, slot in enumerate(slots):
             for k, p_key in enumerate(p_keys):
                 ref = np.random.SeedSequence([seed, _TAG_CHANNEL, p_key, slot])
                 assert np.array_equal(words[s, k], ref.generate_state(4, np.uint64)), (p_key, slot)
-                _reseed(rng, words[s, k].tolist())
-                ref_draw = np.random.default_rng(ref).standard_normal(40)
-                assert np.array_equal(rng.standard_normal(40), ref_draw), (p_key, slot)
+                ref_rng = np.random.default_rng(ref)
+                held, row = next(reseeded)
+                assert held == ref_rng.bit_generator.state, (p_key, slot)
+                assert held["has_uint32"] == held["uinteger"] == 0
+                assert np.array_equal(row, ref_rng.standard_normal(40)), (p_key, slot)
+
+    @pytest.mark.parametrize("words", [
+        [0, 2 ** 64 - 1, 0, 0],  # the seed's low half plus inc's (1) carries
+        [2 ** 64 - 1, 2 ** 64 - 1, 0, 2 ** 63],  # inc = 2**64 + 1, and the seed plus inc wraps mod 2**128
+        [5, 2 ** 63, 7, 2 ** 63 - 1],  # inc's low half is 2**64 - 1, and its sum with the seed's carries
+        [2 ** 64 - 1] * 4,
+        [0, 0, 0, 0],
+    ])
+    def test_a_start_whose_low_halves_carry(self, words):
+        # the carries out of the low halves, which random words take about
+        # half of the time, and the edges of the words' range
+        held, row = _reseeded(_pcg_states(np.array([words], np.uint64)))[0]
+        ref = np.random.Generator(np.random.PCG64(_Words(words)))
+        assert held == ref.bit_generator.state
+        assert np.array_equal(row, ref.standard_normal(40))
+
+    def test_the_state_memory_layout_is_read_through_the_setter_once(self, monkeypatch):
+        # a PCG64 whose state setter counts its calls.  numpy's setter
+        # refuses a state for another class name, so it keeps PCG64's
+        setter, base = [], np.random.PCG64
+
+        class PCG64(base):
+            @property
+            def state(self):
+                return base.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                setter.append(value["state"])
+                base.state.__set__(self, value)
+
+        monkeypatch.setattr(np.random, "PCG64", PCG64)
+        plan, grid = build_case_ii(Q35, 1), _grid(Q35)
+        _word_order.cache_clear()
+        try:
+            order = _word_order()
+            assert sorted(order) == [0, 1, 2, 3] and len(setter) == 1
+            for n_trials in (20, TestPrefetch.N_TRIALS):  # this thread draws alone, and the worker draws too
+                _evaluate_grid([plan], grid, n_trials, 5)
+            assert len(setter) == 1, "a pass set a generator's state through numpy's setter"
+        finally:
+            _word_order.cache_clear()
+
+    @pytest.mark.parametrize("memory", [
+        lambda words: words[::-1].byteswap(),  # each word's bytes in the other order
+        lambda words: np.zeros(4, np.uint64),
+        lambda words: words[[0, 0, 1, 2]],  # a half missing, another twice
+    ], ids=["byte-swapped", "zeros", "half-repeated"])
+    def test_a_state_memory_layout_that_is_not_known_is_refused(self, monkeypatch, memory):
+        state_memory = evaluator._state_memory
+
+        def seen(bit_generator):
+            return memoryview(memory(np.frombuffer(state_memory(bit_generator), np.uint64)).copy()).cast("B")
+
+        monkeypatch.setattr(evaluator, "_state_memory", seen)
+        _word_order.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=f"numpy {np.__version__} keeps a PCG64's state in a layout"):
+                _evaluate_grid([build_case_ii(Q35, 1)], _grid(Q35), 20, 5)
+        finally:
+            _word_order.cache_clear()
 
     def test_negative_or_fractional_keys_are_refused(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -657,18 +772,18 @@ class TestPrefetch:
 
     @staticmethod
     def _spy_chunks(m) -> list:
-        """Patch _draw to keep each chunk's seed words, one list per stream,
-        in chunk order: both threads may draw a chunk, so it is kept at the
-        first draw of it, under a lock."""
+        """Patch _draw to keep each chunk's PCG64 starts, one row per
+        stream, in chunk order: both threads may draw a chunk, so it is kept
+        at the first draw of it, under a lock."""
         chunks, seen, lock = [], {}, threading.Lock()
         draw = evaluator._draw
 
-        def spy_draw(rng, take, words, rows):
+        def spy_draw(rng, take, states, rows):
             with lock:
-                if id(words) not in seen:
-                    seen[id(words)] = words  # kept, so that no id is reused
-                    chunks.append(words)
-            draw(rng, take, words, rows)
+                if id(states) not in seen:
+                    seen[id(states)] = states  # kept, so that no id is reused
+                    chunks.append(states)
+            draw(rng, take, states, rows)
 
         m.setattr(evaluator, "_draw", spy_draw)
         return chunks
@@ -743,29 +858,36 @@ class TestPrefetch:
     def test_stream_keys_of_one_and_two_words_in_one_pass(self, monkeypatch):
         # slot indices on both sides of 2**32 key their streams with one and
         # with two entropy words; the pass hashes them all in one _seed_words
-        # call, and each chunk must get its own streams' words
+        # call and turns them into PCG64 starts in one _pcg_states call, and
+        # each chunk must get its own streams' starts: the 32 bytes that
+        # default_rng(SeedSequence(key))'s generator holds
         slots = tuple(SlotPlan(i, (SymbolLayer(f"u{i}", OWNER_USER1, orth_to(2), 0.5, 1.0, 0.5),
                                    SymbolLayer(f"v{i}", OWNER_USER2, orth_to(1), 0.5, 1.0, 0.5)))
                       for i in (2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1))
         plan = SchemePlan("hand", Q35, slots, (), (), DofPoint(0, 0), 4.0, 0.0, 0)
         grid, n_trials, seed = _grid(Q35), 40, 5
-        keys = [np.random.SeedSequence([seed, _TAG_CHANNEL, _db_key(snr.p_db), s.index]).generate_state(4, np.uint64)
-                .tolist() for s in slots for snr in grid]
-        seed_words = evaluator._seed_words
+        refs = [np.random.default_rng(np.random.SeedSequence([seed, _TAG_CHANNEL, _db_key(snr.p_db), s.index]))
+                for s in slots for snr in grid]
+        starts = [bytes(_state_memory(ref.bit_generator)) for ref in refs]
+        seed_words, pcg_states = evaluator._seed_words, evaluator._pcg_states
         runs = []
         for slots_per_chunk in (1, 2, len(slots)):
             hashed = []
 
-            def counting_seed_words(*args):
-                hashed.append(args)
-                return seed_words(*args)
+            def counting(name, fn):
+                def counted(*args):
+                    hashed.append(name)
+                    return fn(*args)
+                return counted
 
             with monkeypatch.context() as m:
-                m.setattr(evaluator, "_seed_words", counting_seed_words)
+                m.setattr(evaluator, "_seed_words", counting("_seed_words", seed_words))
+                m.setattr(evaluator, "_pcg_states", counting("_pcg_states", pcg_states))
                 chunks = self._spy_chunks(m)
                 m.setattr(evaluator, "_DRAW_BUDGET", slots_per_chunk * 4 * 16 * n_trials)
                 runs.append(_evaluate_grid([plan], grid, n_trials, seed)[0])
-            assert len(hashed) == 1 and [words for c in chunks for words in c] == keys, slots_per_chunk
+            assert hashed == ["_seed_words", "_pcg_states"], slots_per_chunk
+            assert [start.tobytes() for c in chunks for start in c] == starts, slots_per_chunk
         for got in runs[1:]:
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, runs[0]):
                 assert np.array_equal(a, b), what
@@ -777,20 +899,18 @@ class TestPrefetch:
     def _log_chunks(self, monkeypatch):
         """Log, in the order they happen on either thread, each chunk's
         first draw (by the address of its first row), each row taken (by
-        thread, generator and address, atomically with the take), filled and
-        reseeded (by thread and seed words), and each scaling of a buffer."""
+        thread, generator and address, atomically with the take), reseeded
+        (by thread, the state its generator holds when it fills the row, and
+        the row's stream start) and filled, and each scaling of a buffer."""
         log, seen, lock = [], {}, threading.Lock()
-        draw, scale, reseed = evaluator._draw, evaluator.sample_channel, evaluator._reseed
+        draw, scale = evaluator._draw, evaluator.sample_channel
 
-        def spy_reseed(rng, words):
-            log.append(("reseed", threading.get_ident(), tuple(words)))
-            reseed(rng, words)
-
-        def spy_draw(rng, take, words, rows):
+        def spy_draw(rng, take, states, rows):
             with lock:
-                if id(words) not in seen:
-                    seen[id(words)] = words
+                if id(states) not in seen:
+                    seen[id(states)] = states
                     log.append(("chunk", self._address(rows[0])))
+            memory = _state_memory(rng.bit_generator)
 
             def logged_take():
                 with lock:
@@ -798,21 +918,22 @@ class TestPrefetch:
                     log.append(("take", self._address(rows[k]), threading.get_ident(), id(rng), rows[k].nbytes))
                 return k
 
-            class Logged:  # rng, logging each row it fills
+            class Logged:  # rng, logging the state it fills each row from, and each row it fills
                 bit_generator = rng.bit_generator
 
                 @staticmethod
                 def standard_normal(out):
+                    k = (self._address(out) - self._address(rows[0])) // out.nbytes
+                    log.append(("reseed", threading.get_ident(), bytes(memory), states[k].tobytes()))
                     rng.standard_normal(out=out)
                     log.append(("drawn", self._address(out)))
 
-            draw(Logged(), logged_take, words, rows)
+            draw(Logged(), logged_take, states, rows)
 
         def spy_scale(snrs, normals, *args, **kwargs):
             log.append(("scale", self._address(normals), normals.nbytes))
             return scale(snrs, normals, *args, **kwargs)
 
-        monkeypatch.setattr(evaluator, "_reseed", spy_reseed)
         monkeypatch.setattr(evaluator, "_draw", spy_draw)
         monkeypatch.setattr(evaluator, "sample_channel", spy_scale)
         return log
@@ -823,9 +944,9 @@ class TestPrefetch:
         (free) in turn: no row is taken again from the take of it until it
         has been scaled, and a scaling reads only drawn rows, every row in
         its range.  Each thread draws with one generator of its own, and
-        each of the n_streams streams is reseeded exactly once, by the
-        thread that took its row.  Returns the first row of each chunk, in
-        chunk order."""
+        each of the n_streams streams is reseeded exactly once, to its own
+        start, by the thread that took its row.  Returns the first row of
+        each chunk, in chunk order."""
         takes = [e for e in log if e[0] == "take"]
         generators = {}
         for _, _, thread, rng, _ in takes:
@@ -834,6 +955,7 @@ class TestPrefetch:
         assert len(set.union(*generators.values())) == len(generators), "no generator shared by the threads"
         reseeds = [e for e in log if e[0] == "reseed"]
         assert len({e[2] for e in reseeds}) == len(reseeds) == len(takes) == n_streams
+        assert all(held == start for _, _, held, start in reseeds)
         for thread in generators:
             assert sum(e[1] == thread for e in reseeds) == sum(e[2] == thread for e in takes)
         row_bytes = takes[0][4]
@@ -889,20 +1011,24 @@ class TestPrefetch:
 
     def test_traced_names_run_on_the_calling_thread(self, monkeypatch, one_drawer):
         # perfbench's tracer keeps one span stack, for the calling thread;
-        # only _draw and _reseed (and standard_normal) run on the worker.
-        # The calling thread's draws (a slot over the budget: it helps) are
-        # held, so that the worker draws every row
+        # only _draw, which reseeds, its _state_memory (and standard_normal)
+        # run on the worker.  The calling thread's draws (a slot over the
+        # budget: it helps) are held, so that the worker draws every row.
+        # The state memory's layout is read before the spies go in: a first
+        # pass in the process reads it on this thread
         caller = threading.get_ident()
+        _word_order()
         one_drawer("worker")
         seen: dict[str, set] = {}
-        for name in ("sample_channel", "unit", "_draw", "_reseed"):
+        for name in ("sample_channel", "unit", "_draw", "_state_memory"):
             def spy(*args, _fn=getattr(evaluator, name), _name=name, **kwargs):
                 seen.setdefault(_name, set()).add(threading.get_ident())
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(evaluator, name, spy)
         estimate_dof(build_case_ii(Q35, 1), _grid(Q35), self.N_TRIALS, seed=4)
         assert seen["sample_channel"] == seen["unit"] == {caller}
-        assert len(seen["_draw"]) == 2 and caller in seen["_draw"] and seen["_reseed"] == seen["_draw"] - {caller}
+        assert len(seen["_draw"]) == 2 and caller in seen["_draw"]
+        assert seen["_state_memory"] == seen["_draw"] - {caller}
 
     def _handed_over(self, monkeypatch, plan, n_trials):
         """The draws submitted to the worker before _compile runs, those
@@ -920,9 +1046,9 @@ class TestPrefetch:
             at_compile.append(len(submitted))
             return compile_templates(*args)
 
-        def spy_draw(rng, take, words, rows):
+        def spy_draw(rng, take, states, rows):
             parts.add(self._address(rows[0]))
-            draw(rng, take, words, rows)
+            draw(rng, take, states, rows)
 
         monkeypatch.setattr(evaluator, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(evaluator, "_compile", spy_compile)
@@ -952,24 +1078,30 @@ class TestPrefetch:
 
     def test_a_chunk_of_many_slots_is_drawn_on_this_thread_right_before_it_is_scaled(self, monkeypatch):
         # 20 trials: chunks of 51 slots.  The pass makes no executor and
-        # starts no thread, every _draw and _reseed runs here, one _draw per
-        # chunk, and each chunk is drawn just before it is scaled, with no
-        # chunk drawn ahead of the decode (unit) of the one before
+        # starts no thread, every _draw and every reseed and fill of a row
+        # runs here, one _draw per chunk, and each chunk is drawn just before
+        # it is scaled, with no chunk drawn ahead of the decode (unit) of the
+        # one before
         caller, before = threading.get_ident(), threading.active_count()
         pools = self._no_pool(monkeypatch)
         events, threads, alive = [], set(), set()
-        draw, reseed, scale, normalise = evaluator._draw, evaluator._reseed, evaluator.sample_channel, evaluator.unit
+        draw, scale, normalise = evaluator._draw, evaluator.sample_channel, evaluator.unit
 
-        def spy_draw(rng, take, words, rows):
+        def spy_draw(rng, take, states, rows):
             events.append("draw")
             threads.add(threading.get_ident())
             alive.add(threading.active_count())
-            draw(rng, take, words, rows)
 
-        def spy_reseed(rng, words):
-            threads.add(threading.get_ident())
-            events.append("reseed")
-            reseed(rng, words)
+            class Logged:  # rng, logging each row it fills from a reseeded state
+                bit_generator = rng.bit_generator
+
+                @staticmethod
+                def standard_normal(out):
+                    threads.add(threading.get_ident())
+                    events.append("reseed")
+                    rng.standard_normal(out=out)
+
+            draw(Logged(), take, states, rows)
 
         def spy_scale(*args, **kwargs):
             events.append("scale")
@@ -980,7 +1112,6 @@ class TestPrefetch:
             return normalise(*args, **kwargs)
 
         monkeypatch.setattr(evaluator, "_draw", spy_draw)
-        monkeypatch.setattr(evaluator, "_reseed", spy_reseed)
         monkeypatch.setattr(evaluator, "sample_channel", spy_scale)
         monkeypatch.setattr(evaluator, "unit", spy_unit)
         plan = build_case_ii(Q35, 20)
@@ -1020,9 +1151,9 @@ class TestPrefetch:
         pools, drawers = self._no_pool(monkeypatch), set()
         draw = evaluator._draw
 
-        def spy_draw(rng, take, words, rows):
+        def spy_draw(rng, take, states, rows):
             drawers.add(threading.get_ident())
-            draw(rng, take, words, rows)
+            draw(rng, take, states, rows)
 
         monkeypatch.setattr(evaluator, "_draw", spy_draw)
         before = threading.active_count()
@@ -1081,12 +1212,12 @@ class TestPrefetch:
                 futures.append(super().submit(fn, *args, **kwargs))
                 return futures[-1]
 
-        def held_draw(rng, take, words, rows):
+        def held_draw(rng, take, states, rows):
             if threading.get_ident() != caller:
-                started.append(len(words))
+                started.append(len(states))
                 if len(started) > 1:
                     assert release.wait(timeout=60)
-            draw(rng, take, words, rows)
+            draw(rng, take, states, rows)
 
         def failing_unit(v, **kwargs):
             in_flight.append(sum(not f.done() for f in futures))
@@ -1115,8 +1246,8 @@ class TestPrefetch:
         failure = DrawFailed("standard_normal failed")
 
         class BrokenStream:
-            def __init__(self):
-                self.bit_generator = SimpleNamespace()  # _reseed sets its state
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator  # _draw reseeds it
 
             def standard_normal(self, out):
                 raise failure
@@ -1124,9 +1255,9 @@ class TestPrefetch:
         plan = build_case_ii(Q35, 1)
         draw = evaluator._draw
 
-        def nth_draw_fails(rng, take, words, rows):
+        def nth_draw_fails(rng, take, states, rows):
             buffers.append(self._address(rows))
-            draw(BrokenStream() if len(buffers) == failing else rng, take, words, rows)
+            draw(BrokenStream(rng) if len(buffers) == failing else rng, take, states, rows)
 
         for drawer in ("worker", "caller"):
             buffers = []

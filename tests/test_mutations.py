@@ -2,7 +2,8 @@
 with monkeypatch and asserts that a check fails.
 
 The rules are the ones whose faults results alone would not show: the
-slot a chunk settles after, which stream's seed words a chunk gets and
+slot a chunk settles after, each stream's PCG64 start (its increment's
+low bit and the 128-bit carries), which streams' starts a chunk gets and
 which row each of them fills, one reseed per stream, the decode wiring
 the plan stores (side links, SIC order, carried ranks, each slot's shape),
 and which slots and directions each plan of a shared pass reads.
@@ -18,14 +19,16 @@ chunks and some of them wait for the next one.  The cases on who draws a
 row run with a budget one normal short of one slot's (SHARED): a slot is
 then over the budget, a decode chunk is one slot, and the worker draws each
 chunk while the calling thread draws the rows that the worker has not
-taken.  The draw mutations run at both budgets, so they break the worker's
-path and the calling thread's own.  The chunking does not change the output
+taken.  The draw and state-table mutations run at both budgets, so they
+break the worker's path and the calling thread's own; a state table of
+Python ints, which must hold DIGEST unbroken, is the one that the
+state-table mutations break.  The chunking does not change the output
 (tests/test_evaluator.py), and neither does which thread draws a row, so
 DIGEST is that of the default budget and of every schedule too.  It was
 recorded with numpy 2.4.6; see tests/test_golden.py on other numpy versions.
 Each draw mutation keeps the worker out of the draw (its draws return at
 once), so that the calling thread draws every row and the mutation acts the
-same in every run.  The cases patch private names of asymcsit.evaluator and
+same in every run; a broken state table breaks every row, whoever draws it.  The cases patch private names of asymcsit.evaluator and
 asymcsit.schemes, so a rename must port its case.
 """
 
@@ -50,6 +53,8 @@ N_TRIALS = 20
 PER_SLOT = len(GRID) * 16 * N_TRIALS  # normals per slot
 SHARED = PER_SLOT - 1  # a slot over the budget: one slot per decode chunk, whose rows both threads draw
 DIGEST = "ecb635707496f9ade08678b467cd3a6f5cd5ceea27e50316acb0e84743b84d51"
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier
 
 
 def _digest(plan, budget=2 * PER_SLOT) -> str:
@@ -62,16 +67,37 @@ def _digest(plan, budget=2 * PER_SLOT) -> str:
     return h.hexdigest()
 
 
-def _log_reseeds(monkeypatch) -> list:
-    """Log each stream's reseed as (thread, its seed words)."""
-    log, reseed = [], evaluator._reseed
+def _logging_draw(log: list):
+    """The real _draw, logging each row it fills as (thread, the stream's
+    start as the chunk hands it over, the state that the generator holds
+    when standard_normal fills the row): the state that the reseed left."""
+    draw = evaluator._draw
 
-    def spy_reseed(rng, words):
-        log.append((threading.get_ident(), tuple(words)))
-        reseed(rng, words)
+    def logged(rng, take, states, rows):
+        memory, taken = evaluator._state_memory(rng.bit_generator), []
 
-    monkeypatch.setattr(evaluator, "_reseed", spy_reseed)
-    return log
+        def logged_take():
+            taken.append(take())
+            return taken[-1]
+
+        class Watched:  # rng, logging the state it fills each row from
+            bit_generator = rng.bit_generator
+
+            @staticmethod
+            def standard_normal(out):
+                log.append((threading.get_ident(), states[taken[-1]].tobytes(), bytes(memory)))
+                rng.standard_normal(out=out)
+
+        draw(Watched(), logged_take, states, rows)
+
+    return logged
+
+
+def _reseeded_once(plan, reseeds) -> None:
+    """Every stream of the pass was drawn once, from its own start."""
+    streams = Counter(start for _, start, _ in reseeds)
+    assert len(streams) == len(plan.all_slots()) * len(GRID) and set(streams.values()) == {1}
+    assert all(held == start for _, start, held in reseeds)
 
 
 def _stored(monkeypatch, name, value):
@@ -89,28 +115,27 @@ def test_the_stored_digest_holds(plan):
 
 
 @pytest.mark.parametrize("drawer", ["caller", "worker"])
-def test_the_digest_holds_when_one_thread_draws_every_row(plan, monkeypatch, one_drawer, drawer):
-    reseeds = _log_reseeds(monkeypatch)
-    one_drawer(drawer)
+def test_the_digest_holds_when_one_thread_draws_every_row(plan, one_drawer, drawer):
+    reseeds = []
+    one_drawer(drawer, _logging_draw(reseeds))
     assert _digest(plan, SHARED) == DIGEST
-    streams = Counter(words for _, words in reseeds)
-    assert len(streams) == len(plan.all_slots()) * len(GRID) and set(streams.values()) == {1}
-    by_caller = {thread == threading.get_ident() for thread, _ in reseeds}
+    _reseeded_once(plan, reseeds)
+    by_caller = {thread == threading.get_ident() for thread, _, _ in reseeds}
     assert by_caller == {drawer == "caller"}
 
 
 def test_each_stream_is_reseeded_once_under_frequent_thread_switches(plan, monkeypatch):
     # both threads take rows of each chunk, and switch every few
     # microseconds: a row taken twice, or by neither, shows in the counts
-    reseeds = _log_reseeds(monkeypatch)
+    reseeds = []
+    monkeypatch.setattr(evaluator, "_draw", _logging_draw(reseeds))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             reseeds.clear()
             assert _digest(plan, SHARED) == DIGEST
-            streams = Counter(words for _, words in reseeds)
-            assert len(streams) == len(plan.all_slots()) * len(GRID) and set(streams.values()) == {1}
+            _reseeded_once(plan, reseeds)
     finally:
         sys.setswitchinterval(interval)
 
@@ -135,17 +160,17 @@ def _breaks_both_draw_paths(plan, *state) -> None:
 def test_a_hand_off_given_another_hand_offs_seed_words(plan, one_drawer):
     draw, handed = evaluator._draw, []
 
-    def half_words(rng, take, words, rows):  # chunk k draws chunk k // 2's streams
-        handed.append(words)
+    def half_starts(rng, take, states, rows):  # chunk k draws chunk k // 2's streams
+        handed.append(states)
         draw(rng, take, handed[(len(handed) - 1) // 2], rows)
 
-    one_drawer("caller", half_words)
+    one_drawer("caller", half_starts)
     _breaks_both_draw_paths(plan, handed)
 
 
 def test_one_reseed_per_hand_off(plan, one_drawer):
-    def reseed_once(rng, take, words, rows):
-        evaluator._reseed(rng, words[-1])
+    def reseed_once(rng, take, states, rows):
+        evaluator._state_memory(rng.bit_generator)[:] = states[-1].tobytes()
         while take.__self__:
             rng.standard_normal(out=rows[take()])
 
@@ -156,24 +181,57 @@ def test_one_reseed_per_hand_off(plan, one_drawer):
 def test_a_row_filled_from_another_rows_seed_words(plan, one_drawer):
     draw = evaluator._draw
 
-    def neighbours_words(rng, take, words, rows):  # each row gets the next stream's words
-        draw(rng, take, words[1:] + words[:1], rows)
+    def neighbours_start(rng, take, states, rows):  # each row gets the next stream's start
+        draw(rng, take, np.roll(states, -1, axis=0), rows)
 
-    one_drawer("caller", neighbours_words)
+    one_drawer("caller", neighbours_start)
+    _breaks_both_draw_paths(plan)
+
+
+def _states(inc_low_bit=1, carry=True):
+    """A _pcg_states of Python ints, whose increment's low bit and whose
+    carries out of the low halves of the two 128-bit additions may be
+    broken."""
+    def add(a, b):
+        return (a + b if carry else (a >> 64) + (b >> 64) << 64 | (a + b) & _MASK64) & _MASK128
+
+    def states(words):
+        out = np.empty_like(words)
+        for index in np.ndindex(words.shape[:-1]):
+            s_hi, s_lo, i_hi, i_lo = words[index].tolist()
+            inc = ((i_hi << 64 | i_lo) << 1 | inc_low_bit) & _MASK128
+            state = add(add(s_hi << 64 | s_lo, inc) * _PCG_MULT & _MASK128, inc)
+            for at, half in zip(evaluator._word_order(), (state >> 64, state & _MASK64, inc >> 64, inc & _MASK64)):
+                out[index + (at,)] = half
+        return out
+
+    return states
+
+
+def test_a_reference_state_table_holds_the_digest(plan, monkeypatch):
+    # the mutations below break this table, so it must be the pass's own
+    monkeypatch.setattr(evaluator, "_pcg_states", _states())
+    assert _digest(plan, SHARED) == _digest(plan) == DIGEST
+
+
+@pytest.mark.parametrize("states", [_states(inc_low_bit=0), _states(carry=False)],
+                         ids=["even-increment", "carry-dropped"])
+def test_a_broken_state_table(plan, monkeypatch, states):
+    monkeypatch.setattr(evaluator, "_pcg_states", states)
     _breaks_both_draw_paths(plan)
 
 
 def test_a_row_taken_and_left_undrawn(plan, one_drawer):
     draw, chunks = evaluator._draw, []
 
-    def drop_one(rng, take, words, rows):
+    def drop_one(rng, take, states, rows):
         # from chunk 2 on, a row left undrawn still holds the normals of an
         # earlier chunk: the one two before where the buffer has two parts
         # (chunks 0 and 1 fill fresh memory), else the one before
         chunks.append(len(chunks))
         if chunks[-1] >= 2:
             take()
-        draw(rng, take, words, rows)
+        draw(rng, take, states, rows)
 
     one_drawer("caller", drop_one)
     _breaks_both_draw_paths(plan, chunks)
