@@ -102,72 +102,46 @@ front).  Per-layer entries of a jointly decoded vector are the joint rate
 split proportionally to each symbol's genie-aided (others-known) rate, so
 they sum to the joint rate and keep each symbol's pre-log.
 
-All randomness is drawn from streams keyed by (seed, grid point, slot), so
-results are reproducible for a given (seed, trial count, grid) no matter
-how the work is ordered, and different schemes compared on the same grid
-read the same channels, which one estimate_dofs pass draws only once.
+Channels come from one stream per (grid point, slot), keyed by the seed
+too; channel.py's module docstring states the keys, the draw layout, the
+seeding and the reseeds.  So results are reproducible for a given (seed,
+trial count, grid) however the work is ordered, and schemes compared on
+one grid read the same channels, which one estimate_dofs pass draws only
+once.  The pass seeds all of its streams on the calling thread, once,
+before the first chunk is drawn, and keeps only their PCG64 starts, a
+slice of them per chunk.
 
-The standard normals are the one part of a slot that can run off the
-calling thread: numpy's standard_normal releases the GIL.  Where a chunk
-is one slot, the worker draws and the calling thread helps; where a
-chunk holds more, the calling thread draws alone.  The pass has one
-float64 draw buffer of shape (part, slot, point, 2, 2, 2, trial, 2),
-whose parts are filled in turn, a chunk to a part.  Where a chunk is one
-slot, the buffer has two parts, and the pass keeps one worker thread, for
-the length of the pass however many plans it serves.  A chunk is handed
-over to the worker as its streams' PCG64 starts and rows and a deque of
-their positions, and the worker starts on that deque, from the front, at
-once: chunks 0 and 1 as soon as the state table is made, before the
-decode tables and output arrays are made, and each later one as soon as
-the chunk before it in its part has been scaled, before that chunk is
-projected and decoded.  So the next chunk is drawn while this one
-decodes.  When the calling thread needs a chunk, it draws the rows that
-the worker has not taken, from the back, and then waits only for the row
-that the worker is drawing.  Where a chunk holds many small slots, the
-buffer has one part and the pass starts no thread: the calling thread
-draws every row of a chunk, from the back, right before it scales the
-chunk.  There a row is a few hundred normals, and a worker and this
-thread would trade the GIL for every reseed: that cost about what drawing
-beside the decode saved where the host ran both threads at once, and
-far more where it did not (BENCH_inline_draws.json).  The deque holds
-positions, not rows: the thread that draws a row makes its view.  Every
-stream of the pass is seeded on the calling thread, once, before the
-first chunk is drawn, in two steps of array operations over the whole
-table: SeedSequence's hash (which holds the GIL) as uint32 operations
-(_seed_words), then PCG64's seeding as uint64 ones (_pcg_states), which
-give each (slot, grid point) stream's PCG64 start, its state and
-increment, in 32 B laid out as the generator holds them.  Only that state
-table is kept, and each chunk takes its own slice of it.  Each thread
-that draws has its own PCG64 for the pass, and reseeds it right before it
-fills a stream's row by copying the stream's 32 B into the generator's
-state memory (_state_memory), so no generator is ever reseeded while
-another draw uses it, and the pass never calls numpy's state setter.
-That gives exactly the draws of default_rng(SeedSequence(key)), at a
-fraction of its cost per stream.  The order of the four words in that
-memory is read once per process (_word_order), and a layout other than
-the four halves in some order is refused.  Each row is taken once, by one
-thread, and filled from its own stream, so the results do not depend on
-which thread draws it or on thread timing.  The worker calls nothing but
-_draw, _state_memory and standard_normal; sample_channel and unit run on
-the calling thread only.
+The draw schedule.  The pass's draw buffer is (part, slot, grid point) +
+a stream's row, and its parts are filled in turn, a chunk to a part.
+Every chunk is handed over one part ahead, as its streams' starts, its
+rows and a deque of their positions: the first chunk of each part before
+the decode tables are made, and each later one as soon as the chunk
+before it in its part has been scaled.  Where a chunk is one slot, the
+buffer has two parts, and one worker thread, kept for the whole pass
+however many plans it serves, starts on each deque at once, from the
+front, so the next chunk is drawn while this one decodes.  When the
+calling thread needs the chunk, it draws from the back the rows that the
+worker has not taken and then waits only for the row that the worker is
+drawing; standard_normal releases the GIL, so both draw at once.  Where a
+chunk holds more slots, the buffer has one part and no thread is started:
+the calling thread draws each chunk whole right before it scales it.
+There a row is a few hundred normals, and two threads would trade the GIL
+for every reseed, which cost about what drawing beside the decode saved
+where the host ran both threads at once, and far more where it did not
+(BENCH_inline_draws.json).  The worker calls nothing but _draw;
+sample_channel and unit run on the calling thread only, where the
+benchmark's tracer (perfbench/tracing.py) keeps its one span stack.
 
 The pass writes each chunk's errors into its true channels (sample_channel
 adds the estimates in place, with the same bits) and then conjugates the
-true channels in place, once, so every projection is a product and a sum.
-Each estimate is normalised once per chunk, into the scratch buffer, and
-orth_to(k)'s direction is derived from it in place (_orth), bit for bit
-what orth_complement gives; the estimate's own buffer then holds the
-products of its directions' projections.
+true channels in place, once, so every projection is a product and a sum
+(_project).
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import operator
 from collections import deque
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -179,6 +153,7 @@ import numpy as np
 # orth_complement is not called here (_orth derives it from unit), but the
 # benchmark's tracer (perfbench/tracing.py) patches it under this module
 from .channel import ChannelRealization, SnrPoint, orth_complement, sample_channel, unit  # noqa: F401
+from .channel import _db_key, _dot, _draw, _orth, _pcg_states, _row, _seed_words
 from .geometry import DofPoint
 from .schemes import _DIRECTIONS, _USERS, OWNER_COMMON, SchemePlan, SlotShape, SymbolLayer, _require_int, validate_plan
 
@@ -193,23 +168,8 @@ __all__ = [
     "residual_power_probe",
 ]
 
-_TAG_CHANNEL = 1
 _DRAW_BUDGET = 2 ** 16  # normals per decode chunk: as many whole slots as fit, at least one
 _PRECISION_CEILING = 30.0  # largest alpha2 * dB / 10 that check_grid_db accepts
-
-# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding, which
-# _seed_words and _pcg_states reproduce exactly
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # the 128-bit LCG multiplier's halves
-# a PCG64's state and increment as ctypes sees them.  ctypes caches an
-# array type only weakly, and only the cyclic garbage collector frees a
-# type, so `c_uint64 * 4` written in _state_memory would make a new type
-# after each collection and leave it as cyclic garbage; held here, a pass
-# leaves none
-_STATE_WORDS = ctypes.c_uint64 * 4
 
 
 class PlanValidationError(ValueError):
@@ -245,240 +205,6 @@ class DofEstimate:
     point_stderr: tuple[tuple[float, float], ...]
     slope: DofPoint
     stderr: tuple[float, float]
-
-
-def _db_key(p_db: float) -> int:
-    """A grid point's stream key: its power rounded to 0.001 dB."""
-    return int(round(p_db * 1000.0))
-
-
-def _words(n: int) -> list[int]:
-    """n as SeedSequence reads an int: little-endian uint32 words, [0] for 0."""
-    n = operator.index(n)  # numpy integers too, floats refused
-    if n < 0:
-        raise ValueError(f"stream keys must be >= 0, got {n}")
-    words = []
-    while True:
-        words.append(n & _MASK32)
-        n >>= 32
-        if not n:
-            return words
-
-
-def _hash_pool(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence's pool mix and generate_state(4, np.uint64), one stream
-    per row of entropy (uint32 words, all rows of one length).
-
-    The hash constants advance the same way whatever the data, so each step
-    is one uint32 array operation over all rows, wrapping as the scalar
-    code does.
-    """
-    n, width = entropy.shape
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value *= np.uint32(hash_const)
-        value ^= value >> np.uint32(16)
-        return value
-
-    def mix(x, y):  # in place on x and y
-        x *= np.uint32(_MIX_L)
-        y *= np.uint32(_MIX_R)
-        x -= y
-        x ^= x >> np.uint32(16)
-        return x
-
-    words = list(entropy.T) + [np.zeros(n, np.uint32)] * (_POOL - width)
-    pool = [hashmix(words[i]) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, width):
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(words[src]))
-    hash_const = _INIT_B
-    state = np.empty((n, 2 * _POOL), np.uint32)
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value *= np.uint32(hash_const)
-        state[:, i] = value ^ (value >> np.uint32(16))
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-def _seed_words(seed: int, p_keys: list[int], slots: list[int]) -> np.ndarray:
-    """Entry [s, k] is SeedSequence([seed, _TAG_CHANNEL, p_keys[k],
-    slots[s]]).generate_state(4, np.uint64): the words default_rng's PCG64
-    seeds that (grid point, slot) stream from.
-
-    The entropy rows are built as arrays, and all streams whose keys take
-    the same number of words are hashed together.
-    """
-    head = _words(seed) + [_TAG_CHANNEL]
-    point_words = [_words(k) for k in p_keys]
-    slot_words = [_words(s) for s in slots]
-    out = np.empty((len(slots), len(p_keys), _POOL), np.uint64)
-    for point_width in {len(w) for w in point_words}:
-        cols = [k for k, w in enumerate(point_words) if len(w) == point_width]
-        for slot_width in {len(w) for w in slot_words}:
-            rows = [s for s, w in enumerate(slot_words) if len(w) == slot_width]
-            entropy = np.empty((len(rows), len(cols), len(head) + point_width + slot_width), np.uint32)
-            entropy[..., :len(head)] = head
-            entropy[..., len(head):len(head) + point_width] = [point_words[k] for k in cols]
-            entropy[..., len(head) + point_width:] = np.array([slot_words[s] for s in rows])[:, None, :]
-            hashed = _hash_pool(entropy.reshape(-1, entropy.shape[-1]))
-            out[np.ix_(rows, cols)] = hashed.reshape(len(rows), len(cols), _POOL)
-    return out
-
-
-def _mul64(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 128-bit products of the uint64 array a and the 64-bit constant b,
-    as their (high, low) uint64 halves: 32-bit limbs, whose products are
-    exact in uint64, with the carries added explicitly."""
-    shift, mask = np.uint64(32), np.uint64(_MASK32)
-    a1, a0 = a >> shift, a & mask
-    b1, b0 = np.uint64(b >> 32), np.uint64(b & _MASK32)
-    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
-    mid = (p00 >> shift) + (p01 & mask) + (p10 & mask)  # below 3 * 2**32
-    return p11 + (p01 >> shift) + (p10 >> shift) + (mid >> shift), mid << shift | p00 & mask
-
-
-def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(a + b) mod 2**128 for (high, low) pairs of uint64 arrays, which wrap
-    mod 2**64: the low half's carry goes into the high half.
-
-    The carry is the top bit of the low halves' 65-bit sum, taken with the
-    shifts, ands and adds that the rest of the arithmetic runs too: a
-    comparison, and adding its bools, would run numpy loops that no other
-    step of a pass runs, whose code adds about 0.2 MB to the resident set.
-    """
-    one = np.uint64(1)
-    carry = ((a[1] >> one) + (b[1] >> one) + (a[1] & b[1] & one)) >> np.uint64(63)
-    return a[0] + b[0] + carry, a[1] + b[1]
-
-
-def _pcg_states(words: np.ndarray) -> np.ndarray:
-    """The PCG64 state that each stream starts at, from its four seed words
-    (the last axis of words, as _seed_words gives them), laid out as
-    _state_memory holds it: its four uint64 words in _word_order.
-
-    This is pcg64_set_seed, which default_rng runs on those words: seed and
-    initseq are the 128-bit numbers (words 0, 1) and (words 2, 3), high
-    half first; inc = 2 initseq + 1, and two steps of the LCG from state 0
-    give state = (seed + inc) * multiplier + inc, mod 2**128.  Each step is
-    a uint64 array operation over the whole table.
-    """
-    s_hi, s_lo, i_hi, i_lo = (words[..., j] for j in range(_POOL))
-    one = np.uint64(1)
-    inc = (i_hi << one | i_lo >> np.uint64(63), i_lo << one | one)
-    t_hi, t_lo = _add128((s_hi, s_lo), inc)
-    hi, lo = _mul64(t_lo, _PCG_MULT_LO)
-    # the products that reach the high half only, each wrapping mod 2**64
-    hi += t_hi * np.uint64(_PCG_MULT_LO) + t_lo * np.uint64(_PCG_MULT_HI)
-    out = np.empty_like(words)
-    for at, half in zip(_word_order(), _add128((hi, lo), inc) + inc):
-        out[..., at] = half
-    return out
-
-
-def _state_memory(bit_generator: np.random.PCG64) -> memoryview:
-    """The 32 bytes that hold a PCG64's state and increment, as a writable
-    memoryview.  numpy's bit_generator.ctypes.state_address points at the
-    generator's pcg64_state, whose first field points at those bytes; its
-    has_uint32 and uinteger are not in them.  The view does not keep the
-    generator alive: its caller does."""
-    at = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
-    return memoryview(_STATE_WORDS.from_address(at)).cast("B")
-
-
-@functools.cache
-def _word_order() -> tuple[int, ...]:
-    """Where _state_memory keeps the state's high and low halves and the
-    increment's: entry j is the position, among its four uint64 words, of
-    (state high, state low, inc high, inc low)[j].
-
-    numpy's 128-bit type is the compiler's own integer where there is one
-    and a (high, low) pair of words where there is not, so the order is
-    read off once per process, the first time a pass needs it: a probe
-    PCG64's state is set through numpy's state setter to four distinct
-    halves, and its memory is read back.  Any other content than those four
-    halves, in some order, is refused.
-    """
-    # 32 distinct bytes, so that a word or byte out of place shows; inc is odd
-    halves = (0x0001020304050607, 0x08090A0B0C0D0E0F, 0x1011121314151617, 0x18191A1B1C1D1E1F)
-    probe = np.random.PCG64(0)
-    probe.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                   "state": {"state": halves[0] << 64 | halves[1], "inc": halves[2] << 64 | halves[3]}}
-    found = np.frombuffer(_state_memory(probe), np.uint64).tolist()
-    if sorted(found) != sorted(halves):
-        raise RuntimeError(f"numpy {np.__version__} keeps a PCG64's state in a layout that the grid pass does not "
-                           f"know: its memory read {[hex(w) for w in found]} for the state and increment halves "
-                           f"{[hex(h) for h in halves]}")
-    return tuple(found.index(h) for h in halves)
-
-
-def _draw(rng: np.random.Generator, take: Callable[[], int], states: np.ndarray, rows: np.ndarray) -> None:
-    """Draw a decode chunk's streams until take() finds none left: each
-    take() gives the position k of a stream that no thread has taken; copy
-    the stream's start, states[k] (_pcg_states), into rng's PCG64 state
-    memory, then fill its row, rows[k].
-
-    The copy is the whole of a reseed: the 32 bytes of state and increment,
-    in the generator's own layout.  has_uint32 and uinteger stay 0, as the
-    generator was made, because standard_normal neither reads nor writes
-    them; so the draws are exactly those of default_rng(SeedSequence(key)).
-    take pops a deque of the chunk's positions.  Where the chunk is one
-    slot, the worker thread draws with popleft and its own generator, and
-    the calling thread helps, with pop and the pass's other generator.  A
-    deque's pops are atomic, so each row is taken once, by one thread, and
-    no generator is reseeded while another draw uses it.
-    standard_normal releases the GIL while it fills a row, so the other
-    thread keeps running meanwhile.  Where the chunk holds more slots, the
-    calling thread alone draws it, with pop, and no worker runs.  Nothing
-    but _state_memory is called here: the benchmark's tracer
-    (perfbench/tracing.py) keeps a single span stack, for the calling
-    thread.
-    """
-    memory, starts = _state_memory(rng.bit_generator), memoryview(states).cast("B")
-    size = memory.nbytes
-    while True:
-        try:
-            k = take()
-        except IndexError:  # every stream of the chunk is taken
-            return
-        memory[:] = starts[k * size:(k + 1) * size]
-        rng.standard_normal(out=rows[k])
-
-
-def _dot(hc: np.ndarray, v: np.ndarray, prod: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """h^H v along the trailing axis of length 2, from hc = conj(h), written
-    into out; prod is scratch of hc's shape.
-
-    The two products are added directly: the same bits as
-    (np.conj(h) * v).sum(axis=-1), without the conjugate's copy or the
-    reduction's overhead.
-    """
-    np.multiply(hc, v, out=prod)
-    return np.add(prod[..., 0], prod[..., 1], out=out)
-
-
-def _orth(a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Turn a = unit(v) into orth_complement(v) in place, bit for bit:
-    (-conj(a1), conj(a0)).  tmp is scratch shaped like a[..., 0].
-
-    orth_complement normalises (-conj(v1), conj(v0)), whose squared norm
-    adds the same two squares as unit(v)'s in the other order, and whose
-    parts are unit(v)'s parts times the same reciprocal, up to a sign.
-    """
-    np.copyto(tmp, a[..., 0])
-    np.conjugate(a[..., 1], out=a[..., 0])
-    np.negative(a[..., 0], out=a[..., 0])
-    np.conjugate(tmp, out=a[..., 1])
-    return a
 
 
 def _project(true_conj, est, directions, a, power_gain):
@@ -804,40 +530,19 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
     per plan, arrays with one column per point, (rate, link_out, mean,
     stderr): each layer's mean rate (rows in plan order), each link's
     delivered MI and effective noise (2 x link, in plan.links order), and
-    each user's per-run bits and Monte-Carlo stderr.
-
-    The plans share one quality, the grid's.  The pass walks the sorted
-    union of their slot indices: a stream keyed by (seed, point, slot index)
-    is drawn, scaled and projected once, however many plans read it.  A
-    decode chunk is a range [lo, hi) of positions in that union, as many
-    slots as fit in _DRAW_BUDGET normals (at least one), drawn whole before
-    it is scaled: where it is one slot, by the worker thread with this
-    thread's help, and where it holds more, by this thread alone, with no
-    thread started.  Each plan decodes its own
-    slots of the chunk (_PlanPass): each slot's shape, link rows and
-    settle_after are read from plan.wiring at its position; its first rate
-    row is its entry in one list of row offsets.  A plan's part of a chunk
-    is decoded a slot template at a time: the SIC MIs, link noise and cross
-    minors of all its slots of one template run in one go on (slot, grid
-    point, trial) arrays, read as views of the chunk's gains when the slots
-    step evenly through the chunk (always, for a chunk of one slot); rate
-    and link rows that step evenly are indexed by basic slices too, by
-    _take's rule.  The part then waits whole until the slot that its last
-    group settles after has been decoded, and is settled a template batch
-    at a time; each user's total adds up slot by slot in slot order, so the
-    sums are the same at any chunk size and with any other plans in the
-    pass.
+    each user's per-run bits and Monte-Carlo stderr.  The module docstring
+    states how the pass walks, draws, decodes and settles the chunks.
 
     No validate_plan here: the public callers that need a sound plan run it
     first, and SchemePlan has already checked the links.  n_trials must be
     an integer >= 1 and seed one >= 0 (bools refused, as in
     ExperimentConfig); both are checked before any stream is seeded, and
-    so are the plans' qualities.  Grid point k's trial i reads row i of the
-    stream keyed by (seed, the point's power, slot index), so a point's
-    numbers do not depend on the rest of the grid, the other plans, the
-    chunk size, which thread draws a row or thread timing.  A draw that
-    raises on the worker thread re-raises here; one on this thread raises
-    directly.
+    so are the plans, which share the grid's quality.  Grid point k's trial
+    i reads row i of the stream keyed by (seed, the point's power, slot
+    index), so a point's numbers do not depend on the rest of the grid, the
+    other plans, the chunk size, which thread draws a row or thread timing.
+    A draw that raises on the worker thread re-raises here; one on this
+    thread raises directly.
     """
     _require_int("n_trials", n_trials, 1)
     _require_int("seed", seed, 0)
@@ -877,69 +582,48 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         for pp, share in shares:
             pp.add(share, block, minors)
 
-    per_slot = len(ps) * 16 * n_trials  # normals per slot: 16 per trial
+    per_slot = len(ps) * math.prod(_row(n_trials))  # normals per slot
     chunk = max(1, _DRAW_BUDGET // per_slot)  # slots per decode chunk
-    # a chunk of one slot: the worker draws it and this thread helps, and
-    # the draw buffer holds two chunks.  Else the buffer holds one, and this
-    # thread draws each chunk alone, right before it scales it: a row is
-    # then a few hundred normals, and two threads would trade the GIL for
-    # every reseed (BENCH_inline_draws.json)
-    shared = chunk == 1
+    shared = chunk == 1  # a worker draws beside this thread, and the draw buffer has two parts
     chunk = min(len(indices), chunk)
     n_chunks = -(-len(indices) // chunk)
-    # the draw buffer: a part per chunk that it holds (one, when there is no
-    # second chunk), filled in turn.  A chunk is scaled from its part in one call
-    normals = np.empty((min(n_chunks, 2 if shared else 1), chunk, len(ps), 2, 2, 2, n_trials, 2))
-    # every stream's PCG64 start, (slot, point, word): the seed words are
-    # hashed in one call and turned into states in another, and only the
-    # states are kept
+    normals = np.empty((min(n_chunks, 2 if shared else 1), chunk, len(ps)) + _row(n_trials))
     states = _pcg_states(_seed_words(seed, [_db_key(snr.p_db) for snr in snrs], indices))
     with ThreadPoolExecutor(max_workers=1) if shared else nullcontext() as pool:
-        # reseeded per stream, on the worker only
-        worker_rng = np.random.Generator(np.random.PCG64(0)) if shared else None
+        worker_rng = np.random.Generator(np.random.PCG64(0)) if pool else None
 
         def hand_over(k):
             # chunk k: its streams' PCG64 starts, their rows of buffer part
-            # k % len(normals) and a deque of their positions, which the
-            # worker, if any, starts on at once, from the front.  Called only
-            # once that part's last draw has been scaled
-            rows = normals[k % len(normals)].reshape((-1,) + normals.shape[3:])
-            streams = states[k * chunk:(k + 1) * chunk].reshape(-1, 4)
+            # k % len(normals) and a deque of their positions, which a worker
+            # starts on at once, from the front
+            rows = normals[k % len(normals)].reshape((-1,) + _row(n_trials))
+            streams = states[k * chunk:(k + 1) * chunk].reshape(-1, states.shape[-1])
             queue = deque(range(len(streams)))
-            future = pool.submit(_draw, worker_rng, queue.popleft, streams, rows) if shared else None
-            return queue, streams, rows, future
+            return queue, streams, rows, pool.submit(_draw, worker_rng, queue.popleft, streams, rows) if pool else None
 
-        # where a chunk is one slot, chunks 0 and 1 go to the worker now;
-        # else each chunk is handed over, to this thread, when it is drawn
-        drawn = deque(hand_over(k) for k in range(len(normals))) if shared else None
+        drawn = deque(hand_over(k) for k in range(len(normals)))
         passes = [_PlanPass(plan, slots, ps, n_trials) for plan, slots in zip(plans, own)]
         shape = (chunk, len(ps), n_trials)
         bufs = {name: np.empty(shape + (2,), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
         # sample_channel writes each error into its channel and adds the
         # estimate in place: the same bits, and no error is read after that
         bufs["h_err"], bufs["g_err"] = bufs["h_true"], bufs["g_true"]
-        # the projection's buffers, kept for the pass: its scratch and the
-        # first antenna's power gains, which are read only while a chunk
-        # decodes, so every chunk's power-gain block shares this one array
+        # the projection's scratch and the first antenna's power gains, which
+        # are read only while a chunk decodes, so every chunk's power-gain
+        # block shares this one array
         scratch = np.empty(shape + (2,), complex)
         first = np.empty((2,) + shape)
-        rng = np.random.Generator(np.random.PCG64(0))  # reseeded per stream, on this thread only
+        rng = np.random.Generator(np.random.PCG64(0))
         for k in range(n_chunks):
             lo, hi = k * chunk, min(len(indices), (k + 1) * chunk)
-            queue, streams, rows, future = drawn.popleft() if shared else hand_over(k)
-            # draw what the worker has not taken yet, from the back, then
-            # wait only for the row it is drawing; with no worker, that is
-            # every row of the chunk
-            _draw(rng, queue.pop, streams, rows)
-            if shared:
-                future.result()
+            queue, streams, rows, future = drawn.popleft()
+            _draw(rng, queue.pop, streams, rows)  # what no worker has taken, from the back
+            if future:
+                future.result()  # the row the worker is drawing
             stack = ChannelRealization(**{name: buf[:hi - lo] for name, buf in bufs.items()})
             sample_channel(snrs, normals[k % len(normals), :hi - lo], size=n_trials, out=stack)
-            if shared and k + len(normals) < n_chunks:
-                # part k % len(normals) is free: chunk k + len(normals) goes
-                # into it, and the worker starts on it after the chunk before
-                # it, while this chunk decodes
-                drawn.append(hand_over(k + len(normals)))
+            if k + len(normals) < n_chunks:
+                drawn.append(hand_over(k + len(normals)))  # into the part just scaled, while this chunk decodes
             for true in (stack.h_true, stack.g_true):
                 np.conjugate(true, out=true)  # each gain is conj(true) . direction
             decode_chunk(lo, hi, stack)
@@ -962,8 +646,7 @@ def _point_ledger(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> 
 
 
 def _require_valid(plan: SchemePlan) -> None:
-    diags = validate_plan(plan)
-    if diags:
+    if diags := validate_plan(plan):
         raise PlanValidationError("; ".join(diags))
 
 

@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .channel import SnrPoint
 # estimate_dof is not called here (run estimates every plan in one
@@ -59,6 +61,13 @@ def _real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _plain(x):
+    """x as the Python int or float of its value if it is a numpy integer
+    or float, which json cannot write (a long double is rounded to a
+    float); anything else as it is."""
+    return int(x) if isinstance(x, np.integer) else float(x) if isinstance(x, np.floating) else x
+
+
 @dataclass
 class ExperimentConfig:
     """One run's budget and output place.
@@ -67,9 +76,10 @@ class ExperimentConfig:
     real numbers: alpha1, alpha2 and tolerance >= 0, with
     0 <= alpha1 <= alpha2 <= 1 (checked before the grid, which reads
     alpha2).  p_grid_db is a list of real dB values that check_grid_db
-    accepts at alpha2.  schemes is a list of distinct preset names, and
-    output_dir a string or a path.  A violation raises ValueError naming
-    the field.
+    accepts at alpha2.  Numpy scalars among these are kept as Python ones
+    (_plain), so that the report can be written.  schemes is a list of
+    distinct preset names, and output_dir a string or a path.  A violation
+    raises ValueError naming the field.
     """
 
     alpha1: float
@@ -86,6 +96,8 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ValueError(f"output_dir must be a string or a path, got {self.output_dir!r}")
         self.output_dir = Path(self.output_dir)
+        for name in ("n_trials", "n_cycles", "seed", "alpha1", "alpha2", "tolerance"):
+            setattr(self, name, _plain(getattr(self, name)))
         for name, low in (("n_trials", 1), ("n_cycles", 1), ("seed", 0)):
             _require_int(name, getattr(self, name), low)
         for name in ("alpha1", "alpha2", "tolerance"):
@@ -94,6 +106,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if not isinstance(self.p_grid_db, (list, tuple)) or not all(map(_real, self.p_grid_db)):
             raise ValueError(f"p_grid_db must be a list of real numbers, got {self.p_grid_db!r}")
+        self.p_grid_db = type(self.p_grid_db)(map(_plain, self.p_grid_db))
         if not isinstance(self.schemes, (list, tuple)) or not all(isinstance(n, str) for n in self.schemes):
             raise ValueError(f"schemes must be a list of strings, got {self.schemes!r}")
         if not self.schemes:
@@ -258,10 +271,7 @@ def run(config: ExperimentConfig) -> RunReport:
     results = []
     for plan, est in zip(plans, estimate_dofs(plans, grid, config.n_trials, config.seed)):
         target = plan.predicted_dof
-        passed = max(
-            abs(est.slope.d1 - target.d1),
-            abs(est.slope.d2 - target.d2),
-        ) <= config.tolerance
+        passed = max(abs(est.slope.d1 - target.d1), abs(est.slope.d2 - target.d2)) <= config.tolerance
         within = contains(region, est.slope, tol=config.tolerance)
         results.append(SchemeResult(
             name=plan.name,
@@ -305,7 +315,7 @@ def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
             raise ValueError(f"quality pair ({q.alpha1}, {q.alpha2}) is listed twice")
         tag = f"a1_{float(q.alpha1)!r}_a2_{float(q.alpha2)!r}".replace(".", "p")
         sub = dataclasses.replace(base, alpha1=q.alpha1, alpha2=q.alpha2, output_dir=base.output_dir / tag)
-        runs.append((sub, {"alpha1": q.alpha1, "alpha2": q.alpha2, "dir": tag}))
+        runs.append((sub, {"alpha1": sub.alpha1, "alpha2": sub.alpha2, "dir": tag}))
     base.output_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for sub, entry in runs:

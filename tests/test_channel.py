@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcsit import ChannelRealization, CsitQuality, SnrPoint, orth_complement, sample_channel, unit
-from asymcsit.evaluator import _dot, _orth
+from asymcsit.channel import _dot, _orth
 
 FIELDS = ("h_true", "g_true", "h_est", "g_est", "h_err", "g_err")
 

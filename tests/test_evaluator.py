@@ -30,22 +30,9 @@ from asymcsit import (
     run,
     sample_channel,
 )
-from asymcsit import evaluator, schemes
-from asymcsit.evaluator import (
-    _TAG_CHANNEL,
-    _common_mis,
-    _cross_minors,
-    _db_key,
-    _draw,
-    _evaluate_grid,
-    _logdet_mi,
-    _pcg_states,
-    _project,
-    _seed_words,
-    _state_memory,
-    _word_order,
-    check_grid_db,
-)
+from asymcsit import channel, evaluator, schemes
+from asymcsit.channel import _TAG_CHANNEL, _db_key, _draw, _pcg_states, _seed_words, _state_memory, _word_order
+from asymcsit.evaluator import _common_mis, _cross_minors, _evaluate_grid, _logdet_mi, _project, check_grid_db
 from asymcsit.geometry import DofPoint
 from asymcsit.schemes import (
     OWNER_COMMON,
@@ -740,12 +727,10 @@ class TestStreamSeeding:
         lambda words: words[[0, 0, 1, 2]],  # a half missing, another twice
     ], ids=["byte-swapped", "zeros", "half-repeated"])
     def test_a_state_memory_layout_that_is_not_known_is_refused(self, monkeypatch, memory):
-        state_memory = evaluator._state_memory
-
         def seen(bit_generator):
-            return memoryview(memory(np.frombuffer(state_memory(bit_generator), np.uint64)).copy()).cast("B")
+            return memoryview(memory(np.frombuffer(_state_memory(bit_generator), np.uint64)).copy()).cast("B")
 
-        monkeypatch.setattr(evaluator, "_state_memory", seen)
+        monkeypatch.setattr(channel, "_state_memory", seen)
         _word_order.cache_clear()
         try:
             with pytest.raises(RuntimeError, match=f"numpy {np.__version__} keeps a PCG64's state in a layout"):
@@ -1020,11 +1005,12 @@ class TestPrefetch:
         _word_order()
         one_drawer("worker")
         seen: dict[str, set] = {}
-        for name in ("sample_channel", "unit", "_draw", "_state_memory"):
-            def spy(*args, _fn=getattr(evaluator, name), _name=name, **kwargs):
+        for module, name in ((evaluator, "sample_channel"), (evaluator, "unit"), (evaluator, "_draw"),
+                             (channel, "_state_memory")):
+            def spy(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 seen.setdefault(_name, set()).add(threading.get_ident())
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(evaluator, name, spy)
+            monkeypatch.setattr(module, name, spy)
         estimate_dof(build_case_ii(Q35, 1), _grid(Q35), self.N_TRIALS, seed=4)
         assert seen["sample_channel"] == seen["unit"] == {caller}
         assert len(seen["_draw"]) == 2 and caller in seen["_draw"]

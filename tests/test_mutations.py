@@ -28,8 +28,9 @@ DIGEST is that of the default budget and of every schedule too.  It was
 recorded with numpy 2.4.6; see tests/test_golden.py on other numpy versions.
 Each draw mutation keeps the worker out of the draw (its draws return at
 once), so that the calling thread draws every row and the mutation acts the
-same in every run; a broken state table breaks every row, whoever draws it.  The cases patch private names of asymcsit.evaluator and
-asymcsit.schemes, so a rename must port its case.
+same in every run; a broken state table breaks every row, whoever draws it.
+The cases patch or call private names of asymcsit.channel,
+asymcsit.evaluator and asymcsit.schemes, so a rename must port its case.
 """
 
 import hashlib
@@ -44,7 +45,7 @@ from test_golden import LEDGER_SHA256, SCHEMES_SHA256
 from test_properties import _check_shared_pass, _check_wiring
 
 from asymcsit import CsitQuality, SnrPoint, build_case_ii, build_ges12_asym, build_sc_zf, cli
-from asymcsit import evaluator
+from asymcsit import channel, evaluator
 from asymcsit.schemes import SchemePlan
 
 Q35 = CsitQuality(0.3, 0.5)
@@ -74,7 +75,7 @@ def _logging_draw(log: list):
     draw = evaluator._draw
 
     def logged(rng, take, states, rows):
-        memory, taken = evaluator._state_memory(rng.bit_generator), []
+        memory, taken = channel._state_memory(rng.bit_generator), []
 
         def logged_take():
             taken.append(take())
@@ -170,7 +171,7 @@ def test_a_hand_off_given_another_hand_offs_seed_words(plan, one_drawer):
 
 def test_one_reseed_per_hand_off(plan, one_drawer):
     def reseed_once(rng, take, states, rows):
-        evaluator._state_memory(rng.bit_generator)[:] = states[-1].tobytes()
+        channel._state_memory(rng.bit_generator)[:] = states[-1].tobytes()
         while take.__self__:
             rng.standard_normal(out=rows[take()])
 
@@ -201,7 +202,7 @@ def _states(inc_low_bit=1, carry=True):
             s_hi, s_lo, i_hi, i_lo = words[index].tolist()
             inc = ((i_hi << 64 | i_lo) << 1 | inc_low_bit) & _MASK128
             state = add(add(s_hi << 64 | s_lo, inc) * _PCG_MULT & _MASK128, inc)
-            for at, half in zip(evaluator._word_order(), (state >> 64, state & _MASK64, inc >> 64, inc & _MASK64)):
+            for at, half in zip(channel._word_order(), (state >> 64, state & _MASK64, inc >> 64, inc & _MASK64)):
                 out[index + (at,)] = half
         return out
 

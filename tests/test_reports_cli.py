@@ -1,6 +1,9 @@
 import json
 import math
+import re
+import shutil
 
+import numpy as np
 import pytest
 
 from asymcsit import (
@@ -175,6 +178,51 @@ class TestSweep:
         base = ExperimentConfig(alpha1=0.0, alpha2=0.0, output_dir=tmp_path, **SMALL)
         with pytest.raises(ValueError, match="nonempty"):
             sweep([], base)
+
+
+def _written(out) -> dict:
+    """Every file under out, by relative path, as bytes, and then removes
+    them; report.json without its wall time, the one field that differs
+    between two runs."""
+    files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*")) if f.is_file()}
+    shutil.rmtree(out)
+    return {name: re.sub(rb'"wall_time_s": [^,]*,', b"", data) if name.endswith("report.json") else data
+            for name, data in files.items()}
+
+
+class TestNumpyScalars:
+    """numpy scalars pass the config's checks (numbers.Integral and
+    numbers.Real); they used to stop run() with a TypeError when it wrote
+    report.json, after ledger.csv, and so abort a whole sweep.  Of exactly
+    representable values, they must write the bytes that Python scalars
+    write, into the same directory."""
+
+    PY = dict(alpha1=0.25, alpha2=0.5, tolerance=0.25, seed=7, n_trials=120, n_cycles=6, p_grid_db=[60.0, 80.0, 100])
+    NP = dict(alpha1=np.float32(0.25), alpha2=np.float16(0.5), tolerance=np.longdouble(0.25), seed=np.int64(7),
+              n_trials=np.int32(120), n_cycles=np.uint8(6), p_grid_db=[np.float64(60.0), np.float32(80.0), np.int64(100)])
+
+    def test_run_writes_the_bytes_of_python_scalars(self, tmp_path):
+        written = []
+        for fields in (self.PY, self.NP):
+            cfg = ExperimentConfig(schemes=["sc-zf", "ges12-asym"], output_dir=tmp_path / "out", **fields)
+            assert [type(getattr(cfg, f)) for f in fields] == [type(v) for v in self.PY.values()]
+            assert list(map(type, cfg.p_grid_db)) == [float, float, int]
+            run(cfg)
+            written.append(_written(tmp_path / "out"))
+        assert written[1] == written[0]
+        assert set(written[0]) == {"ledger.csv", "report.json", "region.json"}
+
+    def test_sweep_writes_the_bytes_of_python_scalars(self, tmp_path):
+        written = []
+        for fields, pairs in ((self.PY, [CsitQuality(0.25, 0.5), CsitQuality(0, 0.5)]),
+                              (self.NP, [CsitQuality(np.float32(0.25), np.float32(0.5)),
+                                         CsitQuality(np.int64(0), np.float64(0.5))])):
+            index = sweep(pairs, ExperimentConfig(schemes=["sc-zf"], output_dir=tmp_path / "sw", **fields))
+            assert [(e["alpha1"], e["alpha2"], "error" in e) for e in index["runs"]] == [(0.25, 0.5, False),
+                                                                                        (0, 0.5, False)]
+            written.append(_written(tmp_path / "sw"))
+        assert written[1] == written[0]
+        assert len(written[0]) == 7 and b'"alpha1": 0,' in written[0]["index.json"]
 
 
 class TestRegionExport:
