@@ -105,9 +105,11 @@ class SnrPoint:
         return math.log2(self.p)
 
     def sigma_sq(self, user: int) -> float:
-        """Estimation-error variance P**(-alpha_user) for user 1 or 2."""
-        alpha = {1: self.quality.alpha1, 2: self.quality.alpha2}[user]
-        return self.p ** (-alpha)
+        """Estimation-error variance P**(-alpha_user) for user 1 or 2;
+        ValueError naming any other user."""
+        if user not in (1, 2):
+            raise ValueError(f"user must be 1 or 2, got {user!r}")
+        return self.p ** (-(self.quality.alpha1 if user == 1 else self.quality.alpha2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 from .geometry import CsitQuality, DofPoint, contains, dof_region
@@ -113,25 +114,36 @@ class PrecoderSpec:
             raise ValueError("precoder user must be 1 or 2")
 
 
+# every direction a layer can be sent on, the first antenna first; a
+# direction is its index here, and a user its index in _USERS
+_DIRECTIONS = (PrecoderSpec("first_antenna"), PrecoderSpec("orth", 1), PrecoderSpec("orth", 2),
+               PrecoderSpec("along", 1), PrecoderSpec("along", 2))
+_USERS = (OWNER_USER1, OWNER_USER2)
+_SHARED = {(d.kind, d.user): d for d in _DIRECTIONS}
+
+
+def _shared(kind: str, user: int | None) -> PrecoderSpec:
+    """The one PrecoderSpec of a direction, which every layer sent on it
+    shares; a user other than 1 or 2 raises ValueError as PrecoderSpec does."""
+    try:
+        return _SHARED[kind, user]
+    except (KeyError, TypeError):
+        return PrecoderSpec(kind, user)
+
+
 def orth_to(user: int) -> PrecoderSpec:
-    return PrecoderSpec("orth", user)
+    return _shared("orth", user)
 
 
 def along(user: int) -> PrecoderSpec:
-    return PrecoderSpec("along", user)
+    return _shared("along", user)
 
 
 def first_antenna() -> PrecoderSpec:
-    return PrecoderSpec("first_antenna")
+    return _DIRECTIONS[0]
 
 
-# every direction a layer can be sent on, the first antenna first; a
-# direction is its index here, and a user its index in _USERS
-_DIRECTIONS = (first_antenna(), orth_to(1), orth_to(2), along(1), along(2))
-_USERS = (OWNER_USER1, OWNER_USER2)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolLayer:
     """One stacked signal component of a slot.
 
@@ -194,7 +206,7 @@ class SymbolLayer:
         return max(value, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantizationLink:
     """Ties an overheard interference to the common layer retransmitting it.
 
@@ -218,7 +230,7 @@ class QuantizationLink:
             raise ValueError(f"link {self.interference_id}: quant_prelog must be finite, got {self.quant_prelog}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotPlan:
     """One channel use: an ordered stack of layers.
 
@@ -314,10 +326,11 @@ class SchemePlan:
     otherwise as many as split the cycle slots evenly, each taking
     cycle_channel_uses > 0; ValueError names the plan otherwise.
 
-    The slot order and the slot/layer lookups are indexed once, at
-    construction: all_slots() is the slots in index order, and slot() and
-    find_layer() are dict reads.  The decode wiring is resolved there too,
-    and nowhere else, in one pass over the slots: shapes holds one SlotShape
+    The slot order is fixed once, at construction: all_slots() is the slots
+    in index order.  slot() and find_layer() are dict reads; each dict is
+    made from all_slots() on its first call, since nothing in a pass reads
+    them.  The decode wiring is resolved at construction too, and nowhere
+    else, in one pass over the slots: shapes holds one SlotShape
     per way a slot decodes, and wiring one SlotWiring per slot, in
     all_slots() order.  What each user overhears is worked out once per
     slot layout (owners, precoders and powers).  A duplicate slot index or
@@ -342,8 +355,6 @@ class SchemePlan:
     cycle_channel_uses: float
     n_cycles: int
     _slots: tuple[SlotPlan, ...] = field(init=False, repr=False, compare=False)
-    _slot_by_index: dict[int, SlotPlan] = field(init=False, repr=False, compare=False)
-    _layer_home: dict[str, tuple[SlotPlan, SymbolLayer]] = field(init=False, repr=False, compare=False)
     shapes: tuple[SlotShape, ...] = field(init=False, repr=False, compare=False)
     wiring: tuple[SlotWiring, ...] = field(init=False, repr=False, compare=False)
 
@@ -358,24 +369,20 @@ class SchemePlan:
         if not (self.prologue_slots or self.cycle_slots):
             raise ValueError(f"plan {self.name!r} has no slots")
         slots = tuple(sorted(self.prologue_slots + self.cycle_slots, key=lambda s: s.index))
-        by_index: dict[int, SlotPlan] = {}
-        home: dict[str, tuple[SlotPlan, SymbolLayer]] = {}
-        position: dict[str, int] = {}  # layer id -> its position in its slot
+        home: dict[str, tuple[SlotPlan, int]] = {}  # layer id -> its slot and its position there
         # each slot's layers' owners, precoders, power specs and common pre-logs, numbered
         layouts: dict[tuple, int] = {}
         layout: dict[int, int] = {}  # slot index -> its layout's number
         exponents: list[list[float]] = []  # per layout, the source exponent of what user 1 and user 2 overhear
         for s in slots:
-            if s.index in by_index:
+            if s.index in layout:
                 raise ValueError(f"duplicate slot index {s.index}")
-            by_index[s.index] = s
             for k, layer in enumerate(s.layers):
                 if layer.id in home:
                     raise ValueError(
                         f"duplicate layer id {layer.id!r} (slots {home[layer.id][0].index} and {s.index})"
                     )
-                home[layer.id] = (s, layer)
-                position[layer.id] = k
+                home[layer.id] = (s, k)
             key = tuple((l.owner, l.precoder.kind, l.precoder.user, l.power_coefficient, l.power_exponent,
                          l.power_sub_coefficient, l.power_sub_exponent,
                          l.encoding_prelog if l.owner == OWNER_COMMON else None) for l in s.layers)
@@ -390,8 +397,6 @@ class SchemePlan:
         if self.n_cycles and self.cycle_channel_uses == 0.0:
             raise ValueError(f"plan {self.name!r}: n_cycles = {self.n_cycles} but cycle_channel_uses = 0")
         object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_slot_by_index", by_index)
-        object.__setattr__(self, "_layer_home", home)
         first: dict = {}  # interference id, (source slot, observer) and carrier -> position of the first link with it
         carried: dict[int, list] = {}  # slot index -> (link, carrier's position, quant_prelog, exponent) per link
         heard: dict[int, list] = {}  # slot index -> [user 1's link, user 2's link, last carrier slot]
@@ -404,19 +409,19 @@ class SchemePlan:
                     other = self.links[j]
                     raise ValueError(f"{name} (slot {link.source_slot}, {link.observer}) {clash} link "
                                      f"{other.interference_id} (slot {other.source_slot}, {other.observer})")
-            if link.source_slot not in by_index:
+            if link.source_slot not in layout:
                 raise ValueError(f"{name}: source slot {link.source_slot} missing")
             exponent = exponents[layout[link.source_slot]][_USERS.index(link.observer)]
             if exponent == -math.inf:
                 raise ValueError(f"{name}: source interference missing")
-            carrier = home.get(link.retransmit_layer)
-            if carrier is None or carrier[1].owner != OWNER_COMMON:
+            carrier, k = home.get(link.retransmit_layer, (None, -1))
+            if carrier is None or carrier.layers[k].owner != OWNER_COMMON:
                 raise ValueError(f"{name}: no first-antenna carrier {link.retransmit_layer!r} "
                                  f"(a carrier is a common layer)")
-            at = carrier[0].index
+            at = carrier.index
             if at <= link.source_slot:
                 raise ValueError(f"{name}: carrier slot {at} is not after source slot {link.source_slot}")
-            carried.setdefault(at, []).append((i, position[link.retransmit_layer], link.quant_prelog, exponent))
+            carried.setdefault(at, []).append((i, k, link.quant_prelog, exponent))
             h = heard.setdefault(link.source_slot, [-1, -1, -1])
             h[_USERS.index(link.observer)] = i
             h[2] = max(h[2], at)
@@ -449,6 +454,14 @@ class SchemePlan:
             return self._layer_home[layer_id]
         except KeyError:
             raise KeyError(f"no layer with id {layer_id!r}") from None
+
+    @cached_property
+    def _slot_by_index(self) -> dict[int, SlotPlan]:
+        return {s.index: s for s in self._slots}
+
+    @cached_property
+    def _layer_home(self) -> dict[str, tuple[SlotPlan, SymbolLayer]]:
+        return {l.id: (s, l) for s in self._slots for l in s.layers}
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ class TestSnrPoint:
         with pytest.raises(ValueError):
             SnrPoint(p, CsitQuality(0.3, 0.5))
 
+    @pytest.mark.parametrize("user", [0, 3, None, "1"])
+    def test_sigma_sq_names_a_bad_user(self, user):
+        with pytest.raises(ValueError, match=f"user must be 1 or 2, got {user!r}"):
+            SnrPoint(10.0, CsitQuality(0.3, 0.5)).sigma_sq(user)
+
 
 class TestSampling:
     def test_construction_identity_bitwise(self):

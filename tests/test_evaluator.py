@@ -496,7 +496,7 @@ class TestSlotTemplates:
         _evaluate_grid([plan], grid, n_trials, 5)
         templates = evaluator._compile(plan, [s.p for s in grid])
         shapes = [w.shape for w in plan.wiring]
-        chunk = max(1, evaluator._DRAW_BUDGET // (len(grid) * 16 * n_trials))
+        chunk = max(1, evaluator._DRAW_BUDGET // (len(grid) * math.prod(channel._row(n_trials))))
         assert len(calls) == sum(sum(1 for g, _ in templates[n].groups if g.positions)
                                  for lo in range(0, len(shapes), chunk)
                                  for n in set(shapes[lo:lo + chunk]))
@@ -793,7 +793,7 @@ class TestPrefetch:
         n_slots = len(plan.all_slots())
         ref, ref_handed = self._pass(monkeypatch, plan)
         assert ref_handed == [4] * n_slots
-        per_slot = 4 * 16 * self.N_TRIALS
+        per_slot = 4 * math.prod(channel._row(self.N_TRIALS))
         # one normal short of another whole slot: a decode chunk holds whole
         # slots only
         got, handed = self._pass(monkeypatch, plan, (slots_per_chunk + 1) * per_slot - 1)
@@ -812,7 +812,7 @@ class TestPrefetch:
     def test_chunking_does_not_change_any_preset(self, monkeypatch, name, quality):
         plan = build_preset(name, quality, 3)
         n_slots, n_trials = len(plan.all_slots()), 40
-        per_slot = 4 * 16 * n_trials
+        per_slot = 4 * math.prod(channel._row(n_trials))
         ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # a slot over the budget: one per chunk
         for slots_per_chunk in (2, 4, 7, n_slots):  # this thread draws these chunks alone
             got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
@@ -832,7 +832,7 @@ class TestPrefetch:
         link = QuantizationLink(1, OWNER_USER1, "eta_1_1", quant, "c")
         plan = SchemePlan("hand", Q35, slots, (), (link,), DofPoint(0, 0), 6.0, 0.0, 0)
         n_trials = 40
-        per_slot = 4 * 16 * n_trials
+        per_slot = 4 * math.prod(channel._row(n_trials))
         ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # a slot over the budget: one per chunk
         for slots_per_chunk in (2, 4, 6):  # this thread draws these chunks alone
             got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
@@ -869,7 +869,7 @@ class TestPrefetch:
                 m.setattr(evaluator, "_seed_words", counting("_seed_words", seed_words))
                 m.setattr(evaluator, "_pcg_states", counting("_pcg_states", pcg_states))
                 chunks = self._spy_chunks(m)
-                m.setattr(evaluator, "_DRAW_BUDGET", slots_per_chunk * 4 * 16 * n_trials)
+                m.setattr(evaluator, "_DRAW_BUDGET", slots_per_chunk * 4 * math.prod(channel._row(n_trials)))
                 runs.append(_evaluate_grid([plan], grid, n_trials, seed)[0])
             assert hashed == ["_seed_words", "_pcg_states"], slots_per_chunk
             assert [start.tobytes() for c in chunks for start in c] == starts, slots_per_chunk
@@ -985,7 +985,7 @@ class TestPrefetch:
             finally:
                 sys.setswitchinterval(interval)
             n_slots = len(plan.all_slots())
-            chunk = max(1, evaluator._DRAW_BUDGET // (4 * 16 * n_trials))
+            chunk = max(1, evaluator._DRAW_BUDGET // (4 * math.prod(channel._row(n_trials))))
             n_chunks, parts = math.ceil(n_slots / chunk), 2 if chunk == 1 else 1
             assert n_chunks > parts
             for got, log in runs:
@@ -1102,7 +1102,7 @@ class TestPrefetch:
         monkeypatch.setattr(evaluator, "unit", spy_unit)
         plan = build_case_ii(Q35, 20)
         n_slots = len(plan.all_slots())
-        n_chunks = math.ceil(n_slots / (evaluator._DRAW_BUDGET // (4 * 16 * 20)))
+        n_chunks = math.ceil(n_slots / (evaluator._DRAW_BUDGET // (4 * math.prod(channel._row(20)))))
         assert n_chunks > 1
         estimate_dof(plan, _grid(Q35), 20, seed=4)
         assert pools == [] and threads == {caller} and alive == {before}

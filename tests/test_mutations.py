@@ -21,11 +21,13 @@ then over the budget, a decode chunk is one slot, and the worker draws each
 chunk while the calling thread draws the rows that the worker has not
 taken.  The draw and state-table mutations run at both budgets, so they
 break the worker's path and the calling thread's own; a state table of
-Python ints, which must hold DIGEST unbroken, is the one that the
+Python ints, which must hold the stored digest unbroken, is the one that the
 state-table mutations break.  The chunking does not change the output
 (tests/test_evaluator.py), and neither does which thread draws a row, so
-DIGEST is that of the default budget and of every schedule too.  It was
-recorded with numpy 2.4.6; see tests/test_golden.py on other numpy versions.
+the stored digest is that of the default budget and of every schedule too.
+It was recorded with numpy 2.4.6 at each x86 dispatch level (DIGESTS), as
+the float digests of tests/test_golden.py are; see there, also on other
+numpy versions.
 Each draw mutation keeps the worker out of the draw (its draws return at
 once), so that the calling thread draws every row and the mutation acts the
 same in every run; a broken state table breaks every row, whoever draws it.
@@ -35,13 +37,14 @@ asymcsit.evaluator and asymcsit.schemes, so a rename must port its case.
 
 import hashlib
 import json
+import math
 import sys
 import threading
 from collections import Counter
 
 import numpy as np
 import pytest
-from test_golden import LEDGER_SHA256, SCHEMES_SHA256
+from test_golden import LEDGER_SHA256, SCHEMES_SHA256, recorded
 from test_properties import _check_shared_pass, _check_wiring
 
 from asymcsit import CsitQuality, SnrPoint, build_case_ii, build_ges12_asym, build_sc_zf, cli
@@ -51,9 +54,13 @@ from asymcsit.schemes import SchemePlan
 Q35 = CsitQuality(0.3, 0.5)
 GRID = [SnrPoint.from_db(db, Q35) for db in (60, 80, 100, 120)]
 N_TRIALS = 20
-PER_SLOT = len(GRID) * 16 * N_TRIALS  # normals per slot
+PER_SLOT = len(GRID) * math.prod(channel._row(N_TRIALS))  # normals per slot
 SHARED = PER_SLOT - 1  # a slot over the budget: one slot per decode chunk, whose rows both threads draw
-DIGEST = "ecb635707496f9ade08678b467cd3a6f5cd5ceea27e50316acb0e84743b84d51"
+DIGESTS = {
+    "X86_V4": "ecb635707496f9ade08678b467cd3a6f5cd5ceea27e50316acb0e84743b84d51",
+    "X86_V3": "ecb635707496f9ade08678b467cd3a6f5cd5ceea27e50316acb0e84743b84d51",
+    "X86_V2": "2241ce293c3820210904abbc73e697e9aeabbbc9f4999aadfebce0792446eff9",
+}
 _MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier
 
@@ -112,14 +119,14 @@ def plan():
 
 
 def test_the_stored_digest_holds(plan):
-    assert _digest(plan) == _digest(plan, evaluator._DRAW_BUDGET) == DIGEST
+    assert _digest(plan) == _digest(plan, evaluator._DRAW_BUDGET) == recorded(DIGESTS)
 
 
 @pytest.mark.parametrize("drawer", ["caller", "worker"])
 def test_the_digest_holds_when_one_thread_draws_every_row(plan, one_drawer, drawer):
     reseeds = []
     one_drawer(drawer, _logging_draw(reseeds))
-    assert _digest(plan, SHARED) == DIGEST
+    assert _digest(plan, SHARED) == recorded(DIGESTS)
     _reseeded_once(plan, reseeds)
     by_caller = {thread == threading.get_ident() for thread, _, _ in reseeds}
     assert by_caller == {drawer == "caller"}
@@ -135,7 +142,7 @@ def test_each_stream_is_reseeded_once_under_frequent_thread_switches(plan, monke
     try:
         for _ in range(5):
             reseeds.clear()
-            assert _digest(plan, SHARED) == DIGEST
+            assert _digest(plan, SHARED) == recorded(DIGESTS)
             _reseeded_once(plan, reseeds)
     finally:
         sys.setswitchinterval(interval)
@@ -144,7 +151,7 @@ def test_each_stream_is_reseeded_once_under_frequent_thread_switches(plan, monke
 def test_a_chunk_settled_one_slot_early(plan, monkeypatch):
     _stored(monkeypatch, "wiring",
             tuple(w._replace(settle_after=w.settle_after - 1) if w.settle_after >= 0 else w for w in plan.wiring))
-    assert _digest(plan) != DIGEST
+    assert _digest(plan) != recorded(DIGESTS)
 
 
 def _breaks_both_draw_paths(plan, *state) -> None:
@@ -155,7 +162,7 @@ def _breaks_both_draw_paths(plan, *state) -> None:
     for budget in (SHARED, 2 * PER_SLOT):
         for kept in state:
             kept.clear()
-        assert _digest(plan, budget) != DIGEST, budget
+        assert _digest(plan, budget) != recorded(DIGESTS), budget
 
 
 def test_a_hand_off_given_another_hand_offs_seed_words(plan, one_drawer):
@@ -212,7 +219,7 @@ def _states(inc_low_bit=1, carry=True):
 def test_a_reference_state_table_holds_the_digest(plan, monkeypatch):
     # the mutations below break this table, so it must be the pass's own
     monkeypatch.setattr(evaluator, "_pcg_states", _states())
-    assert _digest(plan, SHARED) == _digest(plan) == DIGEST
+    assert _digest(plan, SHARED) == _digest(plan) == recorded(DIGESTS)
 
 
 @pytest.mark.parametrize("states", [_states(inc_low_bit=0), _states(carry=False)],
@@ -262,7 +269,7 @@ def test_a_mutated_slot_shape(plan, monkeypatch, mutate):
     _stored(monkeypatch, "shapes", shapes)
     with pytest.raises(AssertionError):
         _check_wiring(plan)
-    assert _digest(plan) != DIGEST
+    assert _digest(plan) != recorded(DIGESTS)
 
 
 def test_a_slot_batched_under_the_wrong_shape(plan, monkeypatch):
@@ -274,7 +281,7 @@ def test_a_slot_batched_under_the_wrong_shape(plan, monkeypatch):
     _stored(monkeypatch, "wiring", tuple(wiring))
     with pytest.raises(AssertionError):
         _check_wiring(plan)
-    assert _digest(plan) != DIGEST
+    assert _digest(plan) != recorded(DIGESTS)
 
 
 # A pass shared by several plans must decode each plan's own slots from the
@@ -316,7 +323,7 @@ def _fails_sharing_checks(tmp_path, capsys):
     capsys.readouterr()
     schemes = json.loads((tmp_path / "report.json").read_text())["schemes"]
     assert hashlib.sha256((tmp_path / "ledger.csv").read_bytes()).hexdigest() != LEDGER_SHA256
-    assert hashlib.sha256(json.dumps(schemes, sort_keys=True).encode()).hexdigest() != SCHEMES_SHA256
+    assert hashlib.sha256(json.dumps(schemes, sort_keys=True).encode()).hexdigest() != recorded(SCHEMES_SHA256)
 
 
 def test_a_plan_decodes_the_shared_chunk_one_slot_off(monkeypatch, later_plans, tmp_path, capsys):
