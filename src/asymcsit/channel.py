@@ -80,6 +80,15 @@ _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # the 128-b
 _STATE_WORDS = ctypes.c_uint64 * 4
 
 
+def _power(p_db: float) -> float:
+    """P = 10**(p_db / 10); ValueError naming a p_db whose power is not a
+    finite float."""
+    try:
+        return 10.0 ** (p_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"power {p_db} dB overflows: 10**(dB/10) is not a finite float") from None
+
+
 @dataclass(frozen=True)
 class SnrPoint:
     """Transmit power P (linear, > 1) plus the CSIT quality it scales."""
@@ -93,8 +102,8 @@ class SnrPoint:
 
     @classmethod
     def from_db(cls, p_db: float, quality: CsitQuality) -> "SnrPoint":
-        """dB convention: P = 10**(p_db / 10)."""
-        return cls(10.0 ** (p_db / 10.0), quality)
+        """dB convention: P = 10**(p_db / 10) (see _power)."""
+        return cls(_power(p_db), quality)
 
     @property
     def p_db(self) -> float:

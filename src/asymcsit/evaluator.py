@@ -38,12 +38,14 @@ and which each user overhears there, each interference's received
 exponent and the slot its groups wait for.  Slots of one shape (a cycled
 plan's cycle positions) share one decode template, which the pass makes
 once from the shape and the grid powers: power columns, rate caps and
-each link's quantizer scale and demand.  The pass keeps no record of its
-own per slot: a decode chunk is a range of positions in the union of slot
-indices, each slot's shape, link rows and settle point are read from
-SchemePlan.wiring in place, and its first rate row from one list of row
-offsets, made once per pass and plan.  A chunk is decoded a plan and a
-template at a time: the SIC MIs, link noise and cross minors of all of
+each link's quantizer scale and demand.  A decode chunk is a range of
+positions in the union of slot indices.  Each slot's position there, its
+first rate row, link rows and how many additions to each user's totals
+come before it sit in int arrays, one set per slot shape, that each
+plan's pass makes once from SchemePlan.wiring (_PlanPass), so splitting,
+decoding and settling a chunk are array operations per template batch,
+with no Python per slot, link or addition.  A chunk is decoded a plan and
+a template at a time: the SIC MIs, link noise and cross minors of all of
 the chunk's slots of one template run once, on (slot, grid point, trial)
 arrays that are views of the chunk's gains when those slots step evenly
 through it (always, for a chunk of one slot).  Step 1 is settled as the
@@ -55,17 +57,24 @@ group settles after has been decoded.  It holds its template batches'
 fresh power gains and the cross minors of the groups that get a side row;
 then each group reads its residuals from its link rows.  After each
 chunk, every ready part at the head of a plan's queue is settled, one
-call per template batch, and each user's per-trial total then adds up
-slot by slot in slot order (the slot's user-owned first-antenna layers,
-then user 1's group, then user 2's), the same sums in the same order at
-any chunk size.  Memory is bounded by the chunk size and the parts in
-those queues, besides the per-layer and per-link results (NaN until
-written), one row offset per slot and each plan's per-trial user totals,
-which are freed once the plan's last slot has settled.  No preset carries
+call per template batch, each writing its slots' additions in place into
+the part's stack: row 0 a copy of the per-trial user totals, then each
+user's additions in slot order (each slot's user-owned first-antenna
+layers, then its group).  One np.add.reduce along the stack's leading
+axis adds the rows up in turn into the totals, the same bits as adding
+them one by one (at one grid point and one trial, where numpy would sum
+the rows pairwise, _add_up accumulates them instead); a user's single
+addition of a part, as in a one-slot chunk, takes no stack and adds with
+one +=.  So each total adds up slot by slot in slot order, the same sums
+in the same order at any chunk size.  Memory is bounded by the chunk size and the parts in those
+queues, besides the per-layer and
+per-link results (NaN until written), the per-slot int arrays and each
+plan's per-trial user totals, which are freed once the plan's last slot
+has settled.  No preset carries
 a link past the next cycle, so a queue stays a few chunks long; a link
 carried far past its source holds every chunk decoded in between, and the
 queue then grows with the plan.  The Python work is paid once per chunk
-and template, not once per slot and grid point.
+and template, not once per slot, link, addition or grid point.
 
 The chunk's arrays are buffers kept for the pass, made once at the chunk
 size: the channels, the draw buffer, one estimate-shaped scratch and the
@@ -141,6 +150,7 @@ true channels in place, once, so every projection is a product and a sum
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -153,7 +163,7 @@ import numpy as np
 # orth_complement is not called here (_orth derives it from unit), but the
 # benchmark's tracer (perfbench/tracing.py) patches it under this module
 from .channel import ChannelRealization, SnrPoint, orth_complement, sample_channel, unit  # noqa: F401
-from .channel import _db_key, _dot, _draw, _orth, _pcg_states, _row, _seed_words
+from .channel import _db_key, _dot, _draw, _orth, _pcg_states, _power, _row, _seed_words
 from .geometry import DofPoint
 from .schemes import _DIRECTIONS, _USERS, OWNER_COMMON, SchemePlan, SlotShape, SymbolLayer, _require_int, validate_plan
 
@@ -264,10 +274,10 @@ def _common_mis(sic_power, fresh, power_gain):
         return [], []
     out = []
     for u in (0, 1):
-        fresh_rx = sum(power_gain[d][u] * col for d, col in fresh)
+        fresh_rx = _sum(power_gain[d][u] * col for d, col in fresh)
         first = power_gain[0][u]
         rx = [first * col for col in sic_power]
-        out.append([np.log2(1.0 + rx[i] / (sum(rx[i + 1:]) + fresh_rx + 1.0)) for i in range(len(rx))])
+        out.append([np.log2(1.0 + rx[i] / (_sum(rx[i + 1:] + [fresh_rx]) + 1.0)) for i in range(len(rx))])
     return out[0], out[1]
 
 
@@ -277,12 +287,13 @@ def _cross_minors(direct, cross, powers):
     p_i p_j |d_i c_j - d_j c_i|**2, with d and c the layers' complex gains
     in the two rows (0 for a single layer)."""
     k = len(powers)
-    return sum(powers[i] * powers[j] * np.abs(direct[i] * cross[j] - direct[j] * cross[i]) ** 2
-               for i in range(k) for j in range(i + 1, k))
+    return _sum(powers[i] * powers[j] * np.abs(direct[i] * cross[j] - direct[j] * cross[i]) ** 2
+                for i in range(k) for j in range(i + 1, k))
 
 
-def _logdet_mi(rows, powers, minors=0):
-    """log2 det(I + H Q H^H N^-1) for one or two observation rows.
+def _logdet_mi(rows, powers, minors=0, out=None):
+    """log2 det(I + H Q H^H N^-1) for one or two observation rows, into out
+    when it is given.
 
     rows is a list of (per-layer |gain|**2, noise variance); powers the
     per-layer transmit powers.  With a single row this reduces to the
@@ -292,25 +303,22 @@ def _logdet_mi(rows, powers, minors=0):
     cancellation.
     """
     abs1, n1 = rows[0]
-    a11 = sum(p * a for a, p in zip(abs1, powers)) / n1
+    a11 = _sum(p * a for a, p in zip(abs1, powers)) / n1
     if len(rows) == 1:
-        return np.log2(1.0 + a11)
+        return np.log2(1.0 + a11, out=out)
     abs2, n2 = rows[1]
-    a22 = sum(p * a for a, p in zip(abs2, powers)) / n2
-    return np.log2(1.0 + a11 + a22 + minors / (n1 * n2))
+    a22 = _sum(p * a for a, p in zip(abs2, powers)) / n2
+    return np.log2(1.0 + a11 + a22 + minors / (n1 * n2), out=out)
 
 
-def _link_noise(scale: list[float], demand: list[float], delivered: list[float]) -> list[float]:
-    """Effective residual variance after the subtraction, per grid point.
-
-    scale is the quantizer's own rate-distortion variance: the source is
-    received at ~ P**e_src, and quant_prelog * log2(P) bits (demand)
-    describe it down to P**(e_src - quant_prelog), exactly 1 for a sound
-    link.  A shortfall of the carrying common layer's delivered MI below
-    that demand coarsens the description the receivers get: every missing
-    bit doubles the residual variance.
-    """
-    return [s * 2.0 ** max(0.0, q - d) for s, q, d in zip(scale, demand, delivered)]
+def _sum(terms):
+    """sum(terms), added left to right, without the 0 + that builtin sum
+    starts from (a whole-array copy with the same bits); 0 for no terms."""
+    terms = iter(terms)
+    total = next(terms, 0)
+    for x in terms:
+        total = total + x
+    return total
 
 
 def _take(positions: list[int]):
@@ -327,6 +335,27 @@ def _shift(index, k: int):
     return slice(index.start + k, index.stop + k, index.step) if isinstance(index, slice) else index + k
 
 
+def _add_up(stack: np.ndarray, out: np.ndarray) -> None:
+    """stack's rows added up in turn along its leading axis, into out: row
+    0, plus row 1, plus row 2, and so on.  np.add.reduce adds them so when
+    its inner loop runs over the other axes; with one element a row numpy
+    runs it along the rows instead, as a pairwise sum, so there they are
+    accumulated in place (a sequential sum by definition)."""
+    if stack[0].size > 1:
+        np.add.reduce(stack, axis=0, out=out)
+    else:
+        out[...] = np.add.accumulate(stack, axis=0, out=stack)[-1]
+
+
+def _put(stack, rows, f, *args):
+    """f(*args, out=...) written into stack[rows] and returned: in place
+    where rows is a slice, else into a new array that is then copied there."""
+    if isinstance(rows, slice):
+        return f(*args, out=stack[rows])
+    stack[rows] = value = f(*args)
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class _Template:
     """The decode tables of one slot shape at the grid powers, shared by
@@ -336,8 +365,9 @@ class _Template:
     fresh: tuple  # (direction, power column) per layer of the groups, user 1's first: what SIC reads as noise
     sic: tuple  # (position in the slot, user, rate cap) per first-antenna layer in decode order (common: user -1)
     sic_power: tuple  # their (grid point, 1) power columns
-    carried: tuple  # (carrier's SIC rank, quantizer variance, demand) per link carried here, as _link_noise reads them
+    carried: tuple  # (carrier's SIC rank, quantizer variance, demand) per link carried here, each per grid point
     directions: tuple  # the _DIRECTIONS indices its layers use, increasing
+    owned: tuple  # how many of the first-antenna layers user 1 and user 2 own
 
 
 def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
@@ -368,9 +398,10 @@ def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
             tuple((k, -1, l.encoding_prelog * log2p) if l.owner == OWNER_COMMON else (k, _USERS.index(l.owner), None)
                   for k, l in zip(shape.sic, sic)),
             tuple(column(l) for l in sic),
-            tuple((rank, [p ** (e_src - q) for p in ps], [q * math.log2(p) for p in ps])
+            tuple((rank, np.array([p ** (e_src - q) for p in ps]), np.array([q * math.log2(p) for p in ps]))
                   for rank, q, e_src in shape.carried),
             tuple(sorted({d for g in shape.groups for d in g.directions} | ({0} if shape.sic else set()))),
+            tuple(sum(l.owner == owner for l in sic) for owner in _USERS),
         )
 
     return [template(shape) for shape in plan.shapes]
@@ -381,12 +412,22 @@ class _Batch(NamedTuple):
     settled in one go once the plan's whole part of the chunk is ready."""
 
     template: _Template
-    size: int  # its slots
+    firsts: list  # per user, its slots' first rows among the user's additions of their chunk part
     rows: slice | np.ndarray  # its slots' first rate rows, as _take indexes them
     links: list  # per link column, its slots' link rows as _take indexes them (None: no link there)
     power_gain: dict  # direction -> the users' |gain|**2, for the directions of the template's groups
-    bits: list  # (user, per-trial bits) of the user-owned first-antenna layers
+    owned: list  # (position in the slot, user, MI at user 1, MI at user 2) per user-owned first-antenna layer
     minors: list  # each group's cross minors, 0 without a side row
+
+
+class _Slots(NamedTuple):
+    """A plan's slots of one shape, in plan order: what the pass reads per
+    slot, as int arrays that a template batch slices."""
+
+    at: np.ndarray  # their positions in the union of the pass's slot indices
+    starts: np.ndarray  # their first rate rows
+    links: np.ndarray  # their link rows, (slot, link column): carried here, then overheard by user 1 and user 2
+    added: np.ndarray  # (user, slot): how many additions to each user's totals come before the slot
 
 
 class _PlanPass:
@@ -398,103 +439,169 @@ class _PlanPass:
     and settles its own slots of the chunk from the chunk's gains, with
     nothing of its own shared, so its results are the same whichever plans
     share the pass.
+
+    What it reads per slot sits in int arrays made once per pass, a
+    _Slots per slot shape: each slot's position in the union, first rate
+    row, link rows and how many additions to each user's totals come before
+    it; so a template batch is a range of one shape's slots, and reads them
+    as views.  Which of its slots a chunk holds, and of which shapes, it
+    finds by bisecting its union positions and counting shape numbers in a
+    slice of a list: no numpy loop that the rest of the pass does not run,
+    as each new one pages in more of numpy's code.  Each chunk part adds to
+    a user's per-trial totals through one stack, (row, grid point, trial):
+    row 0 is a copy of the totals, and the other rows are the user's
+    additions in slot order (each slot's owned first-antenna layers' bits,
+    then its group's joint rate), which settle writes in place.
+    _add_up then adds the rows up in turn along the stack's leading axis,
+    the bits of a sequential +=, into the totals.  A single addition, as
+    in each one-slot part, needs no stack: one += adds it.  One user's
+    additions are made and added up before the other's, so a part holds no
+    more than one user's additions at a time.
     """
 
-    def __init__(self, plan: SchemePlan, slots: tuple, ps: list[float], n_trials: int):
-        self.slots, self.wiring, self.n_trials = slots, plan.wiring, n_trials
+    def __init__(self, plan: SchemePlan, slots: tuple, union: list[int], ps: list[float], n_trials: int):
+        # union: each slot's position in the union of the pass's slot indices
+        self.slots, self.union, self.n_trials = slots, union, n_trials
         self.templates = _compile(plan, ps)
-        # each slot's first rate row, then the end
-        self.starts = list(accumulate((len(s.layers) for s in slots), initial=0))
-        self.rate = np.full((self.starts[-1], len(ps)), np.nan)
+        self.shape_of, links, self.settle_after = zip(*plan.wiring)
+        # each user's additions to its totals before each slot, then in all
+        counts = [[t.owned[u] + bool(t.groups[u][1]) for t in self.templates] for u in (0, 1)]
+        self.added = np.zeros((2, len(slots) + 1), int)
+        np.cumsum(np.array(counts)[:, self.shape_of], axis=1, out=self.added[:, 1:])
+        starts = np.fromiter(accumulate((len(s.layers) for s in slots), initial=0), int, len(slots) + 1)
+        members = [[] for _ in self.templates]  # each shape's plan positions
+        for k, n in enumerate(self.shape_of):
+            members[n].append(k)
+        at, self.shapes = np.array(union), []
+        for m in members:
+            rows = np.array(m, int)
+            self.shapes.append(_Slots(at[rows], starts[rows], np.array([links[k] for k in m]), self.added[:, rows]))
+        self.next = [0] * len(members)  # per shape, its first slot not yet decoded
+        self.rate = np.full((int(starts[-1]), len(ps)), np.nan)
         # delivered MI, effective noise; NaN until decoded
         self.link_out = np.full((2, len(plan.links), len(ps)), np.nan)
-        self.totals = None  # per-user bits per run, (2, point, trial): made when the first slot settles
-        # (largest settle_after, lo, hi, {shape number: _Batch}) per chunk part not yet settled
+        # (largest settle_after, lo, hi, its _Batches) per chunk part not yet settled
         self.waiting: deque = deque()
-        self.decoded = 0  # its slots at plan positions [0, decoded) are decoded
+        self.totals = None  # per-user bits per run, (2, point, trial): made when the first slot settles
         self.result = None  # (rate, link_out, mean, stderr), once every slot has settled
 
     def trial_mean(self, x):
         # x.mean(axis=-1), bit for bit, without its Python-level wrapper
         return np.add.reduce(x, axis=-1) / self.n_trials
 
-    def split(self, indices: list[int], lo: int, hi: int) -> dict[int, tuple]:
-        """Its slots in the chunk that holds the union's slots indices[lo:hi],
-        by shape number: their plan positions, and their positions in the
-        chunk as _take indexes them.  Both lists are sorted, so its slots
-        not yet decoded are matched in one walk over the chunk."""
-        parts: dict[int, tuple[list[int], list[int]]] = {}
-        p, slots = self.decoded, self.slots
-        for q in range(lo, hi):
-            if p < len(slots) and slots[p].index == indices[q]:
-                part, at = parts.setdefault(self.wiring[p].shape, ([], []))
-                part.append(p)
-                at.append(q - lo)
-                p += 1
-        return {n: (part, _take(at)) for n, (part, at) in parts.items()}
+    def split(self, lo: int, hi: int) -> dict[int, tuple]:
+        """Its slots among the union's slots at positions [lo, hi), a decode
+        chunk, by shape number: their range in the shape's _Slots, and their
+        positions in the chunk as _take indexes them.  Each shape's slots
+        not yet decoded come first in plan order, so they are the ones below
+        hi."""
+        start = sum(self.next)  # its slots at plan positions [0, start) are decoded
+        ahead = self.shape_of[start:bisect_left(self.union, hi, start)]
+        share = {}
+        for n in set(ahead):
+            j = self.next[n]
+            k = j + ahead.count(n)
+            share[n] = (slice(j, k), _take((self.shapes[n].at[j:k] - lo).tolist()))
+        return share
 
-    def decode(self, t: _Template, part: list[int], at, power_gain, minors) -> _Batch:
-        # the first-antenna layers of the slots at plan positions part (at
-        # `at` in the chunk), at every grid point; minors are each group's
-        # cross minors there
+    def decode(self, n: int, part: slice, lo: int, at, power_gain, minors) -> _Batch:
+        # the first-antenna layers of the slots part of shape n (at `at` in
+        # the chunk), of the chunk part from plan position lo, at every grid
+        # point: the common ones' rates and their links' outputs; the owned
+        # ones' MIs wait for the settle.  minors are each group's cross
+        # minors there
+        t, s = self.templates[n], self.shapes[n]
         power_gain = {d: (power_gain[d][0][at], power_gain[d][1][at]) for d in t.directions}
-        rows = _take([self.starts[p] for p in part])
-        links = [_take(list(col)) if col[0] >= 0 else None for col in zip(*(self.wiring[p].links for p in part))]
+        rows = _take(s.starts[part].tolist())
+        links = [_take(col) if col[0] >= 0 else None for col in s.links[part].T.tolist()]
         mi1, mi2 = _common_mis(t.sic_power, t.fresh, power_gain)
         rate, link_out, trial_mean = self.rate, self.link_out, self.trial_mean
-        bits = []
+        owned = []
         for (k, user, cap), m1, m2 in zip(t.sic, mi1, mi2):
-            per_trial = np.minimum(m1, m2)
             if cap is None:
-                rate[_shift(rows, k)] = trial_mean(per_trial)
-                bits.append((user, per_trial))
+                owned.append((k, user, m1, m2))
             else:
                 # retransmission overhead, no user bits; the usable rate is
                 # capped by the quantization bits the layer actually carries
-                rate[_shift(rows, k)] = np.minimum(trial_mean(per_trial), cap)
+                rate[_shift(rows, k)] = np.minimum(trial_mean(np.minimum(m1, m2)), cap)
         for j, (k, scale, demand) in enumerate(t.carried):
             link_out[0, links[j]] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
-            link_out[1, links[j]] = [_link_noise(scale, demand, d) for d in mi.tolist()]
-        return _Batch(t, len(part), rows, links, {d: power_gain[d] for d, _ in t.fresh}, bits, minors)
+            # the effective residual variance after the subtraction: the
+            # quantizer's own rate-distortion variance (the source, received
+            # at ~ P**e_src, described by quant_prelog * log2(P) bits, the
+            # demand, down to P**(e_src - quant_prelog): exactly 1 for a sound
+            # link), doubled for every bit the carrier delivers short of the
+            # demand.  np.float_power is libm's pow, as Python's 2.0 ** x is
+            link_out[1, links[j]] = scale * np.float_power(2.0, np.fmax(0.0, demand - mi))
+        firsts = (s.added[:, part] - self.added[:, lo, None]).tolist()
+        return _Batch(t, firsts, rows, links, {d: power_gain[d] for d, _ in t.fresh}, owned, minors)
 
-    def settle(self, b: _Batch):
-        # each user's fresh layers in b's slots decode jointly.  The direct
-        # observation's noise is 1 + the residual of the linked
-        # own-interference, or the other user's layers at their true leakage
-        # powers when nothing was quantized; the side observation (when the
-        # group's image at the other user is linked) carries only the
-        # quantization error.  Every link row read here was filled when its
-        # carrier was decoded: b's chunk part waits whole until the slot that
-        # its last group settles after has been decoded.  Returns each slot's
-        # (user, per-trial bits) additions, in the order they add up.
-        t, power_gain, link_out = b.template, b.power_gain, self.link_out
-        joints = []
-        for u, (group, powers) in enumerate(t.groups):
-            if not powers:
-                continue
-            if group.own_link >= 0:
-                own_noise = link_out[1, b.links[group.own_link], :, None]
-            else:
-                leak, leak_powers = t.groups[1 - u]
-                own_noise = sum(power_gain[d][u] * col for d, col in zip(leak.directions, leak_powers))
-            rows = [([power_gain[d][u] for d in group.directions], 1.0 + own_noise)]
-            if group.side_link >= 0:
-                rows.append(([power_gain[d][1 - u] for d in group.directions],
-                             link_out[1, b.links[group.side_link], :, None]))
-            joint = _logdet_mi(rows, powers, b.minors[u])
-            joints.append((u, joint))
-            if len(powers) == 1:
-                shares = [joint]
-            else:
-                # genie-aided rates (the group's other layers known): MRC of
-                # all observation rows against noise only
-                genie = [np.log2(1.0 + sum(a[i] / n for a, n in rows) * powers[i]) for i in range(len(powers))]
-                total = sum(genie)
-                shares = [np.where(total > 0.0, joint * g / np.where(total > 0.0, total, 1.0), 0.0)
-                          for g in genie]
-            for k, share in zip(group.positions, shares):
-                self.rate[_shift(b.rows, k)] = self.trial_mean(share)
-        return [[(user, x[j]) for user, x in b.bits + joints] for j in range(b.size)]
+    def settle_part(self, lo: int, hi: int, batches: list) -> None:
+        # the chunk part at plan positions [lo, hi), a user at a time: its
+        # batches write the user's n additions in slot order into n rows,
+        # which then add up into the user's totals.  More than one are rows
+        # 1 to n of a stack whose row 0 is a copy of the totals; a single one
+        # (a one-slot part) adds with one +=, the same bits, and no copy
+        if self.totals is None:  # made when the first part settles, so that plans whose first slots wait hold none
+            self.totals = np.zeros((2,) + self.rate.shape[1:] + (self.n_trials,))
+        shape = self.totals.shape[1:]
+        for u, n in enumerate((self.added[:, hi] - self.added[:, lo]).tolist()):
+            if n:
+                stack = np.empty((1 + n,) + shape) if n > 1 else None
+                rows = np.empty((1,) + shape) if stack is None else stack[1:]
+                for b in batches:
+                    self.settle(b, u, rows)
+                if stack is None:
+                    self.totals[u] += rows[0]
+                else:
+                    stack[0] = self.totals[u]
+                    _add_up(stack, self.totals[u])
+
+    def settle(self, b: _Batch, u: int, out: np.ndarray) -> None:
+        # user u's additions from b's slots, written in place into their
+        # rows of out, user u's rows of their chunk part: the owned
+        # first-antenna layers' bits, then the group's joint rate.  The
+        # group's fresh layers decode jointly.  The direct observation's
+        # noise is 1 + the residual of the linked own-interference, or the
+        # other user's layers at their true leakage powers when nothing was
+        # quantized; the side observation (when the group's image at the
+        # other user is linked) carries only the quantization error.  Every
+        # link row read here was filled when its carrier was decoded: b's
+        # chunk part waits whole until the slot that its last group settles
+        # after has been decoded.
+        t, power_gain, link_out, rate, trial_mean = b.template, b.power_gain, self.link_out, self.rate, self.trial_mean
+        group, powers = t.groups[u]
+        if not (powers or t.owned[u]):
+            return
+        at = _take(b.firsts[u])
+        for k, user, m1, m2 in b.owned:
+            if user == u:
+                rate[_shift(b.rows, k)] = trial_mean(_put(out, at, np.minimum, m1, m2))
+                at = _shift(at, 1)
+        if not powers:
+            return
+        if group.own_link >= 0:
+            own_noise = link_out[1, b.links[group.own_link], :, None]
+        else:
+            leak, leak_powers = t.groups[1 - u]
+            own_noise = _sum(power_gain[d][u] * col for d, col in zip(leak.directions, leak_powers))
+        rows = [([power_gain[d][u] for d in group.directions], 1.0 + own_noise)]
+        if group.side_link >= 0:
+            rows.append(([power_gain[d][1 - u] for d in group.directions],
+                         link_out[1, b.links[group.side_link], :, None]))
+        joint = _put(out, at, _logdet_mi, rows, powers, b.minors[u])
+        if len(powers) == 1:
+            shares = [joint]
+        else:
+            # genie-aided rates (the group's other layers known): MRC of all
+            # observation rows against noise only
+            genie = [np.log2(1.0 + _sum(a[i] / n for a, n in rows) * powers[i]) for i in range(len(powers))]
+            total = _sum(genie)
+            positive = total > 0.0
+            safe = np.where(positive, total, 1.0)
+            shares = (np.where(positive, joint * g / safe, 0.0) for g in genie)
+        for k, share in zip(group.positions, shares):
+            rate[_shift(b.rows, k)] = trial_mean(share)
 
     def add(self, share: dict[int, tuple], block: dict, minors: dict) -> None:
         """Decode its slots of a chunk (split's share) from the chunk's
@@ -503,26 +610,22 @@ class _PlanPass:
         queue.  The part's batches wait, holding views of the block for
         their fresh directions, until the slot that its last group settles
         after has been decoded."""
-        lo, hi = self.decoded, max(part[-1] for part, _ in share.values()) + 1
-        batches = {n: self.decode(self.templates[n], part, at, block, [minors.get((self, n, u), 0) for u in (0, 1)])
-                   for n, (part, at) in share.items()}
-        self.decoded = hi
-        self.waiting.append((max(w.settle_after for w in self.wiring[lo:hi]), lo, hi, batches))
+        lo = sum(self.next)
+        batches = [self.decode(n, part, lo, at, block, [minors.get((self, n, u), 0) for u in (0, 1)])
+                   for n, (part, at) in share.items()]
+        for n, (part, _) in share.items():
+            self.next[n] = part.stop
+        hi = sum(self.next)
+        self.waiting.append((max(self.settle_after[lo:hi]), lo, hi, batches))
         while self.waiting and self.waiting[0][0] <= self.slots[hi - 1].index:
-            if self.totals is None:  # so that plans whose first slots wait for a carrier hold none meanwhile
-                self.totals = np.zeros((2,) + self.rate.shape[1:] + (self.n_trials,))
-            _, start, stop, done = self.waiting.popleft()
-            additions = {n: iter(self.settle(b)) for n, b in done.items()}
-            for w in self.wiring[start:stop]:
-                for user, x in next(additions[w.shape]):
-                    self.totals[user] += x
+            self.settle_part(*self.waiting.popleft()[1:])
         if hi == len(self.slots):
             # every slot has settled: keep (rate, link_out, mean, stderr), and
             # free the per-trial totals while other plans still decode
             totals, n_trials = self.totals, self.n_trials
+            del self.totals
             stderr = totals.std(axis=-1, ddof=1) / math.sqrt(n_trials) if n_trials > 1 else np.zeros(totals.shape[:2])
             self.result = self.rate, self.link_out, totals.mean(axis=-1), stderr
-            del self.totals
 
 
 def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int, seed: int) -> list[tuple]:
@@ -558,7 +661,7 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         # the chunk holds the slots at union positions [lo, hi).  Each plan
         # with slots there decodes them from the chunk's one power-gain
         # block, made for the directions that any of them uses
-        shares = [(pp, share) for pp in passes if (share := pp.split(indices, lo, hi))]
+        shares = [(pp, share) for pp in passes if (share := pp.split(lo, hi))]
         directions = sorted({d for pp, share in shares for n in share for d in pp.templates[n].directions})
         block = {d: first[:, :hi - lo] if d == 0 else np.empty((2, hi - lo) + shape[1:]) for d in directions}
         # each group that gets a side row has its cross minors formed as soon
@@ -602,7 +705,9 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
             return queue, streams, rows, pool.submit(_draw, worker_rng, queue.popleft, streams, rows) if pool else None
 
         drawn = deque(hand_over(k) for k in range(len(normals)))
-        passes = [_PlanPass(plan, slots, ps, n_trials) for plan, slots in zip(plans, own)]
+        union = {index: k for k, index in enumerate(indices)}
+        passes = [_PlanPass(plan, slots, [union[s.index] for s in slots], ps, n_trials)
+                  for plan, slots in zip(plans, own)]
         shape = (chunk, len(ps), n_trials)
         bufs = {name: np.empty(shape + (2,), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
         # sample_channel writes each error into its channel and adds the
@@ -678,10 +783,7 @@ def check_grid_db(p_db: list[float], alpha2: float) -> None:
     if not all(math.isfinite(x) and x > 0.0 for x in p_db):
         raise ValueError(f"power grid points must be finite and above 0 dB, got {list(p_db)}")
     for x in p_db:
-        try:
-            math.pow(10.0, x / 10.0)
-        except OverflowError:
-            raise ValueError(f"power grid point {x} dB overflows: 10**(dB/10) is not a finite float") from None
+        _power(x)
     if any(b <= a for a, b in zip(p_db, p_db[1:])):
         raise ValueError("power grid must be strictly increasing")
     if len(p_db) < 3:

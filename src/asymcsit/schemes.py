@@ -818,14 +818,19 @@ def validate_plan(plan: SchemePlan) -> list[str]:
     of the interference it describes, and that the predicted DoF sits
     inside the region polygon.  The budget is judged once per slot shape,
     whose slots share their layers' power specs, and reported for each of
-    its slots, in slot order.
+    its slots, in slot order; so are the quantization rates, which a shape
+    fixes with its carried links, each mismatch reported once per link, in
+    plan.links order.
     """
     budget = [_budget_faults(shape.layers) for shape in plan.shapes]
     diags = [f"power budget exceeded: slot {s.index} {fault}"
              for s, w in zip(plan.all_slots(), plan.wiring) for fault in budget[w.shape]]
 
-    exponents = {i: e for w in plan.wiring for i, (_, _, e) in zip(w.links, plan.shapes[w.shape].carried)}
-    for i, link in enumerate(plan.links):
+    mismatched = {n for n, shape in enumerate(plan.shapes) if any(abs(e - q) > 1e-9 for _, q, e in shape.carried)}
+    exponents = {i: e for w in plan.wiring if w.shape in mismatched
+                 for i, (_, _, e) in zip(w.links, plan.shapes[w.shape].carried)}
+    for i in sorted(exponents):
+        link = plan.links[i]
         if abs(exponents[i] - link.quant_prelog) > 1e-9:
             diags.append(
                 f"link {link.interference_id}: quantization rate mismatch "

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,15 @@ class TestSnrPoint:
     def test_rejects_degenerate_power(self, p):
         with pytest.raises(ValueError):
             SnrPoint(p, CsitQuality(0.3, 0.5))
+
+    @pytest.mark.parametrize("p_db", [4000.0, 3083.0, 1e300])
+    def test_from_db_names_a_power_that_overflows(self, p_db):
+        # 10**(dB/10) overflows a float from about 3082.5 dB on
+        with pytest.raises(ValueError, match=re.escape(f"power {p_db} dB overflows")):
+            SnrPoint.from_db(p_db, CsitQuality(0.3, 0.5))
+
+    def test_from_db_below_the_overflow_keeps_its_power(self):
+        assert SnrPoint.from_db(3080.0, CsitQuality(0.3, 0.5)).p == 10.0 ** 308.0
 
     @pytest.mark.parametrize("user", [0, 3, None, "1"])
     def test_sigma_sq_names_a_bad_user(self, user):

@@ -488,9 +488,9 @@ class TestSlotTemplates:
         calls = []
         logdet = evaluator._logdet_mi
 
-        def counting_logdet(*args):
+        def counting_logdet(*args, **kwargs):
             calls.append(1)
-            return logdet(*args)
+            return logdet(*args, **kwargs)
 
         monkeypatch.setattr(evaluator, "_logdet_mi", counting_logdet)
         _evaluate_grid([plan], grid, n_trials, 5)
@@ -505,6 +505,63 @@ class TestSlotTemplates:
         assert evaluator._take([4]) == slice(4, 5, 1)  # a chunk of one slot, as at 2000 trials
         assert evaluator._take([1, 4, 7]) == slice(1, 8, 3)
         assert np.array_equal(evaluator._take([2, 4, 7]), [2, 4, 7])
+
+
+# the shortfall of delivered MI below a link's demand: none (exact
+# delivery), a surplus, or a shortfall, in bits
+_gap = st.one_of(st.just(0.0), st.floats(1e-12, 80.0), st.floats(-80.0, -1e-12))
+
+
+class TestArrayArithmetic:
+    """The pass's array forms give the bits of the per-element Python and
+    the in-turn additions they stand for, on this numpy at this dispatch
+    level; a numpy whose loops round otherwise fails here by name, not only
+    in a digest."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-30, 1e30), st.floats(0.0, 120.0), st.lists(_gap, min_size=1, max_size=8)),
+                    min_size=1, max_size=6))
+    @example([(1.0, 40.0, [0.0, 3.5, -2.25])])
+    def test_link_noise_is_pythons_pow_bit_for_bit(self, points):
+        # a carried link's noise column as _PlanPass.decode writes it, one row
+        # per slot and one column per grid point: the quantizer variance
+        # scale, doubled for every bit of delivered MI short of the demand
+        n_slots = min(len(gaps) for _, _, gaps in points)
+        scale = np.array([s for s, _, _ in points])
+        demand = np.array([q for _, q, _ in points])
+        delivered = np.array([[q - gaps[j] for _, q, gaps in points] for j in range(n_slots)])
+        got = scale * np.float_power(2.0, np.fmax(0.0, demand - delivered))
+        want = [[s * 2.0 ** max(0.0, q - d) for s, q, d in zip(scale.tolist(), demand.tolist(), row)]
+                for row in delivered.tolist()]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 8, 52, 151])
+    @pytest.mark.parametrize("n_points, n_trials", [(4, 20), (1, 2000), (4, 1), (1, 1)])
+    @pytest.mark.parametrize("layout", ["contiguous", "take-slice"])
+    def test_a_stack_adds_up_as_its_rows_added_in_turn(self, n_rows, n_points, n_trials, layout):
+        # a user's stack of a part, (row, grid point, trial): row 0 the
+        # totals, then nonnegative rates, which _PlanPass.settle_part adds up
+        # along the leading axis into the totals with _add_up.  Each
+        # template's rows are written through _take slices of it, and the
+        # strided layout is one such slice.  At one point and one trial numpy
+        # runs np.add.reduce along the rows as a pairwise sum, which from 8
+        # rows on has other bits
+        rng = np.random.default_rng(n_rows)
+        rows = rng.exponential(3.0, (n_rows, n_points, n_trials))
+        rows[0] *= 50.0
+        if layout == "contiguous":
+            stack = rows
+        else:
+            index = evaluator._take(list(range(1, 3 * n_rows, 3)))
+            assert isinstance(index, slice)
+            stack = np.zeros((3 * n_rows, n_points, n_trials))[index]
+            stack[...] = rows
+        want = stack[0].copy()
+        for row in stack[1:]:
+            want += row
+        total = np.empty((n_points, n_trials))
+        evaluator._add_up(stack, total)
+        assert total.tobytes() == want.tobytes()
 
 
 class TestLinkWiring:
@@ -839,6 +896,22 @@ class TestPrefetch:
             assert handed == self._streams(6, slots_per_chunk)
             for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
                 assert np.array_equal(a, b), (slots_per_chunk, what)
+
+    def test_one_point_one_trial_does_not_depend_on_chunking(self, monkeypatch):
+        # evaluate_plan at one trial: each stack row is one element.  The
+        # whole plan is one chunk, so a part adds up many rows at once, which
+        # must give the bits of one slot per chunk, where each part adds few
+        plan = build_case_ii(Q35, 5)
+        snr = SnrPoint.from_db(80.0, Q35)
+        ledgers = []
+        for budget in (evaluator._DRAW_BUDGET, math.prod(channel._row(1))):
+            with monkeypatch.context() as m:
+                m.setattr(evaluator, "_DRAW_BUDGET", budget)
+                ledgers.append(evaluate_plan(plan, snr, 1, 5))
+        whole, one = ledgers
+        assert len(plan.all_slots()) <= evaluator._DRAW_BUDGET // math.prod(channel._row(1))  # one chunk
+        for field in ("per_symbol_rate", "user_rate", "link_delivered", "link_noise"):
+            assert getattr(whole, field) == getattr(one, field), field
 
     def test_stream_keys_of_one_and_two_words_in_one_pass(self, monkeypatch):
         # slot indices on both sides of 2**32 key their streams with one and

@@ -2,7 +2,8 @@
 with monkeypatch and asserts that a check fails.
 
 The rules are the ones whose faults results alone would not show: the
-slot a chunk settles after, each stream's PCG64 start (its increment's
+slot a chunk settles after, the order in which a part's additions add up
+to the totals, each stream's PCG64 start (its increment's
 low bit and the 128-bit carries), which streams' starts a chunk gets and
 which row each of them fills, one reseed per stream, the decode wiring
 the plan stores (side links, SIC order, carried ranks, each slot's shape),
@@ -152,6 +153,46 @@ def test_a_chunk_settled_one_slot_early(plan, monkeypatch):
     _stored(monkeypatch, "wiring",
             tuple(w._replace(settle_after=w.settle_after - 1) if w.settle_after >= 0 else w for w in plan.wiring))
     assert _digest(plan) != recorded(DIGESTS)
+
+
+def _part_rows(self, lo, hi):
+    """Each user's count of additions in the part and zeroed rows for them,
+    after making the totals as the pass does."""
+    if self.totals is None:
+        self.totals = np.zeros((2,) + self.rate.shape[1:] + (self.n_trials,))
+    return [(u, np.zeros((n,) + self.totals.shape[1:])) for u, n in
+            enumerate((self.added[:, hi] - self.added[:, lo]).tolist())]
+
+
+def _added_up_template_by_template(self, lo, hi, batches):
+    # each template batch's additions are added to the totals on their own,
+    # one template after another, not in slot order
+    for u, rows in _part_rows(self, lo, hi):
+        for b in batches:
+            rows[...] = 0.0
+            self.settle(b, u, rows)
+            for row in rows:
+                self.totals[u] += row
+
+
+def _folded_in_as_one_sum(self, lo, hi, batches):
+    # the part's additions summed first, then added to the totals at once:
+    # total + sum(additions)
+    for u, rows in _part_rows(self, lo, hi):
+        for b in batches:
+            self.settle(b, u, rows)
+        self.totals[u] += np.add.reduce(rows, axis=0)
+
+
+# at the default budget the 12 slots are one decode chunk, so one part
+# whose templates' slots interleave, added to totals of 0; at two slots
+# per chunk, parts of one or two templates add to totals that are not 0
+@pytest.mark.parametrize("settle_part, budget", [(_added_up_template_by_template, evaluator._DRAW_BUDGET),
+                                                 (_folded_in_as_one_sum, 2 * PER_SLOT)],
+                         ids=["template-by-template", "total-plus-sum"])
+def test_a_part_added_up_out_of_slot_order(plan, monkeypatch, settle_part, budget):
+    monkeypatch.setattr(evaluator._PlanPass, "settle_part", settle_part)
+    assert _digest(plan, budget) != recorded(DIGESTS)
 
 
 def _breaks_both_draw_paths(plan, *state) -> None:
@@ -331,8 +372,8 @@ def test_a_plan_decodes_the_shared_chunk_one_slot_off(monkeypatch, later_plans, 
     # slot indices, so each reads the gains of the union slot after its own
     split = evaluator._PlanPass.split
 
-    def one_off(self, indices, lo, hi):
-        return split(self, [None] + indices if self in later_plans else indices, lo, hi)
+    def one_off(self, lo, hi):
+        return split(self, lo - 1, hi - 1) if self in later_plans else split(self, lo, hi)
 
     monkeypatch.setattr(evaluator._PlanPass, "split", one_off)
     _fails_sharing_checks(tmp_path, capsys)

@@ -562,6 +562,20 @@ class TestValidation:
         diags = validate_plan(bad)
         assert any("quantization rate mismatch" in d for d in diags)
 
+    def test_mismatched_links_are_named_once_each_in_link_order(self):
+        # the rates are judged per slot shape, and a shape that fails names
+        # each of its links: two links far apart, perturbed in the reverse
+        # of plan.links order
+        plan = build_case_ii(CsitQuality(0.3, 0.5), 50)
+        first, last = plan.links[5], plan.links[-5]
+        bad = perturb_link_prelog(perturb_link_prelog(plan, last.interference_id, 0.2), first.interference_id, -0.1)
+        assert [d for d in validate_plan(bad) if "mismatch" in d] == [
+            f"link {first.interference_id}: quantization rate mismatch "
+            f"(prelog {first.quant_prelog - 0.1:.6g} vs received exponent {first.quant_prelog:.6g})",
+            f"link {last.interference_id}: quantization rate mismatch "
+            f"(prelog {last.quant_prelog + 0.2:.6g} vs received exponent {last.quant_prelog:.6g})",
+        ]
+
     def test_quant_rates_match_received_exponents(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
