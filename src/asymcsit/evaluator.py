@@ -31,50 +31,50 @@ pass of its own.  A chunk is drawn whole before it is scaled (below).
 Each slot is drawn at every grid point, and a chunk's draws are stacked
 on leading (slot, grid point) axes: one sample_channel call scales them,
 and each precoder direction is projected once per chunk, with every
-|gain|**2 taken once.  The decode wiring is resolved once, when the plan
-is built (SchemePlan.shapes and SchemePlan.wiring, which validate_plan
-reads too): the SIC order, the fresh groups, which links a slot carries
-and which each user overhears there, each interference's received
-exponent and the slot its groups wait for.  Slots of one shape (a cycled
-plan's cycle positions) share one decode template, which the pass makes
-once from the shape and the grid powers: power columns, rate caps and
-each link's quantizer scale and demand.  A decode chunk is a range of
-positions in the union of slot indices.  Each slot's position there, its
-first rate row, link rows and how many additions to each user's totals
-come before it sit in int arrays, one set per slot shape, that each
-plan's pass makes once from SchemePlan.wiring (_PlanPass), so splitting,
-decoding and settling a chunk are array operations per template batch,
-with no Python per slot, link or addition.  A chunk is decoded a plan and
-a template at a time: the SIC MIs, link noise and cross minors of all of
-the chunk's slots of one template run once, on (slot, grid point, trial)
-arrays that are views of the chunk's gains when those slots step evenly
-through it (always, for a chunk of one slot).  Step 1 is settled as the
-template is decoded, and a carrier's decode writes its links' delivered
-MI and residual into the pass's per-link output.  A link's carrier comes
-after its source, so step 3 waits: a plan's part of a chunk waits whole,
-in the plan's first-in-first-out queue, until the slot that its last
-group settles after has been decoded.  It holds its template batches'
-fresh power gains and the cross minors of the groups that get a side row;
-then each group reads its residuals from its link rows.  After each
-chunk, every ready part at the head of a plan's queue is settled, one
-call per template batch, each writing its slots' additions in place into
-the part's stack: row 0 a copy of the per-trial user totals, then each
-user's additions in slot order (each slot's user-owned first-antenna
-layers, then its group).  One np.add.reduce along the stack's leading
-axis adds the rows up in turn into the totals, the same bits as adding
-them one by one (at one grid point and one trial, where numpy would sum
-the rows pairwise, _add_up accumulates them instead); a user's single
-addition of a part, as in a one-slot chunk, takes no stack and adds with
-one +=.  So each total adds up slot by slot in slot order, the same sums
-in the same order at any chunk size.  Memory is bounded by the chunk size and the parts in those
-queues, besides the per-layer and
-per-link results (NaN until written), the per-slot int arrays and each
-plan's per-trial user totals, which are freed once the plan's last slot
-has settled.  No preset carries
-a link past the next cycle, so a queue stays a few chunks long; a link
-carried far past its source holds every chunk decoded in between, and the
-queue then grows with the plan.  The Python work is paid once per chunk
-and template, not once per slot, link, addition or grid point.
+|gain|**2 taken once.  The decode index is made once, when the plan is
+built, and validate_plan reads it too (see schemes): the SIC order, the
+fresh groups, which links a slot carries and which each user overhears
+there, each interference's received exponent, the slot its groups wait
+for, each shape's slots and link rows, each slot's first rate row and how
+many additions to each user's totals come before it.  Slots of one shape
+(a cycled plan's cycle positions) share one decode template, which the
+pass makes once from the shape and the grid powers: power columns, rate
+caps and each link's quantizer scale and demand.  A decode chunk is a
+range of positions in the union of slot indices, and the pass's only
+per-slot table is each shape's slots' positions there (_PlanPass); the
+rest it reads off the plan's index in place, so splitting, decoding and
+settling a chunk are array operations per template batch, with no Python
+per slot, link or addition.  A chunk is decoded a plan and a template at a
+time: the SIC MIs, link noise and cross minors of all of the chunk's slots
+of one template run once, on (slot, grid point, trial) arrays that are
+views of the chunk's gains when those slots step evenly through it
+(always, for a chunk of one slot).  Step 1 is settled as the template is
+decoded, and a carrier's decode writes its links' delivered MI and
+residual into the pass's per-link output.  A link's carrier comes after
+its source, so step 3 waits: a plan's part of a chunk waits whole, in the
+plan's first-in-first-out queue, until the slot that its last group
+settles after has been decoded.  It holds its template batches' fresh
+power gains, the bits of their user-owned first-antenna layers (the lesser
+of the two users' MIs) and the cross minors of the groups that get a side
+row; then each group reads its residuals from its link rows.  After each
+chunk, every ready part at the head of a plan's queue is settled, one call
+per template batch, each writing its slots' additions in place into the
+part's stack: row 0 a copy of the per-trial user totals, then each user's
+additions in slot order (each slot's user-owned first-antenna layers, then
+its group).  One np.add.reduce along the stack's leading axis adds the
+rows up in turn into the totals, the same bits as adding them one by one
+(at one grid point and one trial, where numpy would sum the rows pairwise,
+_add_up accumulates them instead); a user's single addition of a part, as
+in a one-slot chunk, takes no stack and adds with one +=.  So each total
+adds up slot by slot in slot order, the same sums in the same order at any
+chunk size.  Memory is bounded by the chunk size and the parts in those
+queues, besides the per-layer and per-link results (NaN until written),
+the union positions and each plan's per-trial user totals, which are freed
+once the plan's last slot has settled.  No preset carries a link past the
+next cycle, so a queue stays a few chunks long; a link carried far past
+its source holds every chunk decoded in between, and the queue then grows
+with the plan.  The Python work is paid once per chunk and template, not
+once per slot, link, addition or grid point.
 
 The chunk's arrays are buffers kept for the pass, made once at the chunk
 size: the channels, the draw buffer, one estimate-shaped scratch and the
@@ -155,7 +155,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -347,42 +346,34 @@ def _add_up(stack: np.ndarray, out: np.ndarray) -> None:
         out[...] = np.add.accumulate(stack, axis=0, out=stack)[-1]
 
 
-def _put(stack, rows, f, *args):
-    """f(*args, out=...) written into stack[rows] and returned: in place
-    where rows is a slice, else into a new array that is then copied there."""
-    if isinstance(rows, slice):
-        return f(*args, out=stack[rows])
-    stack[rows] = value = f(*args)
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class _Template:
     """The decode tables of one slot shape at the grid powers, shared by
     every slot of that shape (see _compile)."""
 
+    shape: SlotShape
     groups: tuple  # (the shape's SlotGroup, its layers' (grid point, 1) power columns) of user 1 and of user 2
     fresh: tuple  # (direction, power column) per layer of the groups, user 1's first: what SIC reads as noise
     sic: tuple  # (position in the slot, user, rate cap) per first-antenna layer in decode order (common: user -1)
     sic_power: tuple  # their (grid point, 1) power columns
     carried: tuple  # (carrier's SIC rank, quantizer variance, demand) per link carried here, each per grid point
-    directions: tuple  # the _DIRECTIONS indices its layers use, increasing
-    owned: tuple  # how many of the first-antenna layers user 1 and user 2 own
 
 
 def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
     """One _Template per entry of plan.shapes, in that order, at the grid
     powers ps.
 
-    All that does not depend on the powers is read off the plan, which
-    resolved it when it was built: one SlotShape per way a slot decodes
-    (SIC order, groups, carried links), and each slot's SlotWiring, which
+    All that does not depend on the powers is read off the plan's decode
+    index, made when the plan was built: one SlotShape per way a slot
+    decodes (SIC order, groups, carried links, directions, additions),
+    which the template keeps, and the per-slot and per-shape tables that
     the pass reads in place.  So a template only attaches the powers: a
     power column per layer, rate caps, and each carried link's quantizer
     variance and demand.  A cycled plan has one shape per cycle position,
     however many cycles it has.  A common-owned first-antenna layer's rate
     cap is its encoding pre-log times log2(P): it carries no user bits,
-    only the quantization bits it was built for.
+    only the quantization bits it was built for; a user-owned one has no
+    cap (inf).
     """
     log2p = np.array([math.log2(p) for p in ps])
 
@@ -393,15 +384,14 @@ def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
         groups = tuple((g, tuple(column(shape.layers[k]) for k in g.positions)) for g in shape.groups)
         sic = [shape.layers[k] for k in shape.sic]
         return _Template(
+            shape,
             groups,
             tuple(pair for g, cols in groups for pair in zip(g.directions, cols)),
-            tuple((k, -1, l.encoding_prelog * log2p) if l.owner == OWNER_COMMON else (k, _USERS.index(l.owner), None)
-                  for k, l in zip(shape.sic, sic)),
+            tuple((k, -1, l.encoding_prelog * log2p) if l.owner == OWNER_COMMON
+                  else (k, _USERS.index(l.owner), math.inf) for k, l in zip(shape.sic, sic)),
             tuple(column(l) for l in sic),
             tuple((rank, np.array([p ** (e_src - q) for p in ps]), np.array([q * math.log2(p) for p in ps]))
                   for rank, q, e_src in shape.carried),
-            tuple(sorted({d for g in shape.groups for d in g.directions} | ({0} if shape.sic else set()))),
-            tuple(sum(l.owner == owner for l in sic) for owner in _USERS),
         )
 
     return [template(shape) for shape in plan.shapes]
@@ -416,18 +406,8 @@ class _Batch(NamedTuple):
     rows: slice | np.ndarray  # its slots' first rate rows, as _take indexes them
     links: list  # per link column, its slots' link rows as _take indexes them (None: no link there)
     power_gain: dict  # direction -> the users' |gain|**2, for the directions of the template's groups
-    owned: list  # (position in the slot, user, MI at user 1, MI at user 2) per user-owned first-antenna layer
+    owned: list  # (user, its bits: the lesser MI of the two users) per user-owned first-antenna layer
     minors: list  # each group's cross minors, 0 without a side row
-
-
-class _Slots(NamedTuple):
-    """A plan's slots of one shape, in plan order: what the pass reads per
-    slot, as int arrays that a template batch slices."""
-
-    at: np.ndarray  # their positions in the union of the pass's slot indices
-    starts: np.ndarray  # their first rate rows
-    links: np.ndarray  # their link rows, (slot, link column): carried here, then overheard by user 1 and user 2
-    added: np.ndarray  # (user, slot): how many additions to each user's totals come before the slot
 
 
 class _PlanPass:
@@ -440,44 +420,35 @@ class _PlanPass:
     nothing of its own shared, so its results are the same whichever plans
     share the pass.
 
-    What it reads per slot sits in int arrays made once per pass, a
-    _Slots per slot shape: each slot's position in the union, first rate
-    row, link rows and how many additions to each user's totals come before
-    it; so a template batch is a range of one shape's slots, and reads them
-    as views.  Which of its slots a chunk holds, and of which shapes, it
-    finds by bisecting its union positions and counting shape numbers in a
-    slice of a list: no numpy loop that the rest of the pass does not run,
-    as each new one pages in more of numpy's code.  Each chunk part adds to
-    a user's per-trial totals through one stack, (row, grid point, trial):
-    row 0 is a copy of the totals, and the other rows are the user's
+    It makes two things of its own: its templates (the grid powers) and, per
+    slot shape, its slots' positions in the union.  All else that it reads
+    per slot is the plan's decode index, read in place: the shape numbers,
+    settle positions, each shape's slots and link rows, each slot's first
+    rate row and how many additions to each user's totals come before it.  A
+    template batch is a range of one shape's slots, and reads their link
+    rows as views.  Which of its slots a chunk holds, and of which shapes,
+    it finds by bisecting its union positions and counting shape numbers in
+    a slice of a tuple: no numpy loop that the rest of the pass does not
+    run, as each new one pages in more of numpy's code.  Each chunk part
+    adds to a user's per-trial totals through one stack, (row, grid point,
+    trial): row 0 is a copy of the totals, and the other rows are the user's
     additions in slot order (each slot's owned first-antenna layers' bits,
-    then its group's joint rate), which settle writes in place.
-    _add_up then adds the rows up in turn along the stack's leading axis,
-    the bits of a sequential +=, into the totals.  A single addition, as
-    in each one-slot part, needs no stack: one += adds it.  One user's
-    additions are made and added up before the other's, so a part holds no
-    more than one user's additions at a time.
+    then its group's joint rate), which settle writes in place.  _add_up
+    then adds the rows up in turn along the stack's leading axis, the bits
+    of a sequential +=, into the totals.  A single addition, as in each
+    one-slot part, needs no stack: one += adds it.  One user's additions are
+    made and added up before the other's, so a part holds no more than one
+    user's additions at a time.
     """
 
-    def __init__(self, plan: SchemePlan, slots: tuple, union: list[int], ps: list[float], n_trials: int):
+    def __init__(self, plan: SchemePlan, union: list[int], ps: list[float], n_trials: int):
         # union: each slot's position in the union of the pass's slot indices
-        self.slots, self.union, self.n_trials = slots, union, n_trials
+        self.plan, self.union, self.n_trials = plan, union, n_trials
         self.templates = _compile(plan, ps)
-        self.shape_of, links, self.settle_after = zip(*plan.wiring)
-        # each user's additions to its totals before each slot, then in all
-        counts = [[t.owned[u] + bool(t.groups[u][1]) for t in self.templates] for u in (0, 1)]
-        self.added = np.zeros((2, len(slots) + 1), int)
-        np.cumsum(np.array(counts)[:, self.shape_of], axis=1, out=self.added[:, 1:])
-        starts = np.fromiter(accumulate((len(s.layers) for s in slots), initial=0), int, len(slots) + 1)
-        members = [[] for _ in self.templates]  # each shape's plan positions
-        for k, n in enumerate(self.shape_of):
-            members[n].append(k)
-        at, self.shapes = np.array(union), []
-        for m in members:
-            rows = np.array(m, int)
-            self.shapes.append(_Slots(at[rows], starts[rows], np.array([links[k] for k in m]), self.added[:, rows]))
-        self.next = [0] * len(members)  # per shape, its first slot not yet decoded
-        self.rate = np.full((int(starts[-1]), len(ps)), np.nan)
+        at = np.array(union)
+        self.at = [at[m] for m in plan.members]  # each shape's slots' union positions
+        self.next = [0] * len(plan.shapes)  # per shape, its first slot not yet decoded
+        self.rate = np.full((int(plan.starts[-1]), len(ps)), np.nan)
         # delivered MI, effective noise; NaN until decoded
         self.link_out = np.full((2, len(plan.links), len(ps)), np.nan)
         # (largest settle_after, lo, hi, its _Batches) per chunk part not yet settled
@@ -491,39 +462,38 @@ class _PlanPass:
 
     def split(self, lo: int, hi: int) -> dict[int, tuple]:
         """Its slots among the union's slots at positions [lo, hi), a decode
-        chunk, by shape number: their range in the shape's _Slots, and their
-        positions in the chunk as _take indexes them.  Each shape's slots
-        not yet decoded come first in plan order, so they are the ones below
-        hi."""
+        chunk, by shape number: their range in the shape's slots (the plan's
+        members), and their positions in the chunk as _take indexes them.
+        Each shape's slots not yet decoded come first in plan order, so they
+        are the ones below hi."""
         start = sum(self.next)  # its slots at plan positions [0, start) are decoded
-        ahead = self.shape_of[start:bisect_left(self.union, hi, start)]
+        ahead = self.plan.shape_of[start:bisect_left(self.union, hi, start)]
         share = {}
         for n in set(ahead):
             j = self.next[n]
             k = j + ahead.count(n)
-            share[n] = (slice(j, k), _take((self.shapes[n].at[j:k] - lo).tolist()))
+            share[n] = (slice(j, k), _take((self.at[n][j:k] - lo).tolist()))
         return share
 
     def decode(self, n: int, part: slice, lo: int, at, power_gain, minors) -> _Batch:
         # the first-antenna layers of the slots part of shape n (at `at` in
         # the chunk), of the chunk part from plan position lo, at every grid
-        # point: the common ones' rates and their links' outputs; the owned
-        # ones' MIs wait for the settle.  minors are each group's cross
+        # point: their rates and the common ones' links' outputs; the owned
+        # ones' bits wait for the settle.  minors are each group's cross
         # minors there
-        t, s = self.templates[n], self.shapes[n]
-        power_gain = {d: (power_gain[d][0][at], power_gain[d][1][at]) for d in t.directions}
-        rows = _take(s.starts[part].tolist())
-        links = [_take(col) if col[0] >= 0 else None for col in s.links[part].T.tolist()]
+        t, plan = self.templates[n], self.plan
+        m = plan.members[n][part]  # their plan positions
+        power_gain = {d: (power_gain[d][0][at], power_gain[d][1][at]) for d in t.shape.directions}
+        rows = _take(plan.starts[m].tolist())
+        links = [_take(col) if col[0] >= 0 else None for col in plan.link_rows[n][part].T.tolist()]
         mi1, mi2 = _common_mis(t.sic_power, t.fresh, power_gain)
         rate, link_out, trial_mean = self.rate, self.link_out, self.trial_mean
         owned = []
         for (k, user, cap), m1, m2 in zip(t.sic, mi1, mi2):
-            if cap is None:
-                owned.append((k, user, m1, m2))
-            else:
-                # retransmission overhead, no user bits; the usable rate is
-                # capped by the quantization bits the layer actually carries
-                rate[_shift(rows, k)] = np.minimum(trial_mean(np.minimum(m1, m2)), cap)
+            bits = np.minimum(m1, m2)
+            rate[_shift(rows, k)] = np.minimum(trial_mean(bits), cap)
+            if user >= 0:
+                owned.append((user, bits))
         for j, (k, scale, demand) in enumerate(t.carried):
             link_out[0, links[j]] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
             # the effective residual variance after the subtraction: the
@@ -533,7 +503,7 @@ class _PlanPass:
             # link), doubled for every bit the carrier delivers short of the
             # demand.  np.float_power is libm's pow, as Python's 2.0 ** x is
             link_out[1, links[j]] = scale * np.float_power(2.0, np.fmax(0.0, demand - mi))
-        firsts = (s.added[:, part] - self.added[:, lo, None]).tolist()
+        firsts = (plan.added[:, m] - plan.added[:, lo, None]).tolist()
         return _Batch(t, firsts, rows, links, {d: power_gain[d] for d, _ in t.fresh}, owned, minors)
 
     def settle_part(self, lo: int, hi: int, batches: list) -> None:
@@ -545,7 +515,7 @@ class _PlanPass:
         if self.totals is None:  # made when the first part settles, so that plans whose first slots wait hold none
             self.totals = np.zeros((2,) + self.rate.shape[1:] + (self.n_trials,))
         shape = self.totals.shape[1:]
-        for u, n in enumerate((self.added[:, hi] - self.added[:, lo]).tolist()):
+        for u, n in enumerate((self.plan.added[:, hi] - self.plan.added[:, lo]).tolist()):
             if n:
                 stack = np.empty((1 + n,) + shape) if n > 1 else None
                 rows = np.empty((1,) + shape) if stack is None else stack[1:]
@@ -570,13 +540,13 @@ class _PlanPass:
         # chunk part waits whole until the slot that its last group settles
         # after has been decoded.
         t, power_gain, link_out, rate, trial_mean = b.template, b.power_gain, self.link_out, self.rate, self.trial_mean
-        group, powers = t.groups[u]
-        if not (powers or t.owned[u]):
+        if not t.shape.additions[u]:
             return
+        group, powers = t.groups[u]
         at = _take(b.firsts[u])
-        for k, user, m1, m2 in b.owned:
+        for user, bits in b.owned:
             if user == u:
-                rate[_shift(b.rows, k)] = trial_mean(_put(out, at, np.minimum, m1, m2))
+                out[at] = bits
                 at = _shift(at, 1)
         if not powers:
             return
@@ -589,7 +559,10 @@ class _PlanPass:
         if group.side_link >= 0:
             rows.append(([power_gain[d][1 - u] for d in group.directions],
                          link_out[1, b.links[group.side_link], :, None]))
-        joint = _put(out, at, _logdet_mi, rows, powers, b.minors[u])
+        # in place where at is a slice, else copied there
+        joint = _logdet_mi(rows, powers, b.minors[u], out=out[at] if isinstance(at, slice) else None)
+        if not isinstance(at, slice):
+            out[at] = joint
         if len(powers) == 1:
             shares = [joint]
         else:
@@ -615,11 +588,11 @@ class _PlanPass:
                    for n, (part, at) in share.items()]
         for n, (part, _) in share.items():
             self.next[n] = part.stop
-        hi = sum(self.next)
-        self.waiting.append((max(self.settle_after[lo:hi]), lo, hi, batches))
-        while self.waiting and self.waiting[0][0] <= self.slots[hi - 1].index:
+        hi = sum(self.next)  # its slots at plan positions [0, hi) are decoded
+        self.waiting.append((max(self.plan.settle_after[lo:hi]), lo, hi, batches))
+        while self.waiting and self.waiting[0][0] < hi:
             self.settle_part(*self.waiting.popleft()[1:])
-        if hi == len(self.slots):
+        if hi == len(self.plan.shape_of):
             # every slot has settled: keep (rate, link_out, mean, stderr), and
             # free the per-trial totals while other plans still decode
             totals, n_trials = self.totals, self.n_trials
@@ -662,7 +635,7 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         # with slots there decodes them from the chunk's one power-gain
         # block, made for the directions that any of them uses
         shares = [(pp, share) for pp in passes if (share := pp.split(lo, hi))]
-        directions = sorted({d for pp, share in shares for n in share for d in pp.templates[n].directions})
+        directions = sorted({d for pp, share in shares for n in share for d in pp.templates[n].shape.directions})
         block = {d: first[:, :hi - lo] if d == 0 else np.empty((2, hi - lo) + shape[1:]) for d in directions}
         # each group that gets a side row has its cross minors formed as soon
         # as its directions are projected (one estimate's, in every preset);
@@ -706,7 +679,7 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
 
         drawn = deque(hand_over(k) for k in range(len(normals)))
         union = {index: k for k, index in enumerate(indices)}
-        passes = [_PlanPass(plan, slots, [union[s.index] for s in slots], ps, n_trials)
+        passes = [_PlanPass(plan, [union[s.index] for s in slots], ps, n_trials)
                   for plan, slots in zip(plans, own)]
         shape = (chunk, len(ps), n_trials)
         bufs = {name: np.empty(shape + (2,), complex) for name in ("h_true", "g_true", "h_est", "g_est")}

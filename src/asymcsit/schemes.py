@@ -28,14 +28,19 @@ accounting is unchanged by construction.  Each link is derived from the
 built slot it is overheard in (_link), by the one overheard rule,
 _source_exponent.
 
-A plan resolves every slot's decode wiring once, when it is built.  Slots
-that decode alike share one SlotShape: the SIC decode order of its
+A plan builds its whole decode index once, when it is built.  Slots that
+decode alike share one SlotShape: the SIC decode order of its
 first-antenna layers, each user's jointly decoded group with its
-directions and whether it reads an own and a side link, and each carried
-link's carrier, quantization pre-log and source exponent.  Each slot keeps
-only a SlotWiring: its shape, its link rows and the slot it waits for
-(SchemePlan.shapes and SchemePlan.wiring).  validate_plan and the
-evaluator's grid pass read that index and work none of it out again.
+directions and whether it reads an own and a side link, each carried
+link's carrier, quantization pre-log and source exponent, the directions
+its layers use and how many additions each user's totals get from it.
+Per slot the plan keeps its shape number and the position of the last
+slot its groups wait for (SchemePlan.shape_of and settle_after); per
+shape its slots' positions and their link rows (members and link_rows);
+per plan each slot's first rate row and each user's additions before
+each slot (starts and added), the last three as int arrays.
+validate_plan and the evaluator's grid pass read that index in place and
+work none of it out again.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .geometry import CsitQuality, DofPoint, contains, dof_region
 
@@ -289,14 +296,8 @@ class SlotShape(NamedTuple):
     sic: tuple[int, ...]  # the first-antenna layers in SIC decode order (SlotPlan.commons)
     groups: tuple[SlotGroup, SlotGroup]  # user 1's and user 2's
     carried: tuple[tuple[int, float, float], ...]  # (carrier's SIC rank, quant_prelog, source exponent) per link
-
-
-class SlotWiring(NamedTuple):
-    """One slot's part of the wiring: its shape and where its links are."""
-
-    shape: int  # position in SchemePlan.shapes
-    links: tuple[int, ...]  # link rows: those carried here, then those user 1 and user 2 overhear here (-1: none)
-    settle_after: int  # the last slot carrying a link overheard here (-1: none)
+    directions: tuple[int, ...]  # the _DIRECTIONS indices its layers use, increasing
+    additions: tuple[int, int]  # per user, its first-antenna layers plus 1 for a group: what a slot adds to its totals
 
 
 def _shape(slot: SlotPlan, carried, overheard) -> SlotShape:
@@ -308,7 +309,10 @@ def _shape(slot: SlotPlan, carried, overheard) -> SlotShape:
     groups = tuple(SlotGroup(tuple(map(slot.layers.index, fresh)), tuple(_DIRECTIONS.index(l.precoder) for l in fresh),
                              len(carried) + u if overheard[u] else -1, len(carried) + 1 - u if overheard[1 - u] else -1)
                    for u, fresh in enumerate(map(slot.fresh, _USERS)))
-    return SlotShape(slot.layers, sic, groups, tuple((sic.index(k), q, e) for k, q, e in carried))
+    return SlotShape(slot.layers, sic, groups, tuple((sic.index(k), q, e) for k, q, e in carried),
+                     tuple(sorted({d for g in groups for d in g.directions} | ({0} if sic else set()))),
+                     tuple(sum(slot.layers[k].owner == owner for k in sic) + bool(g.positions)
+                           for owner, g in zip(_USERS, groups)))
 
 
 @dataclass(frozen=True)
@@ -327,22 +331,30 @@ class SchemePlan:
     cycle_channel_uses > 0; ValueError names the plan otherwise.
 
     The slot order is fixed once, at construction: all_slots() is the slots
-    in index order.  slot() and find_layer() are dict reads; each dict is
-    made from all_slots() on its first call, since nothing in a pass reads
-    them.  The decode wiring is resolved at construction too, and nowhere
-    else, in one pass over the slots: shapes holds one SlotShape
-    per way a slot decodes, and wiring one SlotWiring per slot, in
-    all_slots() order.  What each user overhears is worked out once per
-    slot layout (owners, precoders and powers).  A duplicate slot index or
-    layer id raises ValueError, and so does a link whose source slot, overheard
-    interference or carrier is missing, whose carrier is not a common
-    (hence first-antenna) layer, or is not in a later slot than its source.
-    Each overheard interference has at most one link, and each carrier
-    carries at most one: a second link with the same interference_id, the
-    same (source_slot, observer) or the same retransmit_layer raises
-    ValueError naming both.  A plan with no slots raises ValueError too.
-    So every layer of a plan that builds is decoded, and every link
-    resolves; what is left to judge (validate_plan) is the design.
+    in index order, and a slot's position is its place there.  slot() and
+    find_layer() are dict reads; each dict is made from all_slots() on its
+    first call, since nothing in a pass reads them.  The decode index is
+    made at construction too, and nowhere else, in one walk over the slots
+    (see the module docstring): shapes holds one SlotShape per way a slot
+    decodes; shape_of and settle_after one entry per slot, in all_slots()
+    order (settle_after -1 where no link overheard there is carried later);
+    members and link_rows one int array per shape, (slot) and (slot, link
+    column), the columns being the links carried there, then those user 1
+    and user 2 overhear there (-1: none); starts the first rate row of each
+    slot and then the number of layers; added, (2, slot + 1), how many
+    additions each user's totals get before each slot and in all.  None of
+    these take part in equality or repr; pickling keeps them, and replace()
+    builds them again.  What each user overhears is worked out once per slot
+    layout (owners, precoders and powers).  A duplicate slot index or layer
+    id raises ValueError, and so does a link whose source slot, overheard
+    interference or carrier is missing, whose carrier is not a common (hence
+    first-antenna) layer, or is not in a later slot than its source.  Each
+    overheard interference has at most one link, and each carrier carries at
+    most one: a second link with the same interference_id, the same
+    (source_slot, observer) or the same retransmit_layer raises ValueError
+    naming both.  A plan with no slots raises ValueError too.  So every
+    layer of a plan that builds is decoded, and every link resolves; what is
+    left to judge (validate_plan) is the design.
     """
 
     name: str
@@ -356,7 +368,12 @@ class SchemePlan:
     n_cycles: int
     _slots: tuple[SlotPlan, ...] = field(init=False, repr=False, compare=False)
     shapes: tuple[SlotShape, ...] = field(init=False, repr=False, compare=False)
-    wiring: tuple[SlotWiring, ...] = field(init=False, repr=False, compare=False)
+    shape_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    settle_after: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    members: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    link_rows: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    added: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_int("n_cycles", self.n_cycles, 0)
@@ -369,25 +386,26 @@ class SchemePlan:
         if not (self.prologue_slots or self.cycle_slots):
             raise ValueError(f"plan {self.name!r} has no slots")
         slots = tuple(sorted(self.prologue_slots + self.cycle_slots, key=lambda s: s.index))
-        home: dict[str, tuple[SlotPlan, int]] = {}  # layer id -> its slot and its position there
+        position: dict[int, int] = {}  # slot index -> its position in slots
+        home: dict[str, tuple[int, int]] = {}  # layer id -> its slot's position and its own there
         # each slot's layers' owners, precoders, power specs and common pre-logs, numbered
         layouts: dict[tuple, int] = {}
-        layout: dict[int, int] = {}  # slot index -> its layout's number
+        layout: list[int] = []  # per slot, its layout's number
         exponents: list[list[float]] = []  # per layout, the source exponent of what user 1 and user 2 overhear
-        for s in slots:
-            if s.index in layout:
+        for k, s in enumerate(slots):
+            if position.setdefault(s.index, k) != k:
                 raise ValueError(f"duplicate slot index {s.index}")
-            for k, layer in enumerate(s.layers):
+            for j, layer in enumerate(s.layers):
                 if layer.id in home:
                     raise ValueError(
-                        f"duplicate layer id {layer.id!r} (slots {home[layer.id][0].index} and {s.index})"
+                        f"duplicate layer id {layer.id!r} (slots {slots[home[layer.id][0]].index} and {s.index})"
                     )
-                home[layer.id] = (s, k)
+                home[layer.id] = (k, j)
             key = tuple((l.owner, l.precoder.kind, l.precoder.user, l.power_coefficient, l.power_exponent,
                          l.power_sub_coefficient, l.power_sub_exponent,
                          l.encoding_prelog if l.owner == OWNER_COMMON else None) for l in s.layers)
-            n = layout[s.index] = layouts.setdefault(key, len(layouts))
-            if n == len(exponents):
+            layout.append(layouts.setdefault(key, len(layouts)))
+            if layout[-1] == len(exponents):
                 exponents.append([_source_exponent(s, observer, self.quality) for observer in _USERS])
         n_cycle_slots = len(self.cycle_slots)
         if self.n_cycles == 0 and n_cycle_slots:
@@ -398,8 +416,8 @@ class SchemePlan:
             raise ValueError(f"plan {self.name!r}: n_cycles = {self.n_cycles} but cycle_channel_uses = 0")
         object.__setattr__(self, "_slots", slots)
         first: dict = {}  # interference id, (source slot, observer) and carrier -> position of the first link with it
-        carried: dict[int, list] = {}  # slot index -> (link, carrier's position, quant_prelog, exponent) per link
-        heard: dict[int, list] = {}  # slot index -> [user 1's link, user 2's link, last carrier slot]
+        carried: dict[int, list] = {}  # slot position -> (link, carrier's position, quant_prelog, exponent) per link
+        heard: dict[int, list] = {}  # slot position -> [user 1's link, user 2's link, last carrier's slot position]
         for i, link in enumerate(self.links):
             name = f"link {link.interference_id}"
             for key, clash in ((link.interference_id, "repeats"), ((link.source_slot, link.observer), "repeats"),
@@ -409,33 +427,44 @@ class SchemePlan:
                     other = self.links[j]
                     raise ValueError(f"{name} (slot {link.source_slot}, {link.observer}) {clash} link "
                                      f"{other.interference_id} (slot {other.source_slot}, {other.observer})")
-            if link.source_slot not in layout:
+            source = position.get(link.source_slot, -1)
+            if source < 0:
                 raise ValueError(f"{name}: source slot {link.source_slot} missing")
-            exponent = exponents[layout[link.source_slot]][_USERS.index(link.observer)]
+            exponent = exponents[layout[source]][_USERS.index(link.observer)]
             if exponent == -math.inf:
                 raise ValueError(f"{name}: source interference missing")
-            carrier, k = home.get(link.retransmit_layer, (None, -1))
-            if carrier is None or carrier.layers[k].owner != OWNER_COMMON:
+            at, j = home.get(link.retransmit_layer, (-1, -1))
+            if at < 0 or slots[at].layers[j].owner != OWNER_COMMON:
                 raise ValueError(f"{name}: no first-antenna carrier {link.retransmit_layer!r} "
                                  f"(a carrier is a common layer)")
-            at = carrier.index
-            if at <= link.source_slot:
-                raise ValueError(f"{name}: carrier slot {at} is not after source slot {link.source_slot}")
-            carried.setdefault(at, []).append((i, k, link.quant_prelog, exponent))
-            h = heard.setdefault(link.source_slot, [-1, -1, -1])
+            if at <= source:
+                raise ValueError(f"{name}: carrier slot {slots[at].index} is not after source slot {link.source_slot}")
+            carried.setdefault(at, []).append((i, j, link.quant_prelog, exponent))
+            h = heard.setdefault(source, [-1, -1, -1])
             h[_USERS.index(link.observer)] = i
             h[2] = max(h[2], at)
-        # (layout, carried links, whether user 1 and user 2 overhear a link) -> (shape's position, its first slot)
-        shape_of: dict[tuple, tuple[int, SlotPlan]] = {}
-        wiring = []
-        for s in slots:
-            links = carried.get(s.index, [])
-            o1, o2, settle_after = heard.get(s.index, (-1, -1, -1))
-            key = (layout[s.index], tuple(c[1:] for c in links), o1 >= 0, o2 >= 0)
-            n = shape_of.setdefault(key, (len(shape_of), s))[0]
-            wiring.append(SlotWiring(n, tuple(c[0] for c in links) + (o1, o2), settle_after))
-        object.__setattr__(self, "shapes", tuple(_shape(s, key[1], key[2:]) for key, (_, s) in shape_of.items()))
-        object.__setattr__(self, "wiring", tuple(wiring))
+        # (layout, carried links, whether user 1 and user 2 overhear a link) -> shape number
+        numbers: dict[tuple, int] = {}
+        shapes, members, rows, shape_of, settle_after = [], [], [], [], []
+        for k, s in enumerate(slots):
+            links = carried.get(k, [])
+            o1, o2, settle = heard.get(k, (-1, -1, -1))
+            key = (layout[k], tuple(c[1:] for c in links), o1 >= 0, o2 >= 0)
+            shape_of.append(n := numbers.setdefault(key, len(numbers)))
+            if n == len(shapes):
+                shapes.append(_shape(s, key[1], key[2:]))
+                members.append([])
+                rows.append([])
+            members[n].append(k)
+            rows[n].append(tuple(c[0] for c in links) + (o1, o2))
+            settle_after.append(settle)
+        added = np.zeros((2, len(slots) + 1), int)
+        np.cumsum(np.array([shape.additions for shape in shapes]).T[:, shape_of], axis=1, out=added[:, 1:])
+        for name, value in (("shapes", tuple(shapes)), ("shape_of", tuple(shape_of)),
+                            ("settle_after", tuple(settle_after)), ("members", tuple(map(np.array, members))),
+                            ("link_rows", tuple(map(np.array, rows))), ("added", added),
+                            ("starts", np.cumsum([0] + [len(s.layers) for s in slots]))):
+            object.__setattr__(self, name, value)
 
     def all_slots(self) -> tuple[SlotPlan, ...]:
         return self._slots
@@ -816,26 +845,25 @@ def validate_plan(plan: SchemePlan) -> list[str]:
     budget (no exponent above 1 and leading coefficients summing to at most
     1), each link's quantization rate against the received-power exponent
     of the interference it describes, and that the predicted DoF sits
-    inside the region polygon.  The budget is judged once per slot shape,
-    whose slots share their layers' power specs, and reported for each of
-    its slots, in slot order; so are the quantization rates, which a shape
-    fixes with its carried links, each mismatch reported once per link, in
-    plan.links order.
+    inside the region polygon.  Both read the plan's decode index.  The
+    budget is judged once per slot shape, whose slots share their layers'
+    power specs, and reported for each of its slots, in slot order.  The
+    quantization rates are judged once per carried link column of a shape,
+    whose links share one quant_prelog and source exponent, and each
+    mismatch is reported once per link, in plan.links order.
     """
     budget = [_budget_faults(shape.layers) for shape in plan.shapes]
     diags = [f"power budget exceeded: slot {s.index} {fault}"
-             for s, w in zip(plan.all_slots(), plan.wiring) for fault in budget[w.shape]]
+             for s, n in zip(plan.all_slots(), plan.shape_of) for fault in budget[n]]
 
-    mismatched = {n for n, shape in enumerate(plan.shapes) if any(abs(e - q) > 1e-9 for _, q, e in shape.carried)}
-    exponents = {i: e for w in plan.wiring if w.shape in mismatched
-                 for i, (_, _, e) in zip(w.links, plan.shapes[w.shape].carried)}
+    # a carried column's links share its quant_prelog q and exponent e
+    exponents = {i: e for shape, rows in zip(plan.shapes, plan.link_rows)
+                 for column, (_, q, e) in enumerate(shape.carried) if abs(e - q) > 1e-9
+                 for i in rows[:, column].tolist()}
     for i in sorted(exponents):
         link = plan.links[i]
-        if abs(exponents[i] - link.quant_prelog) > 1e-9:
-            diags.append(
-                f"link {link.interference_id}: quantization rate mismatch "
-                f"(prelog {link.quant_prelog:.6g} vs received exponent {exponents[i]:.6g})"
-            )
+        diags.append(f"link {link.interference_id}: quantization rate mismatch "
+                     f"(prelog {link.quant_prelog:.6g} vs received exponent {exponents[i]:.6g})")
 
     region = dof_region(plan.quality)
     if not contains(region, plan.predicted_dof, tol=1e-9):

@@ -1,5 +1,6 @@
 import gc
 import math
+import operator
 import sys
 import threading
 import tracemalloc
@@ -421,22 +422,37 @@ class TestEstimateDof:
     # tracemalloc peak of the pass below after a warm-up call: 2,434,388 B
     # (three runs within 0.3 %), numpy 2.4.6, Python 3.11.7, x86-64 Linux
     PASS_PEAK = 2_434_388
+    # the same for the sc-zf pass below: 3,354,673 B in three runs, against
+    # 3,419,764 B while its user-owned first-antenna layer held both users'
+    # MIs, not their minimum, from its decode to its settle
+    SC_ZF_PASS_PEAK = 3_354_673
+
+    @staticmethod
+    def _pass_peak(plan, n_trials):
+        grid = _grid(Q35)
+        _evaluate_grid([build_case_ii(Q35, 1)], grid, 20, 3)  # first-call allocations
+        tracemalloc.start()
+        try:
+            _evaluate_grid([plan], grid, n_trials, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     def test_pass_peak_stays_within_ten_percent_of_its_measure(self):
         # a gate on the pass's own memory, decode chunks of 51 slots: its
         # buffers kept for the pass, the waiting chunk's power gains, the
         # complex gains of one estimate at a time, and the per-layer and
         # per-link results of a plan of 303 slots
-        grid = _grid(Q35)
-        _evaluate_grid([build_case_ii(Q35, 1)], grid, 20, 3)  # first-call allocations
-        plan = build_case_ii(Q35, 100)
-        tracemalloc.start()
-        try:
-            _evaluate_grid([plan], grid, 20, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self._pass_peak(build_case_ii(Q35, 100), 20)
         assert peak <= 1.1 * self.PASS_PEAK, peak
+
+    def test_sc_zf_pass_peak_stays_within_ten_percent_of_its_measure(self):
+        # one slot over the draw budget at 2000 trials, so a worker draws
+        # beside the decode; its user-owned first-antenna layer keeps one
+        # array of bits from its decode to its settle
+        _evaluate_grid([build_sc_zf(Q35)], _grid(Q35), 2000, 3)  # the worker's first-call allocations
+        peak = self._pass_peak(build_sc_zf(Q35), 2000)
+        assert peak <= 1.1 * self.SC_ZF_PASS_PEAK, peak
 
     @pytest.mark.parametrize("n_trials", [20, 600], ids=["this-thread-draws", "worker-draws"])
     def test_a_pass_leaves_no_cyclic_garbage(self, n_trials):
@@ -461,15 +477,15 @@ class TestSlotTemplates:
     ], ids=lambda v: f"{v.alpha1}-{v.alpha2}" if isinstance(v, CsitQuality) else v)
     def test_templates_do_not_grow_with_the_cycles(self, name, quality):
         # compiled only: nothing is drawn.  One template per shape, in
-        # plan.shapes order, and every slot's wiring names one of them
+        # plan.shapes order, and every slot's shape number names one of them
         ps = [s.p for s in _grid(quality)]
         counts = []
         for n_cycles in (3, 400):
             plan = build_preset(name, quality, n_cycles)
             templates = evaluator._compile(plan, ps)
-            assert len(templates) == len(plan.shapes) == len({w.shape for w in plan.wiring})
+            assert len(templates) == len(plan.shapes) == len(set(plan.shape_of))
             for t, shape in zip(templates, plan.shapes):
-                assert tuple(g for g, _ in t.groups) == shape.groups
+                assert t.shape is shape and tuple(g for g, _ in t.groups) == shape.groups
                 assert tuple(k for k, _, _ in t.sic) == shape.sic
             counts.append(len(templates))
         assert counts[0] == counts[1]
@@ -495,7 +511,7 @@ class TestSlotTemplates:
         monkeypatch.setattr(evaluator, "_logdet_mi", counting_logdet)
         _evaluate_grid([plan], grid, n_trials, 5)
         templates = evaluator._compile(plan, [s.p for s in grid])
-        shapes = [w.shape for w in plan.wiring]
+        shapes = plan.shape_of
         chunk = max(1, evaluator._DRAW_BUDGET // (len(grid) * math.prod(channel._row(n_trials))))
         assert len(calls) == sum(sum(1 for g, _ in templates[n].groups if g.positions)
                                  for lo in range(0, len(shapes), chunk)
@@ -583,6 +599,26 @@ class TestLinkWiring:
         led, got = evaluate_plan(plan, grid[2], n_trials, 5), evaluate_plan(flipped, grid[2], n_trials, 5)
         for field in ("per_symbol_rate", "user_rate", "link_delivered", "link_noise"):
             assert getattr(got, field) == getattr(led, field), field
+
+    def test_a_pass_builds_no_plan_table(self, monkeypatch):
+        # two passes over one plan read the plan's decode index in place:
+        # the only int arrays a pass makes are its shapes' union positions,
+        # one per shape and each its own, and every other table it reads is
+        # the plan's
+        plan, passes, init = build_case_ii(Q35, 20), [], evaluator._PlanPass.__init__
+
+        def spy(self, *args):
+            init(self, *args)
+            passes.append(self)
+
+        monkeypatch.setattr(evaluator._PlanPass, "__init__", spy)
+        for _ in range(2):
+            _evaluate_grid([plan], _grid(Q35), 20, 5)
+        for pp in passes:
+            held = [a for v in vars(pp).values() for a in (v if isinstance(v, (list, tuple)) else (v,))
+                    if isinstance(a, np.ndarray) and a.dtype.kind == "i"]
+            assert pp.plan is plan and len(held) == len(plan.shapes) and all(map(operator.is_, held, pp.at))
+        assert not any(map(np.shares_memory, passes[0].at, passes[1].at))
 
     def test_a_built_plan_resolves_no_link_again(self, monkeypatch):
         calls = {"_source_exponent": 0, "find_layer": 0}

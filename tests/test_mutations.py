@@ -5,11 +5,12 @@ The rules are the ones whose faults results alone would not show: the
 slot a chunk settles after, the order in which a part's additions add up
 to the totals, each stream's PCG64 start (its increment's
 low bit and the 128-bit carries), which streams' starts a chunk gets and
-which row each of them fills, one reseed per stream, the decode wiring
-the plan stores (side links, SIC order, carried ranks, each slot's shape),
+which row each of them fills, one reseed per stream, the decode index
+the plan stores (side links, SIC order, carried ranks, settle positions,
+each slot's shape),
 and which slots and directions each plan of a shared pass reads.
 A test that only compares the outputs with a stored digest, or the stored
-wiring with a scan, must be able to fail on each of them, or it guards
+index with a scan, must be able to fail on each of them, or it guards
 nothing.
 
 All cases but the shared-pass ones (at the end) run case-ii at (0.3, 0.5), 3
@@ -150,8 +151,9 @@ def test_each_stream_is_reseeded_once_under_frequent_thread_switches(plan, monke
 
 
 def test_a_chunk_settled_one_slot_early(plan, monkeypatch):
-    _stored(monkeypatch, "wiring",
-            tuple(w._replace(settle_after=w.settle_after - 1) if w.settle_after >= 0 else w for w in plan.wiring))
+    _stored(monkeypatch, "settle_after", tuple(k - 1 if k >= 0 else k for k in plan.settle_after))
+    with pytest.raises(AssertionError):
+        _check_wiring(plan)
     assert _digest(plan) != recorded(DIGESTS)
 
 
@@ -161,7 +163,7 @@ def _part_rows(self, lo, hi):
     if self.totals is None:
         self.totals = np.zeros((2,) + self.rate.shape[1:] + (self.n_trials,))
     return [(u, np.zeros((n,) + self.totals.shape[1:])) for u, n in
-            enumerate((self.added[:, hi] - self.added[:, lo]).tolist())]
+            enumerate((self.plan.added[:, hi] - self.plan.added[:, lo]).tolist())]
 
 
 def _added_up_template_by_template(self, lo, hi, batches):
@@ -314,12 +316,20 @@ def test_a_mutated_slot_shape(plan, monkeypatch, mutate):
 
 
 def test_a_slot_batched_under_the_wrong_shape(plan, monkeypatch):
-    # slot 4 (shape 2, four layers) joins the batches of slot 1's shape, which
-    # has three: one carried link, like slot 4's, and no linked group
-    wiring = list(plan.wiring)
-    assert (wiring[4].shape, wiring[1].shape) == (2, 1)
-    wiring[4] = wiring[4]._replace(shape=1)
-    _stored(monkeypatch, "wiring", tuple(wiring))
+    # the slot at plan position 4 (shape 2, four layers) joins the batches of
+    # position 1's shape, which has three: one carried link, like position
+    # 4's, and no linked group.  It moves with its link rows, so the index
+    # stays consistent in itself
+    assert (plan.shape_of[4], plan.shape_of[1]) == (2, 1)
+    shape_of = list(plan.shape_of)
+    members, rows = [m.tolist() for m in plan.members], [r.tolist() for r in plan.link_rows]
+    shape_of[4] = 1
+    j = members[2].index(4)
+    members[1].append(members[2].pop(j))
+    rows[1].append(rows[2].pop(j))
+    _stored(monkeypatch, "shape_of", tuple(shape_of))
+    _stored(monkeypatch, "members", tuple(map(np.array, members)))
+    _stored(monkeypatch, "link_rows", tuple(map(np.array, rows)))
     with pytest.raises(AssertionError):
         _check_wiring(plan)
     assert _digest(plan) != recorded(DIGESTS)

@@ -94,31 +94,47 @@ def test_indexed_lookups_agree_with_a_scan(quality, n_cycles):
 
 def _stored_exponents(plan):
     """Each link's source exponent as the plan resolved it, by position in plan.links."""
-    return {i: e for w in plan.wiring for i, (_, _, e) in zip(w.links, plan.shapes[w.shape].carried)}
+    return {i: e for shape, rows in zip(plan.shapes, plan.link_rows)
+            for row in rows.tolist() for i, (_, _, e) in zip(row, shape.carried)}
 
 
 def _stored_wiring(plan):
-    """Each slot's decode wiring as the plan stores it, in layer ids, precoders
+    """Each slot's decode wiring as the plan's index stores it, in layer ids,
+    precoders, link rows and slot indices, read through each shape's members
     and link rows: SIC order, each user's group (layers, precoders, own and
     side link), the carried links (link, carrier, quant_prelog), the links of
-    what user 1 and user 2 overhear, and settle_after."""
+    what user 1 and user 2 overhear, the slot its groups wait for
+    (settle_after), the directions it uses, each user's additions in it,
+    its first rate row and each user's additions before it; then the rate
+    rows and additions of the whole plan."""
     def decoded(l):  # what the decode reads of a layer
         return (l.owner, l.precoder, l.power_coefficient, l.power_exponent, l.power_sub_coefficient,
                 l.power_sub_exponent, l.encoding_prelog if l.owner == OWNER_COMMON else None)
 
-    out = {}
-    for s, w in zip(plan.all_slots(), plan.wiring):
-        shape = plan.shapes[w.shape]
-        assert list(map(decoded, shape.layers)) == list(map(decoded, s.layers)), (plan.name, s.index)
-        row = lambda column: w.links[column] if column >= 0 else -1  # noqa: E731
-        out[s.index] = (
-            tuple(s.layers[k].id for k in shape.sic),
-            tuple((tuple(s.layers[k].id for k in g.positions), tuple(_DIRECTIONS[d] for d in g.directions),
-                   row(g.own_link), row(g.side_link)) for g in shape.groups),
-            tuple((i, s.layers[shape.sic[rank]].id, q) for i, (rank, q, _) in zip(w.links, shape.carried)),
-            w.links[len(shape.carried):],
-            w.settle_after,
-        )
+    slots, out = plan.all_slots(), {}
+    assert len(plan.members) == len(plan.link_rows) == len(plan.shapes), plan.name
+    assert len(plan.shape_of) == len(plan.settle_after) == len(slots), plan.name
+    for n, (shape, members, rows) in enumerate(zip(plan.shapes, plan.members, plan.link_rows)):
+        assert members.tolist() == sorted(members.tolist()) and len(rows) == len(members), (plan.name, n)
+        for k, links in zip(members.tolist(), rows.tolist()):
+            s = slots[k]
+            assert plan.shape_of[k] == n and s.index not in out, (plan.name, s.index)
+            assert list(map(decoded, shape.layers)) == list(map(decoded, s.layers)), (plan.name, s.index)
+            row = lambda column: links[column] if column >= 0 else -1  # noqa: E731
+            settle = plan.settle_after[k]
+            out[s.index] = (
+                tuple(s.layers[j].id for j in shape.sic),
+                tuple((tuple(s.layers[j].id for j in g.positions), tuple(_DIRECTIONS[d] for d in g.directions),
+                       row(g.own_link), row(g.side_link)) for g in shape.groups),
+                tuple((i, s.layers[shape.sic[rank]].id, q) for i, (rank, q, _) in zip(links, shape.carried)),
+                tuple(links[len(shape.carried):]),
+                slots[settle].index if settle >= 0 else -1,
+                tuple(_DIRECTIONS[d] for d in shape.directions),
+                shape.additions,
+                int(plan.starts[k]),
+                tuple(plan.added[:, k].tolist()),
+            )
+    out["end"] = (int(plan.starts[-1]), tuple(plan.added[:, -1].tolist()))
     return out
 
 
@@ -133,12 +149,19 @@ def _scanned_wiring(plan):
         carried, overheard, settle = links[link.source_slot]
         overheard[(OWNER_USER1, OWNER_USER2).index(link.observer)] = i
         links[link.source_slot] = (carried, overheard, max(settle, at))
-    out = {}
+    out, row, added = {}, 0, (0, 0)
     for s in plan.all_slots():
         carried, overheard, settle = links[s.index]
-        groups = tuple((tuple(l.id for l in fresh), tuple(l.precoder for l in fresh), overheard[u], overheard[1 - u])
-                       for u, fresh in enumerate((s.fresh(OWNER_USER1), s.fresh(OWNER_USER2))))
-        out[s.index] = (tuple(l.id for l in s.commons()), groups, tuple(carried), tuple(overheard), settle)
+        fresh = (s.fresh(OWNER_USER1), s.fresh(OWNER_USER2))
+        groups = tuple((tuple(l.id for l in f), tuple(l.precoder for l in f), overheard[u], overheard[1 - u])
+                       for u, f in enumerate(fresh))
+        precoders = {l.precoder for l in s.layers}
+        adds = tuple(sum(l.owner == o for l in s.commons()) + bool(f)
+                     for o, f in zip((OWNER_USER1, OWNER_USER2), fresh))
+        out[s.index] = (tuple(l.id for l in s.commons()), groups, tuple(carried), tuple(overheard), settle,
+                        tuple(d for d in _DIRECTIONS if d in precoders), adds, row, added)
+        row, added = row + len(s.layers), (added[0] + adds[0], added[1] + adds[1])
+    out["end"] = (row, added)
     return out
 
 
@@ -159,10 +182,10 @@ def _template_key(plan, slot):
 
 
 def _check_wiring(plan):
-    # the stored wiring is what the scan gives, and two slots share a shape
+    # the stored index is what the scan gives, and two slots share a shape
     # exactly when their old template keys are equal
     assert _stored_wiring(plan) == _scanned_wiring(plan), plan.name
-    pairs = {(_template_key(plan, s), w.shape) for s, w in zip(plan.all_slots(), plan.wiring)}
+    pairs = {(_template_key(plan, s), n) for s, n in zip(plan.all_slots(), plan.shape_of)}
     assert len({key for key, _ in pairs}) == len(pairs) == len(plan.shapes), plan.name
 
 
@@ -178,8 +201,9 @@ def test_quant_prelog_is_the_source_exponent(quality, n_cycles):
 @_SETTINGS
 @given(qualities, cycles, st.data(), st.floats(-2.0, 2.0))
 def test_link_wiring_is_resolved_once_at_build(quality, n_cycles, data, delta):
-    # the whole decode wiring the plan stores (SIC order, groups, links and
-    # settle_after) is what a scan of its slots and links gives, in either
+    # the whole decode index the plan stores (SIC order, groups, links,
+    # settle_after, each shape's members and link rows, rate rows and
+    # addition offsets) is what a scan of its slots and links gives, in either
     # link order, each stored exponent is the overheard rule's own, and a
     # perturbed quantization rate moves no exponent
     for plan in _buildable(quality, n_cycles):

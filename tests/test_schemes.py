@@ -646,12 +646,24 @@ class TestRegionConsistency:
                 assert dist <= 1e-9
 
 
+def _index(plan):
+    """The plan's decode index, in plain Python values."""
+    return (plan.shapes, plan.shape_of, plan.settle_after, [m.tolist() for m in plan.members],
+            [r.tolist() for r in plan.link_rows], plan.starts.tolist(), plan.added.tolist())
+
+
 def test_plan_pickle_round_trip():
     plan = build_case_ii(CsitQuality(0.3, 0.5), 3)
     plan.find_layer("u3")  # a copy made after the lookup maps are made
     for copy in (pickle.loads(pickle.dumps(plan)), pickle.loads(pickle.dumps(build_case_ii(plan.quality, 3)))):
         assert copy == plan and repr(copy) == repr(plan) and plan_as_dict(copy) == plan_as_dict(plan)
-        assert copy.shapes == plan.shapes and copy.wiring == plan.wiring
+        assert _index(copy) == _index(plan)
+        # replace builds the index again from the new links: reversed, each
+        # link row and the stacked carriers' column order move, and the
+        # plan's own links give its index back
+        flipped = replace(copy, links=tuple(reversed(plan.links)))
+        assert flipped.link_rows[0].tolist() == [[len(plan.links) - 1, len(plan.links) - 2]]
+        assert _index(flipped) != _index(plan) and _index(replace(flipped, links=plan.links)) == _index(plan)
 
 
 class TestPlanFootprint:
