@@ -80,25 +80,38 @@ _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # the 128-b
 _STATE_WORDS = ctypes.c_uint64 * 4
 
 
+def _require_power(p: float, p_db: float | None = None) -> float:
+    """The one rule for a power point: a transmit power P = 10**(dB/10)
+    must be a finite float above 1.  Returns p; ValueError otherwise, which
+    names p_db, the dB point p was made from, when given.  In dB the rule
+    reads finite and above 0 dB, with P not rounding to 1, as it does for
+    0 < dB < about 5e-16."""
+    if not (math.isfinite(p) and p > 1.0):
+        message = f"transmit power must be finite and > 1, got {p}"
+        raise ValueError(message if p_db is None else f"power {p_db} dB must be finite and above 0 dB ({message})")
+    return p
+
+
 def _power(p_db: float) -> float:
-    """P = 10**(p_db / 10); ValueError naming a p_db whose power is not a
-    finite float."""
+    """P = 10**(p_db / 10), which _require_power accepts; ValueError naming
+    a p_db whose power is not a finite float or not above 1."""
     try:
-        return 10.0 ** (p_db / 10.0)
+        p = 10.0 ** (p_db / 10.0)
     except OverflowError:
         raise ValueError(f"power {p_db} dB overflows: 10**(dB/10) is not a finite float") from None
+    return _require_power(p, p_db)
 
 
 @dataclass(frozen=True)
 class SnrPoint:
-    """Transmit power P (linear, > 1) plus the CSIT quality it scales."""
+    """Transmit power P (linear) plus the CSIT quality it scales; P must
+    pass _require_power (finite and > 1)."""
 
     p: float
     quality: CsitQuality
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise ValueError(f"transmit power must be finite and > 1, got {self.p}")
+        _require_power(self.p)
 
     @classmethod
     def from_db(cls, p_db: float, quality: CsitQuality) -> "SnrPoint":

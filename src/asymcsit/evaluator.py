@@ -613,7 +613,9 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
     first, and SchemePlan has already checked the links.  n_trials must be
     an integer >= 1 and seed one >= 0 (bools refused, as in
     ExperimentConfig); both are checked before any stream is seeded, and
-    so are the plans, which share the grid's quality.  Grid point k's trial
+    so are the plans, which share the grid's quality, and every point,
+    which must be at most the precision ceiling (_require_precise), so
+    every rate entry point refuses a point above it.  Grid point k's trial
     i reads row i of the stream keyed by (seed, the point's power, slot
     index), so a point's numbers do not depend on the rest of the grid, the
     other plans, the chunk size, which thread draws a row or thread timing.
@@ -626,6 +628,8 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         raise ValueError("the grid pass needs at least one plan")
     if any(s.quality != plan.quality for plan in plans for s in snrs):
         raise ValueError("SNR point and plan disagree on CSIT quality")
+    for s in snrs:
+        _require_precise(s.p_db, s.quality.alpha2)
     ps = [s.p for s in snrs]
     own = [plan.all_slots() for plan in plans]
     indices = sorted({s.index for slots in own for s in slots})  # the union of the plans' slot indices
@@ -732,29 +736,42 @@ def evaluate_plan(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> 
     """Measure every layer's Gaussian MI rate over n_trials channel draws.
 
     Raises PlanValidationError when the plan has validation diagnostics and
-    ValueError on a quality mismatch or when n_trials is not an integer
-    >= 1 or seed not one >= 0.  Deterministic for a given
+    ValueError on a quality mismatch, on a point above the precision
+    ceiling that check_grid_db applies to grids (alpha2 * dB / 10 <= 30),
+    or when n_trials is not an integer >= 1 or seed not one >= 0, each
+    before any stream is seeded.  Deterministic for a given
     (seed, n_trials, snr), and equal to the same point of estimate_dof's grid.
     """
     _require_valid(plan)
     return _point_ledger(plan, snr, n_trials, seed)
 
 
+def _require_precise(p_db: float, alpha2: float) -> None:
+    """ValueError unless the power point p_db (in dB) is at most the
+    precision ceiling at alpha2: alpha2 * dB / 10 <= 30.  Zero-forcing
+    leakage cannot fall below about eps**2 ~ 1e-32 of the signal, so once
+    the estimation error variance P**-alpha2 drops under ~1e-30 the rates
+    come out wrong without any other sign (on sc-zf at alpha2 = 1, rate /
+    log2 P reads 0.979 at 300 dB and 0.876 at 400 dB)."""
+    if alpha2 * p_db / 10.0 > _PRECISION_CEILING:
+        raise ValueError(f"power point {p_db} dB is above the precision ceiling at alpha2 = {alpha2}: "
+                         f"alpha2 * dB / 10 must be at most {_PRECISION_CEILING:g}")
+
+
 def check_grid_db(p_db: list[float], alpha2: float) -> None:
     """Reject a power grid (in dB) that cannot support the slope fit.
 
-    Its points must be finite and above 0 dB (SnrPoint needs P > 1), low
-    enough that P = 10**(dB/10) is a finite float, strictly increasing, at
-    least 3 and spanning at least 40 dB.  No two may round to the same
-    0.001 dB, the stream key of their channel draws, or they would share
-    draws that the slope stderr counts as independent.  They must also stay
-    below the precision ceiling alpha2 * dB / 10 <= 30: zero-forcing leakage
-    cannot fall below about eps**2 ~ 1e-32 of the signal, so once the
-    estimation error variance P**-alpha2 drops under ~1e-30 the fitted
-    slopes come out wrong without any other sign.
+    Each point must be a power point that channel._require_power accepts:
+    finite and above 0 dB, with P = 10**(dB/10) a finite float above 1
+    (not rounding to 1, nor overflowing).  The points must be strictly
+    increasing, at least 3 and span at least 40 dB.  No two may round to
+    the same 0.001 dB, the stream key of their channel draws, or they would
+    share draws that the slope stderr counts as independent.  They must
+    also stay below the precision ceiling alpha2 * dB / 10 <= 30
+    (_require_precise), which the grid pass applies to every point too, so
+    single-point calls (evaluate_plan, residual_power_probe) refuse a
+    point above it as well.
     """
-    if not all(math.isfinite(x) and x > 0.0 for x in p_db):
-        raise ValueError(f"power grid points must be finite and above 0 dB, got {list(p_db)}")
     for x in p_db:
         _power(x)
     if any(b <= a for a, b in zip(p_db, p_db[1:])):
@@ -764,9 +781,7 @@ def check_grid_db(p_db: list[float], alpha2: float) -> None:
     for a, b in zip(p_db, p_db[1:]):
         if _db_key(a) == _db_key(b):
             raise ValueError(f"power grid points {a} and {b} dB share one channel stream (same dB to 0.001)")
-    if alpha2 * max(p_db) / 10.0 > _PRECISION_CEILING:
-        raise ValueError(f"power grid point {max(p_db)} dB is above the precision ceiling at alpha2 = {alpha2}: "
-                         f"alpha2 * dB / 10 must be at most {_PRECISION_CEILING:g}")
+    _require_precise(max(p_db), alpha2)
     if p_db[-1] - p_db[0] < 40.0 - 1e-9:
         raise ValueError("power grid must span at least 40 dB")
 
@@ -839,6 +854,8 @@ def residual_power_probe(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: i
     received-power exponent by x leaves a residual growing as P**x.
 
     Diagnostic tool: runs on plans that fail validation (that is the point
-    of probing a deliberately mis-specified link).
+    of probing a deliberately mis-specified link).  A point above the
+    precision ceiling (alpha2 * dB / 10 <= 30) raises ValueError, as in
+    evaluate_plan, before any stream is seeded.
     """
     return _point_ledger(plan, snr, n_trials, seed).link_noise

@@ -34,8 +34,10 @@ __all__ = [
 
 # Candidate vertices violating any halfspace by more than this are discarded.
 FEASIBILITY_TOL = 1e-12
-# Vertices closer than this (Euclidean) are treated as one point.
-DEDUP_TOL = 1e-9
+# Vertices closer than this (Euclidean) are treated as one point: a
+# rounding apart, not two corners (an alpha of 1e-10 puts the corner
+# (alpha2, 1) 1e-10 from (0, 1), and both are vertices).
+DEDUP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,13 @@ class CsitQuality:
     def delta(self) -> float:
         """Asymmetry gap alpha2 - alpha1 (in [0, 1])."""
         return self.alpha2 - self.alpha1
+
+    def case_i(self) -> bool:
+        """The case split, the one place it is stated: True in case i,
+        2*alpha2 - alpha1 >= 1 (the boundary included), where the
+        intersection of the two sum bounds has d2 >= 1; False in case ii,
+        where it has d2 < 1."""
+        return 2.0 * self.alpha2 - self.alpha1 >= 1.0
 
 
 @dataclass(frozen=True)
@@ -170,23 +179,24 @@ def dof_region(quality: CsitQuality) -> DofRegion:
 
 
 def corner_points(quality: CsitQuality) -> list[DofPoint]:
-    """Nontrivial upper-boundary corner points in closed form.
+    """Nontrivial upper-boundary corner points in closed form, each once.
 
-    Returns (1, alpha1) plus, when 2*alpha2 - alpha1 <= 1, the corner
-    (alpha2, 1) and the max-sum intersection point
-    ((2 + 2*alpha1 - alpha2)/3, (2 + 2*alpha2 - alpha1)/3); when
-    2*alpha2 - alpha1 > 1 that intersection leaves the d2 <= 1 box and the
-    max-sum point becomes ((1 + alpha1)/2, 1) instead, with (alpha2, 1) no
-    longer feasible.
+    Returns (1, alpha1) plus, in case ii (CsitQuality.case_i false:
+    2*alpha2 - alpha1 < 1), the corner (alpha2, 1) and the max-sum
+    intersection point ((2 + 2*alpha1 - alpha2)/3, (2 + 2*alpha2 - alpha1)/3).
+    In case i the max-sum point is ((1 + alpha1)/2, 1) instead: the
+    intersection has d2 >= 1, and on the boundary line it is that point and
+    (alpha2, 1) too.  At alpha1 = 1 the one corner is (1, 1).  Just below
+    the line, (alpha2, 1) and the intersection are two corners a rounding
+    apart.
     """
     a1, a2 = quality.alpha1, quality.alpha2
-    if 2.0 * a2 - a1 <= 1.0:
-        return [
-            DofPoint(1.0, a1),
-            DofPoint(a2, 1.0),
-            DofPoint((2.0 + 2.0 * a1 - a2) / 3.0, (2.0 + 2.0 * a2 - a1) / 3.0),
-        ]
-    return [DofPoint(1.0, a1), DofPoint((1.0 + a1) / 2.0, 1.0)]
+    if quality.case_i():
+        corners = [DofPoint(1.0, a1), DofPoint((1.0 + a1) / 2.0, 1.0)]
+    else:
+        corners = [DofPoint(1.0, a1), DofPoint(a2, 1.0),
+                   DofPoint((2.0 + 2.0 * a1 - a2) / 3.0, (2.0 + 2.0 * a2 - a1) / 3.0)]
+    return list(dict.fromkeys(corners))
 
 
 def contains(region: DofRegion, p: DofPoint, tol: float = 1e-9) -> bool:

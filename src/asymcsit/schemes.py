@@ -7,18 +7,20 @@ Quantization links tie an overheard interference (the image of one user's
 symbols at the other user's antenna) to the later common layer that
 multicasts its quantized bits.
 
-Preset catalogue (selected by CSIT quality (alpha1, alpha2), Delta = gap):
+Preset catalogue (selected by CSIT quality (alpha1, alpha2), Delta = gap).
+The case split is CsitQuality.case_i: case i is 2*alpha2 - alpha1 >= 1,
+the boundary included, and case ii the rest; "auto" builds case-i or
+case-ii by it, and each preset achieves a corner that
+geometry.corner_points lists.
 
   ges12-asym   three-slot baseline designed for equal qualities, run with
                unequal ones; slot-3 symbol of user 1 is interference-limited
                and user 2 gives up Delta/3 DoF.
-  case-i       two-slot cycle achieving ((1+alpha1)/2, 1); requires
-               2*alpha2 - alpha1 >= 1.
+  case-i       two-slot cycle achieving ((1+alpha1)/2, 1); case i only.
   case-ii      three-slot cycle achieving the max-sum intersection point
-               ((2+2*alpha1-alpha2)/3, (2+2*alpha2-alpha1)/3); requires
-               2*alpha2 - alpha1 < 1.
+               ((2+2*alpha1-alpha2)/3, (2+2*alpha2-alpha1)/3); case ii only.
   case-ii-alt  case-i flow with user 1's big-slot symbol turned down to
-               P**alpha2, achieving (alpha2, 1); requires 2*alpha2-alpha1 < 1.
+               P**alpha2, achieving (alpha2, 1); case ii only.
   sc-zf        single-slot superposition + zero-forcing, achieving
                (1, alpha1).
 
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -683,15 +685,10 @@ def _build_two_slot_cycle(name, quality, n_cycles, u_big_exponent):
                         predicted, 2.0)
 
 
-def _is_case_i(quality: CsitQuality) -> bool:
-    """The case split: case-i needs 2*alpha2 - alpha1 >= 1 (the boundary
-    included), case-ii and case-ii-alt the strict complement."""
-    return 2.0 * quality.alpha2 - quality.alpha1 >= 1.0
-
-
 def _require_side(name: str, quality: CsitQuality, case_i: bool) -> None:
-    """SchemeConditionError unless `quality` is on the named preset's side."""
-    if _is_case_i(quality) != case_i:
+    """SchemeConditionError unless `quality` is on the named preset's side
+    of the case split (CsitQuality.case_i)."""
+    if quality.case_i() != case_i:
         need, other = (">= 1", "case-ii") if case_i else ("< 1", "case-i")
         raise SchemeConditionError(
             f"{name} requires 2*alpha2 - alpha1 {need} "
@@ -802,12 +799,12 @@ PRESET_NAMES = tuple(_BUILDERS) + ("auto",)
 
 
 def build_preset(name: str, quality: CsitQuality, n_cycles: int) -> SchemePlan:
-    """Build a preset by name; "auto" picks case-i or case-ii per the
-    2*alpha2 - alpha1 >= 1 condition (boundary routed to case-i).  Every
+    """Build a preset by name; "auto" picks case-i or case-ii by the case
+    split (CsitQuality.case_i, boundary routed to case-i).  Every
     preset needs an integer n_cycles >= 1, even the acyclic ones."""
     _require_int("n_cycles", n_cycles, 1)
     if name == "auto":
-        name = "case-i" if _is_case_i(quality) else "case-ii"
+        name = "case-i" if quality.case_i() else "case-ii"
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -872,20 +869,16 @@ def validate_plan(plan: SchemePlan) -> list[str]:
 
 
 def plan_as_dict(plan: SchemePlan) -> dict:
-    """JSON tree mirroring the plan's fields, for inspection and goldens."""
+    """JSON tree mirroring the plan's fields, for inspection and goldens.
+
+    Each layer and link is its record's fields, in field order (asdict); a
+    layer without a subtracted power term (power_sub_coefficient 0) leaves
+    out power_sub_coefficient and power_sub_exponent."""
 
     def layer_dict(l: SymbolLayer) -> dict:
-        d = {
-            "id": l.id,
-            "owner": l.owner,
-            "precoder": {"kind": l.precoder.kind, "user": l.precoder.user},
-            "power_coefficient": l.power_coefficient,
-            "power_exponent": l.power_exponent,
-            "encoding_prelog": l.encoding_prelog,
-        }
-        if l.power_sub_coefficient:
-            d["power_sub_coefficient"] = l.power_sub_coefficient
-            d["power_sub_exponent"] = l.power_sub_exponent
+        d = asdict(l)
+        if not l.power_sub_coefficient:
+            del d["power_sub_coefficient"], d["power_sub_exponent"]
         return d
 
     return {
@@ -896,37 +889,20 @@ def plan_as_dict(plan: SchemePlan) -> dict:
         "predicted_dof": list(plan.predicted_dof.as_tuple()),
         "prologue_channel_uses": plan.prologue_channel_uses,
         "cycle_channel_uses": plan.cycle_channel_uses,
-        "slots": [
-            {"index": s.index, "layers": [layer_dict(l) for l in s.layers]}
-            for s in plan.all_slots()
-        ],
-        "links": [
-            {
-                "source_slot": k.source_slot,
-                "observer": k.observer,
-                "interference_id": k.interference_id,
-                "quant_prelog": k.quant_prelog,
-                "retransmit_layer": k.retransmit_layer,
-            }
-            for k in plan.links
-        ],
+        "slots": [{"index": s.index, "layers": [layer_dict(l) for l in s.layers]} for s in plan.all_slots()],
+        "links": [asdict(k) for k in plan.links],
     }
 
 
 def perturb_link_prelog(plan: SchemePlan, interference_id: str, delta: float) -> SchemePlan:
-    """Copy of the plan with one link's quantization pre-log shifted.
+    """Copy of the plan with one link's quantization pre-log shifted;
+    KeyError for an unknown interference id.
 
     Diagnostic helper: a deliberately under-provisioned link leaves residual
     interference growing as P**(-delta), which the residual-power probe is
     expected to flag.
     """
-    new_links = []
-    found = False
-    for link in plan.links:
-        if link.interference_id == interference_id:
-            link = replace(link, quant_prelog=link.quant_prelog + delta)
-            found = True
-        new_links.append(link)
-    if not found:
+    if interference_id not in {link.interference_id for link in plan.links}:
         raise KeyError(f"no link with interference id {interference_id!r}")
-    return replace(plan, links=tuple(new_links))
+    return replace(plan, links=tuple(replace(link, quant_prelog=link.quant_prelog + delta)
+                                     if link.interference_id == interference_id else link for link in plan.links))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from asymcsit import ChannelRealization, CsitQuality, SnrPoint, orth_complement, sample_channel, unit
 from asymcsit.channel import _dot, _orth
+from asymcsit.evaluator import check_grid_db
 
 FIELDS = ("h_true", "g_true", "h_est", "g_est", "h_err", "g_err")
 
@@ -34,6 +35,20 @@ class TestSnrPoint:
         # 10**(dB/10) overflows a float from about 3082.5 dB on
         with pytest.raises(ValueError, match=re.escape(f"power {p_db} dB overflows")):
             SnrPoint.from_db(p_db, CsitQuality(0.3, 0.5))
+
+    @pytest.mark.parametrize("p_db", [1e-17, 4e-16, 1e-15, 0.0, -1e-300, math.inf, -math.inf, math.nan])
+    def test_from_db_and_the_grid_check_keep_one_rule(self, p_db):
+        # SnrPoint.from_db and the grid check read one rule, P = 10**(dB/10)
+        # finite and > 1, and refuse the same points with the same message;
+        # below about 5e-16 dB, P rounds to 1
+        try:
+            SnrPoint.from_db(p_db, CsitQuality(0.3, 0.5))
+        except ValueError as exc:
+            assert f"power {p_db} dB must be finite and above 0 dB" in str(exc)
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                check_grid_db([p_db, 60.0, 120.0], 0.5)
+        else:
+            check_grid_db([p_db, 60.0, 120.0], 0.5)
 
     def test_from_db_below_the_overflow_keeps_its_power(self):
         assert SnrPoint.from_db(3080.0, CsitQuality(0.3, 0.5)).p == 10.0 ** 308.0

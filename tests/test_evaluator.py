@@ -380,6 +380,24 @@ class TestEstimateDof:
         with pytest.raises(ValueError, match="precision ceiling"):
             check_grid_db([600.0, 640.0, 680.0], 0.5)
 
+    def test_single_points_above_the_precision_ceiling_are_refused(self, monkeypatch):
+        # on sc-zf at (1, 1) rate / log2 P reads 0.979 at 300 dB, 0.962 at
+        # 340 dB and 0.876 at 400 dB: the grid's ceiling holds at one point
+        # too, before any stream is seeded
+        q = CsitQuality(1.0, 1.0)
+        plan = build_sc_zf(q)
+
+        def no_streams(*args):
+            raise AssertionError("a stream was seeded")
+
+        with monkeypatch.context() as m:
+            m.setattr(evaluator, "_seed_words", no_streams)
+            for call in (evaluate_plan, residual_power_probe):
+                with pytest.raises(ValueError, match="320.0 dB is above the precision ceiling at alpha2 = 1.0"):
+                    call(plan, SnrPoint.from_db(320.0, q), 20, seed=7)
+        assert evaluate_plan(plan, SnrPoint.from_db(300.0, q), 20, seed=7).user_rate[0] > 0
+        assert residual_power_probe(plan, SnrPoint.from_db(300.0, q), 20, seed=7) == {}
+
     def test_points_and_stderr_shape(self):
         plan = build_case_ii(Q35, 3)
         est = estimate_dof(plan, _grid(Q35), 200, seed=6)

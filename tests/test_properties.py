@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from asymcsit import (
     PRESET_NAMES,
     CsitQuality,
+    DofPoint,
     SchemeConditionError,
     SnrPoint,
     build_preset,
@@ -248,10 +249,30 @@ def test_builders_stack_first_antenna_layers_in_decode_order(quality, n_cycles):
 
 @settings(max_examples=200, deadline=None)
 @given(qualities)
+@example(CsitQuality(0.4, 0.7))  # 2*alpha2 - alpha1 rounds to just below 1: case ii
+@example(CsitQuality(0.0, 0.5))  # exactly on the line: case i
+@example(CsitQuality(0.2, 0.6))
+@example(CsitQuality(0.5, 0.75))
+@example(CsitQuality(1.0, 1.0))  # the case-i corners coincide
+@example(CsitQuality(0.0, 0.0))
+@example(CsitQuality(0.0, 1.0))
 def test_corner_points_are_region_vertices(quality):
+    # each corner once, each a region vertex to criterion 1's 1e-12, and the
+    # max-sum intersection listed exactly where auto builds case-ii
+    corners = corner_points(quality)
+    assert len(set(corners)) == len(corners)
     vertices = dof_region(quality).vertices
-    for c in corner_points(quality):
-        assert min(math.hypot(v.d1 - c.d1, v.d2 - c.d2) for v in vertices) <= 1e-9
+    for c in corners:
+        assert min(math.hypot(v.d1 - c.d1, v.d2 - c.d2) for v in vertices) <= 1e-12, c
+    a1, a2 = quality.alpha1, quality.alpha2
+    max_sum = DofPoint((2.0 + 2.0 * a1 - a2) / 3.0, (2.0 + 2.0 * a2 - a1) / 3.0)
+    case_i_corner = DofPoint((1.0 + a1) / 2.0, 1.0)
+    if build_preset("auto", quality, 1).name == "case-ii":
+        assert max_sum in corners and DofPoint(a2, 1.0) in corners
+    else:
+        # on the line the intersection and (alpha2, 1) are the case-i corner
+        assert corners[-1] == case_i_corner
+        assert all(p not in corners or p == case_i_corner for p in (max_sum, DofPoint(a2, 1.0)))
 
 
 @_SETTINGS

@@ -46,6 +46,8 @@ class TestConfig:
         ([60.0, 80.0, 4000.0], "4000.0 dB overflows"),
         ([], "at least 3 points"),
         ([60.0, 100.0, 100.0004, 120.0], r"100\.0 and 100\.0004 dB share one channel stream"),
+        # above 0 dB, but P = 10**(dB/10) rounds to 1: the point is named
+        ([1e-17, 60.0, 120.0], r"power 1e-17 dB must be finite and above 0 dB"),
     ])
     def test_rejects_grid_the_fit_cannot_use(self, grid, message):
         with pytest.raises(ValueError, match=message):
@@ -343,7 +345,7 @@ class TestCli:
         assert "at least 3 points" in capsys.readouterr().err
         assert not (tmp_path / "sw" / "index.json").exists()
 
-    @pytest.mark.parametrize("grid", ["0,20,40,60", "nan,80,100,120"])
+    @pytest.mark.parametrize("grid", ["0,20,40,60", "nan,80,100,120", "1e-17,60,120"])
     def test_sweep_rejects_unusable_grid_before_running(self, tmp_path, capsys, grid):
         rc = main([
             "sweep", "--qualities", "0.3:0.5", "--grid-db", grid, "--out-dir", str(tmp_path / "sw"),
