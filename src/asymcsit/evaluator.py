@@ -19,75 +19,95 @@ dependency order:
      quantized record of the vector overheard at the other user, a 2x2
      log-det rate.
 
-All grid points are evaluated in one pass over the slots, a decode chunk
+All grid points are evaluated in one pass over the slots, a draw chunk
 of whole slots at a time: as many as fit in _DRAW_BUDGET normals, at
 least one, so 51 slots at 20 trials on a 4-point grid and one at 2000.
 One pass serves every plan of a run (estimate_dofs): it walks the sorted
 union of the plans' slot indices, and each (grid point, slot) stream is
 drawn, scaled and projected once, for every plan that has that slot.
-Each plan then decodes and settles its own slots of a chunk with its own
-templates, outputs and queue (_PlanPass), so its numbers are those of a
-pass of its own.  A chunk is drawn whole before it is scaled (below).
-Each slot is drawn at every grid point, and a chunk's draws are stacked
-on leading (slot, grid point) axes: one sample_channel call scales them,
-and each precoder direction is projected once per chunk, with every
-|gain|**2 taken once.  The decode index is made once, when the plan is
-built, and validate_plan reads it too (see schemes): the SIC order, the
-fresh groups, which links a slot carries and which each user overhears
-there, each interference's received exponent, the slot its groups wait
-for, each shape's slots and link rows, each slot's first rate row and how
-many additions to each user's totals come before it.  Slots of one shape
-(a cycled plan's cycle positions) share one decode template, which the
-pass makes once from the shape and the grid powers: power columns, rate
-caps and each link's quantizer scale and demand.  A decode chunk is a
-range of positions in the union of slot indices, and the pass's only
-per-slot table is each shape's slots' positions there (_PlanPass); the
-rest it reads off the plan's index in place, so splitting, decoding and
-settling a chunk are array operations per template batch, with no Python
-per slot, link or addition.  A chunk is decoded a plan and a template at a
-time: the SIC MIs, link noise and cross minors of all of the chunk's slots
-of one template run once, on (slot, grid point, trial) arrays that are
-views of the chunk's gains when those slots step evenly through it
-(always, for a chunk of one slot).  Step 1 is settled as the template is
-decoded, and a carrier's decode writes its links' delivered MI and
-residual into the pass's per-link output.  A link's carrier comes after
-its source, so step 3 waits: a plan's part of a chunk waits whole, in the
-plan's first-in-first-out queue, until the slot that its last group
-settles after has been decoded.  It holds its template batches' fresh
-power gains, the bits of their user-owned first-antenna layers (the lesser
-of the two users' MIs) and the cross minors of the groups that get a side
-row; then each group reads its residuals from its link rows.  After each
-chunk, every ready part at the head of a plan's queue is settled, one call
-per template batch, each writing its slots' additions in place into the
-part's stack: row 0 a copy of the per-trial user totals, then each user's
-additions in slot order (each slot's user-owned first-antenna layers, then
-its group).  One np.add.reduce along the stack's leading axis adds the
-rows up in turn into the totals, the same bits as adding them one by one
-(at one grid point and one trial, where numpy would sum the rows pairwise,
-_add_up accumulates them instead); a user's single addition of a part, as
-in a one-slot chunk, takes no stack and adds with one +=.  So each total
-adds up slot by slot in slot order, the same sums in the same order at any
-chunk size.  Memory is bounded by the chunk size and the parts in those
-queues, besides the per-layer and per-link results (NaN until written),
-the union positions and each plan's per-trial user totals, which are freed
-once the plan's last slot has settled.  No preset carries a link past the
-next cycle, so a queue stays a few chunks long; a link carried far past
-its source holds every chunk decoded in between, and the queue then grows
-with the plan.  The Python work is paid once per chunk and template, not
+Each plan then decodes and settles its own slots with its own templates,
+outputs and queue (_PlanPass), so its numbers are those of a pass of its
+own.  A chunk is drawn whole before it is scaled (below).  Each slot is
+drawn at every grid point, and a chunk's draws are stacked on leading
+(slot, grid point) axes: one sample_channel call scales them, and each
+precoder direction is projected once per chunk, with every |gain|**2
+taken once.  The decode index is made once, when the plan is built, and
+validate_plan reads it too (see schemes): the SIC order, the fresh
+groups, which links a slot carries and which each user overhears there,
+each interference's received exponent, the slot its groups wait for, each
+shape's slots and link rows, each slot's first rate row and how many
+additions to each user's totals come before it.  Slots of one shape (a
+cycled plan's cycle positions) share one decode template, which the pass
+makes once from the shape and the grid powers: power columns, rate caps
+and each link's quantizer scale and demand.
+
+Draw chunks and parts.  Slots are decoded a draw chunk at a time and
+settled a part at a time.  A part is two draw chunks where a chunk holds
+more than one slot (the last part may be one, and may be short), and
+one chunk, so one slot, where it does not.  Both are ranges of
+positions in the union of slot indices; a one-plan pass's union is the
+plan's own slots, and the pass's only per-slot table is, beside another
+plan, each shape's slots' positions there (_PlanPass).  The rest it reads
+off the plan's index in place, so splitting, decoding and settling are
+array operations per template batch, with no Python per slot, link or
+addition.  A chunk is decoded a plan and a template at a time: the SIC
+MIs (both users' in one set of operations), link noise and cross minors
+of all of the chunk's slots of one template run once, on (user, slot,
+grid point, trial) arrays that are views of the chunk's gains when those
+slots step evenly through it (always, for a chunk of one slot).  Step 1
+is settled as the template is decoded, and a carrier's decode writes its
+links' delivered MI and residual into the pass's per-link output.  A
+link's carrier comes after its source, so step 3 waits: a plan's part
+waits whole, in the plan's first-in-first-out queue, until the slot that
+its last group settles after has been decoded, as a rule one in the next
+part's first chunk.  A waiting part keeps its template batches' fresh
+power gains (the part's power-gain block, read at their slots), the bits of their
+user-owned first-antenna layers (the lesser of the two users' MIs) and the
+cross minors of the groups that get a side row, each made once for the
+part and written a chunk's slice at a time; then each group reads its
+residuals from its link rows.  After each chunk, every ready part at the
+head of a plan's queue is settled, one call per template batch of the
+part, each writing its slots' additions in place into the part's stack:
+row 0 a copy of the per-trial user totals, then each user's additions in
+slot order (each slot's user-owned first-antenna layers, then its group).
+One np.add.reduce along the stack's leading axis adds the rows up in turn
+into the totals, the same bits as adding them one by one (at one grid
+point and one trial, where numpy would sum the rows pairwise, _add_up
+accumulates them instead); a user's single addition of a part, as in a
+one-slot part, takes no stack and adds with one +=.  So each total adds
+up slot by slot in slot order, the same sums in the same order at any
+chunk or part size.  Memory is bounded by the part size and the parts in
+those queues, besides the per-layer and per-link results (NaN until
+written), the union positions and each plan's per-trial user totals,
+which are freed once the plan's last slot has settled.  No preset carries
+a link past the next cycle, so a queue stays a part or two long; a link
+carried far past its source holds every part decoded in between, and the
+queue then grows with the plan.  The Python work is paid once per chunk
+and template to decode and once per part and template to settle, not
 once per slot, link, addition or grid point.
 
 The chunk's arrays are buffers kept for the pass, made once at the chunk
 size: the channels, the draw buffer, one estimate-shaped scratch and the
-first antenna's power gains.  The fresh directions' power gains go into a
-block that each chunk makes when it is projected, for the directions that
-any plan's slots of it use, and that is freed once every plan's part of
-the chunk has settled, so no block is written while a chunk that reads it
-waits.  The complex gains are made one estimate at a time and dropped as
-soon as the cross minors that read them are formed; each minor keeps its
-operands' order, as numpy's complex product need not be bitwise
-commutative.  The pass returns arrays over the grid per plan;
-estimate_dofs fits the per-user ones (estimate_dof is estimate_dofs of
-one plan), and a RateLedger is built only at one point (evaluate_plan).
+first antenna's power gains.  Where no worker draws, the draw buffer lies
+idle from a chunk's scaling until the next chunk's draw, so the scratch
+and the first antenna's gains are made in it.  The fresh directions'
+power gains go into a part's block, for the directions that any plan's
+slots of the part use, and each chunk's projection writes its slice of
+it.  A one-slot part makes its block when its chunk is projected, and it
+is freed once every plan's part has settled.  Parts of two chunks take
+theirs from a ring of three chunks kept for the pass, read forward by
+even parts and backward by odd ones: so a part's first chunk lands where
+the part before it, which waits for that chunk, keeps nothing, and its
+second lands on the ring's middle chunk once that part has settled.  A
+part that a part before it might still need the ring's memory for, as
+behind a link carried far, makes a block of its own instead; no block is
+written while a part that reads it waits.  The complex gains are made one
+estimate at a time and dropped as soon as the cross minors that read
+them are formed; each minor keeps its operands' order, as numpy's complex
+product need not be bitwise commutative.  The pass returns arrays over
+the grid per plan; estimate_dofs fits the per-user ones (estimate_dof is
+estimate_dofs of one plan), and a RateLedger is built only at one point
+(evaluate_plan).
 
 residual_power_probe is that one-point ledger, read off as
 RateLedger.link_noise: step 2's effective residual variance per link.  Its
@@ -177,7 +197,7 @@ __all__ = [
     "residual_power_probe",
 ]
 
-_DRAW_BUDGET = 2 ** 16  # normals per decode chunk: as many whole slots as fit, at least one
+_DRAW_BUDGET = 2 ** 16  # normals per draw chunk: as many whole slots as fit, at least one
 _PRECISION_CEILING = 30.0  # largest alpha2 * dB / 10 that check_grid_db accepts
 
 
@@ -218,10 +238,10 @@ class DofEstimate:
 
 def _project(true_conj, est, directions, a, power_gain):
     """Each direction's receive gains at user 1 and user 2: |gain|**2 is
-    written into power_gain[d], the chunk's power-gain block, and the
-    complex gains off the first antenna are yielded, one estimate at a time,
-    as a dict from direction to a new array.  Each has the user on its
-    leading axis.
+    written into power_gain[d], the chunk's view of its part's power-gain
+    block, and the complex gains off the first antenna are yielded, one
+    estimate at a time, as a dict from direction to a new array.  Each has
+    the user on its leading axis.
 
     true_conj holds the conjugated true channels of user 1 and user 2 and
     est their estimates, each with leading axes before the trial axis;
@@ -266,28 +286,39 @@ def _common_mis(sic_power, fresh, power_gain):
     (decreasing power exponent); the noise for each layer is every later
     first-antenna layer plus the slot's fresh layers, (direction, power
     column) per layer, at their true received powers plus unit AWGN.
-    power_gain is _project's over _DIRECTIONS, so the first antenna's is at
-    0.  Returns each user's MIs in decode order.
+    power_gain maps each direction in _DIRECTIONS that they use to both
+    users' |gain|**2, with the user on the leading axis (the first
+    antenna's at 0), so both users' received powers and MIs are made in one
+    set of operations.  Returns the MIs in decode order, each with the user
+    on its leading axis.
     """
     if not sic_power:
-        return [], []
-    out = []
-    for u in (0, 1):
-        fresh_rx = _sum(power_gain[d][u] * col for d, col in fresh)
-        first = power_gain[0][u]
-        rx = [first * col for col in sic_power]
-        out.append([np.log2(1.0 + rx[i] / (_sum(rx[i + 1:] + [fresh_rx]) + 1.0)) for i in range(len(rx))])
-    return out[0], out[1]
+        return []
+    fresh_rx = _sum(power_gain[d] * col for d, col in fresh)
+    rx = [power_gain[0] * col for col in sic_power]
+    return [np.log2(1.0 + rx[i] / (_sum(rx[i + 1:] + [fresh_rx]) + 1.0)) for i in range(len(rx))]
 
 
-def _cross_minors(direct, cross, powers):
+def _cross_minors(direct, cross, powers, out=None):
     """det(A)'s Cauchy-Binet sum for two observation rows of a jointly
     decoded group, before the noise: sum over i < j of
     p_i p_j |d_i c_j - d_j c_i|**2, with d and c the layers' complex gains
-    in the two rows (0 for a single layer)."""
+    in the two rows (0 for a single layer), into out when it is given."""
     k = len(powers)
-    return _sum(powers[i] * powers[j] * np.abs(direct[i] * cross[j] - direct[j] * cross[i]) ** 2
-                for i in range(k) for j in range(i + 1, k))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    if not pairs:
+        if out is None:
+            return 0
+        out[...] = 0.0
+        return out
+    for n, (i, j) in enumerate(pairs):
+        term = np.multiply(powers[i] * powers[j], np.abs(direct[i] * cross[j] - direct[j] * cross[i]) ** 2,
+                           out=None if n else out)
+        if n:
+            total += term  # the terms added left to right, as _sum adds them
+        else:
+            total = term
+    return total
 
 
 def _logdet_mi(rows, powers, minors=0, out=None):
@@ -332,6 +363,13 @@ def _take(positions: list[int]):
 def _shift(index, k: int):
     """A _take index with k added to every position."""
     return slice(index.start + k, index.stop + k, index.step) if isinstance(index, slice) else index + k
+
+
+def _sub(index, part: slice):
+    """The entries part (a range) of a _take index, as a _take index."""
+    if isinstance(index, slice):
+        return slice(index.start + part.start * index.step, index.start + part.stop * index.step, index.step)
+    return index[part]
 
 
 def _add_up(stack: np.ndarray, out: np.ndarray) -> None:
@@ -398,59 +436,66 @@ def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
 
 
 class _Batch(NamedTuple):
-    """A template's slots from one decode chunk, along a leading slot axis,
-    settled in one go once the plan's whole part of the chunk is ready."""
+    """A template's slots from one chunk part, along a leading slot axis,
+    settled in one go once the plan's whole part is ready."""
 
     template: _Template
     firsts: list  # per user, its slots' first rows among the user's additions of their chunk part
     rows: slice | np.ndarray  # its slots' first rate rows, as _take indexes them
     links: list  # per link column, its slots' link rows as _take indexes them (None: no link there)
-    power_gain: dict  # direction -> the users' |gain|**2, for the directions of the template's groups
+    power_gain: dict  # direction -> the users' |gain|**2 (user, slot, point, trial) in the part, for its groups
+    at: slice | np.ndarray  # its slots' positions in the part, as _take indexes them
     owned: list  # (user, its bits: the lesser MI of the two users) per user-owned first-antenna layer
     minors: list  # each group's cross minors, 0 without a side row
 
 
 class _PlanPass:
-    """One plan's part of a grid pass: its decode templates, its outputs and
-    the queue of its decode chunks that wait to settle.
+    """One plan's part of a grid pass: its decode templates, its outputs,
+    the chunk part that it decodes and the queue of its parts that wait to
+    settle.
 
-    The pass draws, scales and projects each chunk of the sorted union of
-    its plans' slot indices once, for every plan; each plan then decodes
-    and settles its own slots of the chunk from the chunk's gains, with
-    nothing of its own shared, so its results are the same whichever plans
-    share the pass.
+    The pass draws, scales and projects each draw chunk of the sorted union
+    of its plans' slot indices once, for every plan; each plan then decodes
+    its own slots of the chunk from the chunk's gains, and settles them a
+    chunk part at a time, with nothing of its own shared, so its results
+    are the same whichever plans share the pass.
 
-    It makes two things of its own: its templates (the grid powers) and, per
-    slot shape, its slots' positions in the union.  All else that it reads
+    It makes its templates (the grid powers) and, beside another plan, per
+    slot shape its slots' positions in the union: alone, they are the
+    plan's own slot positions (plan.members).  All else that it reads
     per slot is the plan's decode index, read in place: the shape numbers,
     settle positions, each shape's slots and link rows, each slot's first
     rate row and how many additions to each user's totals come before it.  A
     template batch is a range of one shape's slots, and reads their link
-    rows as views.  Which of its slots a chunk holds, and of which shapes,
-    it finds by bisecting its union positions and counting shape numbers in
-    a slice of a tuple: no numpy loop that the rest of the pass does not
-    run, as each new one pages in more of numpy's code.  Each chunk part
-    adds to a user's per-trial totals through one stack, (row, grid point,
-    trial): row 0 is a copy of the totals, and the other rows are the user's
-    additions in slot order (each slot's owned first-antenna layers' bits,
-    then its group's joint rate), which settle writes in place.  _add_up
-    then adds the rows up in turn along the stack's leading axis, the bits
-    of a sequential +=, into the totals.  A single addition, as in each
-    one-slot part, needs no stack: one += adds it.  One user's additions are
-    made and added up before the other's, so a part holds no more than one
-    user's additions at a time.
+    rows as views.  Which of its slots a chunk or a part holds, and of
+    which shapes, it finds by bisecting its union positions and counting
+    shape numbers in a slice of a tuple: no numpy loop that the rest of the
+    pass does not run, as each new one pages in more of numpy's code.  Each
+    chunk part adds to a user's per-trial totals through one stack, (row,
+    grid point, trial): row 0 is a copy of the totals, and the other rows
+    are the user's additions in slot order (each slot's owned first-antenna
+    layers' bits, then its group's joint rate), which settle writes in
+    place.  _add_up then adds the rows up in turn along the stack's leading
+    axis, the bits of a sequential +=, into the totals.  A single addition,
+    as in each one-slot part, needs no stack: one += adds it.  One user's
+    additions are made and added up before the other's, so a part holds no
+    more than one user's additions at a time.
     """
 
-    def __init__(self, plan: SchemePlan, union: list[int], ps: list[float], n_trials: int):
+    def __init__(self, plan: SchemePlan, union: list[int] | range, ps: list[float], n_trials: int):
         # union: each slot's position in the union of the pass's slot indices
         self.plan, self.union, self.n_trials = plan, union, n_trials
         self.templates = _compile(plan, ps)
-        at = np.array(union)
-        self.at = [at[m] for m in plan.members]  # each shape's slots' union positions
+        if isinstance(union, range):  # a pass of this plan alone: its slots are the union
+            self.at = list(plan.members)  # each shape's slots' union positions
+        else:
+            at = np.array(union)
+            self.at = [at[m] for m in plan.members]
         self.next = [0] * len(plan.shapes)  # per shape, its first slot not yet decoded
         self.rate = np.full((int(plan.starts[-1]), len(ps)), np.nan)
         # delivered MI, effective noise; NaN until decoded
         self.link_out = np.full((2, len(plan.links), len(ps)), np.nan)
+        self.part = None  # the chunk part being decoded: (lo, hi, its block, per shape its slots' tables)
         # (largest settle_after, lo, hi, its _Batches) per chunk part not yet settled
         self.waiting: deque = deque()
         self.totals = None  # per-user bits per run, (2, point, trial): made when the first slot settles
@@ -461,11 +506,11 @@ class _PlanPass:
         return np.add.reduce(x, axis=-1) / self.n_trials
 
     def split(self, lo: int, hi: int) -> dict[int, tuple]:
-        """Its slots among the union's slots at positions [lo, hi), a decode
-        chunk, by shape number: their range in the shape's slots (the plan's
-        members), and their positions in the chunk as _take indexes them.
-        Each shape's slots not yet decoded come first in plan order, so they
-        are the ones below hi."""
+        """Its slots among the union's slots at positions [lo, hi), a draw
+        chunk or a chunk part, by shape number: their range in the shape's
+        slots (the plan's members), and their positions from lo as _take
+        indexes them.  Each shape's slots not yet decoded come first in plan
+        order, so they are the ones below hi."""
         start = sum(self.next)  # its slots at plan positions [0, start) are decoded
         ahead = self.plan.shape_of[start:bisect_left(self.union, hi, start)]
         share = {}
@@ -475,36 +520,48 @@ class _PlanPass:
             share[n] = (slice(j, k), _take((self.at[n][j:k] - lo).tolist()))
         return share
 
-    def decode(self, n: int, part: slice, lo: int, at, power_gain, minors) -> _Batch:
+    def begin(self, share: dict[int, tuple], block: dict) -> None:
+        """Start a chunk part: its slots there (split's share) and the
+        part's power-gain block.  Per shape it keeps their rate and link
+        rows and one array per user-owned first-antenna layer for its bits,
+        which each draw chunk's decode writes its slots' slice of."""
+        plan, shape = self.plan, self.rate.shape[1:] + (self.n_trials,)
+        tables = {}
+        for n, (part, at) in share.items():
+            m = plan.members[n][part]  # their plan positions
+            tables[n] = (part, at, _take(plan.starts[m].tolist()),
+                         [_take(col) if col[0] >= 0 else None for col in plan.link_rows[n][part].T.tolist()],
+                         [(user, np.empty((len(m),) + shape)) for _, user, _ in self.templates[n].sic if user >= 0])
+        lo = sum(self.next)
+        self.part = lo, lo + sum(part.stop - part.start for part, _ in share.values()), block, tables
+
+    def decode(self, n: int, part: slice, at, power_gain) -> None:
         # the first-antenna layers of the slots part of shape n (at `at` in
-        # the chunk), of the chunk part from plan position lo, at every grid
-        # point: their rates and the common ones' links' outputs; the owned
-        # ones' bits wait for the settle.  minors are each group's cross
-        # minors there
-        t, plan = self.templates[n], self.plan
-        m = plan.members[n][part]  # their plan positions
-        power_gain = {d: (power_gain[d][0][at], power_gain[d][1][at]) for d in t.shape.directions}
-        rows = _take(plan.starts[m].tolist())
-        links = [_take(col) if col[0] >= 0 else None for col in plan.link_rows[n][part].T.tolist()]
-        mi1, mi2 = _common_mis(t.sic_power, t.fresh, power_gain)
+        # the draw chunk, whose gains power_gain holds) at every grid point:
+        # their rates and the common ones' links' outputs; the owned ones'
+        # bits go into their slice of the part's arrays, to wait for the
+        # settle
+        t = self.templates[n]
+        whole, _, rows, links, owned = self.part[3][n]
+        sub = slice(part.start - whole.start, part.stop - whole.start)  # their range among the part's
+        rows = _sub(rows, sub)
+        mis = _common_mis(t.sic_power, t.fresh, {d: power_gain[d][:, at] for d in t.shape.directions})
         rate, link_out, trial_mean = self.rate, self.link_out, self.trial_mean
-        owned = []
-        for (k, user, cap), m1, m2 in zip(t.sic, mi1, mi2):
-            bits = np.minimum(m1, m2)
+        owned = iter(owned)
+        for (k, user, cap), mi in zip(t.sic, mis):
+            bits = np.minimum(mi[0], mi[1], out=next(owned)[1][sub] if user >= 0 else None)
             rate[_shift(rows, k)] = np.minimum(trial_mean(bits), cap)
-            if user >= 0:
-                owned.append((user, bits))
         for j, (k, scale, demand) in enumerate(t.carried):
-            link_out[0, links[j]] = mi = np.minimum(trial_mean(mi1[k]), trial_mean(mi2[k]))
+            mean = trial_mean(mis[k])
+            at_link = _sub(links[j], sub)
+            link_out[0, at_link] = mi = np.minimum(mean[0], mean[1])
             # the effective residual variance after the subtraction: the
             # quantizer's own rate-distortion variance (the source, received
             # at ~ P**e_src, described by quant_prelog * log2(P) bits, the
             # demand, down to P**(e_src - quant_prelog): exactly 1 for a sound
             # link), doubled for every bit the carrier delivers short of the
             # demand.  np.float_power is libm's pow, as Python's 2.0 ** x is
-            link_out[1, links[j]] = scale * np.float_power(2.0, np.fmax(0.0, demand - mi))
-        firsts = (plan.added[:, m] - plan.added[:, lo, None]).tolist()
-        return _Batch(t, firsts, rows, links, {d: power_gain[d] for d, _ in t.fresh}, owned, minors)
+            link_out[1, at_link] = scale * np.float_power(2.0, np.fmax(0.0, demand - mi))
 
     def settle_part(self, lo: int, hi: int, batches: list) -> None:
         # the chunk part at plan positions [lo, hi), a user at a time: its
@@ -539,9 +596,13 @@ class _PlanPass:
         # link row read here was filled when its carrier was decoded: b's
         # chunk part waits whole until the slot that its last group settles
         # after has been decoded.
-        t, power_gain, link_out, rate, trial_mean = b.template, b.power_gain, self.link_out, self.rate, self.trial_mean
+        t, link_out, rate, trial_mean = b.template, self.link_out, self.rate, self.trial_mean
         if not t.shape.additions[u]:
             return
+
+        def gain(d, v):  # user v's |gain|**2 along direction d at b's slots: a view where they step evenly
+            return b.power_gain[d][v][b.at]
+
         group, powers = t.groups[u]
         at = _take(b.firsts[u])
         for user, bits in b.owned:
@@ -554,10 +615,10 @@ class _PlanPass:
             own_noise = link_out[1, b.links[group.own_link], :, None]
         else:
             leak, leak_powers = t.groups[1 - u]
-            own_noise = _sum(power_gain[d][u] * col for d, col in zip(leak.directions, leak_powers))
-        rows = [([power_gain[d][u] for d in group.directions], 1.0 + own_noise)]
+            own_noise = _sum(gain(d, u) * col for d, col in zip(leak.directions, leak_powers))
+        rows = [([gain(d, u) for d in group.directions], 1.0 + own_noise)]
         if group.side_link >= 0:
-            rows.append(([power_gain[d][1 - u] for d in group.directions],
+            rows.append(([gain(d, 1 - u) for d in group.directions],
                          link_out[1, b.links[group.side_link], :, None]))
         # in place where at is a slice, else copied there
         joint = _logdet_mi(rows, powers, b.minors[u], out=out[at] if isinstance(at, slice) else None)
@@ -577,22 +638,31 @@ class _PlanPass:
             rate[_shift(b.rows, k)] = trial_mean(share)
 
     def add(self, share: dict[int, tuple], block: dict, minors: dict) -> None:
-        """Decode its slots of a chunk (split's share) from the chunk's
-        power-gain block and cross minors ((self, shape number, user) ->
-        minors), queue them, and settle every ready part at the head of the
-        queue.  The part's batches wait, holding views of the block for
-        their fresh directions, until the slot that its last group settles
-        after has been decoded."""
-        lo = sum(self.next)
-        batches = [self.decode(n, part, lo, at, block, [minors.get((self, n, u), 0) for u in (0, 1)])
-                   for n, (part, at) in share.items()]
-        for n, (part, _) in share.items():
+        """Decode its slots of a draw chunk (split's share) from the chunk's
+        gains, its views of the part's power-gain block.  Once the part's
+        last slot is decoded, queue the part, with the cross minors of its
+        groups ((self, shape number, user) -> their minors in the part),
+        and after each chunk settle every ready part at the head of the
+        queue.  A queued part's batches hold views of its block for their
+        fresh directions until the slot that its last group settles after
+        has been decoded."""
+        for n, (part, at) in share.items():
+            self.decode(n, part, at, block)
             self.next[n] = part.stop
-        hi = sum(self.next)  # its slots at plan positions [0, hi) are decoded
-        self.waiting.append((max(self.plan.settle_after[lo:hi]), lo, hi, batches))
-        while self.waiting and self.waiting[0][0] < hi:
+        decoded = sum(self.next)  # its slots at plan positions [0, decoded) are decoded
+        lo, hi, part_block, tables = self.part
+        if decoded == hi:
+            plan, batches = self.plan, []
+            for n, (part, at, rows, links, owned) in tables.items():
+                t, m = self.templates[n], plan.members[n][part]
+                batches.append(_Batch(t, (plan.added[:, m] - plan.added[:, lo, None]).tolist(), rows, links,
+                                      {d: part_block[d] for d, _ in t.fresh}, at, owned,
+                                      [minors.get((self, n, u), 0) for u in (0, 1)]))
+            self.waiting.append((max(plan.settle_after[lo:hi]), lo, hi, batches))
+            self.part = None
+        while self.waiting and self.waiting[0][0] < decoded:
             self.settle_part(*self.waiting.popleft()[1:])
-        if hi == len(self.plan.shape_of):
+        if decoded == len(self.plan.shape_of):
             # every slot has settled: keep (rate, link_out, mean, stderr), and
             # free the per-trial totals while other plans still decode
             totals, n_trials = self.totals, self.n_trials
@@ -607,7 +677,17 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
     stderr): each layer's mean rate (rows in plan order), each link's
     delivered MI and effective noise (2 x link, in plan.links order), and
     each user's per-run bits and Monte-Carlo stderr.  The module docstring
-    states how the pass walks, draws, decodes and settles the chunks.
+    states how the pass walks, draws, decodes and settles.
+
+    In short: slots are drawn, scaled, projected and decoded (SIC and
+    links) a draw chunk at a time, and settled (the groups, into the
+    totals) a part at a time.  A part spans two draw chunks where a chunk
+    holds more than one slot, and is the chunk's one slot where it does
+    not.  A decoded part waits until the carriers its groups read have
+    been decoded, as a rule those in the next part's first chunk, and
+    keeps till then its fresh power gains (views of its block in the
+    ring, or of its own), the bits of its user-owned first-antenna layers
+    and its groups' cross minors.
 
     No validate_plan here: the public callers that need a sound plan run it
     first, and SchemePlan has already checked the links.  n_trials must be
@@ -632,39 +712,75 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         _require_precise(s.p_db, s.quality.alpha2)
     ps = [s.p for s in snrs]
     own = [plan.all_slots() for plan in plans]
-    indices = sorted({s.index for slots in own for s in slots})  # the union of the plans' slot indices
+    if len(plans) == 1:  # the union is the plan's own slots, in plan order
+        indices, positions = [s.index for s in own[0]], [range(len(own[0]))]
+    else:
+        indices = sorted({s.index for slots in own for s in slots})  # the union of the plans' slot indices
+        union = {index: k for k, index in enumerate(indices)}
+        positions = [[union[s.index] for s in slots] for slots in own]
 
-    def decode_chunk(lo: int, hi: int, stack):
-        # the chunk holds the slots at union positions [lo, hi).  Each plan
-        # with slots there decodes them from the chunk's one power-gain
-        # block, made for the directions that any of them uses
-        shares = [(pp, share) for pp in passes if (share := pp.split(lo, hi))]
-        directions = sorted({d for pp, share in shares for n in share for d in pp.templates[n].shape.directions})
-        block = {d: first[:, :hi - lo] if d == 0 else np.empty((2, hi - lo) + shape[1:]) for d in directions}
-        # each group that gets a side row has its cross minors formed as soon
-        # as its directions are projected (one estimate's, in every preset);
-        # then the complex gains that no group still to come reads are dropped
-        minors = {}  # (plan pass, shape number, user) -> the group's cross minors in this chunk
-        pending = [((pp, n, u), *pp.templates[n].groups[u], at) for pp, share in shares
-                   for n, (_, at) in share.items() for u in (0, 1) if pp.templates[n].groups[u][0].side_link >= 0]
+    def begin_part(lo: int, hi: int, q: int) -> tuple:
+        # part q holds the slots at union positions [lo, hi).  Each plan
+        # with slots there starts it, and the part's power-gain block and
+        # cross minors are made for the directions and side-row groups of
+        # all of them: (each plan's share, directions, block, minors).  The
+        # block is the ring's, read forward for an even q and backward for
+        # an odd one, where no part that keeps gains there still waits when
+        # this part's chunks are projected: a part read the same way must
+        # have settled, and the part before it must settle once this part's
+        # first chunk is decoded (its second overwrites the ring's middle)
+        shares = {pp: share for pp in passes if (share := pp.split(lo, hi))}
+        directions = sorted({d for pp, share in shares.items() for n in share for d in pp.templates[n].shape.directions})
+        if ring and wait[q % 2] < lo and wait[1 - q % 2] < lo + chunk:
+            block = {d: (ring[d] if q % 2 == 0 else ring[d][:, ::-1])[:, :hi - lo] for d in directions if d}
+        else:
+            block = {d: np.empty((2, hi - lo) + shape[1:]) for d in directions if d}
+        minors = {(pp, n, u): np.empty((part.stop - part.start,) + shape[1:]) for pp, share in shares.items()
+                  for n, (part, _) in share.items() for u in (0, 1) if pp.templates[n].groups[u][0].side_link >= 0}
+        for pp, share in shares.items():
+            pp.begin(share, block)
+        return shares, directions, block, minors
+
+    def decode_chunk(lo: int, hi: int, stack, part_lo: int, parts: dict, directions, block, minors) -> None:
+        # the chunk holds the slots at union positions [lo, hi) of the part
+        # from part_lo.  Each plan with slots there decodes them from the
+        # chunk's gains: its view of the part's power-gain block, for every
+        # direction of the part
+        shares = parts.items() if span == 1 else [(pp, share) for pp in parts if (share := pp.split(lo, hi))]
+        gains = {d: first[:, :hi - lo] if d == 0 else block[d][:, lo - part_lo:hi - part_lo] for d in directions}
+        # each group that gets a side row has its cross minors formed, into
+        # its slots' range of the part's minors, as soon as its directions
+        # are projected (one estimate's, in every preset); then the complex
+        # gains that no group still to come reads are dropped
+        pending = []
+        for pp, share in shares:
+            for n, (part, at) in share.items():
+                start = parts[pp][n][0].start
+                for u in (0, 1):
+                    group, powers = pp.templates[n].groups[u]
+                    if group.side_link >= 0:
+                        pending.append((u, group, powers, at, minors[pp, n, u][part.start - start:part.stop - start]))
         gain = {}
         for projected in _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
-                                  directions, scratch[:hi - lo], block):
+                                  directions, scratch[:hi - lo], gains):
             gain |= projected
             del projected
-            for key, g, powers, at in pending:
-                u = key[2]
-                if all(d in gain for d in g.directions):
-                    minors[key] = _cross_minors([gain[d][u][at] for d in g.directions],
-                                                [gain[d][1 - u][at] for d in g.directions], powers)
-            pending = [entry for entry in pending if entry[0] not in minors]
+            later = []
+            for u, group, powers, at, out in pending:
+                if all(d in gain for d in group.directions):
+                    _cross_minors([gain[d][u][at] for d in group.directions],
+                                  [gain[d][1 - u][at] for d in group.directions], powers, out)
+                else:
+                    later.append((u, group, powers, at, out))
+            pending = later
             gain = {d: x for d, x in gain.items() if any(d in entry[1].directions for entry in pending)}
         for pp, share in shares:
-            pp.add(share, block, minors)
+            pp.add(share, gains, minors)
 
     per_slot = len(ps) * math.prod(_row(n_trials))  # normals per slot
-    chunk = max(1, _DRAW_BUDGET // per_slot)  # slots per decode chunk
+    chunk = max(1, _DRAW_BUDGET // per_slot)  # slots per draw chunk
     shared = chunk == 1  # a worker draws beside this thread, and the draw buffer has two parts
+    span = 1 if shared else 2  # draw chunks per chunk part
     chunk = min(len(indices), chunk)
     n_chunks = -(-len(indices) // chunk)
     normals = np.empty((min(n_chunks, 2 if shared else 1), chunk, len(ps)) + _row(n_trials))
@@ -682,19 +798,30 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
             return queue, streams, rows, pool.submit(_draw, worker_rng, queue.popleft, streams, rows) if pool else None
 
         drawn = deque(hand_over(k) for k in range(len(normals)))
-        union = {index: k for k, index in enumerate(indices)}
-        passes = [_PlanPass(plan, [union[s.index] for s in slots], ps, n_trials)
-                  for plan, slots in zip(plans, own)]
+        passes = [_PlanPass(plan, at, ps, n_trials) for plan, at in zip(plans, positions)]
         shape = (chunk, len(ps), n_trials)
         bufs = {name: np.empty(shape + (2,), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
         # sample_channel writes each error into its channel and adds the
         # estimate in place: the same bits, and no error is read after that
         bufs["h_err"], bufs["g_err"] = bufs["h_true"], bufs["g_true"]
         # the projection's scratch and the first antenna's power gains, which
-        # are read only while a chunk decodes, so every chunk's power-gain
-        # block shares this one array
-        scratch = np.empty(shape + (2,), complex)
-        first = np.empty((2,) + shape)
+        # are read only while a chunk decodes, so every chunk shares them:
+        # where no worker draws, they are made in the draw buffer, idle from
+        # a chunk's scaling until the next chunk's draw
+        if shared:
+            scratch, first = np.empty(shape + (2,), complex), np.empty((2,) + shape)
+        else:
+            idle, size = normals.reshape(-1), math.prod(shape)
+            scratch = idle[:4 * size].view(complex).reshape(shape + (2,))
+            first = idle[4 * size:6 * size].reshape((2,) + shape)
+        # where a pass has several parts of two chunks, the fresh
+        # directions' power gains go into a ring of three chunks, kept for
+        # the pass: a part waits, as a rule, only for the first chunk of the
+        # next, and that chunk's gains go where the waiting part keeps none
+        ring = {d: np.empty((2, (span + 1) * chunk) + shape[1:])
+                for d in sorted({d for pp in passes for s in pp.plan.shapes for d in s.directions if d})
+                } if 1 < span < n_chunks else {}
+        wait = [-1, -1]  # per way of reading the ring, the last union position that a part read so waits for
         rng = np.random.Generator(np.random.PCG64(0))
         for k in range(n_chunks):
             lo, hi = k * chunk, min(len(indices), (k + 1) * chunk)
@@ -708,7 +835,12 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
                 drawn.append(hand_over(k + len(normals)))  # into the part just scaled, while this chunk decodes
             for true in (stack.h_true, stack.g_true):
                 np.conjugate(true, out=true)  # each gain is conj(true) . direction
-            decode_chunk(lo, hi, stack)
+            if k % span == 0:
+                part_lo, part = lo, begin_part(lo, min(len(indices), lo + span * chunk), k // span)
+            decode_chunk(lo, hi, stack, part_lo, *part)
+            if ring and (k + 1) % span == 0:
+                q = k // span % 2
+                wait[q] = max([wait[q]] + [pp.union[entry[0]] for pp in passes for entry in pp.waiting])
 
     return [pp.result for pp in passes]
 
@@ -770,10 +902,10 @@ def check_grid_db(p_db: list[float], alpha2: float) -> None:
     also stay below the precision ceiling alpha2 * dB / 10 <= 30
     (_require_precise), which the grid pass applies to every point too, so
     single-point calls (evaluate_plan, residual_power_probe) refuse a
-    point above it as well.
+    point above it as well.  A point's dB there is the one read back from
+    its power, 10 * log10(P), as the pass reads it.
     """
-    for x in p_db:
-        _power(x)
+    powers = [_power(x) for x in p_db]
     if any(b <= a for a, b in zip(p_db, p_db[1:])):
         raise ValueError("power grid must be strictly increasing")
     if len(p_db) < 3:
@@ -781,7 +913,9 @@ def check_grid_db(p_db: list[float], alpha2: float) -> None:
     for a, b in zip(p_db, p_db[1:]):
         if _db_key(a) == _db_key(b):
             raise ValueError(f"power grid points {a} and {b} dB share one channel stream (same dB to 0.001)")
-    _require_precise(max(p_db), alpha2)
+    # judged on the dB that the grid pass reads back from the power
+    # (SnrPoint.p_db), which can be an ulp above the dB given
+    _require_precise(10.0 * math.log10(max(powers)), alpha2)
     if p_db[-1] - p_db[0] < 40.0 - 1e-9:
         raise ValueError("power grid must span at least 40 dB")
 

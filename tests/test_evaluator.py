@@ -100,7 +100,9 @@ class TestRateOps:
     def test_single_common_is_point_to_point_capacity(self):
         snr = SnrPoint(1e6, Q35)
         _, power_gain = _project_channel(_fixed_channel(), [first_antenna()])
-        (mi1,), (mi2,) = _common_mis([np.array([[snr.p]])], [], power_gain)
+        # one layer's MIs, (user, grid point, trial)
+        (mi,) = _common_mis([np.array([[snr.p]])], [], {0: power_gain[0][:, None, None]})
+        mi1, mi2 = mi
         assert mi1.item() == pytest.approx(math.log2(1 + 1e6), abs=1e-12)
         assert mi2.item() == 0.0  # g has no first-antenna component here
 
@@ -513,11 +515,12 @@ class TestSlotTemplates:
             assert counts[1] == 6
 
     @pytest.mark.parametrize("n_cycles, n_trials", [(20, 20), (400, 20), (3, 600)])
-    def test_each_chunk_settles_once_per_template(self, monkeypatch, n_cycles, n_trials):
-        # 20 trials: decode chunks of 51 slots, whose groups wait for the
-        # next chunk's carriers; 600 trials: a slot is over the draw budget,
-        # so one slot per chunk.  Either way a chunk's slots of one template
-        # settle in one _logdet_mi call per group
+    def test_each_part_settles_once_per_template(self, monkeypatch, n_cycles, n_trials):
+        # 20 trials: draw chunks of 51 slots and parts of two chunks, whose
+        # groups wait for the next part's first chunk's carriers; 600
+        # trials: a slot is over the draw budget, so one slot per chunk and
+        # per part.  Either way a part's slots of one template settle in one
+        # _logdet_mi call per group
         plan, grid = build_case_ii(Q35, n_cycles), _grid(Q35)
         calls = []
         logdet = evaluator._logdet_mi
@@ -531,9 +534,10 @@ class TestSlotTemplates:
         templates = evaluator._compile(plan, [s.p for s in grid])
         shapes = plan.shape_of
         chunk = max(1, evaluator._DRAW_BUDGET // (len(grid) * math.prod(channel._row(n_trials))))
+        part = chunk if chunk == 1 else 2 * chunk
         assert len(calls) == sum(sum(1 for g, _ in templates[n].groups if g.positions)
-                                 for lo in range(0, len(shapes), chunk)
-                                 for n in set(shapes[lo:lo + chunk]))
+                                 for lo in range(0, len(shapes), part)
+                                 for n in set(shapes[lo:lo + part]))
 
     def test_evenly_spaced_slots_are_read_as_views(self):
         assert evaluator._take([4]) == slice(4, 5, 1)  # a chunk of one slot, as at 2000 trials
@@ -619,10 +623,11 @@ class TestLinkWiring:
             assert getattr(got, field) == getattr(led, field), field
 
     def test_a_pass_builds_no_plan_table(self, monkeypatch):
-        # two passes over one plan read the plan's decode index in place:
-        # the only int arrays a pass makes are its shapes' union positions,
-        # one per shape and each its own, and every other table it reads is
-        # the plan's
+        # a pass reads the plan's decode index in place.  The only int
+        # arrays that it holds are its shapes' union positions, one per
+        # shape: alone, they are the plan's own slot positions
+        # (plan.members), so the pass makes none; beside another plan, they
+        # are its own arrays.  Every other table it reads is the plan's
         plan, passes, init = build_case_ii(Q35, 20), [], evaluator._PlanPass.__init__
 
         def spy(self, *args):
@@ -630,13 +635,16 @@ class TestLinkWiring:
             passes.append(self)
 
         monkeypatch.setattr(evaluator._PlanPass, "__init__", spy)
-        for _ in range(2):
-            _evaluate_grid([plan], _grid(Q35), 20, 5)
-        for pp in passes:
+        for plans in ([plan], [plan], [plan, build_sc_zf(Q35)]):
+            _evaluate_grid(plans, _grid(Q35), 20, 5)
+        alone, again, shared = (pp for pp in passes if pp.plan is plan)
+        for pp in (alone, again, shared):
             held = [a for v in vars(pp).values() for a in (v if isinstance(v, (list, tuple)) else (v,))
                     if isinstance(a, np.ndarray) and a.dtype.kind == "i"]
-            assert pp.plan is plan and len(held) == len(plan.shapes) and all(map(operator.is_, held, pp.at))
-        assert not any(map(np.shares_memory, passes[0].at, passes[1].at))
+            assert len(held) == len(plan.shapes) and all(map(operator.is_, held, pp.at))
+        assert all(map(operator.is_, alone.at, plan.members)) and all(map(operator.is_, again.at, plan.members))
+        assert not any(map(np.shares_memory, shared.at, plan.members))
+        assert [a.tolist() for a in shared.at] == [m.tolist() for m in plan.members]  # sc-zf's slot is one of case-ii's
 
     def test_a_built_plan_resolves_no_link_again(self, monkeypatch):
         calls = {"_source_exponent": 0, "find_layer": 0}
@@ -953,19 +961,80 @@ class TestPrefetch:
 
     def test_one_point_one_trial_does_not_depend_on_chunking(self, monkeypatch):
         # evaluate_plan at one trial: each stack row is one element.  The
-        # whole plan is one chunk, so a part adds up many rows at once, which
-        # must give the bits of one slot per chunk, where each part adds few
-        plan = build_case_ii(Q35, 5)
+        # whole plan is one chunk, or 3 slots a chunk make three parts of
+        # two chunks, so a part adds up many rows at once, which must give
+        # the bits of one slot per chunk, where each part adds few
+        plan = build_case_ii(Q35, 5)  # 18 slots
         snr = SnrPoint.from_db(80.0, Q35)
+        per_slot = math.prod(channel._row(1))
         ledgers = []
-        for budget in (evaluator._DRAW_BUDGET, math.prod(channel._row(1))):
+        for budget in (per_slot, evaluator._DRAW_BUDGET, 3 * per_slot):
             with monkeypatch.context() as m:
                 m.setattr(evaluator, "_DRAW_BUDGET", budget)
                 ledgers.append(evaluate_plan(plan, snr, 1, 5))
-        whole, one = ledgers
-        assert len(plan.all_slots()) <= evaluator._DRAW_BUDGET // math.prod(channel._row(1))  # one chunk
-        for field in ("per_symbol_rate", "user_rate", "link_delivered", "link_noise"):
-            assert getattr(whole, field) == getattr(one, field), field
+        assert len(plan.all_slots()) <= evaluator._DRAW_BUDGET // per_slot  # one chunk
+        for got in ledgers[1:]:
+            for field in ("per_symbol_rate", "user_rate", "link_delivered", "link_noise"):
+                assert getattr(got, field) == getattr(ledgers[0], field), field
+
+    @pytest.mark.parametrize("slots_per_chunk", [5, 7])
+    def test_a_parts_last_chunk_may_be_short(self, monkeypatch, slots_per_chunk):
+        # 18 slots: chunks of 5 make parts [0, 10) and [10, 18), whose
+        # second chunk is the plan's last, of 3 slots, and the second part's
+        # first chunk lands in the ring beside the first part's; chunks of 7
+        # make parts [0, 14) and [14, 18), the last of one short chunk
+        plan = build_case_ii(Q35, 5)
+        n_trials = 40
+        per_slot = 4 * math.prod(channel._row(n_trials))
+        ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # one slot per chunk and per part
+        got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
+        assert handed == self._streams(18, slots_per_chunk)
+        for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
+            assert np.array_equal(a, b), what
+
+    def test_a_part_may_wait_past_the_next_parts_first_chunk(self, monkeypatch):
+        # slot 1's user-1 group settles only once slot 10 carries eta_1_1,
+        # and slot 4's once slot 5 carries eta_4_1.  At 2 slots a chunk the
+        # parts are slots 1-4, 5-8 and 9-10: eta_4_1 is carried across the
+        # first part boundary, and the first part waits through the second
+        # part into the third, so neither later part may take its gains'
+        # place in the ring; at 3 a chunk the first part, slots 1-6, waits
+        # into the second part's second chunk
+        quant = 0.5 - Q35.alpha1  # v1's received exponent at user 1
+        carried = {10: "c10", 5: "c5"}
+        slots = tuple(SlotPlan(i, (SymbolLayer(f"u{i}", OWNER_USER1, orth_to(2), 0.5, 1.0, 0.5),
+                                   SymbolLayer(f"v{i}", OWNER_USER2, orth_to(1), 0.5, 1.0, 0.5))
+                              + ((SymbolLayer(carried[i], OWNER_COMMON, first_antenna(), 1.0, 1.0, quant),)
+                                 if i in carried else ()))
+                      for i in range(1, 11))
+        links = (QuantizationLink(1, OWNER_USER1, "eta_1_1", quant, "c10"),
+                 QuantizationLink(4, OWNER_USER1, "eta_4_1", quant, "c5"))
+        plan = SchemePlan("hand", Q35, slots, (), links, DofPoint(0, 0), 10.0, 0.0, 0)
+        n_trials = 40
+        per_slot = 4 * math.prod(channel._row(n_trials))
+        ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # one slot per chunk and per part
+        for slots_per_chunk in (2, 3):
+            got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
+            assert handed == self._streams(10, slots_per_chunk)
+            for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
+                assert np.array_equal(a, b), (slots_per_chunk, what)
+
+    def test_chunking_does_not_change_a_pass_of_three_plans(self, monkeypatch):
+        # one estimate_dofs pass over case-ii (12 slots), sc-zf (1) and
+        # ges12-asym (3), in parts of two chunks of 2 or 3 union slots, each
+        # plan's part settled on its own: == to one slot per chunk
+        plans = [build_case_ii(Q35, 3), build_sc_zf(Q35), build_ges12_asym(Q35)]
+        n_trials = 40
+        per_slot = 4 * math.prod(channel._row(n_trials))
+        runs = []
+        for budget in (per_slot - 1, 2 * per_slot, 3 * per_slot):
+            with monkeypatch.context() as m:
+                m.setattr(evaluator, "_DRAW_BUDGET", budget)
+                runs.append(estimate_dofs(plans, _grid(Q35), n_trials, 5))
+        for got in runs[1:]:
+            for a, b in zip(got, runs[0]):
+                for field in ("points", "point_stderr", "slope", "stderr"):
+                    assert getattr(a, field) == getattr(b, field), field
 
     def test_stream_keys_of_one_and_two_words_in_one_pass(self, monkeypatch):
         # slot indices on both sides of 2**32 key their streams with one and

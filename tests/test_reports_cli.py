@@ -10,6 +10,7 @@ from asymcsit import (
     CsitQuality,
     ExperimentConfig,
     PlanValidationError,
+    SnrPoint,
     build_preset,
     dof_region,
     plan_as_dict,
@@ -433,6 +434,23 @@ class TestCli:
             "run", "--alpha1", "1", "--alpha2", "1", "--grid-db", "260,290,320",
             "--out-dir", str(tmp_path / "o"),
         ])
+        assert rc == 2
+        assert "above the precision ceiling" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_grid_an_ulp_under_the_ceiling_whose_power_reads_back_above_it_is_refused_up_front(
+            self, tmp_path, capsys):
+        # 10 * log10(10**(x / 10)) reads 508.6415634979078 back from x =
+        # 508.6415634979077, and alpha2 * that / 10 is above 30: the config
+        # judges the dB that the grid pass reads, so it refuses the grid
+        # before any plan is built or the output directory made
+        alpha2, top = 0.5898063027663567, 508.6415634979077
+        assert alpha2 * top / 10.0 <= 30.0 < alpha2 * SnrPoint.from_db(top, CsitQuality(0.0, alpha2)).p_db / 10.0
+        grid = [top - 80.0, top - 40.0, top]
+        with pytest.raises(ValueError, match="above the precision ceiling"):
+            ExperimentConfig(alpha1=0.0, alpha2=alpha2, p_grid_db=grid)
+        rc = main(["run", "--alpha1", "0", "--alpha2", repr(alpha2), "--grid-db", ",".join(map(repr, grid)),
+                   "--schemes", "sc-zf", "--out-dir", str(tmp_path / "o")])
         assert rc == 2
         assert "above the precision ceiling" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
