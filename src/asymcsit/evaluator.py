@@ -41,30 +41,36 @@ cycled plan's cycle positions) share one decode template, which the pass
 makes once from the shape and the grid powers: power columns, rate caps
 and each link's quantizer scale and demand.
 
-Draw chunks and parts.  Slots are decoded a draw chunk at a time and
-settled a part at a time.  A part is two draw chunks where a chunk holds
-more than one slot (the last part may be one, and may be short), and
-one chunk, so one slot, where it does not.  Both are ranges of
-positions in the union of slot indices; a one-plan pass's union is the
-plan's own slots, and the pass's only per-slot table is, beside another
-plan, each shape's slots' positions there (_PlanPass).  The rest it reads
-off the plan's index in place, so splitting, decoding and settling are
-array operations per template batch, with no Python per slot, link or
-addition.  A chunk is decoded a plan and a template at a time: the SIC
-MIs (both users' in one set of operations), link noise and cross minors
-of all of the chunk's slots of one template run once, on (user, slot,
-grid point, trial) arrays that are views of the chunk's gains when those
-slots step evenly through it (always, for a chunk of one slot).  Step 1
-is settled as the template is decoded, and a carrier's decode writes its
-links' delivered MI and residual into the pass's per-link output.  A
-link's carrier comes after its source, so step 3 waits: a plan's part
-waits whole, in the plan's first-in-first-out queue, until the slot that
-its last group settles after has been decoded, as a rule one in the next
-part's first chunk.  A waiting part keeps its template batches' fresh
-power gains (the part's power-gain block, read at their slots), the bits of their
-user-owned first-antenna layers (the lesser of the two users' MIs) and the
-cross minors of the groups that get a side row, each made once for the
-part and written a chunk's slice at a time; then each group reads its
+Draw chunks and parts.  Slots are drawn, scaled, projected and decoded a
+draw chunk at a time and settled a part at a time.  A part is two draw
+chunks where a chunk holds more than one slot (the last part may be one,
+and may be short), and one chunk, so one slot, where it does not.  Both
+are ranges of positions in the union of slot indices; a one-plan pass's
+union is the plan's own slots, and the pass's only per-slot table is,
+beside another plan, each shape's slots' positions there (_PlanPass).  The
+rest it reads off the plan's index in place, so splitting, decoding and
+settling are array operations per template batch, with no Python per
+slot, link or addition.
+
+The batch record.  When a part begins, each plan with slots there makes,
+per template, the one record of those slots in the part (_Batch), whole:
+their range in the shape's slots, their positions in the part, their rate
+and link rows and first additions, views of the part's power-gain block
+for their groups' directions, one array per user-owned first-antenna
+layer for its bits (the lesser of the two users' MIs), and one
+cross-minors array per group that gets a side row.  A chunk is then
+decoded a plan and a template at a time: the SIC MIs (both users' in one
+set of operations), link noise and cross minors of all of the chunk's
+slots of one template run once, on (user, slot, grid point, trial) arrays
+that are views of the chunk's gains when those slots step evenly through
+it (always, for a chunk of one slot), and write the slots' range of the
+batch's bits and minors.  Step 1 is settled as the template is decoded,
+and a carrier's decode writes its links' delivered MI and residual into
+the pass's per-link output.  A link's carrier comes after its source, so
+step 3 waits: once a plan's part is decoded, its batches are queued as
+they are, in the plan's first-in-first-out queue, and the part waits
+whole until the slot that its last group settles after has been decoded,
+as a rule one in the next part's first chunk; then each group reads its
 residuals from its link rows.  After each chunk, every ready part at the
 head of a plan's queue is settled, one call per template batch of the
 part, each writing its slots' additions in place into the part's stack:
@@ -86,11 +92,12 @@ queue then grows with the plan.  The Python work is paid once per chunk
 and template to decode and once per part and template to settle, not
 once per slot, link, addition or grid point.
 
-The chunk's arrays are buffers kept for the pass, made once at the chunk
-size: the channels, the draw buffer, one estimate-shaped scratch and the
-first antenna's power gains.  Where no worker draws, the draw buffer lies
-idle from a chunk's scaling until the next chunk's draw, so the scratch
-and the first antenna's gains are made in it.  The fresh directions'
+Buffers and the ring.  The chunk's arrays are buffers kept for the pass,
+made once at the chunk size: the channels, the draw buffer, one
+estimate-shaped scratch and the first antenna's power gains.  Where no
+worker draws, the draw buffer lies idle from a chunk's scaling until the
+next chunk's draw, so the scratch and the first antenna's gains are made
+in it.  The fresh directions'
 power gains go into a part's block, for the directions that any plan's
 slots of the part use, and each chunk's projection writes its slice of
 it.  A one-slot part makes its block when its chunk is projected, and it
@@ -299,26 +306,21 @@ def _common_mis(sic_power, fresh, power_gain):
     return [np.log2(1.0 + rx[i] / (_sum(rx[i + 1:] + [fresh_rx]) + 1.0)) for i in range(len(rx))]
 
 
-def _cross_minors(direct, cross, powers, out=None):
+def _cross_minors(direct, cross, powers, out):
     """det(A)'s Cauchy-Binet sum for two observation rows of a jointly
-    decoded group, before the noise: sum over i < j of
-    p_i p_j |d_i c_j - d_j c_i|**2, with d and c the layers' complex gains
-    in the two rows (0 for a single layer), into out when it is given."""
+    decoded group, before the noise, written into out and returned: sum
+    over i < j of p_i p_j |d_i c_j - d_j c_i|**2, with d and c the layers'
+    complex gains in the two rows (0 for a single layer)."""
     k = len(powers)
     pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     if not pairs:
-        if out is None:
-            return 0
         out[...] = 0.0
-        return out
     for n, (i, j) in enumerate(pairs):
         term = np.multiply(powers[i] * powers[j], np.abs(direct[i] * cross[j] - direct[j] * cross[i]) ** 2,
                            out=None if n else out)
         if n:
-            total += term  # the terms added left to right, as _sum adds them
-        else:
-            total = term
-    return total
+            out += term  # the terms added left to right, as _sum adds them
+    return out
 
 
 def _logdet_mi(rows, powers, minors=0, out=None):
@@ -436,50 +438,55 @@ def _compile(plan: SchemePlan, ps: list[float]) -> list[_Template]:
 
 
 class _Batch(NamedTuple):
-    """A template's slots from one chunk part, along a leading slot axis,
-    settled in one go once the plan's whole part is ready."""
+    """The one record of a template's slots in one part of a plan's pass,
+    along a leading slot axis.  _PlanPass.begin makes it whole when the
+    part begins; each draw chunk of the part then writes its slots' range
+    of the bits and the cross minors (decode, and the grid pass's
+    decode_chunk), and once the plan's whole part has been decoded and its
+    carriers too, settle reads it all in one go."""
 
     template: _Template
-    firsts: list  # per user, its slots' first rows among the user's additions of their chunk part
+    part: slice  # its slots' range in the shape's slots (plan.members)
+    at: slice | np.ndarray  # its slots' positions in the part, as _take indexes them
     rows: slice | np.ndarray  # its slots' first rate rows, as _take indexes them
     links: list  # per link column, its slots' link rows as _take indexes them (None: no link there)
-    power_gain: dict  # direction -> the users' |gain|**2 (user, slot, point, trial) in the part, for its groups
-    at: slice | np.ndarray  # its slots' positions in the part, as _take indexes them
+    firsts: list  # per user, its slots' first rows among the user's additions of the part
+    power_gain: dict  # direction -> the users' |gain|**2 (user, slot, point, trial): views of the part's block
     owned: list  # (user, its bits: the lesser MI of the two users) per user-owned first-antenna layer
-    minors: list  # each group's cross minors, 0 without a side row
+    minors: list  # per user, its group's cross minors (slot, point, trial), 0 without a side row
 
 
 class _PlanPass:
-    """One plan's part of a grid pass: its decode templates, its outputs,
-    the chunk part that it decodes and the queue of its parts that wait to
-    settle.
+    """One plan's share of a grid pass: its decode templates, its outputs,
+    the template batches of the part that it decodes and the queue of its
+    parts that wait to settle (the module docstring states the schedule).
 
-    The pass draws, scales and projects each draw chunk of the sorted union
-    of its plans' slot indices once, for every plan; each plan then decodes
-    its own slots of the chunk from the chunk's gains, and settles them a
-    chunk part at a time, with nothing of its own shared, so its results
-    are the same whichever plans share the pass.
+    Each plan decodes its own slots of a draw chunk from the chunk's
+    gains, and settles them a part at a time, with nothing of its own
+    shared, so its results are the same whichever plans share the pass.
 
     It makes its templates (the grid powers) and, beside another plan, per
     slot shape its slots' positions in the union: alone, they are the
     plan's own slot positions (plan.members).  All else that it reads
     per slot is the plan's decode index, read in place: the shape numbers,
     settle positions, each shape's slots and link rows, each slot's first
-    rate row and how many additions to each user's totals come before it.  A
-    template batch is a range of one shape's slots, and reads their link
-    rows as views.  Which of its slots a chunk or a part holds, and of
-    which shapes, it finds by bisecting its union positions and counting
-    shape numbers in a slice of a tuple: no numpy loop that the rest of the
-    pass does not run, as each new one pages in more of numpy's code.  Each
-    chunk part adds to a user's per-trial totals through one stack, (row,
-    grid point, trial): row 0 is a copy of the totals, and the other rows
-    are the user's additions in slot order (each slot's owned first-antenna
-    layers' bits, then its group's joint rate), which settle writes in
-    place.  _add_up then adds the rows up in turn along the stack's leading
-    axis, the bits of a sequential +=, into the totals.  A single addition,
-    as in each one-slot part, needs no stack: one += adds it.  One user's
-    additions are made and added up before the other's, so a part holds no
-    more than one user's additions at a time.
+    rate row and how many additions to each user's totals come before it.
+    Which of its slots a chunk or a part holds, and of which shapes, it
+    finds by bisecting its union positions and counting shape numbers in a
+    slice of a tuple: no numpy loop that the rest of the pass does not run,
+    as each new one pages in more of numpy's code.  begin makes the part's
+    _Batch per template, a range of one shape's slots; decode and the
+    pass's cross minors fill it a draw chunk at a time, and add queues the
+    part's batches unchanged once the part is decoded.  Each part adds to a
+    user's per-trial totals through one stack, (row, grid point, trial):
+    row 0 is a copy of the totals, and the other rows are the user's
+    additions in slot order (each slot's owned first-antenna layers' bits,
+    then its group's joint rate), which settle writes in place.  _add_up
+    then adds the rows up in turn along the stack's leading axis, the bits
+    of a sequential +=, into the totals.  A single addition, as in each
+    one-slot part, needs no stack: one += adds it.  One user's additions
+    are made and added up before the other's, so a part holds no more than
+    one user's additions at a time.
     """
 
     def __init__(self, plan: SchemePlan, union: list[int] | range, ps: list[float], n_trials: int):
@@ -495,8 +502,8 @@ class _PlanPass:
         self.rate = np.full((int(plan.starts[-1]), len(ps)), np.nan)
         # delivered MI, effective noise; NaN until decoded
         self.link_out = np.full((2, len(plan.links), len(ps)), np.nan)
-        self.part = None  # the chunk part being decoded: (lo, hi, its block, per shape its slots' tables)
-        # (largest settle_after, lo, hi, its _Batches) per chunk part not yet settled
+        self.part = None  # the part being decoded: (lo, hi, its _Batch per shape number)
+        # (largest settle_after, lo, hi, its _Batches) per part not yet settled
         self.waiting: deque = deque()
         self.totals = None  # per-user bits per run, (2, point, trial): made when the first slot settles
         self.result = None  # (rate, link_out, mean, stderr), once every slot has settled
@@ -507,7 +514,7 @@ class _PlanPass:
 
     def split(self, lo: int, hi: int) -> dict[int, tuple]:
         """Its slots among the union's slots at positions [lo, hi), a draw
-        chunk or a chunk part, by shape number: their range in the shape's
+        chunk or a part, by shape number: their range in the shape's
         slots (the plan's members), and their positions from lo as _take
         indexes them.  Each shape's slots not yet decoded come first in plan
         order, so they are the ones below hi."""
@@ -521,39 +528,48 @@ class _PlanPass:
         return share
 
     def begin(self, share: dict[int, tuple], block: dict) -> None:
-        """Start a chunk part: its slots there (split's share) and the
-        part's power-gain block.  Per shape it keeps their rate and link
-        rows and one array per user-owned first-antenna layer for its bits,
-        which each draw chunk's decode writes its slots' slice of."""
+        """Start a part: its slots there (split's share) and the part's
+        power-gain block.  Each shape's slots there get their _Batch, whole:
+        their range, positions, rate and link rows, first additions, views
+        of the block for their groups' directions, one bits array per
+        user-owned first-antenna layer and one cross-minors array per group
+        that gets a side row, the arrays for each draw chunk's decode to
+        write its slots' range of."""
         plan, shape = self.plan, self.rate.shape[1:] + (self.n_trials,)
-        tables = {}
+        lo, batches = sum(self.next), {}
         for n, (part, at) in share.items():
-            m = plan.members[n][part]  # their plan positions
-            tables[n] = (part, at, _take(plan.starts[m].tolist()),
-                         [_take(col) if col[0] >= 0 else None for col in plan.link_rows[n][part].T.tolist()],
-                         [(user, np.empty((len(m),) + shape)) for _, user, _ in self.templates[n].sic if user >= 0])
-        lo = sum(self.next)
-        self.part = lo, lo + sum(part.stop - part.start for part, _ in share.values()), block, tables
+            t, m = self.templates[n], plan.members[n][part]  # their plan positions
+            batches[n] = _Batch(t, part, at, _take(plan.starts[m].tolist()),
+                                [_take(col) if col[0] >= 0 else None for col in plan.link_rows[n][part].T.tolist()],
+                                (plan.added[:, m] - plan.added[:, lo, None]).tolist(),
+                                {d: block[d] for d, _ in t.fresh},
+                                [(user, np.empty((len(m),) + shape)) for _, user, _ in t.sic if user >= 0],
+                                [np.empty((len(m),) + shape) if g.side_link >= 0 else 0 for g, _ in t.groups])
+        self.part = lo, lo + sum(part.stop - part.start for part, _ in share.values()), batches
 
-    def decode(self, n: int, part: slice, at, power_gain) -> None:
-        # the first-antenna layers of the slots part of shape n (at `at` in
+    def in_part(self, share: dict[int, tuple]) -> list[tuple]:
+        # per shape number n of a draw chunk's share (split's): n, the
+        # part's batch of shape n, the share's range of the batch's slots
+        # and their positions in the chunk
+        batches = self.part[2]
+        return [(n, batches[n], slice(part.start - batches[n].part.start, part.stop - batches[n].part.start), at)
+                for n, (part, at) in share.items()]
+
+    def decode(self, b: _Batch, sub: slice, at, power_gain) -> None:
+        # the first-antenna layers of b's slots in its range sub (at `at` in
         # the draw chunk, whose gains power_gain holds) at every grid point:
         # their rates and the common ones' links' outputs; the owned ones'
-        # bits go into their slice of the part's arrays, to wait for the
-        # settle
-        t = self.templates[n]
-        whole, _, rows, links, owned = self.part[3][n]
-        sub = slice(part.start - whole.start, part.stop - whole.start)  # their range among the part's
-        rows = _sub(rows, sub)
+        # bits go into their range of b's arrays, to wait for the settle
+        t, rows = b.template, _sub(b.rows, sub)
         mis = _common_mis(t.sic_power, t.fresh, {d: power_gain[d][:, at] for d in t.shape.directions})
         rate, link_out, trial_mean = self.rate, self.link_out, self.trial_mean
-        owned = iter(owned)
+        owned = iter(b.owned)
         for (k, user, cap), mi in zip(t.sic, mis):
             bits = np.minimum(mi[0], mi[1], out=next(owned)[1][sub] if user >= 0 else None)
             rate[_shift(rows, k)] = np.minimum(trial_mean(bits), cap)
         for j, (k, scale, demand) in enumerate(t.carried):
             mean = trial_mean(mis[k])
-            at_link = _sub(links[j], sub)
+            at_link = _sub(b.links[j], sub)
             link_out[0, at_link] = mi = np.minimum(mean[0], mean[1])
             # the effective residual variance after the subtraction: the
             # quantizer's own rate-distortion variance (the source, received
@@ -564,7 +580,7 @@ class _PlanPass:
             link_out[1, at_link] = scale * np.float_power(2.0, np.fmax(0.0, demand - mi))
 
     def settle_part(self, lo: int, hi: int, batches: list) -> None:
-        # the chunk part at plan positions [lo, hi), a user at a time: its
+        # the part at plan positions [lo, hi), a user at a time: its
         # batches write the user's n additions in slot order into n rows,
         # which then add up into the user's totals.  More than one are rows
         # 1 to n of a stack whose row 0 is a copy of the totals; a single one
@@ -586,16 +602,15 @@ class _PlanPass:
 
     def settle(self, b: _Batch, u: int, out: np.ndarray) -> None:
         # user u's additions from b's slots, written in place into their
-        # rows of out, user u's rows of their chunk part: the owned
-        # first-antenna layers' bits, then the group's joint rate.  The
-        # group's fresh layers decode jointly.  The direct observation's
-        # noise is 1 + the residual of the linked own-interference, or the
-        # other user's layers at their true leakage powers when nothing was
-        # quantized; the side observation (when the group's image at the
-        # other user is linked) carries only the quantization error.  Every
-        # link row read here was filled when its carrier was decoded: b's
-        # chunk part waits whole until the slot that its last group settles
-        # after has been decoded.
+        # rows of out, user u's rows of their part: the owned first-antenna
+        # layers' bits, then the group's joint rate.  The group's fresh
+        # layers decode jointly.  The direct observation's noise is 1 + the
+        # residual of the linked own-interference, or the other user's
+        # layers at their true leakage powers when nothing was quantized;
+        # the side observation (when the group's image at the other user is
+        # linked) carries only the quantization error.  Every link row read
+        # here was filled when its carrier was decoded: b's part waits whole
+        # until the slot that its last group settles after has been decoded.
         t, link_out, rate, trial_mean = b.template, self.link_out, self.rate, self.trial_mean
         if not t.shape.additions[u]:
             return
@@ -637,28 +652,22 @@ class _PlanPass:
         for k, share in zip(group.positions, shares):
             rate[_shift(b.rows, k)] = trial_mean(share)
 
-    def add(self, share: dict[int, tuple], block: dict, minors: dict) -> None:
+    def add(self, share: dict[int, tuple], block: dict) -> None:
         """Decode its slots of a draw chunk (split's share) from the chunk's
-        gains, its views of the part's power-gain block.  Once the part's
-        last slot is decoded, queue the part, with the cross minors of its
-        groups ((self, shape number, user) -> their minors in the part),
-        and after each chunk settle every ready part at the head of the
-        queue.  A queued part's batches hold views of its block for their
-        fresh directions until the slot that its last group settles after
-        has been decoded."""
-        for n, (part, at) in share.items():
-            self.decode(n, part, at, block)
-            self.next[n] = part.stop
+        gains (block: its views of the part's power-gain block, and the
+        first antenna's), each template's into its range of the part's
+        batch.  Once the part's last slot is decoded, queue the part's
+        batches as they are, and after each chunk settle every ready part
+        at the head of the queue.  A queued part's batches hold views of
+        its block until the slot that its last group settles after has been
+        decoded."""
+        lo, hi, batches = self.part
+        for n, b, sub, at in self.in_part(share):
+            self.decode(b, sub, at, block)
+            self.next[n] = b.part.start + sub.stop
         decoded = sum(self.next)  # its slots at plan positions [0, decoded) are decoded
-        lo, hi, part_block, tables = self.part
         if decoded == hi:
-            plan, batches = self.plan, []
-            for n, (part, at, rows, links, owned) in tables.items():
-                t, m = self.templates[n], plan.members[n][part]
-                batches.append(_Batch(t, (plan.added[:, m] - plan.added[:, lo, None]).tolist(), rows, links,
-                                      {d: part_block[d] for d, _ in t.fresh}, at, owned,
-                                      [minors.get((self, n, u), 0) for u in (0, 1)]))
-            self.waiting.append((max(plan.settle_after[lo:hi]), lo, hi, batches))
+            self.waiting.append((max(self.plan.settle_after[lo:hi]), lo, hi, list(batches.values())))
             self.part = None
         while self.waiting and self.waiting[0][0] < decoded:
             self.settle_part(*self.waiting.popleft()[1:])
@@ -683,11 +692,13 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
     links) a draw chunk at a time, and settled (the groups, into the
     totals) a part at a time.  A part spans two draw chunks where a chunk
     holds more than one slot, and is the chunk's one slot where it does
-    not.  A decoded part waits until the carriers its groups read have
-    been decoded, as a rule those in the next part's first chunk, and
-    keeps till then its fresh power gains (views of its block in the
-    ring, or of its own), the bits of its user-owned first-antenna layers
-    and its groups' cross minors.
+    not.  Each plan makes its part's template batches (_Batch) whole when
+    the part begins, and each chunk fills its slots' range of them.  A
+    decoded part's batches wait until the carriers its groups read have
+    been decoded, as a rule those in the next part's first chunk, holding
+    till then views of the part's block (in the ring, or of its own), the
+    bits of its user-owned first-antenna layers and its groups' cross
+    minors.
 
     No validate_plan here: the public callers that need a sound plan run it
     first, and SchemePlan has already checked the links.  n_trials must be
@@ -720,28 +731,26 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         positions = [[union[s.index] for s in slots] for slots in own]
 
     def begin_part(lo: int, hi: int, q: int) -> tuple:
-        # part q holds the slots at union positions [lo, hi).  Each plan
-        # with slots there starts it, and the part's power-gain block and
-        # cross minors are made for the directions and side-row groups of
-        # all of them: (each plan's share, directions, block, minors).  The
-        # block is the ring's, read forward for an even q and backward for
-        # an odd one, where no part that keeps gains there still waits when
-        # this part's chunks are projected: a part read the same way must
-        # have settled, and the part before it must settle once this part's
-        # first chunk is decoded (its second overwrites the ring's middle)
+        # part q holds the slots at union positions [lo, hi).  Its
+        # power-gain block is made for the directions of every plan with
+        # slots there, and each such plan starts it, making its batches:
+        # (each plan's share, directions, block).  The block is the ring's,
+        # read forward for an even q and backward for an odd one, where no
+        # part that keeps gains there still waits when this part's chunks
+        # are projected: a part read the same way must have settled, and the
+        # part before it must settle once this part's first chunk is decoded
+        # (its second overwrites the ring's middle)
         shares = {pp: share for pp in passes if (share := pp.split(lo, hi))}
         directions = sorted({d for pp, share in shares.items() for n in share for d in pp.templates[n].shape.directions})
         if ring and wait[q % 2] < lo and wait[1 - q % 2] < lo + chunk:
             block = {d: (ring[d] if q % 2 == 0 else ring[d][:, ::-1])[:, :hi - lo] for d in directions if d}
         else:
             block = {d: np.empty((2, hi - lo) + shape[1:]) for d in directions if d}
-        minors = {(pp, n, u): np.empty((part.stop - part.start,) + shape[1:]) for pp, share in shares.items()
-                  for n, (part, _) in share.items() for u in (0, 1) if pp.templates[n].groups[u][0].side_link >= 0}
         for pp, share in shares.items():
             pp.begin(share, block)
-        return shares, directions, block, minors
+        return shares, directions, block
 
-    def decode_chunk(lo: int, hi: int, stack, part_lo: int, parts: dict, directions, block, minors) -> None:
+    def decode_chunk(lo: int, hi: int, stack, part_lo: int, parts: dict, directions, block) -> None:
         # the chunk holds the slots at union positions [lo, hi) of the part
         # from part_lo.  Each plan with slots there decodes them from the
         # chunk's gains: its view of the part's power-gain block, for every
@@ -749,17 +758,15 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         shares = parts.items() if span == 1 else [(pp, share) for pp in parts if (share := pp.split(lo, hi))]
         gains = {d: first[:, :hi - lo] if d == 0 else block[d][:, lo - part_lo:hi - part_lo] for d in directions}
         # each group that gets a side row has its cross minors formed, into
-        # its slots' range of the part's minors, as soon as its directions
+        # its slots' range of its batch's minors, as soon as its directions
         # are projected (one estimate's, in every preset); then the complex
         # gains that no group still to come reads are dropped
         pending = []
         for pp, share in shares:
-            for n, (part, at) in share.items():
-                start = parts[pp][n][0].start
-                for u in (0, 1):
-                    group, powers = pp.templates[n].groups[u]
+            for _, b, sub, at in pp.in_part(share):
+                for u, (group, powers) in enumerate(b.template.groups):
                     if group.side_link >= 0:
-                        pending.append((u, group, powers, at, minors[pp, n, u][part.start - start:part.stop - start]))
+                        pending.append((u, group, powers, at, b.minors[u][sub]))
         gain = {}
         for projected in _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
                                   directions, scratch[:hi - lo], gains):
@@ -775,12 +782,12 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
             pending = later
             gain = {d: x for d, x in gain.items() if any(d in entry[1].directions for entry in pending)}
         for pp, share in shares:
-            pp.add(share, gains, minors)
+            pp.add(share, gains)
 
     per_slot = len(ps) * math.prod(_row(n_trials))  # normals per slot
     chunk = max(1, _DRAW_BUDGET // per_slot)  # slots per draw chunk
     shared = chunk == 1  # a worker draws beside this thread, and the draw buffer has two parts
-    span = 1 if shared else 2  # draw chunks per chunk part
+    span = 1 if shared else 2  # draw chunks per part
     chunk = min(len(indices), chunk)
     n_chunks = -(-len(indices) // chunk)
     normals = np.empty((min(n_chunks, 2 if shared else 1), chunk, len(ps)) + _row(n_trials))

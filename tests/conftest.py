@@ -14,7 +14,7 @@ def one_drawer(monkeypatch):
     once.  When the worker draws, this thread's draw of a chunk is held on
     an Event until the worker's draw of it has returned or raised.
 
-    Only a pass whose decode chunks are one slot has a worker.  Where a
+    Only a pass whose draw chunks are one slot has a worker.  Where a
     chunk holds more, the calling thread draws every row anyway, so
     "caller" only swaps in draw, and "worker" fails: this thread's draw
     waits for a worker draw that never comes."""

@@ -139,7 +139,7 @@ class TestSampling:
     @pytest.mark.parametrize("size", [None, 1, 257])
     def test_normals_input_matches_generator(self, size):
         # the evaluator draws the normals itself (on a worker thread too,
-        # where a decode chunk is one slot) and hands them over
+        # where a draw chunk is one slot) and hands them over
         snr = SnrPoint.from_db(80.0, CsitQuality(0.3, 0.5))
         shape = (2,) if size is None else (size, 2)
         ref = sample_channel(snr, _rng(14), size=size)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_properties import _check_shared_pass
 
 from asymcsit import (
     ChannelRealization,
@@ -53,6 +54,26 @@ Q35 = CsitQuality(0.3, 0.5)
 Q28 = CsitQuality(0.2, 0.8)
 
 
+def _hand_plan(indices, user1, observers):
+    """A plan at (0.3, 0.5) over the increasing slot indices given.  Each
+    slot holds user 1's layers, (precoder, power exponent) each, and user
+    2's zero-forced v; what observers[k % len(observers)] overhears in the
+    k-th slot is linked and carried two slots later, by a common layer of
+    its own, at the interference's received exponent."""
+    other = {OWNER_USER1: OWNER_USER2, OWNER_USER2: OWNER_USER1}
+    alpha = {OWNER_USER1: Q35.alpha1, OWNER_USER2: Q35.alpha2}
+    layers = {i: [SymbolLayer(f"u{k}_{i}", OWNER_USER1, pc, e, 1.0, 0.5) for k, (pc, e) in enumerate(user1)]
+              + [SymbolLayer(f"v_{i}", OWNER_USER2, orth_to(1), 0.5, 1.0, 0.5)] for i in indices}
+    links = []
+    for k, (i, j) in enumerate(zip(indices, indices[2:])):
+        observer = observers[k % len(observers)]
+        exponent = max(l.power_exponent for l in layers[i] if l.owner == other[observer]) - alpha[observer]
+        links.append(QuantizationLink(i, observer, f"eta_{i}", exponent, f"c_{j}"))
+        layers[j].append(SymbolLayer(f"c_{j}", OWNER_COMMON, first_antenna(), 1.0, 1.0, exponent))
+    slots = tuple(SlotPlan(i, tuple(layers[i])) for i in indices)
+    return SchemePlan("hand", Q35, slots, (), tuple(links), DofPoint(0, 0), float(len(slots)), 0.0, 0)
+
+
 def _grid(quality, dbs=(60, 80, 100, 120)):
     return [SnrPoint.from_db(db, quality) for db in dbs]
 
@@ -91,7 +112,8 @@ def _vector_rate(layers, ch, p, direct_noise, side_noise):
     gain, power_gain = _project_channel(ch, [l.precoder for l in layers])
     powers = [l.power(p) for l in layers]
     rows = [([a[1] for a in power_gain], direct_noise), ([a[0] for a in power_gain], side_noise)]
-    return float(_logdet_mi(rows, powers, _cross_minors([g[1] for g in gain], [g[0] for g in gain], powers)))
+    minors = _cross_minors([g[1] for g in gain], [g[0] for g in gain], powers, np.empty(()))
+    return float(_logdet_mi(rows, powers, minors))
 
 
 class TestRateOps:
@@ -142,17 +164,20 @@ class TestRateOps:
         r2 = _vector_rate(layers, ch, snr.p, direct_noise=5.0, side_noise=2.0)
         assert r1 > r2 > 0.0
 
-    @pytest.mark.parametrize("tilt,bits", [(1e-12, 82.048), (1e-9, 99.658)])
+    @pytest.mark.parametrize("tilt,bits", [(1e-12, 82.048), (1e-9, 99.658), ((1e-9, 3e-9), 103.465)])
     def test_joint_vector_nearly_collinear_rows(self, tilt, bits):
-        # both rows see the two layers along almost the same direction, so
-        # det(A) is far below a11*a22 (~1e48); expanding (1+a11)(1+a22) -
-        # |a12|**2 in floats cancels it away (0 bits at tilt 1e-12, 110 at 1e-9)
-        row1 = [1e8, 1e8]
-        row2 = [1e8, 1e8 * (1.0 + tilt)]
-        powers = [1e8, 1e8]
+        # both rows see the layers along almost the same direction, so det(A)
+        # is far below a11*a22 (~1e48); expanding (1+a11)(1+a22) - |a12|**2
+        # in floats cancels it away (0 bits at tilt 1e-12, 110 at 1e-9, 0 for
+        # three layers).  A tuple tilts a second and a third layer: three
+        # pairs of layers, so _cross_minors adds terms after its first
+        tilts = tilt if isinstance(tilt, tuple) else (tilt,)
+        row1 = [1e8] * (1 + len(tilts))
+        row2 = [1e8] + [1e8 * (1.0 + t) for t in tilts]
+        powers = [1e8] * (1 + len(tilts))
         gains = [[np.array([complex(g)]) for g in row] for row in (row1, row2)]
         rows = [([np.abs(g) ** 2 for g in row], 1.0) for row in gains]
-        minors = _cross_minors(gains[0], gains[1], powers)
+        minors = _cross_minors(gains[0], gains[1], powers, np.empty(1))
 
         p, h, g = [Fraction(x) for x in powers], [Fraction(x) for x in row1], [Fraction(x) for x in row2]
         a11 = sum(pi * hi * hi for pi, hi in zip(p, h))
@@ -421,9 +446,10 @@ class TestEstimateDof:
         assert est.slope.as_tuple() == pytest.approx(plan.predicted_dof.as_tuple(), abs=0.05)
 
     def test_memory_does_not_grow_with_the_plan(self):
-        # a chunk waits whole until the slot that its last group settles
-        # after has been decoded, and its fresh-layer gains are freed then,
-        # so ten times the cycles may not cost ten times the peak.
+        # a part waits whole until the slot that its last group settles
+        # after has been decoded, and its fresh-layer gains (in the ring, or
+        # a block of its own) are given up then, so ten times the cycles may
+        # not cost ten times the peak.
         # At 20 trials the per-slot arrays are small, so the peak shows what
         # the pass keeps per layer and link over the whole plan.
         estimate_dof(build_case_ii(Q35, 1), _grid(Q35), 20, seed=3)  # first-call allocations
@@ -459,10 +485,11 @@ class TestEstimateDof:
             tracemalloc.stop()
 
     def test_pass_peak_stays_within_ten_percent_of_its_measure(self):
-        # a gate on the pass's own memory, decode chunks of 51 slots: its
-        # buffers kept for the pass, the waiting chunk's power gains, the
-        # complex gains of one estimate at a time, and the per-layer and
-        # per-link results of a plan of 303 slots
+        # a gate on the pass's own memory, draw chunks of 51 slots and parts
+        # of two: its buffers kept for the pass, among them the ring that
+        # holds a waiting part's power gains, the waiting part's bits and
+        # cross minors, the complex gains of one estimate at a time, and the
+        # per-layer and per-link results of a plan of 303 slots
         peak = self._pass_peak(build_case_ii(Q35, 100), 20)
         assert peak <= 1.1 * self.PASS_PEAK, peak
 
@@ -607,7 +634,7 @@ class TestLinkWiring:
 
     @pytest.mark.parametrize("name, quality", [("case-ii", Q35), ("case-i", Q28), ("ges12-asym", Q35)],
                              ids=lambda v: f"{v.alpha1}-{v.alpha2}" if isinstance(v, CsitQuality) else v)
-    # 20 trials: 51 slots per decode chunk; 200 trials: 5
+    # 20 trials: 51 slots per draw chunk; 200 trials: 5
     @pytest.mark.parametrize("n_cycles, n_trials", [(40, 20), (3, 200)])
     def test_the_pass_does_not_depend_on_link_order(self, name, quality, n_cycles, n_trials):
         # reversed links give decreasing link rows, which _take reads
@@ -906,6 +933,19 @@ class TestPrefetch:
         """The stream count of each chunk of a 4-point pass."""
         return [4 * min(slots_per_chunk, n_slots - s) for s in range(0, n_slots, slots_per_chunk)]
 
+    def _check_chunking(self, monkeypatch, plan, n_trials: int, chunkings) -> None:
+        """At each of chunkings' slots per draw chunk, which this thread
+        draws alone, the pass hands each chunk its streams and its arrays
+        == those of one slot per chunk, where a slot is over the budget."""
+        n_slots = len(plan.all_slots())
+        per_slot = 4 * math.prod(channel._row(n_trials))
+        ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)
+        for slots_per_chunk in chunkings:
+            got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
+            assert handed == self._streams(n_slots, slots_per_chunk)
+            for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
+                assert np.array_equal(a, b), (slots_per_chunk, what)
+
     @pytest.mark.parametrize("slots_per_chunk", [1, 2, 7, 20])
     def test_chunking_does_not_change_the_pass(self, monkeypatch, slots_per_chunk):
         plan = build_case_ii(Q35, 3)  # 12 slots: 7 does not divide them, and 20 is more than all of them
@@ -913,7 +953,7 @@ class TestPrefetch:
         ref, ref_handed = self._pass(monkeypatch, plan)
         assert ref_handed == [4] * n_slots
         per_slot = 4 * math.prod(channel._row(self.N_TRIALS))
-        # one normal short of another whole slot: a decode chunk holds whole
+        # one normal short of another whole slot: a draw chunk holds whole
         # slots only
         got, handed = self._pass(monkeypatch, plan, (slots_per_chunk + 1) * per_slot - 1)
         assert handed == self._streams(n_slots, slots_per_chunk)
@@ -930,18 +970,11 @@ class TestPrefetch:
     ], ids=lambda v: f"{v.alpha1}-{v.alpha2}" if isinstance(v, CsitQuality) else v)
     def test_chunking_does_not_change_any_preset(self, monkeypatch, name, quality):
         plan = build_preset(name, quality, 3)
-        n_slots, n_trials = len(plan.all_slots()), 40
-        per_slot = 4 * math.prod(channel._row(n_trials))
-        ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # a slot over the budget: one per chunk
-        for slots_per_chunk in (2, 4, 7, n_slots):  # this thread draws these chunks alone
-            got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
-            assert handed == self._streams(n_slots, slots_per_chunk)
-            for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
-                assert np.array_equal(a, b), (slots_per_chunk, what)
+        self._check_chunking(monkeypatch, plan, 40, (2, 4, 7, len(plan.all_slots())))
 
     def test_a_chunk_may_wait_several_chunks(self, monkeypatch):
         # slot 1's user-1 group settles only once slot 6 carries eta_1_1, so
-        # at 1 (the reference), 2 and 4 slots per decode chunk the chunks
+        # at 1 (the reference), 2 and 4 slots per draw chunk the parts
         # decoded since wait behind it
         quant = 0.5 - Q35.alpha1  # v1's received exponent at user 1
         slots = tuple(SlotPlan(i, (SymbolLayer(f"u{i}", OWNER_USER1, orth_to(2), 0.5, 1.0, 0.5),
@@ -950,14 +983,7 @@ class TestPrefetch:
                       for i in range(1, 7))
         link = QuantizationLink(1, OWNER_USER1, "eta_1_1", quant, "c")
         plan = SchemePlan("hand", Q35, slots, (), (link,), DofPoint(0, 0), 6.0, 0.0, 0)
-        n_trials = 40
-        per_slot = 4 * math.prod(channel._row(n_trials))
-        ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # a slot over the budget: one per chunk
-        for slots_per_chunk in (2, 4, 6):  # this thread draws these chunks alone
-            got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
-            assert handed == self._streams(6, slots_per_chunk)
-            for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
-                assert np.array_equal(a, b), (slots_per_chunk, what)
+        self._check_chunking(monkeypatch, plan, 40, (2, 4, 6))
 
     def test_one_point_one_trial_does_not_depend_on_chunking(self, monkeypatch):
         # evaluate_plan at one trial: each stack row is one element.  The
@@ -983,14 +1009,7 @@ class TestPrefetch:
         # second chunk is the plan's last, of 3 slots, and the second part's
         # first chunk lands in the ring beside the first part's; chunks of 7
         # make parts [0, 14) and [14, 18), the last of one short chunk
-        plan = build_case_ii(Q35, 5)
-        n_trials = 40
-        per_slot = 4 * math.prod(channel._row(n_trials))
-        ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # one slot per chunk and per part
-        got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
-        assert handed == self._streams(18, slots_per_chunk)
-        for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
-            assert np.array_equal(a, b), what
+        self._check_chunking(monkeypatch, build_case_ii(Q35, 5), 40, (slots_per_chunk,))
 
     def test_a_part_may_wait_past_the_next_parts_first_chunk(self, monkeypatch):
         # slot 1's user-1 group settles only once slot 10 carries eta_1_1,
@@ -1010,14 +1029,7 @@ class TestPrefetch:
         links = (QuantizationLink(1, OWNER_USER1, "eta_1_1", quant, "c10"),
                  QuantizationLink(4, OWNER_USER1, "eta_4_1", quant, "c5"))
         plan = SchemePlan("hand", Q35, slots, (), links, DofPoint(0, 0), 10.0, 0.0, 0)
-        n_trials = 40
-        per_slot = 4 * math.prod(channel._row(n_trials))
-        ref, _ = self._pass(monkeypatch, plan, per_slot - 1, n_trials)  # one slot per chunk and per part
-        for slots_per_chunk in (2, 3):
-            got, handed = self._pass(monkeypatch, plan, slots_per_chunk * per_slot, n_trials)
-            assert handed == self._streams(10, slots_per_chunk)
-            for what, a, b in zip(("rate", "link_out", "mean", "stderr"), got, ref):
-                assert np.array_equal(a, b), (slots_per_chunk, what)
+        self._check_chunking(monkeypatch, plan, 40, (2, 3))
 
     def test_chunking_does_not_change_a_pass_of_three_plans(self, monkeypatch):
         # one estimate_dofs pass over case-ii (12 slots), sc-zf (1) and
@@ -1035,6 +1047,33 @@ class TestPrefetch:
             for a, b in zip(got, runs[0]):
                 for field in ("points", "point_stderr", "slope", "stderr"):
                     assert getattr(a, field) == getattr(b, field), field
+
+    @pytest.mark.parametrize("n_trials", [20, 2100])
+    def test_chunking_does_not_change_a_group_of_three_layers(self, monkeypatch, n_trials):
+        # user 1's group of three layers, overheard by user 2 and linked, so
+        # it gets a side row whose cross minors add three pairs of layers;
+        # no preset has such a group.  Parts of two chunks of 2 or 3 slots,
+        # and one chunk of all 6: == to one slot per chunk
+        plan = _hand_plan(range(1, 7), [(orth_to(2), 0.9), (along(2), 0.6), (along(1), 0.8)], (OWNER_USER2,))
+        group = plan.shapes[plan.shape_of[0]].groups[0]
+        assert len(group.positions) == 3 and group.side_link >= 0
+        assert schemes.validate_plan(plan) == []
+        self._check_chunking(monkeypatch, plan, n_trials, (2, 3, 6))
+
+    def test_a_shared_pass_of_interleaved_slot_indices(self, monkeypatch):
+        # two plans whose slot indices interleave, so each plan's union
+        # positions skip the other's slots (the presets' indices are 1 to
+        # n, so theirs never do), each with links carried two of its slots
+        # later, past slots of the other plan: at 1, 2 and 3 union slots a
+        # chunk, estimate_dofs gives each plan's own pass
+        plans = [_hand_plan((1, 3, 5, 8, 9, 12), [(orth_to(2), 0.9)], (OWNER_USER1, OWNER_USER2)),
+                 _hand_plan((2, 3, 4, 7, 9, 10, 11), [(orth_to(2), 0.9)], (OWNER_USER2, OWNER_USER1))]
+        for n_trials in (20, 2100):
+            per_slot = 4 * math.prod(channel._row(n_trials))
+            for slots_per_chunk in (1, 2, 3):
+                with monkeypatch.context() as m:
+                    m.setattr(evaluator, "_DRAW_BUDGET", slots_per_chunk * per_slot)
+                    _check_shared_pass(plans, _grid(Q35), n_trials, 7)
 
     def test_stream_keys_of_one_and_two_words_in_one_pass(self, monkeypatch):
         # slot indices on both sides of 2**32 key their streams with one and

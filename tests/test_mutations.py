@@ -15,13 +15,13 @@ nothing.
 
 All cases but the shared-pass ones (at the end) run case-ii at (0.3, 0.5), 3
 cycles (12 slots), 20 trials on the 60-120 dB grid, seed 5, with a draw
-budget of two slots' normals: two slots per decode chunk, which the calling
+budget of two slots' normals: two slots per draw chunk, which the calling
 thread draws alone, with no worker thread, so that the pass has several
-chunks and some of them wait for the next one.  The cases on who draws a
-row run with a budget one normal short of one slot's (SHARED): a slot is
-then over the budget, a decode chunk is one slot, and the worker draws each
-chunk while the calling thread draws the rows that the worker has not
-taken.  The draw and state-table mutations run at both budgets, so they
+parts of two chunks and some of them wait for the next part's first
+chunk.  The cases on who draws a row run with a budget one normal short of
+one slot's (SHARED): a slot is then over the budget, a draw chunk is one
+slot, and the worker draws each chunk while the calling thread draws the
+rows that the worker has not taken.  The draw and state-table mutations run at both budgets, so they
 break the worker's path and the calling thread's own; a state table of
 Python ints, which must hold the stored digest unbroken, is the one that the
 state-table mutations break.  The chunking does not change the output
@@ -57,7 +57,7 @@ Q35 = CsitQuality(0.3, 0.5)
 GRID = [SnrPoint.from_db(db, Q35) for db in (60, 80, 100, 120)]
 N_TRIALS = 20
 PER_SLOT = len(GRID) * math.prod(channel._row(N_TRIALS))  # normals per slot
-SHARED = PER_SLOT - 1  # a slot over the budget: one slot per decode chunk, whose rows both threads draw
+SHARED = PER_SLOT - 1  # a slot over the budget: one slot per draw chunk, whose rows both threads draw
 DIGESTS = {
     "X86_V4": "ecb635707496f9ade08678b467cd3a6f5cd5ceea27e50316acb0e84743b84d51",
     "X86_V3": "ecb635707496f9ade08678b467cd3a6f5cd5ceea27e50316acb0e84743b84d51",
@@ -186,7 +186,7 @@ def _folded_in_as_one_sum(self, lo, hi, batches):
         self.totals[u] += np.add.reduce(rows, axis=0)
 
 
-# at the default budget the 12 slots are one decode chunk, so one part
+# at the default budget the 12 slots are one draw chunk, so one part
 # whose templates' slots interleave, added to totals of 0; at two slots
 # per chunk, parts of one or two templates add to totals that are not 0
 @pytest.mark.parametrize("settle_part, budget", [(_added_up_template_by_template, evaluator._DRAW_BUDGET),
@@ -362,7 +362,7 @@ def later_plans(monkeypatch):
 
 
 def _fails_sharing_checks(tmp_path, capsys):
-    # the property test, on plans of 12, 1 and 3 slots, at decode chunks of
+    # the property test, on plans of 12, 1 and 3 slots, at draw chunks of
     # all 12 slots (20 trials) and of one slot (2100), and the golden run's
     # digests (case-ii, sc-zf and ges12-asym at 200 trials: chunks of 5 slots)
     plans = [build_case_ii(Q35, 3), build_sc_zf(Q35), build_ges12_asym(Q35)]
@@ -395,10 +395,10 @@ def test_a_plan_reads_another_plans_power_gain_direction(monkeypatch, later_plan
     # ges12-asym share with it
     add = evaluator._PlanPass.add
 
-    def crossed(self, share, block, minors):
+    def crossed(self, share, block):
         if self in later_plans:
             block = {d: block.get(d + 2, x) if d in (1, 2) else x for d, x in block.items()}
-        add(self, share, block, minors)
+        add(self, share, block)
 
     monkeypatch.setattr(evaluator._PlanPass, "add", crossed)
     _fails_sharing_checks(tmp_path, capsys)

@@ -337,7 +337,7 @@ _MIX = [("sc-zf", 1), ("ges12-asym", 2), ("case-ii", 3)]  # plans of 1, 3 and 12
 @example(CsitQuality(0.3, 0.5), _MIX, 2100, 7)
 @example(CsitQuality(0.2, 0.8), [("case-i", 3), ("sc-zf", 2), ("case-i", 1), ("ges12-asym", 3)], 20, 5)
 def test_one_pass_for_several_plans_equals_a_pass_per_plan(quality, mix, n_trials, seed):
-    # 20 trials: decode chunks of many slots; 2100: a slot is over the draw
+    # 20 trials: draw chunks of many slots; 2100: a slot is over the draw
     # budget, so a chunk is one slot and the calling thread helps draw it.
     # Plans of one quality, any presets and cycles, repeats allowed
     plans = []
