@@ -155,6 +155,24 @@ _FIELDS = tuple(f.name for f in fields(ChannelRealization))
 _LAYOUT = (2, 2, 2)  # a draw's axes before the channel's: (user, estimate or error, real or imaginary part)
 
 
+class _Grid(tuple):
+    """A power grid's SnrPoints, with the scale that sample_channel gives
+    each real normal of a draw's fields at each point, made once: scales[u,
+    e] holds user u's (h, then g) estimate (e = 0) or error (e = 1) scale
+    per point, sqrt(component variance / 2).  A pass that scales many draws
+    on one grid hands sample_channel the same _Grid each time."""
+
+    def __new__(cls, points):
+        self = super().__new__(cls, points)
+        scales = []
+        for user in (1, 2):
+            err_comp_var = [p.sigma_sq(user) / 2.0 for p in self]
+            scales.append([[math.sqrt(v / 2.0) for v in comp_var]
+                           for comp_var in ([1.0 - v for v in err_comp_var], err_comp_var)])
+        self.scales = np.array(scales)
+        return self
+
+
 def _row(size: int | None) -> tuple[int, ...]:
     """The shape of a draw's normals: of one trial without a trial axis
     (size None), or of a stream's row of size trials."""
@@ -173,7 +191,9 @@ def sample_channel(snr: SnrPoint | Sequence[SnrPoint], rng: np.random.Generator 
     snr is one SnrPoint, or a sequence of G of them (a power grid); a grid
     draws once per point and puts the point axis before the trial axis.
     Each point's scale is then a column broadcast over its trials, so every
-    value equals the one-point call's.
+    value equals the one-point call's.  The scales are a _Grid's, made when
+    it was made; a caller that scales many draws on one grid passes the
+    same _Grid each time, and any other snr is made into one per call.
 
     rng is a Generator, or the normals already drawn from one: the float64
     array of shape `lead + _row(size)`, which may be a view into a larger
@@ -191,7 +211,7 @@ def sample_channel(snr: SnrPoint | Sequence[SnrPoint], rng: np.random.Generator 
     row = _row(size)
     shape = row[len(_LAYOUT):]
     grid = not isinstance(snr, SnrPoint)
-    points = tuple(snr) if grid else (snr,)
+    points = snr if isinstance(snr, _Grid) else _Grid(snr if grid else (snr,))
     if isinstance(rng, np.ndarray):
         lead = rng.shape[:max(0, rng.ndim - len(row))]
         if (rng.shape[len(lead):] != row or rng.dtype != np.float64
@@ -206,16 +226,13 @@ def sample_channel(snr: SnrPoint | Sequence[SnrPoint], rng: np.random.Generator 
         out = ChannelRealization(**{f: np.empty(lead + shape, complex) for f in _FIELDS})
     elif any(getattr(out, f).shape != lead + shape or getattr(out, f).dtype != complex for f in _FIELDS):
         raise ValueError(f"out arrays must be complex128 of shape {lead + shape}")
-    normals = np.moveaxis(normals, range(len(lead), len(lead) + len(_LAYOUT)), range(len(_LAYOUT)))
-    column = (len(points),) + (1,) * len(shape)  # one scale per grid point, over its trials
-    for z, user, est, err, true in ((normals[0], 1, out.h_est, out.h_err, out.h_true),
-                                    (normals[1], 2, out.g_est, out.g_err, out.g_true)):
-        err_comp_var = [p.sigma_sq(user) / 2.0 for p in points]
-        for (re, im), comp_var, field in ((z[0], [1.0 - v for v in err_comp_var], est), (z[1], err_comp_var, err)):
-            scales = [math.sqrt(v / 2.0) for v in comp_var]
-            scale = np.array(scales).reshape(column) if grid else scales[0]
-            np.multiply(re, scale, out=field.real)
-            np.multiply(im, scale, out=field.imag)
+    # one scale per grid point, a column over its trials; one point's is a scalar
+    scales = points.scales.reshape(_LAYOUT[:2] + ((len(points),) + (1,) * len(shape) if grid else ()))
+    tail = (slice(None),) * len(shape)
+    for u, (est, err, true) in enumerate(((out.h_est, out.h_err, out.h_true), (out.g_est, out.g_err, out.g_true))):
+        for e, field in enumerate((est, err)):
+            np.multiply(normals[(..., u, e, 0) + tail], scales[u, e], out=field.real)
+            np.multiply(normals[(..., u, e, 1) + tail], scales[u, e], out=field.imag)
         np.add(est, err, out=true)
     return out
 
@@ -438,7 +455,7 @@ def unit(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     sq = prod.real
     inv = sq[..., :1] + sq[..., 1:]
     np.sqrt(inv, out=inv)
-    if np.any(inv == 0.0):
+    if not inv.all():  # some norm is 0 (a NaN is not, here as for == 0.0)
         raise ValueError("cannot normalize a zero vector")
     np.divide(1.0, inv, out=inv)
     for part, src in ((prod.real, v.real), (prod.imag, v.imag)):

@@ -47,18 +47,21 @@ chunks where a chunk holds more than one slot (the last part may be one,
 and may be short), and one chunk, so one slot, where it does not.  Both
 are ranges of positions in the union of slot indices; a one-plan pass's
 union is the plan's own slots, and the pass's only per-slot table is,
-beside another plan, each shape's slots' positions there (_PlanPass).  The
-rest it reads off the plan's index in place, so splitting, decoding and
-settling are array operations per template batch, with no Python per
-slot, link or addition.
+beside another plan, each shape's slots' positions there (_PlanPass).
+From those and the plan's index each plan works out once, for the whole
+pass, which of its slots of which shapes each part and each chunk holds
+and every index that their decode and settle read (its schedule), so
+decoding and settling are array operations per template batch, with no
+Python per slot, link or addition.
 
 The batch record.  When a part begins, each plan with slots there makes,
 per template, the one record of those slots in the part (_Batch), whole:
-their range in the shape's slots, their positions in the part, their rate
-and link rows and first additions, views of the part's power-gain block
-for their groups' directions, one array per user-owned first-antenna
-layer for its bits (the lesser of the two users' MIs), and one
-cross-minors array per group that gets a side row.  A chunk is then
+their positions in the part, their rate and link rows and first additions
+(the schedule's), the part's power-gain block (its settle reads its
+slots' gains there, as views where they step evenly through the part),
+one array per user-owned first-antenna layer for its bits (the lesser of
+the two users' MIs), and one cross-minors array per group that gets a
+side row.  A chunk is then
 decoded a plan and a template at a time: the SIC MIs (both users' in one
 set of operations), link noise and cross minors of all of the chunk's
 slots of one template run once, on (user, slot, grid point, trial) arrays
@@ -115,6 +118,24 @@ product need not be bitwise commutative.  The pass returns arrays over
 the grid per plan; estimate_dofs fits the per-user ones (estimate_dof is
 estimate_dofs of one plan), and a RateLedger is built only at one point
 (evaluate_plan).
+
+What a pass makes once.  Whatever depends only on the plans, the grid
+and the chunk size is made once per pass, before the first chunk: the
+streams' starts, the grid with each draw field's scale at each point
+(channel._Grid, which sample_channel reads instead of working the scales
+out again), the chunk's buffers and a whole chunk's realization of them
+(a short last chunk makes its own), the ring, and per plan its decode
+templates, beside another plan its union positions, and its schedule:
+per part and per chunk, its slots there by shape and every index that
+their batches read, made for all parts and chunks by one _takes call.
+What is left is paid per draw chunk: the draw, one sample_channel call,
+the conjugation and the projection, and a lookup of each plan's entries;
+per part: its block and one _Batch per template, with its bits and
+minors arrays; and per template batch: the array operations of its
+decode and settle and the views of the gains that they read (a dict of
+them per decode).  Sums of products add into the first product and means
+divide in place (_weighted, _trial_mean), and a settle builds no closure
+or generator.
 
 residual_power_probe is that one-point ledger, read off as
 RateLedger.link_noise: step 2's effective residual variance per link.  Its
@@ -189,7 +210,7 @@ import numpy as np
 # orth_complement is not called here (_orth derives it from unit), but the
 # benchmark's tracer (perfbench/tracing.py) patches it under this module
 from .channel import ChannelRealization, SnrPoint, orth_complement, sample_channel, unit  # noqa: F401
-from .channel import _db_key, _dot, _draw, _orth, _pcg_states, _power, _row, _seed_words
+from .channel import _db_key, _dot, _draw, _Grid, _orth, _pcg_states, _power, _row, _seed_words
 from .geometry import DofPoint
 from .schemes import _DIRECTIONS, _USERS, OWNER_COMMON, SchemePlan, SlotShape, SymbolLayer, _require_int, validate_plan
 
@@ -205,6 +226,10 @@ __all__ = [
 ]
 
 _DRAW_BUDGET = 2 ** 16  # normals per draw chunk: as many whole slots as fit, at least one
+# per user, the directions off the first antenna that its estimate gives,
+# in the order _project makes them: along before orth
+_PROJECTION_ORDER = tuple((user, tuple(sorted((d for d, pc in enumerate(_DIRECTIONS) if pc.user == user),
+                                              key=lambda d: _DIRECTIONS[d].kind == "orth"))) for user in (1, 2))
 _PRECISION_CEILING = 30.0  # largest alpha2 * dB / 10 that check_grid_db accepts
 
 
@@ -268,9 +293,8 @@ def _project(true_conj, est, directions, a, power_gain):
         for u in (0, 1):
             np.copyto(first[u, ...], true_conj[u][..., 0])
         np.square(np.abs(first, out=power_gain[0]), out=power_gain[0])
-    for user in (1, 2):
-        mine = sorted((d for d in directions if d and _DIRECTIONS[d].user == user),
-                      key=lambda d: _DIRECTIONS[d].kind == "orth")
+    for user, order in _PROJECTION_ORDER:
+        mine = [d for d in order if d in directions]
         if not mine:
             continue
         prod = est[user - 1]
@@ -301,9 +325,14 @@ def _common_mis(sic_power, fresh, power_gain):
     """
     if not sic_power:
         return []
-    fresh_rx = _sum(power_gain[d] * col for d, col in fresh)
+    fresh_rx = _weighted([power_gain[d] for d, _ in fresh], [col for _, col in fresh])
     rx = [power_gain[0] * col for col in sic_power]
-    return [np.log2(1.0 + rx[i] / (_sum(rx[i + 1:] + [fresh_rx]) + 1.0)) for i in range(len(rx))]
+    mis = []
+    for i, r in enumerate(rx):
+        mi = r / (_sum(rx[i + 1:] + [fresh_rx]) + 1.0)
+        mi += 1.0
+        mis.append(np.log2(mi, out=mi))
+    return mis
 
 
 def _cross_minors(direct, cross, powers, out):
@@ -316,8 +345,9 @@ def _cross_minors(direct, cross, powers, out):
     if not pairs:
         out[...] = 0.0
     for n, (i, j) in enumerate(pairs):
-        term = np.multiply(powers[i] * powers[j], np.abs(direct[i] * cross[j] - direct[j] * cross[i]) ** 2,
-                           out=None if n else out)
+        minor = direct[i] * cross[j]
+        minor -= direct[j] * cross[i]
+        term = np.multiply(powers[i] * powers[j], np.abs(minor) ** 2, out=None if n else out)
         if n:
             out += term  # the terms added left to right, as _sum adds them
     return out
@@ -335,12 +365,16 @@ def _logdet_mi(rows, powers, minors=0, out=None):
     cancellation.
     """
     abs1, n1 = rows[0]
-    a11 = _sum(p * a for a, p in zip(abs1, powers)) / n1
+    det = _weighted(abs1, powers) / n1
+    det += 1.0
     if len(rows) == 1:
-        return np.log2(1.0 + a11, out=out)
+        return np.log2(det, out=out)
     abs2, n2 = rows[1]
-    a22 = _sum(p * a for a, p in zip(abs2, powers)) / n2
-    return np.log2(1.0 + a11 + a22 + minors / (n1 * n2), out=out)
+    a22 = _weighted(abs2, powers)
+    a22 /= n2
+    det += a22
+    det += minors / (n1 * n2)
+    return np.log2(det, out=out)
 
 
 def _sum(terms):
@@ -353,22 +387,57 @@ def _sum(terms):
     return total
 
 
-def _take(positions: list[int]):
-    """Increasing chunk positions as an index along the chunk axis: a basic
-    slice, which reads the chunk's arrays as views, when they step evenly,
-    else an index array, which copies."""
-    lo, hi = positions[0], positions[-1] + 1
-    step = positions[1] - lo if len(positions) > 1 else 1
-    return slice(lo, hi, step) if positions == list(range(lo, hi, step)) else np.array(positions)
+def _weighted(xs, ws):
+    """_sum of w * x over the pairs of xs and ws, into the first product:
+    the same terms added in the same order, with no array for a partial
+    sum (an array op's bits do not depend on whether it writes a new array
+    or one of its operands, and a + b is b + a, bit for bit)."""
+    total = 0
+    for k, (x, w) in enumerate(zip(xs, ws)):
+        if k:
+            total += w * x
+        else:
+            total = w * x
+    return total
+
+
+def _trial_mean(x: np.ndarray, n_trials: int) -> np.ndarray:
+    """x.mean(axis=-1), bit for bit, without its Python-level wrapper, as a
+    new array."""
+    mean = np.add.reduce(x, axis=-1)
+    mean /= n_trials
+    return mean
+
+
+def _takes(tables: list[np.ndarray], ranges: list[tuple[int, int, int, int]]) -> list:
+    """Per range (table number, j, k, base), k > j: the entries j to k - 1
+    of that table less base, as an index along an array's axis, all made at
+    once: a basic slice, which reads the array as a view, where they step
+    evenly upwards, else an index array, which copies."""
+    flat = np.concatenate(tables + [[0]])  # the tables end to end, and an entry past them
+    offset = np.cumsum([0] + [len(t) for t in tables])
+    t, j, k, base = (np.array(c) for c in zip(*ranges))
+    j, k = offset[t] + j, offset[t] + k
+    steps = flat[1:] - flat[:-1]
+    # bends[e]: how many of flat's entries 1 to e step on otherwise than into them
+    bends = np.zeros(len(flat), int)
+    np.cumsum(steps[1:] != steps[:-1], out=bends[1:-1])
+    step = steps[j]
+    # evenly, for a range of two or more: upwards, and no entry strictly
+    # inside the range bends
+    even = (step > 0) & ((k - j < 3) | (bends[k - 2] == bends[j]))
+    return [slice(start, stop, 1) if hi - lo == 1 else slice(start, stop, s) if e else flat[lo:hi] - b
+            for lo, hi, b, start, stop, s, e in zip(j.tolist(), k.tolist(), base.tolist(), (flat[j] - base).tolist(),
+                                                   (flat[k - 1] - base + 1).tolist(), step.tolist(), even.tolist())]
 
 
 def _shift(index, k: int):
-    """A _take index with k added to every position."""
+    """A _takes index with k added to every position."""
     return slice(index.start + k, index.stop + k, index.step) if isinstance(index, slice) else index + k
 
 
 def _sub(index, part: slice):
-    """The entries part (a range) of a _take index, as a _take index."""
+    """The entries part (a range) of a _takes index, as a _takes index."""
     if isinstance(index, slice):
         return slice(index.start + part.start * index.step, index.start + part.stop * index.step, index.step)
     return index[part]
@@ -446,12 +515,11 @@ class _Batch(NamedTuple):
     carriers too, settle reads it all in one go."""
 
     template: _Template
-    part: slice  # its slots' range in the shape's slots (plan.members)
-    at: slice | np.ndarray  # its slots' positions in the part, as _take indexes them
-    rows: slice | np.ndarray  # its slots' first rate rows, as _take indexes them
-    links: list  # per link column, its slots' link rows as _take indexes them (None: no link there)
-    firsts: list  # per user, its slots' first rows among the user's additions of the part
-    power_gain: dict  # direction -> the users' |gain|**2 (user, slot, point, trial): views of the part's block
+    at: slice | np.ndarray  # its slots' positions in the part, as _takes indexes them
+    rows: slice | np.ndarray  # its slots' first rate rows, as _takes indexes them
+    links: tuple  # per link column, its slots' link rows as _takes indexes them (None: no link there)
+    firsts: tuple  # per user, its slots' first rows among the user's additions of the part (None: none)
+    power_gain: dict  # the part's block: direction -> the users' |gain|**2 (user, slot, point, trial)
     owned: list  # (user, its bits: the lesser MI of the two users) per user-owned first-antenna layer
     minors: list  # per user, its group's cross minors (slot, point, trial), 0 without a side row
 
@@ -465,19 +533,19 @@ class _PlanPass:
     gains, and settles them a part at a time, with nothing of its own
     shared, so its results are the same whichever plans share the pass.
 
-    It makes its templates (the grid powers) and, beside another plan, per
-    slot shape its slots' positions in the union: alone, they are the
-    plan's own slot positions (plan.members).  All else that it reads
-    per slot is the plan's decode index, read in place: the shape numbers,
-    settle positions, each shape's slots and link rows, each slot's first
-    rate row and how many additions to each user's totals come before it.
-    Which of its slots a chunk or a part holds, and of which shapes, it
-    finds by bisecting its union positions and counting shape numbers in a
-    slice of a tuple: no numpy loop that the rest of the pass does not run,
-    as each new one pages in more of numpy's code.  begin makes the part's
-    _Batch per template, a range of one shape's slots; decode and the
-    pass's cross minors fill it a draw chunk at a time, and add queues the
-    part's batches unchanged once the part is decoded.  Each part adds to a
+    It makes its templates (the grid powers), beside another plan per slot
+    shape its slots' positions in the union (alone, they are the plan's own
+    slot positions, plan.members), and its schedule (_schedule): per part
+    and per draw chunk of the pass, which of its slots of which shapes lie
+    there, and every index that their decode and settle read, worked out
+    from the union positions and the plan's decode index (each shape's
+    slots and link rows, each slot's first rate row and how many additions
+    to each user's totals come before it) in one set of array operations
+    for the whole pass.  So a part or a chunk only looks its entries up.
+    begin makes the part's _Batch per template, a range of one shape's
+    slots, from its entry; decode and the pass's cross minors fill it a
+    draw chunk at a time, and add queues the part's batches unchanged once
+    the part is decoded.  Each part adds to a
     user's per-trial totals through one stack, (row, grid point, trial):
     row 0 is a copy of the totals, and the other rows are the user's
     additions in slot order (each slot's owned first-antenna layers' bits,
@@ -489,8 +557,10 @@ class _PlanPass:
     one user's additions at a time.
     """
 
-    def __init__(self, plan: SchemePlan, union: list[int] | range, ps: list[float], n_trials: int):
-        # union: each slot's position in the union of the pass's slot indices
+    def __init__(self, plan: SchemePlan, union: list[int] | range, ps: list[float], n_trials: int,
+                 edges: list[int], span: int):
+        # union: each slot's position in the union of the pass's slot
+        # indices; edges: the draw chunks' bounds there, span chunks a part
         self.plan, self.union, self.n_trials = plan, union, n_trials
         self.templates = _compile(plan, ps)
         if isinstance(union, range):  # a pass of this plan alone: its slots are the union
@@ -498,77 +568,101 @@ class _PlanPass:
         else:
             at = np.array(union)
             self.at = [at[m] for m in plan.members]
-        self.next = [0] * len(plan.shapes)  # per shape, its first slot not yet decoded
+        self.parts, self.chunks = self._schedule(edges, span)
         self.rate = np.full((int(plan.starts[-1]), len(ps)), np.nan)
         # delivered MI, effective noise; NaN until decoded
         self.link_out = np.full((2, len(plan.links), len(ps)), np.nan)
-        self.part = None  # the part being decoded: (lo, hi, its _Batch per shape number)
+        self.part = None  # the part being decoded: (largest settle_after, lo, hi, its _Batch per shape number)
         # (largest settle_after, lo, hi, its _Batches) per part not yet settled
         self.waiting: deque = deque()
         self.totals = None  # per-user bits per run, (2, point, trial): made when the first slot settles
         self.result = None  # (rate, link_out, mean, stderr), once every slot has settled
 
-    def trial_mean(self, x):
-        # x.mean(axis=-1), bit for bit, without its Python-level wrapper
-        return np.add.reduce(x, axis=-1) / self.n_trials
+    def _schedule(self, edges: list[int], span: int) -> tuple[list, list]:
+        """Its slots in each part and each draw chunk of the pass, made once,
+        with every index that a part's batches and a chunk's decode read.
+        Per part, None where it holds none of its slots, else (the largest
+        settle_after there, its plan positions lo and hi, their shapes'
+        directions, and per shape there (n, how many of its slots lie there,
+        their positions in the part, first rate rows, link rows per link
+        column (None: no link there) and first rows among each user's
+        additions of the part (None: none there))).  Per draw chunk, (how
+        many of its slots are decoded once the chunk is, and per shape there
+        (n, the range of its slots there in its part's batch, their
+        positions in the chunk)).  Each index is _takes': a view where the
+        slots step evenly."""
+        plan = self.plan
+        bounds = edges[:-1:span] + edges[-1:]  # the parts' bounds in the union
+        starts = [bisect_left(self.union, e) for e in bounds]  # and their first plan positions
+        added = plan.added[:, starts].tolist()  # each user's additions before each part
+        tables, ranges, shapes = [], [], []
+        for n, (at, shape, m, link_rows) in enumerate(zip(self.at, plan.shapes, plan.members, plan.link_rows)):
+            positions = at.tolist()
+            in_chunks = [bisect_left(positions, e) for e in edges]  # its slots below each chunk bound
+            in_parts = in_chunks[:-1:span] + in_chunks[-1:]
+            cs = [c for c in range(len(edges) - 1) if in_chunks[c] < in_chunks[c + 1]]
+            qs = [q for q in range(len(bounds) - 1) if in_parts[q] < in_parts[q + 1]]
+            # (table, its base per part): positions from the part's bound,
+            # rate rows, link rows per column and additions per user from the
+            # part's first; None where a column has no link or a user gets no
+            # addition
+            zero = [0] * len(bounds)
+            kinds = [(at, bounds), (plan.starts[m], zero), *((col, zero) if col[0] >= 0 else None for col in link_rows.T),
+                     *((row, before) if shape.additions[u] else None
+                       for u, (row, before) in enumerate(zip(plan.added[:, m], added)))]
+            shapes.append((n, in_chunks, in_parts, cs, qs, kinds))
+            t = len(tables)
+            tables += [table for table, _ in filter(None, kinds)]
+            ranges += [(t, in_chunks[c], in_chunks[c + 1], edges[c]) for c in cs]  # positions from the chunk's bound
+            for i, (_, base) in enumerate(filter(None, kinds), t):
+                ranges += [(i, in_parts[q], in_parts[q + 1], base[q]) for q in qs]
+        takes = iter(_takes(tables, ranges))
+        chunks = [(bisect_left(self.union, e), []) for e in edges[1:]]
+        parts = [[] for _ in bounds[1:]]
+        for n, in_chunks, in_parts, cs, qs, kinds in shapes:  # the takes in ranges' order
+            for c in cs:
+                first = in_parts[c // span]  # of its slots in the chunk's part
+                chunks[c][1].append((n, slice(in_chunks[c] - first, in_chunks[c + 1] - first), next(takes)))
+            at, rows, *rest = ([next(takes) for _ in qs] if kind else [None] * len(qs) for kind in kinds)
+            for q, *entry in zip(qs, at, rows, zip(*rest[:-2]), zip(*rest[-2:])):
+                parts[q].append((n, in_parts[q + 1] - in_parts[q], *entry))
+        for q, entries in enumerate(parts):
+            lo, hi = starts[q], starts[q + 1]
+            parts[q] = (max(plan.settle_after[lo:hi]), lo, hi,
+                        {d for n, *_ in entries for d in plan.shapes[n].directions}, entries) if entries else None
+        return parts, chunks
 
-    def split(self, lo: int, hi: int) -> dict[int, tuple]:
-        """Its slots among the union's slots at positions [lo, hi), a draw
-        chunk or a part, by shape number: their range in the shape's
-        slots (the plan's members), and their positions from lo as _take
-        indexes them.  Each shape's slots not yet decoded come first in plan
-        order, so they are the ones below hi."""
-        start = sum(self.next)  # its slots at plan positions [0, start) are decoded
-        ahead = self.plan.shape_of[start:bisect_left(self.union, hi, start)]
-        share = {}
-        for n in set(ahead):
-            j = self.next[n]
-            k = j + ahead.count(n)
-            share[n] = (slice(j, k), _take((self.at[n][j:k] - lo).tolist()))
-        return share
-
-    def begin(self, share: dict[int, tuple], block: dict) -> None:
-        """Start a part: its slots there (split's share) and the part's
-        power-gain block.  Each shape's slots there get their _Batch, whole:
-        their range, positions, rate and link rows, first additions, views
-        of the block for their groups' directions, one bits array per
+    def begin(self, q: int, block: dict) -> None:
+        """Start part q: make each of its shapes' _Batch whole from the
+        schedule and the part's power-gain block: one bits array per
         user-owned first-antenna layer and one cross-minors array per group
         that gets a side row, the arrays for each draw chunk's decode to
         write its slots' range of."""
-        plan, shape = self.plan, self.rate.shape[1:] + (self.n_trials,)
-        lo, batches = sum(self.next), {}
-        for n, (part, at) in share.items():
-            t, m = self.templates[n], plan.members[n][part]  # their plan positions
-            batches[n] = _Batch(t, part, at, _take(plan.starts[m].tolist()),
-                                [_take(col) if col[0] >= 0 else None for col in plan.link_rows[n][part].T.tolist()],
-                                (plan.added[:, m] - plan.added[:, lo, None]).tolist(),
-                                {d: block[d] for d, _ in t.fresh},
-                                [(user, np.empty((len(m),) + shape)) for _, user, _ in t.sic if user >= 0],
-                                [np.empty((len(m),) + shape) if g.side_link >= 0 else 0 for g, _ in t.groups])
-        self.part = lo, lo + sum(part.stop - part.start for part, _ in share.values()), batches
-
-    def in_part(self, share: dict[int, tuple]) -> list[tuple]:
-        # per shape number n of a draw chunk's share (split's): n, the
-        # part's batch of shape n, the share's range of the batch's slots
-        # and their positions in the chunk
-        batches = self.part[2]
-        return [(n, batches[n], slice(part.start - batches[n].part.start, part.stop - batches[n].part.start), at)
-                for n, (part, at) in share.items()]
+        settle, lo, hi, _, entries = self.parts[q]
+        shape = self.rate.shape[1:] + (self.n_trials,)
+        batches = {}
+        for n, size, at, rows, links, firsts in entries:
+            t, size = self.templates[n], (size,) + shape
+            batches[n] = _Batch(t, at, rows, links, firsts, block,
+                                [(user, np.empty(size)) for _, user, _ in t.sic if user >= 0],
+                                [np.empty(size) if g.side_link >= 0 else 0 for g, _ in t.groups])
+        self.part = settle, lo, hi, batches
 
     def decode(self, b: _Batch, sub: slice, at, power_gain) -> None:
         # the first-antenna layers of b's slots in its range sub (at `at` in
         # the draw chunk, whose gains power_gain holds) at every grid point:
         # their rates and the common ones' links' outputs; the owned ones'
         # bits go into their range of b's arrays, to wait for the settle
-        t, rows = b.template, _sub(b.rows, sub)
+        t, rows, n_trials = b.template, _sub(b.rows, sub), self.n_trials
         mis = _common_mis(t.sic_power, t.fresh, {d: power_gain[d][:, at] for d in t.shape.directions})
-        rate, link_out, trial_mean = self.rate, self.link_out, self.trial_mean
         owned = iter(b.owned)
         for (k, user, cap), mi in zip(t.sic, mis):
             bits = np.minimum(mi[0], mi[1], out=next(owned)[1][sub] if user >= 0 else None)
-            rate[_shift(rows, k)] = np.minimum(trial_mean(bits), cap)
+            mean = _trial_mean(bits, n_trials)
+            self.rate[_shift(rows, k)] = np.minimum(mean, cap, out=mean)
+        link_out = self.link_out
         for j, (k, scale, demand) in enumerate(t.carried):
-            mean = trial_mean(mis[k])
+            mean = _trial_mean(mis[k], n_trials)
             at_link = _sub(b.links[j], sub)
             link_out[0, at_link] = mi = np.minimum(mean[0], mean[1])
             # the effective residual variance after the subtraction: the
@@ -611,63 +705,71 @@ class _PlanPass:
         # linked) carries only the quantization error.  Every link row read
         # here was filled when its carrier was decoded: b's part waits whole
         # until the slot that its last group settles after has been decoded.
-        t, link_out, rate, trial_mean = b.template, self.link_out, self.rate, self.trial_mean
+        t, link_out, gains, slots = b.template, self.link_out, b.power_gain, b.at
         if not t.shape.additions[u]:
             return
-
-        def gain(d, v):  # user v's |gain|**2 along direction d at b's slots: a view where they step evenly
-            return b.power_gain[d][v][b.at]
-
         group, powers = t.groups[u]
-        at = _take(b.firsts[u])
+        at = b.firsts[u]
         for user, bits in b.owned:
             if user == u:
                 out[at] = bits
                 at = _shift(at, 1)
         if not powers:
             return
+        # user v's |gain|**2 along direction d at b's slots is gains[d][v,
+        # slots]: a view where they step evenly
         if group.own_link >= 0:
-            own_noise = link_out[1, b.links[group.own_link], :, None]
+            noise = link_out[1, b.links[group.own_link], :, None] + 1.0
         else:
             leak, leak_powers = t.groups[1 - u]
-            own_noise = _sum(gain(d, u) * col for d, col in zip(leak.directions, leak_powers))
-        rows = [([gain(d, u) for d in group.directions], 1.0 + own_noise)]
+            noise = _weighted([gains[d][u, slots] for d in leak.directions], leak_powers)
+            noise += 1.0
+        rows = [([gains[d][u, slots] for d in group.directions], noise)]
         if group.side_link >= 0:
-            rows.append(([gain(d, 1 - u) for d in group.directions],
+            rows.append(([gains[d][1 - u, slots] for d in group.directions],
                          link_out[1, b.links[group.side_link], :, None]))
         # in place where at is a slice, else copied there
         joint = _logdet_mi(rows, powers, b.minors[u], out=out[at] if isinstance(at, slice) else None)
         if not isinstance(at, slice):
             out[at] = joint
-        if len(powers) == 1:
-            shares = [joint]
-        else:
+        shares = [joint]
+        if len(powers) > 1:
             # genie-aided rates (the group's other layers known): MRC of all
             # observation rows against noise only
-            genie = [np.log2(1.0 + _sum(a[i] / n for a, n in rows) * powers[i]) for i in range(len(powers))]
+            genie = []
+            for i, p in enumerate(powers):
+                g = _sum([a[i] / n for a, n in rows])
+                g *= p
+                g += 1.0
+                genie.append(np.log2(g, out=g))
+            # each layer's share of the joint rate, in proportion to its
+            # genie rate: none where every genie rate is 0
             total = _sum(genie)
             positive = total > 0.0
-            safe = np.where(positive, total, 1.0)
-            shares = (np.where(positive, joint * g / safe, 0.0) for g in genie)
+            everywhere = positive.all()
+            safe = total if everywhere else np.where(positive, total, 1.0)
+            shares = []
+            for g in genie:
+                g *= joint
+                g /= safe
+                shares.append(g if everywhere else np.where(positive, g, 0.0))
         for k, share in zip(group.positions, shares):
-            rate[_shift(b.rows, k)] = trial_mean(share)
+            self.rate[_shift(b.rows, k)] = _trial_mean(share, self.n_trials)
 
-    def add(self, share: dict[int, tuple], block: dict) -> None:
-        """Decode its slots of a draw chunk (split's share) from the chunk's
-        gains (block: its views of the part's power-gain block, and the
-        first antenna's), each template's into its range of the part's
-        batch.  Once the part's last slot is decoded, queue the part's
-        batches as they are, and after each chunk settle every ready part
-        at the head of the queue.  A queued part's batches hold views of
-        its block until the slot that its last group settles after has been
-        decoded."""
-        lo, hi, batches = self.part
-        for n, b, sub, at in self.in_part(share):
-            self.decode(b, sub, at, block)
-            self.next[n] = b.part.start + sub.stop
-        decoded = sum(self.next)  # its slots at plan positions [0, decoded) are decoded
+    def add(self, c: int, block: dict) -> None:
+        """Decode its slots of draw chunk c from the chunk's gains (block:
+        its views of the part's power-gain block, and the first antenna's),
+        each template's into its range of the part's batch.  Once the part's
+        last slot is decoded, queue the part's batches as they are, and
+        after each chunk settle every ready part at the head of the queue.
+        A queued part's batches hold its block until the slot that its last
+        group settles after has been decoded."""
+        decoded, entries = self.chunks[c]  # its slots at plan positions [0, decoded) are decoded after it
+        settle, lo, hi, batches = self.part
+        for n, sub, at in entries:
+            self.decode(batches[n], sub, at, block)
         if decoded == hi:
-            self.waiting.append((max(self.plan.settle_after[lo:hi]), lo, hi, list(batches.values())))
+            self.waiting.append((settle, lo, hi, list(batches.values())))
             self.part = None
         while self.waiting and self.waiting[0][0] < decoded:
             self.settle_part(*self.waiting.popleft()[1:])
@@ -721,7 +823,7 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         raise ValueError("SNR point and plan disagree on CSIT quality")
     for s in snrs:
         _require_precise(s.p_db, s.quality.alpha2)
-    ps = [s.p for s in snrs]
+    ps, grid = [s.p for s in snrs], _Grid(snrs)  # grid: each draw field's scale per point, made once
     own = [plan.all_slots() for plan in plans]
     if len(plans) == 1:  # the union is the plan's own slots, in plan order
         indices, positions = [s.index for s in own[0]], [range(len(own[0]))]
@@ -734,39 +836,40 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         # part q holds the slots at union positions [lo, hi).  Its
         # power-gain block is made for the directions of every plan with
         # slots there, and each such plan starts it, making its batches:
-        # (each plan's share, directions, block).  The block is the ring's,
+        # (those plans, directions, block).  The block is the ring's,
         # read forward for an even q and backward for an odd one, where no
         # part that keeps gains there still waits when this part's chunks
         # are projected: a part read the same way must have settled, and the
         # part before it must settle once this part's first chunk is decoded
         # (its second overwrites the ring's middle)
-        shares = {pp: share for pp in passes if (share := pp.split(lo, hi))}
-        directions = sorted({d for pp, share in shares.items() for n in share for d in pp.templates[n].shape.directions})
+        there = [pp for pp in passes if pp.parts[q]]
+        directions = sorted(set().union(*(pp.parts[q][3] for pp in there)))
         if ring and wait[q % 2] < lo and wait[1 - q % 2] < lo + chunk:
             block = {d: (ring[d] if q % 2 == 0 else ring[d][:, ::-1])[:, :hi - lo] for d in directions if d}
         else:
             block = {d: np.empty((2, hi - lo) + shape[1:]) for d in directions if d}
-        for pp, share in shares.items():
-            pp.begin(share, block)
-        return shares, directions, block
+        for pp in there:
+            pp.begin(q, block)
+        return there, directions, block
 
-    def decode_chunk(lo: int, hi: int, stack, part_lo: int, parts: dict, directions, block) -> None:
-        # the chunk holds the slots at union positions [lo, hi) of the part
+    def decode_chunk(k: int, lo: int, hi: int, stack, part_lo: int, there: list, directions, block) -> None:
+        # chunk k holds the slots at union positions [lo, hi) of the part
         # from part_lo.  Each plan with slots there decodes them from the
         # chunk's gains: its view of the part's power-gain block, for every
         # direction of the part
-        shares = parts.items() if span == 1 else [(pp, share) for pp in parts if (share := pp.split(lo, hi))]
+        here = [pp for pp in there if pp.chunks[k][1]]
         gains = {d: first[:, :hi - lo] if d == 0 else block[d][:, lo - part_lo:hi - part_lo] for d in directions}
         # each group that gets a side row has its cross minors formed, into
         # its slots' range of its batch's minors, as soon as its directions
         # are projected (one estimate's, in every preset); then the complex
         # gains that no group still to come reads are dropped
         pending = []
-        for pp, share in shares:
-            for _, b, sub, at in pp.in_part(share):
-                for u, (group, powers) in enumerate(b.template.groups):
+        for pp in here:
+            batches = pp.part[3]
+            for n, sub, at in pp.chunks[k][1]:
+                for u, (group, powers) in enumerate(batches[n].template.groups):
                     if group.side_link >= 0:
-                        pending.append((u, group, powers, at, b.minors[u][sub]))
+                        pending.append((u, group, powers, at, batches[n].minors[u][sub]))
         gain = {}
         for projected in _project((stack.h_true, stack.g_true), (stack.h_est, stack.g_est),
                                   directions, scratch[:hi - lo], gains):
@@ -775,14 +878,14 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
             later = []
             for u, group, powers, at, out in pending:
                 if all(d in gain for d in group.directions):
-                    _cross_minors([gain[d][u][at] for d in group.directions],
-                                  [gain[d][1 - u][at] for d in group.directions], powers, out)
+                    _cross_minors([gain[d][u, at] for d in group.directions],
+                                  [gain[d][1 - u, at] for d in group.directions], powers, out)
                 else:
                     later.append((u, group, powers, at, out))
             pending = later
             gain = {d: x for d, x in gain.items() if any(d in entry[1].directions for entry in pending)}
-        for pp, share in shares:
-            pp.add(share, gains)
+        for pp in here:
+            pp.add(k, gains)
 
     per_slot = len(ps) * math.prod(_row(n_trials))  # normals per slot
     chunk = max(1, _DRAW_BUDGET // per_slot)  # slots per draw chunk
@@ -805,12 +908,14 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
             return queue, streams, rows, pool.submit(_draw, worker_rng, queue.popleft, streams, rows) if pool else None
 
         drawn = deque(hand_over(k) for k in range(len(normals)))
-        passes = [_PlanPass(plan, at, ps, n_trials) for plan, at in zip(plans, positions)]
+        edges = list(range(0, len(indices), chunk)) + [len(indices)]  # the chunks' bounds in the union
+        passes = [_PlanPass(plan, at, ps, n_trials, edges, span) for plan, at in zip(plans, positions)]
         shape = (chunk, len(ps), n_trials)
         bufs = {name: np.empty(shape + (2,), complex) for name in ("h_true", "g_true", "h_est", "g_est")}
         # sample_channel writes each error into its channel and adds the
         # estimate in place: the same bits, and no error is read after that
         bufs["h_err"], bufs["g_err"] = bufs["h_true"], bufs["g_true"]
+        full = ChannelRealization(**bufs)  # a whole chunk's; only the last chunk may be short
         # the projection's scratch and the first antenna's power gains, which
         # are read only while a chunk decodes, so every chunk shares them:
         # where no worker draws, they are made in the draw buffer, idle from
@@ -836,15 +941,15 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
             _draw(rng, queue.pop, streams, rows)  # what no worker has taken, from the back
             if future:
                 future.result()  # the row the worker is drawing
-            stack = ChannelRealization(**{name: buf[:hi - lo] for name, buf in bufs.items()})
-            sample_channel(snrs, normals[k % len(normals), :hi - lo], size=n_trials, out=stack)
+            stack = full if hi - lo == chunk else ChannelRealization(**{f: b[:hi - lo] for f, b in bufs.items()})
+            sample_channel(grid, normals[k % len(normals), :hi - lo], size=n_trials, out=stack)
             if k + len(normals) < n_chunks:
                 drawn.append(hand_over(k + len(normals)))  # into the part just scaled, while this chunk decodes
             for true in (stack.h_true, stack.g_true):
                 np.conjugate(true, out=true)  # each gain is conj(true) . direction
             if k % span == 0:
                 part_lo, part = lo, begin_part(lo, min(len(indices), lo + span * chunk), k // span)
-            decode_chunk(lo, hi, stack, part_lo, *part)
+            decode_chunk(k, lo, hi, stack, part_lo, *part)
             if ring and (k + 1) % span == 0:
                 q = k // span % 2
                 wait[q] = max([wait[q]] + [pp.union[entry[0]] for pp in passes for entry in pp.waiting])

@@ -72,7 +72,9 @@ def _plain(x):
 class ExperimentConfig:
     """One run's budget and output place.
 
-    Integers (not bools): n_trials, n_cycles >= 1 and seed >= 0.  Finite
+    Integers (not bools): n_trials >= 2 (one trial has no spread, so its
+    stderr of 0 would be no estimate; the library's entry points take 1),
+    n_cycles >= 1 and seed >= 0.  Finite
     real numbers: alpha1, alpha2 and tolerance >= 0, with
     0 <= alpha1 <= alpha2 <= 1 (checked before the grid, which reads
     alpha2).  p_grid_db is a list of real dB values that check_grid_db
@@ -98,7 +100,7 @@ class ExperimentConfig:
         self.output_dir = Path(self.output_dir)
         for name in ("n_trials", "n_cycles", "seed", "alpha1", "alpha2", "tolerance"):
             setattr(self, name, _plain(getattr(self, name)))
-        for name, low in (("n_trials", 1), ("n_cycles", 1), ("seed", 0)):
+        for name, low in (("n_trials", 2), ("n_cycles", 1), ("seed", 0)):
             _require_int(name, getattr(self, name), low)
         for name in ("alpha1", "alpha2", "tolerance"):
             value = getattr(self, name)

@@ -300,9 +300,22 @@ class SlotShape(NamedTuple):
     carried: tuple[tuple[int, float, float], ...]  # (carrier's SIC rank, quant_prelog, source exponent) per link
     directions: tuple[int, ...]  # the _DIRECTIONS indices its layers use, increasing
     additions: tuple[int, int]  # per user, its first-antenna layers plus 1 for a group: what a slot adds to its totals
+    # per layer, the exponent of the power it reaches user 1 and user 2 with
+    # (_received)
+    received: tuple[tuple[float, float], ...]
 
 
-def _shape(slot: SlotPlan, carried, overheard) -> SlotShape:
+def _received(layer: SymbolLayer, quality: CsitQuality) -> tuple[float, float]:
+    """The exponent of the power that layer reaches user 1 and user 2 with:
+    its power exponent, less alpha_k at user k for a layer sent on
+    orth_to(k), which zero-forces it there down to the estimation error.
+    Every other precoder (the first antenna, along(k), orth_to the other
+    user) reaches user k unattenuated."""
+    return tuple(layer.power_exponent - alpha if layer.precoder == orth_to(user) else layer.power_exponent
+                 for user, alpha in ((1, quality.alpha1), (2, quality.alpha2)))
+
+
+def _shape(slot: SlotPlan, carried, overheard, quality: CsitQuality) -> SlotShape:
     """slot's SlotShape, from (carrier's position, quant_prelog, source
     exponent) per link it carries and whether each user overhears a linked
     interference there.  Layers are found by equality, which tells them
@@ -314,7 +327,8 @@ def _shape(slot: SlotPlan, carried, overheard) -> SlotShape:
     return SlotShape(slot.layers, sic, groups, tuple((sic.index(k), q, e) for k, q, e in carried),
                      tuple(sorted({d for g in groups for d in g.directions} | ({0} if sic else set()))),
                      tuple(sum(slot.layers[k].owner == owner for k in sic) + bool(g.positions)
-                           for owner, g in zip(_USERS, groups)))
+                           for owner, g in zip(_USERS, groups)),
+                     tuple(_received(l, quality) for l in slot.layers))
 
 
 @dataclass(frozen=True)
@@ -454,7 +468,7 @@ class SchemePlan:
             key = (layout[k], tuple(c[1:] for c in links), o1 >= 0, o2 >= 0)
             shape_of.append(n := numbers.setdefault(key, len(numbers)))
             if n == len(shapes):
-                shapes.append(_shape(s, key[1], key[2:]))
+                shapes.append(_shape(s, key[1], key[2:], self.quality))
                 members.append([])
                 rows.append([])
             members[n].append(k)
@@ -841,13 +855,26 @@ def validate_plan(plan: SchemePlan) -> list[str]:
     so what is left to judge is the design: the asymptotic per-slot power
     budget (no exponent above 1 and leading coefficients summing to at most
     1), each link's quantization rate against the received-power exponent
-    of the interference it describes, and that the predicted DoF sits
-    inside the region polygon.  Both read the plan's decode index.  The
-    budget is judged once per slot shape, whose slots share their layers'
-    power specs, and reported for each of its slots, in slot order.  The
-    quantization rates are judged once per carried link column of a shape,
-    whose links share one quant_prelog and source exponent, and each
-    mismatch is reported once per link, in plan.links order.
+    of the interference it describes, that each link's observer hears that
+    interference at no more than that exponent, and that the predicted DoF
+    sits inside the region polygon.  All but the last read the plan's
+    decode index.  The budget is judged once per slot shape, whose slots
+    share their layers' power specs, and reported for each of its slots, in
+    slot order.  The quantization rates are judged once per carried link
+    column of a shape, whose links share one quant_prelog and source
+    exponent, and each mismatch is reported once per link, in plan.links
+    order.
+
+    A link's source exponent is nominal (_source_exponent): the other
+    user's largest fresh power exponent, less the observer's alpha, which
+    is what the observer hears when every such layer is zero-forced at it
+    (orth_to the observer).  A layer on the first antenna, on along(either
+    user) or on orth_to(its own user) reaches the observer unattenuated
+    (SlotShape.received), and the link, sized for the nominal exponent,
+    would then leave interference above the noise that the evaluator's
+    residual does not see.  So a link whose observer hears its source more
+    than 1e-9 above the nominal exponent is refused, once per link, in
+    plan.links order, after the mismatches.
     """
     budget = [_budget_faults(shape.layers) for shape in plan.shapes]
     diags = [f"power budget exceeded: slot {s.index} {fault}"
@@ -861,6 +888,22 @@ def validate_plan(plan: SchemePlan) -> list[str]:
         link = plan.links[i]
         diags.append(f"link {link.interference_id}: quantization rate mismatch "
                      f"(prelog {link.quant_prelog:.6g} vs received exponent {exponents[i]:.6g})")
+
+    # per link, its nominal source exponent (in its carrier's shape) and the
+    # exponent its observer hears the source with (in its source's shape,
+    # whose slots all have a link overheard by the same users)
+    nominal, heard = np.zeros(len(plan.links)), np.full(len(plan.links), -math.inf)
+    for shape, rows in zip(plan.shapes, plan.link_rows):
+        if shape.carried:
+            nominal[rows[:, :len(shape.carried)]] = [e for _, _, e in shape.carried]
+        for u, group in enumerate(shape.groups):
+            if group.own_link >= 0:
+                heard[rows[:, group.own_link]] = max(shape.received[k][u] for k in shape.groups[1 - u].positions)
+    for i in np.flatnonzero(heard > nominal + 1e-9).tolist():
+        link = plan.links[i]
+        diags.append(f"link {link.interference_id}: {link.observer} hears its source at exponent "
+                     f"{heard[i]:.6g}, above the nominal {nominal[i]:.6g} (an overheard layer not "
+                     f"zero-forced at {link.observer})")
 
     region = dof_region(plan.quality)
     if not contains(region, plan.predicted_dof, tol=1e-9):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asymcsit import ChannelRealization, CsitQuality, SnrPoint, orth_complement, sample_channel, unit
-from asymcsit.channel import _dot, _orth
+from asymcsit.channel import _dot, _Grid, _orth
 from asymcsit.evaluator import check_grid_db
 
 FIELDS = ("h_true", "g_true", "h_est", "g_est", "h_err", "g_err")
@@ -191,6 +191,25 @@ class TestSampling:
             ref = sample_channel(snr, rng, size=size)
             for f in FIELDS:
                 assert np.array_equal(getattr(drawn, f)[k], getattr(ref, f)), (k, f)
+
+    @pytest.mark.parametrize("size", [None, 37])
+    def test_a_grid_made_once_scales_as_its_points_do(self, monkeypatch, size):
+        # the grid pass makes each field's scale per point once, in a
+        # _Grid, and hands that to every call: the same bits as the points
+        # given as a list, and no point's sigma_sq is read again
+        q = CsitQuality(0.2, 0.7)
+        points = [SnrPoint.from_db(db, q) for db in (3.0, 60.0, 250.0)]
+        grid = _Grid(points)
+        normals = _rng(18).standard_normal((4, len(points), 2, 2, 2) + ((2,) if size is None else (size, 2)))
+        ref = sample_channel(points, normals, size=size)
+
+        def read_again(*args):
+            raise AssertionError("sigma_sq read again")
+
+        monkeypatch.setattr(SnrPoint, "sigma_sq", read_again)
+        got = sample_channel(grid, normals, size=size)
+        for f in FIELDS:
+            assert np.array_equal(getattr(got, f), getattr(ref, f)), f
 
     def test_grid_normals_or_out_of_the_wrong_shape_rejected(self):
         q = CsitQuality(0.2, 0.7)

@@ -567,9 +567,42 @@ class TestSlotTemplates:
                                  for n in set(shapes[lo:lo + part]))
 
     def test_evenly_spaced_slots_are_read_as_views(self):
-        assert evaluator._take([4]) == slice(4, 5, 1)  # a chunk of one slot, as at 2000 trials
-        assert evaluator._take([1, 4, 7]) == slice(1, 8, 3)
-        assert np.array_equal(evaluator._take([2, 4, 7]), [2, 4, 7])
+        # per range of a table, less the range's base: a slice where the
+        # entries step evenly upwards, else an index array.  The tables lie
+        # end to end, and no range reads a step across their seam
+        rising, falling = np.array([0, 2, 4, 7, 10, 13, 16]), np.array([9, 7, 5, 4, 3, 3, 8])
+        ranges = [(0, 0, 3, 0), (0, 3, 7, 3), (0, 0, 4, 1), (0, 6, 7, 10), (1, 6, 7, 0), (1, 0, 3, 0),
+                  (1, 1, 4, 9), (1, 4, 6, 0), (1, 0, 2, 0)]
+        got = evaluator._takes([rising, falling], ranges)
+        assert got[:2] == [slice(0, 5, 2), slice(4, 14, 3)]
+        assert got[3:5] == [slice(6, 7, 1), slice(8, 9, 1)]  # a chunk of one slot, as at 2000 trials
+        assert np.array_equal(got[2], [-1, 1, 3, 6])
+        for (t, j, k, base), take in zip(ranges[5:], got[5:]):  # stepping down, or standing still
+            assert np.array_equal(take, [rising, falling][t][j:k] - base)
+        assert evaluator._takes([np.array([5, 8])], [(0, 0, 1, 2), (0, 1, 2, 0)]) == [slice(3, 4, 1), slice(8, 9, 1)]
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.integers(-5, 40), min_size=1, max_size=12), min_size=1, max_size=4), st.data())
+    def test_takes_match_one_range_at_a_time(self, tables, data):
+        # each range's index, made with all the others, is what the range's
+        # own entries give: a slice where they step evenly upwards (or are
+        # one entry), else those entries as an index array
+        ranges = []
+        for t, table in enumerate(tables):
+            for _ in range(data.draw(st.integers(0, 3))):
+                j = data.draw(st.integers(0, len(table) - 1))
+                ranges.append((t, j, data.draw(st.integers(j + 1, len(table))), data.draw(st.integers(-3, 3))))
+        if not ranges:
+            return
+        got = evaluator._takes([np.array(table) for table in tables], ranges)
+        for (t, j, k, base), take in zip(ranges, got):
+            entries = [x - base for x in tables[t][j:k]]
+            step = entries[1] - entries[0] if len(entries) > 1 else 1
+            if step > 0 and entries == list(range(entries[0], entries[-1] + 1, step)):
+                assert take == slice(entries[0], entries[-1] + 1, step)
+            else:
+                assert isinstance(take, np.ndarray) and take.tolist() == entries
 
 
 # the shortfall of delivered MI below a link's demand: none (exact
@@ -607,7 +640,7 @@ class TestArrayArithmetic:
         # a user's stack of a part, (row, grid point, trial): row 0 the
         # totals, then nonnegative rates, which _PlanPass.settle_part adds up
         # along the leading axis into the totals with _add_up.  Each
-        # template's rows are written through _take slices of it, and the
+        # template's rows are written through _takes slices of it, and the
         # strided layout is one such slice.  At one point and one trial numpy
         # runs np.add.reduce along the rows as a pairwise sum, which from 8
         # rows on has other bits
@@ -617,7 +650,7 @@ class TestArrayArithmetic:
         if layout == "contiguous":
             stack = rows
         else:
-            index = evaluator._take(list(range(1, 3 * n_rows, 3)))
+            index, = evaluator._takes([np.arange(1, 3 * n_rows, 3)], [(0, 0, n_rows, 0)])
             assert isinstance(index, slice)
             stack = np.zeros((3 * n_rows, n_points, n_trials))[index]
             stack[...] = rows
@@ -637,7 +670,7 @@ class TestLinkWiring:
     # 20 trials: 51 slots per draw chunk; 200 trials: 5
     @pytest.mark.parametrize("n_cycles, n_trials", [(40, 20), (3, 200)])
     def test_the_pass_does_not_depend_on_link_order(self, name, quality, n_cycles, n_trials):
-        # reversed links give decreasing link rows, which _take reads
+        # reversed links give decreasing link rows, which _takes reads
         # through an index array, not a slice
         plan = build_preset(name, quality, n_cycles)
         flipped = replace(plan, links=tuple(reversed(plan.links)))
@@ -651,10 +684,12 @@ class TestLinkWiring:
 
     def test_a_pass_builds_no_plan_table(self, monkeypatch):
         # a pass reads the plan's decode index in place.  The only int
-        # arrays that it holds are its shapes' union positions, one per
-        # shape: alone, they are the plan's own slot positions
+        # arrays that it holds as tables are its shapes' union positions,
+        # one per shape: alone, they are the plan's own slot positions
         # (plan.members), so the pass makes none; beside another plan, they
-        # are its own arrays.  Every other table it reads is the plan's
+        # are its own arrays.  Every other table it reads is the plan's (its
+        # schedule holds index arrays only for ranges of slots that do not
+        # step evenly, within its per-part and per-chunk entries)
         plan, passes, init = build_case_ii(Q35, 20), [], evaluator._PlanPass.__init__
 
         def spy(self, *args):
@@ -1048,13 +1083,61 @@ class TestPrefetch:
                 for field in ("points", "point_stderr", "slope", "stderr"):
                     assert getattr(a, field) == getattr(b, field), field
 
+    def test_a_pass_makes_its_scales_and_its_chunk_realization_once(self, monkeypatch):
+        # what depends only on the grid and the chunk size is made before
+        # the first chunk: each point's scales (two sigma_sq reads a point)
+        # and a whole chunk's realization, which every chunk of the pass
+        # fills, but a short last one.  Seven chunks of 51 slots and one of
+        # 48 here, so the pass calls sample_channel eight times
+        plan, grid, calls = build_case_ii(Q35, 134), _grid(Q35), {"sigma_sq": 0, "realization": 0, "scaled": []}
+        sigma_sq, realization, scale = SnrPoint.sigma_sq, evaluator.ChannelRealization, evaluator.sample_channel
+
+        def counted_sigma_sq(self, user):
+            calls["sigma_sq"] += 1
+            return sigma_sq(self, user)
+
+        def counted_realization(**fields):
+            calls["realization"] += 1
+            return realization(**fields)
+
+        def scaled(snr, normals, size=None, out=None):
+            calls["scaled"].append((snr, out))
+            return scale(snr, normals, size=size, out=out)
+
+        monkeypatch.setattr(SnrPoint, "sigma_sq", counted_sigma_sq)
+        monkeypatch.setattr(evaluator, "ChannelRealization", counted_realization)
+        monkeypatch.setattr(evaluator, "sample_channel", scaled)
+        _evaluate_grid([plan], grid, 20, 5)
+        assert len(plan.all_slots()) == 7 * 51 + 48 and len(calls["scaled"]) == 8
+        assert calls["sigma_sq"] == 2 * len(grid) and calls["realization"] == 2
+        assert all(snr is calls["scaled"][0][0] for snr, _ in calls["scaled"])
+        assert all(out is calls["scaled"][0][1] for _, out in calls["scaled"][:-1])
+
+    @pytest.mark.parametrize("n_trials", [20, 2100], ids=["parts-of-two-chunks", "one-slot-parts"])
+    def test_a_pass_makes_each_plans_schedule_once(self, monkeypatch, n_trials):
+        # which slots every part and chunk holds, and every index their
+        # batches read, is worked out once per plan and pass, by one _takes
+        # call: a part or a chunk makes no index of its own
+        plans, calls, takes = [build_case_ii(Q35, 20), build_sc_zf(Q35)], [], evaluator._takes
+
+        def counted(tables, ranges):
+            calls.append(len(ranges))
+            return takes(tables, ranges)
+
+        monkeypatch.setattr(evaluator, "_takes", counted)
+        estimate_dofs(plans, _grid(Q35), n_trials, 5)
+        assert len(calls) == len(plans)
+
     @pytest.mark.parametrize("n_trials", [20, 2100])
     def test_chunking_does_not_change_a_group_of_three_layers(self, monkeypatch, n_trials):
         # user 1's group of three layers, overheard by user 2 and linked, so
         # it gets a side row whose cross minors add three pairs of layers;
         # no preset has such a group.  Parts of two chunks of 2 or 3 slots,
-        # and one chunk of all 6: == to one slot per chunk
-        plan = _hand_plan(range(1, 7), [(orth_to(2), 0.9), (along(2), 0.6), (along(1), 0.8)], (OWNER_USER2,))
+        # and one chunk of all 6: == to one slot per chunk.  Its along
+        # layers reach user 2 unattenuated, so they sit at or below the
+        # zero-forced layer's exponent there, 0.9 - alpha2 = 0.4, that the
+        # link is sized for (validate_plan refuses a louder one)
+        plan = _hand_plan(range(1, 7), [(orth_to(2), 0.9), (along(2), 0.4), (along(1), 0.3)], (OWNER_USER2,))
         group = plan.shapes[plan.shape_of[0]].groups[0]
         assert len(group.positions) == 3 and group.side_link >= 0
         assert schemes.validate_plan(plan) == []

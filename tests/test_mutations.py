@@ -377,15 +377,20 @@ def _fails_sharing_checks(tmp_path, capsys):
     assert hashlib.sha256(json.dumps(schemes, sort_keys=True).encode()).hexdigest() != recorded(SCHEMES_SHA256)
 
 
-def test_a_plan_decodes_the_shared_chunk_one_slot_off(monkeypatch, later_plans, tmp_path, capsys):
+def test_a_plan_decodes_the_shared_chunk_one_slot_off(monkeypatch, tmp_path, capsys):
     # a later plan's slots are matched one position late in the union of
     # slot indices, so each reads the gains of the union slot after its own
-    split = evaluator._PlanPass.split
+    grid, init, first = evaluator._evaluate_grid, evaluator._PlanPass.__init__, []
 
-    def one_off(self, lo, hi):
-        return split(self, lo - 1, hi - 1) if self in later_plans else split(self, lo, hi)
+    def spy_grid(plans, *args):
+        first[:] = plans[:1]
+        return grid(plans, *args)
 
-    monkeypatch.setattr(evaluator._PlanPass, "split", one_off)
+    def one_off(self, plan, union, *args):
+        init(self, plan, union if plan is first[0] else [p + 1 for p in union], *args)
+
+    monkeypatch.setattr(evaluator, "_evaluate_grid", spy_grid)
+    monkeypatch.setattr(evaluator._PlanPass, "__init__", one_off)
     _fails_sharing_checks(tmp_path, capsys)
 
 

@@ -33,7 +33,9 @@ from asymcsit.schemes import (
     OWNER_USER1,
     OWNER_USER2,
     _DIRECTIONS,
+    _USERS,
     _source_exponent,
+    orth_to,
     perturb_link_prelog,
 )
 
@@ -234,6 +236,33 @@ def test_a_mismatched_link_still_builds_and_is_the_one_diagnostic(quality, n_cyc
             f"link {link.interference_id}: quantization rate mismatch "
             f"(prelog {link.quant_prelog + delta:.6g} vs received exponent {link.quant_prelog:.6g})"
         ], plan.name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(qualities)
+@example(CsitQuality(0.0, 0.0))
+@example(CsitQuality(1.0, 1.0))
+@example(CsitQuality(0.0, 1.0))
+@example(CsitQuality(0.0, 0.5))  # on the case-split line: case i
+@example(CsitQuality(0.2, 0.8))
+@example(CsitQuality(0.3, 0.5))
+def test_no_preset_overhears_a_source_above_its_nominal_exponent(quality):
+    # validate_plan refuses a link whose observer hears its source louder
+    # than the nominal exponent (every overheard layer zero-forced at the
+    # observer).  The presets zero-force every layer a link describes, so
+    # each source, worked out here layer by layer, is heard at its nominal
+    # exponent: case-i's and auto's user-1 sources only up to rounding,
+    # which the refusal's 1e-9 must not catch
+    for n_cycles in (1, 3):
+        for plan in _buildable(quality, n_cycles):
+            assert validate_plan(plan) == [], plan.name
+            nominal = _stored_exponents(plan)
+            for i, link in enumerate(plan.links):
+                user = _USERS.index(link.observer) + 1
+                alpha = (quality.alpha1, quality.alpha2)[user - 1]
+                heard = max(l.power_exponent - alpha if l.precoder == orth_to(user) else l.power_exponent
+                            for l in plan.slot(link.source_slot).fresh(_USERS[2 - user]))
+                assert abs(heard - nominal[i]) <= 1e-12, (plan.name, link.interference_id)
 
 
 @_SETTINGS

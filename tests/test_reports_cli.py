@@ -13,6 +13,7 @@ from asymcsit import (
     SnrPoint,
     build_preset,
     dof_region,
+    estimate_dof,
     plan_as_dict,
     region_as_dict,
     region_export,
@@ -371,6 +372,25 @@ class TestCli:
         assert rc == 2
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "sw" / "index.json").exists()
+
+    @pytest.mark.parametrize("command", [["run", "--alpha1", "0.3", "--alpha2", "0.5"],
+                                         ["sweep", "--qualities", "0.3:0.5"]], ids=["run", "sweep"])
+    def test_one_trial_is_refused_before_running(self, monkeypatch, tmp_path, capsys, command):
+        # one trial has no spread, so its stderr of 0 would not be an
+        # estimate: the config refuses it before any plan is built
+        def built(*args):
+            raise AssertionError("a plan was built")
+
+        monkeypatch.setattr(reports, "build_preset", built)
+        rc = main(command + ["--trials", "1", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        assert "n_trials must be >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(ValueError, match="n_trials must be >= 2, got 1"):
+            ExperimentConfig(alpha1=0.3, alpha2=0.5, n_trials=1)
+        # the library's own entry points still take one trial
+        plan = build_preset("sc-zf", CsitQuality(0.3, 0.5), 1)
+        assert estimate_dof(plan, [SnrPoint.from_db(db, plan.quality) for db in (60, 80, 100)], 1, 7).stderr == (0, 0)
 
     def test_sweep_names_bad_quality_item(self, tmp_path, capsys):
         rc = main(["sweep", "--qualities", "0.1:0.3,0.3", "--out-dir", str(tmp_path / "sw")])

@@ -10,9 +10,11 @@ import pytest
 from asymcsit import (
     PRESET_NAMES,
     CsitQuality,
+    PlanValidationError,
     SchemeConditionError,
     SchemePlan,
     SlotPlan,
+    SnrPoint,
     SymbolLayer,
     build_case_i,
     build_case_ii,
@@ -23,9 +25,11 @@ from asymcsit import (
     contains,
     corner_points,
     dof_region,
+    estimate_dof,
     plan_as_dict,
     validate_plan,
 )
+from asymcsit import evaluator
 from asymcsit.geometry import DofPoint
 from asymcsit.schemes import (
     OWNER_COMMON,
@@ -575,6 +579,30 @@ class TestValidation:
             f"link {last.interference_id}: quantization rate mismatch "
             f"(prelog {last.quant_prelog + 0.2:.6g} vs received exponent {last.quant_prelog:.6g})",
         ]
+
+    def test_an_overheard_layer_not_zero_forced_at_the_observer_is_refused(self, monkeypatch):
+        # user 2's v2 is sent on orth_to(2), so user 1 hears it at P**1, but
+        # the link is sized for the nominal exponent 1 - alpha1 = 0.2 of
+        # zero-forced interference.  Unrefused, the plan read d2 = 1.399 +-
+        # 0.009 (60-120 dB, 2000 trials, seed 7), above the single-user
+        # bound of 1
+        q = CsitQuality(0.8, 0.8)
+        slots = (SlotPlan(1, (SymbolLayer("v1", OWNER_USER2, orth_to(1), 1.0, 0.5, 1.0),
+                              SymbolLayer("v2", OWNER_USER2, orth_to(2), 1.0, 0.5, 1.0))),
+                 SlotPlan(2, (SymbolLayer("eta_hat_1_1", OWNER_COMMON, first_antenna(), 0.2, 0.5, 0.2),
+                              SymbolLayer("v3", OWNER_USER2, orth_to(1), 1.0, 0.5, 1.0))))
+        link = QuantizationLink(1, OWNER_USER1, "eta_1_1", 0.2, "eta_hat_1_1")
+        plan = SchemePlan("hand", q, slots, (), (link,), DofPoint(0.0, 1.0), 2.0, 0.0, 0)
+        assert validate_plan(plan) == [
+            "link eta_1_1: user1 hears its source at exponent 1, above the nominal 0.2 "
+            "(an overheard layer not zero-forced at user1)"]
+
+        def seeded(*args):
+            raise AssertionError("a stream was seeded")
+
+        monkeypatch.setattr(evaluator, "_seed_words", seeded)
+        with pytest.raises(PlanValidationError, match="link eta_1_1: user1 hears its source at exponent 1"):
+            estimate_dof(plan, [SnrPoint.from_db(db, q) for db in (60, 80, 100, 120)], 2000, 7)
 
     def test_quant_rates_match_received_exponents(self):
         rng = np.random.default_rng(14)
