@@ -27,16 +27,23 @@ union of the plans' slot indices, and each (grid point, slot) stream is
 drawn, scaled and projected once, for every plan that has that slot.
 Each plan then decodes and settles its own slots with its own templates,
 outputs and queue (_PlanPass), so its numbers are those of a pass of its
-own.  A chunk is drawn whole before it is scaled (below).  Each slot is
-drawn at every grid point, and a chunk's draws are stacked on leading
-(slot, grid point) axes: one sample_channel call scales them, and each
-precoder direction is projected once per chunk, with every |gain|**2
-taken once.  The decode index is made once, when the plan is built, and
-validate_plan reads it too (see schemes): the SIC order, the fresh
-groups, which links a slot carries and which each user overhears there,
-each interference's received exponent, the slot its groups wait for, each
-shape's slots and link rows, each slot's first rate row and how many
-additions to each user's totals come before it.  Slots of one shape (a
+own.  A stream's key carries no quality, so one pass may also serve plans
+of several qualities on one grid of powers (a batch of sweep's pairs,
+through _estimates): the plans are grouped by quality (_Quality), each
+group with its own channel._Grid of the points at its quality, and each
+chunk is drawn once for all of them, then scaled, conjugated, projected
+and decoded once per group whose plans have slots there, from that one
+draw, a group after another.  A chunk is drawn whole before it is scaled
+(below).  Each slot is drawn at every grid point, and a chunk's draws are
+stacked on leading (slot, grid point) axes: one sample_channel call per
+quality scales them, and each precoder direction is projected once per
+chunk and quality, with every |gain|**2 taken once.  The decode index is
+made once, when the plan is built, and validate_plan reads it too (see
+schemes): the SIC order, the fresh groups, which links a slot carries
+and which each user overhears there, each interference's received
+exponent, the slot its groups wait for, each shape's slots and link
+rows, each slot's first rate row and how many additions to each user's
+totals come before it.  Slots of one shape (a
 cycled plan's cycle positions) share one decode template, which the pass
 makes once from the shape and the grid powers: power columns, rate caps
 and each link's quantizer scale and demand.
@@ -97,18 +104,23 @@ once per slot, link, addition or grid point.
 
 Buffers and the ring.  The chunk's arrays are buffers kept for the pass,
 made once at the chunk size: the channels, the draw buffer, one
-estimate-shaped scratch and the first antenna's power gains.  Where no
-worker draws, the draw buffer lies idle from a chunk's scaling until the
-next chunk's draw, so the scratch and the first antenna's gains are made
-in it.  The fresh directions'
-power gains go into a part's block, for the directions that any plan's
-slots of the part use, and each chunk's projection writes its slice of
-it.  A one-slot part makes its block when its chunk is projected, and it
-is freed once every plan's part has settled.  Parts of two chunks take
-theirs from a ring of three chunks kept for the pass, read forward by
-even parts and backward by odd ones: so a part's first chunk lands where
-the part before it, which waits for that chunk, keeps nothing, and its
-second lands on the ring's middle chunk once that part has settled.  A
+estimate-shaped scratch and the first antenna's power gains, all shared
+by every quality of the pass, which use them in turn.  Where no worker
+draws and the pass has one quality, the draw buffer lies idle from a
+chunk's scaling until the next chunk's draw, so the scratch and the first
+antenna's gains are made in it (with several qualities it is read until
+the last has scaled the chunk, so they are arrays of their own).  The
+fresh directions' power gains go into a part's block, one per quality,
+for the directions that its plans' slots of the part use, and each
+chunk's projection at that quality writes its slice of it.  A quality
+makes its block when it begins the part, right before its first decode
+there, so the qualities before it have settled what they could first.  A
+one-slot part's block is freed once every plan of its quality has
+settled the part.  Parts of two chunks take theirs from a ring of three
+chunks per quality, kept for the pass, read forward by even parts and
+backward by odd ones: so a part's first chunk lands where the part
+before it, which waits for that chunk, keeps nothing, and its second
+lands on the ring's middle chunk once that part has settled.  A
 part that a part before it might still need the ring's memory for, as
 behind a link carried far, makes a block of its own instead; no block is
 written while a part that reads it waits.  The complex gains are made one
@@ -121,16 +133,17 @@ estimate_dofs of one plan), and a RateLedger is built only at one point
 
 What a pass makes once.  Whatever depends only on the plans, the grid
 and the chunk size is made once per pass, before the first chunk: the
-streams' starts, the grid with each draw field's scale at each point
-(channel._Grid, which sample_channel reads instead of working the scales
-out again), the chunk's buffers and a whole chunk's realization of them
-(a short last chunk makes its own), the ring, and per plan its decode
-templates, beside another plan its union positions, and its schedule:
-per part and per chunk, its slots there by shape and every index that
-their batches read, made for all parts and chunks by one _takes call.
-What is left is paid per draw chunk: the draw, one sample_channel call,
-the conjugation and the projection, and a lookup of each plan's entries;
-per part: its block and one _Batch per template, with its bits and
+streams' starts, per quality the grid with each draw field's scale at
+each point (channel._Grid, which sample_channel reads instead of working
+the scales out again) and the ring, the chunk's buffers and a whole
+chunk's realization of them (a short last chunk makes its own), and per
+plan its decode templates, beside another plan its union positions, and
+its schedule: per part and per chunk, its slots there by shape and every
+index that their batches read, made for all parts and chunks by one
+_takes call.  What is left is paid per draw chunk: the draw, and per
+quality there one sample_channel call, the conjugation and the
+projection, and a lookup of each plan's entries; per part and quality:
+its block and one _Batch per template, with its bits and
 minors arrays; and per template batch: the array operations of its
 decode and settle and the views of the gains that they read (a dict of
 them per decode).  Sums of products add into the first product and means
@@ -173,8 +186,10 @@ a stream's row, and its parts are filled in turn, a chunk to a part.
 Every chunk is handed over one part ahead, as its streams' starts, its
 rows and a deque of their positions: the first chunk of each part before
 the decode tables are made, and each later one as soon as the chunk
-before it in its part has been scaled.  Where a chunk is one slot, the
-buffer has two parts, and one worker thread, kept for the whole pass
+before it in its part has been scaled (at every quality whose plans have
+slots there; the last of them scales it and then decodes it while the
+next is drawn).  Where a chunk is one slot, the buffer has two parts,
+and one worker thread, kept for the whole pass
 however many plans it serves, starts on each deque at once, from the
 front, so the next chunk is drawn while this one decodes.  When the
 calling thread needs the chunk, it draws from the back the rows that the
@@ -572,8 +587,11 @@ class _PlanPass:
         self.rate = np.full((int(plan.starts[-1]), len(ps)), np.nan)
         # delivered MI, effective noise; NaN until decoded
         self.link_out = np.full((2, len(plan.links), len(ps)), np.nan)
-        self.part = None  # the part being decoded: (largest settle_after, lo, hi, its _Batch per shape number)
-        # (largest settle_after, lo, hi, its _Batches) per part not yet settled
+        # the part being decoded: (largest settle_after, its end hi, each
+        # user's count of additions there, its _Batch per shape number)
+        self.part = None
+        # (largest settle_after, each user's count of additions, its _Batches)
+        # per part not yet settled
         self.waiting: deque = deque()
         self.totals = None  # per-user bits per run, (2, point, trial): made when the first slot settles
         self.result = None  # (rate, link_out, mean, stderr), once every slot has settled
@@ -582,8 +600,9 @@ class _PlanPass:
         """Its slots in each part and each draw chunk of the pass, made once,
         with every index that a part's batches and a chunk's decode read.
         Per part, None where it holds none of its slots, else (the largest
-        settle_after there, its plan positions lo and hi, their shapes'
-        directions, and per shape there (n, how many of its slots lie there,
+        settle_after there, the plan position hi where its slots end, each
+        user's count of additions there, their shapes' directions, and per
+        shape there (n, how many of its slots lie there,
         their positions in the part, first rate rows, link rows per link
         column (None: no link there) and first rows among each user's
         additions of the part (None: none there))).  Per draw chunk, (how
@@ -628,8 +647,9 @@ class _PlanPass:
                 parts[q].append((n, in_parts[q + 1] - in_parts[q], *entry))
         for q, entries in enumerate(parts):
             lo, hi = starts[q], starts[q + 1]
-            parts[q] = (max(plan.settle_after[lo:hi]), lo, hi,
-                        {d for n, *_ in entries for d in plan.shapes[n].directions}, entries) if entries else None
+            parts[q] = (max(plan.settle_after[lo:hi]), hi, tuple(a[q + 1] - a[q] for a in added),
+                        tuple({d for n, *_ in entries for d in plan.shapes[n].directions}),
+                        tuple(entries)) if entries else None
         return parts, chunks
 
     def begin(self, q: int, block: dict) -> None:
@@ -638,7 +658,7 @@ class _PlanPass:
         user-owned first-antenna layer and one cross-minors array per group
         that gets a side row, the arrays for each draw chunk's decode to
         write its slots' range of."""
-        settle, lo, hi, _, entries = self.parts[q]
+        settle, hi, counts, _, entries = self.parts[q]
         shape = self.rate.shape[1:] + (self.n_trials,)
         batches = {}
         for n, size, at, rows, links, firsts in entries:
@@ -646,7 +666,7 @@ class _PlanPass:
             batches[n] = _Batch(t, at, rows, links, firsts, block,
                                 [(user, np.empty(size)) for _, user, _ in t.sic if user >= 0],
                                 [np.empty(size) if g.side_link >= 0 else 0 for g, _ in t.groups])
-        self.part = settle, lo, hi, batches
+        self.part = settle, hi, counts, batches
 
     def decode(self, b: _Batch, sub: slice, at, power_gain) -> None:
         # the first-antenna layers of b's slots in its range sub (at `at` in
@@ -673,16 +693,16 @@ class _PlanPass:
             # demand.  np.float_power is libm's pow, as Python's 2.0 ** x is
             link_out[1, at_link] = scale * np.float_power(2.0, np.fmax(0.0, demand - mi))
 
-    def settle_part(self, lo: int, hi: int, batches: list) -> None:
-        # the part at plan positions [lo, hi), a user at a time: its
-        # batches write the user's n additions in slot order into n rows,
+    def settle_part(self, counts: tuple, batches: list) -> None:
+        # a part, a user at a time: its batches write the user's n additions
+        # (counts[u], from the schedule) in slot order into n rows,
         # which then add up into the user's totals.  More than one are rows
         # 1 to n of a stack whose row 0 is a copy of the totals; a single one
         # (a one-slot part) adds with one +=, the same bits, and no copy
         if self.totals is None:  # made when the first part settles, so that plans whose first slots wait hold none
             self.totals = np.zeros((2,) + self.rate.shape[1:] + (self.n_trials,))
         shape = self.totals.shape[1:]
-        for u, n in enumerate((self.plan.added[:, hi] - self.plan.added[:, lo]).tolist()):
+        for u, n in enumerate(counts):
             if n:
                 stack = np.empty((1 + n,) + shape) if n > 1 else None
                 rows = np.empty((1,) + shape) if stack is None else stack[1:]
@@ -765,11 +785,11 @@ class _PlanPass:
         A queued part's batches hold its block until the slot that its last
         group settles after has been decoded."""
         decoded, entries = self.chunks[c]  # its slots at plan positions [0, decoded) are decoded after it
-        settle, lo, hi, batches = self.part
+        settle, hi, counts, batches = self.part
         for n, sub, at in entries:
             self.decode(batches[n], sub, at, block)
         if decoded == hi:
-            self.waiting.append((settle, lo, hi, list(batches.values())))
+            self.waiting.append((settle, counts, list(batches.values())))
             self.part = None
         while self.waiting and self.waiting[0][0] < decoded:
             self.settle_part(*self.waiting.popleft()[1:])
@@ -780,6 +800,27 @@ class _PlanPass:
             del self.totals
             stderr = totals.std(axis=-1, ddof=1) / math.sqrt(n_trials) if n_trials > 1 else np.zeros(totals.shape[:2])
             self.result = self.rate, self.link_out, totals.mean(axis=-1), stderr
+
+
+class _Quality:
+    """The plans of one CSIT quality in a grid pass: the grid's points at
+    that quality, with each draw field's scale per point (channel._Grid,
+    made once), the plans' passes, the ring that their parts' fresh power
+    gains take (empty where the pass has none) and, per way of reading
+    it, the last union position that a part read so waits for; and, from
+    each part's first chunk on, the part's plans with slots there, its
+    directions and its power-gain block (_evaluate_grid's begin_part)."""
+
+    __slots__ = ("grid", "passes", "ring", "wait", "part", "begun")
+
+    def __init__(self, grid: _Grid, passes: list[_PlanPass], ring: dict):
+        self.grid, self.passes, self.ring = grid, passes, ring
+        self.wait = [-1, -1]
+        self.part, self.begun = None, -1  # the part begun last, and its number
+
+    def holds(self, k: int) -> bool:
+        """Whether its plans have slots in draw chunk k."""
+        return any(pp.chunks[k][1] for pp in self.passes)
 
 
 def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int, seed: int) -> list[tuple]:
@@ -802,16 +843,22 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
     bits of its user-owned first-antenna layers and its groups' cross
     minors.
 
+    Each plan reads snrs' powers at its own quality, so one pass may serve
+    plans of several qualities (_Quality): each chunk is drawn once, then
+    scaled, conjugated, projected and decoded once per quality whose plans
+    have slots there, from that one draw.  The public entry points refuse
+    a plan whose quality is not the grid's (_require_quality).
+
     No validate_plan here: the public callers that need a sound plan run it
     first, and SchemePlan has already checked the links.  n_trials must be
     an integer >= 1 and seed one >= 0 (bools refused, as in
     ExperimentConfig); both are checked before any stream is seeded, and
-    so are the plans, which share the grid's quality, and every point,
-    which must be at most the precision ceiling (_require_precise), so
-    every rate entry point refuses a point above it.  Grid point k's trial
-    i reads row i of the stream keyed by (seed, the point's power, slot
-    index), so a point's numbers do not depend on the rest of the grid, the
-    other plans, the chunk size, which thread draws a row or thread timing.
+    so are the plans, and every point, which must be at most the precision
+    ceiling at each plan's alpha2 (_require_precise), so every rate entry
+    point refuses a point above it.  Grid point k's trial i reads row i of
+    the stream keyed by (seed, the point's power, slot index), so a point's
+    numbers do not depend on the rest of the grid, the other plans or
+    qualities, the chunk size, which thread draws a row or thread timing.
     A draw that raises on the worker thread re-raises here; one on this
     thread raises directly.
     """
@@ -819,11 +866,10 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
     _require_int("seed", seed, 0)
     if not plans:
         raise ValueError("the grid pass needs at least one plan")
-    if any(s.quality != plan.quality for plan in plans for s in snrs):
-        raise ValueError("SNR point and plan disagree on CSIT quality")
-    for s in snrs:
-        _require_precise(s.p_db, s.quality.alpha2)
-    ps, grid = [s.p for s in snrs], _Grid(snrs)  # grid: each draw field's scale per point, made once
+    for quality in dict.fromkeys(plan.quality for plan in plans):
+        for s in snrs:
+            _require_precise(s.p_db, quality.alpha2)
+    ps = [s.p for s in snrs]
     own = [plan.all_slots() for plan in plans]
     if len(plans) == 1:  # the union is the plan's own slots, in plan order
         indices, positions = [s.index for s in own[0]], [range(len(own[0]))]
@@ -832,25 +878,27 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         union = {index: k for k, index in enumerate(indices)}
         positions = [[union[s.index] for s in slots] for slots in own]
 
-    def begin_part(lo: int, hi: int, q: int) -> tuple:
+    def begin_part(group: _Quality, lo: int, hi: int, q: int) -> None:
         # part q holds the slots at union positions [lo, hi).  Its
-        # power-gain block is made for the directions of every plan with
-        # slots there, and each such plan starts it, making its batches:
-        # (those plans, directions, block).  The block is the ring's,
-        # read forward for an even q and backward for an odd one, where no
-        # part that keeps gains there still waits when this part's chunks
-        # are projected: a part read the same way must have settled, and the
-        # part before it must settle once this part's first chunk is decoded
-        # (its second overwrites the ring's middle)
-        there = [pp for pp in passes if pp.parts[q]]
+        # power-gain block is made for the directions of every plan of the
+        # quality with slots there, and each such plan starts it, making
+        # its batches: group.part = (those plans, directions, block).  The
+        # block is the quality's ring's, read forward for an even q and
+        # backward for an odd one, where no part that keeps gains there
+        # still waits when this part's chunks are projected: a part read the
+        # same way must have settled, and the part before it must settle
+        # once this part's first chunk is decoded (its second overwrites the
+        # ring's middle)
+        there = [pp for pp in group.passes if pp.parts[q]]
         directions = sorted(set().union(*(pp.parts[q][3] for pp in there)))
+        ring, wait = group.ring, group.wait
         if ring and wait[q % 2] < lo and wait[1 - q % 2] < lo + chunk:
             block = {d: (ring[d] if q % 2 == 0 else ring[d][:, ::-1])[:, :hi - lo] for d in directions if d}
         else:
             block = {d: np.empty((2, hi - lo) + shape[1:]) for d in directions if d}
         for pp in there:
             pp.begin(q, block)
-        return there, directions, block
+        group.part, group.begun = (there, directions, block), q
 
     def decode_chunk(k: int, lo: int, hi: int, stack, part_lo: int, there: list, directions, block) -> None:
         # chunk k holds the slots at union positions [lo, hi) of the part
@@ -916,24 +964,32 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
         # estimate in place: the same bits, and no error is read after that
         bufs["h_err"], bufs["g_err"] = bufs["h_true"], bufs["g_true"]
         full = ChannelRealization(**bufs)  # a whole chunk's; only the last chunk may be short
+        groups = []
+        for quality in dict.fromkeys(pp.plan.quality for pp in passes):
+            mine = [pp for pp in passes if pp.plan.quality == quality]
+            mine = passes if len(mine) == len(passes) else mine  # one quality: no second list of the passes
+            # where a pass has several parts of two chunks, the fresh
+            # directions' power gains go into a ring of three chunks per
+            # quality, kept for the pass: a part waits, as a rule, only for
+            # the first chunk of the next, and that chunk's gains go where
+            # the waiting part keeps none
+            ring = {d: np.empty((2, (span + 1) * chunk) + shape[1:])
+                    for d in sorted({d for pp in mine for s in pp.plan.shapes for d in s.directions if d})
+                    } if 1 < span < n_chunks else {}
+            at_quality = snrs if all(s.quality == quality for s in snrs) else [SnrPoint(s.p, quality) for s in snrs]
+            groups.append(_Quality(_Grid(at_quality), mine, ring))
         # the projection's scratch and the first antenna's power gains, which
-        # are read only while a chunk decodes, so every chunk shares them:
-        # where no worker draws, they are made in the draw buffer, idle from
-        # a chunk's scaling until the next chunk's draw
-        if shared:
+        # are read only while a chunk decodes, so every chunk and quality
+        # shares them: where no worker draws and the pass has one quality,
+        # they are made in the draw buffer, idle from a chunk's scaling until
+        # the next chunk's draw (with several, it is read until the last
+        # quality has scaled the chunk)
+        if shared or len(groups) > 1:
             scratch, first = np.empty(shape + (2,), complex), np.empty((2,) + shape)
         else:
             idle, size = normals.reshape(-1), math.prod(shape)
             scratch = idle[:4 * size].view(complex).reshape(shape + (2,))
             first = idle[4 * size:6 * size].reshape((2,) + shape)
-        # where a pass has several parts of two chunks, the fresh
-        # directions' power gains go into a ring of three chunks, kept for
-        # the pass: a part waits, as a rule, only for the first chunk of the
-        # next, and that chunk's gains go where the waiting part keeps none
-        ring = {d: np.empty((2, (span + 1) * chunk) + shape[1:])
-                for d in sorted({d for pp in passes for s in pp.plan.shapes for d in s.directions if d})
-                } if 1 < span < n_chunks else {}
-        wait = [-1, -1]  # per way of reading the ring, the last union position that a part read so waits for
         rng = np.random.Generator(np.random.PCG64(0))
         for k in range(n_chunks):
             lo, hi = k * chunk, min(len(indices), (k + 1) * chunk)
@@ -942,23 +998,37 @@ def _evaluate_grid(plans: list[SchemePlan], snrs: list[SnrPoint], n_trials: int,
             if future:
                 future.result()  # the row the worker is drawing
             stack = full if hi - lo == chunk else ChannelRealization(**{f: b[:hi - lo] for f, b in bufs.items()})
-            sample_channel(grid, normals[k % len(normals), :hi - lo], size=n_trials, out=stack)
-            if k + len(normals) < n_chunks:
-                drawn.append(hand_over(k + len(normals)))  # into the part just scaled, while this chunk decodes
-            for true in (stack.h_true, stack.g_true):
-                np.conjugate(true, out=true)  # each gain is conj(true) . direction
-            if k % span == 0:
-                part_lo, part = lo, begin_part(lo, min(len(indices), lo + span * chunk), k // span)
-            decode_chunk(k, lo, hi, stack, part_lo, *part)
-            if ring and (k + 1) % span == 0:
-                q = k // span % 2
-                wait[q] = max([wait[q]] + [pp.union[entry[0]] for pp in passes for entry in pp.waiting])
+            q = k // span
+            part_lo = q * span * chunk
+            # the qualities whose plans have slots in the chunk, in turn: each
+            # scales the one draw, and begins the part, its block made, right
+            # before its first decode there, once the qualities before it
+            # have settled what they could
+            last = [group for group in groups if group.holds(k)][-1]
+            for group in groups:
+                if not group.holds(k):
+                    continue
+                sample_channel(group.grid, normals[k % len(normals), :hi - lo], size=n_trials, out=stack)
+                if group is last and k + len(normals) < n_chunks:
+                    # into the part just scaled, while this chunk decodes
+                    drawn.append(hand_over(k + len(normals)))
+                for true in (stack.h_true, stack.g_true):
+                    np.conjugate(true, out=true)  # each gain is conj(true) . direction
+                if group.begun < q:
+                    begin_part(group, part_lo, min(len(indices), part_lo + span * chunk), q)
+                decode_chunk(k, lo, hi, stack, part_lo, *group.part)
+            if (k + 1) % span == 0:
+                for group in groups:
+                    if group.ring:
+                        group.wait[q % 2] = max([group.wait[q % 2]] + [pp.union[entry[0]] for pp in group.passes
+                                                                       for entry in pp.waiting])
 
     return [pp.result for pp in passes]
 
 
 def _point_ledger(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> RateLedger:
     """The grid pass at the single point snr, as a RateLedger."""
+    _require_quality([plan], [snr])
     rate, link_out, mean, stderr = (a[..., 0].tolist() for a in _evaluate_grid([plan], [snr], n_trials, seed)[0])
     link_ids = [link.interference_id for link in plan.links]
     return RateLedger(
@@ -969,6 +1039,14 @@ def _point_ledger(plan: SchemePlan, snr: SnrPoint, n_trials: int, seed: int) -> 
         link_delivered=dict(zip(link_ids, link_out[0])),
         link_noise=dict(zip(link_ids, link_out[1])),
     )
+
+
+def _require_quality(plans: list[SchemePlan], snrs: list[SnrPoint]) -> None:
+    """ValueError unless every plan has the quality of every point of snrs:
+    the grid pass reads the points' powers at each plan's own quality, and
+    the public entry points take one quality per call."""
+    if any(s.quality != plan.quality for plan in plans for s in snrs):
+        raise ValueError("SNR point and plan disagree on CSIT quality")
 
 
 def _require_valid(plan: SchemePlan) -> None:
@@ -1060,10 +1138,27 @@ def estimate_dofs(plans: list[SchemePlan], p_grid: list[SnrPoint], n_trials: int
     is checked and every plan validated before the first stream is seeded,
     so a plan that fails validation (PlanValidationError) costs no work.
     """
+    _require_estimable(plans, p_grid)
+    return _estimates(plans, p_grid, n_trials, seed)
+
+
+def _require_estimable(plans: list[SchemePlan], p_grid: list[SnrPoint]) -> None:
+    """estimate_dofs' checks of its plans and grid, in its order: the grid
+    at each plan's alpha2 (check_grid_db), each plan's diagnostics
+    (PlanValidationError) and each plan's quality against the grid's."""
     for plan in plans:
         check_grid_db([s.p_db for s in p_grid], plan.quality.alpha2)
     for plan in plans:
         _require_valid(plan)
+    _require_quality(plans, p_grid)
+
+
+def _estimates(plans: list[SchemePlan], p_grid: list[SnrPoint], n_trials: int, seed: int) -> list[DofEstimate]:
+    """estimate_dofs of plans whose checks (_require_estimable) have passed,
+    each against its own quality's grid, from one grid pass: the plans may
+    have several qualities, each reading p_grid's powers at its own, and
+    each estimate is == to estimate_dof of its plan alone on its grid (the
+    fit reads only the powers)."""
     return [_fit(plan, p_grid, mean, stderr)
             for plan, (_, _, mean, stderr) in zip(plans, _evaluate_grid(plans, p_grid, n_trials, seed))]
 

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import __version__
 from .channel import SnrPoint
-# estimate_dof is not called here (run estimates every plan in one
-# estimate_dofs pass), but the benchmark's tracer (perfbench/tracing.py)
+# estimate_dof is not called here (run and sweep estimate their plans in
+# one _estimates pass), but the benchmark's tracer (perfbench/tracing.py)
 # patches it under this module
-from .evaluator import DofEstimate, check_grid_db, estimate_dof, estimate_dofs  # noqa: F401
+from .evaluator import DofEstimate, _estimates, _require_estimable, check_grid_db, estimate_dof  # noqa: F401
 from .geometry import CsitQuality, DofPoint, contains, dof_region, region_as_dict
 from .schemes import PRESET_NAMES, _require_int, build_preset
 
@@ -55,6 +55,7 @@ DEFAULT_TRIALS = 2000
 DEFAULT_CYCLES = 50
 DEFAULT_TOLERANCE = 0.05
 DEFAULT_SEED = 7
+_PAIRS_PER_PASS = 3  # quality pairs that sweep runs through one grid pass
 
 
 def _real(x) -> bool:
@@ -251,50 +252,89 @@ def run(config: ExperimentConfig) -> RunReport:
     estimate.  Scheme/quality mismatches (the case split) raise
     SchemeConditionError naming the violated condition, two names that
     build one preset (auto and the case it picks) raise ValueError, and an
-    output_dir that cannot be made a directory raises OSError.  The plans
-    are estimated together, in one estimate_dofs pass, which validates
-    every plan (PlanValidationError) before the first stream is seeded and
+    output_dir that cannot be made a directory raises OSError.  Every plan
+    is then validated (PlanValidationError) before the first stream is
+    seeded, and the plans are estimated together, in one grid pass that
     draws each stream once for all of them; each estimate is the one
     estimate_dof gives its plan alone.  Deterministic for a fixed config.
+    run is sweep's batch routine (_run_pairs) for one pair, and
+    report.json's wall_time_s is the whole run's.
+    """
+    report = _run_pairs([config])[0]
+    if isinstance(report, ValueError):
+        raise report
+    return report
+
+
+def _run_pairs(configs: list[ExperimentConfig]) -> list:
+    """run of each config, in order, with one grid pass for them all: per
+    config its RunReport, or the ValueError that its builds or the checks
+    of its plans raised, recorded so that the other pairs go on (any other
+    exception propagates).
+
+    The configs differ at most in their quality pair and output_dir: they
+    share the grid, trial count and seed, so a stream's key carries no
+    quality, and one draw of each stream serves every pair.  Each pair is
+    built, its output_dir made and its plans checked (_require_estimable),
+    in turn; then the plans of every pair that passed share one pass
+    (_estimates), which scales, projects and decodes each chunk's draw once
+    per quality, and each pair's files are written.  Each estimate is ==
+    to run's of its pair alone, so every file is too, but for wall_time_s:
+    the seconds from the start of the batch to the pair's report, the
+    shared pass included.  The pass holds more memory for each pair it
+    serves (its waiting parts, and each plan's per-trial totals).
     """
     t0 = time.monotonic()
-    quality = config.quality
-    region = dof_region(quality)
-    grid = [SnrPoint.from_db(db, quality) for db in config.p_grid_db]
-
-    plans = []
-    built: dict[str, str] = {}  # preset -> the scheme name that built it
-    for name in config.schemes:
-        plans.append(build_preset(name, quality, config.n_cycles))
-        first = built.setdefault(plans[-1].name, name)
-        if first != name:
-            raise ValueError(f"schemes {first!r} and {name!r} both build {plans[-1].name}")
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    results = []
-    for plan, est in zip(plans, estimate_dofs(plans, grid, config.n_trials, config.seed)):
-        target = plan.predicted_dof
-        passed = max(abs(est.slope.d1 - target.d1), abs(est.slope.d2 - target.d2)) <= config.tolerance
-        within = contains(region, est.slope, tol=config.tolerance)
-        results.append(SchemeResult(
-            name=plan.name,
-            estimate=est,
-            target=target,
-            passed=passed,
-            within_region=within,
-            channel_uses=plan.channel_uses(),
-        ))
-
-    report = RunReport(
-        config=config,
-        results=tuple(results),
-        region_vertices=tuple(v.as_tuple() for v in region.vertices),
-        wall_time_s=time.monotonic() - t0,
-    )
-    out = config.output_dir
-    _atomic_write(out / "ledger.csv", _csv_rows(config, results))
-    _atomic_write(out / "report.json", json.dumps(report.to_dict(), indent=2) + "\n")
-    region_export(quality, out / "region.json")
-    return report
+    reports: list = []
+    pairs = []  # (its place in reports, config, region, grid, plans) per pair that the pass serves
+    for config in configs:
+        plans = []
+        built: dict[str, str] = {}  # preset -> the scheme name that built it
+        try:
+            quality = config.quality
+            region = dof_region(quality)
+            grid = [SnrPoint.from_db(db, quality) for db in config.p_grid_db]
+            for name in config.schemes:
+                plans.append(build_preset(name, quality, config.n_cycles))
+                first = built.setdefault(plans[-1].name, name)
+                if first != name:
+                    raise ValueError(f"schemes {first!r} and {name!r} both build {plans[-1].name}")
+            config.output_dir.mkdir(parents=True, exist_ok=True)
+            _require_estimable(plans, grid)
+        except ValueError as exc:  # includes SchemeConditionError and PlanValidationError
+            reports.append(exc)
+            continue
+        pairs.append((len(reports), config, region, grid, plans))
+        reports.append(None)
+    if not pairs:
+        return reports
+    # the pairs' grids differ only in their quality, which the pass reads off
+    # each plan, so any pair's serves them all
+    _, config, _, grid, _ = pairs[0]
+    ests = iter(_estimates([plan for *_, plans in pairs for plan in plans], grid, config.n_trials, config.seed))
+    for at, config, region, _grid, plans in pairs:
+        results = []
+        for plan in plans:
+            est, target = next(ests), plan.predicted_dof
+            results.append(SchemeResult(
+                name=plan.name,
+                estimate=est,
+                target=target,
+                passed=max(abs(est.slope.d1 - target.d1), abs(est.slope.d2 - target.d2)) <= config.tolerance,
+                within_region=contains(region, est.slope, tol=config.tolerance),
+                channel_uses=plan.channel_uses(),
+            ))
+        reports[at] = report = RunReport(
+            config=config,
+            results=tuple(results),
+            region_vertices=tuple(v.as_tuple() for v in region.vertices),
+            wall_time_s=time.monotonic() - t0,
+        )
+        out = config.output_dir
+        _atomic_write(out / "ledger.csv", _csv_rows(config, results))
+        _atomic_write(out / "report.json", json.dumps(report.to_dict(), indent=2) + "\n")
+        region_export(config.quality, out / "region.json")
+    return reports
 
 
 def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
@@ -304,6 +344,10 @@ def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
     validity condition) are recorded in the index and do not stop the sweep.
     base.output_dir is made after every pair is checked and before the
     first run, so a path that cannot be a directory raises OSError first.
+    The pairs run in batches of _PAIRS_PER_PASS, in order, each batch
+    through one grid pass (_run_pairs), which draws each stream once for
+    the batch; each pair's files are those that run writes for it alone,
+    but for report.json's wall_time_s, which counts from its batch's start.
     """
     if not qualities:
         raise ValueError("qualities must be nonempty")
@@ -319,21 +363,21 @@ def sweep(qualities: list[CsitQuality], base: ExperimentConfig) -> dict:
         sub = dataclasses.replace(base, alpha1=q.alpha1, alpha2=q.alpha2, output_dir=base.output_dir / tag)
         runs.append((sub, {"alpha1": sub.alpha1, "alpha2": sub.alpha2, "dir": tag}))
     base.output_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for sub, entry in runs:
-        try:
-            report = run(sub)
-            entry["passed"] = report.all_passed
-            entry["schemes"] = {
-                r.name: {"slope": list(r.estimate.slope.as_tuple()),
-                         "target": list(r.target.as_tuple()),
-                         "passed": r.passed}
-                for r in report.results
-            }
-        except ValueError as exc:  # includes SchemeConditionError; record and continue
-            entry["passed"] = False
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-        entries.append(entry)
+    for b in range(0, len(runs), _PAIRS_PER_PASS):
+        batch = runs[b:b + _PAIRS_PER_PASS]
+        for (_sub, entry), report in zip(batch, _run_pairs([sub for sub, _entry in batch])):
+            if isinstance(report, ValueError):
+                entry["passed"] = False
+                entry["error"] = f"{type(report).__name__}: {report}"
+            else:
+                entry["passed"] = report.all_passed
+                entry["schemes"] = {
+                    r.name: {"slope": list(r.estimate.slope.as_tuple()),
+                             "target": list(r.target.as_tuple()),
+                             "passed": r.passed}
+                    for r in report.results
+                }
+    entries = [entry for _sub, entry in runs]
     index = {
         "schema": SWEEP_SCHEMA,
         "version": __version__,

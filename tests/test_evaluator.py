@@ -687,23 +687,44 @@ class TestLinkWiring:
         # arrays that it holds as tables are its shapes' union positions,
         # one per shape: alone, they are the plan's own slot positions
         # (plan.members), so the pass makes none; beside another plan, they
-        # are its own arrays.  Every other table it reads is the plan's (its
+        # are its own arrays.  Every other table it reads is the plan's: its
         # schedule holds index arrays only for ranges of slots that do not
-        # step evenly, within its per-part and per-chunk entries)
+        # step evenly, within its per-part and per-chunk entries, each no
+        # longer than its range.  Every list, tuple and dict that the pass
+        # holds is walked, however deep
         plan, passes, init = build_case_ii(Q35, 20), [], evaluator._PlanPass.__init__
 
         def spy(self, *args):
             init(self, *args)
             passes.append(self)
 
+        def held(x) -> list:
+            # the int arrays in x and in every list, tuple, deque and dict
+            # in it
+            if isinstance(x, np.ndarray):
+                return [x] if x.dtype.kind == "i" else []
+            if isinstance(x, dict):
+                x = list(x.keys()) + list(x.values())
+            return [a for v in x for a in held(v)] if isinstance(x, (list, tuple, deque)) else []
+
         monkeypatch.setattr(evaluator._PlanPass, "__init__", spy)
         for plans in ([plan], [plan], [plan, build_sc_zf(Q35)]):
             _evaluate_grid(plans, _grid(Q35), 20, 5)
         alone, again, shared = (pp for pp in passes if pp.plan is plan)
+        uneven = 0
         for pp in (alone, again, shared):
-            held = [a for v in vars(pp).values() for a in (v if isinstance(v, (list, tuple)) else (v,))
-                    if isinstance(a, np.ndarray) and a.dtype.kind == "i"]
-            assert len(held) == len(plan.shapes) and all(map(operator.is_, held, pp.at))
+            # (index array, its range's length): per part, each shape's
+            # positions, rate rows, link rows and first additions of its
+            # slots there; per chunk, each shape's positions there
+            ranged = [(a, size) for part in filter(None, pp.parts) for _, size, *indexes in part[-1]
+                      for a in held(indexes)]
+            ranged += [(a, sub.stop - sub.start) for _, entries in pp.chunks for _, sub, at in entries
+                       for a in held([at])]
+            assert all(len(a) <= size for a, size in ranged)
+            uneven += len(ranged)
+            allowed = list(pp.at) + [a for a, _ in ranged]
+            assert sorted(map(id, held(list(vars(pp).values())))) == sorted(map(id, allowed))
+        assert uneven  # case-ii's prologue shares a shape with its cycles: some range steps unevenly
         assert all(map(operator.is_, alone.at, plan.members)) and all(map(operator.is_, again.at, plan.members))
         assert not any(map(np.shares_memory, shared.at, plan.members))
         assert [a.tolist() for a in shared.at] == [m.tolist() for m in plan.members]  # sc-zf's slot is one of case-ii's

@@ -157,19 +157,19 @@ def test_a_chunk_settled_one_slot_early(plan, monkeypatch):
     assert _digest(plan) != recorded(DIGESTS)
 
 
-def _part_rows(self, lo, hi):
-    """Each user's count of additions in the part and zeroed rows for them,
-    after making the totals as the pass does."""
+def _part_rows(self, counts):
+    """Each user and zeroed rows for the user's count of additions in the
+    part (counts, the schedule's), after making the totals as the pass
+    does."""
     if self.totals is None:
         self.totals = np.zeros((2,) + self.rate.shape[1:] + (self.n_trials,))
-    return [(u, np.zeros((n,) + self.totals.shape[1:])) for u, n in
-            enumerate((self.plan.added[:, hi] - self.plan.added[:, lo]).tolist())]
+    return [(u, np.zeros((n,) + self.totals.shape[1:])) for u, n in enumerate(counts)]
 
 
-def _added_up_template_by_template(self, lo, hi, batches):
+def _added_up_template_by_template(self, counts, batches):
     # each template batch's additions are added to the totals on their own,
     # one template after another, not in slot order
-    for u, rows in _part_rows(self, lo, hi):
+    for u, rows in _part_rows(self, counts):
         for b in batches:
             rows[...] = 0.0
             self.settle(b, u, rows)
@@ -177,10 +177,10 @@ def _added_up_template_by_template(self, lo, hi, batches):
                 self.totals[u] += row
 
 
-def _folded_in_as_one_sum(self, lo, hi, batches):
+def _folded_in_as_one_sum(self, counts, batches):
     # the part's additions summed first, then added to the totals at once:
     # total + sum(additions)
-    for u, rows in _part_rows(self, lo, hi):
+    for u, rows in _part_rows(self, counts):
         for b in batches:
             self.settle(b, u, rows)
         self.totals[u] += np.add.reduce(rows, axis=0)

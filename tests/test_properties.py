@@ -28,6 +28,7 @@ from asymcsit import (
     residual_power_probe,
     validate_plan,
 )
+from asymcsit import evaluator
 from asymcsit.schemes import (
     OWNER_COMMON,
     OWNER_USER1,
@@ -346,33 +347,47 @@ def test_grid_pass_equals_per_point_evaluation(quality, n_cycles, seed):
 
 
 def _check_shared_pass(plans, grid, n_trials, seed):
-    # one grid pass for every plan, each stream drawn, scaled and projected
-    # once, must give each plan exactly its own pass's estimate
-    shared = estimate_dofs(plans, grid, n_trials, seed)
+    # one grid pass for every plan, each stream drawn once and scaled and
+    # projected once per quality, must give each plan exactly its own pass's
+    # estimate.  Plans of the grid's quality share estimate_dofs' pass;
+    # plans of several share _estimates' (sweep's), in which each reads the
+    # grid's powers at its own quality
+    one = all(plan.quality == grid[0].quality for plan in plans)
+    shared = (estimate_dofs if one else evaluator._estimates)(plans, grid, n_trials, seed)
     assert len(shared) == len(plans)
     for plan, got in zip(plans, shared):
-        alone = estimate_dof(plan, grid, n_trials, seed)
+        alone = estimate_dof(plan, [SnrPoint(s.p, plan.quality) for s in grid], n_trials, seed)
         for field in ("points", "point_stderr", "slope", "stderr"):
-            assert getattr(got, field) == getattr(alone, field), (plan.name, plan.n_cycles, field)
+            assert getattr(got, field) == getattr(alone, field), (plan.name, plan.quality, plan.n_cycles, field)
 
 
-_MIX = [("sc-zf", 1), ("ges12-asym", 2), ("case-ii", 3)]  # plans of 1, 3 and 12 slots
+# plans of 1, 3 and 12 slots; None: the grid's quality
+_MIX = [("sc-zf", 1, None), ("ges12-asym", 2, None), ("case-ii", 3, None)]
+# the same presets at three qualities, and case-i, whose slot indices
+# interleave with case-ii's, at alpha = 1
+_QUALITIES_MIX = [("sc-zf", 1, CsitQuality(0.0, 0.0)), ("ges12-asym", 2, None),
+                  ("case-ii", 3, CsitQuality(0.4, 0.4)), ("case-i", 2, CsitQuality(1.0, 1.0))]
 
 
 @settings(max_examples=40, deadline=None)
-@given(qualities, st.lists(st.tuples(st.sampled_from(PRESET_NAMES), cycles), min_size=1, max_size=4),
+@given(qualities, st.lists(st.tuples(st.sampled_from(PRESET_NAMES), cycles, st.one_of(st.none(), qualities)),
+                           min_size=1, max_size=4),
        st.sampled_from([20, 2100]), st.integers(0, 2**32 - 1))
 @example(CsitQuality(0.3, 0.5), _MIX, 20, 7)
 @example(CsitQuality(0.3, 0.5), _MIX, 2100, 7)
-@example(CsitQuality(0.2, 0.8), [("case-i", 3), ("sc-zf", 2), ("case-i", 1), ("ges12-asym", 3)], 20, 5)
+@example(CsitQuality(0.2, 0.8), [("case-i", 3, None), ("sc-zf", 2, None), ("case-i", 1, None), ("ges12-asym", 3, None)],
+         20, 5)
+@example(CsitQuality(0.3, 0.5), _QUALITIES_MIX, 20, 7)
+@example(CsitQuality(0.3, 0.5), _QUALITIES_MIX, 2100, 7)
 def test_one_pass_for_several_plans_equals_a_pass_per_plan(quality, mix, n_trials, seed):
     # 20 trials: draw chunks of many slots; 2100: a slot is over the draw
     # budget, so a chunk is one slot and the calling thread helps draw it.
-    # Plans of one quality, any presets and cycles, repeats allowed
+    # Any presets and cycles, repeats allowed, each plan at the grid's
+    # quality or at its own
     plans = []
-    for name, n_cycles in mix:
+    for name, n_cycles, own in mix:
         try:
-            plans.append(build_preset(name, quality, n_cycles))
+            plans.append(build_preset(name, own or quality, n_cycles))
         except SchemeConditionError:
             assert name in ("case-i", "case-ii", "case-ii-alt")
     assume(plans)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -170,13 +171,17 @@ class TestSweep:
             assert (tmp_path / "sw" / d / "ledger.csv").exists()
 
     def test_sweep_propagates_programming_errors(self, tmp_path, monkeypatch):
-        def broken(config):
+        # a bug in a pair's build or in its batch's grid pass is no pair's
+        # recorded failure: only a ValueError is
+        def broken(*args):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr("asymcsit.reports.run", broken)
         base = ExperimentConfig(alpha1=0.0, alpha2=0.0, output_dir=tmp_path / "sw", **SMALL)
-        with pytest.raises(RuntimeError, match="bug"):
-            sweep([CsitQuality(0.3, 0.5)], base)
+        for name in ("build_preset", "_estimates"):
+            with monkeypatch.context() as m:
+                m.setattr(reports, name, broken)
+                with pytest.raises(RuntimeError, match="bug"):
+                    sweep([CsitQuality(0.3, 0.5)], base)
 
     def test_sweep_rejects_empty(self, tmp_path):
         base = ExperimentConfig(alpha1=0.0, alpha2=0.0, output_dir=tmp_path, **SMALL)
@@ -227,6 +232,84 @@ class TestNumpyScalars:
             written.append(_written(tmp_path / "sw"))
         assert written[1] == written[0]
         assert len(written[0]) == 7 and b'"alpha1": 0,' in written[0]["index.json"]
+
+
+class TestBatchedSweep:
+    """sweep runs its pairs in batches of reports._PAIRS_PER_PASS, each
+    through one grid pass that draws each stream once for the batch.  Each
+    pair's ledger.csv, region.json and report.json (less wall_time_s) must
+    be the bytes that run writes for that pair alone, and a pair that fails
+    must record run's error and write nothing."""
+
+    # alpha = 0, alpha = 1, the case-split line 2*alpha2 - alpha1 = 1 (where
+    # auto routes to case-i), (0.4, 0.7), which rounds to just below it,
+    # and pairs on either side of it
+    PAIRS = [CsitQuality(0.0, 0.0), CsitQuality(0.0, 0.4), CsitQuality(0.2, 0.6), CsitQuality(0.4, 0.7),
+             CsitQuality(0.3, 0.5), CsitQuality(0.5, 1.0), CsitQuality(1.0, 1.0)]
+    BUDGET = dict(p_grid_db=[60.0, 80.0, 100.0], n_trials=20, n_cycles=2, seed=7)
+
+    def _check(self, tmp_path, pairs, base):
+        assert len(pairs) > reports._PAIRS_PER_PASS  # more than one batch, the last one short
+        index = sweep(pairs, base)
+        swept = _written(tmp_path / "sw")
+        errors = 0
+        for q, entry in zip(pairs, index["runs"]):
+            mine = {name.split("/", 1)[1]: data for name, data in swept.items() if name.startswith(entry["dir"] + "/")}
+            # run alone, into the directory that sweep gave the pair, which
+            # report.json's config names
+            config = dataclasses.replace(base, alpha1=q.alpha1, alpha2=q.alpha2,
+                                         output_dir=base.output_dir / entry["dir"])
+            try:
+                run(config)
+            except ValueError as exc:
+                errors += 1
+                assert entry["error"] == f"{type(exc).__name__}: {exc}" and not mine
+                continue
+            alone = _written(config.output_dir)
+            assert "error" not in entry and set(alone) == {"ledger.csv", "report.json", "region.json"}
+            assert mine == alone, (q, entry["dir"])
+        return errors
+
+    @pytest.mark.parametrize("schemes, failing", [(["auto", "sc-zf", "ges12-asym"], 0),
+                                                  (["case-ii", "sc-zf"], 3)], ids=["auto", "case-ii"])
+    def test_each_pair_writes_what_run_writes_alone(self, tmp_path, schemes, failing):
+        # case-ii fails to build at the case-i pairs, between pairs that
+        # build, so a batch's pass serves fewer pairs than it holds
+        base = ExperimentConfig(alpha1=0.0, alpha2=0.0, schemes=schemes, output_dir=tmp_path / "sw", **self.BUDGET)
+        assert self._check(tmp_path, self.PAIRS, base) == failing
+
+    def test_each_pair_over_the_draw_budget_writes_what_run_writes_alone(self, tmp_path):
+        # 2100 trials: a slot is over the draw budget, so a draw chunk is one
+        # slot, and a worker draws beside the calling thread
+        base = ExperimentConfig(alpha1=0.0, alpha2=0.0, schemes=["sc-zf"], output_dir=tmp_path / "sw",
+                                **dict(self.BUDGET, n_trials=2100))
+        assert self._check(tmp_path, self.PAIRS, base) == 0
+
+    def test_a_batch_draws_each_stream_once(self, tmp_path, monkeypatch):
+        # the benchmark's sweep (its pairs, schemes and cycles) at 20 trials:
+        # the rows handed to _draw are the union of each batch's slot indices
+        # at every grid point, where a pass per pair draws each pair's own
+        pairs = [CsitQuality(*map(float, pair.split(":"))) for pair in
+                 ("0:0", "0:0.2", "0.1:0.3", "0.25:0.45", "0.3:0.5", "0:0.5",
+                  "0.5:0.75", "0.4:0.4", "0.5:0.7", "0.2:0.8", "0.5:1", "1:1")]
+        schemes, n_cycles, grid_db = ["sc-zf", "ges12-asym", "auto"], 5, [60.0, 80.0, 100.0, 120.0]
+        chunks, draw = {}, evaluator._draw
+
+        def counted(rng, take, states, rows):
+            chunks[id(take.__self__)] = take.__self__, len(rows)  # the chunk's deque, kept so that no id is reused
+            draw(rng, take, states, rows)
+
+        monkeypatch.setattr(evaluator, "_draw", counted)
+        base = ExperimentConfig(alpha1=0.0, alpha2=0.0, schemes=schemes, p_grid_db=grid_db, n_trials=20,
+                                n_cycles=n_cycles, output_dir=tmp_path / "sw")
+        index = sweep(pairs, base)
+        assert not any("error" in entry for entry in index["runs"])
+        slots = [{s.index for name in schemes for s in build_preset(name, q, n_cycles).all_slots()} for q in pairs]
+        per_pair = sum(map(len, slots)) * len(grid_db)
+        k = reports._PAIRS_PER_PASS
+        batched = sum(len(set().union(*slots[b:b + k])) * len(grid_db) for b in range(0, len(pairs), k))
+        assert sum(n for _, n in chunks.values()) == batched
+        assert per_pair == 756 and batched < per_pair
 
 
 class TestRegionExport:
@@ -491,7 +574,7 @@ class TestCli:
             raise AssertionError("an estimate ran")
 
         monkeypatch.setattr("asymcsit.reports.estimate_dof", refuse)
-        monkeypatch.setattr("asymcsit.reports.estimate_dofs", refuse)
+        monkeypatch.setattr("asymcsit.reports._estimates", refuse)
 
     def test_run_refuses_a_repeated_scheme(self, tmp_path, capsys, no_estimates):
         # each plan used to be estimated twice, with duplicate ledger rows
